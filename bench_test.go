@@ -645,7 +645,7 @@ func benchTableII(b *testing.B, pc string) {
 	}
 	// Per-stage Krylov iteration spread over the run's solves — the
 	// numbers the paper's Table II configures each stage to minimize.
-	for _, stage := range []string{"ch", "ns", "pp", "vu"} {
+	for _, stage := range []string{"ch", "ch_newton", "ns", "pp", "vu"} {
 		is := ks[stage]
 		b.ReportMetric(float64(is.Min), stage+"-its-min")
 		b.ReportMetric(is.Mean, stage+"-its-mean")

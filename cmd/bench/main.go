@@ -138,8 +138,9 @@ func main() {
 							fatal(fmt.Errorf("%s/%s ranks=%d vw=%d pc=%s: %v", name, pr, r, nw, pc, err))
 						}
 						file.Runs = append(file.Runs, rec)
-						fmt.Printf("%-10s %-6s ranks=%d vw=%d pc=%-8s wall=%8.1fms  ns-its=%.2f pp-its=%.2f\n",
+						fmt.Printf("%-10s %-6s ranks=%d vw=%d pc=%-8s wall=%8.1fms  ch-newton=%.2f ch-its=%.2f ns-its=%.2f pp-its=%.2f\n",
 							name, pr, r, nw, pc, rec.WallMS,
+							rec.Stats.KrylovIters["ch_newton"].Mean, rec.Stats.KrylovIters["ch"].Mean,
 							rec.Stats.KrylovIters["ns"].Mean, rec.Stats.KrylovIters["pp"].Mean)
 					}
 				}

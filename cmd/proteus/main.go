@@ -161,6 +161,8 @@ func main() {
 				res.StepsDone, res.Stopped, res.Wall.Round(time.Millisecond),
 				tm.CH.Total, tm.NS.Total, tm.PP.Total, tm.VU.Total, tm.Remesh.Total,
 				st.RemeshCount, st.PartitionOnlyRounds)
+			nwt := st.KrylovIters["ch_newton"]
+			fmt.Printf("CH Newton iterations per step: mean %.2f (min %d, max %d)\n", nwt.Mean, nwt.Min, nwt.Max)
 			if *out != "" {
 				fmt.Printf("wrote %s.pvtu\n", *out)
 			}

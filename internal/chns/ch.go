@@ -10,7 +10,7 @@ import (
 )
 
 // chOps holds the elemental operator blocks the CH residual and Jacobian
-// are combined from (all NPE x NPE scalar blocks), plus the nodal/Gauss
+// are combined from (all NPE x NPE scalar blocks), plus the mobility
 // coefficient scratch used to build them, so the element loop allocates
 // nothing.
 type chOps struct {
@@ -18,10 +18,8 @@ type chOps struct {
 	Ke  []float64 // stiffness
 	Kme []float64 // mobility-weighted stiffness
 	Ce  []float64 // convection with the current velocity
-	Mpp []float64 // ψ''(φ)-weighted mass
 
-	mob, psi2  []float64 // nodal mobility and ψ''
-	mobG, psiG []float64 // the same at Gauss points
+	mob, mobG []float64 // mobility at corners and at Gauss points
 }
 
 func newCHOps(npe, ng int) *chOps {
@@ -29,18 +27,22 @@ func newCHOps(npe, ng int) *chOps {
 	return &chOps{
 		Me: make([]float64, n), Ke: make([]float64, n),
 		Kme: make([]float64, n), Ce: make([]float64, n),
-		Mpp: make([]float64, n),
-		mob: make([]float64, npe), psi2: make([]float64, npe),
-		mobG: make([]float64, ng), psiG: make([]float64, ng),
+		mob: make([]float64, npe), mobG: make([]float64, ng),
 	}
 }
 
 // chScratch is one element-loop worker's private CH Jacobian scratch.
 type chScratch struct {
-	ops     *chOps
-	pm      []float64   // φ,μ corner values
-	vel     []float64   // velocity corner values
-	jblocks [][]float64 // dof-pair blocks for the node-major Jacobian path
+	ops       *chOps
+	pm, pmOld []float64   // φ,μ corner values at the iterate and at time n
+	vel       []float64   // velocity corner values
+	jblocks   [][]float64 // dof-pair blocks for the node-major Jacobian path
+
+	// Mobility-derivative block: μ̄ = θμ + (1-θ)μ_old at corners, ∇μ̄ at
+	// Gauss points, Gm = ∫ (∇N_a·∇μ̄) N_b, and the per-column factors
+	// m'(φ_b)/(Pe Cn) and ψ''(φ_b).
+	mubar, gradG, Gm []float64
+	dmob, psi2       []float64
 }
 
 // chResScratch is one element-loop worker's private CH residual scratch,
@@ -68,22 +70,17 @@ func newCHResScratch(npe, ng, dim int) *chResScratch {
 func newCHScratch(npe, ng, dim int) chScratch {
 	sc := chScratch{
 		ops: newCHOps(npe, ng),
-		pm:  make([]float64, npe*2),
-		vel: make([]float64, npe*dim),
+		pm:  make([]float64, npe*2), pmOld: make([]float64, npe*2),
+		vel:   make([]float64, npe*dim),
+		mubar: make([]float64, npe), gradG: make([]float64, ng*dim),
+		Gm:   make([]float64, npe*npe),
+		dmob: make([]float64, npe), psi2: make([]float64, npe),
 	}
 	sc.jblocks = make([][]float64, 4)
 	for i := range sc.jblocks {
 		sc.jblocks[i] = make([]float64, npe*npe)
 	}
 	return sc
-}
-
-func (o *chOps) zero() {
-	for _, b := range [][]float64{o.Me, o.Ke, o.Kme, o.Ce, o.Mpp} {
-		for i := range b {
-			b[i] = 0
-		}
-	}
 }
 
 // chProblem is the Newton problem for the fully implicit CH block.
@@ -94,35 +91,29 @@ type chProblem struct {
 	theta float64
 }
 
-// buildOps assembles the elemental blocks for element e, with the
-// mobility and ψ” coefficients evaluated at the corner values phiC.
-// Uses the explicit-loop operators or the zipped GEMM operators depending
-// on the configured layout (Table I stage 2). wk is the invoking worker's
+// buildOps assembles the elemental blocks for an element of side h, with
+// the mobility evaluated at the corner values phiC. M and K are the
+// reference blocks scaled by h; only K_m(φ) and C(u) are integrated, with
+// the explicit-loop operators or the zipped GEMM operators depending on
+// the configured layout (Table I stage 2). wk is the invoking worker's
 // GEMM scratch, so concurrent shards never share buffers.
-func (p *chProblem) buildOps(e int, h float64, phiC, velC []float64, ops *chOps, wk *fem.GemmWork) {
+func (p *chProblem) buildOps(h float64, phiC, velC []float64, ops *chOps, wk *fem.GemmWork) {
 	s := p.s
 	r := s.asmCH.Ref
-	npe := r.NPE
-	ops.zero()
-	for a := 0; a < npe; a++ {
+	for a := 0; a < r.NPE; a++ {
 		ops.mob[a] = s.Par.Mobility(phiC[a*2])
-		ops.psi2[a] = PsiDoublePrime(phiC[a*2])
 	}
+	r.MassStiffness(h, ops.Me, ops.Ke)
 	if s.Opt.Layout == fem.LayoutZipped {
 		r.CoefAtGauss(ops.mob, ops.mobG)
-		r.CoefAtGauss(ops.psi2, ops.psiG)
-		r.MassGemm(wk, h, 1, nil, ops.Me)
-		r.StiffGemm(wk, h, 1, nil, ops.Ke)
 		r.StiffGemm(wk, h, 1, ops.mobG, ops.Kme)
 		r.ConvGemm(wk, h, 1, velC, ops.Ce)
-		r.MassGemm(wk, h, 1, ops.psiG, ops.Mpp)
 		return
 	}
-	r.Mass(h, 1, ops.Me)
-	r.Stiffness(h, 1, ops.Ke)
+	clear(ops.Kme)
+	clear(ops.Ce)
 	r.WeightedStiffness(h, ops.mob, 1, ops.Kme)
 	r.Convection(h, velC, 1, ops.Ce)
-	r.WeightedMass(h, ops.psi2, 1, ops.Mpp)
 }
 
 // gatherCorners extracts φ,μ and velocity corner values for element e.
@@ -163,7 +154,7 @@ func (s *Solver) initCHKernels() {
 			sc.muOld[a] = sc.pmOld[a*2+1]
 			sc.psi1[a] = PsiPrime(sc.phiNew[a])
 		}
-		p.buildOps(e, h, sc.pm, sc.vel, ops, s.asmCH.WorkN(w))
+		p.buildOps(h, sc.pm, sc.vel, ops, s.asmCH.WorkN(w))
 		cn := s.ElemCn[e]
 		diff := 1 / (s.Par.Pe * cn)
 		th, th1 := p.theta, 1-p.theta
@@ -177,9 +168,7 @@ func (s *Solver) initCHKernels() {
 		addMatVec(fe, 0, 2, ops.Kme, sc.muOld, th1*diff, sc.tmp, npe)
 		// R_mu = M mu - F(psi'(phi)) - Cn^2 K phi
 		addMatVec(fe, 1, 2, ops.Me, sc.muNew, 1, sc.tmp, npe)
-		for i := range sc.load {
-			sc.load[i] = 0
-		}
+		clear(sc.load)
 		r.LoadVector(h, sc.psi1, 1, sc.load)
 		for a := 0; a < npe; a++ {
 			fe[a*2+1] -= sc.load[a]
@@ -188,22 +177,40 @@ func (s *Solver) initCHKernels() {
 	}
 	s.kCHJacZip = func(w, e int, h float64, blocks [][]float64) {
 		p := &s.chProb
-		m := s.M
+		r := s.asmCH.Ref
+		npe, dim := r.NPE, r.Dim
 		sc := &s.chScr[w]
-		m.GatherElem(e, s.kCHx, 2, sc.pm)
-		m.GatherElem(e, s.Vel, m.Dim, sc.vel)
-		p.buildOps(e, h, sc.pm, sc.vel, sc.ops, s.asmCH.WorkN(w))
-		ops := sc.ops
+		ops, wk := sc.ops, s.asmCH.WorkN(w)
+		p.gatherCorners(e, s.kCHx, sc.pm, sc.vel)
+		s.M.GatherElem(e, p.old, 2, sc.pmOld)
+		p.buildOps(h, sc.pm, sc.vel, ops, wk)
 		cn := s.ElemCn[e]
 		diff := 1 / (s.Par.Pe * cn)
 		th := p.theta
-		npe := s.asmCH.Ref.NPE
-		n2 := npe * npe
-		for i := 0; i < n2; i++ {
-			blocks[0][i] = ops.Me[i]/p.dt + th*ops.Ce[i]
-			blocks[1][i] = th * diff * ops.Kme[i]
-			blocks[2][i] = -ops.Mpp[i] - cn*cn*ops.Ke[i]
-			blocks[3][i] = ops.Me[i]
+		for a := 0; a < npe; a++ {
+			sc.mubar[a] = th*sc.pm[a*2+1] + (1-th)*sc.pmOld[a*2+1]
+			sc.dmob[a] = diff * s.Par.MobilityPrime(sc.pm[a*2])
+			sc.psi2[a] = PsiDoublePrime(sc.pm[a*2])
+		}
+		for g := 0; g < r.NG; g++ {
+			for d := 0; d < dim; d++ {
+				sc.gradG[g*dim+d] = r.GradAtGauss(g, d, h, sc.mubar)
+			}
+		}
+		if s.Opt.Layout == fem.LayoutZipped {
+			r.GradDotMassGemm(wk, h, 1, sc.gradG, sc.Gm)
+		} else {
+			clear(sc.Gm)
+			r.GradDotMass(h, sc.gradG, 1, sc.Gm)
+		}
+		for a := 0; a < npe; a++ {
+			for b := 0; b < npe; b++ {
+				i := a*npe + b
+				blocks[0][i] = ops.Me[i]/p.dt + th*ops.Ce[i] + sc.dmob[b]*sc.Gm[i]
+				blocks[1][i] = th * diff * ops.Kme[i]
+				blocks[2][i] = -ops.Me[i]*sc.psi2[b] - cn*cn*ops.Ke[i]
+				blocks[3][i] = ops.Me[i]
+			}
 		}
 	}
 	s.kCHJac = func(w, e int, h float64, ke []float64) {
@@ -221,14 +228,21 @@ func addMatVec(fe []float64, dof, ndof int, a, v []float64, scale float64, tmp [
 	}
 }
 
-// Jacobian implements la.NewtonProblem: blocks
+// Jacobian implements la.NewtonProblem with the exact derivative of
+// Residual (x arrives ghost-consistent, so no exchange here). With
+// μ̄ = θμ + (1-θ)μ_old and element blocks indexed [a][b]:
 //
-//	J(φ,φ) = M/dt + θC        J(φ,μ) = θ/(Pe Cn) K_m
-//	J(μ,φ) = -M_{ψ''} - Cn²K  J(μ,μ) = M
+//	J(φ,φ) = M/dt + θC + m'(φ_b)/(Pe Cn) ∫ (∇N_a·∇μ̄) N_b
+//	J(φ,μ) = θ/(Pe Cn) K_m(φ)
+//	J(μ,φ) = -M_ab ψ''(φ_b) - Cn²K
+//	J(μ,μ) = M
+//
+// The third J(φ,φ) term is ∂/∂φ of K_m(φ)μ̄ through the nodally
+// interpolated mobility; J(μ,φ) scales mass columns because the residual
+// interpolates ψ'(φ) nodally (LoadVector).
 func (p *chProblem) Jacobian(x []float64) (la.Operator, la.PC) {
 	s := p.s
 	t0 := time.Now()
-	s.M.GhostRead(x, 2)
 	// Persistent operator: allocated once per mesh, Zero()+reassembled on
 	// every Newton iteration and time step thereafter (warm plan path).
 	if s.chMat == nil {
@@ -295,12 +309,13 @@ func (s *Solver) StepCH(velOverride []float64) (StageReport, error) {
 	nw := s.chNewton
 	ok, err := nw.Solve(&s.chProb, s.PhiMu)
 	m.GhostRead(s.PhiMu, 2)
-	rep := StageReport{Stage: StageCH, Result: nw.Last,
-		NewtonIterations: nw.Iterations, NewtonConverged: ok}
+	rep := StageReport{Stage: StageCH, Result: nw.Last, NewtonIterations: nw.Iterations,
+		NewtonConverged: ok, NewtonContraction: nw.Contraction}
 	st := &s.T.CH
 	// One record per step: the Newton driver aggregates its inner Krylov
-	// iterations, so min/mean/max track per-step linear work.
-	st.Record(nw.LinearIterations)
+	// iterations and time, so min/mean/max track per-step work.
+	st.RecordNewton(nw.Iterations, nw.LinearIterations)
+	st.Solve += nw.SolveTime
 	if s.postRemesh {
 		s.T.RemeshStages.PostCHIters += nw.LinearIterations
 	}

@@ -1,0 +1,226 @@
+package chns
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"proteus/internal/fem"
+	"proteus/internal/la"
+	"proteus/internal/mesh"
+	"proteus/internal/octree"
+	"proteus/internal/par"
+	"proteus/internal/sfc"
+)
+
+// gradedMesh builds a distributed 2:1-balanced mesh refined from level
+// base to level fine inside a ball around (0.35, 0.6, 0.4), so it has
+// hanging nodes, with the leaves sliced evenly across the ranks.
+func gradedMesh(c *par.Comm, dim, base, fine int) *mesh.Mesh {
+	tr := octree.Build(dim, func(o sfc.Octant) bool {
+		if int(o.Level) < base {
+			return true
+		}
+		if int(o.Level) >= fine {
+			return false
+		}
+		s := float64(o.Side()) / float64(sfc.MaxCoord)
+		x := float64(o.X)/float64(sfc.MaxCoord) + s/2
+		y := float64(o.Y)/float64(sfc.MaxCoord) + s/2
+		r2 := (x-0.35)*(x-0.35) + (y-0.6)*(y-0.6)
+		if dim == 3 {
+			z := float64(o.Z)/float64(sfc.MaxCoord) + s/2
+			r2 += (z - 0.4) * (z - 0.4)
+		}
+		return r2 < 0.25*0.25
+	}, fine, nil).Balance21(nil)
+	n := tr.Len()
+	lo, hi := c.Rank()*n/c.Size(), (c.Rank()+1)*n/c.Size()
+	return mesh.New(c, dim, append([]sfc.Octant(nil), tr.Leaves[lo:hi]...))
+}
+
+// chTestProblem sets up a CH Newton problem with every term of the
+// residual active: an adapted mesh with hanging nodes, a diffuse
+// interface (|φ| < 1, so the mobility derivative is non-zero), μ and the
+// time-n state unrelated smooth fields, a non-zero velocity, a Cahn
+// number that varies per element, and θ = 0.5.
+func chTestProblem(c *par.Comm, dim int, layout fem.Layout) (*Solver, *chProblem) {
+	m := gradedMesh(c, dim, 2, 4-dim/3)
+	if m.GlobalSum(float64(m.HangingCorners)) == 0 {
+		panic("test mesh has no hanging nodes")
+	}
+	prm := DefaultParams()
+	prm.Cn = 0.08
+	opt := DefaultOptions(2e-3)
+	opt.Layout = layout
+	s := NewSolver(m, prm, opt)
+	for e := range s.ElemCn {
+		if ox, _, _ := m.ElemOrigin(e); ox < 0.5 {
+			s.ElemCn[e] = 0.05
+		}
+	}
+	old := m.NewVec(2)
+	for i := 0; i < m.NumLocal; i++ {
+		x, y, z := m.NodeCoord(i)
+		d := 0.25 - math.Sqrt((x-0.4)*(x-0.4)+(y-0.55)*(y-0.55)+(z-0.4)*(z-0.4)*float64(dim-2))
+		s.PhiMu[2*i] = 0.9*EquilibriumProfile(d, prm.Cn) + 0.05*math.Sin(5*x+3*y+z)
+		s.PhiMu[2*i+1] = 0.3*math.Cos(4*x-2*y) + 0.2*math.Sin(3*z+y)
+		old[2*i] = 0.85 * EquilibriumProfile(d+0.01, prm.Cn)
+		old[2*i+1] = 0.25*math.Cos(3*x+y) - 0.1*z
+	}
+	s.SetVelocity(func(x, y, z float64) (float64, float64, float64) {
+		return -(y - 0.5), x - 0.5, 0.3 * math.Sin(2*x)
+	})
+	m.GhostRead(s.PhiMu, 2)
+	m.GhostRead(s.Vel, dim)
+	s.chProb = chProblem{s: s, old: old, dt: opt.Dt, theta: opt.Theta}
+	return s, &s.chProb
+}
+
+// TestCHJacobianMatchesFiniteDifference is the oracle for the CH Newton
+// Jacobian: J(x)·v must equal the central difference of the residual
+// along v, for every layout, dimension and rank count.
+func TestCHJacobianMatchesFiniteDifference(t *testing.T) {
+	const eps = 1e-6
+	for _, dim := range []int{2, 3} {
+		for _, layout := range []fem.Layout{fem.LayoutAIJ, fem.LayoutBAIJ, fem.LayoutZipped} {
+			for _, ranks := range []int{1, 2} {
+				par.Run(ranks, func(c *par.Comm) {
+					s, p := chTestProblem(c, dim, layout)
+					m, x := s.M, s.PhiMu
+					v, jv := m.NewVec(2), m.NewVec(2)
+					for i := 0; i < m.NumLocal; i++ {
+						px, py, pz := m.NodeCoord(i)
+						v[2*i] = math.Sin(17*px + 29*py + 11*pz)
+						v[2*i+1] = math.Cos(23*px - 13*py + 7*pz)
+					}
+					op, _ := p.Jacobian(x)
+					op.Apply(v, jv)
+					xp, xm := m.NewVec(2), m.NewVec(2)
+					for i := range x {
+						xp[i], xm[i] = x[i]+eps*v[i], x[i]-eps*v[i]
+					}
+					rp, rm := m.NewVec(2), m.NewVec(2)
+					p.Residual(xp, rp)
+					p.Residual(xm, rm)
+					sums := make([]float64, 2)
+					for i := 0; i < 2*m.NumOwned; i++ {
+						d := jv[i] - (rp[i]-rm[i])/(2*eps)
+						sums[0] += d * d
+						sums[1] += jv[i] * jv[i]
+					}
+					m.GlobalSumInto(sums)
+					if rel := math.Sqrt(sums[0] / sums[1]); !(rel <= 1e-6) {
+						panic(fmt.Sprintf("dim=%d layout=%v ranks=%d: |J v - dR/dv| / |J v| = %.3e", dim, layout, ranks, rel))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestMobilityPrime checks m'(φ) against central differences where m is
+// smooth, and that it is exactly 0 wherever Mobility clamps or floors.
+func TestMobilityPrime(t *testing.T) {
+	p := DefaultParams()
+	const eps = 1e-6
+	for _, phi := range []float64{-0.999, -0.9, -0.3, 0, 0.2, 0.75, 0.99, 0.999} {
+		fd := (p.Mobility(phi+eps) - p.Mobility(phi-eps)) / (2 * eps)
+		if got := p.MobilityPrime(phi); math.Abs(got-fd) > 1e-6*math.Max(1, math.Abs(fd)) {
+			t.Errorf("MobilityPrime(%v) = %v, central difference %v", phi, got, fd)
+		}
+	}
+	floorKink := math.Sqrt(1 - mobilityFloor*mobilityFloor)
+	for _, phi := range []float64{floorKink, -floorKink, 0.99999, 1, -1, 1.2, -3} {
+		if got := p.MobilityPrime(phi); got != 0 {
+			t.Errorf("MobilityPrime(%v) = %v on a clamped/floored value, want 0", phi, got)
+		}
+	}
+}
+
+// TestCHTimerTreeCloses: over warm steps the CH stage's Matrix, Vector,
+// PCSetup and Solve sub-timers account for at least 90% of its Total
+// (the Newton-inner Krylov time is booked to Solve).
+func TestCHTimerTreeCloses(t *testing.T) {
+	par.Run(1, func(c *par.Comm) {
+		s := gmgSolver(c, PCBJacobi, 5, 2e-3)
+		if _, err := s.StepCH(nil); err != nil {
+			panic(err)
+		}
+		t0 := s.T.CH
+		for i := 0; i < 3; i++ {
+			if _, err := s.StepCH(nil); err != nil {
+				panic(err)
+			}
+		}
+		t1 := s.T.CH
+		parts := (t1.Matrix - t0.Matrix) + (t1.Vector - t0.Vector) + (t1.PCSetup - t0.PCSetup) + (t1.Solve - t0.Solve)
+		total := t1.Total - t0.Total
+		if t1.Solve == t0.Solve || float64(parts) < 0.9*float64(total) {
+			panic(fmt.Sprintf("CH sub-timers %v of total %v (solve %v)", parts, total, t1.Solve-t0.Solve))
+		}
+	})
+}
+
+// reexchange is a NewtonProblem whose Jacobian re-runs the ghost exchange
+// on the iterate first — what chProblem.Jacobian did before the contract
+// on la.NewtonProblem made it redundant.
+type reexchange struct {
+	*chProblem
+	calls int
+}
+
+func (p *reexchange) Jacobian(x []float64) (la.Operator, la.PC) {
+	p.calls++
+	p.s.M.GhostRead(x, 2)
+	return p.chProblem.Jacobian(x)
+}
+
+// TestCHJacobianNeedsNoGhostExchange: on 2 ranks, a CH solve whose
+// Jacobian re-exchanges the iterate sends exactly one ghost exchange more
+// per Newton iteration than the production one, for a bitwise identical
+// result.
+func TestCHJacobianNeedsNoGhostExchange(t *testing.T) {
+	// run returns the world's total message count, the number of Jacobian
+	// evaluations and the owned solution; extraReads ghost exchanges are
+	// appended to calibrate the message cost of one exchange.
+	run := func(redundant bool, extraReads int) (msgs int64, jacs int, sol []float64) {
+		var st *par.Stats
+		par.Run(2, func(c *par.Comm) {
+			s, p := chTestProblem(c, 2, fem.LayoutZipped)
+			nw := &la.Newton{KSP: la.BiCGS, Rtol: 1e-10, Atol: 1e-10, LinRtol: 1e-8, Red: s.M}
+			wrapped := &reexchange{chProblem: p}
+			var prob la.NewtonProblem = p
+			if redundant {
+				prob = wrapped
+			}
+			if ok, err := nw.Solve(prob, s.PhiMu); err != nil || !ok {
+				panic(fmt.Sprintf("CH Newton failed: ok=%v err=%v", ok, err))
+			}
+			for i := 0; i < extraReads; i++ {
+				s.M.GhostRead(s.PhiMu, 2)
+			}
+			all := par.Allgatherv(c, s.PhiMu[:2*s.M.NumOwned])
+			if c.Rank() == 0 {
+				st, jacs, sol = c.Stats(), nw.Iterations, all
+				if redundant && wrapped.calls != nw.Iterations {
+					panic(fmt.Sprintf("%d Jacobian calls for %d Newton iterations", wrapped.calls, nw.Iterations))
+				}
+			}
+		})
+		return st.Messages.Load(), jacs, sol
+	}
+	lean, its, a := run(false, 0)
+	perExchange, _, _ := run(false, 1)
+	perExchange -= lean
+	fat, _, b := run(true, 0)
+	if perExchange <= 0 || its == 0 || fat-lean != int64(its)*perExchange {
+		t.Fatalf("messages: %d without / %d with the Jacobian exchange, %d Newton iterations x %d messages per exchange",
+			lean, fat, its, perExchange)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("solution differs at %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}

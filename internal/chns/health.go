@@ -66,9 +66,12 @@ type StageReport struct {
 	// mode it is the result of the final component solve and Iterations
 	// accumulates all components.
 	Result la.Result `json:"result"`
-	// NewtonIterations and NewtonConverged are set for the CH stage.
-	NewtonIterations int  `json:"newton_iterations,omitempty"`
-	NewtonConverged  bool `json:"newton_converged,omitempty"`
+	// NewtonIterations, NewtonConverged and NewtonContraction (the factor
+	// the nonlinear residual fell by over the last iteration) are set for
+	// the CH stage.
+	NewtonIterations  int     `json:"newton_iterations,omitempty"`
+	NewtonConverged   bool    `json:"newton_converged,omitempty"`
+	NewtonContraction float64 `json:"newton_contraction,omitempty"`
 }
 
 // StepReport carries every stage's solve outcome for one time block.

@@ -62,15 +62,29 @@ func (p Params) Viscosity(phi float64) float64 {
 	return e
 }
 
-// Mobility returns the degenerate mobility m(φ) = sqrt(1-φ²), floored
-// away from zero so the CH operator stays elliptic.
+// mobilityFloor keeps the degenerate mobility away from zero so the CH
+// operator stays elliptic.
+const mobilityFloor = 1e-2
+
+// Mobility returns the degenerate mobility m(φ) = sqrt(1-φ²), clamped to
+// |φ| ≤ 1 and floored at mobilityFloor.
 func (p Params) Mobility(phi float64) float64 {
 	c := clamp(phi)
 	m := math.Sqrt(1 - c*c)
-	if m < 1e-2 {
-		m = 1e-2
+	if m < mobilityFloor {
+		m = mobilityFloor
 	}
 	return m
+}
+
+// MobilityPrime returns m'(φ) = -φ/sqrt(1-φ²), the exact derivative of
+// Mobility: 0 wherever Mobility is clamped or floored (kinks included).
+func (p Params) MobilityPrime(phi float64) float64 {
+	m := math.Sqrt(1 - phi*phi)
+	if !(m > mobilityFloor) { // |φ| ≥ 1 gives 0 or NaN
+		return 0
+	}
+	return -phi / m
 }
 
 // PsiPrime is the derivative of the double-well potential

@@ -29,19 +29,36 @@ type StageTimes struct {
 	Solves int
 	ItMin  int
 	ItMax  int
+	// Newton, NewtonMin and NewtonMax are the nonlinear iteration total and
+	// per-step extremes over the same Solves (CH only: one solve per step).
+	Newton, NewtonMin, NewtonMax int
+}
+
+// widen grows the running range [*lo, *hi] to cover [olo, ohi]; first
+// marks a range with nothing recorded in it yet.
+func widen(first bool, lo, hi *int, olo, ohi int) {
+	if first || olo < *lo {
+		*lo = olo
+	}
+	if first || ohi > *hi {
+		*hi = ohi
+	}
 }
 
 // Record accumulates one linear solve's iteration count into the
 // min/mean/max tracking.
 func (t *StageTimes) Record(its int) {
-	if t.Solves == 0 || its < t.ItMin {
-		t.ItMin = its
-	}
-	if t.Solves == 0 || its > t.ItMax {
-		t.ItMax = its
-	}
+	widen(t.Solves == 0, &t.ItMin, &t.ItMax, its, its)
 	t.Iterations += its
 	t.Solves++
+}
+
+// RecordNewton accumulates one Newton solve: its nonlinear iteration
+// count and, as one Record, the linear iterations it aggregated.
+func (t *StageTimes) RecordNewton(newton, linear int) {
+	widen(t.Solves == 0, &t.NewtonMin, &t.NewtonMax, newton, newton)
+	t.Newton += newton
+	t.Record(linear)
 }
 
 // Timers accumulates stage timings across steps (Fig. 7 / Table I).
@@ -61,13 +78,10 @@ func (t *StageTimes) Add(o StageTimes) {
 	t.PCSetup += o.PCSetup
 	t.PCSetupCold += o.PCSetupCold
 	t.Iterations += o.Iterations
+	t.Newton += o.Newton
 	if o.Solves > 0 {
-		if t.Solves == 0 || o.ItMin < t.ItMin {
-			t.ItMin = o.ItMin
-		}
-		if t.Solves == 0 || o.ItMax > t.ItMax {
-			t.ItMax = o.ItMax
-		}
+		widen(t.Solves == 0, &t.ItMin, &t.ItMax, o.ItMin, o.ItMax)
+		widen(t.Solves == 0, &t.NewtonMin, &t.NewtonMax, o.NewtonMin, o.NewtonMax)
 		t.Solves += o.Solves
 	}
 }

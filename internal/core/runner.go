@@ -297,7 +297,8 @@ type RunStats struct {
 	// KrylovIters summarizes the per-stage linear-solver iteration counts
 	// (keys "ch", "ns", "pp", "vu"), making preconditioner comparisons —
 	// the GMG-vs-ILU0 iteration claim in particular — machine-checkable
-	// from the stats dump alone.
+	// from the stats dump alone. "ch_newton" is the CH stage's nonlinear
+	// iteration count per step, the multiplier on all of CH's linear work.
 	KrylovIters map[string]IterStats `json:"krylov_iters"`
 	// Recovery accounting (see RunUntil): rolled-back retries, checkpoint
 	// fallbacks, and the per-event history.
@@ -324,6 +325,12 @@ func iterStats(st chns.StageTimes) IterStats {
 		is.Mean = float64(st.Iterations) / float64(st.Solves)
 	}
 	return is
+}
+
+// newtonStats is iterStats over the stage's Newton iteration counters.
+func newtonStats(st chns.StageTimes) IterStats {
+	st.ItMin, st.ItMax, st.Iterations = st.NewtonMin, st.NewtonMax, st.Newton
+	return iterStats(st)
 }
 
 // Stats assembles the run summary. Collective (global reductions); every
@@ -376,10 +383,11 @@ func (s *Simulation) Stats() RunStats {
 		LevelHistogram:      s.LevelHistogram(),
 		Timers:              t,
 		KrylovIters: map[string]IterStats{
-			"ch": iterStats(t.CH),
-			"ns": iterStats(t.NS),
-			"pp": iterStats(t.PP),
-			"vu": iterStats(t.VU),
+			"ch":        iterStats(t.CH),
+			"ch_newton": newtonStats(t.CH),
+			"ns":        iterStats(t.NS),
+			"pp":        iterStats(t.PP),
+			"vu":        iterStats(t.VU),
 		},
 		Retries:       s.Retries,
 		CkptFallbacks: s.CkptFallbacks,

@@ -149,6 +149,42 @@ func TestGemmOpsMatchLoopOps(t *testing.T) {
 		r.ConvGemm(w, h, 1.3, vel, b)
 		cmpSlices(t, "conv", a, b)
 
+		// Unit-cell blocks scaled by h vs the quadrature sweeps.
+		clear64(a)
+		clear64(b)
+		r.Mass(h, 1, a)
+		r.Stiffness(h, 1, b)
+		ms, ks := make([]float64, n2), make([]float64, n2)
+		r.MassStiffness(h, ms, ks)
+		cmpSlices(t, "scaled mass", a, ms)
+		cmpSlices(t, "scaled stiff", b, ks)
+
+		// ∫ (∇N_a·w) N_b with w = ∇u_h contracted with u's coefficient is
+		// the weighted-stiffness action: Σ_b G_ab c_b = Σ_b K(c)_ab u_b.
+		wG := make([]float64, r.NG*dim)
+		for g := 0; g < r.NG; g++ {
+			for d := 0; d < dim; d++ {
+				wG[g*dim+d] = r.GradAtGauss(g, d, h, vel[:r.NPE])
+			}
+		}
+		clear64(a)
+		clear64(b)
+		r.GradDotMass(h, wG, 1.4, a)
+		r.GradDotMassGemm(w, h, 1.4, wG, b)
+		cmpSlices(t, "graddotmass", a, b)
+		clear64(b)
+		r.WeightedStiffness(h, coef, 1.4, b)
+		for i := 0; i < r.NPE; i++ {
+			var gc, ku float64
+			for j := 0; j < r.NPE; j++ {
+				gc += a[i*r.NPE+j] * coef[j]
+				ku += b[i*r.NPE+j] * vel[j]
+			}
+			if math.Abs(gc-ku) > 1e-12 {
+				t.Fatalf("graddotmass: row %d: G c = %v, K(c) u = %v", i, gc, ku)
+			}
+		}
+
 		// Load vector.
 		f := make([]float64, r.NPE)
 		for i := range f {

@@ -110,6 +110,24 @@ func (r *Ref) ConvGemm(w *GemmWork, h, scale float64, vel []float64, out []float
 	blas.DgemmTA(r.NPE, r.NPE, r.NG, 1, r.N, w.scaled[:r.NG*r.NPE], 0, out)
 }
 
+// GradDotMassGemm computes out = scale * [sum_d diag(w_g h^{d-1} wG_d(g)) G_d]^T N,
+// the GEMM form of GradDotMass (wG[g*Dim+d] at Gauss points).
+func (r *Ref) GradDotMassGemm(w *GemmWork, h, scale float64, wG []float64, out []float64) {
+	nd := r.Dim
+	f0 := pow(h, nd-1) * scale
+	for g := 0; g < r.NG; g++ {
+		f := r.W[g] * f0
+		for a := 0; a < r.NPE; a++ {
+			var s float64
+			for d := 0; d < nd; d++ {
+				s += wG[g*nd+d] * r.DN[(g*r.NPE+a)*nd+d]
+			}
+			w.scaled[g*r.NPE+a] = f * s
+		}
+	}
+	blas.DgemmTA(r.NPE, r.NPE, r.NG, 1, w.scaled[:r.NG*r.NPE], r.N, 0, out)
+}
+
 // LoadGemm computes the load vector out_a = scale * (N^T diag(w h^d) fG)_a
 // with the source already at Gauss points.
 func (r *Ref) LoadGemm(w *GemmWork, h, scale float64, fG []float64, out []float64) {

@@ -19,6 +19,18 @@ func (r *Ref) Mass(h float64, scale float64, out []float64) {
 	}
 }
 
+// MassStiffness writes the unit-coefficient mass and stiffness blocks of
+// an element of side h by scaling the unit-cell blocks (M1 by h^d, K1 by
+// h^(d-2)): on an octree mesh they depend on nothing but h, so a caller
+// inside a nonlinear loop pays 2 NPE² multiplies, not two quadrature sweeps.
+func (r *Ref) MassStiffness(h float64, me, ke []float64) {
+	vol, f := pow(h, r.Dim), pow(h, r.Dim-2)
+	for i, m := range r.M1 {
+		me[i] = vol * m
+		ke[i] = f * r.K1[i]
+	}
+}
+
 // WeightedMass accumulates ∫ c(x) N_a N_b dV with c given at corners.
 func (r *Ref) WeightedMass(h float64, coef []float64, scale float64, out []float64) {
 	vol := pow(h, r.Dim)
@@ -97,6 +109,30 @@ func (r *Ref) Convection(h float64, vel []float64, scale float64, out []float64)
 					s += vg[d] * db[d]
 				}
 				out[a*r.NPE+b] += wa * s
+			}
+		}
+	}
+}
+
+// GradDotMass accumulates ∫ (∇N_a · w) N_b dV with the vector field w given
+// at Gauss points, wG[g*Dim+d]. With w = ∇u_h it is the derivative of the
+// weighted-stiffness action Σ_b K(c)_ab u_b with respect to the corner
+// values of c.
+func (r *Ref) GradDotMass(h float64, wG []float64, scale float64, out []float64) {
+	f := pow(h, r.Dim-1) * scale // one gradient: h^d * (1/h)
+	for g := 0; g < r.NG; g++ {
+		w := r.W[g] * f
+		ng := r.N[g*r.NPE : (g+1)*r.NPE]
+		wg := wG[g*r.Dim : (g+1)*r.Dim]
+		for a := 0; a < r.NPE; a++ {
+			da := r.DN[(g*r.NPE+a)*r.Dim : (g*r.NPE+a+1)*r.Dim]
+			var s float64
+			for d := 0; d < r.Dim; d++ {
+				s += da[d] * wg[d]
+			}
+			s *= w
+			for b := 0; b < r.NPE; b++ {
+				out[a*r.NPE+b] += s * ng[b]
 			}
 		}
 	}

@@ -27,6 +27,9 @@ type Ref struct {
 	W []float64
 	// GP[g*Dim+d]: Gauss point coordinates on the unit cell.
 	GP []float64
+	// M1, K1: unit-coefficient mass and stiffness blocks of the unit cell
+	// (see MassStiffness).
+	M1, K1 []float64
 }
 
 // gauss2 holds the 2-point Gauss abscissae on [0,1].
@@ -84,6 +87,9 @@ func NewRef(dim int) *Ref {
 			}
 		}
 	}
+	r.M1, r.K1 = make([]float64, npe*npe), make([]float64, npe*npe)
+	r.Mass(1, 1, r.M1)
+	r.Stiffness(1, 1, r.K1)
 	return r
 }
 

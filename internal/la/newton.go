@@ -2,6 +2,7 @@ package la
 
 import (
 	"math"
+	"time"
 
 	"proteus/internal/par"
 )
@@ -12,7 +13,11 @@ import (
 type NewtonProblem interface {
 	// Residual evaluates F(x) into r (owned segment).
 	Residual(x, r []float64)
-	// Jacobian returns the operator and preconditioner for J(x).
+	// Jacobian returns the operator and preconditioner for J(x). The
+	// driver only passes an x that is already ghost-consistent: the
+	// caller's starting iterate (the caller's job) or a trial that the
+	// last Residual call was evaluated at, so implementations whose
+	// Residual exchanges ghosts need no exchange of their own here.
 	Jacobian(x []float64) (Operator, PC)
 }
 
@@ -30,11 +35,15 @@ type Newton struct {
 	// Pool shards the inner solver's kernels (see KSP.Pool).
 	Pool *par.Pool
 
-	// Iterations and LinearIterations report the last solve's work;
-	// Last is the most recent inner Krylov result, kept so a caller can
-	// attach linear-solver detail to a nonlinear failure report.
+	// Iterations, LinearIterations and SolveTime (the inner Krylov
+	// wall-clock) report the last solve's work; Contraction is the factor
+	// ‖F‖ fell by over its last iteration. Last is the most recent inner
+	// Krylov result, kept so a caller can attach linear-solver detail to a
+	// nonlinear failure report.
 	Iterations       int
 	LinearIterations int
+	SolveTime        time.Duration
+	Contraction      float64
 	Last             Result
 
 	ksp                *KSP
@@ -67,7 +76,7 @@ func (nw *Newton) Solve(p NewtonProblem, x []float64) (bool, error) {
 	if nw.KSP == "" {
 		nw.KSP = BiCGS
 	}
-	nw.Iterations, nw.LinearIterations = 0, 0
+	nw.Iterations, nw.LinearIterations, nw.SolveTime, nw.Contraction = 0, 0, 0, 0
 	nw.Last = Result{}
 
 	op, pc := p.Jacobian(x)
@@ -110,7 +119,9 @@ func (nw *Newton) Solve(p NewtonProblem, x []float64) (bool, error) {
 		}
 		nw.Last = res
 		nw.LinearIterations += res.Iterations
+		nw.SolveTime += res.SolveTime
 		// Backtracking line search.
+		rbefore := rprev
 		lambda := 1.0
 		ok := false
 		for ls := 0; ls < 8; ls++ {
@@ -136,6 +147,7 @@ func (nw *Newton) Solve(p NewtonProblem, x []float64) (bool, error) {
 			p.Residual(x, r)
 			rprev = nw.norm(r, n)
 		}
+		nw.Contraction = rbefore / rprev
 		if rprev <= nw.Rtol*r0 || rprev <= nw.Atol {
 			return true, nil
 		}

@@ -127,3 +127,27 @@ func TestCheckpointRestartViaRegistry(t *testing.T) {
 		}
 	})
 }
+
+// TestCHNewtonConvergesQuadratically pins the CH Newton order on the
+// bubble smoke preset: with the Jacobian the exact derivative of the
+// residual, a step needs at most 4 iterations and the last one contracts
+// the nonlinear residual by at least 1e3 (a Picard-linearised Jacobian
+// contracts by a constant ~50 per iteration and needs 6).
+func TestCHNewtonConvergesQuadratically(t *testing.T) {
+	sc, _ := Get("bubble")
+	for _, p := range []int{1, 2} {
+		par.Run(p, func(c *par.Comm) {
+			sim := sc.New(c, Smoke)
+			for step := 0; step < 4; step++ {
+				rep, err := sim.Solver.Step()
+				if err != nil {
+					panic(err)
+				}
+				if ch := rep.CH; ch.NewtonIterations > 4 || ch.NewtonContraction < 1e3 {
+					panic(fmt.Sprintf("ranks=%d step %d: %d Newton iterations, last contraction %.3g",
+						p, step, ch.NewtonIterations, ch.NewtonContraction))
+				}
+			}
+		})
+	}
+}
