@@ -532,30 +532,6 @@ func benchSystem(nodes, bs int) *la.BSRMat {
 	return m
 }
 
-func benchSpMV(b *testing.B, workers int) {
-	const nodes, bs = 60000, 4
-	m := benchSystem(nodes, bs)
-	if workers > 1 {
-		pool := par.NewPool(workers)
-		defer pool.Close()
-		m.SetPool(pool)
-	}
-	x := make([]float64, nodes*bs)
-	y := make([]float64, nodes*bs)
-	for i := range x {
-		x[i] = float64(i%23) - 11
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Apply(x, y)
-	}
-	b.ReportMetric(float64(nodes), "block-rows")
-}
-
-func BenchmarkSpMV_Serial(b *testing.B)  { benchSpMV(b, 1) }
-func BenchmarkSpMV_Sharded(b *testing.B) { benchSpMV(b, 0+runtimeWorkers()) }
-
 func runtimeWorkers() int { return runtime.GOMAXPROCS(0) }
 
 func benchKSPWarm(b *testing.B, method la.Method, workers int) {

@@ -16,6 +16,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"proteus/internal/chns"
@@ -48,7 +50,11 @@ func main() {
 	pc := flag.String("pc", "", "NS/PP preconditioner: bjacobi (default) | jacobi | gmg (octree geometric multigrid)")
 	warmStarts := flag.Bool("warm-starts", false, "seed the PP/VU Krylov solves from the previous (migrated) solution; same converged tolerance, fewer iterations after remeshes")
 	list := flag.Bool("list", false, "list registered scenarios and exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole process to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
+	stopProfiles = startProfiles(*cpuProfile, *memProfile)
+	defer stopProfiles()
 
 	if !chns.ValidPC(*pc) {
 		fatal(fmt.Errorf("unknown -pc %q (known: bjacobi, jacobi, gmg)", *pc))
@@ -186,8 +192,51 @@ func main() {
 	})
 }
 
+// stopProfiles finishes the -cpuprofile/-memprofile outputs. Exactly one
+// of two callers runs it: main's defer (normal return and rank panics) or
+// fatal, because os.Exit runs no deferred call.
+var stopProfiles = func() {}
+
+// startProfiles starts the CPU profile and returns the function that stops
+// it and writes the heap profile.
+func startProfiles(cpuPath, memPath string) func() {
+	var cpu *os.File
+	if cpuPath != "" {
+		var err error
+		if cpu, err = os.Create(cpuPath); err == nil {
+			err = pprof.StartCPUProfile(cpu)
+		}
+		if err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "proteus: -cpuprofile:", err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		mem, err := os.Create(memPath)
+		if err == nil {
+			runtime.GC() // up-to-date allocation statistics
+			err = pprof.WriteHeapProfile(mem)
+			if cerr := mem.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "proteus: -memprofile:", err)
+		}
+	}
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "proteus:", err)
+	stopProfiles()
 	os.Exit(2)
 }
 

@@ -37,9 +37,9 @@ type OverlapScatter interface {
 	GhostReadEnd(v []float64, ndof int)
 }
 
-// maxBs is the largest supported block size: the Apply hot loop
-// accumulates each block row in a fixed register-sized buffer, and the
-// scalar AddValue path stages through a [maxBs*maxBs]float64.
+// maxBs is the largest supported block size: the run-time-bs SpMV kernel
+// accumulates a block row in a [maxBs]float64 and the scalar AddValue path
+// stages through a [maxBs*maxBs]float64.
 const maxBs = 8
 
 func checkBs(bs int) {
@@ -357,23 +357,106 @@ func (m *BSRMat) applyShard(w int) {
 	m.applySpan(m.apX, m.apY, m.apRows, w*n/nw, (w+1)*n/nw)
 }
 
+// forceGenericSpan routes every applySpan through the run-time-bs loop.
+// Only tests set it (before any rank goroutine starts), to show the
+// unrolled kernels change no bit of a whole run.
+var forceGenericSpan bool
+
 // applySpan multiplies rows[lo:hi] (or block rows [lo, hi) when rows is
-// nil) of A into y.
+// nil) of A into y. The bs = 1, 2, 3 kernels are the generic loop unrolled
+// with the row sums in registers — the products of a row are added in the
+// same order, so all four produce the same bits.
 func (m *BSRMat) applySpan(x, y []float64, rows []int32, lo, hi int) {
 	bs := m.Bs
-	bs2 := bs * bs
+	if forceGenericSpan {
+		bs = 0
+	}
+	switch bs {
+	case 1:
+		m.applySpan1(x, y, rows, lo, hi)
+	case 2:
+		m.applySpan2(x, y, rows, lo, hi)
+	case 3:
+		m.applySpan3(x, y, rows, lo, hi)
+	default:
+		m.applySpanN(x, y, rows, lo, hi)
+	}
+}
+
+func (m *BSRMat) applySpan1(x, y []float64, rows []int32, lo, hi int) {
+	indptr, cols, vals := m.sp.Indptr, m.sp.Cols, m.vals
 	for i := lo; i < hi; i++ {
 		r := i
 		if rows != nil {
 			r = int(rows[i])
 		}
-		// Accumulate into a small local buffer to keep the row hot (Bs is
-		// capped at maxBs by construction, so the buffer always fits).
+		a, b := int(indptr[r]), int(indptr[r+1])
+		rc, rv := cols[a:b], vals[a:b]
+		var s float64
+		for k, c := range rc {
+			s += rv[k] * x[c]
+		}
+		y[r] = s
+	}
+}
+
+func (m *BSRMat) applySpan2(x, y []float64, rows []int32, lo, hi int) {
+	indptr, cols, vals := m.sp.Indptr, m.sp.Cols, m.vals
+	for i := lo; i < hi; i++ {
+		r := i
+		if rows != nil {
+			r = int(rows[i])
+		}
+		a, b := int(indptr[r]), int(indptr[r+1])
+		rc, rv := cols[a:b], vals[4*a:4*b]
+		var s0, s1 float64
+		for k, c := range rc {
+			v, xc := rv[4*k:4*k+4], x[2*int(c):2*int(c)+2]
+			s0 = s0 + v[0]*xc[0] + v[1]*xc[1]
+			s1 = s1 + v[2]*xc[0] + v[3]*xc[1]
+		}
+		yr := y[2*r : 2*r+2]
+		yr[0], yr[1] = s0, s1
+	}
+}
+
+func (m *BSRMat) applySpan3(x, y []float64, rows []int32, lo, hi int) {
+	indptr, cols, vals := m.sp.Indptr, m.sp.Cols, m.vals
+	for i := lo; i < hi; i++ {
+		r := i
+		if rows != nil {
+			r = int(rows[i])
+		}
+		a, b := int(indptr[r]), int(indptr[r+1])
+		rc, rv := cols[a:b], vals[9*a:9*b]
+		var s0, s1, s2 float64
+		for k, c := range rc {
+			v, xc := rv[9*k:9*k+9], x[3*int(c):3*int(c)+3]
+			s0 = s0 + v[0]*xc[0] + v[1]*xc[1] + v[2]*xc[2]
+			s1 = s1 + v[3]*xc[0] + v[4]*xc[1] + v[5]*xc[2]
+			s2 = s2 + v[6]*xc[0] + v[7]*xc[1] + v[8]*xc[2]
+		}
+		yr := y[3*r : 3*r+3]
+		yr[0], yr[1], yr[2] = s0, s1, s2
+	}
+}
+
+// applySpanN is the run-time-bs kernel (bs >= 4), accumulating each block
+// row in a stack buffer; bs <= maxBs by construction.
+func (m *BSRMat) applySpanN(x, y []float64, rows []int32, lo, hi int) {
+	bs := m.Bs
+	bs2 := bs * bs
+	indptr, cols, vals := m.sp.Indptr, m.sp.Cols, m.vals
+	for i := lo; i < hi; i++ {
+		r := i
+		if rows != nil {
+			r = int(rows[i])
+		}
 		var acc [maxBs]float64
 		a := acc[:bs]
-		for j := m.sp.Indptr[r]; j < m.sp.Indptr[r+1]; j++ {
-			c := int(m.sp.Cols[j]) * bs
-			blk := m.vals[int(j)*bs2 : int(j+1)*bs2]
+		for j := indptr[r]; j < indptr[r+1]; j++ {
+			c := int(cols[j]) * bs
+			blk := vals[int(j)*bs2 : int(j+1)*bs2]
 			for bi := 0; bi < bs; bi++ {
 				s := a[bi]
 				row := blk[bi*bs : (bi+1)*bs]

@@ -191,6 +191,13 @@ func (p *PCPBJacobi) Apply(r, z []float64) {
 // per-entry update positions of the elimination) is built once from the
 // frozen pattern; Refresh re-extracts the values and refactors in place
 // with no allocation and no hashing on the warm path.
+//
+// The factored CSR (indptr, cols, lu) is owned x owned only — LocalCSR
+// drops ghost columns — with strictly ascending columns and a stored
+// diagonal in every row, so diag[i] splits row i into its L part
+// [indptr[i], diag[i]) and its U part (diag[i], indptr[i+1]). factor and
+// Apply sweep those ranges without testing a column; findDiag asserts the
+// property once per index build.
 type PCBJacobiILU0 struct {
 	m      *BSRMat
 	n      int
@@ -263,18 +270,7 @@ func (p *PCBJacobiILU0) RebindPatched(m *BSRMat, patch *RowPatch) (kept, rebuilt
 		clean[r] = or >= 0 && !patch.Dirty[r] &&
 			indptr[r+1]-indptr[r] == oldIndptr[or+1]-oldIndptr[or]
 	}
-	for r := 0; r < n; r++ {
-		p.diag[r] = -1
-		for j := indptr[r]; j < indptr[r+1]; j++ {
-			if int(cols[j]) == r {
-				p.diag[r] = j
-				break
-			}
-		}
-		if p.diag[r] < 0 {
-			panic(fmt.Sprintf("la: missing diagonal in row %d", r))
-		}
-	}
+	p.findDiag()
 	updOff := make([]int32, len(cols)+1)
 	updSrc := make([]int32, 0, len(oldUpdSrc))
 	updDst := make([]int32, 0, len(oldUpdDst))
@@ -333,24 +329,40 @@ func (p *PCBJacobiILU0) RebindPatched(m *BSRMat, patch *RowPatch) (kept, rebuilt
 	return kept, rebuilt
 }
 
+// findDiag records each row's diagonal slot and asserts the structure the
+// split sweeps rely on: columns owned (< n) and strictly ascending, with
+// the diagonal stored.
+func (p *PCBJacobiILU0) findDiag() {
+	for r := 0; r < p.n; r++ {
+		p.diag[r] = -1
+		prev := int32(-1)
+		for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
+			c := p.cols[j]
+			if c <= prev || int(c) >= p.n {
+				panic(fmt.Sprintf("la: ILU(0) row %d: column %d after %d is unsorted or not owned (n=%d)", r, c, prev, p.n))
+			}
+			if int(c) == r {
+				p.diag[r] = j
+			}
+			prev = c
+		}
+		if p.diag[r] < 0 {
+			panic(fmt.Sprintf("la: missing diagonal in row %d", r))
+		}
+	}
+}
+
 // buildIndex records each row's diagonal slot and precomputes, for every
 // lower-triangular entry, the (source, destination) pairs its elimination
 // row update hits — the ILU(0) pattern intersection, resolved once with a
 // transient hash map so factor itself is a pure array sweep.
 func (p *PCBJacobiILU0) buildIndex() {
 	n := p.n
+	p.findDiag()
 	colPos := make(map[int64]int32, len(p.cols))
 	for r := 0; r < n; r++ {
 		for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
 			colPos[int64(r)<<32|int64(p.cols[j])] = j
-			if int(p.cols[j]) == r {
-				p.diag[r] = j
-			}
-		}
-	}
-	for r := 0; r < n; r++ {
-		if int(p.cols[p.diag[r]]) != r {
-			panic(fmt.Sprintf("la: missing diagonal in row %d", r))
 		}
 	}
 	p.updOff = make([]int32, len(p.cols)+1)
@@ -373,23 +385,21 @@ func (p *PCBJacobiILU0) buildIndex() {
 }
 
 func (p *PCBJacobiILU0) factor() {
-	n := p.n
-	for r := 0; r < n; r++ {
-		for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
-			k := int(p.cols[j])
-			if k >= r {
-				break
-			}
-			dk := p.lu[p.diag[k]]
+	lu, diag, cols := p.lu, p.diag, p.cols
+	updOff, updSrc, updDst := p.updOff, p.updSrc, p.updDst
+	for r := 0; r < p.n; r++ {
+		for j := p.indptr[r]; j < diag[r]; j++ {
+			dk := lu[diag[cols[j]]]
 			if dk == 0 {
 				continue
 			}
-			lik := p.lu[j] / dk
-			p.lu[j] = lik
+			lik := lu[j] / dk
+			lu[j] = lik
 			// Row update restricted to the existing pattern (ILU(0)),
 			// through the precomputed position pairs.
-			for u := p.updOff[j]; u < p.updOff[j+1]; u++ {
-				p.lu[p.updDst[u]] -= lik * p.lu[p.updSrc[u]]
+			src, dst := updSrc[updOff[j]:updOff[j+1]], updDst[updOff[j]:updOff[j+1]]
+			for u, s := range src {
+				lu[dst[u]] -= lik * lu[s]
 			}
 		}
 	}
@@ -399,31 +409,27 @@ func (p *PCBJacobiILU0) factor() {
 // local block. Implements PC.
 func (p *PCBJacobiILU0) Apply(r, z []float64) {
 	n := p.n
+	indptr, diag, cols, lu := p.indptr, p.diag, p.cols, p.lu
+	r, z = r[:n], z[:n]
 	// Forward: L y = r (unit diagonal L).
-	for i := 0; i < n; i++ {
+	for i := range r {
 		s := r[i]
-		for j := p.indptr[i]; j < p.indptr[i+1]; j++ {
-			c := int(p.cols[j])
-			if c >= i {
-				break
-			}
-			s -= p.lu[j] * z[c]
+		for j := indptr[i]; j < diag[i]; j++ {
+			s -= lu[j] * z[cols[j]]
 		}
 		z[i] = s
 	}
 	// Backward: U z = y.
 	for i := n - 1; i >= 0; i-- {
+		d := diag[i]
 		s := z[i]
-		for j := p.diag[i] + 1; j < p.indptr[i+1]; j++ {
-			c := int(p.cols[j])
-			if c < n {
-				s -= p.lu[j] * z[c]
-			}
+		for j := d + 1; j < indptr[i+1]; j++ {
+			s -= lu[j] * z[cols[j]]
 		}
-		d := p.lu[p.diag[i]]
-		if d == 0 {
-			d = 1
+		piv := lu[d]
+		if piv == 0 {
+			piv = 1
 		}
-		z[i] = s / d
+		z[i] = s / piv
 	}
 }

@@ -209,7 +209,10 @@ func Gatherv[T any](c *Comm, root int, v []T) [][]T {
 }
 
 // Allgatherv collects a slice per rank and returns the concatenation in
-// rank order on every rank.
+// rank order on every rank. The result is private to the caller (it may be
+// sorted or edited in place): the in-process broadcast hands every rank the
+// same backing array, so each rank returns its own copy and the shared one
+// is only ever read.
 func Allgatherv[T any](c *Comm, v []T) []T {
 	parts := Gatherv(c, 0, v)
 	var flat []T
@@ -223,7 +226,10 @@ func Allgatherv[T any](c *Comm, v []T) []T {
 			flat = append(flat, p...)
 		}
 	}
-	return BcastSlice(c, 0, flat)
+	if c.size() == 1 {
+		return flat
+	}
+	return append([]T(nil), BcastSlice(c, 0, flat)...)
 }
 
 // Alltoallv sends bufs[r] to rank r for every r and returns the slice

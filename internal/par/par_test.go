@@ -168,6 +168,18 @@ func TestAllgatherv(t *testing.T) {
 				i++
 			}
 		}
+		// The result is rank-private: every rank overwrites its own in
+		// place (as dsort's flat sort does) and must read back only its own
+		// writes — a shared backing array fails here, and under -race.
+		for i := range flat {
+			flat[i] = -c.Rank()
+		}
+		c.Barrier()
+		for i := range flat {
+			if flat[i] != -c.Rank() {
+				panic(fmt.Sprintf("rank %d: Allgatherv result aliased by another rank: flat[%d] = %d", c.Rank(), i, flat[i]))
+			}
+		}
 	})
 }
 
