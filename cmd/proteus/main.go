@@ -169,6 +169,7 @@ func main() {
 				st.RemeshCount, st.PartitionOnlyRounds)
 			nwt := st.KrylovIters["ch_newton"]
 			fmt.Printf("CH Newton iterations per step: mean %.2f (min %d, max %d)\n", nwt.Mean, nwt.Min, nwt.Max)
+			fmt.Printf("CH element blocks: %d sweeps integrated K_m, %d reused it\n", st.CHBlockFills, st.CHBlockReuses)
 			if *out != "" {
 				fmt.Printf("wrote %s.pvtu\n", *out)
 			}

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -148,5 +149,67 @@ func TestDgemmLinearity(t *testing.T) {
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDgemmTAKernelsBitwise checks the register-blocked element-block
+// kernels against the generic loop bit for bit, including exact zeros and
+// negative zeros in A (the s == 0 skip) and a garbage-filled C (beta 0).
+func TestDgemmTAKernelsBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for _, n := range []int{4, 8} {
+		for _, k := range []int{4, 8, 12, 24} {
+			for iter := 0; iter < 20; iter++ {
+				a := randSlice(r, k*n)
+				b := randSlice(r, k*n)
+				for i := range a {
+					switch r.Intn(6) {
+					case 0:
+						a[i] = 0
+					case 1:
+						a[i] = math.Copysign(0, -1)
+					}
+				}
+				if iter == 0 {
+					clear(a) // every update skipped: C must still be overwritten
+				}
+				want := randSlice(r, n*n)
+				got := append([]float64(nil), want...)
+				got[0] = math.NaN()
+				dgemmTAGeneric(n, n, k, 1, a, b, 0, want)
+				DgemmTA(n, n, k, 1, a, b, 0, got)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d k=%d iter %d entry %d: kernel %x generic %x",
+							n, k, iter, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDgemmTA times the NPE x NPE element-block product at the 2D
+// (n=4) and 3D (n=8) shapes; k spans NG (mass/convection blocks) to
+// Dim*NG (the stacked stiffness product). The generic/ rows run the same
+// products through the any-shape loop the kernels are dispatched past.
+func BenchmarkDgemmTA(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	for _, gemm := range []struct {
+		prefix string
+		f      func(m, n, k int, alpha float64, a, b []float64, beta float64, c []float64)
+	}{{"", DgemmTA}, {"generic/", dgemmTAGeneric}} {
+		for _, n := range []int{4, 8} {
+			for _, k := range []int{4, 8, 24} {
+				b.Run(fmt.Sprintf("%sn=%d/k=%d", gemm.prefix, n, k), func(b *testing.B) {
+					x, y, c := randSlice(r, k*n), randSlice(r, k*n), make([]float64, n*n)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						gemm.f(n, n, k, 1, x, y, 0, c)
+					}
+					b.ReportMetric(2*float64(n*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package chns
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"proteus/internal/blas"
@@ -12,7 +14,8 @@ import (
 // chOps holds the elemental operator blocks the CH residual and Jacobian
 // are combined from (all NPE x NPE scalar blocks), plus the mobility
 // coefficient scratch used to build them, so the element loop allocates
-// nothing.
+// nothing. Kme and Ce are views of the element's slots in the Solver's
+// chBlockStore, re-pointed per element by elemOps.
 type chOps struct {
 	Me  []float64 // mass
 	Ke  []float64 // stiffness
@@ -26,8 +29,57 @@ func newCHOps(npe, ng int) *chOps {
 	n := npe * npe
 	return &chOps{
 		Me: make([]float64, n), Ke: make([]float64, n),
-		Kme: make([]float64, n), Ce: make([]float64, n),
 		mob: make([]float64, npe), mobG: make([]float64, ng),
+	}
+}
+
+// chBlockStore keeps every element's integrated CH blocks — K_m(φ) and
+// C(u) — with the ghost-consistent φ,μ iterate and the velocity they were
+// integrated at, so the residual and Jacobian sweeps of a Newton solve
+// integrate each block once between them: a k-iteration solve runs k+1
+// K_m and one C quadrature per element instead of 2k+1 of each. Validity
+// is by value (rekey), never by which sweep ran last, so any call order of
+// Residual and Jacobian reads what a fresh integration would produce. What
+// the keys do not cover — mesh, Params, layout — is fixed for the length
+// of a solve: StepCH and the rebinds drop the store. Slots are per
+// element, so sharded sweeps fill it race-free, whatever the worker count.
+type chBlockStore struct {
+	km, ce       []float64 // element e's blocks at [e*NPE², (e+1)*NPE²)
+	x, vel       []float64 // keys: what km / ce were integrated at (empty: nothing)
+	fillK, fillC bool      // the sweep in progress integrates km / ce
+}
+
+// drop invalidates the stored blocks; the arrays stay for the next mesh.
+func (b *chBlockStore) drop() { b.x, b.vel = b.x[:0], b.vel[:0] }
+
+// rekey reports whether blocks keyed by *key must be integrated afresh for
+// cur — reuse is off or cur differs from the key in any bit — and if so
+// makes cur the key.
+func rekey(key *[]float64, reuse bool, cur []float64) bool {
+	if reuse && slices.EqualFunc(*key, cur, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	}) {
+		return false
+	}
+	*key = append((*key)[:0], cur...)
+	return true
+}
+
+// chBeginSweep opens a CH element sweep at the ghost-consistent iterate x:
+// it decides which stored blocks the sweep reads and which it integrates
+// afresh, and counts the sweep as a fill or a reuse of K_m.
+func (s *Solver) chBeginSweep(x []float64) {
+	b := &s.chBlk
+	if n := s.M.NumElems() * len(s.asmCH.Ref.M1); len(b.km) != n {
+		b.km, b.ce = slices.Grow(b.km[:0], n)[:n], slices.Grow(b.ce[:0], n)[:n]
+		b.drop()
+	}
+	b.fillK = rekey(&b.x, !s.chRefill, x)
+	b.fillC = rekey(&b.vel, !s.chRefill, s.Vel)
+	if b.fillK {
+		s.T.CH.BlockFills++
+	} else {
+		s.T.CH.BlockReuses++
 	}
 }
 
@@ -91,35 +143,42 @@ type chProblem struct {
 	theta float64
 }
 
-// buildOps assembles the elemental blocks for an element of side h, with
-// the mobility evaluated at the corner values phiC. M and K are the
-// reference blocks scaled by h; only K_m(φ) and C(u) are integrated, with
-// the explicit-loop operators or the zipped GEMM operators depending on
-// the configured layout (Table I stage 2). wk is the invoking worker's
-// GEMM scratch, so concurrent shards never share buffers.
-func (p *chProblem) buildOps(h float64, phiC, velC []float64, ops *chOps, wk *fem.GemmWork) {
+// elemOps points worker w's ops at the blocks of element e (side h) for
+// the sweep in progress. M and K are the reference blocks scaled by h;
+// K_m(φ) and C(u) are the element's slots in the block store, integrated
+// here — from the φ,μ corner values pm and the velocity, gathered into vel
+// — only when chBeginSweep found them stale, with the explicit-loop
+// operators or the zipped GEMM operators depending on the configured
+// layout (Table I stage 2).
+func (p *chProblem) elemOps(w, e int, h float64, pm, vel []float64, ops *chOps) {
 	s := p.s
 	r := s.asmCH.Ref
-	for a := 0; a < r.NPE; a++ {
-		ops.mob[a] = s.Par.Mobility(phiC[a*2])
-	}
+	b := &s.chBlk
+	n2 := r.NPE * r.NPE
+	ops.Kme, ops.Ce = b.km[e*n2:(e+1)*n2], b.ce[e*n2:(e+1)*n2]
 	r.MassStiffness(h, ops.Me, ops.Ke)
-	if s.Opt.Layout == fem.LayoutZipped {
-		r.CoefAtGauss(ops.mob, ops.mobG)
-		r.StiffGemm(wk, h, 1, ops.mobG, ops.Kme)
-		r.ConvGemm(wk, h, 1, velC, ops.Ce)
-		return
+	zipped, wk := s.Opt.Layout == fem.LayoutZipped, s.asmCH.WorkN(w)
+	if b.fillK {
+		for a := 0; a < r.NPE; a++ {
+			ops.mob[a] = s.Par.Mobility(pm[a*2])
+		}
+		if zipped {
+			r.CoefAtGauss(ops.mob, ops.mobG)
+			r.StiffGemm(wk, h, 1, ops.mobG, ops.Kme)
+		} else {
+			clear(ops.Kme)
+			r.WeightedStiffness(h, ops.mob, 1, ops.Kme)
+		}
 	}
-	clear(ops.Kme)
-	clear(ops.Ce)
-	r.WeightedStiffness(h, ops.mob, 1, ops.Kme)
-	r.Convection(h, velC, 1, ops.Ce)
-}
-
-// gatherCorners extracts φ,μ and velocity corner values for element e.
-func (p *chProblem) gatherCorners(e int, x []float64, pm, vel []float64) {
-	p.s.M.GatherElem(e, x, 2, pm)
-	p.s.M.GatherElem(e, p.s.Vel, p.s.M.Dim, vel)
+	if b.fillC {
+		s.M.GatherElem(e, s.Vel, s.M.Dim, vel)
+		if zipped {
+			r.ConvGemm(wk, h, 1, vel, ops.Ce)
+		} else {
+			clear(ops.Ce)
+			r.Convection(h, vel, 1, ops.Ce)
+		}
+	}
 }
 
 // Residual implements la.NewtonProblem. The element kernel is the
@@ -129,6 +188,7 @@ func (p *chProblem) Residual(x, res []float64) {
 	t0 := time.Now()
 	s.M.GhostRead(x, 2)
 	s.kCHx = x
+	s.chBeginSweep(x)
 	s.asmCH.AssembleVectorPlanned(res, s.kCHRes)
 	s.T.CH.Vector += time.Since(t0)
 }
@@ -145,7 +205,7 @@ func (s *Solver) initCHKernels() {
 		npe := r.NPE
 		sc := s.chRes[w]
 		ops := sc.ops
-		p.gatherCorners(e, s.kCHx, sc.pm, sc.vel)
+		m.GatherElem(e, s.kCHx, 2, sc.pm)
 		m.GatherElem(e, p.old, 2, sc.pmOld)
 		for a := 0; a < npe; a++ {
 			sc.phiNew[a] = sc.pm[a*2]
@@ -154,7 +214,7 @@ func (s *Solver) initCHKernels() {
 			sc.muOld[a] = sc.pmOld[a*2+1]
 			sc.psi1[a] = PsiPrime(sc.phiNew[a])
 		}
-		p.buildOps(h, sc.pm, sc.vel, ops, s.asmCH.WorkN(w))
+		p.elemOps(w, e, h, sc.pm, sc.vel, ops)
 		cn := s.ElemCn[e]
 		diff := 1 / (s.Par.Pe * cn)
 		th, th1 := p.theta, 1-p.theta
@@ -181,9 +241,9 @@ func (s *Solver) initCHKernels() {
 		npe, dim := r.NPE, r.Dim
 		sc := &s.chScr[w]
 		ops, wk := sc.ops, s.asmCH.WorkN(w)
-		p.gatherCorners(e, s.kCHx, sc.pm, sc.vel)
+		s.M.GatherElem(e, s.kCHx, 2, sc.pm)
 		s.M.GatherElem(e, p.old, 2, sc.pmOld)
-		p.buildOps(h, sc.pm, sc.vel, ops, wk)
+		p.elemOps(w, e, h, sc.pm, sc.vel, ops)
 		cn := s.ElemCn[e]
 		diff := 1 / (s.Par.Pe * cn)
 		th := p.theta
@@ -252,6 +312,7 @@ func (p *chProblem) Jacobian(x []float64) (la.Operator, la.PC) {
 	}
 	mat := s.chMat
 	s.kCHx = x
+	s.chBeginSweep(x)
 	if s.Opt.Layout == fem.LayoutZipped {
 		s.asmCH.AssembleMatrixZipped(mat, s.kCHJacZip)
 	} else {
@@ -298,6 +359,7 @@ func (s *Solver) StepCH(velOverride []float64) (StageReport, error) {
 		s.chOld = make([]float64, len(s.PhiMu))
 	}
 	copy(s.chOld, s.PhiMu)
+	s.chBlk.drop()
 	s.chProb = chProblem{s: s, old: s.chOld, dt: s.Opt.Dt, theta: s.Opt.Theta}
 	if s.chNewton == nil {
 		s.chNewton = &la.Newton{KSP: la.BiCGS, Rtol: s.Opt.NonlinTol, Atol: s.Opt.NonlinTol,

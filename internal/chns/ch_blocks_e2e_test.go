@@ -1,0 +1,104 @@
+package chns_test
+
+import (
+	"fmt"
+	"testing"
+
+	"proteus/internal/chns"
+	"proteus/internal/core"
+	"proteus/internal/fault"
+	"proteus/internal/par"
+	"proteus/internal/scenario"
+)
+
+// blockRun is what a short bubble run leaves behind on one rank.
+type blockRun struct {
+	its             [5]int // CH/NS/PP/VU Krylov totals, CH Newton total
+	phiMu, vel, pre []float64
+	stats           core.RunStats
+}
+
+// runBubbleBlocks runs the bubble smoke case for 8 steps with an injected
+// CH divergence at step 3 (rolled back and retried at half dt), remeshing
+// through the incremental path (Solver.RebindPatched) or, with
+// fullRebuild, the from-scratch one (Solver.Rebind); refill forces every
+// CH sweep to integrate its blocks afresh.
+func runBubbleBlocks(ranks int, fullRebuild, refill bool) []blockRun {
+	sc, _ := scenario.Get("bubble")
+	out := make([]blockRun, ranks)
+	par.Run(ranks, func(c *par.Comm) {
+		sp := sc.Build(scenario.Smoke)
+		sp.Config.DisableIncremental = fullRebuild
+		sim := sc.NewFromSpec(c, scenario.Smoke, sp)
+		sim.Solver.SetCHRefill(refill)
+		sim.Fault = fault.New(1, c.Rank(), fault.Fault{Point: fault.KSPDiverge, Step: 3, Stage: "ch"})
+		if _, err := sim.RunUntil(core.RunOptions{Steps: 8, MaxRetries: 2, RelaxAfter: 2}); err != nil {
+			panic(err)
+		}
+		st, s := sim.Stats(), sim.Solver
+		t := st.Timers
+		out[c.Rank()] = blockRun{
+			its:   [5]int{t.CH.Iterations, t.NS.Iterations, t.PP.Iterations, t.VU.Iterations, t.CH.Newton},
+			phiMu: s.PhiMu, vel: s.Vel, pre: s.P, stats: st,
+		}
+	})
+	return out
+}
+
+// TestCHBlockStoreBitwiseEndToEnd: a bubble smoke run that remeshes (both
+// rebind paths) and rolls one step back to retry it at half dt takes the
+// same Krylov and Newton iterations and ends in the same field bits on 1
+// and 2 ranks whether the CH sweeps share their element blocks through
+// the store or integrate every block in every sweep.
+func TestCHBlockStoreBitwiseEndToEnd(t *testing.T) {
+	for _, ranks := range []int{1, 2} {
+		for _, fullRebuild := range []bool{false, true} {
+			shared := runBubbleBlocks(ranks, fullRebuild, false)
+			refilled := runBubbleBlocks(ranks, fullRebuild, true)
+			for r := range shared {
+				what := fmt.Sprintf("ranks=%d fullRebuild=%v rank %d", ranks, fullRebuild, r)
+				a, b := shared[r], refilled[r]
+				if a.its != b.its || a.its[4] == 0 {
+					t.Fatalf("%s: iteration totals CH/NS/PP/VU/Newton %v vs refilled %v", what, a.its, b.its)
+				}
+				st := a.stats
+				patched, full := st.IncrBuildRounds+st.MigrateBuildRounds, st.FullBuildRounds
+				if st.Retries != 1 || (fullRebuild && full == 0) || (!fullRebuild && patched == 0) {
+					t.Fatalf("%s: %d retries, %d patched / %d full mesh builds: the paths under test did not run", what, st.Retries, patched, full)
+				}
+				if st.CHBlockReuses == 0 || b.stats.CHBlockReuses != 0 {
+					t.Fatalf("%s: %d reuses with the store, %d when refilling", what, st.CHBlockReuses, b.stats.CHBlockReuses)
+				}
+				for name, pair := range map[string][2][]float64{"PhiMu": {a.phiMu, b.phiMu}, "Vel": {a.vel, b.vel}, "P": {a.pre, b.pre}} {
+					if d := chns.BitsDiff(pair[0], pair[1]); d != "" {
+						t.Fatalf("%s: %s with the store vs refilled: %s", what, name, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCHBlockFillsMatchNewton: on the bubble smoke preset every step's CH
+// solve integrates K_m(φ) in (Newton iterations + 1) sweeps and reads it
+// back in (Newton iterations) sweeps — the line search rejects no trial
+// here, which would add one fill each.
+func TestCHBlockFillsMatchNewton(t *testing.T) {
+	sc, _ := scenario.Get("bubble")
+	par.Run(2, func(c *par.Comm) {
+		sim := sc.New(c, scenario.Smoke)
+		prev := sim.Timers().CH
+		for step := 0; step < 6; step++ {
+			if err := sim.Step(); err != nil {
+				panic(err)
+			}
+			cur := sim.Timers().CH
+			its := cur.Newton - prev.Newton
+			fills, reuses := cur.BlockFills-prev.BlockFills, cur.BlockReuses-prev.BlockReuses
+			if its == 0 || fills != its+1 || reuses != its {
+				panic(fmt.Sprintf("step %d rank %d: %d Newton iterations, %d fills, %d reuses", step, c.Rank(), its, fills, reuses))
+			}
+			prev = cur
+		}
+	})
+}

@@ -314,6 +314,18 @@ func (s *Solver) initNSKernels() {
 				sc.pGrad[d] = r.GradAtGauss(g, d, h, sc.pC)
 				jv[d] = jfc * mobG * gmu[d]
 			}
+			// Mass-flux convection (explicit): (J·∇) v_d at this Gauss
+			// point, the same for every test function.
+			var jdv [3]float64
+			for d := 0; d < dim; d++ {
+				for dd := 0; dd < dim; dd++ {
+					comp2 := 0.0
+					for a2 := 0; a2 < npe; a2++ {
+						comp2 += r.DN[(g*npe+a2)*dim+dd] / h * sc.velC[a2*dim+d]
+					}
+					jdv[d] += jv[dd] * comp2
+				}
+			}
 			for a := 0; a < npe; a++ {
 				na := r.N[g*npe+a]
 				for d := 0; d < dim; d++ {
@@ -329,16 +341,8 @@ func (s *Solver) initNSKernels() {
 					if s.Par.Fr > 0 {
 						f += na * rhoG * s.Par.GravityDir[d] / s.Par.Fr
 					}
-					// Mass-flux convection (explicit): -N (J·∇) v_d / Pe.
-					var jdv float64
-					for dd := 0; dd < dim; dd++ {
-						comp2 := 0.0
-						for a2 := 0; a2 < npe; a2++ {
-							comp2 += r.DN[(g*npe+a2)*dim+dd] / h * sc.velC[a2*dim+d]
-						}
-						jdv += jv[dd] * comp2
-					}
-					f -= na * jdv
+					// Mass-flux convection: -N (J·∇) v_d / Pe.
+					f -= na * jdv[d]
 					fe[a*dim+d] += wg * f
 				}
 			}

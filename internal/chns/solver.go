@@ -32,6 +32,11 @@ type StageTimes struct {
 	// Newton, NewtonMin and NewtonMax are the nonlinear iteration total and
 	// per-step extremes over the same Solves (CH only: one solve per step).
 	Newton, NewtonMin, NewtonMax int
+	// BlockFills and BlockReuses count the CH element sweeps (residual or
+	// Jacobian) that integrated K_m(φ) into the block store and those that
+	// read it back: per Newton solve, fills = iterations + 1 + rejected
+	// line-search trials and reuses = iterations.
+	BlockFills, BlockReuses int
 }
 
 // widen grows the running range [*lo, *hi] to cover [olo, ohi]; first
@@ -79,6 +84,8 @@ func (t *StageTimes) Add(o StageTimes) {
 	t.PCSetupCold += o.PCSetupCold
 	t.Iterations += o.Iterations
 	t.Newton += o.Newton
+	t.BlockFills += o.BlockFills
+	t.BlockReuses += o.BlockReuses
 	if o.Solves > 0 {
 		widen(t.Solves == 0, &t.ItMin, &t.ItMax, o.ItMin, o.ItMax)
 		widen(t.Solves == 0, &t.NewtonMin, &t.NewtonMax, o.NewtonMin, o.NewtonMax)
@@ -300,6 +307,8 @@ type Solver struct {
 	chPC       *la.PCBJacobiILU0
 	chProb     chProblem
 	chOld      []float64
+	chBlk      chBlockStore
+	chRefill   bool // test hook: every CH sweep integrates its blocks afresh
 	chMassMat  *la.BSRMat
 	chMassKSP  *la.KSP
 	chMassPC   *la.PCJacobi
@@ -515,6 +524,7 @@ func (s *Solver) SetMeshEpoch(e uint64) {
 	// Drop every per-stage solver object keyed to the old operators: the
 	// next step recreates them against the new-mesh matrices.
 	s.chNewton, s.chPC, s.chOld = nil, nil, nil
+	s.chBlk.drop()
 	s.chMassMat, s.chMassKSP, s.chMassPC = nil, nil, nil
 	s.nsKSP, s.nsPC, s.nsRHS = nil, nil, nil
 	s.ppKSP, s.ppPC, s.ppRHS, s.ppPsi = nil, nil, nil, nil
@@ -571,6 +581,7 @@ func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64) {
 	s.chMassMat, s.chMassPC = nil, nil
 	s.chPC, s.nsPC, s.ppPC, s.vuBlockPC = nil, nil, nil, nil
 	s.chOld = nil
+	s.chBlk.drop()
 	s.nsRHS = nil
 	s.ppRHS, s.ppPsi = nil, nil
 	s.vuRHS, s.vuComp, s.vuNewVel, s.vuBlockRHS = nil, nil, nil, nil
@@ -626,6 +637,7 @@ func (s *Solver) RebindPatched(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 		s.chPC, s.nsPC, s.ppPC = nil, nil, nil
 	}
 	s.chOld = nil
+	s.chBlk.drop()
 	s.nsRHS = nil
 	s.ppRHS, s.ppPsi = nil, nil
 	s.vuRHS, s.vuComp, s.vuNewVel, s.vuBlockRHS = nil, nil, nil, nil

@@ -300,6 +300,12 @@ type RunStats struct {
 	// from the stats dump alone. "ch_newton" is the CH stage's nonlinear
 	// iteration count per step, the multiplier on all of CH's linear work.
 	KrylovIters map[string]IterStats `json:"krylov_iters"`
+	// CH element-block sharing: sweeps that integrated K_m(φ) into the
+	// solver's block store vs sweeps that read it back (fills = Newton
+	// iterations + steps + rejected line-search trials, reuses = Newton
+	// iterations).
+	CHBlockFills  int `json:"ch_block_fills"`
+	CHBlockReuses int `json:"ch_block_reuses"`
 	// Recovery accounting (see RunUntil): rolled-back retries, checkpoint
 	// fallbacks, and the per-event history.
 	Retries       int             `json:"retries"`
@@ -389,6 +395,8 @@ func (s *Simulation) Stats() RunStats {
 			"pp":        iterStats(t.PP),
 			"vu":        iterStats(t.VU),
 		},
+		CHBlockFills:  t.CH.BlockFills,
+		CHBlockReuses: t.CH.BlockReuses,
 		Retries:       s.Retries,
 		CkptFallbacks: s.CkptFallbacks,
 		Recovery:      s.Recovery,

@@ -49,38 +49,21 @@ func (r *Ref) WeightedMass(h float64, coef []float64, scale float64, out []float
 // Stiffness accumulates ∫ ∇N_a · ∇N_b dV.
 func (r *Ref) Stiffness(h float64, scale float64, out []float64) {
 	// Gradients carry 1/h each; volume h^d: net h^(d-2).
-	f := pow(h, r.Dim-2) * scale
-	for g := 0; g < r.NG; g++ {
-		w := r.W[g] * f
-		for a := 0; a < r.NPE; a++ {
-			da := r.DN[(g*r.NPE+a)*r.Dim : (g*r.NPE+a+1)*r.Dim]
-			for b := 0; b < r.NPE; b++ {
-				db := r.DN[(g*r.NPE+b)*r.Dim : (g*r.NPE+b+1)*r.Dim]
-				var s float64
-				for d := 0; d < r.Dim; d++ {
-					s += da[d] * db[d]
-				}
-				out[a*r.NPE+b] += w * s
-			}
-		}
-	}
+	r.WeightedStiffness(h, nil, scale, out)
 }
 
-// WeightedStiffness accumulates ∫ c(x) ∇N_a · ∇N_b dV with c at corners.
+// WeightedStiffness accumulates ∫ c(x) ∇N_a · ∇N_b dV with c at corners
+// (nil: c = 1). The reference gradient products come from GG.
 func (r *Ref) WeightedStiffness(h float64, coef []float64, scale float64, out []float64) {
 	f := pow(h, r.Dim-2) * scale
+	n2 := r.NPE * r.NPE
 	for g := 0; g < r.NG; g++ {
-		w := r.W[g] * f * r.AtGauss(g, coef)
-		for a := 0; a < r.NPE; a++ {
-			da := r.DN[(g*r.NPE+a)*r.Dim : (g*r.NPE+a+1)*r.Dim]
-			for b := 0; b < r.NPE; b++ {
-				db := r.DN[(g*r.NPE+b)*r.Dim : (g*r.NPE+b+1)*r.Dim]
-				var s float64
-				for d := 0; d < r.Dim; d++ {
-					s += da[d] * db[d]
-				}
-				out[a*r.NPE+b] += w * s
-			}
+		w := r.W[g] * f
+		if coef != nil {
+			w *= r.AtGauss(g, coef)
+		}
+		for i, s := range r.GG[g*n2 : (g+1)*n2] {
+			out[i] += w * s
 		}
 	}
 }
@@ -90,6 +73,7 @@ func (r *Ref) WeightedStiffness(h float64, coef []float64, scale float64, out []
 func (r *Ref) Convection(h float64, vel []float64, scale float64, out []float64) {
 	f := pow(h, r.Dim-1) * scale // one gradient: h^d * (1/h)
 	var vg [3]float64
+	var vdn [8]float64
 	for g := 0; g < r.NG; g++ {
 		for d := 0; d < r.Dim; d++ {
 			var s float64
@@ -98,17 +82,21 @@ func (r *Ref) Convection(h float64, vel []float64, scale float64, out []float64)
 			}
 			vg[d] = s
 		}
+		// v·∇N_b at this Gauss point, the same for every row a.
+		for b := 0; b < r.NPE; b++ {
+			db := r.DN[(g*r.NPE+b)*r.Dim : (g*r.NPE+b+1)*r.Dim]
+			var s float64
+			for d := 0; d < r.Dim; d++ {
+				s += vg[d] * db[d]
+			}
+			vdn[b] = s
+		}
 		w := r.W[g] * f
 		ng := r.N[g*r.NPE : (g+1)*r.NPE]
 		for a := 0; a < r.NPE; a++ {
 			wa := w * ng[a]
 			for b := 0; b < r.NPE; b++ {
-				db := r.DN[(g*r.NPE+b)*r.Dim : (g*r.NPE+b+1)*r.Dim]
-				var s float64
-				for d := 0; d < r.Dim; d++ {
-					s += vg[d] * db[d]
-				}
-				out[a*r.NPE+b] += wa * s
+				out[a*r.NPE+b] += wa * vdn[b]
 			}
 		}
 	}

@@ -27,6 +27,8 @@ type Ref struct {
 	W []float64
 	// GP[g*Dim+d]: Gauss point coordinates on the unit cell.
 	GP []float64
+	// GG[(g*NPE+a)*NPE+b]: ∇N_a·∇N_b (reference derivatives) at g.
+	GG []float64
 	// M1, K1: unit-coefficient mass and stiffness blocks of the unit cell
 	// (see MassStiffness).
 	M1, K1 []float64
@@ -84,6 +86,15 @@ func NewRef(dim int) *Ref {
 					}
 				}
 				r.DN[(g*npe+a)*dim+d] = dv
+			}
+		}
+	}
+	r.GG = make([]float64, ng*npe*npe)
+	for ga := 0; ga < ng*npe; ga++ { // row (g,a) of DN
+		for b := 0; b < npe; b++ {
+			gb := ga/npe*npe + b
+			for d := 0; d < dim; d++ {
+				r.GG[ga*npe+b] += r.DN[ga*dim+d] * r.DN[gb*dim+d]
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"proteus/internal/par"
@@ -92,6 +93,37 @@ func refILUApply(p *PCBJacobiILU0, lu, r, z []float64) {
 		}
 		z[i] = s / d
 	}
+}
+
+// refILUBuildIndex is the update-index construction through a transient
+// (row, column) -> slot hash map, which the dense row marker replaced. It
+// expects p.diag filled and returns the three index arrays.
+func refILUBuildIndex(p *PCBJacobiILU0) (updOff, updSrc, updDst []int32) {
+	n := p.n
+	colPos := make(map[int64]int32, len(p.cols))
+	for r := 0; r < n; r++ {
+		for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
+			colPos[int64(r)<<32|int64(p.cols[j])] = j
+		}
+	}
+	updOff = make([]int32, len(p.cols)+1)
+	for r := 0; r < n; r++ {
+		for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
+			updOff[j+1] = updOff[j]
+			k := int(p.cols[j])
+			if k >= r {
+				continue
+			}
+			for jj := p.diag[k] + 1; jj < p.indptr[k+1]; jj++ {
+				if pos, ok := colPos[int64(r)<<32|int64(p.cols[jj])]; ok {
+					updSrc = append(updSrc, jj)
+					updDst = append(updDst, pos)
+					updOff[j+1]++
+				}
+			}
+		}
+	}
+	return updOff, updSrc, updDst
 }
 
 // ringScatter is a real split-phase exchange over par for the kernel
@@ -290,6 +322,46 @@ func TestILU0MatchesReferenceBitwise(t *testing.T) {
 			check("refresh")
 			p.RebindPatched(m, &RowPatch{Remap: identityRemap(p.n), Dirty: make([]bool, p.n)})
 			check("rebind")
+		}
+	}
+}
+
+// TestILU0IndexMatchesReference pins the row-marker buildIndex, and the
+// carried/merged index RebindPatched produces (every third row dirty, so
+// both its offset-carry and its two-pointer paths run), to the hash-map
+// construction: same updOff/updSrc/updDst, entry for entry.
+func TestILU0IndexMatchesReference(t *testing.T) {
+	const nx, ny = 8, 6
+	for _, bs := range []int{1, 2, 3} {
+		for _, pat := range []gridPattern{{}, {ghosts: true}} {
+			m := gridSystem(nil, nx, ny, bs, pat, int64(200+bs))
+			p := NewPCBJacobiILU0(m)
+			check := func(stage string) {
+				t.Helper()
+				off, src, dst := refILUBuildIndex(p)
+				for _, c := range []struct {
+					name      string
+					got, want []int32
+				}{{"updOff", p.updOff, off}, {"updSrc", p.updSrc, src}, {"updDst", p.updDst, dst}} {
+					if !slices.Equal(c.got, c.want) {
+						t.Fatalf("bs=%d %+v %s: %s differs from the hash-map index", bs, pat, stage, c.name)
+					}
+				}
+				if len(src) == 0 {
+					t.Fatalf("bs=%d %+v %s: empty update index, nothing compared", bs, pat, stage)
+				}
+			}
+			check("new")
+			dirty := make([]bool, p.n)
+			for i := range dirty {
+				dirty[i] = i%3 == 1
+			}
+			if kept, rebuilt := p.RebindPatched(m, &RowPatch{Remap: identityRemap(p.n), Dirty: dirty}); kept == 0 || rebuilt == 0 {
+				t.Fatalf("bs=%d: kept %d rebuilt %d rows, want both paths", bs, kept, rebuilt)
+			}
+			check("rebind-patched")
+			p.RebindPatched(m, nil)
+			check("rebind-cold")
 		}
 	}
 }

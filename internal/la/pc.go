@@ -230,8 +230,8 @@ func (p *PCBJacobiILU0) Refresh() {
 
 // RebindPatched re-keys the factorization to a replacement matrix across an
 // incremental remesh. Where patch proves a row (and the rows its elimination
-// touches) kept its column pattern, the ILU(0) update index — the expensive
-// hash-resolved pattern intersection of buildIndex — is carried over by pure
+// touches) kept its column pattern, the ILU(0) update index — the pattern
+// intersection of buildIndex — is carried over by pure
 // offset arithmetic; only dirty rows re-resolve their intersections, with a
 // two-pointer merge over the sorted patterns. The values are always
 // re-extracted and the numeric factorization redone in full, so the result
@@ -305,7 +305,7 @@ func (p *PCBJacobiILU0) RebindPatched(m *BSRMat, patch *RowPatch) (kept, rebuilt
 			// Re-resolve the ILU(0) pattern intersection for this entry:
 			// row k's post-diagonal columns against row r's columns, both
 			// sorted ascending — same pairs and order as buildIndex's
-			// hash-lookup construction.
+			// row-marker construction.
 			a, b := p.diag[k]+1, indptr[r]
 			ae, be := indptr[k+1], indptr[r+1]
 			for a < ae && b < be {
@@ -354,19 +354,23 @@ func (p *PCBJacobiILU0) findDiag() {
 
 // buildIndex records each row's diagonal slot and precomputes, for every
 // lower-triangular entry, the (source, destination) pairs its elimination
-// row update hits — the ILU(0) pattern intersection, resolved once with a
-// transient hash map so factor itself is a pure array sweep.
+// row update hits — the ILU(0) pattern intersection, resolved once so
+// factor itself is a pure array sweep. pos is the symbolic-ILU row marker:
+// while row r is processed, pos[c] is the slot of column c in row r, and -1
+// for a column row r does not store.
 func (p *PCBJacobiILU0) buildIndex() {
 	n := p.n
 	p.findDiag()
-	colPos := make(map[int64]int32, len(p.cols))
-	for r := 0; r < n; r++ {
-		for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
-			colPos[int64(r)<<32|int64(p.cols[j])] = j
-		}
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
 	}
 	p.updOff = make([]int32, len(p.cols)+1)
 	for r := 0; r < n; r++ {
+		row := p.cols[p.indptr[r]:p.indptr[r+1]]
+		for j, c := range row {
+			pos[c] = p.indptr[r] + int32(j)
+		}
 		for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
 			p.updOff[j+1] = p.updOff[j]
 			k := int(p.cols[j])
@@ -374,12 +378,15 @@ func (p *PCBJacobiILU0) buildIndex() {
 				continue
 			}
 			for jj := p.diag[k] + 1; jj < p.indptr[k+1]; jj++ {
-				if pos, ok := colPos[int64(r)<<32|int64(p.cols[jj])]; ok {
+				if dst := pos[p.cols[jj]]; dst >= 0 {
 					p.updSrc = append(p.updSrc, jj)
-					p.updDst = append(p.updDst, pos)
+					p.updDst = append(p.updDst, dst)
 					p.updOff[j+1]++
 				}
 			}
+		}
+		for _, c := range row {
+			pos[c] = -1
 		}
 	}
 }
