@@ -435,7 +435,7 @@ func (s *Solver) InitMuFromPhi() error {
 	// The scalar mass operator and its solver persist on the Solver like
 	// the per-stage KSP state: the matrix is assembled once per mesh
 	// generation and the KSP keeps its warm Krylov workspace across
-	// calls; Rebind/SetMeshEpoch drop the mesh-keyed matrix and PC.
+	// calls; Rebind drops the mesh-keyed matrix and PC.
 	if s.chMassMat == nil {
 		s.chMassMat = s.asmS.NewMatrix(fem.LayoutBAIJ)
 		s.asmS.AssembleMatrix(s.chMassMat, fem.LayoutBAIJ, func(w, e int, h float64, ke []float64) {

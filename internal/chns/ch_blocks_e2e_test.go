@@ -16,22 +16,24 @@ type blockRun struct {
 	its             [5]int // CH/NS/PP/VU Krylov totals, CH Newton total
 	phiMu, vel, pre []float64
 	stats           core.RunStats
+	crossedRemesh   bool // the rollback rebuilt the mesh: a generation the run did not keep
 }
 
-// runBubbleBlocks runs the bubble smoke case for 8 steps with an injected
-// CH divergence at step 3 (rolled back and retried at half dt), remeshing
-// through the incremental path (Solver.RebindPatched) or, with
-// fullRebuild, the from-scratch one (Solver.Rebind); refill forces every
-// CH sweep to integrate its blocks afresh.
-func runBubbleBlocks(ranks int, fullRebuild, refill bool) []blockRun {
+// runBubbleBlocks runs the bubble smoke case (the remesh before step 2
+// changes the mesh: a Solver.Rebind with the mesh delta) for 8 steps with an
+// injected CH divergence at faultStep, rolled back and retried at half dt:
+// on step 3 the rollback keeps the mesh, on step 2 the failed attempt had
+// remeshed, so the rollback rebuilds the snapshot's mesh and rebinds cold
+// (Rebind with no delta) and the retry remeshes again before its CH solve —
+// CH solves on a cold-rebound solver are TestCHBlockStoreBitwiseAfterColdRebind's.
+// refill forces every CH sweep to integrate its blocks afresh.
+func runBubbleBlocks(ranks, faultStep int, refill bool) []blockRun {
 	sc, _ := scenario.Get("bubble")
 	out := make([]blockRun, ranks)
 	par.Run(ranks, func(c *par.Comm) {
-		sp := sc.Build(scenario.Smoke)
-		sp.Config.DisableIncremental = fullRebuild
-		sim := sc.NewFromSpec(c, scenario.Smoke, sp)
+		sim := sc.New(c, scenario.Smoke)
 		sim.Solver.SetCHRefill(refill)
-		sim.Fault = fault.New(1, c.Rank(), fault.Fault{Point: fault.KSPDiverge, Step: 3, Stage: "ch"})
+		sim.Fault = fault.New(1, c.Rank(), fault.Fault{Point: fault.KSPDiverge, Step: faultStep, Stage: "ch"})
 		if _, err := sim.RunUntil(core.RunOptions{Steps: 8, MaxRetries: 2, RelaxAfter: 2}); err != nil {
 			panic(err)
 		}
@@ -40,31 +42,33 @@ func runBubbleBlocks(ranks int, fullRebuild, refill bool) []blockRun {
 		out[c.Rank()] = blockRun{
 			its:   [5]int{t.CH.Iterations, t.NS.Iterations, t.PP.Iterations, t.VU.Iterations, t.CH.Newton},
 			phiMu: s.PhiMu, vel: s.Vel, pre: s.P, stats: st,
+			crossedRemesh: sim.MeshEpoch > uint64(sim.RemeshCount),
 		}
 	})
 	return out
 }
 
-// TestCHBlockStoreBitwiseEndToEnd: a bubble smoke run that remeshes (both
-// rebind paths) and rolls one step back to retry it at half dt takes the
-// same Krylov and Newton iterations and ends in the same field bits on 1
-// and 2 ranks whether the CH sweeps share their element blocks through
-// the store or integrate every block in every sweep.
+// TestCHBlockStoreBitwiseEndToEnd: a bubble smoke run that remeshes and
+// rolls one step back to retry it at half dt — on the same mesh, or across
+// a remesh, which adds a cold rebind to the patched ones — takes the same
+// Krylov and Newton iterations and ends in the same field bits on 1 and 2
+// ranks whether the CH sweeps share their element blocks through the store
+// or integrate every block in every sweep.
 func TestCHBlockStoreBitwiseEndToEnd(t *testing.T) {
 	for _, ranks := range []int{1, 2} {
-		for _, fullRebuild := range []bool{false, true} {
-			shared := runBubbleBlocks(ranks, fullRebuild, false)
-			refilled := runBubbleBlocks(ranks, fullRebuild, true)
+		for _, faultStep := range []int{3, 2} {
+			shared := runBubbleBlocks(ranks, faultStep, false)
+			refilled := runBubbleBlocks(ranks, faultStep, true)
 			for r := range shared {
-				what := fmt.Sprintf("ranks=%d fullRebuild=%v rank %d", ranks, fullRebuild, r)
+				what := fmt.Sprintf("ranks=%d faultStep=%d rank %d", ranks, faultStep, r)
 				a, b := shared[r], refilled[r]
 				if a.its != b.its || a.its[4] == 0 {
 					t.Fatalf("%s: iteration totals CH/NS/PP/VU/Newton %v vs refilled %v", what, a.its, b.its)
 				}
 				st := a.stats
-				patched, full := st.IncrBuildRounds+st.MigrateBuildRounds, st.FullBuildRounds
-				if st.Retries != 1 || (fullRebuild && full == 0) || (!fullRebuild && patched == 0) {
-					t.Fatalf("%s: %d retries, %d patched / %d full mesh builds: the paths under test did not run", what, st.Retries, patched, full)
+				patched := st.IncrBuildRounds + st.MigrateBuildRounds
+				if st.Retries != 1 || patched == 0 || a.crossedRemesh != (faultStep == 2) {
+					t.Fatalf("%s: %d retries, %d patched mesh builds, rollback across a remesh %v: the paths under test did not run", what, st.Retries, patched, a.crossedRemesh)
 				}
 				if st.CHBlockReuses == 0 || b.stats.CHBlockReuses != 0 {
 					t.Fatalf("%s: %d reuses with the store, %d when refilling", what, st.CHBlockReuses, b.stats.CHBlockReuses)

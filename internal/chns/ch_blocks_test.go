@@ -114,6 +114,82 @@ func TestCHBlockStoreBitwise(t *testing.T) {
 	}
 }
 
+// coldRebindRun is what stepsAcrossColdRebind leaves behind on one rank.
+type coldRebindRun struct {
+	its             [5]int // CH/NS/PP/VU Krylov totals, CH Newton total
+	fills, reuses   int    // block store traffic after the rebind only
+	phiMu, vel, pre []float64
+}
+
+// stepsAcrossColdRebind takes two full steps on a graded mesh, rebinds
+// the solver cold (Rebind with no delta: the from-scratch remesh route,
+// rollback and restore) onto a different forest, re-initialises φ and μ
+// there and takes three more: every CH sweep after the rebind runs on a
+// store whose arrays were sized and keyed for the old mesh.
+func stepsAcrossColdRebind(c *par.Comm, refill bool) coldRebindRun {
+	prm := DefaultParams()
+	prm.Cn = 0.06
+	prm.Fr = 1
+	s := NewSolver(gradedMesh(c, 2, 3, 5), prm, DefaultOptions(5e-4))
+	s.chRefill = refill
+	init := func() {
+		s.SetPhi(func(x, y, z float64) float64 {
+			return EquilibriumProfile(0.2-math.Hypot(x-0.4, y-0.55), prm.Cn)
+		})
+		s.InitMuFromPhi()
+	}
+	steps := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := s.Step(); err != nil {
+				panic(err)
+			}
+		}
+	}
+	init()
+	steps(2)
+	before := s.T.CH
+	m2 := gradedMesh(c, 2, 2, 4)
+	if m2.NumElems() == s.M.NumElems() {
+		panic("the second forest must differ from the first")
+	}
+	s.Rebind(m2, s.MeshEpoch()+1, nil)
+	init()
+	steps(3)
+	t := s.T
+	return coldRebindRun{
+		its:   [5]int{t.CH.Iterations, t.NS.Iterations, t.PP.Iterations, t.VU.Iterations, t.CH.Newton},
+		fills: t.CH.BlockFills - before.BlockFills, reuses: t.CH.BlockReuses - before.BlockReuses,
+		phiMu: s.PhiMu, vel: s.Vel, pre: s.P,
+	}
+}
+
+// TestCHBlockStoreBitwiseAfterColdRebind: CH solves on a solver rebound
+// cold onto a different forest — the route an over-threshold or
+// partition-only remesh round, a rollback across a remesh and a restore
+// take — need the same Krylov and Newton iterations and leave the same
+// field bits on 1 and 2 ranks whether the sweeps share their element
+// blocks through the store or integrate every block afresh.
+func TestCHBlockStoreBitwiseAfterColdRebind(t *testing.T) {
+	for _, ranks := range []int{1, 2} {
+		par.Run(ranks, func(c *par.Comm) {
+			what := fmt.Sprintf("ranks=%d rank %d", ranks, c.Rank())
+			a, b := stepsAcrossColdRebind(c, false), stepsAcrossColdRebind(c, true)
+			if a.its != b.its || a.its[4] == 0 {
+				panic(fmt.Sprintf("%s: iteration totals CH/NS/PP/VU/Newton %v vs refilled %v", what, a.its, b.its))
+			}
+			if a.reuses == 0 || b.reuses != 0 || a.fills+a.reuses != b.fills {
+				panic(fmt.Sprintf("%s: after the rebind %d fills / %d reuses with the store, %d / %d when refilling",
+					what, a.fills, a.reuses, b.fills, b.reuses))
+			}
+			for name, pair := range map[string][2][]float64{"PhiMu": {a.phiMu, b.phiMu}, "Vel": {a.vel, b.vel}, "P": {a.pre, b.pre}} {
+				if d := bitsDiff(pair[0], pair[1]); d != "" {
+					panic(fmt.Sprintf("%s: %s with the store vs refilled: %s", what, name, d))
+				}
+			}
+		})
+	}
+}
+
 // refNSRHS is the NS RHS element kernel as it stood before the (J·∇)v_d
 // contraction was hoisted out of the test-function loop, body kept
 // verbatim as the oracle (sc is the caller's scratch).

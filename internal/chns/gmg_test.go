@@ -73,9 +73,10 @@ func TestGMGStepParity(t *testing.T) {
 }
 
 // TestGMGHierarchyInvalidation: the shared MG ladder is keyed to the
-// mesh epoch. An epoch bump or a Rebind must drop it and the stage PCs
-// with it — stale coarse operators must never survive a remesh — and the
-// next step must rebuild everything against the current mesh.
+// mesh epoch. A cold Rebind — onto the same mesh or a different forest —
+// must drop it and the stage PCs with it — stale coarse operators must
+// never survive a remesh — and the next step must rebuild everything
+// against the current mesh.
 func TestGMGHierarchyInvalidation(t *testing.T) {
 	par.Run(2, func(c *par.Comm) {
 		s := gmgSolver(c, PCGMG, 4, 5e-4)
@@ -92,32 +93,31 @@ func TestGMGHierarchyInvalidation(t *testing.T) {
 		if g.Hierarchy() != s.mgH || s.mgH.Meshes[0] != s.M {
 			t.Fatal("stage PC must share the solver hierarchy rooted at the fine mesh")
 		}
-		// Epoch bump (the remesh signal): ladder and stage PCs must go.
-		s.SetMeshEpoch(s.MeshEpoch() + 1)
-		if s.mgH != nil || s.nsPC != nil || s.ppPC != nil {
-			t.Fatal("SetMeshEpoch must drop the hierarchy and the stage PCs")
+		prm := s.Par
+		// rebindAndStep rebinds cold (state vectors come back zeroed, so φ
+		// and μ are re-initialized) and takes one step.
+		rebindAndStep := func(m *mesh.Mesh) {
+			s.Rebind(m, s.MeshEpoch()+1, nil)
+			if s.mgH != nil || s.nsPC != nil || s.ppPC != nil {
+				t.Fatal("a cold Rebind must drop the hierarchy and the stage PCs")
+			}
+			s.SetPhi(func(x, y, z float64) float64 {
+				return EquilibriumProfile(0.2-math.Hypot(x-0.5, y-0.45), prm.Cn)
+			})
+			s.InitMuFromPhi()
+			if _, err := s.Step(); err != nil {
+				panic(err)
+			}
 		}
-		if _, err := s.Step(); err != nil {
-			panic(err)
-		}
+		// Epoch bump on the same mesh (the remesh signal).
+		rebindAndStep(s.M)
 		if s.mgH == nil || s.mgH.Meshes[0] != s.M {
 			t.Fatal("the next step must rebuild the ladder from the current mesh")
 		}
 		old := s.mgH
 		// Rebind to a genuinely different forest: same invariant.
 		m2 := uniformMesh(c, 2, 3)
-		s.Rebind(m2, s.MeshEpoch()+1)
-		if s.mgH != nil || s.nsPC != nil || s.ppPC != nil {
-			t.Fatal("Rebind must drop the hierarchy and the stage PCs")
-		}
-		prm := s.Par
-		s.SetPhi(func(x, y, z float64) float64 {
-			return EquilibriumProfile(0.2-math.Hypot(x-0.5, y-0.45), prm.Cn)
-		})
-		s.InitMuFromPhi()
-		if _, err := s.Step(); err != nil {
-			panic(err)
-		}
+		rebindAndStep(m2)
 		if s.mgH == nil || s.mgH == old || s.mgH.Meshes[0] != m2 {
 			t.Fatal("after Rebind the ladder must be rebuilt from the new mesh")
 		}

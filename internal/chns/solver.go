@@ -113,22 +113,19 @@ type RemeshTimes struct {
 	// mesh patch ran versus their from-scratch fallbacks, how much ripple
 	// work the seeded balance did, and the global dirty fraction the
 	// incremental/full decision was gated on (DirtyOctants out of
-	// TotalOctants, accumulated over rounds that changed the forest).
+	// TotalOctants, accumulated over every executed round).
 	IncrBalance, FullBalance   int
 	IncrBuild, FullBuild       int
 	RippleRounds, RippleIters  int
 	DirtyOctants, TotalOctants int64
 	// MigrateBuild counts rounds built by the migrate-then-patch path
 	// (splitters moved, dirty fraction under the threshold); the Full*
-	// counters split FullBuild by the reason the round fell back to the
-	// from-scratch build, so the fast path's engagement rate is
-	// observable: FullBuild = FullPartitionOnly + FullDisabled +
-	// FullDirtyFrac + FullSplitterMoved.
+	// counters split FullBuild by the reason the round was built from
+	// scratch, so the fast path's engagement rate is observable:
+	// FullBuild = FullPartitionOnly + FullDirtyFrac.
 	MigrateBuild      int
 	FullPartitionOnly int // pure repartition rounds (exact migration path)
-	FullDisabled      int // DisableIncremental or a negative RemeshFullFrac
-	FullDirtyFrac     int // global dirty fraction above RemeshFullFrac
-	FullSplitterMoved int // splitters moved and migrate-then-patch disabled
+	FullDirtyFrac     int // global dirty fraction above the threshold
 	// Remesh-aware multigrid refresh telemetry: coarse ladder levels reused
 	// verbatim / patched in place across hierarchy refreshes, and transfer
 	// target rows whose element reference was carried through the remap vs
@@ -175,9 +172,7 @@ func (t *RemeshTimes) Add(o RemeshTimes) {
 	t.TotalOctants += o.TotalOctants
 	t.MigrateBuild += o.MigrateBuild
 	t.FullPartitionOnly += o.FullPartitionOnly
-	t.FullDisabled += o.FullDisabled
 	t.FullDirtyFrac += o.FullDirtyFrac
-	t.FullSplitterMoved += o.FullSplitterMoved
 	t.MGLevelsReused += o.MGLevelsReused
 	t.MGLevelsPatched += o.MGLevelsPatched
 	t.MGRowsPatched += o.MGRowsPatched
@@ -255,8 +250,9 @@ func DefaultOptions(dt float64) Options {
 		Dt: dt, LinTol: 1e-8, NonlinTol: 1e-10}
 }
 
-// Solver advances the CHNS system on one (fixed) mesh. Remeshing swaps in
-// a new Solver via core.Simulation; fields transfer across.
+// Solver advances the CHNS system on its current mesh. A remesh keeps the
+// Solver and moves it to the new mesh with Rebind; core.Simulation
+// transfers the fields across.
 type Solver struct {
 	M   *mesh.Mesh
 	Par Params
@@ -288,7 +284,7 @@ type Solver struct {
 	// Persistent operators: each stage allocates its matrix once (sharing
 	// the frozen sparsity of its assembler's plan) and Zero()+reassembles
 	// thereafter, so steady-state time stepping performs no sparsity
-	// construction. Invalidated by SetMeshEpoch on remesh.
+	// construction. Dropped by Rebind.
 	chMat      *la.BSRMat
 	nsMat      *la.BSRMat
 	ppMat      *la.BSRMat
@@ -302,7 +298,8 @@ type Solver struct {
 	// reusable Krylov workspace), preconditioners refreshed in place from
 	// the re-assembled values, the CH Newton driver, and the per-step
 	// vectors. A steady-state time step performs no solver-side
-	// allocation at all. Dropped by SetMeshEpoch.
+	// allocation at all. Rebind drops the mesh-keyed ones (operators,
+	// per-step vectors) and keeps the KSP objects and the Newton driver.
 	chNewton   *la.Newton
 	chPC       *la.PCBJacobiILU0
 	chProb     chProblem
@@ -333,7 +330,7 @@ type Solver struct {
 	mgH *mg.Hierarchy
 	// mgPrev holds the previous epoch's ladder across an incremental
 	// rebind so ensureHierarchy can refresh it (reusing unchanged coarse
-	// levels) instead of rebuilding from scratch. Full rebinds clear it.
+	// levels) instead of rebuilding from scratch. Cold rebinds clear it.
 	mgPrev *mg.Hierarchy
 	// MGLevelsReused accumulates how many coarse ladder levels hierarchy
 	// refreshes reused (telemetry).
@@ -345,8 +342,8 @@ type Solver struct {
 	// mgWS is the hierarchy build/refresh scratch, reused across refreshes.
 	mgWS mg.Workspace
 
-	// Incremental PC carry-over state, set by RebindPatched and consumed by
-	// the first post-remesh setup of each stage preconditioner: the
+	// Incremental PC carry-over state, set by Rebind with a delta and
+	// consumed by the first post-remesh setup of each stage preconditioner: the
 	// composed mesh delta, the old mesh's owned-node count, the lazily
 	// expanded per-ndof scalar row patches, and the per-stage "patch me
 	// instead of refreshing" flags.
@@ -416,13 +413,7 @@ type Solver struct {
 // NewSolver allocates state on the mesh.
 func NewSolver(m *mesh.Mesh, prm Params, opt Options) *Solver {
 	s := &Solver{M: m, Par: prm, Opt: opt}
-	s.PhiMu = m.NewVec(2)
-	s.Vel = m.NewVec(m.Dim)
-	s.P = m.NewVec(1)
-	s.ElemCn = make([]float64, m.NumElems())
-	for i := range s.ElemCn {
-		s.ElemCn[i] = prm.Cn
-	}
+	s.allocState()
 	s.asmCH = fem.NewAssembler(m, 2)
 	s.asmVel = fem.NewAssembler(m, m.Dim)
 	s.asmS = fem.NewAssembler(m, 1)
@@ -446,9 +437,26 @@ func NewSolver(m *mesh.Mesh, prm Params, opt Options) *Solver {
 	return s
 }
 
-// Close releases the solver's worker pool. Called when the solver is
-// replaced (remesh); an unclosed pool is reclaimed when the solver
-// becomes unreachable.
+// allocState allocates the state vectors on s.M: PhiMu, Vel, P and (under
+// warm starts) ψ zeroed, ElemCn at the uniform Cahn number.
+func (s *Solver) allocState() {
+	m := s.M
+	s.PhiMu = m.NewVec(2)
+	s.Vel = m.NewVec(m.Dim)
+	s.P = m.NewVec(1)
+	s.ppPsi = nil
+	if s.Opt.WarmStarts {
+		s.ppPsi = m.NewVec(1)
+	}
+	s.ElemCn = make([]float64, m.NumElems())
+	for i := range s.ElemCn {
+		s.ElemCn[i] = s.Par.Cn
+	}
+}
+
+// Close releases the solver's worker pool once the run is over (the pool
+// lives across remeshes with the solver); an unclosed pool is reclaimed
+// when the solver becomes unreachable.
 func (s *Solver) Close() {
 	if s.pool != nil {
 		s.pool.Close()
@@ -507,141 +515,63 @@ func (s *Solver) initScratch() {
 	}
 }
 
-// SetMeshEpoch declares the mesh generation this solver runs on. A change
-// (core increments its counter on every remesh) drops the persistent
-// operators and every cached assembly plan, forcing the next assembly of
-// each stage through the cold sparsity-building path.
-func (s *Solver) SetMeshEpoch(e uint64) {
-	if e == s.meshEpoch {
-		return
-	}
-	s.meshEpoch = e
-	s.asmCH.SetEpoch(e)
-	s.asmVel.SetEpoch(e)
-	s.asmS.SetEpoch(e)
-	s.chMat, s.nsMat, s.ppMat, s.vuBlockMat = nil, nil, nil, nil
-	s.vuMass, s.vuMassPC = nil, nil
-	// Drop every per-stage solver object keyed to the old operators: the
-	// next step recreates them against the new-mesh matrices.
-	s.chNewton, s.chPC, s.chOld = nil, nil, nil
-	s.chBlk.drop()
-	s.chMassMat, s.chMassKSP, s.chMassPC = nil, nil, nil
-	s.nsKSP, s.nsPC, s.nsRHS = nil, nil, nil
-	s.ppKSP, s.ppPC, s.ppRHS, s.ppPsi = nil, nil, nil, nil
-	s.vuKSP, s.vuRHS, s.vuComp, s.vuNewVel = nil, nil, nil, nil
-	s.vuBlockKSP, s.vuBlockPC, s.vuBlockRHS = nil, nil, nil
-	// The multigrid ladder is keyed to the old forest: coarse meshes,
-	// transfers and operators must all rebuild from the new one.
-	s.mgH, s.mgPrev, s.mgInfo = nil, nil, nil
-	s.clearPCCarry()
-	s.postRemesh = true
-}
-
-// clearPCCarry drops the incremental PC carry-over state: the next setup
-// of every stage preconditioner goes through the cold path.
-func (s *Solver) clearPCCarry() {
-	s.pcDelta, s.pcPatches = nil, nil
-	s.pcOldOwned = 0
-	s.chPCStale, s.nsPCStale, s.ppPCStale = false, false, false
-}
-
 // MeshEpoch returns the solver's current mesh epoch.
 func (s *Solver) MeshEpoch() uint64 { return s.meshEpoch }
 
-// Rebind moves the solver to a freshly built mesh (the remesh swap path),
-// preserving everything that survives a mesh change: the worker pool, the
-// assemblers' reference element and per-worker scratch, the per-stage KSP
-// objects (whose Krylov workspaces resize in place on the next Solve) and
-// the Newton driver. Mesh-keyed state — operators, preconditioners,
-// assembly plans, per-step vectors — is dropped and rebuilt lazily on the
-// next step, exactly as the epoch bump demands: sparsity and plans are
-// invalidated, storage that can persist does. State vectors (PhiMu, Vel,
-// P, ElemCn) are reallocated at the new sizes and left for the caller to
-// fill by transfer/migration; ElemCn starts at the uniform Cahn number.
-func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64) {
-	s.M = m
-	s.PhiMu = m.NewVec(2)
-	s.Vel = m.NewVec(m.Dim)
-	s.P = m.NewVec(1)
-	s.ElemCn = make([]float64, m.NumElems())
-	for i := range s.ElemCn {
-		s.ElemCn[i] = s.Par.Cn
-	}
-	s.asmCH.Rebind(m)
-	s.asmVel.Rebind(m)
-	s.asmS.Rebind(m)
-	s.meshEpoch = epoch
-	s.asmCH.SetEpoch(epoch)
-	s.asmVel.SetEpoch(epoch)
-	s.asmS.SetEpoch(epoch)
-	// Mesh-keyed operators, preconditioners and per-step vectors go; the
-	// KSP/Newton objects and the pool stay.
-	s.chMat, s.nsMat, s.ppMat, s.vuBlockMat = nil, nil, nil, nil
-	s.vuMass, s.vuMassPC = nil, nil
-	s.chMassMat, s.chMassPC = nil, nil
-	s.chPC, s.nsPC, s.ppPC, s.vuBlockPC = nil, nil, nil, nil
-	s.chOld = nil
-	s.chBlk.drop()
-	s.nsRHS = nil
-	s.ppRHS, s.ppPsi = nil, nil
-	s.vuRHS, s.vuComp, s.vuNewVel, s.vuBlockRHS = nil, nil, nil, nil
-	// Stale coarse operators must never survive a Rebind: the hierarchy
-	// is rebuilt from the new mesh on the next GMG-preconditioned stage.
-	s.mgH, s.mgPrev, s.mgInfo = nil, nil, nil
-	s.clearPCCarry()
-	s.postRemesh = true
-}
-
-// RebindPatched moves the solver to an incrementally patched mesh
-// (mesh.Patch). It drops the per-step vectors and operator values Rebind
-// drops, but repairs what the mesh delta proves survived: each stage
-// assembler's frozen sparsity and assembly plans are patched in place of
-// cold rebuilds (fem.RebindPatched); the stage ILU(0)/Jacobi
-// preconditioners are kept and flagged so their first post-remesh setup
-// carries the factorization index of every pattern-preserved row instead
-// of rebuilding it (la.RowPatch); and the previous multigrid ladder is
-// kept aside so the next GMG-preconditioned stage refreshes it, reusing
-// unchanged coarse levels and rebinding the stage PCGMGs in place. Every
-// repaired object is bitwise identical to what the full Rebind path would
-// produce, so the two paths yield identical runs. Collective.
-func (s *Solver) RebindPatched(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
+// Rebind moves the solver to mesh m at generation epoch in place — the
+// remesh, rollback and checkpoint-fallback swap — preserving everything
+// that survives a mesh change: the worker pool, the assemblers' reference
+// element and per-worker scratch, the per-stage KSP objects (whose Krylov
+// workspaces resize in place on the next Solve) and the Newton driver.
+// Operators and per-step vectors are dropped and rebuilt lazily on the next
+// step. State vectors (PhiMu, Vel, P, ElemCn, and ψ under warm starts) are
+// reallocated at the new sizes and left for the caller to fill by
+// transfer/migration; ElemCn starts at the uniform Cahn number.
+//
+// d is the mesh delta of an incremental build (mesh.Patch,
+// mesh.PatchMigrated) and names what survived: each stage assembler's
+// frozen sparsity and assembly plans are patched instead of rebuilt; the
+// stage preconditioners are kept and flagged so their first post-remesh
+// setup carries the factorization index of every pattern-preserved row
+// (la.RowPatch); and the multigrid ladder is kept aside so the next
+// GMG-preconditioned stage refreshes it, reusing unchanged coarse levels.
+// A nil d means nothing is known to have survived: plans, preconditioners
+// and ladder all go. Every repaired object is bitwise identical to its
+// cold rebuild, so the two yield identical runs. Collective when d is
+// non-nil.
+func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	// A second incremental rebind before any stage consumed the first has
-	// no composed delta at this level: degrade the PC carry-over to the
-	// cold path. The hierarchy refresh still works off the kept previous
-	// ladder, just without the fine-level transfer patch.
+	// no composed delta at this level: the PC carry-over degrades to cold.
+	// The hierarchy refresh still works off the kept previous ladder, just
+	// without the fine-level transfer patch.
 	stacked := s.chPCStale || s.nsPCStale || s.ppPCStale
 	oldOwned := s.M.NumOwned
 	s.M = m
-	s.PhiMu = m.NewVec(2)
-	s.Vel = m.NewVec(m.Dim)
-	s.P = m.NewVec(1)
-	s.ElemCn = make([]float64, m.NumElems())
-	for i := range s.ElemCn {
-		s.ElemCn[i] = s.Par.Cn
-	}
 	s.meshEpoch = epoch
-	s.asmCH.RebindPatched(m, epoch, d)
-	s.asmVel.RebindPatched(m, epoch, d)
-	s.asmS.RebindPatched(m, epoch, d)
+	s.allocState()
+	s.asmCH.Rebind(m, epoch, d)
+	s.asmVel.Rebind(m, epoch, d)
+	s.asmS.Rebind(m, epoch, d)
 	s.chMat, s.nsMat, s.ppMat, s.vuBlockMat = nil, nil, nil, nil
 	s.vuMass, s.vuMassPC = nil, nil
 	s.chMassMat, s.chMassPC = nil, nil
 	s.vuBlockPC = nil
-	if d != nil && !stacked {
-		s.pcDelta, s.pcOldOwned, s.pcPatches = d, oldOwned, nil
-		s.chPCStale = s.chPC != nil
-		s.nsPCStale = s.nsPC != nil
-		s.ppPCStale = s.ppPC != nil
-	} else {
-		s.clearPCCarry()
-		s.chPC, s.nsPC, s.ppPC = nil, nil, nil
-	}
 	s.chOld = nil
 	s.chBlk.drop()
-	s.nsRHS = nil
-	s.ppRHS, s.ppPsi = nil, nil
+	s.nsRHS, s.ppRHS = nil, nil
 	s.vuRHS, s.vuComp, s.vuNewVel, s.vuBlockRHS = nil, nil, nil, nil
-	if s.mgH != nil {
+	s.pcDelta, s.pcOldOwned, s.pcPatches = d, oldOwned, nil
+	if d == nil || stacked {
+		s.pcDelta = nil
+		s.chPC, s.nsPC, s.ppPC = nil, nil, nil
+	}
+	// A stage PC that is still here is carried: its next setup patches it.
+	s.chPCStale, s.nsPCStale, s.ppPCStale = s.chPC != nil, s.nsPC != nil, s.ppPC != nil
+	// Stale coarse operators never survive a cold rebind; an incremental
+	// one keeps the last built ladder for ensureHierarchy to refresh.
+	if d == nil {
+		s.mgPrev = nil
+	} else if s.mgH != nil {
 		s.mgPrev = s.mgH
 	}
 	s.mgH, s.mgInfo = nil, nil
@@ -666,15 +596,17 @@ func (s *Solver) rowPatch(nd int) *la.RowPatch {
 	return p
 }
 
-// PsiState returns the solver's persistent pressure-increment buffer ψ
-// (nil before the first PP solve, dropped by the rebinds): what a remesh
-// transfers onto the new mesh when warm starts are on, so the first
-// post-remesh PP solve starts from the migrated previous increment.
-func (s *Solver) PsiState() []float64 { return s.ppPsi }
-
-// SetPsiState installs a transferred ψ buffer on the current mesh (length
-// NumLocal scalars); the next warm-started PP solve seeds from it.
-func (s *Solver) SetPsiState(p []float64) { s.ppPsi = p }
+// PsiState returns the pressure increment ψ that warm starts carry from
+// one PP solve to the next (nil with Opt.WarmStarts off, where ψ is
+// per-step scratch). It is solver state like PhiMu/Vel/P: allocated on the
+// current mesh (NumLocal scalars), zeroed by Rebind, moved across a remesh
+// and restored on rollback by the caller.
+func (s *Solver) PsiState() []float64 {
+	if !s.Opt.WarmStarts {
+		return nil
+	}
+	return s.ppPsi
+}
 
 // SetPhi initializes φ from a point function and sets μ consistently to 0.
 func (s *Solver) SetPhi(f func(x, y, z float64) float64) {

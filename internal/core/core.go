@@ -47,40 +47,6 @@ type Config struct {
 	// RemeshEvery triggers adaptation every n steps (default 1).
 	RemeshEvery int
 
-	// SequentialTransfer selects the ablation baseline for remesh-time
-	// field movement: one full Nodal transfer per field (each rebuilding
-	// the old tree, gathering splitters and paying its own NBX round)
-	// instead of the batched single-round transfer. Benchmark use only.
-	SequentialTransfer bool
-
-	// DisableIncremental forces the from-scratch balance/build/rebind
-	// pipeline on every remesh round. The incremental path is bitwise
-	// identical to it, so this is an ablation and equivalence-testing
-	// knob, not a correctness one.
-	DisableIncremental bool
-
-	// DisableMigratePatch forces the from-scratch build whenever the
-	// partition splitters moved, instead of migrating the old mesh to
-	// the new owners and patching against the migrated view. The
-	// migrate-then-patch path is bitwise identical to the from-scratch
-	// build, so this is an ablation and equivalence-testing knob, not a
-	// correctness one.
-	DisableMigratePatch bool
-
-	// RemeshFullFrac is the global dirty-octant fraction above which a
-	// remesh round abandons the incremental path (ripple balance, mesh
-	// patch or migrate-then-patch, plan repair) and rebuilds from
-	// scratch: incremental work is proportional to the changed region
-	// and stops paying once most of the forest changed. The fraction is
-	// measured once per round, before balancing and repartitioning
-	// (dirty pre-balance octants over the coarsened total), and that one
-	// collective decision gates both the ripple balance and the
-	// incremental build — the post-partition measure would double-count
-	// unchanged survivors that merely moved ranks. Default 0.25; a
-	// negative value always falls back (equivalent to DisableIncremental
-	// for the gated stages), a value >= 1 never does.
-	RemeshFullFrac float64
-
 	// PrescribedVel, when non-nil, runs only the CH block with this
 	// analytic velocity (the Fig. 5 swirling-flow validation mode).
 	PrescribedVel func(x, y, z, t float64) (vx, vy, vz float64)
@@ -104,9 +70,6 @@ func (c *Config) defaults() {
 	}
 	if c.FineLevel == 0 {
 		c.FineLevel = c.InterfaceLevel
-	}
-	if c.RemeshFullFrac == 0 {
-		c.RemeshFullFrac = 0.25
 	}
 }
 
@@ -161,7 +124,30 @@ type Simulation struct {
 	// tws is the reusable batched-transfer workspace, so steady remeshing
 	// does not reallocate the query maps and scratch every round.
 	tws transfer.Workspace
+
+	// policy overrides how Adapt picks its build route. The zero value is
+	// production (decide from the measured dirty fraction); only tests set
+	// anything else.
+	policy remeshPolicy
 }
+
+// remeshFullFrac is the global dirty-octant fraction above which a remesh
+// round abandons the incremental route (ripple balance, mesh patch or
+// migrate-then-patch, plan repair) and rebuilds from scratch: incremental
+// work is proportional to the changed region and stops paying once most of
+// the forest changed.
+const remeshFullFrac = 0.25
+
+// remeshPolicy is the test-only override of that decision. Every route
+// yields bitwise-identical meshes and solves, so the from-scratch one
+// doubles as the oracle the incremental ones are tested against.
+type remeshPolicy uint8
+
+const (
+	remeshMeasured   remeshPolicy = iota // dirty fraction against remeshFullFrac
+	remeshAlwaysFull                     // every round over the threshold: the oracle
+	remeshNeverFull                      // no round over the threshold: the gate wide open
+)
 
 // New builds the initial mesh from the phase-field initializer: the
 // |φ0| < 0.95 band is refined to InterfaceLevel, the rest to BulkLevel.
@@ -280,30 +266,36 @@ func (s *Simulation) Run(n int) error {
 	return nil
 }
 
-// Adapt runs detection and the multi-level remesh pipeline, then moves
-// every field to the new mesh: exactly (bitwise key-addressed migration,
-// no interpolation) when the round turns out to be a pure SFC
-// repartition, and through one batched point-location transfer — a single
-// NBX query/reply round carrying all nodal fields — otherwise. When the
-// partition splitters moved on a sub-threshold round, the batched
-// transfer runs from a migrated view of the old mesh (fields moved onto
-// it exactly first), so the queries resolve locally. The solver
-// is rebound to the new mesh in place, keeping its worker pool, Krylov
-// workspaces and Newton driver; the epoch bump still invalidates every
-// cached sparsity and assembly plan. Wall-clock is split into the
-// RemeshStages sub-timers. Collective.
+// Adapt runs one remesh round in four stages: detect per-element level
+// targets, derive the next forest (refine, consensus coarsen, 2:1 balance,
+// SFC repartition), build its mesh, and move the solver and every field
+// onto it. The solver is rebound in place, keeping its worker pool, Krylov
+// workspaces and Newton driver. Wall-clock is split into the RemeshStages
+// sub-timers. Collective.
 func (s *Simulation) Adapt() {
 	t0 := time.Now()
-	cfg := &s.Cfg
-	m := s.Mesh
-	sol := s.Solver
-	rt := &s.T.RemeshStages
+	targets, cnMark := s.detectTargets()
+	next := s.nextForest(targets, cnMark)
+	if meshChanged(s.Comm, s.Mesh.Elems, next.leaves) {
+		// Local lists changed; if the global forest did not, the round is
+		// a pure repartition and fields migrate exactly instead of being
+		// re-created through interpolation.
+		next.partitionOnly = forestUnchanged(s.Comm, s.Mesh.Elems, next.leaves)
+		s.moveState(s.buildMesh(next), next, cnMark)
+		s.RemeshCount++
+	}
+	s.T.Remesh.Total += time.Since(t0)
+}
 
-	// --- Detect: feature identification and per-element level targets.
-	tDetect := time.Now()
+// detectTargets runs feature identification on φ and returns the desired
+// octree level per current element, plus the local-Cahn mark (1 where the
+// detector asks for the reduced Cahn number).
+func (s *Simulation) detectTargets() (targets []int, cnMark []float64) {
+	t0 := time.Now()
+	cfg, m := &s.Cfg, s.Mesh
 	phi := m.NewVec(1)
 	for i := 0; i < m.NumLocal; i++ {
-		phi[i] = sol.PhiMu[2*i]
+		phi[i] = s.Solver.PhiMu[2*i]
 	}
 	// Refresh the ghost slots explicitly: the last solve stage is not
 	// guaranteed to have left PhiMu's ghosts current, and both the
@@ -323,11 +315,10 @@ func (s *Simulation) Adapt() {
 		reduce = make([]bool, m.NumElems())
 	}
 
-	// Desired level per current element.
 	bw := detect.Threshold(m, phi, cfg.Delta)
 	buf := make([]float64, m.CornersPerElem())
-	targets := make([]int, m.NumElems())
-	cnMark := make([]float64, m.NumElems())
+	targets = make([]int, m.NumElems())
+	cnMark = make([]float64, m.NumElems())
 	for e := 0; e < m.NumElems(); e++ {
 		switch {
 		case reduce[e]:
@@ -339,20 +330,44 @@ func (s *Simulation) Adapt() {
 			targets[e] = cfg.BulkLevel
 		}
 	}
-	rt.Detect += time.Since(tDetect)
+	s.T.RemeshStages.Detect += time.Since(t0)
+	return targets, cnMark
+}
 
-	// --- Refine: multi-level refinement (local, order-preserving), with
-	// target propagation to descendants.
-	tRefine := time.Now()
-	var refined []sfc.Octant
+// forestPlan is what nextForest hands the build and move stages.
+type forestPlan struct {
+	// refined is the locally refined, not yet coarsened leaf list and
+	// refinedCn the local-Cahn mark each of its leaves inherited: the
+	// source of the cell-centred transfer.
+	refined   []sfc.Octant
+	refinedCn []float64
+	// leaves is this rank's range of the balanced, repartitioned forest.
+	leaves []sfc.Octant
+	// subThreshold is the round's one collective incremental-or-full
+	// decision (see nextForest); partitionOnly, set by Adapt, marks a
+	// round whose global forest is unchanged.
+	subThreshold, partitionOnly bool
+}
+
+// nextForest turns the per-element targets into the next forest:
+// multi-level refinement (local, order-preserving, targets inherited by
+// descendants), multi-level consensus coarsening across ranks, 2:1 balance
+// and weighted SFC repartition. Collective.
+func (s *Simulation) nextForest(targets []int, cnMark []float64) forestPlan {
+	dim, m, rt := s.Cfg.Dim, s.Mesh, &s.T.RemeshStages
+	var next forestPlan
+
+	t0 := time.Now()
 	var refinedTarget []int
-	var refinedCn []float64
 	var emit func(o sfc.Octant, target int, cn float64)
 	emit = func(o sfc.Octant, target int, cn float64) {
+		// A leaf coarser than its target splits down to it; one finer keeps
+		// its octant here — merging siblings is a cross-rank consensus
+		// decision, made by ParCoarsen from the recorded target.
 		if int(o.Level) >= target {
-			refined = append(refined, o)
+			next.refined = append(next.refined, o)
+			next.refinedCn = append(next.refinedCn, cn)
 			refinedTarget = append(refinedTarget, target)
-			refinedCn = append(refinedCn, cn)
 			return
 		}
 		for ch := 0; ch < o.NumChildren(); ch++ {
@@ -360,227 +375,168 @@ func (s *Simulation) Adapt() {
 		}
 	}
 	for e, o := range m.Elems {
-		if targets[e] < int(o.Level) {
-			// Coarsening wish: keep the leaf as-is here — merging siblings
-			// is a cross-rank consensus decision, made by ParCoarsen below
-			// from the recorded coarser-than-leaf target.
-			refined = append(refined, o)
-			refinedTarget = append(refinedTarget, targets[e])
-			refinedCn = append(refinedCn, cnMark[e])
-			continue
-		}
 		emit(o, targets[e], cnMark[e])
 	}
-	rt.Refine += time.Since(tRefine)
+	rt.Refine += time.Since(t0)
 
-	// --- Coarsen: multi-level consensus coarsening across ranks.
-	tCoarsen := time.Now()
-	coarse := octree.ParCoarsen(s.Comm, cfg.Dim, refined, refinedTarget)
-	rt.Coarsen += time.Since(tCoarsen)
+	t0 = time.Now()
+	coarse := octree.ParCoarsen(s.Comm, dim, next.refined, refinedTarget)
+	rt.Coarsen += time.Since(t0)
 
-	// --- Balance and repartition. When the changed region is a small
-	// enough fraction of the forest (a collective decision on global
-	// counts), the 2:1 balance runs as a ripple from the dirty octants —
-	// bitwise identical to the from-scratch sweep, with work proportional
-	// to the change. Conservative dirty sets are safe: a seed that did
-	// not actually change imposes only demands the old balance already
-	// satisfies.
-	tBalance := time.Now()
-	var balanced []sfc.Octant
-	balledIncr := false
-	subThreshold := false
-	if !cfg.DisableIncremental {
-		dirtyPre := octree.AddedLeaves(m.Elems, coarse)
-		cnt := par.AllreduceSlice(s.Comm, []int64{int64(len(dirtyPre)), int64(len(coarse))},
-			func(a, b int64) int64 { return a + b })
-		rt.DirtyOctants += cnt[0]
-		rt.TotalOctants += cnt[1]
-		// Collective gate: every rank sees the same global counts. The
-		// decision is shared with the build stage below — the dirty
-		// fraction is a property of the adaptation, measured before the
-		// partitioner moves unchanged survivors between ranks.
-		subThreshold = cnt[1] > 0 && float64(cnt[0]) <= cfg.RemeshFullFrac*float64(cnt[1])
-		if subThreshold {
-			var st octree.RippleStats
-			balanced, st = octree.Balance21Ripple(s.Comm, cfg.Dim, coarse, dirtyPre, nil)
-			balledIncr = true
-			rt.IncrBalance++
-			rt.RippleRounds += st.Rounds
-			rt.RippleIters += st.Iters
-		}
+	// The dirty fraction is measured once per round, here — dirty
+	// pre-balance octants over the coarsened total, on global counts so
+	// every rank decides alike — and that one decision gates both the
+	// ripple balance and the incremental build: it is a property of the
+	// adaptation, and a post-partition measure would double-count unchanged
+	// survivors that merely moved ranks.
+	t0 = time.Now()
+	dirty := octree.AddedLeaves(m.Elems, coarse)
+	cnt := par.AllreduceSlice(s.Comm, []int64{int64(len(dirty)), int64(len(coarse))},
+		func(a, b int64) int64 { return a + b })
+	rt.DirtyOctants += cnt[0]
+	rt.TotalOctants += cnt[1]
+	next.subThreshold = cnt[1] > 0 && float64(cnt[0]) <= remeshFullFrac*float64(cnt[1])
+	switch s.policy {
+	case remeshAlwaysFull:
+		next.subThreshold = false
+	case remeshNeverFull:
+		next.subThreshold = cnt[1] > 0
 	}
-	if !balledIncr {
-		balanced = octree.Balance21Distributed(s.Comm, cfg.Dim, coarse, nil)
+	if next.subThreshold {
+		// The 2:1 balance runs as a ripple from the dirty octants —
+		// bitwise identical to the from-scratch sweep, with work
+		// proportional to the change. Conservative dirty sets are safe: a
+		// seed that did not actually change imposes only demands the old
+		// balance already satisfies.
+		var st octree.RippleStats
+		next.leaves, st = octree.Balance21Ripple(s.Comm, dim, coarse, dirty, nil)
+		rt.IncrBalance++
+		rt.RippleRounds += st.Rounds
+		rt.RippleIters += st.Iters
+	} else {
+		next.leaves = octree.Balance21Distributed(s.Comm, dim, coarse, nil)
 		rt.FullBalance++
 	}
-	rt.Balance += time.Since(tBalance)
-	tPartition := time.Now()
-	balanced = octree.PartitionWeighted(s.Comm, balanced, nil)
-	rt.Partition += time.Since(tPartition)
+	rt.Balance += time.Since(t0)
+
+	t0 = time.Now()
+	next.leaves = octree.PartitionWeighted(s.Comm, next.leaves, nil)
+	rt.Partition += time.Since(t0)
 	// Every executed pipeline counts toward Rounds — including rounds the
 	// mesh turns out unchanged — so the per-round stage averages divide
 	// detect/refine/coarsen/balance/partition time by the number of times
 	// those stages actually ran.
 	rt.Rounds++
+	return next
+}
 
-	changed := meshChanged(s.Comm, m.Elems, balanced)
-	if !changed {
-		s.T.Remesh.Total += time.Since(t0)
-		return
-	}
-	// Local lists changed; if the global forest did not, the round is a
-	// pure repartition and fields migrate exactly instead of being
-	// re-created through interpolation.
-	partitionOnly := forestUnchanged(s.Comm, m.Elems, balanced)
+// builtMesh is the build stage's result: the next mesh and, from the
+// incremental routes, the delta that lets the solver repair instead of
+// rebuild (nil: built from scratch). view is PatchMigrated's exact
+// redistribution of the old mesh to the new owners (nil on the other
+// routes).
+type builtMesh struct {
+	mesh, view *mesh.Mesh
+	delta      *mesh.Delta
+}
 
-	// --- Build the new distributed mesh: patched in place when the
-	// partition held still, migrate-then-patched when the splitters
-	// moved (the old mesh is first redistributed exactly to the new
-	// owners, then patched against that view), from scratch only when
-	// the round's dirty fraction exceeds the threshold or the
-	// incremental machinery is disabled. All three produce bitwise
-	// identical meshes. Patch detects a moved partition itself
-	// (collectively) and declines, which routes the round to
-	// PatchMigrated.
-	tBuild := time.Now()
-	var newM, view *mesh.Mesh
-	var delta *mesh.Delta
-	migrated := false
-	if !cfg.DisableIncremental && !partitionOnly && subThreshold {
-		dirtyPost := octree.AddedLeaves(m.Elems, balanced)
-		newM, delta = mesh.Patch(s.Comm, cfg.Dim, balanced, m, dirtyPost)
-		if newM == nil && !cfg.DisableMigratePatch {
-			newM, view, delta = mesh.PatchMigrated(m, balanced)
-			migrated = true
-		}
-	}
-	switch {
-	case newM == nil:
-		newM = mesh.New(s.Comm, cfg.Dim, balanced)
-		rt.FullBuild++
-		// Record why the fast path did not engage; the reasons sum to
-		// FullBuild.
-		switch {
-		case partitionOnly:
-			rt.FullPartitionOnly++
-		case cfg.DisableIncremental || cfg.RemeshFullFrac < 0:
-			rt.FullDisabled++
-		case !subThreshold:
-			rt.FullDirtyFrac++
-		default:
-			rt.FullSplitterMoved++
-		}
-	case migrated:
-		rt.MigrateBuild++
-	default:
-		rt.IncrBuild++
-	}
-	rt.Build += time.Since(tBuild)
-
-	// --- Transfer fields and rebind the solver.
-	tTransfer := time.Now()
-	s.MeshEpoch++
-	oldPhiMu, oldVel, oldP := sol.PhiMu, sol.Vel, sol.P
-	// With warm starts on, the solver's persistent pressure increment ψ
-	// rides the same transfer as the state fields, so the first
-	// post-remesh PP solve seeds from the migrated previous increment.
-	// The rebind drops the buffer, so capture it first.
-	oldPsi := sol.PsiState()
-	warmPsi := cfg.Opt.WarmStarts && oldPsi != nil
-	var newPsi []float64
-	// An incremental build carries its delta into the solver rebind so
-	// assembly plans are repaired instead of rebuilt; otherwise the full
-	// invalidating rebind runs. Both produce bitwise-identical solves.
-	rebind := func() {
-		if delta != nil {
-			sol.RebindPatched(newM, s.MeshEpoch, delta)
+// buildMesh builds the distributed mesh of the next forest: patched in
+// place when the partition held still, migrate-then-patched when the
+// splitters moved (Patch detects that itself, collectively, and declines),
+// and from scratch when the round is a pure repartition or its dirty
+// fraction is over the threshold. All three produce bitwise-identical
+// meshes. Collective.
+func (s *Simulation) buildMesh(next forestPlan) builtMesh {
+	t0 := time.Now()
+	old, rt := s.Mesh, &s.T.RemeshStages
+	var b builtMesh
+	if next.subThreshold && !next.partitionOnly {
+		dirty := octree.AddedLeaves(old.Elems, next.leaves)
+		b.mesh, b.delta = mesh.Patch(s.Comm, s.Cfg.Dim, next.leaves, old, dirty)
+		if b.mesh != nil {
+			rt.IncrBuild++
 		} else {
-			sol.Rebind(newM, s.MeshEpoch)
+			b.mesh, b.view, b.delta = mesh.PatchMigrated(old, next.leaves)
+			rt.MigrateBuild++
+		}
+	} else {
+		b.mesh = mesh.New(s.Comm, s.Cfg.Dim, next.leaves)
+		// The reasons sum to FullBuild.
+		rt.FullBuild++
+		if next.partitionOnly {
+			rt.FullPartitionOnly++
+		} else {
+			rt.FullDirtyFrac++
 		}
 	}
-	var newCnMark []float64
-	switch {
-	case partitionOnly:
-		rebind()
-		fields := []transfer.Field{
-			{Src: oldPhiMu, Dst: sol.PhiMu, Ndof: 2},
-			{Src: oldVel, Dst: sol.Vel, Ndof: cfg.Dim},
-			{Src: oldP, Dst: sol.P, Ndof: 1},
-		}
-		if warmPsi {
-			newPsi = newM.NewVec(1)
-			fields = append(fields, transfer.Field{Src: oldPsi, Dst: newPsi, Ndof: 1})
-		}
-		transfer.MigrateNodal(m, newM, fields)
-		newCnMark = transfer.MigrateElem(s.Comm, m.Elems, cnMark, newM.Elems)
-		rt.PartitionOnly++
-	case cfg.SequentialTransfer:
-		// Ablation baseline: one full Nodal round per field, each paying
-		// its own tree build, splitter gather and NBX round.
-		newPhiMu := transfer.Nodal(m, oldPhiMu, newM, 2)
-		newVel := transfer.Nodal(m, oldVel, newM, cfg.Dim)
-		newP := transfer.Nodal(m, oldP, newM, 1)
-		if warmPsi {
-			newPsi = transfer.Nodal(m, oldPsi, newM, 1)
-		}
-		rebind()
-		copy(sol.PhiMu, newPhiMu)
-		copy(sol.Vel, newVel)
-		copy(sol.P, newP)
-		newCnMark = transfer.CellCentered(s.Comm, cfg.Dim, refined, refinedCn, newM.Elems)
-	case migrated:
+	rt.Build += time.Since(t0)
+	return b
+}
+
+// nodalState lists the solver's nodal fields on its current mesh as
+// transfer sources — the one place (φμ, u, p, ψ) is spelled. The remesh
+// moves this list and the step snapshot saves and restores it. ψ is on it
+// when warm starts are on, so the first post-remesh PP solve seeds from the
+// transferred previous increment.
+func (s *Simulation) nodalState() []transfer.Field {
+	sol := s.Solver
+	fields := []transfer.Field{
+		{Src: sol.PhiMu, Ndof: 2},
+		{Src: sol.Vel, Ndof: s.Cfg.Dim},
+		{Src: sol.P, Ndof: 1},
+	}
+	if psi := sol.PsiState(); psi != nil {
+		fields = append(fields, transfer.Field{Src: psi, Ndof: 1})
+	}
+	return fields
+}
+
+// moveState rebinds the solver to the built mesh (bumping the mesh epoch,
+// which every cached sparsity and assembly plan is keyed to) and moves
+// every field onto it: exactly — bitwise key-addressed migration, no
+// interpolation — on a partition-only round, and through one batched
+// point-location transfer, a single NBX query/reply round carrying all
+// nodal fields, otherwise. Collective.
+func (s *Simulation) moveState(b builtMesh, next forestPlan, cnMark []float64) {
+	t0 := time.Now()
+	cfg, sol, rt := &s.Cfg, s.Solver, &s.T.RemeshStages
+	old, from := s.Mesh, s.Mesh
+	fields := s.nodalState()
+	s.MeshEpoch++
+	sol.Rebind(b.mesh, s.MeshEpoch, b.delta)
+	onNew := s.nodalState()
+	if len(onNew) != len(fields) {
+		panic(fmt.Sprintf("core: %d nodal fields before the rebind, %d after", len(fields), len(onNew)))
+	}
+	for i := range fields {
+		fields[i].Dst = onNew[i].Src
+	}
+	if b.view != nil {
 		// The splitters moved: first move every nodal field bitwise onto
 		// the migrated old-mesh view (exact, key-addressed — the same
 		// values the old mesh holds, re-owned by the new partition), then
-		// run the one batched inter-grid transfer from the view. Because
-		// the view is already aligned with the new partition, almost all
-		// point-location queries resolve locally instead of crossing
-		// ranks. Bitwise identical to transferring straight from the old
-		// mesh.
-		rebind()
+		// transfer from the view. Because the view is already aligned with
+		// the new partition, almost all point-location queries resolve
+		// locally instead of crossing ranks. Bitwise identical to
+		// transferring straight from the old mesh.
 		tMigrate := time.Now()
-		viewPhiMu := view.NewVec(2)
-		viewVel := view.NewVec(cfg.Dim)
-		viewP := view.NewVec(1)
-		migFields := []transfer.Field{
-			{Src: oldPhiMu, Dst: viewPhiMu, Ndof: 2},
-			{Src: oldVel, Dst: viewVel, Ndof: cfg.Dim},
-			{Src: oldP, Dst: viewP, Ndof: 1},
+		onView := make([]transfer.Field, len(fields))
+		for i, f := range fields {
+			onView[i] = transfer.Field{Src: f.Src, Dst: b.view.NewVec(f.Ndof), Ndof: f.Ndof}
+			fields[i].Src = onView[i].Dst
 		}
-		var viewPsi []float64
-		if warmPsi {
-			viewPsi = view.NewVec(1)
-			migFields = append(migFields, transfer.Field{Src: oldPsi, Dst: viewPsi, Ndof: 1})
-		}
-		transfer.MigrateNodal(m, view, migFields)
+		transfer.MigrateNodal(old, b.view, onView)
+		from = b.view
 		rt.Migrate += time.Since(tMigrate)
-		fields := []transfer.Field{
-			{Src: viewPhiMu, Dst: sol.PhiMu, Ndof: 2},
-			{Src: viewVel, Dst: sol.Vel, Ndof: cfg.Dim},
-			{Src: viewP, Dst: sol.P, Ndof: 1},
-		}
-		if warmPsi {
-			newPsi = newM.NewVec(1)
-			fields = append(fields, transfer.Field{Src: viewPsi, Dst: newPsi, Ndof: 1})
-		}
-		transfer.Batch(view, newM, fields, &s.tws)
-		newCnMark = transfer.CellCentered(s.Comm, cfg.Dim, refined, refinedCn, newM.Elems)
-	default:
-		rebind()
-		fields := []transfer.Field{
-			{Src: oldPhiMu, Dst: sol.PhiMu, Ndof: 2},
-			{Src: oldVel, Dst: sol.Vel, Ndof: cfg.Dim},
-			{Src: oldP, Dst: sol.P, Ndof: 1},
-		}
-		if warmPsi {
-			newPsi = newM.NewVec(1)
-			fields = append(fields, transfer.Field{Src: oldPsi, Dst: newPsi, Ndof: 1})
-		}
-		transfer.Batch(m, newM, fields, &s.tws)
-		newCnMark = transfer.CellCentered(s.Comm, cfg.Dim, refined, refinedCn, newM.Elems)
 	}
-	if warmPsi {
-		sol.SetPsiState(newPsi)
+	var newCnMark []float64
+	if next.partitionOnly {
+		transfer.MigrateNodal(from, b.mesh, fields)
+		newCnMark = transfer.MigrateElem(s.Comm, old.Elems, cnMark, b.mesh.Elems)
+		rt.PartitionOnly++
+	} else {
+		transfer.Batch(from, b.mesh, fields, &s.tws)
+		newCnMark = transfer.CellCentered(s.Comm, cfg.Dim, next.refined, next.refinedCn, b.mesh.Elems)
 	}
 	for e := range sol.ElemCn {
 		if cfg.LocalCahn && newCnMark[e] > 0.25 {
@@ -589,10 +545,8 @@ func (s *Simulation) Adapt() {
 			sol.ElemCn[e] = cfg.Params.Cn
 		}
 	}
-	rt.Transfer += time.Since(tTransfer)
-	s.Mesh = newM
-	s.RemeshCount++
-	s.T.Remesh.Total += time.Since(t0)
+	s.Mesh = b.mesh
+	rt.Transfer += time.Since(t0)
 }
 
 // nearInterface guards against losing the interface between detection

@@ -176,12 +176,14 @@ func TestFullNSBlockWithRemesh(t *testing.T) {
 // TestAdaptPartitionOnlyMigratesExactly: an adaptation round whose global
 // forest is unchanged (only the SFC partition moved) must take the exact
 // migration path — no point-location interpolation — and hand every rank
-// count the settled reference fields bitwise.
+// count the settled reference fields bitwise: φ, μ, u, p and, with warm
+// starts on, ψ (given a synthetic nonzero value here so its ride shows).
 func TestAdaptPartitionOnlyMigratesExactly(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		par.Run(p, func(c *par.Comm) {
 			cfg := smallSwirlConfig(false)
 			cfg.RemeshEvery = 1 << 30
+			cfg.Opt.WarmStarts = true
 			sim := New(c, cfg, dropPhi(0.04))
 			// Let the forest settle to a detection-consistent state.
 			settled := false
@@ -194,20 +196,21 @@ func TestAdaptPartitionOnlyMigratesExactly(t *testing.T) {
 				panic("forest did not settle under repeated adaptation")
 			}
 			m, sol := sim.Mesh, sim.Solver
-			// Global key -> (phi, mu, vx, vy, p) reference table (identical
-			// on every rank count because the settled serial state is the
-			// same field sampled at the same keys).
+			// Global key -> (phi, mu, vx, vy, p, psi) reference table
+			// (identical on every rank count because the settled serial
+			// state is the same field sampled at the same keys).
 			type kv struct {
 				K mesh.NodeKey
-				V [5]float64
+				V [6]float64
 			}
 			local := make([]kv, m.NumOwned)
 			for i := 0; i < m.NumOwned; i++ {
-				local[i] = kv{m.Keys[i], [5]float64{
-					sol.PhiMu[2*i], sol.PhiMu[2*i+1], sol.Vel[2*i], sol.Vel[2*i+1], sol.P[i]}}
+				local[i] = kv{m.Keys[i], [6]float64{
+					sol.PhiMu[2*i], sol.PhiMu[2*i+1], sol.Vel[2*i], sol.Vel[2*i+1], sol.P[i],
+					0.37*sol.PhiMu[2*i] - sol.PhiMu[2*i+1]}}
 			}
 			all := par.Allgatherv(c, local)
-			vals := make(map[mesh.NodeKey][5]float64, len(all))
+			vals := make(map[mesh.NodeKey][6]float64, len(all))
 			for _, e := range all {
 				vals[e.K] = e.V
 			}
@@ -225,6 +228,7 @@ func TestAdaptPartitionOnlyMigratesExactly(t *testing.T) {
 				sol2.PhiMu[2*i], sol2.PhiMu[2*i+1] = v[0], v[1]
 				sol2.Vel[2*i], sol2.Vel[2*i+1] = v[2], v[3]
 				sol2.P[i] = v[4]
+				sol2.PsiState()[i] = v[5]
 			}
 			sim2 := &Simulation{Comm: c, Cfg: sim.Cfg, Mesh: m2, Solver: sol2}
 			sim2.Adapt()
@@ -241,7 +245,8 @@ func TestAdaptPartitionOnlyMigratesExactly(t *testing.T) {
 					panic(fmt.Sprintf("p=%d: node %v appeared from nowhere", p, m3.Keys[i]))
 				}
 				if sol3.PhiMu[2*i] != v[0] || sol3.PhiMu[2*i+1] != v[1] ||
-					sol3.Vel[2*i] != v[2] || sol3.Vel[2*i+1] != v[3] || sol3.P[i] != v[4] {
+					sol3.Vel[2*i] != v[2] || sol3.Vel[2*i+1] != v[3] || sol3.P[i] != v[4] ||
+					sol3.PsiState()[i] != v[5] {
 					panic(fmt.Sprintf("p=%d: node %v not bitwise-preserved by partition-only round", p, m3.Keys[i]))
 				}
 			}

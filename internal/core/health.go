@@ -19,9 +19,7 @@ import (
 type stepSnapshot struct {
 	elems       []sfc.Octant
 	elemCn      []float64
-	phiMu       []float64
-	vel         []float64
-	p           []float64
+	nodal       [][]float64 // one per nodalState field, in its order
 	stepIndex   int
 	time        float64
 	remeshCount int
@@ -30,12 +28,15 @@ type stepSnapshot struct {
 
 // saveSnapshot records the pre-step state into snap, reusing its buffers.
 func (s *Simulation) saveSnapshot(snap *stepSnapshot) {
-	m := s.Mesh
-	snap.elems = append(snap.elems[:0], m.Elems...)
+	snap.elems = append(snap.elems[:0], s.Mesh.Elems...)
 	snap.elemCn = append(snap.elemCn[:0], s.Solver.ElemCn...)
-	snap.phiMu = append(snap.phiMu[:0], s.Solver.PhiMu...)
-	snap.vel = append(snap.vel[:0], s.Solver.Vel...)
-	snap.p = append(snap.p[:0], s.Solver.P...)
+	fields := s.nodalState()
+	for len(snap.nodal) < len(fields) {
+		snap.nodal = append(snap.nodal, nil)
+	}
+	for i, f := range fields {
+		snap.nodal[i] = append(snap.nodal[i][:0], f.Src...)
+	}
 	snap.stepIndex, snap.time = s.StepIndex, s.Time
 	snap.remeshCount = s.RemeshCount
 	snap.epoch = s.MeshEpoch
@@ -52,12 +53,12 @@ func (s *Simulation) rollback(snap *stepSnapshot) {
 	if s.MeshEpoch != snap.epoch {
 		m := mesh.New(s.Comm, s.Cfg.Dim, snap.elems)
 		s.MeshEpoch++
-		s.Solver.Rebind(m, s.MeshEpoch)
+		s.Solver.Rebind(m, s.MeshEpoch, nil)
 		s.Mesh = m
 	}
-	copy(s.Solver.PhiMu, snap.phiMu)
-	copy(s.Solver.Vel, snap.vel)
-	copy(s.Solver.P, snap.p)
+	for i, f := range s.nodalState() {
+		copy(f.Src, snap.nodal[i])
+	}
 	copy(s.Solver.ElemCn, snap.elemCn)
 	s.StepIndex, s.Time = snap.stepIndex, snap.time
 	s.RemeshCount = snap.remeshCount
@@ -159,7 +160,7 @@ func (s *Simulation) restoreFromLatest(base string) error {
 	local := octree.PartitionWeighted(s.Comm, loc.Elems, nil)
 	m := mesh.New(s.Comm, s.Cfg.Dim, local)
 	s.MeshEpoch++
-	s.Solver.Rebind(m, s.MeshEpoch)
+	s.Solver.Rebind(m, s.MeshEpoch, nil)
 	s.Mesh = m
 	s.applySnapshot(loc, meta)
 	return nil

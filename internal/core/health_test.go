@@ -190,3 +190,55 @@ func TestRunFailedStructured(t *testing.T) {
 		}
 	})
 }
+
+// TestRollbackRestoresPsi: under warm starts ψ is step state — StepPP
+// overwrites it before a later stage can fail — so a rolled-back step must
+// hand the retry the pre-step ψ, not the failed attempt's. A VU divergence
+// injected after PP has run is rolled back and ψ compared bitwise with its
+// pre-step copy, on a step that keeps the mesh and on one that remeshes
+// first (the rollback then rebuilds the mesh and rebinds cold).
+func TestRollbackRestoresPsi(t *testing.T) {
+	cfg := ckptTestConfig()
+	cfg.Opt.WarmStarts = true
+	phi0 := ckptTestPhi0(cfg.Params.Cn)
+	for _, p := range []int{1, 2} {
+		par.Run(p, func(c *par.Comm) {
+			for _, failAt := range []int{1, cfg.RemeshEvery} {
+				sim := New(c, cfg, phi0)
+				sim.Fault = fault.New(1, c.Rank(),
+					fault.Fault{Point: fault.KSPDiverge, Step: failAt, Stage: "vu"})
+				if err := sim.Run(failAt); err != nil {
+					panic(err)
+				}
+				var snap stepSnapshot
+				sim.saveSnapshot(&snap)
+				want := append([]float64(nil), sim.Solver.PsiState()...)
+				nonzero := false
+				for _, v := range want {
+					nonzero = nonzero || v != 0
+				}
+				if !nonzero {
+					panic("ψ is still zero after the clean steps: the test would prove nothing")
+				}
+				var div *chns.ErrDiverged
+				if err := sim.Step(); !errors.As(err, &div) || div.Stage != chns.StageVU {
+					panic(fmt.Sprintf("step %d: want an injected vu divergence, got %v", failAt, err))
+				}
+				if remeshed := sim.MeshEpoch != snap.epoch; remeshed != (failAt == cfg.RemeshEvery) {
+					panic(fmt.Sprintf("p=%d step %d: failed attempt remeshed = %v", p, failAt, remeshed))
+				}
+				sim.rollback(&snap)
+				got := sim.Solver.PsiState()
+				if len(got) != len(want) {
+					panic(fmt.Sprintf("p=%d step %d: ψ length %d after rollback, want %d", p, failAt, len(got), len(want)))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						panic(fmt.Sprintf("p=%d step %d: ψ[%d] = %v after rollback, want the pre-step %v",
+							p, failAt, i, got[i], want[i]))
+					}
+				}
+			}
+		})
+	}
+}

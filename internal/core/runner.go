@@ -269,11 +269,9 @@ type RunStats struct {
 	IncrBuildRounds    int `json:"incr_build_rounds"`
 	MigrateBuildRounds int `json:"migrate_build_rounds"`
 	FullBuildRounds    int `json:"full_build_rounds"`
-	// Why each full build ran; the four reasons sum to FullBuildRounds.
+	// Why each full build ran; the two reasons sum to FullBuildRounds.
 	FullPartitionRounds int     `json:"full_partition_rounds"`
-	FullDisabledRounds  int     `json:"full_disabled_rounds"`
 	FullDirtyRounds     int     `json:"full_dirty_rounds"`
-	FullSplitterRounds  int     `json:"full_splitter_rounds"`
 	RippleRounds        int     `json:"ripple_rounds"`
 	DirtyFraction       float64 `json:"dirty_fraction"`
 	// Remesh-aware multigrid refresh accounting: coarse ladder levels
@@ -373,9 +371,7 @@ func (s *Simulation) Stats() RunStats {
 		MigrateBuildRounds:  t.RemeshStages.MigrateBuild,
 		FullBuildRounds:     t.RemeshStages.FullBuild,
 		FullPartitionRounds: t.RemeshStages.FullPartitionOnly,
-		FullDisabledRounds:  t.RemeshStages.FullDisabled,
 		FullDirtyRounds:     t.RemeshStages.FullDirtyFrac,
-		FullSplitterRounds:  t.RemeshStages.FullSplitterMoved,
 		RippleRounds:        t.RemeshStages.RippleRounds,
 		DirtyFraction:       dirtyFrac,
 		MGLevelsReused:      t.RemeshStages.MGLevelsReused,

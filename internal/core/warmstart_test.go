@@ -24,7 +24,7 @@ func fullNSRemeshConfig() Config {
 	}
 }
 
-func runFullNS(c *par.Comm, mutate func(*Config), steps int) *Simulation {
+func runFullNS(c *par.Comm, policy remeshPolicy, mutate func(*Config), steps int) *Simulation {
 	cfg := fullNSRemeshConfig()
 	if mutate != nil {
 		mutate(&cfg)
@@ -32,26 +32,20 @@ func runFullNS(c *par.Comm, mutate func(*Config), steps int) *Simulation {
 	sim := New(c, cfg, func(x, y, z float64) float64 {
 		return chns.EquilibriumProfile(math.Hypot(x-0.5, y-0.4)-0.18, cfg.Params.Cn)
 	})
-	if err := sim.Run(steps); err != nil {
-		panic(fmt.Sprintf("rank %d: run failed: %v", c.Rank(), err))
-	}
-	return sim
+	return runPolicy(sim, policy, steps)
 }
 
 // TestGMGIncrementalRemeshBitwise combines the two reuse machineries this
 // repo has grown: GMG-preconditioned NS/PP stages under remesh-every-step
 // incremental rounds. The delta-aware hierarchy refresh and in-place PC
-// rebinds must leave the trajectory bitwise identical to the from-scratch
-// path — and the carry-over counters must show they actually engaged.
+// rebinds must leave the trajectory bitwise identical to the always-full
+// oracle — and the carry-over counters must show they actually engaged.
 func TestGMGIncrementalRemeshBitwise(t *testing.T) {
 	gmg := func(cfg *Config) { cfg.Opt.PCNS, cfg.Opt.PCPP = chns.PCGMG, chns.PCGMG }
 	for _, p := range []int{1, 2, 4} {
 		par.Run(p, func(c *par.Comm) {
-			incr := runFullNS(c, gmg, 3)
-			full := runFullNS(c, func(cfg *Config) {
-				gmg(cfg)
-				cfg.DisableIncremental = true
-			}, 3)
+			incr := runFullNS(c, remeshMeasured, gmg, 3)
+			full := runFullNS(c, remeshAlwaysFull, gmg, 3)
 			mustIdenticalRuns(c, incr, full)
 
 			tm := incr.Timers()
@@ -84,8 +78,8 @@ func TestGMGIncrementalRemeshBitwise(t *testing.T) {
 func TestWarmStartsFewerPostRemeshIterations(t *testing.T) {
 	for _, p := range []int{1, 2} {
 		par.Run(p, func(c *par.Comm) {
-			cold := runFullNS(c, nil, 4)
-			warm := runFullNS(c, func(cfg *Config) { cfg.Opt.WarmStarts = true }, 4)
+			cold := runFullNS(c, remeshMeasured, nil, 4)
+			warm := runFullNS(c, remeshMeasured, func(cfg *Config) { cfg.Opt.WarmStarts = true }, 4)
 
 			cs, ws := cold.Timers().RemeshStages, warm.Timers().RemeshStages
 			if cs.PostSteps == 0 || ws.PostSteps != cs.PostSteps {

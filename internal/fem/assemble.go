@@ -130,8 +130,7 @@ type Assembler struct {
 	// shared by BAIJ and zipped assembly.
 	plans [2]*AssemblyPlan
 
-	// epoch tags the mesh generation the plans were built for; see
-	// SetEpoch.
+	// epoch tags the mesh generation the plans were built for; see Rebind.
 	epoch uint64
 }
 
@@ -200,41 +199,8 @@ func (a *Assembler) WorkN(w int) *GemmWork {
 	return a.ws[w].wk
 }
 
-// SetEpoch declares the mesh generation the assembler is running on.
-// A change invalidates every cached plan (the sparsity of a remeshed
-// domain is new), so the next assembly re-runs the cold path.
-func (a *Assembler) SetEpoch(e uint64) {
-	if e == a.epoch {
-		return
-	}
-	a.epoch = e
-	a.InvalidatePlans()
-}
-
-// Epoch returns the assembler's current mesh epoch.
+// Epoch returns the mesh generation the assembler was last rebound to.
 func (a *Assembler) Epoch() uint64 { return a.epoch }
-
-// InvalidatePlans drops the cached assembly plans — matrix and vector —
-// (e.g. after a remesh).
-func (a *Assembler) InvalidatePlans() {
-	a.plans[0], a.plans[1] = nil, nil
-	a.vplan = nil
-}
-
-// Rebind points the assembler at a new mesh generation, preserving
-// everything mesh-independent: the reference element, the per-worker
-// kernel scratch and the pool wiring. The cached plans are dropped (a
-// remeshed domain has a new sparsity) and the off-process buffer's
-// destination set is cleared, because the neighbour ranks of the new
-// partition differ.
-func (a *Assembler) Rebind(m *mesh.Mesh) {
-	if m.Dim != a.M.Dim {
-		panic("fem: Assembler.Rebind across dimensions")
-	}
-	a.M = m
-	a.InvalidatePlans()
-	a.off.clear()
-}
 
 // Plan returns the cached plan for a layout, or nil before the first
 // assembly (or after invalidation).

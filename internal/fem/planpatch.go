@@ -1,11 +1,11 @@
-// Incremental assembly-plan repair: RebindPatched moves the assembler to
-// a patched mesh (mesh.Patch) without discarding the frozen sparsity and
-// plans. Clean rows — nodes the remesh did not touch — keep their column
-// pattern (remapped through the mesh delta); only dirty rows are
+// Incremental assembly-plan repair: Rebind with a mesh delta moves the
+// assembler to a patched mesh (mesh.Patch) without discarding the frozen
+// sparsity and plans. Clean rows — nodes the remesh did not touch — keep
+// their column pattern (remapped through the mesh delta); only dirty rows are
 // recomputed, from one flat sweep of the new constraint table plus an NBX
 // of the off-process couplings. The patched pattern is exactly the
 // pattern a cold assembly on the new mesh would freeze, so plan-driven
-// reassembly after RebindPatched is bitwise identical to the
+// reassembly after a patched Rebind is bitwise identical to the
 // cold-then-warm path at any rank and worker count.
 package fem
 
@@ -48,16 +48,20 @@ func (np nodePattern) col(r, k int) int32 {
 	return np.sp.Cols[int(np.sp.Indptr[r*np.nd])+k*np.nd] / int32(np.nd)
 }
 
-// RebindPatched points the assembler at a patched mesh generation,
-// repairing the cached plans in place of the full invalidation Rebind
-// performs. epoch is recorded directly (SetEpoch would invalidate).
-// Collective when any rank holds a plan: the dirty-row patterns need the
-// off-process couplings of the new mesh, which every rank contributes
-// from its own constraint table regardless of whether it has plans to
-// repair.
-func (a *Assembler) RebindPatched(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
+// Rebind points the assembler at mesh generation epoch, preserving
+// everything mesh-independent: the reference element, the per-worker
+// kernel scratch and the pool wiring. The off-process buffer's destination
+// set is cleared, because the neighbour ranks of the new partition differ.
+// d is the mesh delta of an incremental build (mesh.Patch): with it the
+// cached plans are repaired in place; with nil nothing is known to have
+// survived, the plans are dropped and the next assembly of each layout
+// runs cold. Collective when d is non-nil and any rank holds a plan: the
+// dirty-row patterns need the off-process couplings of the new mesh, which
+// every rank contributes from its own constraint table regardless of
+// whether it has plans to repair.
+func (a *Assembler) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	if m.Dim != a.M.Dim {
-		panic("fem: Assembler.RebindPatched across dimensions")
+		panic("fem: Assembler.Rebind across dimensions")
 	}
 	oldPlans := a.plans
 	oldVec := a.vplan
@@ -66,6 +70,9 @@ func (a *Assembler) RebindPatched(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	a.off.clear()
 	a.plans[0], a.plans[1] = nil, nil
 	a.vplan = nil
+	if d == nil {
+		return
+	}
 
 	havePlans := oldPlans[0] != nil || oldPlans[1] != nil
 	anyPlans := havePlans

@@ -103,10 +103,10 @@ func TestRebindPatchedMatchesColdBitwise(t *testing.T) {
 						}
 					})
 
-					asm.RebindPatched(patched, asm.Epoch()+1, delta)
+					asm.Rebind(patched, asm.Epoch()+1, delta)
 					pp := asm.Plan(layout)
 					if pp == nil {
-						panic("RebindPatched dropped the plan")
+						panic("patched Rebind dropped the plan")
 					}
 
 					// Cold reference on a from-scratch mesh over the same
@@ -195,29 +195,29 @@ func sparsityEqual(a, b *la.Sparsity) error {
 }
 
 // TestRebindPatchedNoPlans: rebinding with no frozen plans must behave
-// like Rebind (next assembly runs cold) and still participate in the
+// like a cold Rebind (next assembly runs cold) and still participate in the
 // collective exchange correctly when other ranks do hold plans is covered
 // above; here the serial no-plan path.
 func TestRebindPatchedNoPlans(t *testing.T) {
 	par.Run(1, func(c *par.Comm) {
 		old, patched, delta, _ := patchedPair(c, 2, 11)
 		asm := NewAssembler(old, 2)
-		asm.RebindPatched(patched, 1, delta)
+		asm.Rebind(patched, 1, delta)
 		if asm.Plan(LayoutBAIJ) != nil || asm.Plan(LayoutAIJ) != nil || asm.VecPlan() != nil {
-			panic("RebindPatched invented plans from nothing")
+			panic("patched Rebind invented plans from nothing")
 		}
 		loop, zipped := planTestKernels(asm, 1)
 		mat := NewMatrix(patched, 2, LayoutBAIJ)
 		assembleOnce(asm, mat, LayoutBAIJ, loop, zipped)
 		if asm.Plan(LayoutBAIJ) == nil {
-			panic("cold assembly after RebindPatched did not freeze a plan")
+			panic("cold assembly after a patched Rebind did not freeze a plan")
 		}
 		s := 0.0
 		for _, v := range mat.Vals() {
 			s += v * v
 		}
 		if s == 0 || math.IsNaN(s) {
-			panic("cold assembly after RebindPatched produced a zero/NaN operator")
+			panic("cold assembly after a patched Rebind produced a zero/NaN operator")
 		}
 	})
 }

@@ -142,7 +142,7 @@ func TestVectorPlanInvalidatedByEpoch(t *testing.T) {
 		if asm.VecPlan() == nil {
 			panic("planned vector assembly did not cache a plan")
 		}
-		asm.SetEpoch(asm.Epoch() + 1)
+		asm.Rebind(m, asm.Epoch()+1, nil)
 		if asm.VecPlan() != nil {
 			panic("epoch bump did not drop the vector plan")
 		}

@@ -190,7 +190,7 @@ func (p *PCGMG) SetFineOperator(mat *la.BSRMat) {
 // PC was built on), without reallocating what the refresh proved intact.
 // Reused levels keep everything — assembler, operator, smoother, work
 // vectors and kernel scratch. Patched levels repair their frozen-sparsity
-// assembler through fem.RebindPatched, resize their vectors, and leave the
+// assembler through fem.Assembler.Rebind, resize their vectors, and leave the
 // smoother a pending row patch so the next Refresh carries its
 // factorization index. Cold levels are rebuilt. coefs are the stage's
 // (reallocated) fine-mesh coefficient fields; finePatch is the fine-level
@@ -236,7 +236,7 @@ func (p *PCGMG) Rebind(h *Hierarchy, res *RefreshResult, coefs []Coefficient, ep
 			lv = append(lv, old[l])
 		case st.Delta != nil && l < len(old) && old[l].Asm != nil:
 			lvl := old[l]
-			lvl.Asm.RebindPatched(m, epoch, st.Delta)
+			lvl.Asm.Rebind(m, epoch, st.Delta)
 			lvl.M = m
 			lvl.Mat = nil     // recreated from the patched plan by Refresh
 			lvl.Scratch = nil // kernel closures captured the old mesh/coefs
