@@ -361,14 +361,13 @@ func (s *Solver) StepCH(velOverride []float64) (StageReport, error) {
 	copy(s.chOld, s.PhiMu)
 	s.chBlk.drop()
 	s.chProb = chProblem{s: s, old: s.chOld, dt: s.Opt.Dt, theta: s.Opt.Theta}
-	if s.chNewton == nil {
-		s.chNewton = &la.Newton{KSP: la.BiCGS, Rtol: s.Opt.NonlinTol, Atol: s.Opt.NonlinTol,
-			LinRtol: s.Opt.LinTol, MaxIt: 30}
-	}
-	// The driver persists across remeshes (Rebind keeps it); re-point its
-	// reducer and pool at the current mesh generation every step.
-	s.chNewton.Red, s.chNewton.Pool = m, s.pool
-	nw := s.chNewton
+	// The driver and its workspace persist across steps and remeshes (Rebind
+	// keeps them); its reducer and pool follow the current mesh generation.
+	// LinTol is the floor of its forcing sequence, not the tolerance of every
+	// inner solve (la.Newton).
+	nw := &s.chNewton
+	nw.KSP, nw.Rtol, nw.Atol, nw.LinRtol, nw.MaxIt = la.BiCGS, s.Opt.NonlinTol, s.Opt.NonlinTol, s.Opt.LinTol, 30
+	nw.Red, nw.Pool = m, s.pool
 	ok, err := nw.Solve(&s.chProb, s.PhiMu)
 	m.GhostRead(s.PhiMu, 2)
 	rep := StageReport{Stage: StageCH, Result: nw.Last, NewtonIterations: nw.Iterations,
@@ -376,7 +375,7 @@ func (s *Solver) StepCH(velOverride []float64) (StageReport, error) {
 	st := &s.T.CH
 	// One record per step: the Newton driver aggregates its inner Krylov
 	// iterations and time, so min/mean/max track per-step work.
-	st.RecordNewton(nw.Iterations, nw.LinearIterations)
+	st.RecordNewton(nw)
 	st.Solve += nw.SolveTime
 	if s.postRemesh {
 		s.T.RemeshStages.PostCHIters += nw.LinearIterations

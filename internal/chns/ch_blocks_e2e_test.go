@@ -84,25 +84,32 @@ func TestCHBlockStoreBitwiseEndToEnd(t *testing.T) {
 }
 
 // TestCHBlockFillsMatchNewton: on the bubble smoke preset every step's CH
-// solve integrates K_m(φ) in (Newton iterations + 1) sweeps and reads it
-// back in (Newton iterations) sweeps — the line search rejects no trial
-// here, which would add one fill each.
+// solve integrates K_m(φ) in (Newton iterations + 1) sweeps — one per
+// iterate; the line search rejects no trial here, which would add one fill
+// each — and reads it back in as many sweeps as it built Jacobians, which
+// is (Newton iterations − chord steps): a chord step has no Jacobian sweep
+// to share its residual's blocks with.
 func TestCHBlockFillsMatchNewton(t *testing.T) {
 	sc, _ := scenario.Get("bubble")
 	par.Run(2, func(c *par.Comm) {
 		sim := sc.New(c, scenario.Smoke)
 		prev := sim.Timers().CH
+		chords := 0
 		for step := 0; step < 6; step++ {
 			if err := sim.Step(); err != nil {
 				panic(err)
 			}
 			cur := sim.Timers().CH
-			its := cur.Newton - prev.Newton
+			its, jacs, chord := cur.Newton-prev.Newton, cur.Jacobians-prev.Jacobians, cur.ChordSteps-prev.ChordSteps
 			fills, reuses := cur.BlockFills-prev.BlockFills, cur.BlockReuses-prev.BlockReuses
-			if its == 0 || fills != its+1 || reuses != its {
-				panic(fmt.Sprintf("step %d rank %d: %d Newton iterations, %d fills, %d reuses", step, c.Rank(), its, fills, reuses))
+			if its == 0 || fills != its+1 || reuses != jacs || jacs != its-chord {
+				panic(fmt.Sprintf("step %d rank %d: %d Newton iterations, %d Jacobians, %d chord steps, %d fills, %d reuses", step, c.Rank(), its, jacs, chord, fills, reuses))
 			}
+			chords += chord
 			prev = cur
+		}
+		if chords == 0 {
+			panic("no chord step in 6 steps: the identity was only checked where it is the old one")
 		}
 	})
 }

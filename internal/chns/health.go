@@ -67,8 +67,9 @@ type StageReport struct {
 	// accumulates all components.
 	Result la.Result `json:"result"`
 	// NewtonIterations, NewtonConverged and NewtonContraction (the factor
-	// the nonlinear residual fell by over the last iteration) are set for
-	// the CH stage.
+	// the nonlinear residual fell by over the last iteration that built its
+	// Jacobian; a closing chord step, linear by design, is not what it
+	// reports) are set for the CH stage.
 	NewtonIterations  int     `json:"newton_iterations,omitempty"`
 	NewtonConverged   bool    `json:"newton_converged,omitempty"`
 	NewtonContraction float64 `json:"newton_contraction,omitempty"`

@@ -32,10 +32,14 @@ type StageTimes struct {
 	// Newton, NewtonMin and NewtonMax are the nonlinear iteration total and
 	// per-step extremes over the same Solves (CH only: one solve per step).
 	Newton, NewtonMin, NewtonMax int
+	// Jacobians counts the Newton iterations that assembled and factored
+	// their Jacobian and ChordSteps those that reused the previous one
+	// (Newton = Jacobians + ChordSteps).
+	Jacobians, ChordSteps int
 	// BlockFills and BlockReuses count the CH element sweeps (residual or
 	// Jacobian) that integrated K_m(φ) into the block store and those that
 	// read it back: per Newton solve, fills = iterations + 1 + rejected
-	// line-search trials and reuses = iterations.
+	// line-search trials and reuses = Jacobians.
 	BlockFills, BlockReuses int
 }
 
@@ -58,12 +62,15 @@ func (t *StageTimes) Record(its int) {
 	t.Solves++
 }
 
-// RecordNewton accumulates one Newton solve: its nonlinear iteration
-// count and, as one Record, the linear iterations it aggregated.
-func (t *StageTimes) RecordNewton(newton, linear int) {
-	widen(t.Solves == 0, &t.NewtonMin, &t.NewtonMax, newton, newton)
-	t.Newton += newton
-	t.Record(linear)
+// RecordNewton accumulates one Newton solve: its nonlinear iteration,
+// Jacobian and chord-step counts and, as one Record, the linear iterations
+// it aggregated.
+func (t *StageTimes) RecordNewton(nw *la.Newton) {
+	widen(t.Solves == 0, &t.NewtonMin, &t.NewtonMax, nw.Iterations, nw.Iterations)
+	t.Newton += nw.Iterations
+	t.Jacobians += nw.Jacobians
+	t.ChordSteps += nw.ChordSteps
+	t.Record(nw.LinearIterations)
 }
 
 // Timers accumulates stage timings across steps (Fig. 7 / Table I).
@@ -84,6 +91,8 @@ func (t *StageTimes) Add(o StageTimes) {
 	t.PCSetupCold += o.PCSetupCold
 	t.Iterations += o.Iterations
 	t.Newton += o.Newton
+	t.Jacobians += o.Jacobians
+	t.ChordSteps += o.ChordSteps
 	t.BlockFills += o.BlockFills
 	t.BlockReuses += o.BlockReuses
 	if o.Solves > 0 {
@@ -300,7 +309,7 @@ type Solver struct {
 	// vectors. A steady-state time step performs no solver-side
 	// allocation at all. Rebind drops the mesh-keyed ones (operators,
 	// per-step vectors) and keeps the KSP objects and the Newton driver.
-	chNewton   *la.Newton
+	chNewton   la.Newton
 	chPC       *la.PCBJacobiILU0
 	chProb     chProblem
 	chOld      []float64

@@ -298,10 +298,15 @@ type RunStats struct {
 	// from the stats dump alone. "ch_newton" is the CH stage's nonlinear
 	// iteration count per step, the multiplier on all of CH's linear work.
 	KrylovIters map[string]IterStats `json:"krylov_iters"`
+	// CH Newton iterations that assembled and factored their Jacobian vs
+	// chord steps that reused the previous one; the two sum to
+	// KrylovIters["ch_newton"].Total.
+	CHJacobians  int `json:"ch_jacobians"`
+	CHChordSteps int `json:"ch_chord_steps"`
 	// CH element-block sharing: sweeps that integrated K_m(φ) into the
 	// solver's block store vs sweeps that read it back (fills = Newton
-	// iterations + steps + rejected line-search trials, reuses = Newton
-	// iterations).
+	// iterations + steps + rejected line-search trials, reuses =
+	// CHJacobians).
 	CHBlockFills  int `json:"ch_block_fills"`
 	CHBlockReuses int `json:"ch_block_reuses"`
 	// Recovery accounting (see RunUntil): rolled-back retries, checkpoint
@@ -391,6 +396,8 @@ func (s *Simulation) Stats() RunStats {
 			"pp":        iterStats(t.PP),
 			"vu":        iterStats(t.VU),
 		},
+		CHJacobians:   t.CH.Jacobians,
+		CHChordSteps:  t.CH.ChordSteps,
 		CHBlockFills:  t.CH.BlockFills,
 		CHBlockReuses: t.CH.BlockReuses,
 		Retries:       s.Retries,

@@ -357,7 +357,10 @@ func (p *PCBJacobiILU0) findDiag() {
 // row update hits — the ILU(0) pattern intersection, resolved once so
 // factor itself is a pure array sweep. pos is the symbolic-ILU row marker:
 // while row r is processed, pos[c] is the slot of column c in row r, and -1
-// for a column row r does not store.
+// for a column row r does not store. The pattern is swept twice: the first
+// pass counts the pairs into updOff, the second fills updSrc/updDst,
+// allocated at exactly that size in between (grown by append they cost
+// more than the intersections themselves).
 func (p *PCBJacobiILU0) buildIndex() {
 	n := p.n
 	p.findDiag()
@@ -366,27 +369,33 @@ func (p *PCBJacobiILU0) buildIndex() {
 		pos[i] = -1
 	}
 	p.updOff = make([]int32, len(p.cols)+1)
-	for r := 0; r < n; r++ {
-		row := p.cols[p.indptr[r]:p.indptr[r+1]]
-		for j, c := range row {
-			pos[c] = p.indptr[r] + int32(j)
-		}
-		for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
-			p.updOff[j+1] = p.updOff[j]
-			k := int(p.cols[j])
-			if k >= r {
-				continue
+	for _, fill := range []bool{false, true} {
+		for r := 0; r < n; r++ {
+			row := p.cols[p.indptr[r]:p.indptr[r+1]]
+			for j, c := range row {
+				pos[c] = p.indptr[r] + int32(j)
 			}
-			for jj := p.diag[k] + 1; jj < p.indptr[k+1]; jj++ {
-				if dst := pos[p.cols[jj]]; dst >= 0 {
-					p.updSrc = append(p.updSrc, jj)
-					p.updDst = append(p.updDst, dst)
-					p.updOff[j+1]++
+			for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
+				u := p.updOff[j]
+				if k := int(p.cols[j]); k < r {
+					for jj := p.diag[k] + 1; jj < p.indptr[k+1]; jj++ {
+						if dst := pos[p.cols[jj]]; dst >= 0 {
+							if fill {
+								p.updSrc[u], p.updDst[u] = jj, dst
+							}
+							u++
+						}
+					}
 				}
+				p.updOff[j+1] = u
+			}
+			for _, c := range row {
+				pos[c] = -1
 			}
 		}
-		for _, c := range row {
-			pos[c] = -1
+		if !fill {
+			total := p.updOff[len(p.cols)]
+			p.updSrc, p.updDst = make([]int32, total), make([]int32, total)
 		}
 	}
 }
