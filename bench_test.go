@@ -322,12 +322,11 @@ func BenchmarkPostRemeshSolve_Warm(b *testing.B) { benchPostRemeshSolve(b, true)
 func BenchmarkPostRemeshSolve_Cold(b *testing.B) { benchPostRemeshSolve(b, false) }
 
 // ---------------------------------------------------------------------------
-// Assembly persistence — cold (first assembly: COO-map sparsity build +
-// freeze + scatter-plan construction) versus warm (plan-driven
-// reassembly on the frozen pattern), per Table I layout. The warm path
-// is the steady-state cost a time-stepping simulation pays every step;
-// it must be allocation-free (-benchmem) and a small multiple faster
-// than cold.
+// Assembly persistence — cold (a fresh assembler: sparsity derived from
+// the mesh + plan construction + first assembly) versus warm (reassembly
+// through the existing plan), per Table I layout. The warm path is the
+// steady-state cost a time-stepping simulation pays every step; it must
+// be allocation-free (-benchmem) and a small multiple faster than cold.
 // ---------------------------------------------------------------------------
 
 func benchAssemblyPlan(b *testing.B, layout fem.Layout, warm bool) {
@@ -371,8 +370,8 @@ func benchAssemblyPlan(b *testing.B, layout fem.Layout, warm bool) {
 		b.ReportMetric(float64(m.NumElems()), "elements")
 		b.ReportAllocs()
 		if warm {
-			mat := fem.NewMatrix(m, ndof, layout)
-			assemble(mat) // cold: builds sparsity and plan
+			mat := asm.NewMatrix(layout) // builds sparsity and plan
+			assemble(mat)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mat.Zero()
@@ -382,11 +381,12 @@ func benchAssemblyPlan(b *testing.B, layout fem.Layout, warm bool) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			// A cold rebind drops the cached plan, so every iteration pays
-			// the full first-assembly cost (map build + freeze + plan).
-			asm.Rebind(m, uint64(i+1), nil)
-			mat := fem.NewMatrix(m, ndof, layout)
-			assemble(mat)
+			// A fresh assembler (which the kernels above pick up through
+			// the captured variable) pays the whole first-assembly cost:
+			// pattern sweep, plan, first numeric pass.
+			asm = fem.NewAssembler(m, ndof)
+			asm.SetWorkers(1)
+			assemble(asm.NewMatrix(layout))
 		}
 	})
 }

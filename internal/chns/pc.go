@@ -159,8 +159,9 @@ type nsLevelScratch struct {
 // assembleNSLevel assembles the coarse-level momentum operator from the
 // injected φ/μ and velocity fields — the same scalar operator replicated
 // per component as the fine non-zipped NS kernel, with the no-slip rows
-// pinned to identity on each level. Runs serially per rank (the level
-// assembler is pinned to one worker).
+// pinned to identity on each level. Runs serially per rank: the kernel
+// shares one scratch (nsLevelScratch.sc) across the element loop, which is
+// safe because the level assembler is pinned to one worker.
 func (s *Solver) assembleNSLevel(lvl *mg.Level) {
 	m := lvl.M
 	dim := m.Dim

@@ -39,34 +39,39 @@ func runFullNS(c *par.Comm, policy remeshPolicy, mutate func(*Config), steps int
 // repo has grown: GMG-preconditioned NS/PP stages under remesh-every-step
 // incremental rounds. The delta-aware hierarchy refresh and in-place PC
 // rebinds must leave the trajectory bitwise identical to the always-full
-// oracle — and the carry-over counters must show they actually engaged.
+// oracle at every per-rank worker count — and the carry-over counters
+// must show they actually engaged.
 func TestGMGIncrementalRemeshBitwise(t *testing.T) {
 	gmg := func(cfg *Config) { cfg.Opt.PCNS, cfg.Opt.PCPP = chns.PCGMG, chns.PCGMG }
 	for _, p := range []int{1, 2, 4} {
-		par.Run(p, func(c *par.Comm) {
-			incr := runFullNS(c, remeshMeasured, gmg, 3)
-			full := runFullNS(c, remeshAlwaysFull, gmg, 3)
-			mustIdenticalRuns(c, incr, full)
+		for _, w := range workerCounts {
+			atWorkers(p, w, func() {
+				par.Run(p, func(c *par.Comm) {
+					incr := runFullNS(c, remeshMeasured, gmg, 3)
+					full := runFullNS(c, remeshAlwaysFull, gmg, 3)
+					mustIdenticalRuns(c, incr, full)
 
-			tm := incr.Timers()
-			st := tm.RemeshStages
-			if st.IncrBuild+st.MigrateBuild == 0 {
-				panic(fmt.Sprintf("p=%d: incremental build never engaged: %+v", p, st))
-			}
-			if st.MGLevelsReused+st.MGLevelsPatched == 0 {
-				panic(fmt.Sprintf("p=%d: hierarchy refresh never carried a level: %+v", p, st))
-			}
-			if st.PCRowsKept == 0 {
-				panic(fmt.Sprintf("p=%d: PC carry-over never kept a row: %+v", p, st))
-			}
-			if st.PostSteps == 0 || st.PostNSIters == 0 || st.PostPPIters == 0 {
-				panic(fmt.Sprintf("p=%d: post-remesh iteration telemetry missing: %+v", p, st))
-			}
-			ft := full.Timers().RemeshStages
-			if ft.MGLevelsReused+ft.MGLevelsPatched != 0 || ft.PCRowsKept != 0 {
-				panic(fmt.Sprintf("p=%d: from-scratch run still carried MG/PC state: %+v", p, ft))
-			}
-		})
+					tm := incr.Timers()
+					st := tm.RemeshStages
+					if st.IncrBuild+st.MigrateBuild == 0 {
+						panic(fmt.Sprintf("p=%d: incremental build never engaged: %+v", p, st))
+					}
+					if st.MGLevelsReused+st.MGLevelsPatched == 0 {
+						panic(fmt.Sprintf("p=%d: hierarchy refresh never carried a level: %+v", p, st))
+					}
+					if st.PCRowsKept == 0 {
+						panic(fmt.Sprintf("p=%d: PC carry-over never kept a row: %+v", p, st))
+					}
+					if st.PostSteps == 0 || st.PostNSIters == 0 || st.PostPPIters == 0 {
+						panic(fmt.Sprintf("p=%d: post-remesh iteration telemetry missing: %+v", p, st))
+					}
+					ft := full.Timers().RemeshStages
+					if ft.MGLevelsReused+ft.MGLevelsPatched != 0 || ft.PCRowsKept != 0 {
+						panic(fmt.Sprintf("p=%d: from-scratch run still carried MG/PC state: %+v", p, ft))
+					}
+				})
+			})
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package fem
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 
@@ -32,8 +31,6 @@ type offProc struct {
 	V        [16]float64
 }
 
-const tagOffProc = 103
-
 // Layout selects the storage/assembly strategy of Table I.
 type Layout int
 
@@ -59,17 +56,6 @@ func planIdx(layout Layout) int {
 	return 1
 }
 
-// NewMatrix allocates an empty matrix matching the layout: scalar AIJ for
-// the baseline, BAIJ otherwise. The first assembly into it builds the
-// sparsity through the COO map; prefer Assembler.NewMatrix once an
-// assembler exists so the frozen pattern is shared.
-func NewMatrix(m *mesh.Mesh, ndof int, layout Layout) *la.BSRMat {
-	if layout == LayoutAIJ {
-		return la.NewAIJ(m, ndof, m.NumOwned, m.NumLocal)
-	}
-	return la.NewBAIJ(m, ndof, m.NumOwned, m.NumLocal)
-}
-
 // workerScratch is one element-loop shard's private state, so the
 // parallel loop runs with zero shared mutable scratch and zero
 // per-element allocation.
@@ -84,9 +70,13 @@ type workerScratch struct {
 }
 
 // Assembler drives distributed matrix and vector assembly over a mesh.
-// It owns the per-(mesh, ndof) assembly plans: the first assembly of a
-// layout runs the COO-map path and freezes the sparsity; every later
-// assembly with the same pattern is plan-driven flat-array accumulation.
+// It owns the per-(mesh, ndof) assembly plans: NewMatrix derives a
+// layout's sparsity from the mesh before any values exist, and every
+// matrix assembly — the first one included — is the same plan-driven
+// flat-array accumulation. At a fixed rank and worker count every route
+// to a matrix (fresh, reassembled, patched by Rebind, restarted) therefore
+// sums in the same order and gives the same bits; different worker counts
+// agree to roundoff.
 type Assembler struct {
 	M    *mesh.Mesh
 	Ref  *Ref
@@ -122,10 +112,6 @@ type Assembler struct {
 	shVN, shVNW            int
 	shVLo, shVHi           int
 
-	// off is the reusable off-process contribution buffer of the cold
-	// path (preallocated per-destination slices, reset between calls).
-	off *offProcBuf
-
 	// plans[0] is the scalar AIJ plan, plans[1] the node-block plan
 	// shared by BAIJ and zipped assembly.
 	plans [2]*AssemblyPlan
@@ -146,7 +132,6 @@ func NewAssembler(m *mesh.Mesh, ndof int) *Assembler {
 		a.workers = 1
 	}
 	a.ensureWorkers(1)
-	a.off = newOffProcBuf()
 	return a
 }
 
@@ -174,9 +159,10 @@ func (a *Assembler) ensureWorkers(n int) {
 // per-worker scratch for.
 func (a *Assembler) Workers() int { return a.workers }
 
-// SetWorkers overrides the element-loop shard count (n >= 1). Workers
-// change the order of floating-point accumulation between shards, so
-// reproducibility-sensitive callers pin n = 1.
+// SetWorkers overrides the element-loop shard count (n >= 1). The count
+// fixes the order in which shard sums are merged, so two counts agree to
+// roundoff, not bitwise; at one count every assembly route is bitwise
+// identical.
 func (a *Assembler) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -184,7 +170,7 @@ func (a *Assembler) SetWorkers(n int) {
 	a.workers = n
 }
 
-// SetPool runs warm assemblies on the given persistent pool (sharing its
+// SetPool runs matrix assemblies on the given persistent pool (sharing its
 // workers with the solve-path kernels) instead of spawning goroutines per
 // call. The shard count stays min(Workers(), pool.Workers()), so results
 // are unchanged.
@@ -202,24 +188,27 @@ func (a *Assembler) WorkN(w int) *GemmWork {
 // Epoch returns the mesh generation the assembler was last rebound to.
 func (a *Assembler) Epoch() uint64 { return a.epoch }
 
-// Plan returns the cached plan for a layout, or nil before the first
-// assembly (or after invalidation).
+// Plan returns the cached plan for a layout, or nil before the layout's
+// first NewMatrix (or after a Rebind dropped it).
 func (a *Assembler) Plan(layout Layout) *AssemblyPlan { return a.plans[planIdx(layout)] }
 
-// NewMatrix allocates a matrix for the layout. When the layout's plan
-// exists the matrix shares the frozen sparsity and is born finalized
-// (zero values), so assembling into it takes the warm plan-driven path
-// immediately.
+// NewMatrix returns a finalized zero matrix for the layout over the
+// layout's frozen sparsity, shared by every matrix of the layout until the
+// next Rebind. The layout's first call on a mesh generation derives that
+// sparsity from the mesh and builds the assembly plan (buildPlan), so it
+// is collective: every rank calls it for the same layouts in the same
+// order.
 func (a *Assembler) NewMatrix(layout Layout) *la.BSRMat {
+	i := planIdx(layout)
+	if a.plans[i] == nil {
+		a.plans[i] = a.buildPlan(layout == LayoutAIJ)
+	}
+	sp := a.plans[i].sp
 	var mat *la.BSRMat
-	if p := a.plans[planIdx(layout)]; p != nil {
-		if layout == LayoutAIJ {
-			mat = la.NewAIJFromSparsity(a.M, a.Ndof, a.M.NumOwned, a.M.NumLocal, p.sp)
-		} else {
-			mat = la.NewBAIJFromSparsity(a.M, a.Ndof, a.M.NumOwned, a.M.NumLocal, p.sp)
-		}
+	if layout == LayoutAIJ {
+		mat = la.NewAIJFromSparsity(a.M, a.Ndof, a.M.NumOwned, a.M.NumLocal, sp)
 	} else {
-		mat = NewMatrix(a.M, a.Ndof, layout)
+		mat = la.NewBAIJFromSparsity(a.M, a.Ndof, a.M.NumOwned, a.M.NumLocal, sp)
 	}
 	// Operators inherit the assembler's pool: SpMV shards across the same
 	// workers as the element loop (bitwise-identical to serial).
@@ -227,99 +216,43 @@ func (a *Assembler) NewMatrix(layout Layout) *la.BSRMat {
 	return mat
 }
 
-// planFor returns the plan to use for a warm assembly into mat, or nil
-// if this assembly must run cold (no plan yet, or mat does not share the
-// plan's frozen pattern).
+// planFor returns the plan to assemble mat through, panicking unless mat
+// was made by this assembler's NewMatrix for the layout since the last
+// Rebind.
 func (a *Assembler) planFor(mat *la.BSRMat, layout Layout) *AssemblyPlan {
 	p := a.plans[planIdx(layout)]
-	if p == nil || !mat.Finalized() || mat.Sparsity() != p.sp {
-		return nil
+	if p == nil || mat.Sparsity() != p.sp {
+		panic("fem: matrix not made by this assembler's NewMatrix for this layout and mesh generation")
 	}
 	return p
 }
 
-// finishCold freezes the matrix after a cold assembly and builds the
-// layout's plan from the frozen pattern if none exists yet.
-func (a *Assembler) finishCold(mat *la.BSRMat, layout Layout) {
-	mat.Finalize()
-	if a.plans[planIdx(layout)] == nil {
-		a.plans[planIdx(layout)] = a.buildPlan(layout, mat.Sparsity())
-	}
-}
-
 // AssembleMatrix runs the element loop with the node-major kernel and
 // accumulates into mat using the requested layout (LayoutAIJ or
-// LayoutBAIJ). Contributions to rows owned remotely are exchanged with
-// NBX at the end (PETSc's off-process assembly). The first assembly per
-// layout builds the sparsity through the COO map and precomputes the
-// assembly plan; subsequent assemblies into plan-pattern matrices are
-// plan-driven (no map operations, sharded across workers). Collective.
+// LayoutBAIJ) through the layout's plan: flat-array adds sharded across
+// workers, no map operations. Contributions to rows owned remotely are
+// exchanged with NBX at the end (PETSc's off-process assembly). mat must
+// come from NewMatrix. Collective.
 func (a *Assembler) AssembleMatrix(mat *la.BSRMat, layout Layout, kern NodeMajorKernel) {
 	if layout == LayoutZipped {
 		panic("fem: use AssembleMatrixZipped for the zipped layout")
 	}
-	if plan := a.planFor(mat, layout); plan != nil {
-		a.assembleWarm(mat, plan, kern, nil)
-		return
-	}
-	a.off.reset()
-	ws := &a.ws[0]
-	for e := 0; e < a.M.NumElems(); e++ {
-		for i := range ws.ke {
-			ws.ke[i] = 0
-		}
-		kern(0, e, a.M.ElemSize(e), ws.ke)
-		a.scatterKe(mat, layout, e)
-	}
-	a.flushOffProc(mat, layout)
-	a.finishCold(mat, layout)
+	a.assemble(mat, a.planFor(mat, layout), kern, nil)
 }
 
 // AssembleMatrixZipped runs the element loop with a zipped kernel; blocks
-// are unzipped per node pair straight into BAIJ block writes. Shares the
-// cold-then-plan lifecycle of AssembleMatrix. Collective.
+// are unzipped per node pair straight into the node-block plan.
+// Collective.
 func (a *Assembler) AssembleMatrixZipped(mat *la.BSRMat, kern ZippedKernel) {
-	if plan := a.planFor(mat, LayoutZipped); plan != nil {
-		a.assembleWarm(mat, plan, nil, kern)
-		return
-	}
-	a.off.reset()
-	ws := &a.ws[0]
-	npe := a.Ref.NPE
-	nd := a.Ndof
-	for e := 0; e < a.M.NumElems(); e++ {
-		for _, b := range ws.blocks {
-			for i := range b {
-				b[i] = 0
-			}
-		}
-		kern(0, e, a.M.ElemSize(e), ws.blocks)
-		// Unzip per node pair: gather the ndof x ndof block for (a,b)
-		// from the contiguous dof-pair blocks.
-		cpe := a.M.CornersPerElem()
-		for ca := 0; ca < cpe; ca++ {
-			conA := &a.M.Conn[e*cpe+ca]
-			for cb := 0; cb < cpe; cb++ {
-				conB := &a.M.Conn[e*cpe+cb]
-				for di := 0; di < nd; di++ {
-					for dj := 0; dj < nd; dj++ {
-						ws.blk[di*nd+dj] = ws.blocks[di*nd+dj][ca*npe+cb]
-					}
-				}
-				a.distributeBlock(mat, LayoutBAIJ, conA, conB, ws.blk)
-			}
-		}
-	}
-	a.flushOffProc(mat, LayoutBAIJ)
-	a.finishCold(mat, LayoutZipped)
+	a.assemble(mat, a.planFor(mat, LayoutZipped), nil, kern)
 }
 
-// assembleWarm is the steady-state path: plan-driven flat-array
-// accumulation, sharded across workers. Worker 0 accumulates directly
-// into the matrix values (preserving the cold accumulation order when
-// workers == 1); workers 1..n-1 accumulate into private buffers merged
-// afterwards in worker order.
-func (a *Assembler) assembleWarm(mat *la.BSRMat, plan *AssemblyPlan, kern NodeMajorKernel, zkern ZippedKernel) {
+// assemble is the one numeric path: plan-driven flat-array accumulation,
+// sharded across workers. Worker 0 accumulates directly into the matrix
+// values (with one worker the order is the serial element order);
+// workers 1..n-1 accumulate into private buffers merged afterwards in
+// worker order.
+func (a *Assembler) assemble(mat *la.BSRMat, plan *AssemblyPlan, kern NodeMajorKernel, zkern ZippedKernel) {
 	n := a.M.NumElems()
 	nw := a.workers
 	if a.pool != nil && a.pool.Workers() < nw {
@@ -449,116 +382,9 @@ func (a *Assembler) runShard(w, e0, e1 int, vals []float64, plan *AssemblyPlan, 
 	}
 }
 
-// scatterKe distributes the node-major elemental matrix through the
-// hanging constraints into mat (cold path).
-func (a *Assembler) scatterKe(mat *la.BSRMat, layout Layout, e int) {
-	ws := &a.ws[0]
-	cpe := a.M.CornersPerElem()
-	nd := a.Ndof
-	n := a.Ref.NPE * nd
-	for ca := 0; ca < cpe; ca++ {
-		conA := &a.M.Conn[e*cpe+ca]
-		for cb := 0; cb < cpe; cb++ {
-			conB := &a.M.Conn[e*cpe+cb]
-			// Extract the ndof x ndof corner block from node-major Ke.
-			for di := 0; di < nd; di++ {
-				for dj := 0; dj < nd; dj++ {
-					ws.blk[di*nd+dj] = ws.ke[(ca*nd+di)*n+cb*nd+dj]
-				}
-			}
-			a.distributeBlock(mat, layout, conA, conB, ws.blk)
-		}
-	}
-}
-
-// distributeBlock adds blk (ndof x ndof) at every donor pair of the two
-// constraints, weighted, routing remotely-owned rows to the off-process
-// buffer.
-func (a *Assembler) distributeBlock(mat *la.BSRMat, layout Layout, conA, conB *mesh.Constraint, blk []float64) {
-	m := a.M
-	nd := a.Ndof
-	me := int32(m.Comm.Rank())
-	for i := 0; i < int(conA.N); i++ {
-		rowNode := int(conA.Idx[i])
-		wi := conA.W[i]
-		for j := 0; j < int(conB.N); j++ {
-			colNode := int(conB.Idx[j])
-			w := wi * conB.W[j]
-			if m.Owner[rowNode] != me {
-				var ent offProc
-				ent.Row = m.Keys[rowNode]
-				ent.Col = m.Keys[colNode]
-				for k := 0; k < nd*nd; k++ {
-					ent.V[k] = w * blk[k]
-				}
-				a.off.add(int(m.Owner[rowNode]), ent)
-				continue
-			}
-			switch layout {
-			case LayoutAIJ:
-				// Strided scalar writes, the baseline pattern of Fig. 3.
-				for di := 0; di < nd; di++ {
-					for dj := 0; dj < nd; dj++ {
-						mat.AddValue(rowNode*nd+di, colNode*nd+dj, w*blk[di*nd+dj])
-					}
-				}
-			default:
-				if w == 1 {
-					mat.AddBlock(rowNode, colNode, blk)
-				} else {
-					var tmp [16]float64
-					for k := 0; k < nd*nd; k++ {
-						tmp[k] = w * blk[k]
-					}
-					mat.AddBlock(rowNode, colNode, tmp[:nd*nd])
-				}
-			}
-		}
-	}
-}
-
-// offProcBuf buffers remote-row contributions per destination rank. One
-// buffer lives on the Assembler and is reset (capacity kept) between
-// assemblies instead of reallocated.
-type offProcBuf struct {
-	dests []int
-	bufs  [][]offProc
-	pos   map[int]int // rank -> index into dests/bufs
-}
-
-func newOffProcBuf() *offProcBuf { return &offProcBuf{pos: map[int]int{}} }
-
-// reset empties every per-destination slice, keeping capacity and the
-// destination set (the neighbour ranks of a fixed mesh do not change).
-func (b *offProcBuf) reset() {
-	for i := range b.bufs {
-		b.bufs[i] = b.bufs[i][:0]
-	}
-}
-
-// clear additionally drops the destination set itself (the neighbour
-// ranks change when the assembler is rebound to a remeshed domain).
-func (b *offProcBuf) clear() {
-	b.dests = b.dests[:0]
-	b.bufs = b.bufs[:0]
-	clear(b.pos)
-}
-
-func (b *offProcBuf) add(rank int, e offProc) {
-	i, ok := b.pos[rank]
-	if !ok {
-		i = len(b.dests)
-		b.pos[rank] = i
-		b.dests = append(b.dests, rank)
-		b.bufs = append(b.bufs, nil)
-	}
-	b.bufs[i] = append(b.bufs[i], e)
-}
-
 // srcOrder returns indices of srcs in ascending source-rank order, so
 // received contributions are applied in a deterministic order regardless
-// of message arrival (required for warm reassembly to reproduce the cold
-// values bit for bit).
+// of message arrival.
 func srcOrder(srcs []int) []int {
 	order := make([]int, len(srcs))
 	for i := range order {
@@ -568,44 +394,12 @@ func srcOrder(srcs []int) []int {
 	return order
 }
 
-// flushOffProc exchanges buffered remote-row contributions and applies the
-// received ones locally (cold path). The trailing barrier lets senders
-// safely reuse their buffers next assembly: payloads travel by reference
-// in the in-process runtime.
-func (a *Assembler) flushOffProc(mat *la.BSRMat, layout Layout) {
-	c := a.M.Comm
-	if c.Size() == 1 {
-		return
-	}
-	srcs, recvd := par.NBXExchange(c, a.off.dests, a.off.bufs)
-	nd := a.Ndof
-	for _, bi := range srcOrder(srcs) {
-		for _, ent := range recvd[bi] {
-			rowNode, ok := a.M.NodeIndex(ent.Row)
-			if !ok {
-				panic(fmt.Sprintf("fem: off-process row %v unknown on owner", ent.Row))
-			}
-			colNode, ok := a.M.NodeIndex(ent.Col)
-			if !ok {
-				panic(fmt.Sprintf("fem: off-process column %v unknown on rank %d", ent.Col, c.Rank()))
-			}
-			if layout == LayoutAIJ {
-				for di := 0; di < nd; di++ {
-					for dj := 0; dj < nd; dj++ {
-						mat.AddValue(rowNode*nd+di, colNode*nd+dj, ent.V[di*nd+dj])
-					}
-				}
-			} else {
-				mat.AddBlock(rowNode, colNode, ent.V[:nd*nd])
-			}
-		}
-	}
-	c.Barrier()
-}
-
 // flushPlanned exchanges the plan's prefilled off-process buffers and
 // applies received contributions through per-source receive plans
-// (precomputed slots, no node-index map lookups after the first flush).
+// (precomputed slots, no node-index map lookups after the first flush),
+// in ascending source rank whatever the arrival order. The trailing
+// barrier lets senders rewrite their buffers next assembly: payloads
+// travel by reference in the in-process runtime.
 func (a *Assembler) flushPlanned(mat *la.BSRMat, plan *AssemblyPlan) {
 	c := a.M.Comm
 	if c.Size() == 1 {

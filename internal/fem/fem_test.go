@@ -297,9 +297,9 @@ func TestAssemblyLayoutsAgree(t *testing.T) {
 					r.MassGemm(wk, h, 0.3, nil, blocks[1])
 					r.MassGemm(wk, h, 1, nil, blocks[3])
 				}
-				aij := NewMatrix(m, ndof, LayoutAIJ)
-				baij := NewMatrix(m, ndof, LayoutBAIJ)
-				zipped := NewMatrix(m, ndof, LayoutZipped)
+				aij := asm.NewMatrix(LayoutAIJ)
+				baij := asm.NewMatrix(LayoutBAIJ)
+				zipped := asm.NewMatrix(LayoutZipped)
 				asm.AssembleMatrix(aij, LayoutAIJ, loopKern)
 				asm.AssembleMatrix(baij, LayoutBAIJ, loopKern)
 				asm.AssembleMatrixZipped(zipped, zipKern)
@@ -339,7 +339,7 @@ func solvePoisson(c *par.Comm, dim, base, fine int) float64 {
 		return float64(dim) * math.Pi * math.Pi * exact(x, y, z)
 	}
 	asm := NewAssembler(m, 1)
-	K := NewMatrix(m, 1, LayoutBAIJ)
+	K := asm.NewMatrix(LayoutBAIJ)
 	asm.AssembleMatrix(K, LayoutBAIJ, func(w, e int, h float64, ke []float64) {
 		asm.Ref.Stiffness(h, 1, ke)
 	})
@@ -356,7 +356,6 @@ func solvePoisson(c *par.Comm, dim, base, fine int) float64 {
 		}
 		asm.Ref.LoadVector(h, f, 1, fe)
 	})
-	K.Finalize()
 	for i := 0; i < m.NumOwned; i++ {
 		if m.OnBoundary(i) {
 			K.ZeroRow(i, 1)

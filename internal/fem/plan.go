@@ -2,7 +2,6 @@ package fem
 
 import (
 	"fmt"
-	"sort"
 
 	"proteus/internal/la"
 	"proteus/internal/mesh"
@@ -20,12 +19,14 @@ type planEntry struct {
 }
 
 // AssemblyPlan freezes everything about matrix assembly that depends only
-// on (mesh, ndof, layout): the destination slot of every elemental
-// contribution and the off-process routing. It is built once from the
-// first (cold, map-based) assembly; steady-state reassembly then runs as
-// branch-light flat-array accumulation with zero map operations and zero
-// per-element allocation — the persistent-sparsity counterpart of the
-// paper's Table I assembly optimizations.
+// on (mesh, ndof, layout): the sparsity, the destination slot of every
+// elemental contribution and the off-process routing. It is built from the
+// mesh before the first assembly (Assembler.NewMatrix) or repaired by
+// Rebind, and every assembly runs through it as branch-light flat-array
+// accumulation with zero map operations and zero per-element allocation —
+// the persistent-sparsity counterpart of the paper's Table I assembly
+// optimizations, and PETSc's DMCreateMatrix preallocation. One plan at
+// one worker count fixes the summation order of every slot.
 type AssemblyPlan struct {
 	ndof   int
 	scalar bool // AIJ (scalar CSR) addressing
@@ -44,7 +45,7 @@ type AssemblyPlan struct {
 	offBufs  [][]offProc
 
 	// recv[src] caches the receive-side slots for src's (static) batch;
-	// built on the first warm flush, validated against the keys on every
+	// built on the first flush, validated against the keys on every
 	// later flush.
 	recv []*recvPlan
 }
@@ -58,107 +59,17 @@ func (p *AssemblyPlan) Entries() int { return len(p.entries) }
 // OffProcEntries returns the off-process contribution count.
 func (p *AssemblyPlan) OffProcEntries() int { return len(p.offStore) }
 
-// buildPlan walks the element loop exactly as distributeBlock does and
-// resolves every contribution's destination against the frozen sparsity.
-// Called once per layout after the first cold assembly finalizes mat.
-func (a *Assembler) buildPlan(layout Layout, sp *la.Sparsity) *AssemblyPlan {
-	m := a.M
-	nd := a.Ndof
-	cpe := m.CornersPerElem()
-	me := int32(m.Comm.Rank())
-	nE := m.NumElems()
-	plan := &AssemblyPlan{ndof: nd, scalar: layout == LayoutAIJ, sp: sp}
-
-	// Pass 1: entry counts per element (constraints make them uneven).
-	plan.elemOff = make([]int32, nE+1)
-	total := 0
-	for e := 0; e < nE; e++ {
-		for ca := 0; ca < cpe; ca++ {
-			na := int(m.Conn[e*cpe+ca].N)
-			for cb := 0; cb < cpe; cb++ {
-				total += na * int(m.Conn[e*cpe+cb].N)
-			}
-		}
-		plan.elemOff[e+1] = int32(total)
+// buildPlan derives one layout's plan from the mesh alone: the node-block
+// pattern is the dirty-row sweep of Rebind with every row dirty (local
+// couplings plus the off-process ones their owners receive), expanded to
+// scalar rows for AIJ, and every entry resolves against it by search.
+// Collective when the communicator has more than one rank.
+func (a *Assembler) buildPlan(scalar bool) *AssemblyPlan {
+	sp := patchNodeSparsity(a.M, nodePattern{}, nil, nil, a.dirtyRowPairs(nil))
+	if scalar {
+		sp = expandScalarSparsity(sp, a.Ndof)
 	}
-	plan.entries = make([]planEntry, total)
-
-	// Pass 2: resolve destinations. Off-process entries record their
-	// destination rank and position within that rank's send buffer (the
-	// traversal order per rank, matching the cold path's append order);
-	// the flat store index is fixed up once the per-rank counts are known.
-	type offTmp struct {
-		entry    int32
-		rank     int32
-		pos      int32
-		row, col mesh.NodeKey
-	}
-	var offs []offTmp
-	rankCount := map[int]int{}
-	idx := 0
-	for e := 0; e < nE; e++ {
-		for ca := 0; ca < cpe; ca++ {
-			conA := &m.Conn[e*cpe+ca]
-			for cb := 0; cb < cpe; cb++ {
-				conB := &m.Conn[e*cpe+cb]
-				for i := 0; i < int(conA.N); i++ {
-					rowNode := int(conA.Idx[i])
-					wi := conA.W[i]
-					for j := 0; j < int(conB.N); j++ {
-						colNode := int(conB.Idx[j])
-						ent := &plan.entries[idx]
-						ent.w = wi * conB.W[j]
-						switch {
-						case m.Owner[rowNode] != me:
-							r := int(m.Owner[rowNode])
-							pos := rankCount[r]
-							rankCount[r] = pos + 1
-							offs = append(offs, offTmp{
-								entry: int32(idx), rank: int32(r), pos: int32(pos),
-								row: m.Keys[rowNode], col: m.Keys[colNode],
-							})
-						case plan.scalar:
-							base, stride := aijSlot(sp, rowNode, colNode, nd)
-							ent.slot = int32(base)
-							ent.aux = int32(stride)
-						default:
-							s := sp.FindSlot(rowNode, colNode)
-							if s < 0 {
-								panic(fmt.Sprintf("fem: plan block (%d,%d) missing from frozen sparsity", rowNode, colNode))
-							}
-							ent.slot = int32(s)
-						}
-						idx++
-					}
-				}
-			}
-		}
-	}
-
-	// Flatten the off-process store rank-major, ranks ascending.
-	plan.offDests = make([]int, 0, len(rankCount))
-	for r := range rankCount {
-		plan.offDests = append(plan.offDests, r)
-	}
-	sort.Ints(plan.offDests)
-	rankStart := make(map[int]int, len(rankCount))
-	totalOff := 0
-	for _, r := range plan.offDests {
-		rankStart[r] = totalOff
-		totalOff += rankCount[r]
-	}
-	plan.offStore = make([]offProc, totalOff)
-	plan.offBufs = make([][]offProc, len(plan.offDests))
-	for i, r := range plan.offDests {
-		plan.offBufs[i] = plan.offStore[rankStart[r] : rankStart[r]+rankCount[r]]
-	}
-	for _, o := range offs {
-		flat := rankStart[int(o.rank)] + int(o.pos)
-		plan.offStore[flat].Row = o.row
-		plan.offStore[flat].Col = o.col
-		plan.entries[o.entry].slot = ^int32(flat)
-	}
-	return plan
+	return a.patchPlan(nil, nil, nil, sp, scalar)
 }
 
 // aijSlot resolves the scalar-CSR addressing of the ndof x ndof node
@@ -302,8 +213,7 @@ func (a *Assembler) buildRecvPlan(p *AssemblyPlan, batch []offProc) *recvPlan {
 }
 
 // apply accumulates a received batch through the cached slots. The
-// weights were folded in by the sender, so this is a plain add — the
-// same value stream the cold path produces via AddBlock/AddValue.
+// weights were folded in by the sender, so this is a plain add.
 func (rp *recvPlan) apply(vals []float64, batch []offProc, scalar bool, nd int) {
 	bs2 := nd * nd
 	for k := range batch {

@@ -3,6 +3,7 @@ package fem
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"proteus/internal/la"
@@ -65,65 +66,142 @@ func assembleOnce(asm *Assembler, mat *la.BSRMat, layout Layout, loop NodeMajorK
 }
 
 // TestWarmAssemblyMatchesColdBitwise is the plan-correctness contract:
-// warm (plan-driven) reassembly must reproduce the first (COO-map based)
-// assembly bit for bit, for all three layouts, in 2D and 3D, on meshes
-// with hanging-node constraints, serially and across ranks (exercising
-// the prefilled off-process buffers and the receive-slot cache). Workers
-// are pinned to 1 because shard merging legitimately reorders floating-
-// point accumulation (see TestParallelWorkersMatchSerial).
+// the one plan path — the first assembly into a fresh assembler's matrix
+// and every reassembly — must reproduce the map-based cold oracle
+// (coldAssemble): identical pattern, bitwise values at one worker and
+// values within roundoff at two and four, for all three layouts, in 2D
+// and 3D, on meshes with hanging-node constraints, serially and across
+// ranks (exercising the prefilled off-process buffers and the
+// receive-slot cache).
 func TestWarmAssemblyMatchesColdBitwise(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		for _, p := range []int{1, 3} {
-			for _, layout := range []Layout{LayoutAIJ, LayoutBAIJ, LayoutZipped} {
-				par.Run(p, func(c *par.Comm) {
-					m := buildMesh(c, dim, 2, 4)
-					if got := m.GlobalSum(float64(m.HangingCorners)); got == 0 {
-						panic("plan test mesh has no hanging constraints")
-					}
-					asm := NewAssembler(m, 2)
-					asm.SetWorkers(1)
-					loop, zipped := planTestKernels(asm, 1)
+			par.Run(p, func(c *par.Comm) {
+				m := buildMesh(c, dim, 2, 4)
+				if got := m.GlobalSum(float64(m.HangingCorners)); got == 0 {
+					panic("plan test mesh has no hanging constraints")
+				}
+				for _, layout := range []Layout{LayoutAIJ, LayoutBAIJ, LayoutZipped} {
+					for _, nw := range []int{1, 2, 4} {
+						what := fmt.Sprintf("dim=%d p=%d layout=%d workers=%d", dim, p, layout, nw)
+						asm := NewAssembler(m, 2)
+						asm.SetWorkers(nw)
+						loop, zipped := planTestKernels(asm, nw)
+						cold := coldAssemble(asm, layout, loop, zipped)
 
-					mat := NewMatrix(m, 2, layout)
-					assembleOnce(asm, mat, layout, loop, zipped)
-					if asm.Plan(layout) == nil {
-						panic("cold assembly did not build a plan")
-					}
-					cold := append([]float64(nil), mat.Vals()...)
+						mat := asm.NewMatrix(layout)
+						if asm.Plan(layout) == nil || !mat.Finalized() {
+							panic(what + ": NewMatrix did not build a plan and a finalized matrix")
+						}
+						assembleOnce(asm, mat, layout, loop, zipped)
+						mustMatchOracle(c, what+" first", nw, cold, mat)
 
-					// Warm reassembly into the same matrix.
-					mat.Zero()
-					assembleOnce(asm, mat, layout, loop, zipped)
-					mustBitwise(c, "warm-reassembly", dim, p, layout, cold, mat.Vals())
+						mat.Zero()
+						assembleOnce(asm, mat, layout, loop, zipped)
+						mustMatchOracle(c, what+" reassembly", nw, cold, mat)
 
-					// A second matrix born from the plan's frozen pattern
-					// takes the warm path on its very first assembly.
-					mat2 := asm.NewMatrix(layout)
-					if !mat2.Finalized() || mat2.Sparsity() != mat.Sparsity() {
-						panic("Assembler.NewMatrix did not share the frozen sparsity")
+						mat2 := asm.NewMatrix(layout)
+						if mat2.Sparsity() != mat.Sparsity() {
+							panic(what + ": NewMatrix did not share the frozen sparsity")
+						}
+						assembleOnce(asm, mat2, layout, loop, zipped)
+						mustMatchOracle(c, what+" fresh-shared-matrix", nw, cold, mat2)
 					}
-					assembleOnce(asm, mat2, layout, loop, zipped)
-					mustBitwise(c, "fresh-shared-matrix", dim, p, layout, cold, mat2.Vals())
-				})
-			}
+				}
+			})
 		}
 	}
 }
 
-func mustBitwise(c *par.Comm, what string, dim, p int, layout Layout, want, got []float64) {
+// TestFirstAssemblyMatchesReassemblyBitwise is the route contract at a
+// fixed worker count: a fresh assembler's first assembly, a reassembly
+// into the same matrix and a second fresh assembler's first assembly sum
+// in the same order, so they agree bit for bit at every worker count —
+// with goroutine shards and on a persistent pool, serially and across
+// ranks.
+func TestFirstAssemblyMatchesReassemblyBitwise(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		for _, p := range []int{1, 2} {
+			par.Run(p, func(c *par.Comm) {
+				m := buildMesh(c, dim, 2, 4)
+				for _, layout := range []Layout{LayoutAIJ, LayoutBAIJ, LayoutZipped} {
+					for _, nw := range []int{1, 2, 4} {
+						what := fmt.Sprintf("dim=%d p=%d layout=%d workers=%d", dim, p, layout, nw)
+						first := func(pool *par.Pool) []float64 {
+							asm := NewAssembler(m, 2)
+							asm.SetWorkers(nw)
+							asm.SetPool(pool)
+							loop, zipped := planTestKernels(asm, nw)
+							mat := asm.NewMatrix(layout)
+							assembleOnce(asm, mat, layout, loop, zipped)
+							vals := append([]float64(nil), mat.Vals()...)
+							mat.Zero()
+							assembleOnce(asm, mat, layout, loop, zipped)
+							mustBitwise(c, what+" reassembly", vals, mat.Vals())
+							return vals
+						}
+						want := first(nil)
+						pool := par.NewPool(nw)
+						mustBitwise(c, what+" pooled fresh assembler", want, first(pool))
+						pool.Close()
+					}
+				}
+			})
+		}
+	}
+}
+
+func mustBitwise(c *par.Comm, what string, want, got []float64) {
 	if len(want) != len(got) {
-		panic(fmt.Sprintf("%s dim=%d p=%d layout=%d: value count %d != %d", what, dim, p, layout, len(got), len(want)))
+		panic(fmt.Sprintf("%s: value count %d != %d", what, len(got), len(want)))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			panic(fmt.Sprintf("%s dim=%d p=%d layout=%d rank=%d: vals[%d] = %v, cold %v (diff %g)",
-				what, dim, p, layout, c.Rank(), i, got[i], want[i], got[i]-want[i]))
+			panic(fmt.Sprintf("%s rank=%d: vals[%d] = %v, want %v (diff %g)",
+				what, c.Rank(), i, got[i], want[i], got[i]-want[i]))
 		}
 	}
 }
 
+// TestForeignMatrixPanics: only a matrix made by this assembler's
+// NewMatrix for the layout since the last Rebind has the plan's pattern;
+// assembling anything else must fail loudly instead of writing through a
+// plan that does not address it.
+func TestForeignMatrixPanics(t *testing.T) {
+	par.Run(1, func(c *par.Comm) {
+		m := buildMesh(c, 2, 2, 4)
+		asm := NewAssembler(m, 2)
+		other := NewAssembler(m, 2)
+		loop, zipped := planTestKernels(asm, asm.Workers())
+		stale := asm.NewMatrix(LayoutBAIJ)
+		asm.Rebind(m, asm.Epoch()+1, nil)
+		aij := asm.NewMatrix(LayoutAIJ)
+		cases := []struct {
+			name   string
+			mat    *la.BSRMat
+			layout Layout
+		}{
+			{"unplanned la matrix", la.NewBAIJ(m, 2, m.NumOwned, m.NumLocal), LayoutBAIJ},
+			{"another assembler's matrix", other.NewMatrix(LayoutBAIJ), LayoutBAIJ},
+			{"matrix made before Rebind", stale, LayoutBAIJ},
+			{"AIJ matrix assembled as zipped", aij, LayoutZipped},
+		}
+		for _, tc := range cases {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "not made by this assembler's NewMatrix") {
+						t.Errorf("%s: recovered %q, want the foreign-matrix panic", tc.name, msg)
+					}
+				}()
+				assembleOnce(asm, tc.mat, tc.layout, loop, zipped)
+			}()
+		}
+	})
+}
+
 // TestParallelWorkersMatchSerial checks the sharded element loop: the
-// merged per-worker accumulation must agree with the serial warm path to
+// merged per-worker accumulation must agree with the serial path to
 // roundoff (shard merging reorders the additions, so equality is to a
 // tolerance, not bitwise).
 func TestParallelWorkersMatchSerial(t *testing.T) {
@@ -134,15 +212,13 @@ func TestParallelWorkersMatchSerial(t *testing.T) {
 			asm.SetWorkers(1)
 			loop, zipped := planTestKernels(asm, 4)
 
-			mat := NewMatrix(m, 2, layout)
-			assembleOnce(asm, mat, layout, loop, zipped) // cold
-			mat.Zero()
-			assembleOnce(asm, mat, layout, loop, zipped) // warm serial
+			mat := asm.NewMatrix(layout)
+			assembleOnce(asm, mat, layout, loop, zipped) // serial
 			serial := append([]float64(nil), mat.Vals()...)
 
 			asm.SetWorkers(4)
 			mat.Zero()
-			assembleOnce(asm, mat, layout, loop, zipped) // warm sharded
+			assembleOnce(asm, mat, layout, loop, zipped) // sharded
 			got := mat.Vals()
 			for i := range serial {
 				diff := math.Abs(serial[i] - got[i])
@@ -157,7 +233,7 @@ func TestParallelWorkersMatchSerial(t *testing.T) {
 
 // TestWarmAssemblyZeroAllocs verifies the acceptance criterion that the
 // steady-state element loop performs no map operations and no per-element
-// heap allocation: a whole warm reassembly allocates nothing.
+// heap allocation: a whole reassembly allocates nothing.
 func TestWarmAssemblyZeroAllocs(t *testing.T) {
 	for _, layout := range []Layout{LayoutBAIJ, LayoutZipped, LayoutAIJ} {
 		var allocs float64
@@ -166,8 +242,8 @@ func TestWarmAssemblyZeroAllocs(t *testing.T) {
 			asm := NewAssembler(m, 2)
 			asm.SetWorkers(1)
 			loop, zipped := planTestKernels(asm, 1)
-			mat := NewMatrix(m, 2, layout)
-			assembleOnce(asm, mat, layout, loop, zipped) // cold: builds the plan
+			mat := asm.NewMatrix(layout)
+			assembleOnce(asm, mat, layout, loop, zipped)
 			allocs = testing.AllocsPerRun(10, func() {
 				mat.Zero()
 				assembleOnce(asm, mat, layout, loop, zipped)

@@ -3,14 +3,16 @@
 // sparsity and plans. Clean rows — nodes the remesh did not touch — keep
 // their column pattern (remapped through the mesh delta); only dirty rows are
 // recomputed, from one flat sweep of the new constraint table plus an NBX
-// of the off-process couplings. The patched pattern is exactly the
-// pattern a cold assembly on the new mesh would freeze, so plan-driven
-// reassembly after a patched Rebind is bitwise identical to the
-// cold-then-warm path at any rank and worker count.
+// of the off-process couplings. The same sweep with every row dirty is how
+// NewMatrix derives a fresh pattern, so the patched pattern and plan are
+// exactly the ones a fresh assembler on the new mesh builds, and assembly
+// after a patched Rebind is bitwise identical to a from-scratch assembly
+// at the same rank and worker count.
 package fem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"proteus/internal/la"
@@ -50,15 +52,14 @@ func (np nodePattern) col(r, k int) int32 {
 
 // Rebind points the assembler at mesh generation epoch, preserving
 // everything mesh-independent: the reference element, the per-worker
-// kernel scratch and the pool wiring. The off-process buffer's destination
-// set is cleared, because the neighbour ranks of the new partition differ.
-// d is the mesh delta of an incremental build (mesh.Patch): with it the
-// cached plans are repaired in place; with nil nothing is known to have
-// survived, the plans are dropped and the next assembly of each layout
-// runs cold. Collective when d is non-nil and any rank holds a plan: the
-// dirty-row patterns need the off-process couplings of the new mesh, which
-// every rank contributes from its own constraint table regardless of
-// whether it has plans to repair.
+// kernel scratch and the pool wiring. d is the mesh delta of an
+// incremental build (mesh.Patch): with it the cached plans are repaired
+// in place; with nil nothing is known to have survived, the plans are
+// dropped and the next NewMatrix of each layout builds its plan from the
+// mesh. Either way, matrices made before the call no longer assemble.
+// Collective when d is non-nil and the assembler holds plans (plans are
+// built collectively, so every rank holds the same set): the dirty-row
+// patterns need the off-process couplings of the new mesh.
 func (a *Assembler) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	if m.Dim != a.M.Dim {
 		panic("fem: Assembler.Rebind across dimensions")
@@ -67,38 +68,26 @@ func (a *Assembler) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	oldVec := a.vplan
 	a.M = m
 	a.epoch = epoch
-	a.off.clear()
 	a.plans[0], a.plans[1] = nil, nil
 	a.vplan = nil
-	if d == nil {
-		return
-	}
-
-	havePlans := oldPlans[0] != nil || oldPlans[1] != nil
-	anyPlans := havePlans
-	if m.Comm.Size() > 1 {
-		anyPlans = par.Allreduce(m.Comm, havePlans, func(x, y bool) bool { return x || y })
-	}
-	if anyPlans {
+	if d != nil && (oldPlans[0] != nil || oldPlans[1] != nil) {
 		pairs := a.dirtyRowPairs(d)
-		if havePlans {
-			var src nodePattern
-			if oldPlans[1] != nil {
-				src = nodePattern{sp: oldPlans[1].sp, nd: 1}
-			} else {
-				src = nodePattern{sp: oldPlans[0].sp, nd: a.Ndof}
-			}
-			oldOf := invertRemap(d.NodeRemap, m.NumLocal)
-			blockSp := patchNodeSparsity(m, src, d, oldOf, pairs)
-			if oldPlans[1] != nil {
-				a.plans[1] = a.patchPlan(oldPlans[1], d, oldOf, blockSp)
-			}
-			if oldPlans[0] != nil {
-				a.plans[0] = a.patchPlan(oldPlans[0], d, oldOf, expandScalarSparsity(blockSp, a.Ndof))
-			}
+		var src nodePattern
+		if oldPlans[1] != nil {
+			src = nodePattern{sp: oldPlans[1].sp, nd: 1}
+		} else {
+			src = nodePattern{sp: oldPlans[0].sp, nd: a.Ndof}
+		}
+		oldOf := invertRemap(d.NodeRemap, m.NumLocal)
+		blockSp := patchNodeSparsity(m, src, d, oldOf, pairs)
+		if oldPlans[1] != nil {
+			a.plans[1] = a.patchPlan(oldPlans[1], d, oldOf, blockSp, false)
+		}
+		if oldPlans[0] != nil {
+			a.plans[0] = a.patchPlan(oldPlans[0], d, oldOf, expandScalarSparsity(blockSp, a.Ndof), true)
 		}
 	}
-	if oldVec != nil {
+	if d != nil && oldVec != nil {
 		// The vector plan's slots are a dense prefix sum over the element
 		// traversal, so any insertion renumbers every later slot: a
 		// per-element delta cannot beat the two linear search-free passes
@@ -126,9 +115,10 @@ func invertRemap(remap []int32, newLocal int) []int32 {
 // dirtyRowPairs sweeps the new constraint table once, collecting every
 // coupling whose row is an owned dirty node (packed row<<32|col, sorted,
 // deduplicated) and exchanging the off-process couplings so the owners
-// see the contributions remote elements will send during assembly — the
-// same pair set the cold path's off-process flush inserts. Collective
-// when the communicator has more than one rank.
+// see the contributions remote elements will send during assembly. A nil
+// delta marks every row dirty: the pairs are then the whole node-block
+// pattern of the mesh. Collective when the communicator has more than one
+// rank.
 func (a *Assembler) dirtyRowPairs(d *mesh.Delta) []int64 {
 	m := a.M
 	me := int32(m.Comm.Rank())
@@ -150,7 +140,7 @@ func (a *Assembler) dirtyRowPairs(d *mesh.Delta) []int64 {
 				for i := 0; i < int(conA.N); i++ {
 					rowNode := int(conA.Idx[i])
 					owner := m.Owner[rowNode]
-					if owner == me && !d.DirtyNode[rowNode] {
+					if owner == me && d != nil && !d.DirtyNode[rowNode] {
 						continue
 					}
 					for j := 0; j < int(conB.N); j++ {
@@ -192,34 +182,28 @@ func (a *Assembler) dirtyRowPairs(d *mesh.Delta) []int64 {
 			for _, np := range recvd[bi] {
 				rowNode, ok := m.NodeIndex(np.Row)
 				if !ok {
-					panic(fmt.Sprintf("fem: patched off-process row %v unknown on owner", np.Row))
+					panic(fmt.Sprintf("fem: off-process row %v unknown on owner", np.Row))
 				}
 				colNode, ok := m.NodeIndex(np.Col)
 				if !ok {
-					panic(fmt.Sprintf("fem: patched off-process column %v unknown on rank %d", np.Col, c.Rank()))
+					panic(fmt.Sprintf("fem: off-process column %v unknown on rank %d", np.Col, c.Rank()))
 				}
-				if d.DirtyNode[rowNode] {
+				if d == nil || d.DirtyNode[rowNode] {
 					pairs = append(pairs, int64(rowNode)<<32|int64(colNode))
 				}
 			}
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
-	out := pairs[:0]
-	for i, p := range pairs {
-		if i == 0 || p != pairs[i-1] {
-			out = append(out, p)
-		}
-	}
-	return out
+	slices.Sort(pairs)
+	return slices.Compact(pairs)
 }
 
 // patchNodeSparsity assembles the node-block pattern of the patched mesh:
 // clean owned rows keep the old row remapped through the delta (the delta
 // guarantees a clean row's columns keep their relative order under the
-// remap, so they stay sorted); dirty rows
+// remap, so they stay sorted); dirty rows — every row when d is nil —
 // take their sorted, deduplicated pair runs. The result is exactly the
-// pattern a cold assembly would freeze — clean rows receive no remote
+// pattern of a sweep with every row dirty: clean rows receive no remote
 // contributions (they are never exchange targets, or they would be dirty)
 // and couple only to surviving elements, whose couplings remap one for
 // one; dirty rows were recomputed from every local and remote coupling.
@@ -229,8 +213,9 @@ func patchNodeSparsity(m *mesh.Mesh, src nodePattern, d *mesh.Delta, oldOf []int
 	rowStart := make([]int32, nr)
 	pi := 0
 	total := 0
+	dirty := func(r int) bool { return d == nil || d.DirtyNode[r] }
 	for r := 0; r < nr; r++ {
-		if d.DirtyNode[r] {
+		if dirty(r) {
 			rowStart[r] = int32(pi)
 			for pi < len(pairs) && int(pairs[pi]>>32) == r {
 				pi++
@@ -251,7 +236,7 @@ func patchNodeSparsity(m *mesh.Mesh, src nodePattern, d *mesh.Delta, oldOf []int
 	sp.Cols = make([]int32, total)
 	idx := 0
 	for r := 0; r < nr; r++ {
-		if d.DirtyNode[r] {
+		if dirty(r) {
 			for k := int(rowStart[r]); k < len(pairs) && int(pairs[k]>>32) == r; k++ {
 				sp.Cols[idx] = int32(pairs[k] & 0xffffffff)
 				idx++
@@ -300,24 +285,23 @@ func expandScalarSparsity(b *la.Sparsity, nd int) *la.Sparsity {
 	return sp
 }
 
-// patchPlan rebuilds one assembly plan against the patched sparsity,
-// reusing the old plan's resolved slots wherever it can: an entry of a
-// clean element whose row node is clean keeps its offset within the row
-// (the row's columns remapped positionally), so its new slot is two
-// index-pointer reads — no binary search. Only entries of dirty elements
-// or into dirty rows re-resolve against the pattern, and the off-process
-// routing is rebuilt (it is surface-sized). The resulting plan is
-// identical to what buildPlan would produce on the new mesh: same
-// traversal, same weights, same slots (the patterns are equal), same
-// rank-major off-process store.
-func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp *la.Sparsity) *AssemblyPlan {
+// patchPlan builds one assembly plan (scalar: AIJ addressing) against the
+// sparsity sp, reusing the old plan op's resolved slots wherever it can:
+// an entry of a clean element whose row node is clean keeps its offset
+// within the row (the row's columns remapped positionally), so its new
+// slot is two index-pointer reads — no binary search. Entries of dirty
+// elements or into dirty rows — every entry when op is nil — resolve
+// against the pattern by search, and the off-process routing is rebuilt
+// (it is surface-sized). A patched plan is therefore identical to the one
+// built from scratch on the new mesh: same traversal, same weights, same
+// slots (the patterns are equal), same rank-major off-process store.
+func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp *la.Sparsity, scalar bool) *AssemblyPlan {
 	m := a.M
 	nd := a.Ndof
 	cpe := m.CornersPerElem()
 	me := int32(m.Comm.Rank())
 	nE := m.NumElems()
-	oldSp := op.sp
-	plan := &AssemblyPlan{ndof: nd, scalar: op.scalar, sp: sp}
+	plan := &AssemblyPlan{ndof: nd, scalar: scalar, sp: sp}
 
 	plan.elemOff = make([]int32, nE+1)
 	total := 0
@@ -342,11 +326,10 @@ func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp
 	rankCount := map[int]int{}
 	idx := 0
 	for e := 0; e < nE; e++ {
-		oe := d.OldElem[e]
-		clean := oe >= 0
+		clean := op != nil && d.OldElem[e] >= 0
 		var oldIdx int32
 		if clean {
-			oldIdx = op.elemOff[oe]
+			oldIdx = op.elemOff[d.OldElem[e]]
 		}
 		for ca := 0; ca < cpe; ca++ {
 			conA := &m.Conn[e*cpe+ca]
@@ -380,10 +363,10 @@ func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp
 							if plan.scalar {
 								or0 := int(oldOf[rowNode]) * nd
 								r0 := rowNode * nd
-								ent.slot = sp.Indptr[r0] + (oent.slot - oldSp.Indptr[or0])
+								ent.slot = sp.Indptr[r0] + (oent.slot - op.sp.Indptr[or0])
 								ent.aux = sp.Indptr[r0+1] - sp.Indptr[r0]
 							} else {
-								ent.slot = sp.Indptr[rowNode] + (oent.slot - oldSp.Indptr[oldOf[rowNode]])
+								ent.slot = sp.Indptr[rowNode] + (oent.slot - op.sp.Indptr[oldOf[rowNode]])
 							}
 						case plan.scalar:
 							base, stride := aijSlot(sp, rowNode, colNode, nd)
@@ -392,7 +375,7 @@ func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp
 						default:
 							s := sp.FindSlot(rowNode, colNode)
 							if s < 0 {
-								panic(fmt.Sprintf("fem: patched block (%d,%d) missing from repaired sparsity", rowNode, colNode))
+								panic(fmt.Sprintf("fem: plan block (%d,%d) missing from the sparsity", rowNode, colNode))
 							}
 							ent.slot = int32(s)
 						}

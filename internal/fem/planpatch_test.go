@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"proteus/internal/la"
 	"proteus/internal/mesh"
 	"proteus/internal/octree"
 	"proteus/internal/par"
@@ -80,144 +79,119 @@ func tryPatchedPair(c *par.Comm, dim int, seed int64) (*mesh.Mesh, *mesh.Mesh, *
 
 // TestRebindPatchedMatchesColdBitwise is the fem-layer headline
 // invariant: after a mesh patch, the repaired sparsity and plans must
-// equal what a cold assembly on the patched mesh freezes, and plan-driven
-// assembly through them must reproduce the cold values bit for bit — for
-// all three layouts, serially and across ranks, with hanging constraints
-// in the dirty region.
+// equal the ones a fresh assembler builds on the patched mesh, assembly
+// through them must equal that fresh assembler's bit for bit at the same
+// worker count, and both must match the map-based cold oracle (identical
+// pattern; bitwise at one worker, roundoff at two and four) — for all
+// three layouts, serially and across ranks, with hanging constraints in
+// the dirty region.
 func TestRebindPatchedMatchesColdBitwise(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		for _, p := range []int{1, 2, 4} {
-			for _, layout := range []Layout{LayoutAIJ, LayoutBAIJ, LayoutZipped} {
-				par.Run(p, func(c *par.Comm) {
-					old, patched, delta, scratch := patchedPair(c, dim, int64(3+p))
-
-					asm := NewAssembler(old, 2)
-					asm.SetWorkers(1)
-					loop, zipped := planTestKernels(asm, 1)
-					mat := NewMatrix(old, 2, layout)
-					assembleOnce(asm, mat, layout, loop, zipped) // freeze old plan
-					vold := make([]float64, old.NumLocal*2)
-					asm.AssembleVectorPlanned(vold, func(w, e int, h float64, fe []float64) {
-						for i := range fe {
-							fe[i] = h * float64(e%5+1)
+			par.Run(p, func(c *par.Comm) {
+				old, patched, delta, scratch := patchedPair(c, dim, int64(3+p))
+				for _, layout := range []Layout{LayoutAIJ, LayoutBAIJ, LayoutZipped} {
+					for _, nw := range []int{1, 2, 4} {
+						what := fmt.Sprintf("dim=%d p=%d layout=%d workers=%d", dim, p, layout, nw)
+						asm := NewAssembler(old, 2)
+						asm.SetWorkers(nw)
+						loop, zipped := planTestKernels(asm, nw)
+						assembleOnce(asm, asm.NewMatrix(layout), layout, loop, zipped)
+						vk := func(w, e int, h float64, fe []float64) {
+							for i := range fe {
+								fe[i] = h * float64(e%5+1)
+							}
 						}
-					})
+						asm.AssembleVectorPlanned(make([]float64, old.NumLocal*2), vk)
 
-					asm.Rebind(patched, asm.Epoch()+1, delta)
-					pp := asm.Plan(layout)
-					if pp == nil {
-						panic("patched Rebind dropped the plan")
-					}
-
-					// Cold reference on a from-scratch mesh over the same
-					// forest (bitwise identical to `patched` by the mesh
-					// patch invariant).
-					ref := NewAssembler(scratch, 2)
-					ref.SetWorkers(1)
-					rloop, rzipped := planTestKernels(ref, 1)
-					rmat := NewMatrix(scratch, 2, layout)
-					assembleOnce(ref, rmat, layout, rloop, rzipped)
-					rp := ref.Plan(layout)
-
-					if err := sparsityEqual(pp.sp, rp.sp); err != nil {
-						panic(fmt.Sprintf("dim=%d p=%d layout=%d rank=%d: patched sparsity: %v", dim, p, layout, c.Rank(), err))
-					}
-					if len(pp.entries) != len(rp.entries) {
-						panic(fmt.Sprintf("dim=%d p=%d layout=%d: entries %d vs cold %d", dim, p, layout, len(pp.entries), len(rp.entries)))
-					}
-					for i := range pp.entries {
-						if pp.entries[i] != rp.entries[i] {
-							panic(fmt.Sprintf("dim=%d p=%d layout=%d rank=%d: entry %d = %+v, cold %+v",
-								dim, p, layout, c.Rank(), i, pp.entries[i], rp.entries[i]))
+						asm.Rebind(patched, asm.Epoch()+1, delta)
+						pp := asm.Plan(layout)
+						if pp == nil {
+							panic(what + ": patched Rebind dropped the plan")
 						}
-					}
-					if len(pp.offStore) != len(rp.offStore) {
-						panic(fmt.Sprintf("dim=%d p=%d layout=%d: off-proc store %d vs cold %d", dim, p, layout, len(pp.offStore), len(rp.offStore)))
-					}
-					for i := range pp.offStore {
-						if pp.offStore[i].Row != rp.offStore[i].Row || pp.offStore[i].Col != rp.offStore[i].Col {
-							panic(fmt.Sprintf("dim=%d p=%d layout=%d: off-proc key %d differs", dim, p, layout, i))
-						}
-					}
 
-					// Warm assembly through the patched plan: the matrix is
-					// born finalized from the repaired sparsity and the
-					// values must equal the cold reference bitwise.
-					mat2 := asm.NewMatrix(layout)
-					if !mat2.Finalized() || mat2.Sparsity() != pp.sp {
-						panic("patched NewMatrix did not share the repaired sparsity")
-					}
-					assembleOnce(asm, mat2, layout, loop, zipped)
-					mustBitwise(c, "patched-warm", dim, p, layout, rmat.Vals(), mat2.Vals())
-
-					// Patched vector plan: same contract against the serial
-					// reference path on the patched mesh.
-					vk := func(w, e int, h float64, fe []float64) {
-						for i := range fe {
-							fe[i] = h * float64(e%5+1)
+						// Reference: a fresh assembler on a from-scratch mesh
+						// over the same forest (bitwise identical to `patched`
+						// by the mesh patch invariant).
+						ref := NewAssembler(scratch, 2)
+						ref.SetWorkers(nw)
+						rloop, rzipped := planTestKernels(ref, nw)
+						rmat := ref.NewMatrix(layout)
+						rp := ref.Plan(layout)
+						if err := sparsityEqual(pp.sp, rp.sp); err != nil {
+							panic(fmt.Sprintf("%s rank=%d: patched sparsity: %v", what, c.Rank(), err))
 						}
-					}
-					vgot := make([]float64, patched.NumLocal*2)
-					asm.AssembleVectorPlanned(vgot, vk)
-					vwant := make([]float64, patched.NumLocal*2)
-					ref.AssembleVector(vwant, func(e int, h float64, fe []float64) { vk(0, e, h, fe) })
-					for i := range vwant {
-						if vwant[i] != vgot[i] {
-							panic(fmt.Sprintf("dim=%d p=%d rank=%d: patched vector[%d] = %v, reference %v",
-								dim, p, c.Rank(), i, vgot[i], vwant[i]))
+						if len(pp.entries) != len(rp.entries) {
+							panic(fmt.Sprintf("%s: entries %d vs fresh %d", what, len(pp.entries), len(rp.entries)))
+						}
+						for i := range pp.entries {
+							if pp.entries[i] != rp.entries[i] {
+								panic(fmt.Sprintf("%s rank=%d: entry %d = %+v, fresh %+v",
+									what, c.Rank(), i, pp.entries[i], rp.entries[i]))
+							}
+						}
+						if len(pp.offStore) != len(rp.offStore) {
+							panic(fmt.Sprintf("%s: off-proc store %d vs fresh %d", what, len(pp.offStore), len(rp.offStore)))
+						}
+						for i := range pp.offStore {
+							if pp.offStore[i].Row != rp.offStore[i].Row || pp.offStore[i].Col != rp.offStore[i].Col {
+								panic(fmt.Sprintf("%s: off-proc key %d differs", what, i))
+							}
+						}
+
+						mat := asm.NewMatrix(layout)
+						if !mat.Finalized() || mat.Sparsity() != pp.sp {
+							panic(what + ": patched NewMatrix did not share the repaired sparsity")
+						}
+						assembleOnce(asm, mat, layout, loop, zipped)
+						assembleOnce(ref, rmat, layout, rloop, rzipped)
+						mustBitwise(c, what+" patched vs fresh", rmat.Vals(), mat.Vals())
+						mustMatchOracle(c, what+" patched", nw, coldAssemble(ref, layout, rloop, rzipped), mat)
+
+						// Patched vector plan: same contract against the serial
+						// reference path on the patched mesh.
+						vgot := make([]float64, patched.NumLocal*2)
+						asm.AssembleVectorPlanned(vgot, vk)
+						vwant := make([]float64, patched.NumLocal*2)
+						ref.AssembleVector(vwant, func(e int, h float64, fe []float64) { vk(0, e, h, fe) })
+						for i := range vwant {
+							if vwant[i] != vgot[i] {
+								panic(fmt.Sprintf("%s rank=%d: patched vector[%d] = %v, reference %v",
+									what, c.Rank(), i, vgot[i], vwant[i]))
+							}
 						}
 					}
-					_ = vold
-				})
-			}
+				}
+			})
 		}
 	}
 }
 
-func sparsityEqual(a, b *la.Sparsity) error {
-	if a.NRows != b.NRows {
-		return fmt.Errorf("rows %d vs %d", a.NRows, b.NRows)
-	}
-	if len(a.Indptr) != len(b.Indptr) || len(a.Cols) != len(b.Cols) {
-		return fmt.Errorf("shape %d/%d vs %d/%d", len(a.Indptr), len(a.Cols), len(b.Indptr), len(b.Cols))
-	}
-	for i := range a.Indptr {
-		if a.Indptr[i] != b.Indptr[i] {
-			return fmt.Errorf("indptr[%d] %d vs %d", i, a.Indptr[i], b.Indptr[i])
-		}
-	}
-	for i := range a.Cols {
-		if a.Cols[i] != b.Cols[i] {
-			return fmt.Errorf("cols[%d] %d vs %d", i, a.Cols[i], b.Cols[i])
-		}
-	}
-	return nil
-}
-
-// TestRebindPatchedNoPlans: rebinding with no frozen plans must behave
-// like a cold Rebind (next assembly runs cold) and still participate in the
-// collective exchange correctly when other ranks do hold plans is covered
-// above; here the serial no-plan path.
+// TestRebindPatchedNoPlans: rebinding with no frozen plans invents none;
+// the next NewMatrix builds the plan from the patched mesh, and assembly
+// through it matches the cold oracle bit for bit at one worker.
 func TestRebindPatchedNoPlans(t *testing.T) {
 	par.Run(1, func(c *par.Comm) {
 		old, patched, delta, _ := patchedPair(c, 2, 11)
 		asm := NewAssembler(old, 2)
+		asm.SetWorkers(1)
 		asm.Rebind(patched, 1, delta)
 		if asm.Plan(LayoutBAIJ) != nil || asm.Plan(LayoutAIJ) != nil || asm.VecPlan() != nil {
 			panic("patched Rebind invented plans from nothing")
 		}
 		loop, zipped := planTestKernels(asm, 1)
-		mat := NewMatrix(patched, 2, LayoutBAIJ)
-		assembleOnce(asm, mat, LayoutBAIJ, loop, zipped)
+		mat := asm.NewMatrix(LayoutBAIJ)
 		if asm.Plan(LayoutBAIJ) == nil {
-			panic("cold assembly after a patched Rebind did not freeze a plan")
+			panic("NewMatrix after a patched Rebind did not build a plan")
 		}
+		assembleOnce(asm, mat, LayoutBAIJ, loop, zipped)
+		mustMatchOracle(c, "after patched Rebind without plans", 1, coldAssemble(asm, LayoutBAIJ, loop, zipped), mat)
 		s := 0.0
 		for _, v := range mat.Vals() {
 			s += v * v
 		}
 		if s == 0 || math.IsNaN(s) {
-			panic("cold assembly after a patched Rebind produced a zero/NaN operator")
+			panic("assembly after a patched Rebind produced a zero/NaN operator")
 		}
 	})
 }

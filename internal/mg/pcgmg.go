@@ -131,6 +131,9 @@ func (p *PCGMG) newLevel(l int, m *mesh.Mesh) *Level {
 		}
 	} else {
 		lvl.Asm = fem.NewAssembler(m, cfg.Ndof)
+		// One worker: the level kernels (Config.Assemble) keep a single
+		// scratch per level in Level.Scratch, not one per worker. The
+		// assembly order is the same on every route either way.
 		lvl.Asm.SetWorkers(1)
 		if p.pool != nil {
 			lvl.Asm.SetPool(p.pool)
