@@ -3,6 +3,8 @@
 // in-process runtime on a laptop-scale problem, not TACC Frontera; the
 // shapes — which variant wins, by roughly what factor, and where the
 // crossovers fall — are the reproduction targets (see EXPERIMENTS.md).
+// Table I's matrix columns live next to the solver, in internal/chns's
+// BenchmarkTableI.
 //
 //	go test -bench=. -benchmem
 package proteus_test
@@ -11,15 +13,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
 	"proteus/internal/chns"
 	"proteus/internal/core"
 	"proteus/internal/dsort"
-	"proteus/internal/fem"
-	"proteus/internal/la"
 	"proteus/internal/mesh"
 	"proteus/internal/octree"
 	"proteus/internal/par"
@@ -28,22 +27,18 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Table I — assembly optimization stages on a 3D rising bubble.
-// Baseline: AIJ storage, coupled VU.  Stage 1: BAIJ + split VU.
-// Stage 2: zip/unzip + GEMM kernels.
+// Table I — the matrix columns (baseline AIJ + coupled VU, stage 1 BAIJ +
+// split VU, stage 2 zipped GEMM) are internal/chns's BenchmarkTableI, one
+// sub-benchmark per stage and layout; the Remesh row follows.
 // ---------------------------------------------------------------------------
 
-func bubbleSim(c *par.Comm, layout fem.Layout, splitVU bool) *core.Simulation {
-	return bubbleSimPC(c, layout, splitVU, "")
-}
-
-func bubbleSimPC(c *par.Comm, layout fem.Layout, splitVU bool, pc string) *core.Simulation {
+// bubbleSim is a 3D rising bubble (Table II) with the given NS/PP
+// preconditioner ("" = the bjacobi default).
+func bubbleSim(c *par.Comm, pc string) *core.Simulation {
 	p := chns.DefaultParams()
 	p.Cn = 0.1
 	p.Fr = 0.5
 	opt := chns.DefaultOptions(1e-3)
-	opt.Layout = layout
-	opt.SplitVU = splitVU
 	opt.PCNS, opt.PCPP = pc, pc
 	cfg := core.Config{
 		Dim: 3, Params: p, Opt: opt,
@@ -55,34 +50,6 @@ func bubbleSimPC(c *par.Comm, layout fem.Layout, splitVU bool, pc string) *core.
 		return chns.EquilibriumProfile(r-0.2, p.Cn)
 	})
 }
-
-func benchTableI(b *testing.B, layout fem.Layout, splitVU bool) {
-	var t chns.Timers
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		par.Run(4, func(c *par.Comm) {
-			sim := bubbleSim(c, layout, splitVU)
-			sim.Run(2)
-			if c.Rank() == 0 {
-				t = sim.Timers()
-			}
-		})
-	}
-	n := float64(b.N) * 2 // per time step
-	report := func(name string, st chns.StageTimes) {
-		b.ReportMetric(float64(st.Matrix.Microseconds())/n/1000, name+"-mat-ms")
-		b.ReportMetric(float64(st.Vector.Microseconds())/n/1000, name+"-vec-ms")
-		b.ReportMetric(float64(st.Total.Microseconds())/n/1000, name+"-total-ms")
-	}
-	report("ch", t.CH)
-	report("ns", t.NS)
-	report("pp", t.PP)
-	report("vu", t.VU)
-}
-
-func BenchmarkTableI_Baseline(b *testing.B) { benchTableI(b, fem.LayoutAIJ, false) }
-func BenchmarkTableI_Stage1(b *testing.B)   { benchTableI(b, fem.LayoutBAIJ, true) }
-func BenchmarkTableI_Stage2(b *testing.B)   { benchTableI(b, fem.LayoutZipped, true) }
 
 // Table I "Remesh" row: multi-level versus level-by-level remeshing with
 // inter-grid transfer across a 3-level jump.
@@ -322,262 +289,6 @@ func BenchmarkPostRemeshSolve_Warm(b *testing.B) { benchPostRemeshSolve(b, true)
 func BenchmarkPostRemeshSolve_Cold(b *testing.B) { benchPostRemeshSolve(b, false) }
 
 // ---------------------------------------------------------------------------
-// Assembly persistence — cold (a fresh assembler: sparsity derived from
-// the mesh + plan construction + first assembly) versus warm (reassembly
-// through the existing plan), per Table I layout. The warm path is the
-// steady-state cost a time-stepping simulation pays every step; it must
-// be allocation-free (-benchmem) and a small multiple faster than cold.
-// ---------------------------------------------------------------------------
-
-func benchAssemblyPlan(b *testing.B, layout fem.Layout, warm bool) {
-	par.Run(1, func(c *par.Comm) {
-		tree := interfaceTree(3, 2, 4)
-		local := make([]sfc.Octant, tree.Len())
-		copy(local, tree.Leaves)
-		m := mesh.New(c, 3, local)
-		const ndof = 2
-		asm := fem.NewAssembler(m, ndof)
-		asm.SetWorkers(1) // allocs/op must reflect the element loop alone
-		r := asm.Ref
-		npe := r.NPE
-		tmp := make([]float64, npe*npe)
-		blocks := make([][]float64, ndof*ndof)
-		for i := range blocks {
-			blocks[i] = make([]float64, npe*npe)
-		}
-		fill := func(w int, h float64, out [][]float64) {
-			wk := asm.WorkN(w)
-			r.MassGemm(wk, h, 1, nil, out[0])
-			r.StiffGemm(wk, h, 1, nil, tmp)
-			for i := range tmp {
-				out[0][i] += tmp[i]
-			}
-			r.MassGemm(wk, h, 0.3, nil, out[1])
-			r.MassGemm(wk, h, 1, nil, out[3])
-		}
-		zipKern := func(w, e int, h float64, out [][]float64) { fill(w, h, out) }
-		loopKern := func(w, e int, h float64, ke []float64) {
-			fill(w, h, blocks)
-			fem.UnzipMat(ndof, npe, blocks, ke)
-		}
-		assemble := func(mat *la.BSRMat) {
-			if layout == fem.LayoutZipped {
-				asm.AssembleMatrixZipped(mat, zipKern)
-			} else {
-				asm.AssembleMatrix(mat, layout, loopKern)
-			}
-		}
-		b.ReportMetric(float64(m.NumElems()), "elements")
-		b.ReportAllocs()
-		if warm {
-			mat := asm.NewMatrix(layout) // builds sparsity and plan
-			assemble(mat)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mat.Zero()
-				assemble(mat)
-			}
-			return
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// A fresh assembler (which the kernels above pick up through
-			// the captured variable) pays the whole first-assembly cost:
-			// pattern sweep, plan, first numeric pass.
-			asm = fem.NewAssembler(m, ndof)
-			asm.SetWorkers(1)
-			assemble(asm.NewMatrix(layout))
-		}
-	})
-}
-
-func BenchmarkAssemblyCold_AIJ(b *testing.B)    { benchAssemblyPlan(b, fem.LayoutAIJ, false) }
-func BenchmarkAssemblyCold_BAIJ(b *testing.B)   { benchAssemblyPlan(b, fem.LayoutBAIJ, false) }
-func BenchmarkAssemblyCold_Zipped(b *testing.B) { benchAssemblyPlan(b, fem.LayoutZipped, false) }
-func BenchmarkAssemblyWarm_AIJ(b *testing.B)    { benchAssemblyPlan(b, fem.LayoutAIJ, true) }
-func BenchmarkAssemblyWarm_BAIJ(b *testing.B)   { benchAssemblyPlan(b, fem.LayoutBAIJ, true) }
-func BenchmarkAssemblyWarm_Zipped(b *testing.B) { benchAssemblyPlan(b, fem.LayoutZipped, true) }
-
-// ---------------------------------------------------------------------------
-// Vector assembly sharding — the Table I "Vec" columns (PR 5): the serial
-// AssembleVector element loop versus the planned store-and-gather path,
-// which shards the element loop and the per-node gather across the worker
-// pool while staying bitwise identical to serial (canonical gather order)
-// and allocation-free when warm.
-// ---------------------------------------------------------------------------
-
-func benchVectorAssembly(b *testing.B, planned bool, workers int) {
-	par.Run(1, func(c *par.Comm) {
-		tree := interfaceTree(3, 2, 4)
-		local := make([]sfc.Octant, tree.Len())
-		copy(local, tree.Leaves)
-		m := mesh.New(c, 3, local)
-		const ndof = 3 // velocity-like RHS
-		asm := fem.NewAssembler(m, ndof)
-		r := asm.Ref
-		npe := r.NPE
-		// A representative RHS kernel: gather a nodal field, evaluate a
-		// coefficient, quadrature loop — with per-worker scratch.
-		field := m.NewVec(ndof)
-		for i := range field {
-			field[i] = math.Sin(0.01 * float64(i))
-		}
-		type scr struct{ fC, comp []float64 }
-		ws := make([]scr, workers)
-		for i := range ws {
-			ws[i] = scr{fC: make([]float64, npe*ndof), comp: make([]float64, npe)}
-		}
-		kern := func(w, e int, h float64, fe []float64) {
-			sc := &ws[w]
-			m.GatherElem(e, field, ndof, sc.fC)
-			vol := h * h * h
-			for g := 0; g < r.NG; g++ {
-				wg := r.W[g] * vol
-				for d := 0; d < ndof; d++ {
-					for a := 0; a < npe; a++ {
-						sc.comp[a] = sc.fC[a*ndof+d]
-					}
-					f := r.AtGauss(g, sc.comp) + r.GradAtGauss(g, d, h, sc.comp)
-					for a := 0; a < npe; a++ {
-						fe[a*ndof+d] += wg * f * r.N[g*npe+a]
-					}
-				}
-			}
-		}
-		v := m.NewVec(ndof)
-		b.ReportMetric(float64(m.NumElems()), "elements")
-		b.ReportAllocs()
-		if planned {
-			asm.SetWorkers(workers)
-			pool := par.NewPool(workers)
-			defer pool.Close()
-			asm.SetPool(pool)
-			asm.AssembleVectorPlanned(v, kern) // cold: builds the vector plan
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				asm.AssembleVectorPlanned(v, kern)
-			}
-			return
-		}
-		serial := func(e int, h float64, fe []float64) { kern(0, e, h, fe) }
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			asm.AssembleVector(v, serial)
-		}
-	})
-}
-
-func BenchmarkVectorAssemblySerial(b *testing.B)  { benchVectorAssembly(b, false, 1) }
-func BenchmarkVectorAssemblyPlanned(b *testing.B) { benchVectorAssembly(b, true, runtimeWorkers()) }
-
-// ---------------------------------------------------------------------------
-// Solve persistence — the Table I "Solve" column treatment (PR 2): warm
-// KSP solves on a persistent workspace, with SpMV, dots and axpy kernels
-// sharded across a worker pool. Serial and sharded paths are bitwise
-// identical (row-partitioned SpMV, chunk-canonical dots); the sharded
-// run must show a multi-core speedup, and the warm solve must report
-// 0 allocs/op (-benchmem).
-// ---------------------------------------------------------------------------
-
-// benchSystem builds a banded SPD block system of the given block size:
-// nodes block rows with a pentadiagonal block pattern, diagonally
-// dominant.
-func benchSystem(nodes, bs int) *la.BSRMat {
-	m := la.NewBAIJ(nil, bs, nodes, nodes)
-	blk := make([]float64, bs*bs)
-	for rn := 0; rn < nodes; rn++ {
-		for _, off := range []int{-2, -1, 0, 1, 2} {
-			cn := rn + off
-			if cn < 0 || cn >= nodes {
-				continue
-			}
-			for i := range blk {
-				blk[i] = -0.1
-			}
-			for d := 0; d < bs; d++ {
-				if off == 0 {
-					blk[d*bs+d] = 8
-				} else {
-					blk[d*bs+d] = -1
-				}
-			}
-			m.AddBlock(rn, cn, blk)
-		}
-	}
-	m.Finalize()
-	return m
-}
-
-func runtimeWorkers() int { return runtime.GOMAXPROCS(0) }
-
-func benchKSPWarm(b *testing.B, method la.Method, workers int) {
-	const nodes, bs = 60000, 4
-	m := benchSystem(nodes, bs)
-	var pool *par.Pool
-	if workers > 1 {
-		pool = par.NewPool(workers)
-		defer pool.Close()
-		m.SetPool(pool)
-	}
-	n := nodes * bs
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = math.Sin(0.001 * float64(i))
-	}
-	x := make([]float64, n)
-	k := &la.KSP{Op: m, PC: la.NewPCPBJacobi(m), Type: method, Pool: pool, Rtol: 1e-8}
-	res, _ := k.Solve(rhs, x) // cold: allocates the workspace
-	if !res.Converged {
-		b.Fatalf("%s did not converge: %+v", method, res)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range x {
-			x[j] = 0
-		}
-		k.Solve(rhs, x)
-	}
-	b.ReportMetric(float64(res.Iterations), "its")
-}
-
-// benchKSPCold measures the seeded behavior: a fresh KSP per solve pays
-// the full workspace allocation every time (what every stage did before
-// the persistent solve path).
-func benchKSPCold(b *testing.B, method la.Method) {
-	const nodes, bs = 60000, 4
-	m := benchSystem(nodes, bs)
-	n := nodes * bs
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = math.Sin(0.001 * float64(i))
-	}
-	x := make([]float64, n)
-	pc := la.NewPCPBJacobi(m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range x {
-			x[j] = 0
-		}
-		k := &la.KSP{Op: m, PC: pc, Type: method, Rtol: 1e-8}
-		k.Solve(rhs, x)
-	}
-}
-
-func BenchmarkKSPCold_CG(b *testing.B)    { benchKSPCold(b, la.CG) }
-func BenchmarkKSPCold_GMRES(b *testing.B) { benchKSPCold(b, la.GMRES) }
-
-func BenchmarkKSPWarm_CG_Serial(b *testing.B)      { benchKSPWarm(b, la.CG, 1) }
-func BenchmarkKSPWarm_CG_Sharded(b *testing.B)     { benchKSPWarm(b, la.CG, runtimeWorkers()) }
-func BenchmarkKSPWarm_BiCGS_Serial(b *testing.B)   { benchKSPWarm(b, la.BiCGS, 1) }
-func BenchmarkKSPWarm_BiCGS_Sharded(b *testing.B)  { benchKSPWarm(b, la.BiCGS, runtimeWorkers()) }
-func BenchmarkKSPWarm_IBiCGS_Serial(b *testing.B)  { benchKSPWarm(b, la.IBiCGS, 1) }
-func BenchmarkKSPWarm_IBiCGS_Sharded(b *testing.B) { benchKSPWarm(b, la.IBiCGS, runtimeWorkers()) }
-func BenchmarkKSPWarm_GMRES_Serial(b *testing.B)   { benchKSPWarm(b, la.GMRES, 1) }
-func BenchmarkKSPWarm_GMRES_Sharded(b *testing.B)  { benchKSPWarm(b, la.GMRES, runtimeWorkers()) }
-
-// ---------------------------------------------------------------------------
 // Table II — solver/preconditioner configuration. The table itself is a
 // configuration statement; this benchmark verifies each configured pair
 // converges on its stage's system and reports the iteration counts.
@@ -587,7 +298,7 @@ func benchTableII(b *testing.B, pc string) {
 	var ks map[string]core.IterStats
 	for i := 0; i < b.N; i++ {
 		par.Run(2, func(c *par.Comm) {
-			sim := bubbleSimPC(c, fem.LayoutZipped, true, pc)
+			sim := bubbleSim(c, pc)
 			sim.Run(2)
 			st := sim.Stats()
 			if c.Rank() == 0 {

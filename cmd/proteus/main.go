@@ -46,7 +46,6 @@ func main() {
 	statsJSON := flag.String("stats-json", "", "dump machine-readable run stats (timers, elem counts, remesh counts) to this path")
 	table2 := flag.Bool("table2", false, "print the Table II solver configuration and exit")
 	localCahn := flag.Bool("localcahn", true, "enable local-Cahn detection where the scenario uses it")
-	vecWorkers := flag.Int("vec-workers", 0, "RHS vector-assembly shards (0: match the matrix element loop, 1: serial ablation; results are bitwise identical at any value)")
 	pc := flag.String("pc", "", "NS/PP preconditioner: bjacobi (default) | jacobi | gmg (octree geometric multigrid)")
 	warmStarts := flag.Bool("warm-starts", false, "seed the PP/VU Krylov solves from the previous (migrated) solution; same converged tolerance, fewer iterations after remeshes")
 	list := flag.Bool("list", false, "list registered scenarios and exit")
@@ -104,12 +103,9 @@ func main() {
 	if !*localCahn {
 		spec.Config.LocalCahn = false
 	}
-	if *vecWorkers > 0 {
-		spec.Config.Opt.VecWorkers = *vecWorkers
-	}
 	if *pc != "" {
-		// A solver-path knob like -vec-workers: applies on restart too (the
-		// checkpoint stores state, not preconditioner choice).
+		// A solver-path knob: applies on restart too (the checkpoint
+		// stores state, not preconditioner choice).
 		spec.Config.Opt.PCNS = *pc
 		spec.Config.Opt.PCPP = *pc
 	}

@@ -40,8 +40,8 @@ func newCHOps(npe, ng int) *chOps {
 // K_m and one C quadrature per element instead of 2k+1 of each. Validity
 // is by value (rekey), never by which sweep ran last, so any call order of
 // Residual and Jacobian reads what a fresh integration would produce. What
-// the keys do not cover — mesh, Params, layout — is fixed for the length
-// of a solve: StepCH and the rebinds drop the store. Slots are per
+// the keys do not cover — mesh, Params — is fixed for the length of a
+// solve: StepCH and the rebinds drop the store. Slots are per
 // element, so sharded sweeps fill it race-free, whatever the worker count.
 type chBlockStore struct {
 	km, ce       []float64 // element e's blocks at [e*NPE², (e+1)*NPE²)
@@ -86,9 +86,8 @@ func (s *Solver) chBeginSweep(x []float64) {
 // chScratch is one element-loop worker's private CH Jacobian scratch.
 type chScratch struct {
 	ops       *chOps
-	pm, pmOld []float64   // φ,μ corner values at the iterate and at time n
-	vel       []float64   // velocity corner values
-	jblocks   [][]float64 // dof-pair blocks for the node-major Jacobian path
+	pm, pmOld []float64 // φ,μ corner values at the iterate and at time n
+	vel       []float64 // velocity corner values
 
 	// Mobility-derivative block: μ̄ = θμ + (1-θ)μ_old at corners, ∇μ̄ at
 	// Gauss points, Gm = ∫ (∇N_a·∇μ̄) N_b, and the per-column factors
@@ -120,7 +119,7 @@ func newCHResScratch(npe, ng, dim int) *chResScratch {
 }
 
 func newCHScratch(npe, ng, dim int) chScratch {
-	sc := chScratch{
+	return chScratch{
 		ops: newCHOps(npe, ng),
 		pm:  make([]float64, npe*2), pmOld: make([]float64, npe*2),
 		vel:   make([]float64, npe*dim),
@@ -128,11 +127,6 @@ func newCHScratch(npe, ng, dim int) chScratch {
 		Gm:   make([]float64, npe*npe),
 		dmob: make([]float64, npe), psi2: make([]float64, npe),
 	}
-	sc.jblocks = make([][]float64, 4)
-	for i := range sc.jblocks {
-		sc.jblocks[i] = make([]float64, npe*npe)
-	}
-	return sc
 }
 
 // chProblem is the Newton problem for the fully implicit CH block.
@@ -147,9 +141,8 @@ type chProblem struct {
 // the sweep in progress. M and K are the reference blocks scaled by h;
 // K_m(φ) and C(u) are the element's slots in the block store, integrated
 // here — from the φ,μ corner values pm and the velocity, gathered into vel
-// — only when chBeginSweep found them stale, with the explicit-loop
-// operators or the zipped GEMM operators depending on the configured
-// layout (Table I stage 2).
+// — with the zipped GEMM operators, only when chBeginSweep found them
+// stale.
 func (p *chProblem) elemOps(w, e int, h float64, pm, vel []float64, ops *chOps) {
 	s := p.s
 	r := s.asmCH.Ref
@@ -157,27 +150,17 @@ func (p *chProblem) elemOps(w, e int, h float64, pm, vel []float64, ops *chOps) 
 	n2 := r.NPE * r.NPE
 	ops.Kme, ops.Ce = b.km[e*n2:(e+1)*n2], b.ce[e*n2:(e+1)*n2]
 	r.MassStiffness(h, ops.Me, ops.Ke)
-	zipped, wk := s.Opt.Layout == fem.LayoutZipped, s.asmCH.WorkN(w)
+	wk := s.asmCH.WorkN(w)
 	if b.fillK {
 		for a := 0; a < r.NPE; a++ {
 			ops.mob[a] = s.Par.Mobility(pm[a*2])
 		}
-		if zipped {
-			r.CoefAtGauss(ops.mob, ops.mobG)
-			r.StiffGemm(wk, h, 1, ops.mobG, ops.Kme)
-		} else {
-			clear(ops.Kme)
-			r.WeightedStiffness(h, ops.mob, 1, ops.Kme)
-		}
+		r.CoefAtGauss(ops.mob, ops.mobG)
+		r.StiffGemm(wk, h, 1, ops.mobG, ops.Kme)
 	}
 	if b.fillC {
 		s.M.GatherElem(e, s.Vel, s.M.Dim, vel)
-		if zipped {
-			r.ConvGemm(wk, h, 1, vel, ops.Ce)
-		} else {
-			clear(ops.Ce)
-			r.Convection(h, vel, 1, ops.Ce)
-		}
+		r.ConvGemm(wk, h, 1, vel, ops.Ce)
 	}
 }
 
@@ -193,10 +176,10 @@ func (p *chProblem) Residual(x, res []float64) {
 	s.T.CH.Vector += time.Since(t0)
 }
 
-// initCHKernels builds the CH residual and Jacobian element kernels once.
-// They capture only the Solver: mesh, reference element, options and the
-// Newton iterate are all read through it at call time, so the kernels
-// survive a Rebind and warm steps allocate nothing.
+// initCHKernels builds the CH residual and (zipped) Jacobian element
+// kernels once. They capture only the Solver: mesh, reference element,
+// options and the Newton iterate are all read through it at call time, so
+// the kernels survive a Rebind and warm steps allocate nothing.
 func (s *Solver) initCHKernels() {
 	s.kCHRes = func(w, e int, h float64, fe []float64) {
 		p := &s.chProb
@@ -257,12 +240,7 @@ func (s *Solver) initCHKernels() {
 				sc.gradG[g*dim+d] = r.GradAtGauss(g, d, h, sc.mubar)
 			}
 		}
-		if s.Opt.Layout == fem.LayoutZipped {
-			r.GradDotMassGemm(wk, h, 1, sc.gradG, sc.Gm)
-		} else {
-			clear(sc.Gm)
-			r.GradDotMass(h, sc.gradG, 1, sc.Gm)
-		}
+		r.GradDotMassGemm(wk, h, 1, sc.gradG, sc.Gm)
 		for a := 0; a < npe; a++ {
 			for b := 0; b < npe; b++ {
 				i := a*npe + b
@@ -272,11 +250,6 @@ func (s *Solver) initCHKernels() {
 				blocks[3][i] = ops.Me[i]
 			}
 		}
-	}
-	s.kCHJac = func(w, e int, h float64, ke []float64) {
-		sc := &s.chScr[w]
-		s.kCHJacZip(w, e, h, sc.jblocks)
-		fem.UnzipMat(2, s.asmCH.Ref.NPE, sc.jblocks, ke)
 	}
 }
 
@@ -306,18 +279,14 @@ func (p *chProblem) Jacobian(x []float64) (la.Operator, la.PC) {
 	// Persistent operator: allocated once per mesh, Zero()+reassembled on
 	// every Newton iteration and time step thereafter (warm plan path).
 	if s.chMat == nil {
-		s.chMat = s.asmCH.NewMatrix(s.Opt.Layout)
+		s.chMat = s.asmCH.NewMatrix(fem.LayoutZipped)
 	} else {
 		s.chMat.Zero()
 	}
 	mat := s.chMat
 	s.kCHx = x
 	s.chBeginSweep(x)
-	if s.Opt.Layout == fem.LayoutZipped {
-		s.asmCH.AssembleMatrixZipped(mat, s.kCHJacZip)
-	} else {
-		s.asmCH.AssembleMatrix(mat, s.Opt.Layout, s.kCHJac)
-	}
+	s.asmCH.AssembleMatrixZipped(mat, s.kCHJacZip)
 	s.T.CH.Matrix += time.Since(t0)
 	// The preconditioner persists with the operator: refactored in place
 	// from the re-assembled values on every Newton iteration. Setup is

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"proteus/internal/blas"
-	"proteus/internal/fem"
 	"proteus/internal/la"
 	"proteus/internal/par"
 )
@@ -28,11 +27,9 @@ func bitsDiff(got, want []float64) string {
 // chSweepTrace drives the CH residual and Jacobian sweeps of a test
 // problem directly, recording every residual vector and every Jacobian's
 // values, in the call orders the block store must be transparent to.
-func chSweepTrace(c *par.Comm, dim int, layout fem.Layout, vecWorkers int, refill bool) (out [][]float64, fills, reuses int) {
-	s, p := chTestProblem(c, dim, layout)
-	s.Opt.VecWorkers = vecWorkers
-	s.asmCH.SetVecWorkers(vecWorkers)
-	s.initScratch()
+func chSweepTrace(c *par.Comm, dim, vecWorkers int, refill bool) (out [][]float64, fills, reuses int) {
+	s, p := chTestProblem(c, dim)
+	setVecWorkers(s, vecWorkers)
 	s.chRefill = refill
 	m, x := s.M, s.PhiMu
 	residual := func(x []float64) {
@@ -84,31 +81,29 @@ func chSweepTrace(c *par.Comm, dim int, layout fem.Layout, vecWorkers int, refil
 // TestCHBlockStoreBitwise: the residual vectors and Jacobian values read
 // through the per-element block store are bit-equal to those of sweeps
 // forced to integrate every block afresh, in the Newton call order, the
-// finite-difference call order and after a velocity change, for every
-// layout on 1 and 2 ranks with serial and sharded residual sweeps — and
-// the store really is reused on the way.
+// finite-difference call order and after a velocity change, in 2D and 3D
+// on 1 and 2 ranks with serial and sharded residual sweeps — and the store
+// really is reused on the way.
 func TestCHBlockStoreBitwise(t *testing.T) {
 	for _, dim := range []int{2, 3} {
-		for _, layout := range []fem.Layout{fem.LayoutAIJ, fem.LayoutBAIJ, fem.LayoutZipped} {
-			for _, ranks := range []int{1, 2} {
-				for _, workers := range []int{1, 2} {
-					par.Run(ranks, func(c *par.Comm) {
-						what := fmt.Sprintf("dim=%d layout=%v ranks=%d workers=%d rank %d", dim, layout, ranks, workers, c.Rank())
-						got, fills, reuses := chSweepTrace(c, dim, layout, workers, false)
-						want, refFills, refReuses := chSweepTrace(c, dim, layout, workers, true)
-						for i := range want {
-							if d := bitsDiff(got[i], want[i]); d != "" {
-								panic(fmt.Sprintf("%s: sweep %d with the store vs recomputed: %s", what, i, d))
-							}
+		for _, ranks := range []int{1, 2} {
+			for _, workers := range []int{1, 2} {
+				par.Run(ranks, func(c *par.Comm) {
+					what := fmt.Sprintf("dim=%d ranks=%d workers=%d rank %d", dim, ranks, workers, c.Rank())
+					got, fills, reuses := chSweepTrace(c, dim, workers, false)
+					want, refFills, refReuses := chSweepTrace(c, dim, workers, true)
+					for i := range want {
+						if d := bitsDiff(got[i], want[i]); d != "" {
+							panic(fmt.Sprintf("%s: sweep %d with the store vs recomputed: %s", what, i, d))
 						}
-						// Sweeps 0..11: fills at J(x0), R(x1), R(x+εv), R(x-εv),
-						// J(x), R(xmu); every other sweep finds its K_m stored.
-						if fills != 6 || reuses != 6 || refFills != 12 || refReuses != 0 {
-							panic(fmt.Sprintf("%s: %d fills / %d reuses (forced: %d / %d), want 6 / 6 (12 / 0)",
-								what, fills, reuses, refFills, refReuses))
-						}
-					})
-				}
+					}
+					// Sweeps 0..11: fills at J(x0), R(x1), R(x+εv), R(x-εv),
+					// J(x), R(xmu); every other sweep finds its K_m stored.
+					if fills != 6 || reuses != 6 || refFills != 12 || refReuses != 0 {
+						panic(fmt.Sprintf("%s: %d fills / %d reuses (forced: %d / %d), want 6 / 6 (12 / 0)",
+							what, fills, reuses, refFills, refReuses))
+					}
+				})
 			}
 		}
 	}
@@ -293,7 +288,7 @@ func refNSRHS(s *Solver, sc *nsVecScratch, e int, h float64, fe []float64) {
 // the mass-flux convection is non-zero), and non-trivial φ, μ, velocity
 // and pressure fields.
 func nsTestSolver(c *par.Comm, dim int) *Solver {
-	s, _ := chTestProblem(c, dim, fem.LayoutZipped)
+	s, _ := chTestProblem(c, dim)
 	s.Par.Fr, s.Par.RhoMinus, s.Par.We = 0.5, 0.1, 20
 	m := s.M
 	for i := 0; i < m.NumLocal; i++ {
@@ -355,7 +350,7 @@ func BenchmarkCHSweeps(b *testing.B) {
 		for _, mode := range []string{"store", "refill"} {
 			b.Run(fmt.Sprintf("dim=%d/%s", dim, mode), func(b *testing.B) {
 				par.Run(1, func(c *par.Comm) {
-					s, p := chTestProblem(c, dim, fem.LayoutZipped)
+					s, p := chTestProblem(c, dim)
 					s.chRefill = mode == "refill"
 					m := s.M
 					xs := [3][]float64{s.PhiMu, m.NewVec(2), m.NewVec(2)}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"proteus/internal/fem"
 	"proteus/internal/la"
 	"proteus/internal/mesh"
 	"proteus/internal/octree"
@@ -44,15 +43,19 @@ func gradedMesh(c *par.Comm, dim, base, fine int) *mesh.Mesh {
 // interface (|φ| < 1, so the mobility derivative is non-zero), μ and the
 // time-n state unrelated smooth fields, a non-zero velocity, a Cahn
 // number that varies per element, and θ = 0.5.
-func chTestProblem(c *par.Comm, dim int, layout fem.Layout) (*Solver, *chProblem) {
-	m := gradedMesh(c, dim, 2, 4-dim/3)
+func chTestProblem(c *par.Comm, dim int) (*Solver, *chProblem) {
+	return chTestProblemOn(gradedMesh(c, dim, 2, 4-dim/3))
+}
+
+// chTestProblemOn is chTestProblem on a given graded mesh.
+func chTestProblemOn(m *mesh.Mesh) (*Solver, *chProblem) {
+	dim := m.Dim
 	if m.GlobalSum(float64(m.HangingCorners)) == 0 {
 		panic("test mesh has no hanging nodes")
 	}
 	prm := DefaultParams()
 	prm.Cn = 0.08
 	opt := DefaultOptions(2e-3)
-	opt.Layout = layout
 	s := NewSolver(m, prm, opt)
 	for e := range s.ElemCn {
 		if ox, _, _ := m.ElemOrigin(e); ox < 0.5 {
@@ -79,42 +82,40 @@ func chTestProblem(c *par.Comm, dim int, layout fem.Layout) (*Solver, *chProblem
 
 // TestCHJacobianMatchesFiniteDifference is the oracle for the CH Newton
 // Jacobian: J(x)·v must equal the central difference of the residual
-// along v, for every layout, dimension and rank count.
+// along v, for every dimension and rank count.
 func TestCHJacobianMatchesFiniteDifference(t *testing.T) {
 	const eps = 1e-6
 	for _, dim := range []int{2, 3} {
-		for _, layout := range []fem.Layout{fem.LayoutAIJ, fem.LayoutBAIJ, fem.LayoutZipped} {
-			for _, ranks := range []int{1, 2} {
-				par.Run(ranks, func(c *par.Comm) {
-					s, p := chTestProblem(c, dim, layout)
-					m, x := s.M, s.PhiMu
-					v, jv := m.NewVec(2), m.NewVec(2)
-					for i := 0; i < m.NumLocal; i++ {
-						px, py, pz := m.NodeCoord(i)
-						v[2*i] = math.Sin(17*px + 29*py + 11*pz)
-						v[2*i+1] = math.Cos(23*px - 13*py + 7*pz)
-					}
-					op, _ := p.Jacobian(x)
-					op.Apply(v, jv)
-					xp, xm := m.NewVec(2), m.NewVec(2)
-					for i := range x {
-						xp[i], xm[i] = x[i]+eps*v[i], x[i]-eps*v[i]
-					}
-					rp, rm := m.NewVec(2), m.NewVec(2)
-					p.Residual(xp, rp)
-					p.Residual(xm, rm)
-					sums := make([]float64, 2)
-					for i := 0; i < 2*m.NumOwned; i++ {
-						d := jv[i] - (rp[i]-rm[i])/(2*eps)
-						sums[0] += d * d
-						sums[1] += jv[i] * jv[i]
-					}
-					m.GlobalSumInto(sums)
-					if rel := math.Sqrt(sums[0] / sums[1]); !(rel <= 1e-6) {
-						panic(fmt.Sprintf("dim=%d layout=%v ranks=%d: |J v - dR/dv| / |J v| = %.3e", dim, layout, ranks, rel))
-					}
-				})
-			}
+		for _, ranks := range []int{1, 2} {
+			par.Run(ranks, func(c *par.Comm) {
+				s, p := chTestProblem(c, dim)
+				m, x := s.M, s.PhiMu
+				v, jv := m.NewVec(2), m.NewVec(2)
+				for i := 0; i < m.NumLocal; i++ {
+					px, py, pz := m.NodeCoord(i)
+					v[2*i] = math.Sin(17*px + 29*py + 11*pz)
+					v[2*i+1] = math.Cos(23*px - 13*py + 7*pz)
+				}
+				op, _ := p.Jacobian(x)
+				op.Apply(v, jv)
+				xp, xm := m.NewVec(2), m.NewVec(2)
+				for i := range x {
+					xp[i], xm[i] = x[i]+eps*v[i], x[i]-eps*v[i]
+				}
+				rp, rm := m.NewVec(2), m.NewVec(2)
+				p.Residual(xp, rp)
+				p.Residual(xm, rm)
+				sums := make([]float64, 2)
+				for i := 0; i < 2*m.NumOwned; i++ {
+					d := jv[i] - (rp[i]-rm[i])/(2*eps)
+					sums[0] += d * d
+					sums[1] += jv[i] * jv[i]
+				}
+				m.GlobalSumInto(sums)
+				if rel := math.Sqrt(sums[0] / sums[1]); !(rel <= 1e-6) {
+					panic(fmt.Sprintf("dim=%d ranks=%d: |J v - dR/dv| / |J v| = %.3e", dim, ranks, rel))
+				}
+			})
 		}
 	}
 }
@@ -187,7 +188,7 @@ func TestCHJacobianNeedsNoGhostExchange(t *testing.T) {
 	run := func(redundant bool, extraReads int) (msgs int64, jacs int, sol []float64) {
 		var st *par.Stats
 		par.Run(2, func(c *par.Comm) {
-			s, p := chTestProblem(c, 2, fem.LayoutZipped)
+			s, p := chTestProblem(c, 2)
 			nw := &la.Newton{KSP: la.BiCGS, Rtol: 1e-10, Atol: 1e-10, LinRtol: 1e-8, Red: s.M}
 			wrapped := &reexchange{chProblem: p}
 			var prob la.NewtonProblem = p

@@ -160,9 +160,9 @@ func TestGMGStepBitwiseAcrossVecWorkers(t *testing.T) {
 			prm.Cn = 0.1
 			prm.Fr = 1
 			opt := DefaultOptions(2e-3)
-			opt.VecWorkers = vecWorkers
 			opt.PCNS, opt.PCPP = PCGMG, PCGMG
 			s := NewSolver(m, prm, opt)
+			setVecWorkers(s, vecWorkers)
 			s.SetPhi(func(x, y, z float64) float64 {
 				return EquilibriumProfile(0.2-math.Hypot(x-0.5, y-0.45), prm.Cn)
 			})

@@ -92,16 +92,12 @@ func (s *Solver) StepNS() (StageReport, error) {
 	// Zero()+reassembled thereafter through the warm assembly plan.
 	tMat := time.Now()
 	if s.nsMat == nil {
-		s.nsMat = s.asmVel.NewMatrix(s.Opt.Layout)
+		s.nsMat = s.asmVel.NewMatrix(fem.LayoutZipped)
 	} else {
 		s.nsMat.Zero()
 	}
 	mat := s.nsMat
-	if s.Opt.Layout == fem.LayoutZipped {
-		s.asmVel.AssembleMatrixZipped(mat, s.kNSMatZip)
-	} else {
-		s.asmVel.AssembleMatrix(mat, s.Opt.Layout, s.kNSMat)
-	}
+	s.asmVel.AssembleMatrixZipped(mat, s.kNSMatZip)
 	s.T.NS.Matrix += time.Since(tMat)
 
 	// RHS: sharded planned vector assembly with per-worker scratch.
@@ -174,8 +170,8 @@ func (s *Solver) StepNS() (StageReport, error) {
 }
 
 // nsBuildScalar fills worker w's scalar momentum operator block for
-// element e from the current φ/μ and velocity (the shared core of the NS
-// matrix kernels).
+// element e from the current φ/μ and velocity with the zipped GEMM
+// operators.
 func (s *Solver) nsBuildScalar(w, e int, h float64) *nsScratch {
 	m := s.M
 	dim := m.Dim
@@ -190,63 +186,35 @@ func (s *Solver) nsBuildScalar(w, e int, h float64) *nsScratch {
 		sc.rho[a] = s.Par.Density(sc.phiC[a])
 		sc.eta[a] = s.Par.Viscosity(sc.phiC[a])
 	}
-	for i := range sc.scalarOp {
-		sc.scalarOp[i] = 0
+	wk := s.asmVel.WorkN(w)
+	r.CoefAtGauss(sc.rho, sc.rhoG)
+	r.CoefAtGauss(sc.eta, sc.etaG)
+	r.MassGemm(wk, h, 1/dt, sc.rhoG, sc.scalarOp)
+	r.StiffGemm(wk, h, th/s.Par.Re, sc.etaG, sc.tmp)
+	for i := range sc.tmp {
+		sc.scalarOp[i] += sc.tmp[i]
 	}
-	if s.Opt.Layout == fem.LayoutZipped {
-		wk := s.asmVel.WorkN(w)
-		r.CoefAtGauss(sc.rho, sc.rhoG)
-		r.CoefAtGauss(sc.eta, sc.etaG)
-		r.MassGemm(wk, h, 1/dt, sc.rhoG, sc.scalarOp)
-		r.StiffGemm(wk, h, th/s.Par.Re, sc.etaG, sc.tmp)
-		for i := range sc.tmp {
-			sc.scalarOp[i] += sc.tmp[i]
-		}
-		// ρ-weighted convection: fold ρ into the velocity samples.
-		for a := 0; a < npe; a++ {
-			for d := 0; d < dim; d++ {
-				sc.rvel[a*dim+d] = sc.rho[a] * sc.velC[a*dim+d]
-			}
-		}
-		r.ConvGemm(wk, h, th, sc.rvel, sc.tmp)
-		for i := range sc.tmp {
-			sc.scalarOp[i] += sc.tmp[i]
-		}
-		return sc
-	}
-	r.WeightedMass(h, sc.rho, 1/dt, sc.scalarOp)
-	r.WeightedStiffness(h, sc.eta, th/s.Par.Re, sc.scalarOp)
+	// ρ-weighted convection: fold ρ into the velocity samples.
 	for a := 0; a < npe; a++ {
 		for d := 0; d < dim; d++ {
 			sc.rvel[a*dim+d] = sc.rho[a] * sc.velC[a*dim+d]
 		}
 	}
-	r.Convection(h, sc.rvel, th, sc.scalarOp)
+	r.ConvGemm(wk, h, th, sc.rvel, sc.tmp)
+	for i := range sc.tmp {
+		sc.scalarOp[i] += sc.tmp[i]
+	}
 	return sc
 }
 
-// initNSKernels builds the NS matrix and RHS element kernels once,
-// capturing only the Solver (see initCHKernels).
+// initNSKernels builds the NS matrix (zipped) and RHS element kernels
+// once, capturing only the Solver (see initCHKernels).
 func (s *Solver) initNSKernels() {
 	s.kNSMatZip = func(w, e int, h float64, blocks [][]float64) {
 		sc := s.nsBuildScalar(w, e, h)
 		dim := s.M.Dim
 		for d := 0; d < dim; d++ {
 			copy(blocks[d*dim+d], sc.scalarOp)
-		}
-	}
-	s.kNSMat = func(w, e int, h float64, ke []float64) {
-		sc := s.nsBuildScalar(w, e, h)
-		dim := s.M.Dim
-		npe := s.asmVel.Ref.NPE
-		n := npe * dim
-		for a := 0; a < npe; a++ {
-			for b := 0; b < npe; b++ {
-				v := sc.scalarOp[a*npe+b]
-				for d := 0; d < dim; d++ {
-					ke[(a*dim+d)*n+b*dim+d] = v
-				}
-			}
 		}
 	}
 	s.kNSVec = func(w, e int, h float64, fe []float64) {

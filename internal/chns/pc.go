@@ -104,9 +104,6 @@ func (s *Solver) rebindStagePC(pc la.PC, mat *la.BSRMat, nd int,
 	case *la.PCJacobi:
 		p.Rebind(mat)
 		return p
-	case *la.PCPBJacobi:
-		p.Rebind(mat)
-		return p
 	case *mg.PCGMG:
 		h := s.ensureHierarchy()
 		p.Rebind(h, s.mgInfo, gmgCoefs(), s.meshEpoch, s.rowPatch(nd))
@@ -157,11 +154,12 @@ type nsLevelScratch struct {
 }
 
 // assembleNSLevel assembles the coarse-level momentum operator from the
-// injected φ/μ and velocity fields — the same scalar operator replicated
-// per component as the fine non-zipped NS kernel, with the no-slip rows
-// pinned to identity on each level. Runs serially per rank: the kernel
-// shares one scratch (nsLevelScratch.sc) across the element loop, which is
-// safe because the level assembler is pinned to one worker.
+// injected φ/μ and velocity fields — the fine NS scalar operator, built
+// with the explicit-loop element operators and replicated per component
+// into the level's AIJ matrix — with the no-slip rows pinned to identity
+// on each level. Runs serially per rank: the kernel shares one scratch
+// (nsLevelScratch.sc) across the element loop, which is safe because the
+// level assembler is pinned to one worker.
 func (s *Solver) assembleNSLevel(lvl *mg.Level) {
 	m := lvl.M
 	dim := m.Dim

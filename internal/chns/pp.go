@@ -54,16 +54,12 @@ func (s *Solver) StepPP() ([]float64, StageReport, error) {
 	// through the warm plan on later steps.
 	tMat := time.Now()
 	if s.ppMat == nil {
-		s.ppMat = s.asmS.NewMatrix(s.Opt.Layout)
+		s.ppMat = s.asmS.NewMatrix(fem.LayoutZipped)
 	} else {
 		s.ppMat.Zero()
 	}
 	mat := s.ppMat
-	if s.Opt.Layout == fem.LayoutZipped {
-		s.asmS.AssembleMatrixZipped(mat, s.kPPMatZip)
-	} else {
-		s.asmS.AssembleMatrix(mat, s.Opt.Layout, s.kPPMat)
-	}
+	s.asmS.AssembleMatrixZipped(mat, s.kPPMatZip)
 	s.T.PP.Matrix += time.Since(tMat)
 
 	tVec := time.Now()
@@ -138,31 +134,18 @@ func (s *Solver) StepPP() ([]float64, StageReport, error) {
 	return psi, rep, err
 }
 
-// ppBuildCoef gathers worker w's nodal 1/ρ(φ) coefficients for element e
-// (the shared core of the PP matrix kernels).
-func (s *Solver) ppBuildCoef(w, e int) *ppScratch {
-	m := s.M
-	npe := s.asmS.Ref.NPE
-	sc := &s.ppScr[w]
-	m.GatherElem(e, s.PhiMu, 2, sc.pm)
-	for a := 0; a < npe; a++ {
-		sc.invRho[a] = 1 / s.Par.Density(sc.pm[a*2])
-	}
-	return sc
-}
-
-// initPPKernels builds the PP matrix and RHS element kernels once,
-// capturing only the Solver (see initCHKernels).
+// initPPKernels builds the PP matrix (zipped) and RHS element kernels
+// once, capturing only the Solver (see initCHKernels).
 func (s *Solver) initPPKernels() {
 	s.kPPMatZip = func(w, e int, h float64, blocks [][]float64) {
 		r := s.asmS.Ref
-		sc := s.ppBuildCoef(w, e)
+		sc := &s.ppScr[w]
+		s.M.GatherElem(e, s.PhiMu, 2, sc.pm)
+		for a := 0; a < r.NPE; a++ {
+			sc.invRho[a] = 1 / s.Par.Density(sc.pm[a*2])
+		}
 		r.CoefAtGauss(sc.invRho, sc.cg)
 		r.StiffGemm(s.asmS.WorkN(w), h, 1, sc.cg, blocks[0])
-	}
-	s.kPPMat = func(w, e int, h float64, ke []float64) {
-		sc := s.ppBuildCoef(w, e)
-		s.asmS.Ref.WeightedStiffness(h, sc.invRho, 1, ke)
 	}
 	s.kPPVec = func(w, e int, h float64, fe []float64) {
 		m := s.M

@@ -195,15 +195,11 @@ func (t *RemeshTimes) Add(o RemeshTimes) {
 	t.PostVUIters += o.PostVUIters
 }
 
-// Options configures the solver implementation choices being benchmarked.
+// Options configures the time integration, the solver tolerances and the
+// per-stage preconditioners. The assembly is always the paper's production
+// configuration (Table I stage 2): zipped GEMM element kernels and a
+// velocity update split into one scalar mass solve per component.
 type Options struct {
-	// Layout selects the assembly path (Table I): LayoutAIJ (baseline),
-	// LayoutBAIJ (stage 1) or LayoutZipped (stage 2).
-	Layout fem.Layout
-	// SplitVU solves the velocity update as DIM single-DOF systems
-	// reusing one assembled mass matrix (stage 1+) instead of a single
-	// DIM-DOF block system (baseline).
-	SplitVU bool
 	// Theta is the time-integration weight (0.5 = Crank-Nicolson).
 	Theta float64
 	// Dt is the time step.
@@ -212,12 +208,6 @@ type Options struct {
 	LinTol float64
 	// NonlinTol is the Newton tolerance (paper: 1e-10).
 	NonlinTol float64
-	// VecWorkers pins the shard count of the planned RHS/residual vector
-	// assemblies (0: match the matrix element loop; 1: the serial
-	// ablation). Any value produces bitwise-identical results — the
-	// vector plan gathers contributions in canonical order — so this is
-	// purely a performance knob.
-	VecWorkers int
 	// PCNS / PCPP select the NS / PP preconditioner (Table II column):
 	// "bjacobi" (default, rank-block ILU(0)), "jacobi", or "gmg" — the
 	// octree geometric multigrid V-cycle of internal/mg, whose mesh
@@ -255,8 +245,7 @@ func ValidPC(name string) bool {
 
 // DefaultOptions mirrors the paper's production configuration (stage 2).
 func DefaultOptions(dt float64) Options {
-	return Options{Layout: fem.LayoutZipped, SplitVU: true, Theta: 0.5,
-		Dt: dt, LinTol: 1e-8, NonlinTol: 1e-10}
+	return Options{Theta: 0.5, Dt: dt, LinTol: 1e-8, NonlinTol: 1e-10}
 }
 
 // Solver advances the CHNS system on its current mesh. A remesh keeps the
@@ -294,10 +283,9 @@ type Solver struct {
 	// the frozen sparsity of its assembler's plan) and Zero()+reassembles
 	// thereafter, so steady-state time stepping performs no sparsity
 	// construction. Dropped by Rebind.
-	chMat      *la.BSRMat
-	nsMat      *la.BSRMat
-	ppMat      *la.BSRMat
-	vuBlockMat *la.BSRMat
+	chMat *la.BSRMat
+	nsMat *la.BSRMat
+	ppMat *la.BSRMat
 	// Cached VU mass matrix (reused, not even reassembled, while the mesh
 	// is unchanged).
 	vuMass   *la.BSRMat
@@ -309,29 +297,26 @@ type Solver struct {
 	// vectors. A steady-state time step performs no solver-side
 	// allocation at all. Rebind drops the mesh-keyed ones (operators,
 	// per-step vectors) and keeps the KSP objects and the Newton driver.
-	chNewton   la.Newton
-	chPC       *la.PCBJacobiILU0
-	chProb     chProblem
-	chOld      []float64
-	chBlk      chBlockStore
-	chRefill   bool // test hook: every CH sweep integrates its blocks afresh
-	chMassMat  *la.BSRMat
-	chMassKSP  *la.KSP
-	chMassPC   *la.PCJacobi
-	nsKSP      *la.KSP
-	nsPC       la.PC
-	nsRHS      []float64
-	ppKSP      *la.KSP
-	ppPC       la.PC
-	ppRHS      []float64
-	ppPsi      []float64
-	vuKSP      *la.KSP
-	vuRHS      []float64
-	vuComp     []float64
-	vuNewVel   []float64
-	vuBlockKSP *la.KSP
-	vuBlockPC  *la.PCJacobi
-	vuBlockRHS []float64
+	chNewton  la.Newton
+	chPC      *la.PCBJacobiILU0
+	chProb    chProblem
+	chOld     []float64
+	chBlk     chBlockStore
+	chRefill  bool // test hook: every CH sweep integrates its blocks afresh
+	chMassMat *la.BSRMat
+	chMassKSP *la.KSP
+	chMassPC  *la.PCJacobi
+	nsKSP     *la.KSP
+	nsPC      la.PC
+	nsRHS     []float64
+	ppKSP     *la.KSP
+	ppPC      la.PC
+	ppRHS     []float64
+	ppPsi     []float64
+	vuKSP     *la.KSP
+	vuRHS     []float64
+	vuComp    []float64
+	vuNewVel  []float64
 
 	// mgH is the geometric multigrid mesh hierarchy shared by every
 	// GMG-preconditioned stage (built lazily on the first gmg stage of a
@@ -377,7 +362,6 @@ type Solver struct {
 	nsScr []nsScratch
 	nsVec []nsVecScratch
 	ppScr []ppScratch
-	vuScr [][]float64 // baseline block-VU scalar mass per worker
 	vuVec []vuScratch
 
 	// lumpOnes is the constant all-ones element vector of the lumped-mass
@@ -400,21 +384,16 @@ type Solver struct {
 	// step creates no closures at all — the whole-step zero-allocation
 	// discipline. Per-step inputs flow through the k* argument fields
 	// below, set immediately before the assembly call that reads them.
-	kCHRes      func(w, e int, h float64, fe []float64)
-	kCHJacZip   func(w, e int, h float64, blocks [][]float64)
-	kCHJac      func(w, e int, h float64, ke []float64)
-	kNSMatZip   func(w, e int, h float64, blocks [][]float64)
-	kNSMat      func(w, e int, h float64, ke []float64)
-	kNSVec      func(w, e int, h float64, fe []float64)
-	kPPMatZip   func(w, e int, h float64, blocks [][]float64)
-	kPPMat      func(w, e int, h float64, ke []float64)
-	kPPVec      func(w, e int, h float64, fe []float64)
-	kVUComp     func(w, e int, h float64, fe []float64)
-	kVUBlockMat func(w, e int, h float64, ke []float64)
-	kVUBlockVec func(w, e int, h float64, fe []float64)
-	kCHx        []float64 // Newton iterate (CH residual/Jacobian kernels)
-	kVUPsi      []float64 // pressure increment (VU RHS kernels)
-	kVUD        int       // velocity component (split-VU RHS kernel)
+	kCHRes    func(w, e int, h float64, fe []float64)
+	kCHJacZip func(w, e int, h float64, blocks [][]float64)
+	kNSMatZip func(w, e int, h float64, blocks [][]float64)
+	kNSVec    func(w, e int, h float64, fe []float64)
+	kPPMatZip func(w, e int, h float64, blocks [][]float64)
+	kPPVec    func(w, e int, h float64, fe []float64)
+	kVUComp   func(w, e int, h float64, fe []float64)
+	kCHx      []float64 // Newton iterate (CH residual/Jacobian kernels)
+	kVUPsi    []float64 // pressure increment (VU RHS kernel)
+	kVUD      int       // velocity component (VU RHS kernel)
 
 	meshEpoch uint64
 }
@@ -432,11 +411,6 @@ func NewSolver(m *mesh.Mesh, prm Params, opt Options) *Solver {
 	s.asmCH.SetPool(s.pool)
 	s.asmVel.SetPool(s.pool)
 	s.asmS.SetPool(s.pool)
-	if opt.VecWorkers > 0 {
-		s.asmCH.SetVecWorkers(opt.VecWorkers)
-		s.asmVel.SetVecWorkers(opt.VecWorkers)
-		s.asmS.SetVecWorkers(opt.VecWorkers)
-	}
 	s.initScratch()
 	s.initFiniteScan()
 	s.initCHKernels()
@@ -473,24 +447,12 @@ func (s *Solver) Close() {
 }
 
 // initScratch sizes the per-worker kernel scratch pools to the element
-// loop shard counts of the stage assemblers.
+// loop shard counts of the stage assemblers whose shards index them.
 func (s *Solver) initScratch() {
 	npe := s.asmCH.Ref.NPE
 	ng := s.asmCH.Ref.NG
 	dim := s.M.Dim
-	// Each scratch pool is sized for the assembler(s) whose shards index
-	// it, max'd with Opt.VecWorkers: an explicit vector shard count can
-	// push past the matrix worker count.
-	nw := func(asms ...*fem.Assembler) int {
-		n := s.Opt.VecWorkers
-		for _, a := range asms {
-			if w := a.Workers(); w > n {
-				n = w
-			}
-		}
-		return n
-	}
-	s.chRes = make([]*chResScratch, nw(s.asmCH))
+	s.chRes = make([]*chResScratch, s.asmCH.Workers())
 	for i := range s.chRes {
 		s.chRes[i] = newCHResScratch(npe, ng, dim)
 	}
@@ -502,19 +464,15 @@ func (s *Solver) initScratch() {
 	for i := range s.nsScr {
 		s.nsScr[i] = newNSScratch(npe, ng, dim)
 	}
-	s.nsVec = make([]nsVecScratch, nw(s.asmVel))
+	s.nsVec = make([]nsVecScratch, s.asmVel.Workers())
 	for i := range s.nsVec {
 		s.nsVec[i] = newNSVecScratch(npe, dim)
 	}
-	s.ppScr = make([]ppScratch, nw(s.asmS))
+	s.ppScr = make([]ppScratch, s.asmS.Workers())
 	for i := range s.ppScr {
 		s.ppScr[i] = newPPScratch(npe, ng, dim)
 	}
-	s.vuScr = make([][]float64, s.asmVel.Workers())
-	for i := range s.vuScr {
-		s.vuScr[i] = make([]float64, npe*npe)
-	}
-	s.vuVec = make([]vuScratch, nw(s.asmS, s.asmVel))
+	s.vuVec = make([]vuScratch, s.asmS.Workers())
 	for i := range s.vuVec {
 		s.vuVec[i] = newVUScratch(npe, dim)
 	}
@@ -561,14 +519,13 @@ func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	s.asmCH.Rebind(m, epoch, d)
 	s.asmVel.Rebind(m, epoch, d)
 	s.asmS.Rebind(m, epoch, d)
-	s.chMat, s.nsMat, s.ppMat, s.vuBlockMat = nil, nil, nil, nil
+	s.chMat, s.nsMat, s.ppMat = nil, nil, nil
 	s.vuMass, s.vuMassPC = nil, nil
 	s.chMassMat, s.chMassPC = nil, nil
-	s.vuBlockPC = nil
 	s.chOld = nil
 	s.chBlk.drop()
 	s.nsRHS, s.ppRHS = nil, nil
-	s.vuRHS, s.vuComp, s.vuNewVel, s.vuBlockRHS = nil, nil, nil, nil
+	s.vuRHS, s.vuComp, s.vuNewVel = nil, nil, nil
 	s.pcDelta, s.pcOldOwned, s.pcPatches = d, oldOwned, nil
 	if d == nil || stacked {
 		s.pcDelta = nil

@@ -32,13 +32,11 @@ func newVUScratch(npe, dim int) vuScratch {
 //
 //	v^{n+1} = v* - dt (1/ρ) ∇ψ,   p^{n+1} = p^n + ψ
 //
-// realized weakly as a mass solve per component. With Opt.SplitVU the
-// DIM-DOF solve is split into DIM single-DOF solves reusing one assembled
-// mass matrix (the Sec. II-A memory/assembly optimization measured in
-// Table I); otherwise a single block system of size N×DIM is assembled
-// and solved, the baseline layout. In split mode the report's Result is
-// the final component's solve with Iterations accumulated over all
-// components.
+// realized weakly as a mass solve per component: DIM single-DOF solves
+// reusing one assembled scalar mass matrix (the Sec. II-A memory/assembly
+// optimization measured in Table I) instead of one N×DIM block system.
+// The report's Result is the final component's solve with Iterations
+// accumulated over all components.
 func (s *Solver) StepVU(psi []float64) (StageReport, error) {
 	t0 := time.Now()
 	rep := StageReport{Stage: StageVU}
@@ -48,149 +46,72 @@ func (s *Solver) StepVU(psi []float64) (StageReport, error) {
 	m.GhostRead(psi, 1)
 	m.GhostRead(s.PhiMu, 2)
 	m.GhostRead(s.Vel, dim)
-	// The prebuilt RHS kernels read ψ through this field (cleared before
+	// The prebuilt RHS kernel reads ψ through this field (cleared before
 	// returning so no stale reference pins the caller's buffer).
 	s.kVUPsi = psi
 	defer func() { s.kVUPsi = nil }()
 
-	if s.Opt.SplitVU {
-		// One scalar mass matrix, assembled once per mesh and reused for
-		// every component and every step.
-		tMat := time.Now()
-		if s.vuMass == nil {
-			s.vuMass = s.asmS.NewMatrix(s.Opt.Layout)
-			if s.Opt.Layout == fem.LayoutZipped {
-				s.asmS.AssembleMatrixZipped(s.vuMass, func(w, e int, h float64, blocks [][]float64) {
-					r.MassGemm(s.asmS.WorkN(w), h, 1, nil, blocks[0])
-				})
-			} else {
-				s.asmS.AssembleMatrix(s.vuMass, s.Opt.Layout, func(w, e int, h float64, ke []float64) {
-					r.Mass(h, 1, ke)
-				})
-			}
-			for i := 0; i < m.NumOwned; i++ {
-				if m.OnBoundary(i) {
-					s.vuMass.ZeroRow(i, 1)
-				}
-			}
-			s.vuMassPC = la.NewPCJacobi(s.vuMass)
-		}
-		s.T.VU.Matrix += time.Since(tMat)
-		if s.vuNewVel == nil {
-			s.vuNewVel = m.NewVec(dim)
-			s.vuComp = m.NewVec(1)
-			s.vuRHS = m.NewVec(1)
-		}
-		newVel, comp, rhs := s.vuNewVel, s.vuComp, s.vuRHS
-		// Persistent KSP: one warm CG workspace shared by all components,
-		// re-pointed at the (possibly rebuilt) mass operator each step.
-		if s.vuKSP == nil {
-			s.vuKSP = &la.KSP{Type: la.CG, Rtol: s.Opt.LinTol, Atol: s.Opt.LinTol}
-		}
-		s.vuKSP.Op, s.vuKSP.PC, s.vuKSP.Red, s.vuKSP.Pool = s.vuMass, s.vuMassPC, m, s.pool
-		itSum := 0
-		for d := 0; d < dim; d++ {
-			tVec := time.Now()
-			s.kVUD = d
-			s.asmS.AssembleVectorPlanned(rhs, s.kVUComp)
-			for i := 0; i < m.NumOwned; i++ {
-				if m.OnBoundary(i) {
-					rhs[i] = 0
-				}
-			}
-			s.T.VU.Vector += time.Since(tVec)
-			tSolve := time.Now()
-			if s.Opt.WarmStarts {
-				// The tentative component is the natural initial guess for
-				// its own mass-projection (same converged solution: the
-				// tolerance is relative to the RHS).
-				for i := range comp {
-					comp[i] = s.Vel[i*dim+d]
-				}
-			} else {
-				for i := range comp {
-					comp[i] = 0
-				}
-			}
-			res, err := s.vuKSP.Solve(rhs, comp)
-			s.T.VU.Solve += time.Since(tSolve)
-			s.T.VU.Record(res.Iterations)
-			if s.postRemesh {
-				s.T.RemeshStages.PostVUIters += res.Iterations
-			}
-			itSum += res.Iterations
-			rep.Result = res
-			rep.Result.Iterations = itSum
-			if err != nil {
-				s.T.VU.Total += time.Since(t0)
-				return rep, err
-			}
-			if !res.Converged {
-				s.T.VU.Total += time.Since(t0)
-				return rep, &ErrDiverged{Stage: StageVU, Kind: DivergeKSP, Result: rep.Result}
-			}
-			for i := 0; i < m.NumOwned; i++ {
-				newVel[i*dim+d] = comp[i]
-			}
-		}
-		copy(s.Vel, newVel)
-	} else {
-		// Baseline: one N×DIM block mass system per step. This path exists
-		// for the Table I baseline comparison, so it always uses the
-		// node-major assembly (the zipped kernel is a stage-2 feature).
-		// The operator persists across steps like the other stages.
-		lay := s.Opt.Layout
-		if lay == fem.LayoutZipped {
-			lay = fem.LayoutBAIJ
-		}
-		tMat := time.Now()
-		if s.vuBlockMat == nil {
-			s.vuBlockMat = s.asmVel.NewMatrix(lay)
-		} else {
-			s.vuBlockMat.Zero()
-		}
-		mat := s.vuBlockMat
-		s.asmVel.AssembleMatrix(mat, lay, s.kVUBlockMat)
-		s.T.VU.Matrix += time.Since(tMat)
-		tVec := time.Now()
-		if s.vuBlockRHS == nil {
-			s.vuBlockRHS = m.NewVec(dim)
-		}
-		rhs := s.vuBlockRHS
-		s.asmVel.AssembleVectorPlanned(rhs, s.kVUBlockVec)
-		s.T.VU.Vector += time.Since(tVec)
+	// One scalar mass matrix, assembled once per mesh and reused for
+	// every component and every step.
+	tMat := time.Now()
+	if s.vuMass == nil {
+		s.vuMass = s.asmS.NewMatrix(fem.LayoutZipped)
+		s.asmS.AssembleMatrixZipped(s.vuMass, func(w, e int, h float64, blocks [][]float64) {
+			r.MassGemm(s.asmS.WorkN(w), h, 1, nil, blocks[0])
+		})
 		for i := 0; i < m.NumOwned; i++ {
 			if m.OnBoundary(i) {
-				for d := 0; d < dim; d++ {
-					mat.ZeroRow(i*dim+d, 1)
-					rhs[i*dim+d] = 0
-				}
+				s.vuMass.ZeroRow(i, 1)
 			}
 		}
-		// Persistent KSP + Jacobi PC refreshed from the new values (the PC
-		// is rebuilt with the operator after a remesh); setup timed apart
-		// from the Krylov iteration.
-		tPC := time.Now()
-		if s.vuBlockPC == nil {
-			s.vuBlockPC = la.NewPCJacobi(mat)
-		} else {
-			s.vuBlockPC.Refresh()
+		s.vuMassPC = la.NewPCJacobi(s.vuMass)
+	}
+	s.T.VU.Matrix += time.Since(tMat)
+	if s.vuNewVel == nil {
+		s.vuNewVel = m.NewVec(dim)
+		s.vuComp = m.NewVec(1)
+		s.vuRHS = m.NewVec(1)
+	}
+	newVel, comp, rhs := s.vuNewVel, s.vuComp, s.vuRHS
+	// Persistent KSP: one warm CG workspace shared by all components,
+	// re-pointed at the (possibly rebuilt) mass operator each step.
+	if s.vuKSP == nil {
+		s.vuKSP = &la.KSP{Type: la.CG, Rtol: s.Opt.LinTol, Atol: s.Opt.LinTol}
+	}
+	s.vuKSP.Op, s.vuKSP.PC, s.vuKSP.Red, s.vuKSP.Pool = s.vuMass, s.vuMassPC, m, s.pool
+	itSum := 0
+	for d := 0; d < dim; d++ {
+		tVec := time.Now()
+		s.kVUD = d
+		s.asmS.AssembleVectorPlanned(rhs, s.kVUComp)
+		for i := 0; i < m.NumOwned; i++ {
+			if m.OnBoundary(i) {
+				rhs[i] = 0
+			}
 		}
-		pcSetup := time.Since(tPC)
-		s.T.VU.PCSetup += pcSetup
-		if s.vuBlockKSP == nil {
-			s.vuBlockKSP = &la.KSP{Type: la.CG, Rtol: s.Opt.LinTol, Atol: s.Opt.LinTol}
-		}
-		s.vuBlockKSP.AddPCSetup(pcSetup)
-		s.vuBlockKSP.Op, s.vuBlockKSP.PC, s.vuBlockKSP.Red, s.vuBlockKSP.Pool = mat, s.vuBlockPC, m, s.pool
+		s.T.VU.Vector += time.Since(tVec)
 		tSolve := time.Now()
-		res, err := s.vuBlockKSP.Solve(rhs, s.Vel)
+		if s.Opt.WarmStarts {
+			// The tentative component is the natural initial guess for
+			// its own mass-projection (same converged solution: the
+			// tolerance is relative to the RHS).
+			for i := range comp {
+				comp[i] = s.Vel[i*dim+d]
+			}
+		} else {
+			for i := range comp {
+				comp[i] = 0
+			}
+		}
+		res, err := s.vuKSP.Solve(rhs, comp)
 		s.T.VU.Solve += time.Since(tSolve)
 		s.T.VU.Record(res.Iterations)
 		if s.postRemesh {
 			s.T.RemeshStages.PostVUIters += res.Iterations
 		}
+		itSum += res.Iterations
 		rep.Result = res
+		rep.Result.Iterations = itSum
 		if err != nil {
 			s.T.VU.Total += time.Since(t0)
 			return rep, err
@@ -199,7 +120,11 @@ func (s *Solver) StepVU(psi []float64) (StageReport, error) {
 			s.T.VU.Total += time.Since(t0)
 			return rep, &ErrDiverged{Stage: StageVU, Kind: DivergeKSP, Result: rep.Result}
 		}
+		for i := 0; i < m.NumOwned; i++ {
+			newVel[i*dim+d] = comp[i]
+		}
 	}
+	copy(s.Vel, newVel)
 	if s.Fault.Fire(fault.KSPDiverge, string(StageVU)) {
 		rep.Result.Converged = false
 		s.T.VU.Total += time.Since(t0)
@@ -252,67 +177,39 @@ func (s *Solver) DivergenceL2() float64 {
 	return math.Sqrt(s.M.GlobalSum(acc))
 }
 
-// vuEmitComp accumulates the elemental RHS for velocity component d:
-// ∫ N (v*_d - dt (1/ρ) ψ_,d), with worker w's private scratch. ψ reaches
-// it through s.kVUPsi (set by StepVU for the assembly calls).
-func (s *Solver) vuEmitComp(w, e int, h float64, d int, fe []float64, stride, off int) {
-	m := s.M
-	dim := m.Dim
-	r := s.asmS.Ref
-	npe := r.NPE
-	sc := &s.vuVec[w]
-	m.GatherElem(e, s.PhiMu, 2, sc.pm)
-	m.GatherElem(e, s.Vel, dim, sc.velC)
-	m.GatherElem(e, s.kVUPsi, 1, sc.psiC)
-	vol := 1.0
-	for dd := 0; dd < dim; dd++ {
-		vol *= h
-	}
-	for a := 0; a < npe; a++ {
-		sc.comp[a] = sc.velC[a*dim+d]
-		sc.phiC[a] = sc.pm[a*2]
-	}
-	for g := 0; g < r.NG; g++ {
-		wg := r.W[g] * vol
-		vg := r.AtGauss(g, sc.comp)
-		dpsi := r.GradAtGauss(g, d, h, sc.psiC)
-		rhoG := s.Par.Density(r.AtGauss(g, sc.phiC))
-		f := vg - s.Opt.Dt*dpsi/rhoG
-		for a := 0; a < npe; a++ {
-			fe[a*stride+off] += wg * f * r.N[g*npe+a]
-		}
-	}
-}
-
-// initVUKernels builds the velocity-update element kernels once,
-// capturing only the Solver (see initCHKernels). The split-path
-// component kernel reads its component index from s.kVUD.
+// initVUKernels builds the velocity-update RHS element kernel once,
+// capturing only the Solver (see initCHKernels). It accumulates the
+// elemental RHS for velocity component s.kVUD, ∫ N (v*_d - dt (1/ρ) ψ_,d),
+// with worker w's private scratch; ψ reaches it through s.kVUPsi (set by
+// StepVU for the assembly calls).
 func (s *Solver) initVUKernels() {
 	s.kVUComp = func(w, e int, h float64, fe []float64) {
-		s.vuEmitComp(w, e, h, s.kVUD, fe, 1, 0)
-	}
-	s.kVUBlockMat = func(w, e int, h float64, ke []float64) {
+		m := s.M
+		dim := m.Dim
+		d := s.kVUD
 		r := s.asmS.Ref
 		npe := r.NPE
-		dim := s.M.Dim
-		scalar := s.vuScr[w]
-		for i := range scalar {
-			scalar[i] = 0
+		sc := &s.vuVec[w]
+		m.GatherElem(e, s.PhiMu, 2, sc.pm)
+		m.GatherElem(e, s.Vel, dim, sc.velC)
+		m.GatherElem(e, s.kVUPsi, 1, sc.psiC)
+		vol := 1.0
+		for dd := 0; dd < dim; dd++ {
+			vol *= h
 		}
-		r.Mass(h, 1, scalar)
-		n := npe * dim
 		for a := 0; a < npe; a++ {
-			for b := 0; b < npe; b++ {
-				for d := 0; d < dim; d++ {
-					ke[(a*dim+d)*n+b*dim+d] = scalar[a*npe+b]
-				}
-			}
+			sc.comp[a] = sc.velC[a*dim+d]
+			sc.phiC[a] = sc.pm[a*2]
 		}
-	}
-	s.kVUBlockVec = func(w, e int, h float64, fe []float64) {
-		dim := s.M.Dim
-		for d := 0; d < dim; d++ {
-			s.vuEmitComp(w, e, h, d, fe, dim, d)
+		for g := 0; g < r.NG; g++ {
+			wg := r.W[g] * vol
+			vg := r.AtGauss(g, sc.comp)
+			dpsi := r.GradAtGauss(g, d, h, sc.psiC)
+			rhoG := s.Par.Density(r.AtGauss(g, sc.phiC))
+			f := vg - s.Opt.Dt*dpsi/rhoG
+			for a := 0; a < npe; a++ {
+				fe[a] += wg * f * r.N[g*npe+a]
+			}
 		}
 	}
 }

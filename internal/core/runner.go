@@ -246,8 +246,8 @@ func (s *Simulation) WriteVTK(base string) error {
 
 // RunStats is the machine-readable run summary dumped by -stats-json:
 // the accumulated stage timers (including the remesh sub-timers), global
-// mesh size, remesh counts and the level histogram — the raw material of
-// BENCH_*.json trajectories.
+// mesh size, remesh counts and the level histogram — what the exact count
+// pins of internal/scenario read.
 type RunStats struct {
 	Scenario            string  `json:"scenario,omitempty"`
 	Preset              string  `json:"preset,omitempty"`

@@ -199,34 +199,6 @@ func TestInvertSmall(t *testing.T) {
 	}
 }
 
-func TestPBJacobiInvertsBlockDiagonal(t *testing.T) {
-	// For a block-diagonal matrix, PBJacobi is a direct solver.
-	r := rand.New(rand.NewSource(5))
-	nodes, bs := 6, 3
-	m := NewBAIJ(nil, bs, nodes, nodes)
-	for rn := 0; rn < nodes; rn++ {
-		blk := make([]float64, bs*bs)
-		for i := range blk {
-			blk[i] = r.NormFloat64()
-		}
-		for d := 0; d < bs; d++ {
-			blk[d*bs+d] += 4
-		}
-		m.AddBlock(rn, rn, blk)
-	}
-	m.Finalize()
-	pc := NewPCPBJacobi(m)
-	b := make([]float64, nodes*bs)
-	for i := range b {
-		b[i] = r.NormFloat64()
-	}
-	x := make([]float64, nodes*bs)
-	pc.Apply(b, x)
-	if rn := residualNorm(m, b, x); rn > 1e-10 {
-		t.Fatalf("PBJacobi on block-diagonal must be direct, residual %g", rn)
-	}
-}
-
 // quadProblem is a small nonlinear test: F_i(x) = x_i^2 + sum_j A_ij x_j - b_i.
 type quadProblem struct {
 	a *BSRMat

@@ -104,86 +104,6 @@ func (p *PCJacobi) Apply(r, z []float64) {
 	}
 }
 
-// PCPBJacobi inverts the dense bs x bs diagonal blocks (PETSc "pbjacobi"),
-// the natural point-block preconditioner for BAIJ matrices.
-type PCPBJacobi struct {
-	m   *BSRMat
-	bs  int
-	inv []float64
-}
-
-// NewPCPBJacobi inverts every diagonal block of m.
-func NewPCPBJacobi(m *BSRMat) *PCPBJacobi {
-	if !m.Finalized() {
-		m.Finalize()
-	}
-	bs := m.Bs
-	p := &PCPBJacobi{m: m, bs: bs, inv: make([]float64, m.NRowNodes*bs*bs)}
-	p.Refresh()
-	return p
-}
-
-// Refresh re-extracts and re-inverts the diagonal blocks in place.
-// Implements Refresher; allocation-free.
-func (p *PCPBJacobi) Refresh() {
-	m := p.m
-	bs := p.bs
-	bs2 := bs * bs
-	for rn := 0; rn < m.NRowNodes; rn++ {
-		blk := p.inv[rn*bs2 : (rn+1)*bs2]
-		for i := range blk {
-			blk[i] = 0
-		}
-		for j := m.sp.Indptr[rn]; j < m.sp.Indptr[rn+1]; j++ {
-			if int(m.sp.Cols[j]) == rn {
-				copy(blk, m.vals[int(j)*bs2:int(j+1)*bs2])
-			}
-		}
-		if !InvertSmall(blk, bs) {
-			// Singular diagonal block: fall back to identity.
-			for i := range blk {
-				blk[i] = 0
-			}
-			for d := 0; d < bs; d++ {
-				blk[d*bs+d] = 1
-			}
-		}
-	}
-}
-
-// Rebind re-points the preconditioner at a replacement matrix (the
-// incremental-remesh carry-over path) and re-inverts the diagonal blocks.
-func (p *PCPBJacobi) Rebind(m *BSRMat) {
-	if !m.Finalized() {
-		m.Finalize()
-	}
-	p.m = m
-	p.bs = m.Bs
-	n := m.NRowNodes * p.bs * p.bs
-	if cap(p.inv) < n {
-		p.inv = make([]float64, n)
-	}
-	p.inv = p.inv[:n]
-	p.Refresh()
-}
-
-// Apply implements PC.
-func (p *PCPBJacobi) Apply(r, z []float64) {
-	bs := p.bs
-	bs2 := bs * bs
-	n := len(r) / bs
-	for rn := 0; rn < n; rn++ {
-		blk := p.inv[rn*bs2 : (rn+1)*bs2]
-		for bi := 0; bi < bs; bi++ {
-			var s float64
-			for bj := 0; bj < bs; bj++ {
-				s += blk[bi*bs+bj] * r[rn*bs+bj]
-			}
-			z[rn*bs+bi] = s
-		}
-	}
-}
-
 // PCBJacobiILU0 is block-Jacobi across ranks with an ILU(0)
 // factorization of the local owned diagonal block as the subdomain solver
 // — the PETSc default "bjacobi" configuration used for the CH, NS and PP
