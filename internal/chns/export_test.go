@@ -1,11 +1,26 @@
 package chns
 
-import "reflect"
+import (
+	"reflect"
+
+	"proteus/internal/la"
+)
 
 // SetCHRefill makes every CH element sweep integrate its K_m(φ) and C(u)
 // blocks afresh (true) instead of reading the block store, or restores the
 // sharing (false): the oracle the store is compared against.
 func (s *Solver) SetCHRefill(on bool) { s.chRefill = on }
+
+// SetNSExpandedPC makes the NS stage's default preconditioner factor the
+// scalar expansion of the momentum matrix, every entry of every dim x dim
+// block (true), instead of the scalar operator applied per component, or
+// restores the production PC (false): the oracle the latter is compared
+// against. Takes effect at the next PC construction.
+func (s *Solver) SetNSExpandedPC(on bool) { s.nsPCFull = on }
+
+// NSMatrix returns the momentum operator of the last NS solve, as
+// assembled and pinned (nil before the first one on the current mesh).
+func (s *Solver) NSMatrix() *la.BSRMat { return s.nsMat }
 
 // BitsDiff describes the first bitwise difference between two vectors
 // ("" when there is none).

@@ -39,7 +39,9 @@ func (s *Solver) ensureHierarchy() *mg.Hierarchy {
 }
 
 // newNSPC builds the NS-stage preconditioner for the assembled momentum
-// operator, ready to apply (GMG arrives refreshed).
+// operator, ready to apply (GMG arrives refreshed). The matrix is one
+// scalar operator on every velocity component, A ⊗ I_dim, so the default
+// block-Jacobi PC factors A alone and sweeps all components at once.
 func (s *Solver) newNSPC(mat *la.BSRMat) la.PC {
 	switch s.Opt.PCNS {
 	case PCJacobi:
@@ -59,7 +61,10 @@ func (s *Solver) newNSPC(mat *la.BSRMat) la.PC {
 		g.Refresh()
 		return g
 	default:
-		return la.NewPCBJacobiILU0(mat)
+		if s.nsPCFull {
+			return la.NewPCBJacobiILU0(mat)
+		}
+		return la.NewPCBJacobiILU0Kron(mat, s.M.Dim)
 	}
 }
 
@@ -89,15 +94,16 @@ func (s *Solver) newPPPC(mat *la.BSRMat) la.PC {
 // rows (refactoring values only), Jacobi re-extracts the new diagonal in
 // place, and a multigrid PC rebinds its level assemblers and smoothers
 // onto the refreshed hierarchy before the usual coefficient/operator
-// refresh. nd is the stage's dofs per node (the row-patch expansion);
-// gmgCoefs builds the stage's coefficient bindings on the new mesh.
+// refresh. nd is the stage's dofs per node (the row-patch expansion, over
+// which an ILU(0) PC's interleaved components are divided out); gmgCoefs
+// builds the stage's coefficient bindings on the new mesh.
 // Returns the PC to install (an unrecognized type is rebuilt cold).
 func (s *Solver) rebindStagePC(pc la.PC, mat *la.BSRMat, nd int,
 	gmgCoefs func() []mg.Coefficient, rebuild func(*la.BSRMat) la.PC) la.PC {
 	rs := &s.T.RemeshStages
 	switch p := pc.(type) {
 	case *la.PCBJacobiILU0:
-		kept, rebuilt := p.RebindPatched(mat, s.rowPatch(nd))
+		kept, rebuilt := p.RebindPatched(mat, s.rowPatch(nd/p.Comps()))
 		rs.PCRowsKept += kept
 		rs.PCRowsRebuilt += rebuilt
 		return p

@@ -146,7 +146,8 @@ type RemeshTimes struct {
 	// Preconditioner carry-over telemetry: owned ILU(0) rows whose
 	// factorization index was carried across an incremental rebind vs
 	// re-resolved from the patched sparsity (the values refactor either
-	// way), summed over every stage and multigrid-level smoother.
+	// way), summed over every stage and multigrid-level smoother. A row is
+	// a factored row: a node for NS, whose PC factors the scalar operator.
 	PCRowsKept    int
 	PCRowsRebuilt int
 	// Post-remesh solve telemetry: the first full step after each remesh,
@@ -308,6 +309,7 @@ type Solver struct {
 	chMassPC  *la.PCJacobi
 	nsKSP     *la.KSP
 	nsPC      la.PC
+	nsPCFull  bool // test hook: ILU(0) of the NS matrix's full scalar expansion
 	nsRHS     []float64
 	ppKSP     *la.KSP
 	ppPC      la.PC

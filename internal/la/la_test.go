@@ -162,43 +162,6 @@ func TestAddAfterFinalizeKeepsSparsity(t *testing.T) {
 	m.AddValue(0, 7, 1)
 }
 
-func TestInvertSmall(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for n := 1; n <= 6; n++ {
-		a := make([]float64, n*n)
-		for i := range a {
-			a[i] = r.NormFloat64()
-		}
-		for i := 0; i < n; i++ {
-			a[i*n+i] += float64(n) // diagonal dominance
-		}
-		orig := append([]float64(nil), a...)
-		if !InvertSmall(a, n) {
-			t.Fatalf("n=%d: singular", n)
-		}
-		// a * orig must be identity.
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				var s float64
-				for k := 0; k < n; k++ {
-					s += a[i*n+k] * orig[k*n+j]
-				}
-				want := 0.0
-				if i == j {
-					want = 1
-				}
-				if math.Abs(s-want) > 1e-9 {
-					t.Fatalf("n=%d: (A^-1 A)[%d,%d]=%v", n, i, j, s)
-				}
-			}
-		}
-	}
-	sing := []float64{1, 2, 2, 4}
-	if InvertSmall(sing, 2) {
-		t.Fatal("singular matrix must be rejected")
-	}
-}
-
 // quadProblem is a small nonlinear test: F_i(x) = x_i^2 + sum_j A_ij x_j - b_i.
 type quadProblem struct {
 	a *BSRMat

@@ -1,8 +1,8 @@
 // Package la is the linear-algebra substrate standing in for PETSc: local
 // vectors with owned+ghost layout, assembled sparse matrices in AIJ (CSR)
 // and BAIJ (block-CSR) formats, Krylov solvers (CG, BiCGStab, a fused
-// IBCGS variant, restarted GMRES), preconditioners (Jacobi, point-block
-// Jacobi, block-Jacobi with ILU(0) local solves) and a Newton driver.
+// IBCGS variant, restarted GMRES), preconditioners (Jacobi and
+// block-Jacobi with ILU(0) local solves) and a Newton driver.
 //
 // Matrices are distributed by rows: each rank owns the rows of its owned
 // mesh nodes; column indices are local (owned followed by ghost), and the
@@ -13,7 +13,6 @@ package la
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"proteus/internal/par"
@@ -503,19 +502,34 @@ func (m *BSRMat) NNZBlocks() int {
 // columns) in CSR form, the local block that block-Jacobi preconditioners
 // factor.
 func (m *BSRMat) LocalCSR() (indptr []int32, cols []int32, vals []float64, n int) {
+	return m.localCSR(1)
+}
+
+// localCSR extracts the owned×owned submatrix of an operator stored as
+// A ⊗ I_k (k divides Bs) as the CSR of A alone: every Bs×Bs block holds
+// the e×e block of A (e = Bs/k) on each of its k interleaved components,
+// and A's entry (bi, bj) is read from component 0, block entry
+// (bi·k, bj·k). Row r·e+bi of the result is scalar rows (r·e+bi)·k … +k−1
+// of the matrix. k = 1 is the full scalar expansion. Within a row the
+// entries come one e-wide group per owned block, in block-column order, so
+// the columns ascend.
+func (m *BSRMat) localCSR(k int) (indptr []int32, cols []int32, vals []float64, n int) {
 	if !m.finalized {
 		m.Finalize()
 	}
 	bs := m.Bs
-	n = m.NRowNodes * bs
+	if k < 1 || bs%k != 0 {
+		panic(fmt.Sprintf("la: %d components do not divide block size %d", k, bs))
+	}
+	e := bs / k
+	n = m.NRowNodes * e
 	indptr = make([]int32, n+1)
-	bs2 := bs * bs
 	// Count then fill.
 	for r := 0; r < m.NRowNodes; r++ {
 		for j := m.sp.Indptr[r]; j < m.sp.Indptr[r+1]; j++ {
 			if int(m.sp.Cols[j]) < m.NRowNodes {
-				for bi := 0; bi < bs; bi++ {
-					indptr[r*bs+bi+1] += int32(bs)
+				for bi := 0; bi < e; bi++ {
+					indptr[r*e+bi+1] += int32(e)
 				}
 			}
 		}
@@ -533,31 +547,26 @@ func (m *BSRMat) LocalCSR() (indptr []int32, cols []int32, vals []float64, n int
 			if cn >= m.NRowNodes {
 				continue
 			}
-			blk := m.vals[int(j)*bs2 : int(j+1)*bs2]
-			for bi := 0; bi < bs; bi++ {
-				row := r*bs + bi
-				for bj := 0; bj < bs; bj++ {
-					p := fill[row]
-					cols[p] = int32(cn*bs + bj)
-					vals[p] = blk[bi*bs+bj]
+			for bi := 0; bi < e; bi++ {
+				row := r*e + bi
+				for bj := 0; bj < e; bj++ {
+					cols[fill[row]] = int32(cn*e + bj)
 					fill[row]++
 				}
 			}
 		}
 	}
-	// Column-sort each row (blocks were visited in sorted block order, so
-	// scalar columns are already ascending within the row).
+	m.localCSRValuesInto(indptr, vals, k)
 	return indptr, cols, vals, n
 }
 
-// LocalCSRValuesInto refills vals (from a previous LocalCSR of this
+// localCSRValuesInto refills vals (from a previous localCSR(k) of this
 // matrix, whose pattern is unchanged) with the current owned×owned
-// values, allocation-free. Entries are produced in the same deterministic
-// traversal order as LocalCSR: within scalar row r*bs+bi, one bs-wide
-// group per owned block, in block-column order.
-func (m *BSRMat) LocalCSRValuesInto(indptr []int32, vals []float64) {
+// values, allocation-free, in localCSR's entry order.
+func (m *BSRMat) localCSRValuesInto(indptr []int32, vals []float64, k int) {
 	bs := m.Bs
 	bs2 := bs * bs
+	e := bs / k
 	for r := 0; r < m.NRowNodes; r++ {
 		nOwned := 0
 		for j := m.sp.Indptr[r]; j < m.sp.Indptr[r+1]; j++ {
@@ -565,66 +574,17 @@ func (m *BSRMat) LocalCSRValuesInto(indptr []int32, vals []float64) {
 				continue
 			}
 			blk := m.vals[int(j)*bs2 : int(j+1)*bs2]
-			for bi := 0; bi < bs; bi++ {
-				base := int(indptr[r*bs+bi]) + nOwned*bs
-				copy(vals[base:base+bs], blk[bi*bs:(bi+1)*bs])
+			for bi := 0; bi < e; bi++ {
+				base := int(indptr[r*e+bi]) + nOwned*e
+				if k == 1 { // the expansion: whole block rows
+					copy(vals[base:base+bs], blk[bi*bs:(bi+1)*bs])
+					continue
+				}
+				for bj := 0; bj < e; bj++ {
+					vals[base+bj] = blk[(bi*bs+bj)*k]
+				}
 			}
 			nOwned++
 		}
 	}
-}
-
-// InvertSmall inverts an n x n row-major matrix in place using Gauss-
-// Jordan with partial pivoting. Returns false if singular. Used for
-// diagonal blocks (n <= 8), where the scratch stays on the stack so
-// preconditioner refreshes allocate nothing.
-func InvertSmall(a []float64, n int) bool {
-	var buf [maxBs * maxBs]float64
-	var inv []float64
-	if n <= maxBs {
-		inv = buf[:n*n]
-	} else {
-		inv = make([]float64, n*n)
-	}
-	for i := 0; i < n; i++ {
-		inv[i*n+i] = 1
-	}
-	for col := 0; col < n; col++ {
-		// Pivot.
-		p := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r*n+col]) > math.Abs(a[p*n+col]) {
-				p = r
-			}
-		}
-		if a[p*n+col] == 0 {
-			return false
-		}
-		if p != col {
-			for k := 0; k < n; k++ {
-				a[col*n+k], a[p*n+k] = a[p*n+k], a[col*n+k]
-				inv[col*n+k], inv[p*n+k] = inv[p*n+k], inv[col*n+k]
-			}
-		}
-		d := 1 / a[col*n+col]
-		for k := 0; k < n; k++ {
-			a[col*n+k] *= d
-			inv[col*n+k] *= d
-		}
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := a[r*n+col]
-			if f == 0 {
-				continue
-			}
-			for k := 0; k < n; k++ {
-				a[r*n+k] -= f * a[col*n+k]
-				inv[r*n+k] -= f * inv[col*n+k]
-			}
-		}
-	}
-	copy(a, inv)
-	return true
 }

@@ -118,9 +118,15 @@ func (p *PCJacobi) Apply(r, z []float64) {
 // [indptr[i], diag[i]) and its U part (diag[i], indptr[i+1]). factor and
 // Apply sweep those ranges without testing a column; findDiag asserts the
 // property once per index build.
+//
+// With k > 1 components (NewPCBJacobiILU0Kron) the matrix is an operator
+// A ⊗ I_k and only A is factored: factored row i stands for the k
+// interleaved scalar rows i·k … i·k+k−1, and each Apply sweep updates all
+// k of them in one pass over row i (PETSc's MATMAIJ shape).
 type PCBJacobiILU0 struct {
 	m      *BSRMat
-	n      int
+	k      int // interleaved components per factored row
+	n      int // factored rows
 	indptr []int32
 	cols   []int32
 	lu     []float64
@@ -132,19 +138,40 @@ type PCBJacobiILU0 struct {
 	updDst []int32
 }
 
-// NewPCBJacobiILU0 factors the local owned submatrix of m in place.
-func NewPCBJacobiILU0(m *BSRMat) *PCBJacobiILU0 {
-	indptr, cols, vals, n := m.LocalCSR()
-	p := &PCBJacobiILU0{m: m, n: n, indptr: indptr, cols: cols, lu: vals, diag: make([]int32, n)}
+// NewPCBJacobiILU0 factors the local owned submatrix of m in place: its
+// full scalar expansion, every entry of every block.
+func NewPCBJacobiILU0(m *BSRMat) *PCBJacobiILU0 { return newPCBJacobiILU0(m, 1) }
+
+// NewPCBJacobiILU0Kron factors only A for a matrix m that stores A ⊗ I_k,
+// k dividing m.Bs: the same scalar operator on each of k interleaved
+// components, so every owned block is A's block on its k diagonal
+// positions and zero across components (a no-slip row pinned on all k
+// components keeps that shape). The caller guarantees the shape; A is
+// read from component 0. On such a matrix the result and every Apply are
+// bitwise those of NewPCBJacobiILU0 — up to the sign of exact zeros — as
+// each cross-component entry of the expansion is a structural zero: it
+// adds ±0 to a running sum in the sweeps and x − 0·y = x in the
+// elimination, so the same-component entries are computed from the same
+// operands in the same order. It stores and sweeps a k²-th of the
+// entries, and its update index shrinks by more.
+func NewPCBJacobiILU0Kron(m *BSRMat, k int) *PCBJacobiILU0 { return newPCBJacobiILU0(m, k) }
+
+func newPCBJacobiILU0(m *BSRMat, k int) *PCBJacobiILU0 {
+	indptr, cols, vals, n := m.localCSR(k)
+	p := &PCBJacobiILU0{m: m, k: k, n: n, indptr: indptr, cols: cols, lu: vals, diag: make([]int32, n)}
 	p.buildIndex()
 	p.factor()
 	return p
 }
 
+// Comps returns the interleaved components per factored row: the
+// granularity of the RowPatch RebindPatched expects.
+func (p *PCBJacobiILU0) Comps() int { return p.k }
+
 // Refresh re-extracts the owned submatrix values and refactors on the
 // frozen pattern. Implements Refresher; allocation-free.
 func (p *PCBJacobiILU0) Refresh() {
-	p.m.LocalCSRValuesInto(p.indptr, p.lu)
+	p.m.localCSRValuesInto(p.indptr, p.lu, p.k)
 	p.factor()
 }
 
@@ -155,16 +182,18 @@ func (p *PCBJacobiILU0) Refresh() {
 // offset arithmetic; only dirty rows re-resolve their intersections, with a
 // two-pointer merge over the sorted patterns. The values are always
 // re-extracted and the numeric factorization redone in full, so the result
-// is bitwise identical to NewPCBJacobiILU0(m). A nil patch rebuilds from
-// scratch. Returns the owned scalar rows whose index was carried vs rebuilt.
+// is bitwise identical to a fresh construction on m with the same component
+// count. The patch is over factored rows (node rows for a k = Bs operator).
+// A nil patch rebuilds from scratch. Returns the factored rows whose index
+// was carried vs rebuilt.
 func (p *PCBJacobiILU0) RebindPatched(m *BSRMat, patch *RowPatch) (kept, rebuilt int) {
 	if patch == nil {
-		*p = *NewPCBJacobiILU0(m)
+		*p = *newPCBJacobiILU0(m, p.k)
 		return 0, p.n
 	}
 	oldIndptr := p.indptr
 	oldUpdOff, oldUpdSrc, oldUpdDst := p.updOff, p.updSrc, p.updDst
-	indptr, cols, vals, n := m.LocalCSR()
+	indptr, cols, vals, n := m.localCSR(p.k)
 	p.m, p.n, p.indptr, p.cols, p.lu = m, n, indptr, cols, vals
 	if cap(p.diag) < n {
 		p.diag = make([]int32, n)
@@ -342,8 +371,25 @@ func (p *PCBJacobiILU0) factor() {
 }
 
 // Apply performs the forward/backward ILU(0) triangular solves on the
-// local block. Implements PC.
+// local block, on all k components of each row in one sweep. Implements
+// PC.
 func (p *PCBJacobiILU0) Apply(r, z []float64) {
+	switch p.k {
+	case 1:
+		p.apply1(r, z)
+	case 2:
+		p.apply2(r, z)
+	case 3:
+		p.apply3(r, z)
+	default:
+		p.applyK(r, z)
+	}
+}
+
+// apply1, apply2 and apply3 are applyK unrolled with the row sums in
+// registers; each component subtracts the same products in the same order,
+// so all four produce the same bits.
+func (p *PCBJacobiILU0) apply1(r, z []float64) {
 	n := p.n
 	indptr, diag, cols, lu := p.indptr, p.diag, p.cols, p.lu
 	r, z = r[:n], z[:n]
@@ -367,5 +413,103 @@ func (p *PCBJacobiILU0) Apply(r, z []float64) {
 			piv = 1
 		}
 		z[i] = s / piv
+	}
+}
+
+func (p *PCBJacobiILU0) apply2(r, z []float64) {
+	n := p.n
+	indptr, diag, cols, lu := p.indptr, p.diag, p.cols, p.lu
+	r, z = r[:2*n], z[:2*n]
+	for i := 0; i < n; i++ {
+		s0, s1 := r[2*i], r[2*i+1]
+		for j := indptr[i]; j < diag[i]; j++ {
+			v, zc := lu[j], z[2*int(cols[j]):][:2]
+			s0 -= v * zc[0]
+			s1 -= v * zc[1]
+		}
+		z[2*i], z[2*i+1] = s0, s1
+	}
+	for i := n - 1; i >= 0; i-- {
+		d := diag[i]
+		s0, s1 := z[2*i], z[2*i+1]
+		for j := d + 1; j < indptr[i+1]; j++ {
+			v, zc := lu[j], z[2*int(cols[j]):][:2]
+			s0 -= v * zc[0]
+			s1 -= v * zc[1]
+		}
+		piv := lu[d]
+		if piv == 0 {
+			piv = 1
+		}
+		z[2*i], z[2*i+1] = s0/piv, s1/piv
+	}
+}
+
+func (p *PCBJacobiILU0) apply3(r, z []float64) {
+	n := p.n
+	indptr, diag, cols, lu := p.indptr, p.diag, p.cols, p.lu
+	r, z = r[:3*n], z[:3*n]
+	for i := 0; i < n; i++ {
+		s0, s1, s2 := r[3*i], r[3*i+1], r[3*i+2]
+		for j := indptr[i]; j < diag[i]; j++ {
+			v, zc := lu[j], z[3*int(cols[j]):][:3]
+			s0 -= v * zc[0]
+			s1 -= v * zc[1]
+			s2 -= v * zc[2]
+		}
+		z[3*i], z[3*i+1], z[3*i+2] = s0, s1, s2
+	}
+	for i := n - 1; i >= 0; i-- {
+		d := diag[i]
+		s0, s1, s2 := z[3*i], z[3*i+1], z[3*i+2]
+		for j := d + 1; j < indptr[i+1]; j++ {
+			v, zc := lu[j], z[3*int(cols[j]):][:3]
+			s0 -= v * zc[0]
+			s1 -= v * zc[1]
+			s2 -= v * zc[2]
+		}
+		piv := lu[d]
+		if piv == 0 {
+			piv = 1
+		}
+		z[3*i], z[3*i+1], z[3*i+2] = s0/piv, s1/piv, s2/piv
+	}
+}
+
+// applyK is the run-time-k sweep pair, accumulating each row's k sums in
+// a stack buffer; k <= maxBs as it divides the block size.
+func (p *PCBJacobiILU0) applyK(r, z []float64) {
+	n, k := p.n, p.k
+	indptr, diag, cols, lu := p.indptr, p.diag, p.cols, p.lu
+	r, z = r[:k*n], z[:k*n]
+	var acc [maxBs]float64
+	s := acc[:k]
+	for i := 0; i < n; i++ {
+		copy(s, r[k*i:k*i+k])
+		for j := indptr[i]; j < diag[i]; j++ {
+			v, zc := lu[j], z[k*int(cols[j]):][:k]
+			for c := range s {
+				s[c] -= v * zc[c]
+			}
+		}
+		copy(z[k*i:k*i+k], s)
+	}
+	for i := n - 1; i >= 0; i-- {
+		d := diag[i]
+		copy(s, z[k*i:k*i+k])
+		for j := d + 1; j < indptr[i+1]; j++ {
+			v, zc := lu[j], z[k*int(cols[j]):][:k]
+			for c := range s {
+				s[c] -= v * zc[c]
+			}
+		}
+		piv := lu[d]
+		if piv == 0 {
+			piv = 1
+		}
+		zi := z[k*i : k*i+k]
+		for c := range s {
+			zi[c] = s[c] / piv
+		}
 	}
 }
