@@ -103,7 +103,8 @@ func runNSPC(name string, ranks, w, faultStep int, expanded bool) []nsRun {
 // same iterations and end in the same field bits on 1 and 2 ranks at 1 and
 // 2 workers per rank, whether the NS PC factors the scalar momentum
 // operator and sweeps every velocity component at once, or factors the
-// matrix's full scalar expansion.
+// matrix's full scalar expansion; the PC carry-over telemetry counts the
+// same scalar rows either way.
 func TestNSKronPCBitwiseEndToEnd(t *testing.T) {
 	for _, name := range []string{"bubble", "jet"} {
 		for _, ranks := range []int{1, 2} {
@@ -116,6 +117,10 @@ func TestNSKronPCBitwiseEndToEnd(t *testing.T) {
 						a, b := kron[r], full[r]
 						if a.its != b.its || a.its[1] == 0 {
 							t.Fatalf("%s: iteration totals CH/NS/PP/VU/Newton %v vs expanded %v", what, a.its, b.its)
+						}
+						if a.stats.PCRowsKept != b.stats.PCRowsKept || a.stats.PCRowsRebuilt != b.stats.PCRowsRebuilt {
+							t.Fatalf("%s: PC rows kept/rebuilt %d/%d vs expanded %d/%d", what,
+								a.stats.PCRowsKept, a.stats.PCRowsRebuilt, b.stats.PCRowsKept, b.stats.PCRowsRebuilt)
 						}
 						st := a.stats
 						patched := st.IncrBuildRounds + st.MigrateBuildRounds

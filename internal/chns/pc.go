@@ -64,7 +64,7 @@ func (s *Solver) newNSPC(mat *la.BSRMat) la.PC {
 		if s.nsPCFull {
 			return la.NewPCBJacobiILU0(mat)
 		}
-		return la.NewPCBJacobiILU0Kron(mat, s.M.Dim)
+		return la.NewPCBJacobiILU0Kron(mat)
 	}
 }
 
@@ -94,18 +94,20 @@ func (s *Solver) newPPPC(mat *la.BSRMat) la.PC {
 // rows (refactoring values only), Jacobi re-extracts the new diagonal in
 // place, and a multigrid PC rebinds its level assemblers and smoothers
 // onto the refreshed hierarchy before the usual coefficient/operator
-// refresh. nd is the stage's dofs per node (the row-patch expansion, over
-// which an ILU(0) PC's interleaved components are divided out); gmgCoefs
-// builds the stage's coefficient bindings on the new mesh.
+// refresh. nd is the stage's dofs per node (the row-patch expansion);
+// gmgCoefs builds the stage's coefficient bindings on the new mesh.
 // Returns the PC to install (an unrecognized type is rebuilt cold).
 func (s *Solver) rebindStagePC(pc la.PC, mat *la.BSRMat, nd int,
 	gmgCoefs func() []mg.Coefficient, rebuild func(*la.BSRMat) la.PC) la.PC {
 	rs := &s.T.RemeshStages
 	switch p := pc.(type) {
 	case *la.PCBJacobiILU0:
-		kept, rebuilt := p.RebindPatched(mat, s.rowPatch(nd/p.Comps()))
-		rs.PCRowsKept += kept
-		rs.PCRowsRebuilt += rebuilt
+		// The NS PC factors the scalar operator: its patch is per node and
+		// its counts are scaled back to scalar rows.
+		k := p.Comps()
+		kept, rebuilt := p.RebindPatched(mat, s.rowPatch(nd/k))
+		rs.PCRowsKept += kept * k
+		rs.PCRowsRebuilt += rebuilt * k
 		return p
 	case *la.PCJacobi:
 		p.Rebind(mat)

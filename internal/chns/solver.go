@@ -146,8 +146,7 @@ type RemeshTimes struct {
 	// Preconditioner carry-over telemetry: owned ILU(0) rows whose
 	// factorization index was carried across an incremental rebind vs
 	// re-resolved from the patched sparsity (the values refactor either
-	// way), summed over every stage and multigrid-level smoother. A row is
-	// a factored row: a node for NS, whose PC factors the scalar operator.
+	// way), summed over every stage and multigrid-level smoother.
 	PCRowsKept    int
 	PCRowsRebuilt int
 	// Post-remesh solve telemetry: the first full step after each remesh,

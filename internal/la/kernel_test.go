@@ -158,8 +158,14 @@ func (s *ringScatter) GlobalSum(v float64) float64          { panic("unused") }
 type gridPattern struct {
 	ghosts    bool // last grid column couples to ny ghost nodes
 	emptyRows bool // every 11th block row stores nothing (SpMV only: ILU needs a diagonal)
-	zeroPivot bool // scalar entry (0,0) is exactly zero
+	zeroPivot bool // scalar entry (0,0) is exactly zero (with kron: every component's)
+	kron      bool // every block is a·I_bs, one random a: the A ⊗ I_bs shape of the NS operator
+	pinned    bool // gridPinned nodes are no-slip rows, identity on every component
 }
+
+// gridPinned reports whether a gridSystem with pinned rows pins node
+// (ix, iy).
+func gridPinned(ix, iy int) bool { return (ix+iy)%7 == 3 }
 
 // gridSystem assembles a nine-point-stencil block matrix on an nx x ny
 // node grid with random, diagonally dominant bs x bs blocks — the shape of
@@ -185,8 +191,16 @@ func gridSystem(sc Scatter, nx, ny, bs int, pat gridPattern, seed int64) *BSRMat
 						continue
 					}
 					cn := cx*ny + cy // cx == nx: ghost node owned+cy
-					for i := range blk {
-						blk[i] = rng.NormFloat64()
+					if pat.kron {
+						a := rng.NormFloat64()
+						clear(blk)
+						for d := 0; d < bs; d++ {
+							blk[d*bs+d] = a
+						}
+					} else {
+						for i := range blk {
+							blk[i] = rng.NormFloat64()
+						}
 					}
 					if cn == rn {
 						for d := 0; d < bs; d++ {
@@ -200,7 +214,18 @@ func gridSystem(sc Scatter, nx, ny, bs int, pat gridPattern, seed int64) *BSRMat
 	}
 	m.Finalize()
 	if pat.zeroPivot {
-		m.vals[m.sp.FindSlot(0, 0)*bs*bs] = 0
+		blk := m.vals[m.sp.FindSlot(0, 0)*bs*bs:][:bs*bs]
+		blk[0] = 0
+		for d := 1; pat.kron && d < bs; d++ {
+			blk[d*bs+d] = 0
+		}
+	}
+	for rn := 0; pat.pinned && rn < owned; rn++ {
+		if gridPinned(rn/ny, rn%ny) {
+			for d := 0; d < bs; d++ {
+				m.ZeroRow(rn*bs+d, 1)
+			}
+		}
 	}
 	return m
 }

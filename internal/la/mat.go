@@ -505,23 +505,21 @@ func (m *BSRMat) LocalCSR() (indptr []int32, cols []int32, vals []float64, n int
 	return m.localCSR(1)
 }
 
-// localCSR extracts the owned×owned submatrix of an operator stored as
-// A ⊗ I_k (k divides Bs) as the CSR of A alone: every Bs×Bs block holds
-// the e×e block of A (e = Bs/k) on each of its k interleaved components,
-// and A's entry (bi, bj) is read from component 0, block entry
-// (bi·k, bj·k). Row r·e+bi of the result is scalar rows (r·e+bi)·k … +k−1
-// of the matrix. k = 1 is the full scalar expansion. Within a row the
-// entries come one e-wide group per owned block, in block-column order, so
-// the columns ascend.
+// localCSR extracts the owned×owned submatrix in CSR form for k = 1, the
+// full scalar expansion, or for k = Bs, the scalar A of an operator stored
+// as A ⊗ I_Bs: one entry per owned block, read from its entry (0,0), and
+// row r of the result stands for scalar rows r·Bs … r·Bs+Bs−1. Within a
+// row the entries come one group per owned block, in block-column order,
+// so the columns ascend.
 func (m *BSRMat) localCSR(k int) (indptr []int32, cols []int32, vals []float64, n int) {
 	if !m.finalized {
 		m.Finalize()
 	}
 	bs := m.Bs
-	if k < 1 || bs%k != 0 {
-		panic(fmt.Sprintf("la: %d components do not divide block size %d", k, bs))
+	if k != 1 && k != bs {
+		panic(fmt.Sprintf("la: %d components for block size %d", k, bs))
 	}
-	e := bs / k
+	e := bs / k // A's entries per block row and column
 	n = m.NRowNodes * e
 	indptr = make([]int32, n+1)
 	// Count then fill.
@@ -566,7 +564,18 @@ func (m *BSRMat) localCSR(k int) (indptr []int32, cols []int32, vals []float64, 
 func (m *BSRMat) localCSRValuesInto(indptr []int32, vals []float64, k int) {
 	bs := m.Bs
 	bs2 := bs * bs
-	e := bs / k
+	if k > 1 { // A ⊗ I_Bs: one value per owned block
+		for r := 0; r < m.NRowNodes; r++ {
+			p := indptr[r]
+			for j := m.sp.Indptr[r]; j < m.sp.Indptr[r+1]; j++ {
+				if int(m.sp.Cols[j]) < m.NRowNodes {
+					vals[p] = m.vals[int(j)*bs2]
+					p++
+				}
+			}
+		}
+		return
+	}
 	for r := 0; r < m.NRowNodes; r++ {
 		nOwned := 0
 		for j := m.sp.Indptr[r]; j < m.sp.Indptr[r+1]; j++ {
@@ -574,15 +583,9 @@ func (m *BSRMat) localCSRValuesInto(indptr []int32, vals []float64, k int) {
 				continue
 			}
 			blk := m.vals[int(j)*bs2 : int(j+1)*bs2]
-			for bi := 0; bi < e; bi++ {
-				base := int(indptr[r*e+bi]) + nOwned*e
-				if k == 1 { // the expansion: whole block rows
-					copy(vals[base:base+bs], blk[bi*bs:(bi+1)*bs])
-					continue
-				}
-				for bj := 0; bj < e; bj++ {
-					vals[base+bj] = blk[(bi*bs+bj)*k]
-				}
+			for bi := 0; bi < bs; bi++ {
+				base := int(indptr[r*bs+bi]) + nOwned*bs
+				copy(vals[base:base+bs], blk[bi*bs:(bi+1)*bs])
 			}
 			nOwned++
 		}

@@ -119,7 +119,7 @@ func (p *PCJacobi) Apply(r, z []float64) {
 // Apply sweep those ranges without testing a column; findDiag asserts the
 // property once per index build.
 //
-// With k > 1 components (NewPCBJacobiILU0Kron) the matrix is an operator
+// With k = Bs components (NewPCBJacobiILU0Kron) the matrix is an operator
 // A ⊗ I_k and only A is factored: factored row i stands for the k
 // interleaved scalar rows i·k … i·k+k−1, and each Apply sweep updates all
 // k of them in one pass over row i (PETSc's MATMAIJ shape).
@@ -142,19 +142,23 @@ type PCBJacobiILU0 struct {
 // full scalar expansion, every entry of every block.
 func NewPCBJacobiILU0(m *BSRMat) *PCBJacobiILU0 { return newPCBJacobiILU0(m, 1) }
 
-// NewPCBJacobiILU0Kron factors only A for a matrix m that stores A ⊗ I_k,
-// k dividing m.Bs: the same scalar operator on each of k interleaved
-// components, so every owned block is A's block on its k diagonal
-// positions and zero across components (a no-slip row pinned on all k
-// components keeps that shape). The caller guarantees the shape; A is
-// read from component 0. On such a matrix the result and every Apply are
-// bitwise those of NewPCBJacobiILU0 — up to the sign of exact zeros — as
-// each cross-component entry of the expansion is a structural zero: it
-// adds ±0 to a running sum in the sweeps and x − 0·y = x in the
-// elimination, so the same-component entries are computed from the same
-// operands in the same order. It stores and sweeps a k²-th of the
-// entries, and its update index shrinks by more.
-func NewPCBJacobiILU0Kron(m *BSRMat, k int) *PCBJacobiILU0 { return newPCBJacobiILU0(m, k) }
+// NewPCBJacobiILU0Kron factors only A for a matrix m that stores A ⊗ I_k
+// with k = m.Bs ≤ 3: the same scalar operator on each of k interleaved
+// components, so every owned block is A's entry times I_k (a no-slip row
+// pinned on all k components keeps that shape). The caller guarantees the
+// shape; A is read from entry (0,0) of each block. On such a matrix the
+// result and every Apply are bitwise those of NewPCBJacobiILU0 — up to the
+// sign of exact zeros — as each cross-component entry of the expansion is
+// a structural zero: it adds ±0 to a running sum in the sweeps and
+// x − 0·y = x in the elimination, so the same-component entries are
+// computed from the same operands in the same order. It stores and sweeps
+// a k²-th of the entries, and its update index shrinks by more.
+func NewPCBJacobiILU0Kron(m *BSRMat) *PCBJacobiILU0 {
+	if m.Bs > 3 {
+		panic(fmt.Sprintf("la: no interleaved ILU(0) sweep for %d components", m.Bs))
+	}
+	return newPCBJacobiILU0(m, m.Bs)
+}
 
 func newPCBJacobiILU0(m *BSRMat, k int) *PCBJacobiILU0 {
 	indptr, cols, vals, n := m.localCSR(k)
@@ -375,20 +379,18 @@ func (p *PCBJacobiILU0) factor() {
 // PC.
 func (p *PCBJacobiILU0) Apply(r, z []float64) {
 	switch p.k {
-	case 1:
-		p.apply1(r, z)
 	case 2:
 		p.apply2(r, z)
 	case 3:
 		p.apply3(r, z)
 	default:
-		p.applyK(r, z)
+		p.apply1(r, z)
 	}
 }
 
-// apply1, apply2 and apply3 are applyK unrolled with the row sums in
-// registers; each component subtracts the same products in the same order,
-// so all four produce the same bits.
+// apply2 and apply3 run apply1's sweeps with one running sum per
+// component: each component subtracts the same products in the same order
+// as apply1 on that component alone, so the bits are the same.
 func (p *PCBJacobiILU0) apply1(r, z []float64) {
 	n := p.n
 	indptr, diag, cols, lu := p.indptr, p.diag, p.cols, p.lu
@@ -473,43 +475,5 @@ func (p *PCBJacobiILU0) apply3(r, z []float64) {
 			piv = 1
 		}
 		z[3*i], z[3*i+1], z[3*i+2] = s0/piv, s1/piv, s2/piv
-	}
-}
-
-// applyK is the run-time-k sweep pair, accumulating each row's k sums in
-// a stack buffer; k <= maxBs as it divides the block size.
-func (p *PCBJacobiILU0) applyK(r, z []float64) {
-	n, k := p.n, p.k
-	indptr, diag, cols, lu := p.indptr, p.diag, p.cols, p.lu
-	r, z = r[:k*n], z[:k*n]
-	var acc [maxBs]float64
-	s := acc[:k]
-	for i := 0; i < n; i++ {
-		copy(s, r[k*i:k*i+k])
-		for j := indptr[i]; j < diag[i]; j++ {
-			v, zc := lu[j], z[k*int(cols[j]):][:k]
-			for c := range s {
-				s[c] -= v * zc[c]
-			}
-		}
-		copy(z[k*i:k*i+k], s)
-	}
-	for i := n - 1; i >= 0; i-- {
-		d := diag[i]
-		copy(s, z[k*i:k*i+k])
-		for j := d + 1; j < indptr[i+1]; j++ {
-			v, zc := lu[j], z[k*int(cols[j]):][:k]
-			for c := range s {
-				s[c] -= v * zc[c]
-			}
-		}
-		piv := lu[d]
-		if piv == 0 {
-			piv = 1
-		}
-		zi := z[k*i : k*i+k]
-		for c := range s {
-			zi[c] = s[c] / piv
-		}
 	}
 }
