@@ -139,28 +139,44 @@ func TestMobilityPrime(t *testing.T) {
 	}
 }
 
-// TestCHTimerTreeCloses: over warm steps the CH stage's Matrix, Vector,
+// TestCHTimerTreeCloses: over warm steps each stage's Matrix, Vector,
 // PCSetup and Solve sub-timers account for at least 90% of its Total
-// (the Newton-inner Krylov time is booked to Solve).
+// (CH books its Newton-inner Krylov time to Solve), and every stage
+// spends time in Solve.
 func TestCHTimerTreeCloses(t *testing.T) {
+	stages := []struct {
+		name string
+		st   func(*Timers) StageTimes
+	}{
+		{"ch", func(tm *Timers) StageTimes { return tm.CH }},
+		{"ns", func(tm *Timers) StageTimes { return tm.NS }},
+		{"pp", func(tm *Timers) StageTimes { return tm.PP }},
+		{"vu", func(tm *Timers) StageTimes { return tm.VU }},
+	}
+	var t0, t1 Timers
 	par.Run(1, func(c *par.Comm) {
 		s := gmgSolver(c, PCBJacobi, 5, 2e-3)
-		if _, err := s.StepCH(nil); err != nil {
+		if _, err := s.Step(); err != nil {
 			panic(err)
 		}
-		t0 := s.T.CH
+		t0 = s.T
 		for i := 0; i < 3; i++ {
-			if _, err := s.StepCH(nil); err != nil {
+			if _, err := s.Step(); err != nil {
 				panic(err)
 			}
 		}
-		t1 := s.T.CH
-		parts := (t1.Matrix - t0.Matrix) + (t1.Vector - t0.Vector) + (t1.PCSetup - t0.PCSetup) + (t1.Solve - t0.Solve)
-		total := t1.Total - t0.Total
-		if t1.Solve == t0.Solve || float64(parts) < 0.9*float64(total) {
-			panic(fmt.Sprintf("CH sub-timers %v of total %v (solve %v)", parts, total, t1.Solve-t0.Solve))
-		}
+		t1 = s.T
 	})
+	for _, tc := range stages {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.st(&t0), tc.st(&t1)
+			parts := (b.Matrix - a.Matrix) + (b.Vector - a.Vector) + (b.PCSetup - a.PCSetup) + (b.Solve - a.Solve)
+			total := b.Total - a.Total
+			if b.Solve == a.Solve || float64(parts) < 0.9*float64(total) {
+				t.Fatalf("%s sub-timers %v of total %v (solve %v)", tc.name, parts, total, b.Solve-a.Solve)
+			}
+		})
+	}
 }
 
 // reexchange is a NewtonProblem whose Jacobian re-runs the ghost exchange

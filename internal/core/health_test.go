@@ -129,36 +129,43 @@ func TestCheckpointFallbackReplays(t *testing.T) {
 	}
 }
 
-// TestNaNPokeCaught checks the sharded finite scan: a NaN poked into the
-// CH output on one rank becomes a typed nonfinite divergence on every
-// rank, the step retries cleanly, and the finished fields are finite.
+// TestNaNPokeCaught checks the sharded finite scan at every stage's
+// injection point: a NaN poked into the stage output on one rank becomes
+// a typed nonfinite divergence of that stage on every rank, the step
+// retries cleanly, and the finished fields are finite.
 func TestNaNPokeCaught(t *testing.T) {
 	cfg := ckptTestConfig()
 	phi0 := ckptTestPhi0(cfg.Params.Cn)
-	par.Run(2, func(c *par.Comm) {
-		sim := New(c, cfg, phi0)
-		sim.Fault = fault.New(1, c.Rank(),
-			fault.Fault{Point: fault.FieldNaN, Step: 2, Stage: "ch", Rank: 0})
-		res, err := sim.RunUntil(RunOptions{Steps: 4, MaxRetries: 1})
-		if err != nil {
-			panic(err)
-		}
-		if res.StepsDone != 4 {
-			panic(fmt.Sprintf("did %d steps, want 4", res.StepsDone))
-		}
-		st := sim.Stats()
-		if st.Retries != 1 || len(st.Recovery) != 1 {
-			panic(fmt.Sprintf("recovery accounting %+v", st.Recovery))
-		}
-		if ev := st.Recovery[0]; ev.Step != 2 || ev.Stage != "ch" || ev.Kind != chns.DivergeNonFinite {
-			panic(fmt.Sprintf("event %+v, want step 2 ch/nonfinite", ev))
-		}
-		for i, v := range sim.Solver.PhiMu {
-			if d := v - v; d != 0 {
-				panic(fmt.Sprintf("non-finite φ/μ survived recovery at %d", i))
-			}
-		}
-	})
+	for _, stage := range []string{"ch", "ns", "pp", "vu"} {
+		t.Run(stage, func(t *testing.T) {
+			par.Run(2, func(c *par.Comm) {
+				sim := New(c, cfg, phi0)
+				sim.Fault = fault.New(1, c.Rank(),
+					fault.Fault{Point: fault.FieldNaN, Step: 2, Stage: stage, Rank: 0})
+				res, err := sim.RunUntil(RunOptions{Steps: 4, MaxRetries: 1})
+				if err != nil {
+					panic(err)
+				}
+				if res.StepsDone != 4 {
+					panic(fmt.Sprintf("did %d steps, want 4", res.StepsDone))
+				}
+				st := sim.Stats()
+				if st.Retries != 1 || len(st.Recovery) != 1 {
+					panic(fmt.Sprintf("recovery accounting %+v", st.Recovery))
+				}
+				if ev := st.Recovery[0]; ev.Step != 2 || ev.Stage != stage || ev.Kind != chns.DivergeNonFinite {
+					panic(fmt.Sprintf("event %+v, want step 2 %s/nonfinite", ev, stage))
+				}
+				for _, f := range [][]float64{sim.Solver.PhiMu, sim.Solver.Vel, sim.Solver.P} {
+					for i, v := range f {
+						if d := v - v; d != 0 {
+							panic(fmt.Sprintf("non-finite value survived recovery at %d", i))
+						}
+					}
+				}
+			})
+		})
+	}
 }
 
 // TestRunFailedStructured checks the terminal path: an unrecoverable
