@@ -46,7 +46,7 @@ func main() {
 	statsJSON := flag.String("stats-json", "", "dump machine-readable run stats (timers, elem counts, remesh counts) to this path")
 	table2 := flag.Bool("table2", false, "print the Table II solver configuration and exit")
 	localCahn := flag.Bool("localcahn", true, "enable local-Cahn detection where the scenario uses it")
-	pc := flag.String("pc", "", "NS/PP preconditioner: bjacobi (default) | jacobi | gmg (octree geometric multigrid)")
+	pc := flag.String("pc", "", "NS/PP preconditioner: bjacobi (default) | gmg (octree geometric multigrid)")
 	warmStarts := flag.Bool("warm-starts", false, "seed the PP/VU Krylov solves from the previous (migrated) solution; same converged tolerance, fewer iterations after remeshes")
 	list := flag.Bool("list", false, "list registered scenarios and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole process to this file (go tool pprof)")
@@ -56,7 +56,7 @@ func main() {
 	defer stopProfiles()
 
 	if !chns.ValidPC(*pc) {
-		fatal(fmt.Errorf("unknown -pc %q (known: bjacobi, jacobi, gmg)", *pc))
+		fatal(fmt.Errorf("unknown -pc %q (known: bjacobi, gmg)", *pc))
 	}
 	if *table2 {
 		printTable2(*pc)

@@ -164,91 +164,89 @@ func (p *chProblem) elemOps(w, e int, h float64, pm, vel []float64, ops *chOps) 
 	}
 }
 
-// Residual implements la.NewtonProblem. The element kernel is the
-// prebuilt s.kCHRes; the iterate reaches it through s.kCHx.
+// Residual implements la.NewtonProblem. The element kernel is kCHRes
+// (held by the CH stage); the iterate reaches it through s.kCHx.
 func (p *chProblem) Residual(x, res []float64) {
 	s := p.s
 	t0 := time.Now()
 	s.M.GhostRead(x, 2)
 	s.kCHx = x
 	s.chBeginSweep(x)
-	s.asmCH.AssembleVectorPlanned(res, s.kCHRes)
+	s.asmCH.AssembleVectorPlanned(res, s.ch.vecK)
 	s.T.CH.Vector += time.Since(t0)
 }
 
-// initCHKernels builds the CH residual and (zipped) Jacobian element
-// kernels once. They capture only the Solver: mesh, reference element,
-// options and the Newton iterate are all read through it at call time, so
-// the kernels survive a Rebind and warm steps allocate nothing.
-func (s *Solver) initCHKernels() {
-	s.kCHRes = func(w, e int, h float64, fe []float64) {
-		p := &s.chProb
-		m := s.M
-		r := s.asmCH.Ref
-		npe := r.NPE
-		sc := s.chRes[w]
-		ops := sc.ops
-		m.GatherElem(e, s.kCHx, 2, sc.pm)
-		m.GatherElem(e, p.old, 2, sc.pmOld)
-		for a := 0; a < npe; a++ {
-			sc.phiNew[a] = sc.pm[a*2]
-			sc.muNew[a] = sc.pm[a*2+1]
-			sc.phiOld[a] = sc.pmOld[a*2]
-			sc.muOld[a] = sc.pmOld[a*2+1]
-			sc.psi1[a] = PsiPrime(sc.phiNew[a])
-		}
-		p.elemOps(w, e, h, sc.pm, sc.vel, ops)
-		cn := s.ElemCn[e]
-		diff := 1 / (s.Par.Pe * cn)
-		th, th1 := p.theta, 1-p.theta
-		// R_phi = M(phi-phiOld)/dt + th[C phi + D Km mu]
-		//       + (1-th)[C phiOld + D Km muOld]
-		addMatVec(fe, 0, 2, ops.Me, sc.phiNew, 1/p.dt, sc.tmp, npe)
-		addMatVec(fe, 0, 2, ops.Me, sc.phiOld, -1/p.dt, sc.tmp, npe)
-		addMatVec(fe, 0, 2, ops.Ce, sc.phiNew, th, sc.tmp, npe)
-		addMatVec(fe, 0, 2, ops.Kme, sc.muNew, th*diff, sc.tmp, npe)
-		addMatVec(fe, 0, 2, ops.Ce, sc.phiOld, th1, sc.tmp, npe)
-		addMatVec(fe, 0, 2, ops.Kme, sc.muOld, th1*diff, sc.tmp, npe)
-		// R_mu = M mu - F(psi'(phi)) - Cn^2 K phi
-		addMatVec(fe, 1, 2, ops.Me, sc.muNew, 1, sc.tmp, npe)
-		clear(sc.load)
-		r.LoadVector(h, sc.psi1, 1, sc.load)
-		for a := 0; a < npe; a++ {
-			fe[a*2+1] -= sc.load[a]
-		}
-		addMatVec(fe, 1, 2, ops.Ke, sc.phiNew, -cn*cn, sc.tmp, npe)
+// kCHRes is the CH residual element kernel, and kCHJacZip the (zipped)
+// Jacobian one. Both read the Newton iterate through s.kCHx and the rest
+// through the Solver at call time, so they survive a Rebind.
+func (s *Solver) kCHRes(w, e int, h float64, fe []float64) {
+	p := &s.chProb
+	m := s.M
+	r := s.asmCH.Ref
+	npe := r.NPE
+	sc := s.chRes[w]
+	ops := sc.ops
+	m.GatherElem(e, s.kCHx, 2, sc.pm)
+	m.GatherElem(e, p.old, 2, sc.pmOld)
+	for a := 0; a < npe; a++ {
+		sc.phiNew[a] = sc.pm[a*2]
+		sc.muNew[a] = sc.pm[a*2+1]
+		sc.phiOld[a] = sc.pmOld[a*2]
+		sc.muOld[a] = sc.pmOld[a*2+1]
+		sc.psi1[a] = PsiPrime(sc.phiNew[a])
 	}
-	s.kCHJacZip = func(w, e int, h float64, blocks [][]float64) {
-		p := &s.chProb
-		r := s.asmCH.Ref
-		npe, dim := r.NPE, r.Dim
-		sc := &s.chScr[w]
-		ops, wk := sc.ops, s.asmCH.WorkN(w)
-		s.M.GatherElem(e, s.kCHx, 2, sc.pm)
-		s.M.GatherElem(e, p.old, 2, sc.pmOld)
-		p.elemOps(w, e, h, sc.pm, sc.vel, ops)
-		cn := s.ElemCn[e]
-		diff := 1 / (s.Par.Pe * cn)
-		th := p.theta
-		for a := 0; a < npe; a++ {
-			sc.mubar[a] = th*sc.pm[a*2+1] + (1-th)*sc.pmOld[a*2+1]
-			sc.dmob[a] = diff * s.Par.MobilityPrime(sc.pm[a*2])
-			sc.psi2[a] = PsiDoublePrime(sc.pm[a*2])
+	p.elemOps(w, e, h, sc.pm, sc.vel, ops)
+	cn := s.ElemCn[e]
+	diff := 1 / (s.Par.Pe * cn)
+	th, th1 := p.theta, 1-p.theta
+	// R_phi = M(phi-phiOld)/dt + th[C phi + D Km mu]
+	//       + (1-th)[C phiOld + D Km muOld]
+	addMatVec(fe, 0, 2, ops.Me, sc.phiNew, 1/p.dt, sc.tmp, npe)
+	addMatVec(fe, 0, 2, ops.Me, sc.phiOld, -1/p.dt, sc.tmp, npe)
+	addMatVec(fe, 0, 2, ops.Ce, sc.phiNew, th, sc.tmp, npe)
+	addMatVec(fe, 0, 2, ops.Kme, sc.muNew, th*diff, sc.tmp, npe)
+	addMatVec(fe, 0, 2, ops.Ce, sc.phiOld, th1, sc.tmp, npe)
+	addMatVec(fe, 0, 2, ops.Kme, sc.muOld, th1*diff, sc.tmp, npe)
+	// R_mu = M mu - F(psi'(phi)) - Cn^2 K phi
+	addMatVec(fe, 1, 2, ops.Me, sc.muNew, 1, sc.tmp, npe)
+	clear(sc.load)
+	r.LoadVector(h, sc.psi1, 1, sc.load)
+	for a := 0; a < npe; a++ {
+		fe[a*2+1] -= sc.load[a]
+	}
+	addMatVec(fe, 1, 2, ops.Ke, sc.phiNew, -cn*cn, sc.tmp, npe)
+}
+
+func (s *Solver) kCHJacZip(w, e int, h float64, blocks [][]float64) {
+	p := &s.chProb
+	r := s.asmCH.Ref
+	npe, dim := r.NPE, r.Dim
+	sc := &s.chScr[w]
+	ops, wk := sc.ops, s.asmCH.WorkN(w)
+	s.M.GatherElem(e, s.kCHx, 2, sc.pm)
+	s.M.GatherElem(e, p.old, 2, sc.pmOld)
+	p.elemOps(w, e, h, sc.pm, sc.vel, ops)
+	cn := s.ElemCn[e]
+	diff := 1 / (s.Par.Pe * cn)
+	th := p.theta
+	for a := 0; a < npe; a++ {
+		sc.mubar[a] = th*sc.pm[a*2+1] + (1-th)*sc.pmOld[a*2+1]
+		sc.dmob[a] = diff * s.Par.MobilityPrime(sc.pm[a*2])
+		sc.psi2[a] = PsiDoublePrime(sc.pm[a*2])
+	}
+	for g := 0; g < r.NG; g++ {
+		for d := 0; d < dim; d++ {
+			sc.gradG[g*dim+d] = r.GradAtGauss(g, d, h, sc.mubar)
 		}
-		for g := 0; g < r.NG; g++ {
-			for d := 0; d < dim; d++ {
-				sc.gradG[g*dim+d] = r.GradAtGauss(g, d, h, sc.mubar)
-			}
-		}
-		r.GradDotMassGemm(wk, h, 1, sc.gradG, sc.Gm)
-		for a := 0; a < npe; a++ {
-			for b := 0; b < npe; b++ {
-				i := a*npe + b
-				blocks[0][i] = ops.Me[i]/p.dt + th*ops.Ce[i] + sc.dmob[b]*sc.Gm[i]
-				blocks[1][i] = th * diff * ops.Kme[i]
-				blocks[2][i] = -ops.Me[i]*sc.psi2[b] - cn*cn*ops.Ke[i]
-				blocks[3][i] = ops.Me[i]
-			}
+	}
+	r.GradDotMassGemm(wk, h, 1, sc.gradG, sc.Gm)
+	for a := 0; a < npe; a++ {
+		for b := 0; b < npe; b++ {
+			i := a*npe + b
+			blocks[0][i] = ops.Me[i]/p.dt + th*ops.Ce[i] + sc.dmob[b]*sc.Gm[i]
+			blocks[1][i] = th * diff * ops.Kme[i]
+			blocks[2][i] = -ops.Me[i]*sc.psi2[b] - cn*cn*ops.Ke[i]
+			blocks[3][i] = ops.Me[i]
 		}
 	}
 }
@@ -275,39 +273,12 @@ func addMatVec(fe []float64, dof, ndof int, a, v []float64, scale float64, tmp [
 // interpolates ψ'(φ) nodally (LoadVector).
 func (p *chProblem) Jacobian(x []float64) (la.Operator, la.PC) {
 	s := p.s
-	t0 := time.Now()
-	// Persistent operator: allocated once per mesh, Zero()+reassembled on
-	// every Newton iteration and time step thereafter (warm plan path).
-	if s.chMat == nil {
-		s.chMat = s.asmCH.NewMatrix(fem.LayoutZipped)
-	} else {
-		s.chMat.Zero()
-	}
-	mat := s.chMat
 	s.kCHx = x
 	s.chBeginSweep(x)
-	s.asmCH.AssembleMatrixZipped(mat, s.kCHJacZip)
-	s.T.CH.Matrix += time.Since(t0)
-	// The preconditioner persists with the operator: refactored in place
-	// from the re-assembled values on every Newton iteration. Setup is
-	// tracked apart from the Krylov solve time.
-	tPC := time.Now()
-	switch {
-	case s.chPC == nil:
-		s.chPC = la.NewPCBJacobiILU0(mat)
-		s.T.CH.PCSetupCold += time.Since(tPC)
-	case s.chPCStale:
-		// First setup after an incremental rebind: carry the factorization
-		// index of every pattern-preserved row, refactor values only.
-		kept, rebuilt := s.chPC.RebindPatched(mat, s.rowPatch(2))
-		s.T.RemeshStages.PCRowsKept += kept
-		s.T.RemeshStages.PCRowsRebuilt += rebuilt
-		s.chPCStale = false
-	default:
-		s.chPC.Refresh()
-	}
-	s.T.CH.PCSetup += time.Since(tPC)
-	return mat, s.chPC
+	st := &s.ch
+	st.assemble()
+	st.setupPC()
+	return st.mat, st.pc
 }
 
 // StepCH advances the Cahn–Hilliard block one time step with the current
@@ -318,6 +289,8 @@ func (p *chProblem) Jacobian(x []float64) (la.Operator, la.PC) {
 // across ranks).
 func (s *Solver) StepCH(velOverride []float64) (StageReport, error) {
 	t0 := time.Now()
+	st := &s.T.CH
+	defer func() { st.Total += time.Since(t0) }()
 	if velOverride != nil {
 		copy(s.Vel, velOverride)
 	}
@@ -341,7 +314,6 @@ func (s *Solver) StepCH(velOverride []float64) (StageReport, error) {
 	m.GhostRead(s.PhiMu, 2)
 	rep := StageReport{Stage: StageCH, Result: nw.Last, NewtonIterations: nw.Iterations,
 		NewtonConverged: ok, NewtonContraction: nw.Contraction}
-	st := &s.T.CH
 	// One record per step: the Newton driver aggregates its inner Krylov
 	// iterations and time, so min/mean/max track per-step work.
 	st.RecordNewton(nw)
@@ -350,7 +322,6 @@ func (s *Solver) StepCH(velOverride []float64) (StageReport, error) {
 		s.T.RemeshStages.PostCHIters += nw.LinearIterations
 	}
 	if err != nil {
-		st.Total += time.Since(t0)
 		return rep, err
 	}
 	if s.Fault.Fire(fault.KSPDiverge, string(StageCH)) {
@@ -358,14 +329,11 @@ func (s *Solver) StepCH(velOverride []float64) (StageReport, error) {
 		rep.Result.Converged = false
 	}
 	if !ok {
-		st.Total += time.Since(t0)
 		return rep, &ErrDiverged{Stage: StageCH, Kind: DivergeNewton,
 			Result: rep.Result, NewtonIterations: nw.Iterations}
 	}
 	s.pokeNaN(StageCH, s.PhiMu)
-	err = s.checkFinite(StageCH, s.scanBad(s.PhiMu, 2*m.NumOwned), rep.Result)
-	st.Total += time.Since(t0)
-	return rep, err
+	return rep, s.checkFinite(StageCH, s.scanBad(s.PhiMu, 2*m.NumOwned), rep.Result)
 }
 
 // InitMuFromPhi sets μ = ψ'(φ) - Cn²Δφ consistently by solving the mass
@@ -390,9 +358,7 @@ func (s *Solver) InitMuFromPhi() error {
 			psi1[a] = PsiPrime(phiC[a])
 		}
 		r.LoadVector(h, psi1, 1, fe)
-		for i := range ke {
-			ke[i] = 0
-		}
+		clear(ke)
 		r.Stiffness(h, 1, ke)
 		cn := s.ElemCn[e]
 		blas.Dgemv(npe, npe, cn*cn, ke, phiC, 0, tmp)
@@ -400,23 +366,18 @@ func (s *Solver) InitMuFromPhi() error {
 			fe[a] += tmp[a]
 		}
 	})
-	// The scalar mass operator and its solver persist on the Solver like
-	// the per-stage KSP state: the matrix is assembled once per mesh
-	// generation and the KSP keeps its warm Krylov workspace across
-	// calls; Rebind drops the mesh-keyed matrix and PC.
-	if s.chMassMat == nil {
-		s.chMassMat = s.asmS.NewMatrix(fem.LayoutBAIJ)
-		s.asmS.AssembleMatrix(s.chMassMat, fem.LayoutBAIJ, func(w, e int, h float64, ke []float64) {
+	// The mass operator is assembled once per mesh generation (node-major,
+	// BAIJ) and solved through the stage's KSP part.
+	st := &s.chMass
+	if st.mat == nil {
+		st.mat = s.asmS.NewMatrix(fem.LayoutBAIJ)
+		s.asmS.AssembleMatrix(st.mat, fem.LayoutBAIJ, func(w, e int, h float64, ke []float64) {
 			r.Mass(h, 1, ke)
 		})
-		s.chMassPC = la.NewPCJacobi(s.chMassMat)
+		st.setupPC()
 	}
-	if s.chMassKSP == nil {
-		s.chMassKSP = &la.KSP{Type: la.CG, Rtol: 1e-10}
-	}
-	s.chMassKSP.Op, s.chMassKSP.PC, s.chMassKSP.Red, s.chMassKSP.Pool = s.chMassMat, s.chMassPC, m, s.pool
 	mu := m.NewVec(1)
-	if _, err := s.chMassKSP.Solve(rhs, mu); err != nil {
+	if _, err := st.krylov(rhs, mu); err != nil {
 		return err
 	}
 	m.GhostRead(mu, 1)

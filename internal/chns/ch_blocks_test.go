@@ -364,8 +364,8 @@ func BenchmarkCHSweeps(b *testing.B) {
 					jac := func(x []float64) {
 						s.kCHx = x
 						s.chBeginSweep(x)
-						s.chMat.Zero()
-						s.asmCH.AssembleMatrixZipped(s.chMat, s.kCHJacZip)
+						s.ch.mat.Zero()
+						s.asmCH.AssembleMatrixZipped(s.ch.mat, s.kCHJacZip)
 					}
 					b.ReportAllocs()
 					b.ResetTimer()

@@ -20,7 +20,7 @@ func (s *Solver) SetNSExpandedPC(on bool) { s.nsPCFull = on }
 
 // NSMatrix returns the momentum operator of the last NS solve, as
 // assembled and pinned (nil before the first one on the current mesh).
-func (s *Solver) NSMatrix() *la.BSRMat { return s.nsMat }
+func (s *Solver) NSMatrix() *la.BSRMat { return s.ns.mat }
 
 // BitsDiff describes the first bitwise difference between two vectors
 // ("" when there is none).

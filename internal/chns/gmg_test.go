@@ -86,9 +86,9 @@ func TestGMGHierarchyInvalidation(t *testing.T) {
 		if s.mgH == nil {
 			t.Fatal("after a GMG step the hierarchy must exist")
 		}
-		g, ok := s.nsPC.(*mg.PCGMG)
+		g, ok := s.ns.pc.(*mg.PCGMG)
 		if !ok {
-			t.Fatalf("NS PC is %T, want *mg.PCGMG", s.nsPC)
+			t.Fatalf("NS PC is %T, want *mg.PCGMG", s.ns.pc)
 		}
 		if g.Hierarchy() != s.mgH || s.mgH.Meshes[0] != s.M {
 			t.Fatal("stage PC must share the solver hierarchy rooted at the fine mesh")
@@ -98,7 +98,7 @@ func TestGMGHierarchyInvalidation(t *testing.T) {
 		// and μ are re-initialized) and takes one step.
 		rebindAndStep := func(m *mesh.Mesh) {
 			s.Rebind(m, s.MeshEpoch()+1, nil)
-			if s.mgH != nil || s.nsPC != nil || s.ppPC != nil {
+			if s.mgH != nil || s.ns.pc != nil || s.pp.pc != nil {
 				t.Fatal("a cold Rebind must drop the hierarchy and the stage PCs")
 			}
 			s.SetPhi(func(x, y, z float64) float64 {

@@ -4,9 +4,6 @@ import (
 	"time"
 
 	"proteus/internal/blas"
-	"proteus/internal/fault"
-	"proteus/internal/fem"
-	"proteus/internal/la"
 )
 
 // nsScratch is one element-loop worker's private NS matrix-kernel
@@ -81,98 +78,17 @@ func newNSVecScratch(npe, dim int) nsVecScratch {
 func (s *Solver) StepNS() (StageReport, error) {
 	t0 := time.Now()
 	m := s.M
-	dim := m.Dim
 	m.GhostRead(s.PhiMu, 2)
-	m.GhostRead(s.Vel, dim)
+	m.GhostRead(s.Vel, m.Dim)
 	m.GhostRead(s.P, 1)
-
-	// Matrix: same scalar operator on each velocity component (the
-	// viscous cross-coupling is lumped into the component Laplacian).
-	// The operator matrix persists across steps: allocated once per mesh,
-	// Zero()+reassembled thereafter through the warm assembly plan.
-	tMat := time.Now()
-	if s.nsMat == nil {
-		s.nsMat = s.asmVel.NewMatrix(fem.LayoutZipped)
-	} else {
-		s.nsMat.Zero()
-	}
-	mat := s.nsMat
-	s.asmVel.AssembleMatrixZipped(mat, s.kNSMatZip)
-	s.T.NS.Matrix += time.Since(tMat)
-
-	// RHS: sharded planned vector assembly with per-worker scratch.
-	tVec := time.Now()
-	if s.nsRHS == nil {
-		s.nsRHS = m.NewVec(dim)
-	}
-	rhs := s.nsRHS
-	s.asmVel.AssembleVectorPlanned(rhs, s.kNSVec)
-	s.T.NS.Vector += time.Since(tVec)
-
-	// No-slip walls.
-	for i := 0; i < m.NumOwned; i++ {
-		if m.OnBoundary(i) {
-			for d := 0; d < dim; d++ {
-				mat.ZeroRow(i*dim+d, 1)
-				rhs[i*dim+d] = 0
-			}
-		}
-	}
-	// Persistent KSP + PC: the Krylov workspace is allocated on the first
-	// step and reused (resized in place across a Rebind); the PC (ILU(0)
-	// refactorization or the multigrid coefficient/operator refresh, per
-	// Opt.PCNS) re-keys in place from the new values while the mesh is
-	// unchanged and is rebuilt with the operator after a remesh. PC setup
-	// is timed apart from the Krylov iteration so preconditioner
-	// comparisons aren't skewed by setup cost.
-	tPC := time.Now()
-	switch {
-	case s.nsPC == nil:
-		s.nsPC = s.newNSPC(mat)
-		s.T.NS.PCSetupCold += time.Since(tPC)
-	case s.nsPCStale:
-		s.nsPC = s.rebindStagePC(s.nsPC, mat, dim, s.nsGMGCoefs, s.newNSPC)
-		s.nsPCStale = false
-	default:
-		refreshStagePC(s.nsPC, mat)
-	}
-	pcSetup := time.Since(tPC)
-	s.T.NS.PCSetup += pcSetup
-	if s.nsKSP == nil {
-		s.nsKSP = &la.KSP{Type: la.BiCGS, Rtol: s.Opt.LinTol, Atol: s.Opt.LinTol}
-	}
-	s.nsKSP.AddPCSetup(pcSetup)
-	s.nsKSP.Op, s.nsKSP.PC, s.nsKSP.Red, s.nsKSP.Pool = mat, s.nsPC, m, s.pool
-	tSolve := time.Now()
-	res, err := s.nsKSP.Solve(rhs, s.Vel)
-	s.T.NS.Solve += time.Since(tSolve)
-	s.T.NS.Record(res.Iterations)
-	if s.postRemesh {
-		s.T.RemeshStages.PostNSIters += res.Iterations
-	}
-	m.GhostRead(s.Vel, dim)
-	rep := StageReport{Stage: StageNS, Result: res}
-	if err != nil {
-		s.T.NS.Total += time.Since(t0)
-		return rep, err
-	}
-	if s.Fault.Fire(fault.KSPDiverge, string(StageNS)) {
-		rep.Result.Converged = false
-	}
-	if !rep.Result.Converged {
-		s.T.NS.Total += time.Since(t0)
-		return rep, &ErrDiverged{Stage: StageNS, Kind: DivergeKSP, Result: rep.Result}
-	}
-	s.pokeNaN(StageNS, s.Vel)
-	err = s.checkFinite(StageNS, s.scanBad(s.Vel, dim*m.NumOwned), rep.Result)
-	s.T.NS.Total += time.Since(t0)
-	return rep, err
+	return s.ns.solve(t0, s.Vel)
 }
 
-// nsBuildScalar fills worker w's scalar momentum operator block for
-// element e from the current φ/μ and velocity with the zipped GEMM
-// operators.
-func (s *Solver) nsBuildScalar(w, e int, h float64) *nsScratch {
+// kNSMatZip is the NS matrix element kernel (zipped): worker w's scalar
+// momentum operator block for element e, built from the current φ/μ and
+// velocity with the zipped GEMM operators, on each velocity component (the
+// viscous cross-coupling is lumped into the component Laplacian).
+func (s *Solver) kNSMatZip(w, e int, h float64, blocks [][]float64) {
 	m := s.M
 	dim := m.Dim
 	r := s.asmVel.Ref
@@ -204,115 +120,103 @@ func (s *Solver) nsBuildScalar(w, e int, h float64) *nsScratch {
 	for i := range sc.tmp {
 		sc.scalarOp[i] += sc.tmp[i]
 	}
-	return sc
+	for d := 0; d < dim; d++ {
+		copy(blocks[d*dim+d], sc.scalarOp)
+	}
 }
 
-// initNSKernels builds the NS matrix (zipped) and RHS element kernels
-// once, capturing only the Solver (see initCHKernels).
-func (s *Solver) initNSKernels() {
-	s.kNSMatZip = func(w, e int, h float64, blocks [][]float64) {
-		sc := s.nsBuildScalar(w, e, h)
-		dim := s.M.Dim
+// kNSVec is the NS RHS element kernel.
+func (s *Solver) kNSVec(w, e int, h float64, fe []float64) {
+	m := s.M
+	dim := m.Dim
+	r := s.asmVel.Ref
+	npe := r.NPE
+	th, dt := s.Opt.Theta, s.Opt.Dt
+	sc := &s.nsVec[w]
+	m.GatherElem(e, s.PhiMu, 2, sc.pm)
+	m.GatherElem(e, s.Vel, dim, sc.velC)
+	m.GatherElem(e, s.P, 1, sc.pC)
+	for a := 0; a < npe; a++ {
+		sc.phiC[a] = sc.pm[a*2]
+		sc.muC[a] = sc.pm[a*2+1]
+		sc.rho[a] = s.Par.Density(sc.phiC[a])
+		sc.eta[a] = s.Par.Viscosity(sc.phiC[a])
+	}
+	// Old-velocity terms: M_ρ vⁿ/dt - (1-θ)[C_ρ(vⁿ)+K_η/Re] vⁿ.
+	clear(sc.scalarOld)
+	r.WeightedMass(h, sc.rho, 1/dt, sc.scalarOld)
+	for a := 0; a < npe; a++ {
 		for d := 0; d < dim; d++ {
-			copy(blocks[d*dim+d], sc.scalarOp)
+			sc.rvel[a*dim+d] = sc.rho[a] * sc.velC[a*dim+d]
 		}
 	}
-	s.kNSVec = func(w, e int, h float64, fe []float64) {
-		m := s.M
-		dim := m.Dim
-		r := s.asmVel.Ref
-		npe := r.NPE
-		th, dt := s.Opt.Theta, s.Opt.Dt
-		sc := &s.nsVec[w]
-		m.GatherElem(e, s.PhiMu, 2, sc.pm)
-		m.GatherElem(e, s.Vel, dim, sc.velC)
-		m.GatherElem(e, s.P, 1, sc.pC)
+	r.Convection(h, sc.rvel, -(1 - th), sc.scalarOld)
+	clear(sc.visc)
+	r.WeightedStiffness(h, sc.eta, -(1-th)/s.Par.Re, sc.visc)
+	for i := range sc.scalarOld {
+		sc.scalarOld[i] += sc.visc[i]
+	}
+	for d := 0; d < dim; d++ {
 		for a := 0; a < npe; a++ {
-			sc.phiC[a] = sc.pm[a*2]
-			sc.muC[a] = sc.pm[a*2+1]
-			sc.rho[a] = s.Par.Density(sc.phiC[a])
-			sc.eta[a] = s.Par.Viscosity(sc.phiC[a])
+			sc.comp[a] = sc.velC[a*dim+d]
 		}
-		// Old-velocity terms: M_ρ vⁿ/dt - (1-θ)[C_ρ(vⁿ)+K_η/Re] vⁿ.
-		for i := range sc.scalarOld {
-			sc.scalarOld[i] = 0
-		}
-		r.WeightedMass(h, sc.rho, 1/dt, sc.scalarOld)
+		blas.Dgemv(npe, npe, 1, sc.scalarOld, sc.comp, 0, sc.tmp)
 		for a := 0; a < npe; a++ {
-			for d := 0; d < dim; d++ {
-				sc.rvel[a*dim+d] = sc.rho[a] * sc.velC[a*dim+d]
-			}
+			fe[a*dim+d] += sc.tmp[a]
 		}
-		r.Convection(h, sc.rvel, -(1 - th), sc.scalarOld)
-		for i := range sc.visc {
-			sc.visc[i] = 0
-		}
-		r.WeightedStiffness(h, sc.eta, -(1-th)/s.Par.Re, sc.visc)
-		for i := range sc.scalarOld {
-			sc.scalarOld[i] += sc.visc[i]
-		}
+	}
+	// Quadrature-point force terms.
+	cn := s.ElemCn[e]
+	stc := cn / s.Par.We
+	jfc := (s.Par.RhoMinus - 1) / 2 * cn / s.Par.Pe
+	vol := 1.0
+	for d := 0; d < dim; d++ {
+		vol *= h
+	}
+	for g := 0; g < r.NG; g++ {
+		wg := r.W[g] * vol
+		var gphi, gmu, jv [3]float64
 		for d := 0; d < dim; d++ {
-			for a := 0; a < npe; a++ {
-				sc.comp[a] = sc.velC[a*dim+d]
-			}
-			blas.Dgemv(npe, npe, 1, sc.scalarOld, sc.comp, 0, sc.tmp)
-			for a := 0; a < npe; a++ {
-				fe[a*dim+d] += sc.tmp[a]
-			}
+			gphi[d] = r.GradAtGauss(g, d, h, sc.phiC)
+			gmu[d] = r.GradAtGauss(g, d, h, sc.muC)
 		}
-		// Quadrature-point force terms.
-		cn := s.ElemCn[e]
-		stc := cn / s.Par.We
-		jfc := (s.Par.RhoMinus - 1) / 2 * cn / s.Par.Pe
-		vol := 1.0
+		phiG := r.AtGauss(g, sc.phiC)
+		mobG := s.Par.Mobility(phiG)
+		rhoG := s.Par.Density(phiG)
 		for d := 0; d < dim; d++ {
-			vol *= h
+			sc.pGrad[d] = r.GradAtGauss(g, d, h, sc.pC)
+			jv[d] = jfc * mobG * gmu[d]
 		}
-		for g := 0; g < r.NG; g++ {
-			wg := r.W[g] * vol
-			var gphi, gmu, jv [3]float64
-			for d := 0; d < dim; d++ {
-				gphi[d] = r.GradAtGauss(g, d, h, sc.phiC)
-				gmu[d] = r.GradAtGauss(g, d, h, sc.muC)
+		// Mass-flux convection (explicit): (J·∇) v_d at this Gauss
+		// point, the same for every test function.
+		var jdv [3]float64
+		for d := 0; d < dim; d++ {
+			for dd := 0; dd < dim; dd++ {
+				comp2 := 0.0
+				for a2 := 0; a2 < npe; a2++ {
+					comp2 += r.DN[(g*npe+a2)*dim+dd] / h * sc.velC[a2*dim+d]
+				}
+				jdv[d] += jv[dd] * comp2
 			}
-			phiG := r.AtGauss(g, sc.phiC)
-			mobG := s.Par.Mobility(phiG)
-			rhoG := s.Par.Density(phiG)
+		}
+		for a := 0; a < npe; a++ {
+			na := r.N[g*npe+a]
 			for d := 0; d < dim; d++ {
-				sc.pGrad[d] = r.GradAtGauss(g, d, h, sc.pC)
-				jv[d] = jfc * mobG * gmu[d]
-			}
-			// Mass-flux convection (explicit): (J·∇) v_d at this Gauss
-			// point, the same for every test function.
-			var jdv [3]float64
-			for d := 0; d < dim; d++ {
+				f := 0.0
+				// Capillary: +(Cn/We) ∇N·(∇φ φ_,d) (integrated by parts).
 				for dd := 0; dd < dim; dd++ {
-					comp2 := 0.0
-					for a2 := 0; a2 < npe; a2++ {
-						comp2 += r.DN[(g*npe+a2)*dim+dd] / h * sc.velC[a2*dim+d]
-					}
-					jdv[d] += jv[dd] * comp2
+					f += stc * r.DN[(g*npe+a)*dim+dd] / h * gphi[d] * gphi[dd]
 				}
-			}
-			for a := 0; a < npe; a++ {
-				na := r.N[g*npe+a]
-				for d := 0; d < dim; d++ {
-					f := 0.0
-					// Capillary: +(Cn/We) ∇N·(∇φ φ_,d) (integrated by parts).
-					for dd := 0; dd < dim; dd++ {
-						f += stc * r.DN[(g*npe+a)*dim+dd] / h * gphi[d] * gphi[dd]
-					}
-					// Pressure gradient (old pressure, 1/We scaling as in
-					// the non-dimensional momentum equation).
-					f -= na * sc.pGrad[d] / s.Par.We
-					// Gravity.
-					if s.Par.Fr > 0 {
-						f += na * rhoG * s.Par.GravityDir[d] / s.Par.Fr
-					}
-					// Mass-flux convection: -N (J·∇) v_d / Pe.
-					f -= na * jdv[d]
-					fe[a*dim+d] += wg * f
+				// Pressure gradient (old pressure, 1/We scaling as in
+				// the non-dimensional momentum equation).
+				f -= na * sc.pGrad[d] / s.Par.We
+				// Gravity.
+				if s.Par.Fr > 0 {
+					f += na * rhoG * s.Par.GravityDir[d] / s.Par.Fr
 				}
+				// Mass-flux convection: -N (J·∇) v_d / Pe.
+				f -= na * jdv[d]
+				fe[a*dim+d] += wg * f
 			}
 		}
 	}

@@ -5,8 +5,8 @@
 //	CH-solve: fully implicit nonlinear advective Cahn–Hilliard (Newton);
 //	NS-solve: semi-implicit Crank–Nicolson linearized momentum;
 //	PP-solve: variable-density pressure Poisson;
-//	VU-solve: velocity correction, optionally split into DIM single-DOF
-//	          solves that reuse one assembled mass matrix (Sec. II-A).
+//	VU-solve: velocity correction, split into DIM single-DOF solves that
+//	          reuse one assembled mass matrix (Sec. II-A).
 //
 // The Cahn number may vary per element ("local Cahn", Sec. II-B): the
 // interface terms read the elemental Cn vector produced by the detect

@@ -209,9 +209,9 @@ type Options struct {
 	// NonlinTol is the Newton tolerance (paper: 1e-10).
 	NonlinTol float64
 	// PCNS / PCPP select the NS / PP preconditioner (Table II column):
-	// "bjacobi" (default, rank-block ILU(0)), "jacobi", or "gmg" — the
-	// octree geometric multigrid V-cycle of internal/mg, whose mesh
-	// hierarchy is shared between the stages and rebuilt on remesh.
+	// "bjacobi" (default, rank-block ILU(0)) or "gmg" — the octree
+	// geometric multigrid V-cycle of internal/mg, whose mesh hierarchy is
+	// shared between the stages and rebuilt on remesh.
 	PCNS string
 	PCPP string
 	// WarmStarts seeds the stage Krylov solves whose natural initial guess
@@ -229,18 +229,13 @@ type Options struct {
 // CLI flag.
 const (
 	PCBJacobi = "bjacobi"
-	PCJacobi  = "jacobi"
 	PCGMG     = "gmg"
 )
 
 // ValidPC reports whether name selects a known stage preconditioner (the
 // empty string is the bjacobi default).
 func ValidPC(name string) bool {
-	switch name {
-	case "", PCBJacobi, PCJacobi, PCGMG:
-		return true
-	}
-	return false
+	return name == "" || name == PCBJacobi || name == PCGMG
 }
 
 // DefaultOptions mirrors the paper's production configuration (stage 2).
@@ -279,45 +274,23 @@ type Solver struct {
 	// kernels all shard across it.
 	pool *par.Pool
 
-	// Persistent operators: each stage allocates its matrix once (sharing
-	// the frozen sparsity of its assembler's plan) and Zero()+reassembles
-	// thereafter, so steady-state time stepping performs no sparsity
-	// construction. Dropped by Rebind.
-	chMat *la.BSRMat
-	nsMat *la.BSRMat
-	ppMat *la.BSRMat
-	// Cached VU mass matrix (reused, not even reassembled, while the mesh
-	// is unchanged).
-	vuMass   *la.BSRMat
-	vuMassPC *la.PCJacobi
+	// The linear stages (stage.go): each owns its persistent operator,
+	// preconditioner, KSP and RHS, so a steady-state time step performs no
+	// sparsity construction and no solver-side allocation. CH's stage holds
+	// the Newton Jacobian and its PC; the Newton driver and its problem sit
+	// beside it. Rebind drops the mesh-keyed state and keeps the KSPs and
+	// the Newton driver.
+	ch, ns, pp, vu, chMass linStage
 
-	// Persistent solver-side state: per-stage KSP objects (each owning a
-	// reusable Krylov workspace), preconditioners refreshed in place from
-	// the re-assembled values, the CH Newton driver, and the per-step
-	// vectors. A steady-state time step performs no solver-side
-	// allocation at all. Rebind drops the mesh-keyed ones (operators,
-	// per-step vectors) and keeps the KSP objects and the Newton driver.
-	chNewton  la.Newton
-	chPC      *la.PCBJacobiILU0
-	chProb    chProblem
-	chOld     []float64
-	chBlk     chBlockStore
-	chRefill  bool // test hook: every CH sweep integrates its blocks afresh
-	chMassMat *la.BSRMat
-	chMassKSP *la.KSP
-	chMassPC  *la.PCJacobi
-	nsKSP     *la.KSP
-	nsPC      la.PC
-	nsPCFull  bool // test hook: ILU(0) of the NS matrix's full scalar expansion
-	nsRHS     []float64
-	ppKSP     *la.KSP
-	ppPC      la.PC
-	ppRHS     []float64
-	ppPsi     []float64
-	vuKSP     *la.KSP
-	vuRHS     []float64
-	vuComp    []float64
-	vuNewVel  []float64
+	chNewton la.Newton
+	chProb   chProblem
+	chOld    []float64
+	chBlk    chBlockStore
+	chRefill bool // test hook: every CH sweep integrates its blocks afresh
+	nsPCFull bool // test hook: ILU(0) of the NS matrix's full scalar expansion
+	ppPsi    []float64
+	vuComp   []float64
+	vuNewVel []float64
 
 	// mgH is the geometric multigrid mesh hierarchy shared by every
 	// GMG-preconditioned stage (built lazily on the first gmg stage of a
@@ -327,9 +300,6 @@ type Solver struct {
 	// rebind so ensureHierarchy can refresh it (reusing unchanged coarse
 	// levels) instead of rebuilding from scratch. Cold rebinds clear it.
 	mgPrev *mg.Hierarchy
-	// MGLevelsReused accumulates how many coarse ladder levels hierarchy
-	// refreshes reused (telemetry).
-	MGLevelsReused int
 	// mgInfo is the per-level outcome of the last hierarchy refresh: what
 	// PCGMG.Rebind needs to carry per-level assemblers and smoothers
 	// across an incremental remesh. Valid alongside mgH.
@@ -338,16 +308,12 @@ type Solver struct {
 	mgWS mg.Workspace
 
 	// Incremental PC carry-over state, set by Rebind with a delta and
-	// consumed by the first post-remesh setup of each stage preconditioner: the
-	// composed mesh delta, the old mesh's owned-node count, the lazily
-	// expanded per-ndof scalar row patches, and the per-stage "patch me
-	// instead of refreshing" flags.
+	// consumed by the first post-remesh setup of each stage preconditioner
+	// (linStage.stale): the composed mesh delta, the old mesh's owned-node
+	// count and the lazily expanded per-ndof scalar row patches.
 	pcDelta    *mesh.Delta
 	pcOldOwned int
-	pcPatches  map[int]*la.RowPatch
-	chPCStale  bool
-	nsPCStale  bool
-	ppPCStale  bool
+	pcPatches  [4]*la.RowPatch // by dofs per node
 
 	// postRemesh marks the first full step after a rebind so the
 	// RemeshTimes Post* iteration telemetry can single it out; cleared at
@@ -379,22 +345,11 @@ type Solver struct {
 	finRun func(w int)
 	finRed [1]float64
 
-	// Hoisted per-step assembly kernels: each stage's element-loop
-	// closures are built once here (capturing only the Solver and reading
-	// the mesh, assembler and options through it at call time), so a warm
-	// step creates no closures at all — the whole-step zero-allocation
-	// discipline. Per-step inputs flow through the k* argument fields
-	// below, set immediately before the assembly call that reads them.
-	kCHRes    func(w, e int, h float64, fe []float64)
-	kCHJacZip func(w, e int, h float64, blocks [][]float64)
-	kNSMatZip func(w, e int, h float64, blocks [][]float64)
-	kNSVec    func(w, e int, h float64, fe []float64)
-	kPPMatZip func(w, e int, h float64, blocks [][]float64)
-	kPPVec    func(w, e int, h float64, fe []float64)
-	kVUComp   func(w, e int, h float64, fe []float64)
-	kCHx      []float64 // Newton iterate (CH residual/Jacobian kernels)
-	kVUPsi    []float64 // pressure increment (VU RHS kernel)
-	kVUD      int       // velocity component (VU RHS kernel)
+	// Per-step inputs of the element kernels (the k* methods), set
+	// immediately before the assembly call that reads them.
+	kCHx   []float64 // Newton iterate (CH residual/Jacobian kernels)
+	kVUPsi []float64 // pressure increment (VU RHS kernel)
+	kVUD   int       // velocity component (VU RHS kernel)
 
 	meshEpoch uint64
 }
@@ -414,10 +369,21 @@ func NewSolver(m *mesh.Mesh, prm Params, opt Options) *Solver {
 	s.asmS.SetPool(s.pool)
 	s.initScratch()
 	s.initFiniteScan()
-	s.initCHKernels()
-	s.initNSKernels()
-	s.initPPKernels()
-	s.initVUKernels()
+	rs := &s.T.RemeshStages
+	tol := opt.LinTol
+	s.ch = linStage{s: s, name: StageCH, asm: s.asmCH, matK: s.kCHJacZip, vecK: s.kCHRes, t: &s.T.CH}
+	s.ns = linStage{s: s, name: StageNS, asm: s.asmVel, matK: s.kNSMatZip, vecK: s.kNSVec,
+		pins: pinWalls, levelK: s.nsLevelKernel, t: &s.T.NS, post: &rs.PostNSIters,
+		ksp: la.KSP{Type: la.BiCGS, Rtol: tol, Atol: tol}}
+	s.pp = linStage{s: s, name: StagePP, asm: s.asmS, matK: s.kPPMatZip, vecK: s.kPPVec,
+		pins: pinFirst, levelK: s.ppLevelKernel, t: &s.T.PP, post: &rs.PostPPIters,
+		ksp: la.KSP{Type: la.IBiCGS, Rtol: tol, Atol: tol}}
+	s.vu = linStage{s: s, name: StageVU, asm: s.asmS, matK: s.kVUMassZip, vecK: s.kVUComp,
+		pins: pinWalls, mass: true, t: &s.T.VU, post: &rs.PostVUIters,
+		ksp: la.KSP{Type: la.CG, Rtol: tol, Atol: tol}}
+	// The CH mass solve runs before the first step; its timers go nowhere.
+	s.chMass = linStage{s: s, asm: s.asmS, mass: true, t: new(StageTimes),
+		ksp: la.KSP{Type: la.CG, Rtol: 1e-10}}
 	return s
 }
 
@@ -453,34 +419,25 @@ func (s *Solver) initScratch() {
 	npe := s.asmCH.Ref.NPE
 	ng := s.asmCH.Ref.NG
 	dim := s.M.Dim
-	s.chRes = make([]*chResScratch, s.asmCH.Workers())
-	for i := range s.chRes {
-		s.chRes[i] = newCHResScratch(npe, ng, dim)
-	}
-	s.chScr = make([]chScratch, s.asmCH.Workers())
-	for i := range s.chScr {
-		s.chScr[i] = newCHScratch(npe, ng, dim)
-	}
-	s.nsScr = make([]nsScratch, s.asmVel.Workers())
-	for i := range s.nsScr {
-		s.nsScr[i] = newNSScratch(npe, ng, dim)
-	}
-	s.nsVec = make([]nsVecScratch, s.asmVel.Workers())
-	for i := range s.nsVec {
-		s.nsVec[i] = newNSVecScratch(npe, dim)
-	}
-	s.ppScr = make([]ppScratch, s.asmS.Workers())
-	for i := range s.ppScr {
-		s.ppScr[i] = newPPScratch(npe, ng, dim)
-	}
-	s.vuVec = make([]vuScratch, s.asmS.Workers())
-	for i := range s.vuVec {
-		s.vuVec[i] = newVUScratch(npe, dim)
-	}
+	s.chRes = perWorker(s.asmCH, func() *chResScratch { return newCHResScratch(npe, ng, dim) })
+	s.chScr = perWorker(s.asmCH, func() chScratch { return newCHScratch(npe, ng, dim) })
+	s.nsScr = perWorker(s.asmVel, func() nsScratch { return newNSScratch(npe, ng, dim) })
+	s.nsVec = perWorker(s.asmVel, func() nsVecScratch { return newNSVecScratch(npe, dim) })
+	s.ppScr = perWorker(s.asmS, func() ppScratch { return newPPScratch(npe, ng, dim) })
+	s.vuVec = perWorker(s.asmS, func() vuScratch { return newVUScratch(npe, dim) })
 	s.lumpOnes = make([]float64, npe)
 	for i := range s.lumpOnes {
 		s.lumpOnes[i] = 1
 	}
+}
+
+// perWorker makes one kernel scratch per element-loop shard of a.
+func perWorker[T any](a *fem.Assembler, mk func() T) []T {
+	v := make([]T, a.Workers())
+	for i := range v {
+		v[i] = mk()
+	}
+	return v
 }
 
 // MeshEpoch returns the solver's current mesh epoch.
@@ -489,10 +446,10 @@ func (s *Solver) MeshEpoch() uint64 { return s.meshEpoch }
 // Rebind moves the solver to mesh m at generation epoch in place — the
 // remesh, rollback and checkpoint-fallback swap — preserving everything
 // that survives a mesh change: the worker pool, the assemblers' reference
-// element and per-worker scratch, the per-stage KSP objects (whose Krylov
-// workspaces resize in place on the next Solve) and the Newton driver.
-// Operators and per-step vectors are dropped and rebuilt lazily on the next
-// step. State vectors (PhiMu, Vel, P, ElemCn, and ψ under warm starts) are
+// element and per-worker scratch, each stage's KSP (whose Krylov workspace
+// resizes in place on the next Solve) and the Newton driver. Each stage's
+// operator and RHS, and the per-step vectors, are dropped and rebuilt
+// lazily on the next step. State vectors (PhiMu, Vel, P, ElemCn, and ψ under warm starts) are
 // reallocated at the new sizes and left for the caller to fill by
 // transfer/migration; ElemCn starts at the uniform Cahn number.
 //
@@ -512,7 +469,10 @@ func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	// no composed delta at this level: the PC carry-over degrades to cold.
 	// The hierarchy refresh still works off the kept previous ladder, just
 	// without the fine-level transfer patch.
-	stacked := s.chPCStale || s.nsPCStale || s.ppPCStale
+	stacked := false
+	for _, st := range s.stages() {
+		stacked = stacked || st.stale
+	}
 	oldOwned := s.M.NumOwned
 	s.M = m
 	s.meshEpoch = epoch
@@ -520,20 +480,22 @@ func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	s.asmCH.Rebind(m, epoch, d)
 	s.asmVel.Rebind(m, epoch, d)
 	s.asmS.Rebind(m, epoch, d)
-	s.chMat, s.nsMat, s.ppMat = nil, nil, nil
-	s.vuMass, s.vuMassPC = nil, nil
-	s.chMassMat, s.chMassPC = nil, nil
 	s.chOld = nil
 	s.chBlk.drop()
-	s.nsRHS, s.ppRHS = nil, nil
-	s.vuRHS, s.vuComp, s.vuNewVel = nil, nil, nil
-	s.pcDelta, s.pcOldOwned, s.pcPatches = d, oldOwned, nil
+	s.vuComp, s.vuNewVel = nil, nil
+	s.pcDelta, s.pcOldOwned, s.pcPatches = d, oldOwned, [4]*la.RowPatch{}
 	if d == nil || stacked {
 		s.pcDelta = nil
-		s.chPC, s.nsPC, s.ppPC = nil, nil, nil
 	}
 	// A stage PC that is still here is carried: its next setup patches it.
-	s.chPCStale, s.nsPCStale, s.ppPCStale = s.chPC != nil, s.nsPC != nil, s.ppPC != nil
+	// Mass operators are rebuilt, PC included.
+	for _, st := range s.stages() {
+		st.mat, st.rhs = nil, nil
+		if s.pcDelta == nil || st.mass {
+			st.pc = nil
+		}
+		st.stale = st.pc != nil
+	}
 	// Stale coarse operators never survive a cold rebind; an incremental
 	// one keeps the last built ladder for ensureHierarchy to refresh.
 	if d == nil {
@@ -549,18 +511,10 @@ func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 // operator under the pending incremental rebind (nil when none is
 // pending), expanding and caching it per ndof on first use.
 func (s *Solver) rowPatch(nd int) *la.RowPatch {
-	if s.pcDelta == nil {
-		return nil
+	if s.pcDelta != nil && s.pcPatches[nd] == nil {
+		s.pcPatches[nd] = mg.NodeRowPatch(s.pcDelta, s.pcOldOwned, s.M.NumOwned, nd)
 	}
-	if s.pcPatches == nil {
-		s.pcPatches = make(map[int]*la.RowPatch)
-	}
-	if p, ok := s.pcPatches[nd]; ok {
-		return p
-	}
-	p := mg.NodeRowPatch(s.pcDelta, s.pcOldOwned, s.M.NumOwned, nd)
-	s.pcPatches[nd] = p
-	return p
+	return s.pcPatches[nd]
 }
 
 // PsiState returns the pressure increment ψ that warm starts carry from
@@ -597,9 +551,6 @@ func (s *Solver) SetVelocity(f func(x, y, z float64) (vx, vy, vz float64)) {
 		}
 	}
 }
-
-// Phi returns φ at local node i.
-func (s *Solver) Phi(i int) float64 { return s.PhiMu[2*i] }
 
 // PhiMass returns the global integral of φ (a conserved quantity of the
 // CH equation with no-flux boundaries), evaluated with the lumped mass.
@@ -643,6 +594,12 @@ func (s *Solver) Step() (StepReport, error) {
 		return rep, err
 	}
 	rep.VU, err = s.StepVU(psi)
+	return s.endStep(rep, err)
+}
+
+// endStep closes a time block: the first one to succeed after a rebind is
+// counted for the RemeshTimes Post* telemetry.
+func (s *Solver) endStep(rep StepReport, err error) (StepReport, error) {
 	if err == nil && s.postRemesh {
 		s.T.RemeshStages.PostSteps++
 		s.postRemesh = false
@@ -659,9 +616,5 @@ func (s *Solver) StepCHWithVelocity(f func(x, y, z float64) (vx, vy, vz float64)
 	var err error
 	s.SetVelocity(f)
 	rep.CH, err = s.StepCH(nil)
-	if err == nil && s.postRemesh {
-		s.T.RemeshStages.PostSteps++
-		s.postRemesh = false
-	}
-	return rep, err
+	return s.endStep(rep, err)
 }

@@ -3,10 +3,6 @@ package chns
 import (
 	"math"
 	"time"
-
-	"proteus/internal/fault"
-	"proteus/internal/fem"
-	"proteus/internal/la"
 )
 
 // vuScratch is one element-loop worker's private velocity-update
@@ -39,85 +35,49 @@ func newVUScratch(npe, dim int) vuScratch {
 // accumulated over all components.
 func (s *Solver) StepVU(psi []float64) (StageReport, error) {
 	t0 := time.Now()
+	st := &s.vu
 	rep := StageReport{Stage: StageVU}
 	m := s.M
 	dim := m.Dim
-	r := s.asmS.Ref
 	m.GhostRead(psi, 1)
 	m.GhostRead(s.PhiMu, 2)
 	m.GhostRead(s.Vel, dim)
-	// The prebuilt RHS kernel reads ψ through this field (cleared before
-	// returning so no stale reference pins the caller's buffer).
+	// The RHS kernel reads ψ through this field (cleared before returning
+	// so no stale reference pins the caller's buffer).
 	s.kVUPsi = psi
-	defer func() { s.kVUPsi = nil }()
-
-	// One scalar mass matrix, assembled once per mesh and reused for
-	// every component and every step.
-	tMat := time.Now()
-	if s.vuMass == nil {
-		s.vuMass = s.asmS.NewMatrix(fem.LayoutZipped)
-		s.asmS.AssembleMatrixZipped(s.vuMass, func(w, e int, h float64, blocks [][]float64) {
-			r.MassGemm(s.asmS.WorkN(w), h, 1, nil, blocks[0])
-		})
-		for i := 0; i < m.NumOwned; i++ {
-			if m.OnBoundary(i) {
-				s.vuMass.ZeroRow(i, 1)
-			}
-		}
-		s.vuMassPC = la.NewPCJacobi(s.vuMass)
-	}
-	s.T.VU.Matrix += time.Since(tMat)
+	defer func() {
+		s.kVUPsi = nil
+		st.t.Total += time.Since(t0)
+	}()
+	st.assemble()
+	st.setupPC()
 	if s.vuNewVel == nil {
 		s.vuNewVel = m.NewVec(dim)
 		s.vuComp = m.NewVec(1)
-		s.vuRHS = m.NewVec(1)
 	}
-	newVel, comp, rhs := s.vuNewVel, s.vuComp, s.vuRHS
-	// Persistent KSP: one warm CG workspace shared by all components,
-	// re-pointed at the (possibly rebuilt) mass operator each step.
-	if s.vuKSP == nil {
-		s.vuKSP = &la.KSP{Type: la.CG, Rtol: s.Opt.LinTol, Atol: s.Opt.LinTol}
-	}
-	s.vuKSP.Op, s.vuKSP.PC, s.vuKSP.Red, s.vuKSP.Pool = s.vuMass, s.vuMassPC, m, s.pool
+	newVel, comp := s.vuNewVel, s.vuComp
 	itSum := 0
 	for d := 0; d < dim; d++ {
-		tVec := time.Now()
 		s.kVUD = d
-		s.asmS.AssembleVectorPlanned(rhs, s.kVUComp)
-		for i := 0; i < m.NumOwned; i++ {
-			if m.OnBoundary(i) {
-				rhs[i] = 0
-			}
-		}
-		s.T.VU.Vector += time.Since(tVec)
-		tSolve := time.Now()
+		st.assembleRHS()
 		if s.Opt.WarmStarts {
-			// The tentative component is the natural initial guess for
-			// its own mass-projection (same converged solution: the
-			// tolerance is relative to the RHS).
+			// The tentative component is the natural initial guess for its
+			// own mass projection (same converged solution: the tolerance
+			// is relative to the RHS).
 			for i := range comp {
 				comp[i] = s.Vel[i*dim+d]
 			}
 		} else {
-			for i := range comp {
-				comp[i] = 0
-			}
+			clear(comp)
 		}
-		res, err := s.vuKSP.Solve(rhs, comp)
-		s.T.VU.Solve += time.Since(tSolve)
-		s.T.VU.Record(res.Iterations)
-		if s.postRemesh {
-			s.T.RemeshStages.PostVUIters += res.Iterations
-		}
+		res, err := st.krylov(st.rhs, comp)
 		itSum += res.Iterations
 		rep.Result = res
 		rep.Result.Iterations = itSum
 		if err != nil {
-			s.T.VU.Total += time.Since(t0)
 			return rep, err
 		}
 		if !res.Converged {
-			s.T.VU.Total += time.Since(t0)
 			return rep, &ErrDiverged{Stage: StageVU, Kind: DivergeKSP, Result: rep.Result}
 		}
 		for i := 0; i < m.NumOwned; i++ {
@@ -125,10 +85,8 @@ func (s *Solver) StepVU(psi []float64) (StageReport, error) {
 		}
 	}
 	copy(s.Vel, newVel)
-	if s.Fault.Fire(fault.KSPDiverge, string(StageVU)) {
-		rep.Result.Converged = false
-		s.T.VU.Total += time.Since(t0)
-		return rep, &ErrDiverged{Stage: StageVU, Kind: DivergeKSP, Result: rep.Result}
+	if err := st.diverged(&rep.Result); err != nil {
+		return rep, err
 	}
 	m.GhostRead(s.Vel, dim)
 	// Pressure update: ψ is the kinematic increment; the momentum
@@ -140,9 +98,7 @@ func (s *Solver) StepVU(psi []float64) (StageReport, error) {
 	// updated pressure) with a single global reduction.
 	s.pokeNaN(StageVU, s.Vel)
 	bad := s.scanBad(s.Vel, dim*m.NumOwned) | s.scanBad(s.P, m.NumOwned)
-	err := s.checkFinite(StageVU, bad, rep.Result)
-	s.T.VU.Total += time.Since(t0)
-	return rep, err
+	return rep, s.checkFinite(StageVU, bad, rep.Result)
 }
 
 // DivergenceL2 returns the global L2 norm of ∇·v, the quantity the
@@ -177,39 +133,41 @@ func (s *Solver) DivergenceL2() float64 {
 	return math.Sqrt(s.M.GlobalSum(acc))
 }
 
-// initVUKernels builds the velocity-update RHS element kernel once,
-// capturing only the Solver (see initCHKernels). It accumulates the
-// elemental RHS for velocity component s.kVUD, ∫ N (v*_d - dt (1/ρ) ψ_,d),
-// with worker w's private scratch; ψ reaches it through s.kVUPsi (set by
-// StepVU for the assembly calls).
-func (s *Solver) initVUKernels() {
-	s.kVUComp = func(w, e int, h float64, fe []float64) {
-		m := s.M
-		dim := m.Dim
-		d := s.kVUD
-		r := s.asmS.Ref
-		npe := r.NPE
-		sc := &s.vuVec[w]
-		m.GatherElem(e, s.PhiMu, 2, sc.pm)
-		m.GatherElem(e, s.Vel, dim, sc.velC)
-		m.GatherElem(e, s.kVUPsi, 1, sc.psiC)
-		vol := 1.0
-		for dd := 0; dd < dim; dd++ {
-			vol *= h
-		}
+// kVUMassZip is the velocity-update matrix element kernel (zipped): the
+// scalar mass matrix.
+func (s *Solver) kVUMassZip(w, e int, h float64, blocks [][]float64) {
+	s.asmS.Ref.MassGemm(s.asmS.WorkN(w), h, 1, nil, blocks[0])
+}
+
+// kVUComp is the velocity-update RHS element kernel: the elemental RHS for
+// velocity component s.kVUD, ∫ N (v*_d - dt (1/ρ) ψ_,d), with worker w's
+// private scratch; ψ reaches it through s.kVUPsi (set by StepVU).
+func (s *Solver) kVUComp(w, e int, h float64, fe []float64) {
+	m := s.M
+	dim := m.Dim
+	d := s.kVUD
+	r := s.asmS.Ref
+	npe := r.NPE
+	sc := &s.vuVec[w]
+	m.GatherElem(e, s.PhiMu, 2, sc.pm)
+	m.GatherElem(e, s.Vel, dim, sc.velC)
+	m.GatherElem(e, s.kVUPsi, 1, sc.psiC)
+	vol := 1.0
+	for dd := 0; dd < dim; dd++ {
+		vol *= h
+	}
+	for a := 0; a < npe; a++ {
+		sc.comp[a] = sc.velC[a*dim+d]
+		sc.phiC[a] = sc.pm[a*2]
+	}
+	for g := 0; g < r.NG; g++ {
+		wg := r.W[g] * vol
+		vg := r.AtGauss(g, sc.comp)
+		dpsi := r.GradAtGauss(g, d, h, sc.psiC)
+		rhoG := s.Par.Density(r.AtGauss(g, sc.phiC))
+		f := vg - s.Opt.Dt*dpsi/rhoG
 		for a := 0; a < npe; a++ {
-			sc.comp[a] = sc.velC[a*dim+d]
-			sc.phiC[a] = sc.pm[a*2]
-		}
-		for g := 0; g < r.NG; g++ {
-			wg := r.W[g] * vol
-			vg := r.AtGauss(g, sc.comp)
-			dpsi := r.GradAtGauss(g, d, h, sc.psiC)
-			rhoG := s.Par.Density(r.AtGauss(g, sc.phiC))
-			f := vg - s.Opt.Dt*dpsi/rhoG
-			for a := 0; a < npe; a++ {
-				fe[a] += wg * f * r.N[g*npe+a]
-			}
+			fe[a] += wg * f * r.N[g*npe+a]
 		}
 	}
 }

@@ -29,14 +29,13 @@ const (
 	CG     Method = "cg"
 	BiCGS  Method = "bcgs"
 	IBiCGS Method = "ibcgs"
-	GMRES  Method = "gmres"
 )
 
 // Valid reports whether m names a known Krylov method (the empty string
 // is the documented IBiCGS default).
 func (m Method) Valid() bool {
 	switch m {
-	case CG, BiCGS, IBiCGS, GMRES, "":
+	case CG, BiCGS, IBiCGS, "":
 		return true
 	}
 	return false
@@ -51,7 +50,7 @@ type ErrUnknownMethod struct {
 }
 
 func (e *ErrUnknownMethod) Error() string {
-	return fmt.Sprintf("la: unknown KSP type %q (known: cg, bcgs, ibcgs, gmres)", e.Type)
+	return fmt.Sprintf("la: unknown KSP type %q (known: cg, bcgs, ibcgs)", e.Type)
 }
 
 // KSP is a configured Krylov solve, mirroring the PETSc KSP object. A KSP
@@ -60,14 +59,13 @@ func (e *ErrUnknownMethod) Error() string {
 // steady-state (warm) solve path performs no allocation. Hold one KSP per
 // stage and keep calling Solve on it.
 type KSP struct {
-	Op      Operator
-	PC      PC
-	Red     Reducer
-	Type    Method
-	Rtol    float64 // relative tolerance (default 1e-8, as in the paper)
-	Atol    float64 // absolute tolerance (default 1e-8)
-	MaxIt   int     // default 10000
-	Restart int     // GMRES restart length (default 30)
+	Op    Operator
+	PC    PC
+	Red   Reducer
+	Type  Method
+	Rtol  float64 // relative tolerance (default 1e-8, as in the paper)
+	Atol  float64 // absolute tolerance (default 1e-8)
+	MaxIt int     // default 10000
 
 	// Pool shards the dot/axpy kernels across workers; results are
 	// bitwise identical to the serial path (chunk-canonical dots).
@@ -108,9 +106,6 @@ func (k *KSP) defaults() {
 	if k.MaxIt == 0 {
 		k.MaxIt = 10000
 	}
-	if k.Restart == 0 {
-		k.Restart = 30
-	}
 	if k.PC == nil {
 		k.PC = PCNone{}
 	}
@@ -137,8 +132,6 @@ func (k *KSP) Solve(b, x []float64) (Result, error) {
 		res = k.cg(b, x)
 	case BiCGS:
 		res = k.bicgstab(b, x, false)
-	case GMRES:
-		res = k.gmres(b, x)
 	default: // IBiCGS and the "" default
 		res = k.bicgstab(b, x, true)
 	}
@@ -257,94 +250,4 @@ func (k *KSP) bicgstab(b, x []float64, fused bool) Result {
 		}
 	}
 	return Result{Iterations: k.MaxIt, Converged: false, Residual: rnorm}
-}
-
-// gmres is restarted GMRES with modified Gram-Schmidt and right
-// preconditioning.
-func (k *KSP) gmres(b, x []float64) Result {
-	ws := k.ws
-	n := ws.n
-	m := k.Restart
-	r, w, zv := ws.r, ws.w, ws.zv
-	V, H := ws.V, ws.H
-	cs, sn, g, y := ws.cs, ws.sn, ws.g, ws.y
-	bnorm := k.norm(b, n)
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	totalIt := 0
-	for cycle := 0; totalIt < k.MaxIt; cycle++ {
-		k.Op.Apply(x, w)
-		k.waxpby(r, 1, b, -1, w, n)
-		beta := k.norm(r, n)
-		if beta <= k.Rtol*bnorm || beta <= k.Atol {
-			return Result{Iterations: totalIt, Converged: true, Residual: beta}
-		}
-		k.waxpby(V[0], 1/beta, r, 0, r, n)
-		for i := range g {
-			g[i] = 0
-		}
-		g[0] = beta
-		j := 0
-		for ; j < m && totalIt < k.MaxIt; j++ {
-			totalIt++
-			k.PC.Apply(V[j][:n], zv[:n])
-			k.Op.Apply(zv, w)
-			for i := 0; i <= j; i++ {
-				h := k.dot(w, V[i], n)
-				H[i][j] = h
-				k.axpy(-h, V[i], w, n)
-			}
-			hn := k.norm(w, n)
-			H[j+1][j] = hn
-			if hn != 0 {
-				k.waxpby(V[j+1], 1/hn, w, 0, w, n)
-			}
-			// Apply accumulated Givens rotations.
-			for i := 0; i < j; i++ {
-				t := cs[i]*H[i][j] + sn[i]*H[i+1][j]
-				H[i+1][j] = -sn[i]*H[i][j] + cs[i]*H[i+1][j]
-				H[i][j] = t
-			}
-			d := math.Hypot(H[j][j], H[j+1][j])
-			if d == 0 {
-				j++
-				break
-			}
-			cs[j], sn[j] = H[j][j]/d, H[j+1][j]/d
-			H[j][j] = d
-			H[j+1][j] = 0
-			g[j+1] = -sn[j] * g[j]
-			g[j] = cs[j] * g[j]
-			if res := math.Abs(g[j+1]); res <= k.Rtol*bnorm || res <= k.Atol {
-				j++
-				break
-			}
-		}
-		// Back-substitute y and update x via the preconditioned basis.
-		for i := 0; i < j; i++ {
-			y[i] = 0
-		}
-		for i := j - 1; i >= 0; i-- {
-			s := g[i]
-			for l := i + 1; l < j; l++ {
-				s -= H[i][l] * y[l]
-			}
-			if H[i][i] != 0 {
-				y[i] = s / H[i][i]
-			}
-		}
-		for i := range zv {
-			zv[i] = 0
-		}
-		for l := 0; l < j; l++ {
-			k.axpy(y[l], V[l], zv, n)
-		}
-		k.PC.Apply(zv[:n], w[:n])
-		k.axpy(1, w, x, n)
-	}
-	k.Op.Apply(x, w)
-	k.waxpby(r, 1, b, -1, w, n)
-	res := k.norm(r, n)
-	return Result{Iterations: totalIt, Converged: res <= k.Rtol*bnorm || res <= k.Atol, Residual: res}
 }

@@ -1,7 +1,7 @@
 // Package la is the linear-algebra substrate standing in for PETSc: local
 // vectors with owned+ghost layout, assembled sparse matrices in AIJ (CSR)
-// and BAIJ (block-CSR) formats, Krylov solvers (CG, BiCGStab, a fused
-// IBCGS variant, restarted GMRES), preconditioners (Jacobi and
+// and BAIJ (block-CSR) formats, Krylov solvers (CG, BiCGStab and a fused
+// IBCGS variant), preconditioners (Jacobi and
 // block-Jacobi with ILU(0) local solves) and a Newton driver.
 //
 // Matrices are distributed by rows: each rank owns the rows of its owned

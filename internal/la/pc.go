@@ -12,14 +12,6 @@ type PC interface {
 	Apply(r, z []float64)
 }
 
-// Refresher is a PC that can refactor itself in place from its matrix's
-// re-assembled values, without reallocating: the warm path of a
-// persistent-operator time loop (the pattern is frozen, only values
-// change). Call Refresh after each reassembly, before Solve.
-type Refresher interface {
-	Refresh()
-}
-
 // RowPatch describes how the owned scalar rows of a matrix moved across an
 // incremental remesh (mesh.Patch / mesh.PatchMigrated), in la's own terms so
 // this package stays mesh-agnostic. Remap maps each old owned scalar row to
@@ -58,7 +50,7 @@ func NewPCJacobi(m *BSRMat) *PCJacobi {
 }
 
 // Refresh re-extracts the inverse diagonal from the matrix values in
-// place. Implements Refresher; allocation-free.
+// place, allocation-free.
 func (p *PCJacobi) Refresh() {
 	m := p.m
 	bs := m.Bs
@@ -79,22 +71,6 @@ func (p *PCJacobi) Refresh() {
 			}
 		}
 	}
-}
-
-// Rebind re-points the preconditioner at a replacement matrix (the
-// incremental-remesh carry-over path), growing the diagonal storage only
-// when the new operator is larger, and re-extracts the values.
-func (p *PCJacobi) Rebind(m *BSRMat) {
-	if !m.Finalized() {
-		m.Finalize()
-	}
-	p.m = m
-	n := m.Rows()
-	if cap(p.inv) < n {
-		p.inv = make([]float64, n)
-	}
-	p.inv = p.inv[:n]
-	p.Refresh()
 }
 
 // Apply implements PC.

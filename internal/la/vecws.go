@@ -29,16 +29,10 @@ type kspWS struct {
 	pool    *par.Pool
 	full, n int
 	method  Method
-	restart int
 
 	// CG: r, z, p, ap. BiCGStab adds rhat, v, s, t, ph, sh (z, p reused).
 	r, z, p, ap           []float64
 	rhat, v, s, t, ph, sh []float64
-	// GMRES: w, zv, Krylov basis V, Hessenberg H, Givens cs/sn, g, y.
-	w, zv  []float64
-	V, H   [][]float64
-	cs, sn []float64
-	g, y   []float64
 
 	red      [2]float64 // reduction staging for GlobalSumInto
 	chA, chB []float64  // canonical dot chunk sums
@@ -53,8 +47,8 @@ type kspWS struct {
 	fn          func(w int)
 }
 
-func newKspWS(pool *par.Pool, full, n int, method Method, restart int) *kspWS {
-	ws := &kspWS{pool: pool, full: full, n: n, method: method, restart: restart}
+func newKspWS(pool *par.Pool, full, n int, method Method) *kspWS {
+	ws := &kspWS{pool: pool, full: full, n: n, method: method}
 	ws.fn = ws.runShard
 	ws.chA = make([]float64, blas.NumChunks(n))
 	ws.chB = make([]float64, blas.NumChunks(n))
@@ -66,30 +60,13 @@ func newKspWS(pool *par.Pool, full, n int, method Method, restart int) *kspWS {
 		ws.r, ws.p = vec(), vec()
 		ws.rhat = make([]float64, n)
 		ws.v, ws.s, ws.t, ws.ph, ws.sh = vec(), vec(), vec(), vec(), vec()
-	case GMRES:
-		m := restart
-		ws.r, ws.w, ws.zv = vec(), vec(), vec()
-		ws.V = make([][]float64, m+1)
-		for i := range ws.V {
-			ws.V[i] = vec()
-		}
-		ws.H = make([][]float64, m+1)
-		for i := range ws.H {
-			ws.H[i] = make([]float64, m)
-		}
-		ws.cs, ws.sn = make([]float64, m), make([]float64, m)
-		ws.g = make([]float64, m+1)
-		ws.y = make([]float64, m)
 	}
 	return ws
 }
 
 // matches reports whether the workspace fits a solve of the given shape.
-func (ws *kspWS) matches(pool *par.Pool, full, n int, method Method, restart int) bool {
-	if ws == nil || ws.pool != pool || ws.full != full || ws.n != n || ws.method != method {
-		return false
-	}
-	return method != GMRES || ws.restart == restart
+func (ws *kspWS) matches(pool *par.Pool, full, n int, method Method) bool {
+	return ws != nil && ws.pool == pool && ws.full == full && ws.n == n && ws.method == method
 }
 
 // resize rebinds the workspace to a new operator shape in place, keeping
@@ -114,16 +91,13 @@ func (ws *kspWS) resize(pool *par.Pool, full, n int) {
 	nc := blas.NumChunks(n)
 	grow(&ws.chA, nc)
 	grow(&ws.chB, nc)
-	for _, v := range []*[]float64{&ws.r, &ws.z, &ws.p, &ws.ap, &ws.v, &ws.s, &ws.t, &ws.ph, &ws.sh, &ws.w, &ws.zv} {
+	for _, v := range []*[]float64{&ws.r, &ws.z, &ws.p, &ws.ap, &ws.v, &ws.s, &ws.t, &ws.ph, &ws.sh} {
 		if *v != nil {
 			grow(v, full)
 		}
 	}
 	if ws.rhat != nil {
 		grow(&ws.rhat, n)
-	}
-	for i := range ws.V {
-		grow(&ws.V[i], full)
 	}
 }
 
@@ -165,24 +139,21 @@ func (ws *kspWS) runShard(w int) {
 	}
 }
 
-// ensureWS (re)builds the workspace if the operator shape, method,
-// restart length or pool changed since the last Solve. A pure shape
-// change (same method and restart, e.g. after a remesh rebound the
-// operator) resizes the existing workspace in place, preserving its
-// backing arrays.
+// ensureWS (re)builds the workspace if the operator shape, method or
+// pool changed since the last Solve. A pure shape change (same method,
+// e.g. after a remesh rebound the operator) resizes the existing
+// workspace in place, preserving its backing arrays.
 func (k *KSP) ensureWS() {
 	full, n := k.Op.FullLen(), k.Op.Rows()
-	if k.ws.matches(k.Pool, full, n, k.Type, k.Restart) {
+	if k.ws.matches(k.Pool, full, n, k.Type) {
 		return
 	}
-	methodOK := k.ws != nil && normalizeMethod(k.ws.method) == normalizeMethod(k.Type) &&
-		(k.ws.method != GMRES || k.ws.restart == k.Restart)
-	if methodOK {
+	if k.ws != nil && normalizeMethod(k.ws.method) == normalizeMethod(k.Type) {
 		k.ws.resize(k.Pool, full, n)
-		k.ws.method, k.ws.restart = k.Type, k.Restart
+		k.ws.method = k.Type
 		return
 	}
-	k.ws = newKspWS(k.Pool, full, n, k.Type, k.Restart)
+	k.ws = newKspWS(k.Pool, full, n, k.Type)
 }
 
 // normalizeMethod folds the method aliases that share a workspace layout

@@ -2,7 +2,7 @@
 // drop-in la.PC: a hierarchy of coarsened 2:1-balanced forests, per-level
 // operators assembled with the frozen-sparsity fem machinery, inter-level
 // transfers through the hanging-node-constrained FE interpolation, and
-// Jacobi/ILU(0) smoothing. See PCGMG.
+// rank-block ILU(0) smoothing. See PCGMG.
 package mg
 
 import (

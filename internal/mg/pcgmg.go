@@ -31,38 +31,16 @@ type Config struct {
 	// transfers (restricted residuals and prolonged corrections), for
 	// systems with Dirichlet walls on every level (the NS velocity block).
 	BoundaryDirichlet bool
-	// Smoother selects the per-level smoother: "ilu0" (default, the
-	// rank-block ILU(0) used by the Table II stages) or "jacobi".
-	Smoother string
-	// PreSmooth/PostSmooth are the smoothing sweeps per level on the way
-	// down/up (defaults 1/1); CoarseSmooth is the sweep count standing in
-	// for a direct solve on the coarsest level (default 8).
-	PreSmooth, PostSmooth, CoarseSmooth int
-	// Omega is the smoother damping (default 1 for ilu0, 2/3 for jacobi).
-	Omega float64
 }
 
-func (c *Config) defaults() {
-	if c.Smoother == "" {
-		c.Smoother = "ilu0"
-	}
-	if c.PreSmooth == 0 {
-		c.PreSmooth = 1
-	}
-	if c.PostSmooth == 0 {
-		c.PostSmooth = 1
-	}
-	if c.CoarseSmooth == 0 {
-		c.CoarseSmooth = 8
-	}
-	if c.Omega == 0 {
-		if c.Smoother == "jacobi" {
-			c.Omega = 2.0 / 3.0
-		} else {
-			c.Omega = 1
-		}
-	}
-}
+// V-cycle sweep counts: one ILU(0) smoothing sweep per level on the way
+// down and up, and coarseSweeps standing in for a direct solve on the
+// coarsest level. The smoothing is undamped.
+const (
+	preSweeps    = 1
+	postSweeps   = 1
+	coarseSweeps = 8
+)
 
 // Level is one rung of the preconditioner: its mesh, the frozen-sparsity
 // assembler and operator, the injected coefficient fields, and the cycle
@@ -76,7 +54,7 @@ type Level struct {
 	Coef    [][]float64
 	Scratch any
 
-	smoother la.PC
+	smoother *la.PCBJacobiILU0
 	// pending is a one-shot row patch left by Rebind: the next
 	// refreshSmoother consumes it to carry the smoother's factorization
 	// index across the remesh instead of dropping the smoother.
@@ -86,7 +64,7 @@ type Level struct {
 }
 
 // PCGMG is a geometric multigrid V-cycle preconditioner over a Hierarchy,
-// pluggable wherever the stage PCs go (la.PC + la.Refresher). The fine
+// pluggable wherever the stage PCs go (la.PC, refreshed in place). The fine
 // operator is the stage's own matrix (SetFineOperator); coarse operators
 // are reassembled from injected coefficients on every Refresh. Apply runs
 // a single V-cycle with fixed sweep counts and no inner reductions, so it
@@ -110,7 +88,6 @@ type PCGMG struct {
 // assembly itself is pinned serial for reproducibility. Collective (level
 // mesh vector setup only — no communication).
 func NewPCGMG(h *Hierarchy, pool *par.Pool, cfg Config) *PCGMG {
-	cfg.defaults()
 	p := &PCGMG{h: h, cfg: cfg, pool: pool}
 	for l, m := range h.Meshes {
 		p.lv = append(p.lv, p.newLevel(l, m))
@@ -334,31 +311,19 @@ func (p *PCGMG) Refresh() {
 func (p *PCGMG) refreshSmoother(lvl *Level) {
 	if lvl.smoother == nil {
 		lvl.pending = nil
-		if p.cfg.Smoother == "jacobi" {
-			lvl.smoother = la.NewPCJacobi(lvl.Mat)
-		} else {
-			lvl.smoother = la.NewPCBJacobiILU0(lvl.Mat)
-		}
+		lvl.smoother = la.NewPCBJacobiILU0(lvl.Mat)
 		return
 	}
 	if patch := lvl.pending; patch != nil {
 		// One-shot remesh carry-over: re-key the smoother onto the level's
 		// rebuilt operator, keeping the factorization index of clean rows.
 		lvl.pending = nil
-		switch sm := lvl.smoother.(type) {
-		case *la.PCBJacobiILU0:
-			kept, rebuilt := sm.RebindPatched(lvl.Mat, patch)
-			p.rowsKept += kept
-			p.rowsRebuilt += rebuilt
-		case *la.PCJacobi:
-			sm.Rebind(lvl.Mat)
-		default:
-			lvl.smoother = nil
-			p.refreshSmoother(lvl)
-		}
+		kept, rebuilt := lvl.smoother.RebindPatched(lvl.Mat, patch)
+		p.rowsKept += kept
+		p.rowsRebuilt += rebuilt
 		return
 	}
-	lvl.smoother.(la.Refresher).Refresh()
+	lvl.smoother.Refresh()
 }
 
 // Apply runs one V-cycle on r, writing the correction to z (owned
@@ -373,7 +338,7 @@ func (p *PCGMG) Apply(r, z []float64) {
 	for l := 0; l < L-1; l++ {
 		lvl := lv[l]
 		zero(lvl.x)
-		p.smooth(lvl, p.cfg.PreSmooth, true)
+		p.smooth(lvl, preSweeps, true)
 		n := lvl.M.NumOwned * ndof
 		lvl.Mat.Apply(lvl.x, lvl.t)
 		for i := 0; i < n; i++ {
@@ -386,7 +351,7 @@ func (p *PCGMG) Apply(r, z []float64) {
 	}
 	last := lv[L-1]
 	zero(last.x)
-	p.smooth(last, p.cfg.CoarseSmooth, true)
+	p.smooth(last, coarseSweeps, true)
 	for l := L - 2; l >= 0; l-- {
 		lvl, next := lv[l], lv[l+1]
 		p.h.Up[l+1].Eval(next.x, ndof, lvl.t, false)
@@ -395,18 +360,17 @@ func (p *PCGMG) Apply(r, z []float64) {
 		for i := 0; i < n; i++ {
 			lvl.x[i] += lvl.t[i]
 		}
-		p.smooth(lvl, p.cfg.PostSmooth, false)
+		p.smooth(lvl, postSweeps, false)
 	}
 	copy(z[:n0], f.x[:n0])
 }
 
-// smooth runs damped-relaxation sweeps x += ω M⁻¹ (b - A x) on one level.
+// smooth runs relaxation sweeps x += M⁻¹ (b - A x) on one level.
 // xZero skips the first residual SpMV when x is known to be zero (the
 // skip is taken uniformly on every rank, keeping the collective schedule
 // aligned).
 func (p *PCGMG) smooth(lvl *Level, sweeps int, xZero bool) {
 	n := lvl.M.NumOwned * p.cfg.Ndof
-	om := p.cfg.Omega
 	for s := 0; s < sweeps; s++ {
 		if s == 0 && xZero {
 			copy(lvl.r[:n], lvl.b[:n])
@@ -418,7 +382,7 @@ func (p *PCGMG) smooth(lvl *Level, sweeps int, xZero bool) {
 		}
 		lvl.smoother.Apply(lvl.r[:n], lvl.t[:n])
 		for i := 0; i < n; i++ {
-			lvl.x[i] += om * lvl.t[i]
+			lvl.x[i] += lvl.t[i]
 		}
 	}
 }
