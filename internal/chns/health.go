@@ -62,9 +62,8 @@ func (e *ErrDiverged) Error() string {
 // StageReport is one stage's solve outcome inside a StepReport.
 type StageReport struct {
 	Stage Stage `json:"stage"`
-	// Result is the stage's (last) linear solve result; for VU in split
-	// mode it is the result of the final component solve and Iterations
-	// accumulates all components.
+	// Result is the stage's (last) linear solve result; for VU, the last
+	// component solve's, with Iterations summed over the components.
 	Result la.Result `json:"result"`
 	// NewtonIterations, NewtonConverged and NewtonContraction (the factor
 	// the nonlinear residual fell by over the last iteration that built its

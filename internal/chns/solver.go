@@ -449,9 +449,10 @@ func (s *Solver) MeshEpoch() uint64 { return s.meshEpoch }
 // element and per-worker scratch, each stage's KSP (whose Krylov workspace
 // resizes in place on the next Solve) and the Newton driver. Each stage's
 // operator and RHS, and the per-step vectors, are dropped and rebuilt
-// lazily on the next step. State vectors (PhiMu, Vel, P, ElemCn, and ψ under warm starts) are
-// reallocated at the new sizes and left for the caller to fill by
-// transfer/migration; ElemCn starts at the uniform Cahn number.
+// lazily on the next step. State vectors (PhiMu, Vel, P, ElemCn, and ψ
+// under warm starts) are reallocated at the new sizes and left for the
+// caller to fill by transfer/migration; ElemCn starts at the uniform Cahn
+// number.
 //
 // d is the mesh delta of an incremental build (mesh.Patch,
 // mesh.PatchMigrated) and names what survived: each stage assembler's
