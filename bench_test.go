@@ -242,12 +242,11 @@ func BenchmarkRemeshPipeline_Incremental(b *testing.B) { benchRemeshPipeline(b, 
 func BenchmarkRemeshPipeline_Batched(b *testing.B)     { benchRemeshPipeline(b, 4) }
 
 // ---------------------------------------------------------------------------
-// Post-remesh solves (PR 10) — remesh-aware MG refresh, preconditioner
-// carry-over, and warm starts. Warm and cold differ only in the Krylov
+// Post-remesh solves (PR 10) — remesh-aware MG refresh and warm starts. Warm and cold differ only in the Krylov
 // initial guess of the PP and VU solves on the first step after each
 // remesh (the convergence target is relative to the RHS either way); the
 // reported post-remesh per-stage iteration means are the acceptance
-// metric, alongside the carry-over counters both runs share.
+// metric, alongside the MG carry-over counter both runs share.
 // ---------------------------------------------------------------------------
 
 func benchPostRemeshSolve(b *testing.B, warm bool) {
@@ -281,8 +280,6 @@ func benchPostRemeshSolve(b *testing.B, warm bool) {
 	}
 	b.ReportMetric(float64(st.PostRemeshSteps), "post-steps")
 	b.ReportMetric(float64(st.MGLevelsReused+st.MGLevelsPatched), "mg-levels-carried")
-	b.ReportMetric(float64(st.PCRowsKept), "pc-rows-kept")
-	b.ReportMetric(float64(st.PCRowsRebuilt), "pc-rows-rebuilt")
 }
 
 func BenchmarkPostRemeshSolve_Warm(b *testing.B) { benchPostRemeshSolve(b, true) }

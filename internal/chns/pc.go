@@ -19,7 +19,7 @@ import (
 func (s *Solver) ensureHierarchy() *mg.Hierarchy {
 	if s.mgH == nil {
 		if s.mgPrev != nil {
-			h, res := mg.RefreshHierarchy(s.M, s.mgPrev, s.pcDelta, &s.mgWS, mg.HierarchyOptions{})
+			h, res := mg.RefreshHierarchy(s.M, s.mgPrev, s.mgDelta, &s.mgWS, mg.HierarchyOptions{})
 			s.mgH, s.mgInfo = h, res
 			rs := &s.T.RemeshStages
 			rs.MGLevelsReused += res.LevelsReused

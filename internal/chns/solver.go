@@ -143,12 +143,6 @@ type RemeshTimes struct {
 	MGLevelsPatched int
 	MGRowsPatched   int
 	MGRowsResolved  int
-	// Preconditioner carry-over telemetry: owned ILU(0) rows whose
-	// factorization index was carried across an incremental rebind vs
-	// re-resolved from the patched sparsity (the values refactor either
-	// way), summed over every stage and multigrid-level smoother.
-	PCRowsKept    int
-	PCRowsRebuilt int
 	// Post-remesh solve telemetry: the first full step after each remesh,
 	// with its per-stage Krylov iteration counts — what the warm-start path
 	// is measured by.
@@ -186,8 +180,6 @@ func (t *RemeshTimes) Add(o RemeshTimes) {
 	t.MGLevelsPatched += o.MGLevelsPatched
 	t.MGRowsPatched += o.MGRowsPatched
 	t.MGRowsResolved += o.MGRowsResolved
-	t.PCRowsKept += o.PCRowsKept
-	t.PCRowsRebuilt += o.PCRowsRebuilt
 	t.PostSteps += o.PostSteps
 	t.PostCHIters += o.PostCHIters
 	t.PostNSIters += o.PostNSIters
@@ -301,19 +293,16 @@ type Solver struct {
 	// levels) instead of rebuilding from scratch. Cold rebinds clear it.
 	mgPrev *mg.Hierarchy
 	// mgInfo is the per-level outcome of the last hierarchy refresh: what
-	// PCGMG.Rebind needs to carry per-level assemblers and smoothers
-	// across an incremental remesh. Valid alongside mgH.
+	// PCGMG.Rebind needs to keep or patch its levels across an incremental
+	// remesh. Valid alongside mgH.
 	mgInfo *mg.RefreshResult
 	// mgWS is the hierarchy build/refresh scratch, reused across refreshes.
 	mgWS mg.Workspace
 
-	// Incremental PC carry-over state, set by Rebind with a delta and
-	// consumed by the first post-remesh setup of each stage preconditioner
-	// (linStage.stale): the composed mesh delta, the old mesh's owned-node
-	// count and the lazily expanded per-ndof scalar row patches.
-	pcDelta    *mesh.Delta
-	pcOldOwned int
-	pcPatches  [4]*la.RowPatch // by dofs per node
+	// mgDelta is the composed mesh delta of the last incremental Rebind
+	// (nil after a cold one), what ensureHierarchy refreshes mgPrev
+	// through.
+	mgDelta *mesh.Delta
 
 	// postRemesh marks the first full step after a rebind so the
 	// RemeshTimes Post* iteration telemetry can single it out; cleared at
@@ -382,8 +371,9 @@ func NewSolver(m *mesh.Mesh, prm Params, opt Options) *Solver {
 		pins: pinWalls, mass: true, t: &s.T.VU, post: &rs.PostVUIters,
 		ksp: la.KSP{Type: la.CG, Rtol: tol, Atol: tol}}
 	// The CH mass solve runs before the first step; its timers go nowhere.
+	// ‖b‖ ≈ 1e-3, so Atol, not Rtol, stops CG: μ₀ is ~1e-5 relative.
 	s.chMass = linStage{s: s, asm: s.asmS, mass: true, t: new(StageTimes),
-		ksp: la.KSP{Type: la.CG, Rtol: 1e-10}}
+		ksp: la.KSP{Type: la.CG, Rtol: 1e-10, Atol: 1e-8}}
 	return s
 }
 
@@ -457,24 +447,23 @@ func (s *Solver) MeshEpoch() uint64 { return s.meshEpoch }
 // d is the mesh delta of an incremental build (mesh.Patch,
 // mesh.PatchMigrated) and names what survived: each stage assembler's
 // frozen sparsity and assembly plans are patched instead of rebuilt; the
-// stage preconditioners are kept and flagged so their first post-remesh
-// setup carries the factorization index of every pattern-preserved row
-// (la.RowPatch); and the multigrid ladder is kept aside so the next
-// GMG-preconditioned stage refreshes it, reusing unchanged coarse levels.
-// A nil d means nothing is known to have survived: plans, preconditioners
-// and ladder all go. Every repaired object is bitwise identical to its
-// cold rebuild, so the two yield identical runs. Collective when d is
-// non-nil.
+// multigrid ladder is kept aside so the next GMG-preconditioned stage
+// refreshes it, reusing unchanged coarse levels; and a GMG stage PC is
+// kept and flagged so its first post-remesh setup rebinds its levels onto
+// that ladder. Every other stage PC is dropped and built on the new
+// operator by its next setup. A nil d means nothing is known to have
+// survived: plans, preconditioners and ladder all go. Every repaired
+// object is bitwise identical to its cold rebuild, so the two yield
+// identical runs. Collective when d is non-nil.
 func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
-	// A second incremental rebind before any stage consumed the first has
-	// no composed delta at this level: the PC carry-over degrades to cold.
-	// The hierarchy refresh still works off the kept previous ladder, just
+	// A second incremental rebind before a kept GMG PC consumed the first
+	// has no composed delta at this level: the PC is dropped. The
+	// hierarchy refresh still works off the kept previous ladder, just
 	// without the fine-level transfer patch.
 	stacked := false
 	for _, st := range s.stages() {
 		stacked = stacked || st.stale
 	}
-	oldOwned := s.M.NumOwned
 	s.M = m
 	s.meshEpoch = epoch
 	s.allocState()
@@ -484,15 +473,13 @@ func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	s.chOld = nil
 	s.chBlk.drop()
 	s.vuComp, s.vuNewVel = nil, nil
-	s.pcDelta, s.pcOldOwned, s.pcPatches = d, oldOwned, [4]*la.RowPatch{}
-	if d == nil || stacked {
-		s.pcDelta = nil
+	s.mgDelta = d
+	if stacked {
+		s.mgDelta = nil
 	}
-	// A stage PC that is still here is carried: its next setup patches it.
-	// Mass operators are rebuilt, PC included.
 	for _, st := range s.stages() {
 		st.mat, st.rhs = nil, nil
-		if s.pcDelta == nil || st.mass {
+		if _, gmg := st.pc.(*mg.PCGMG); !gmg || s.mgDelta == nil {
 			st.pc = nil
 		}
 		st.stale = st.pc != nil
@@ -506,16 +493,6 @@ func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	}
 	s.mgH, s.mgInfo = nil, nil
 	s.postRemesh = true
-}
-
-// rowPatch returns the owned scalar-row patch of an nd-dof-per-node
-// operator under the pending incremental rebind (nil when none is
-// pending), expanding and caching it per ndof on first use.
-func (s *Solver) rowPatch(nd int) *la.RowPatch {
-	if s.pcDelta != nil && s.pcPatches[nd] == nil {
-		s.pcPatches[nd] = mg.NodeRowPatch(s.pcDelta, s.pcOldOwned, s.M.NumOwned, nd)
-	}
-	return s.pcPatches[nd]
 }
 
 // PsiState returns the pressure increment ψ that warm starts carry from

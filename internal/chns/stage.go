@@ -33,7 +33,7 @@ type linStage struct {
 	pins pinKind
 	// mass marks an operator assembled once per mesh and solved with CG +
 	// Jacobi (VU's and CH's mass matrices): never reassembled or refreshed
-	// on the same mesh, and never carried across a Rebind.
+	// on the same mesh.
 	mass bool
 	// levelK builds the stage's element kernel on a coarse multigrid level
 	// (NS and PP, the stages with a GMG option; see assembleLevel).
@@ -41,7 +41,7 @@ type linStage struct {
 
 	mat   *la.BSRMat
 	pc    la.PC
-	stale bool // pc was kept across an incremental Rebind: carry, not refresh
+	stale bool // pc is a GMG PC kept across an incremental Rebind: rebind it
 	ksp   la.KSP
 	rhs   []float64
 	t     *StageTimes
@@ -144,39 +144,25 @@ func (st *linStage) assembleRHS() {
 
 // setupPC makes the stage PC current for the operator just assembled and
 // returns the time it took: built cold on first use in a mesh epoch,
-// carried across an incremental Rebind (ILU(0) keeps the factorization
-// index of every pattern-preserved row, multigrid rebinds its level
-// assemblers and smoothers onto the refreshed ladder), or refreshed in
-// place from the new values. A mass stage's Jacobi PC needs nothing after
-// its build: the operator does not change on a mesh.
+// rebound onto the refreshed ladder after an incremental Rebind (a GMG PC
+// keeps its unchanged levels and patches its level assemblers), or
+// refreshed in place from the new values. A mass stage's Jacobi PC needs
+// nothing after its build: the operator does not change on a mesh.
 func (st *linStage) setupPC() time.Duration {
 	s := st.s
-	rs := &s.T.RemeshStages
 	t0 := time.Now()
 	switch p := st.pc.(type) {
 	case nil:
 		st.pc = s.newPC(st)
 		st.t.PCSetupCold += time.Since(t0)
 	case *la.PCBJacobiILU0:
-		if !st.stale {
-			p.Refresh()
-			break
-		}
-		// The NS PC factors the scalar operator: its patch is per node and
-		// its counts are scaled back to scalar rows.
-		k := p.Comps()
-		kept, rebuilt := p.RebindPatched(st.mat, s.rowPatch(st.asm.Ndof/k))
-		rs.PCRowsKept += kept * k
-		rs.PCRowsRebuilt += rebuilt * k
+		p.Refresh()
 	case *mg.PCGMG:
 		if st.stale {
-			p.Rebind(s.ensureHierarchy(), s.mgInfo, s.gmgCoefs(st), s.meshEpoch, s.rowPatch(st.asm.Ndof))
+			p.Rebind(s.ensureHierarchy(), s.mgInfo, s.gmgCoefs(st), s.meshEpoch)
 		}
 		p.SetFineOperator(st.mat)
 		p.Refresh()
-		kept, rebuilt := p.TakeRebindStats() // zero unless rebound above
-		rs.PCRowsKept += kept
-		rs.PCRowsRebuilt += rebuilt
 	}
 	st.stale = false
 	d := time.Since(t0)

@@ -625,8 +625,8 @@ func (s *Simulation) Timers() chns.Timers {
 	t.NS.Add(s.Solver.T.NS)
 	t.PP.Add(s.Solver.T.PP)
 	t.VU.Add(s.Solver.T.VU)
-	// The solver's remesh counters (MG refresh carry-over, PC rows,
-	// post-remesh iterations) accumulate on its side of the seam; the
+	// The solver's remesh counters (MG refresh carry-over, post-remesh
+	// iterations) accumulate on its side of the seam; the
 	// pipeline sub-timers accumulate on ours. The two sets are disjoint.
 	t.RemeshStages.Add(s.Solver.T.RemeshStages)
 	return t

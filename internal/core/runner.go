@@ -275,16 +275,12 @@ type RunStats struct {
 	RippleRounds        int     `json:"ripple_rounds"`
 	DirtyFraction       float64 `json:"dirty_fraction"`
 	// Remesh-aware multigrid refresh accounting: coarse ladder levels
-	// reused / patched across hierarchy refreshes, transfer rows patched
-	// through the element remap vs re-resolved by point location, and the
-	// ILU(0) rows whose factorization index was carried vs rebuilt across
-	// incremental rebinds.
+	// reused / patched across hierarchy refreshes, and transfer rows
+	// patched through the element remap vs re-resolved by point location.
 	MGLevelsReused  int `json:"mg_levels_reused"`
 	MGLevelsPatched int `json:"mg_levels_patched"`
 	MGRowsPatched   int `json:"mg_rows_patched"`
 	MGRowsResolved  int `json:"mg_rows_resolved"`
-	PCRowsKept      int `json:"pc_rows_kept"`
-	PCRowsRebuilt   int `json:"pc_rows_rebuilt"`
 	// Post-remesh solves (the first full step after each remesh): how many
 	// there were and the mean per-stage Krylov iteration count on them —
 	// the numbers the warm-start path is judged by.
@@ -383,8 +379,6 @@ func (s *Simulation) Stats() RunStats {
 		MGLevelsPatched:     t.RemeshStages.MGLevelsPatched,
 		MGRowsPatched:       t.RemeshStages.MGRowsPatched,
 		MGRowsResolved:      t.RemeshStages.MGRowsResolved,
-		PCRowsKept:          t.RemeshStages.PCRowsKept,
-		PCRowsRebuilt:       t.RemeshStages.PCRowsRebuilt,
 		PostRemeshSteps:     t.RemeshStages.PostSteps,
 		PostRemeshIters:     postIters,
 		LevelHistogram:      s.LevelHistogram(),

@@ -59,15 +59,12 @@ func TestGMGIncrementalRemeshBitwise(t *testing.T) {
 					if st.MGLevelsReused+st.MGLevelsPatched == 0 {
 						panic(fmt.Sprintf("p=%d: hierarchy refresh never carried a level: %+v", p, st))
 					}
-					if st.PCRowsKept == 0 {
-						panic(fmt.Sprintf("p=%d: PC carry-over never kept a row: %+v", p, st))
-					}
 					if st.PostSteps == 0 || st.PostNSIters == 0 || st.PostPPIters == 0 {
 						panic(fmt.Sprintf("p=%d: post-remesh iteration telemetry missing: %+v", p, st))
 					}
 					ft := full.Timers().RemeshStages
-					if ft.MGLevelsReused+ft.MGLevelsPatched != 0 || ft.PCRowsKept != 0 {
-						panic(fmt.Sprintf("p=%d: from-scratch run still carried MG/PC state: %+v", p, ft))
+					if ft.MGLevelsReused+ft.MGLevelsPatched != 0 {
+						panic(fmt.Sprintf("p=%d: from-scratch run still carried MG state: %+v", p, ft))
 					}
 				})
 			})

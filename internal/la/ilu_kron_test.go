@@ -92,57 +92,3 @@ func TestILU0KronMatchesExpanded(t *testing.T) {
 		t.Errorf("%d Apply entries are zeros of the opposite sign to the expansion's", signZeros)
 	}
 }
-
-// TestILU0KronRebindPatchedMatchesFresh: across a node remap — a grid
-// column inserted, so the nodes beside it change pattern (dirty), the new
-// ones have no old row, and the rest move to new indices with their
-// patterns intact — RebindPatched on a node-level RowPatch gives the same
-// index and factor bits as constructing the PC on the new matrix, and so
-// does a nil patch (the cold rebind).
-func TestILU0KronRebindPatchedMatchesFresh(t *testing.T) {
-	const nx, ny, ins = 8, 6, 4
-	pat := gridPattern{ghosts: true, kron: true, pinned: true}
-	for _, k := range []int{1, 2, 3} {
-		oldM := gridSystem(nil, nx-1, ny, k, pat, int64(400+k))
-		newM := gridSystem(nil, nx, ny, k, pat, int64(500+k))
-		nOld, nNew := (nx-1)*ny, nx*ny
-		patch := &RowPatch{Remap: make([]int32, nOld), Dirty: make([]bool, nNew)}
-		for i := range patch.Remap {
-			if i/ny < ins {
-				patch.Remap[i] = int32(i)
-			} else {
-				patch.Remap[i] = int32(i + ny)
-			}
-		}
-		for y := 0; y < ny; y++ {
-			patch.Dirty[(ins-1)*ny+y], patch.Dirty[(ins+1)*ny+y] = true, true
-		}
-		fresh := NewPCBJacobiILU0Kron(newM)
-		for _, c := range []struct {
-			name  string
-			patch *RowPatch
-		}{{"patched", patch}, {"nil patch", nil}} {
-			what := fmt.Sprintf("k=%d %s", k, c.name)
-			p := NewPCBJacobiILU0Kron(oldM)
-			kept, rebuilt := p.RebindPatched(newM, c.patch)
-			if kept+rebuilt != nNew || (c.patch != nil && (kept == 0 || rebuilt == 0)) {
-				t.Fatalf("%s: kept %d rebuilt %d of %d rows", what, kept, rebuilt, nNew)
-			}
-			for _, a := range []struct {
-				name      string
-				got, want []int32
-			}{
-				{"indptr", p.indptr, fresh.indptr}, {"cols", p.cols, fresh.cols}, {"diag", p.diag, fresh.diag},
-				{"updOff", p.updOff, fresh.updOff}, {"updSrc", p.updSrc, fresh.updSrc}, {"updDst", p.updDst, fresh.updDst},
-			} {
-				if !slices.Equal(a.got, a.want) {
-					t.Fatalf("%s: %s differs from a fresh construction", what, a.name)
-				}
-			}
-			mustEqualBits(t, what+" factor", p.lu, fresh.lu)
-			if p.Comps() != k || p.n != nNew {
-				t.Fatalf("%s: %d components, %d rows after the rebind", what, p.Comps(), p.n)
-			}
-		}
-	}
-}

@@ -312,8 +312,8 @@ func TestApplySpanMatchesReferenceBitwise(t *testing.T) {
 	}
 }
 
-// TestILU0MatchesReferenceBitwise pins factor (cold, Refresh and
-// RebindPatched entry points) and Apply to the reference sweeps, on
+// TestILU0MatchesReferenceBitwise pins factor (cold and Refresh entry
+// points) and Apply to the reference sweeps, on
 // patterns with ghost columns (dropped by LocalCSR) and a zero pivot.
 func TestILU0MatchesReferenceBitwise(t *testing.T) {
 	const nx, ny = 8, 6
@@ -345,58 +345,32 @@ func TestILU0MatchesReferenceBitwise(t *testing.T) {
 			}
 			p.Refresh()
 			check("refresh")
-			p.RebindPatched(m, &RowPatch{Remap: identityRemap(p.n), Dirty: make([]bool, p.n)})
-			check("rebind")
 		}
 	}
 }
 
-// TestILU0IndexMatchesReference pins the row-marker buildIndex, and the
-// carried/merged index RebindPatched produces (every third row dirty, so
-// both its offset-carry and its two-pointer paths run), to the hash-map
-// construction: same updOff/updSrc/updDst, entry for entry.
+// TestILU0IndexMatchesReference pins the row-marker buildIndex to the
+// hash-map construction: same updOff/updSrc/updDst, entry for entry.
 func TestILU0IndexMatchesReference(t *testing.T) {
 	const nx, ny = 8, 6
 	for _, bs := range []int{1, 2, 3} {
 		for _, pat := range []gridPattern{{}, {ghosts: true}} {
 			m := gridSystem(nil, nx, ny, bs, pat, int64(200+bs))
 			p := NewPCBJacobiILU0(m)
-			check := func(stage string) {
-				t.Helper()
-				off, src, dst := refILUBuildIndex(p)
-				for _, c := range []struct {
-					name      string
-					got, want []int32
-				}{{"updOff", p.updOff, off}, {"updSrc", p.updSrc, src}, {"updDst", p.updDst, dst}} {
-					if !slices.Equal(c.got, c.want) {
-						t.Fatalf("bs=%d %+v %s: %s differs from the hash-map index", bs, pat, stage, c.name)
-					}
-				}
-				if len(src) == 0 {
-					t.Fatalf("bs=%d %+v %s: empty update index, nothing compared", bs, pat, stage)
+			off, src, dst := refILUBuildIndex(p)
+			for _, c := range []struct {
+				name      string
+				got, want []int32
+			}{{"updOff", p.updOff, off}, {"updSrc", p.updSrc, src}, {"updDst", p.updDst, dst}} {
+				if !slices.Equal(c.got, c.want) {
+					t.Fatalf("bs=%d %+v: %s differs from the hash-map index", bs, pat, c.name)
 				}
 			}
-			check("new")
-			dirty := make([]bool, p.n)
-			for i := range dirty {
-				dirty[i] = i%3 == 1
+			if len(src) == 0 {
+				t.Fatalf("bs=%d %+v: empty update index, nothing compared", bs, pat)
 			}
-			if kept, rebuilt := p.RebindPatched(m, &RowPatch{Remap: identityRemap(p.n), Dirty: dirty}); kept == 0 || rebuilt == 0 {
-				t.Fatalf("bs=%d: kept %d rebuilt %d rows, want both paths", bs, kept, rebuilt)
-			}
-			check("rebind-patched")
-			p.RebindPatched(m, nil)
-			check("rebind-cold")
 		}
 	}
-}
-
-func identityRemap(n int) []int32 {
-	r := make([]int32, n)
-	for i := range r {
-		r[i] = int32(i)
-	}
-	return r
 }
 
 // TestILU0RejectsUnsortedOrGhostColumns pins the structural assertion the
@@ -410,8 +384,8 @@ func TestILU0RejectsUnsortedOrGhostColumns(t *testing.T) {
 					t.Fatalf("%s columns must be rejected", name)
 				}
 			}()
-			p := &PCBJacobiILU0{n: 2, indptr: []int32{0, 2, 4}, cols: cols, diag: make([]int32, 2)}
-			p.findDiag()
+			p := &PCBJacobiILU0{n: 2, indptr: []int32{0, 2, 4}, cols: cols}
+			p.buildIndex()
 		}()
 	}
 }

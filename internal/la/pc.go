@@ -12,20 +12,6 @@ type PC interface {
 	Apply(r, z []float64)
 }
 
-// RowPatch describes how the owned scalar rows of a matrix moved across an
-// incremental remesh (mesh.Patch / mesh.PatchMigrated), in la's own terms so
-// this package stays mesh-agnostic. Remap maps each old owned scalar row to
-// its new owned row (-1: dropped, or no longer owned here); Dirty flags new
-// owned rows whose column pattern may differ from the old one. A row that is
-// mapped and not dirty ("clean") is guaranteed — by the patched-sparsity
-// offset-preservation invariant — to keep its column pattern positionally:
-// same length, columns remapped through the same node permutation, sorted
-// order and ownedness preserved.
-type RowPatch struct {
-	Remap []int32
-	Dirty []bool
-}
-
 // PCNone is the identity preconditioner.
 type PCNone struct{}
 
@@ -92,8 +78,8 @@ func (p *PCJacobi) Apply(r, z []float64) {
 // drops ghost columns — with strictly ascending columns and a stored
 // diagonal in every row, so diag[i] splits row i into its L part
 // [indptr[i], diag[i]) and its U part (diag[i], indptr[i+1]). factor and
-// Apply sweep those ranges without testing a column; findDiag asserts the
-// property once per index build.
+// Apply sweep those ranges without testing a column; buildIndex asserts
+// the property once.
 //
 // With k = Bs components (NewPCBJacobiILU0Kron) the matrix is an operator
 // A ⊗ I_k and only A is factored: factored row i stands for the k
@@ -138,137 +124,40 @@ func NewPCBJacobiILU0Kron(m *BSRMat) *PCBJacobiILU0 {
 
 func newPCBJacobiILU0(m *BSRMat, k int) *PCBJacobiILU0 {
 	indptr, cols, vals, n := m.localCSR(k)
-	p := &PCBJacobiILU0{m: m, k: k, n: n, indptr: indptr, cols: cols, lu: vals, diag: make([]int32, n)}
+	p := &PCBJacobiILU0{m: m, k: k, n: n, indptr: indptr, cols: cols, lu: vals}
 	p.buildIndex()
 	p.factor()
 	return p
 }
 
-// Comps returns the interleaved components per factored row: the
-// granularity of the RowPatch RebindPatched expects.
-func (p *PCBJacobiILU0) Comps() int { return p.k }
-
 // Refresh re-extracts the owned submatrix values and refactors on the
-// frozen pattern. Implements Refresher; allocation-free.
+// frozen pattern, allocation-free.
 func (p *PCBJacobiILU0) Refresh() {
 	p.m.localCSRValuesInto(p.indptr, p.lu, p.k)
 	p.factor()
 }
 
-// RebindPatched re-keys the factorization to a replacement matrix across an
-// incremental remesh. Where patch proves a row (and the rows its elimination
-// touches) kept its column pattern, the ILU(0) update index — the pattern
-// intersection of buildIndex — is carried over by pure
-// offset arithmetic; only dirty rows re-resolve their intersections, with a
-// two-pointer merge over the sorted patterns. The values are always
-// re-extracted and the numeric factorization redone in full, so the result
-// is bitwise identical to a fresh construction on m with the same component
-// count. The patch is over factored rows (node rows for a k = Bs operator).
-// A nil patch rebuilds from scratch. Returns the factored rows whose index
-// was carried vs rebuilt.
-func (p *PCBJacobiILU0) RebindPatched(m *BSRMat, patch *RowPatch) (kept, rebuilt int) {
-	if patch == nil {
-		*p = *newPCBJacobiILU0(m, p.k)
-		return 0, p.n
-	}
-	oldIndptr := p.indptr
-	oldUpdOff, oldUpdSrc, oldUpdDst := p.updOff, p.updSrc, p.updDst
-	indptr, cols, vals, n := m.localCSR(p.k)
-	p.m, p.n, p.indptr, p.cols, p.lu = m, n, indptr, cols, vals
-	if cap(p.diag) < n {
-		p.diag = make([]int32, n)
-	}
-	p.diag = p.diag[:n]
-	// oldOf inverts the row remap: new owned row -> old owned row, -1 when
-	// the row is new here. A "clean" row additionally requires the patch's
-	// non-dirty promise and (defensively) an unchanged local pattern length;
-	// LocalCSR drops ghost columns, so a column whose ownedness flipped
-	// would change the length and demote the row to the merge path.
-	oldOf := make([]int32, n)
-	for i := range oldOf {
-		oldOf[i] = -1
-	}
-	for or, nr := range patch.Remap {
-		if nr >= 0 && int(nr) < n {
-			oldOf[nr] = int32(or)
-		}
-	}
-	clean := make([]bool, n)
+// buildIndex records each row's diagonal slot, asserting the structure the
+// split sweeps rely on (columns owned, < n, and strictly ascending, with
+// the diagonal stored), and precomputes, for every lower-triangular entry,
+// the (source, destination) pairs its elimination row update hits — the
+// ILU(0) pattern intersection, resolved once so factor itself is a pure
+// array sweep. pos is the symbolic-ILU row marker: while row r is
+// processed, pos[c] is the slot of column c in row r, and -1 for a column
+// row r does not store. The pattern is swept twice: the first pass counts
+// the pairs into updOff, the second fills updSrc/updDst, allocated at
+// exactly that size in between (grown by append they cost more than the
+// intersections themselves).
+func (p *PCBJacobiILU0) buildIndex() {
+	n := p.n
+	p.diag = make([]int32, n)
 	for r := 0; r < n; r++ {
-		or := oldOf[r]
-		clean[r] = or >= 0 && !patch.Dirty[r] &&
-			indptr[r+1]-indptr[r] == oldIndptr[or+1]-oldIndptr[or]
-	}
-	p.findDiag()
-	updOff := make([]int32, len(cols)+1)
-	updSrc := make([]int32, 0, len(oldUpdSrc))
-	updDst := make([]int32, 0, len(oldUpdDst))
-	for r := 0; r < n; r++ {
-		rowClean := clean[r]
-		if rowClean {
-			kept++
-		} else {
-			rebuilt++
-		}
-		for j := indptr[r]; j < indptr[r+1]; j++ {
-			updOff[j+1] = updOff[j]
-			k := int(cols[j])
-			if k >= r {
-				continue
-			}
-			if rowClean && clean[k] {
-				// Both row patterns are positional images of their old
-				// selves under one injective node permutation, so the old
-				// pattern intersection maps entry-for-entry (in the same
-				// jj-ascending order buildIndex emits): carry the pairs by
-				// re-basing the stored offsets into the new rows.
-				or, ok := oldOf[r], oldOf[k]
-				oj := oldIndptr[or] + (j - indptr[r])
-				for u := oldUpdOff[oj]; u < oldUpdOff[oj+1]; u++ {
-					updSrc = append(updSrc, oldUpdSrc[u]-oldIndptr[ok]+indptr[k])
-					updDst = append(updDst, oldUpdDst[u]-oldIndptr[or]+indptr[r])
-					updOff[j+1]++
-				}
-				continue
-			}
-			// Re-resolve the ILU(0) pattern intersection for this entry:
-			// row k's post-diagonal columns against row r's columns, both
-			// sorted ascending — same pairs and order as buildIndex's
-			// row-marker construction.
-			a, b := p.diag[k]+1, indptr[r]
-			ae, be := indptr[k+1], indptr[r+1]
-			for a < ae && b < be {
-				switch {
-				case cols[a] == cols[b]:
-					updSrc = append(updSrc, a)
-					updDst = append(updDst, b)
-					updOff[j+1]++
-					a++
-					b++
-				case cols[a] < cols[b]:
-					a++
-				default:
-					b++
-				}
-			}
-		}
-	}
-	p.updOff, p.updSrc, p.updDst = updOff, updSrc, updDst
-	p.factor()
-	return kept, rebuilt
-}
-
-// findDiag records each row's diagonal slot and asserts the structure the
-// split sweeps rely on: columns owned (< n) and strictly ascending, with
-// the diagonal stored.
-func (p *PCBJacobiILU0) findDiag() {
-	for r := 0; r < p.n; r++ {
 		p.diag[r] = -1
 		prev := int32(-1)
 		for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
 			c := p.cols[j]
-			if c <= prev || int(c) >= p.n {
-				panic(fmt.Sprintf("la: ILU(0) row %d: column %d after %d is unsorted or not owned (n=%d)", r, c, prev, p.n))
+			if c <= prev || int(c) >= n {
+				panic(fmt.Sprintf("la: ILU(0) row %d: column %d after %d is unsorted or not owned (n=%d)", r, c, prev, n))
 			}
 			if int(c) == r {
 				p.diag[r] = j
@@ -279,20 +168,6 @@ func (p *PCBJacobiILU0) findDiag() {
 			panic(fmt.Sprintf("la: missing diagonal in row %d", r))
 		}
 	}
-}
-
-// buildIndex records each row's diagonal slot and precomputes, for every
-// lower-triangular entry, the (source, destination) pairs its elimination
-// row update hits — the ILU(0) pattern intersection, resolved once so
-// factor itself is a pure array sweep. pos is the symbolic-ILU row marker:
-// while row r is processed, pos[c] is the slot of column c in row r, and -1
-// for a column row r does not store. The pattern is swept twice: the first
-// pass counts the pairs into updOff, the second fills updSrc/updDst,
-// allocated at exactly that size in between (grown by append they cost
-// more than the intersections themselves).
-func (p *PCBJacobiILU0) buildIndex() {
-	n := p.n
-	p.findDiag()
 	pos := make([]int32, n)
 	for i := range pos {
 		pos[i] = -1

@@ -70,14 +70,11 @@ type LevelState struct {
 	// old level mesh onto the new one. For level 0 it is the delta the
 	// caller passed in (the solver's composed remesh delta).
 	Delta *mesh.Delta
-	// OldOwned is the previous level mesh's owned-node count, valid when
-	// Delta is non-nil: what NodeRowPatch needs to expand the node remap
-	// into a matrix row patch.
-	OldOwned int
 }
 
-// RefreshResult is the delta-aware refresh telemetry: per-level states for
-// preconditioner carry-over, plus the reuse/patch counters.
+// RefreshResult is the delta-aware refresh telemetry: per-level states,
+// which PCGMG.Rebind keys its level reuse and assembler patching on, plus
+// the reuse/patch counters.
 type RefreshResult struct {
 	Levels []LevelState
 	// LevelsReused / LevelsPatched count coarse levels whose mesh was
@@ -142,7 +139,6 @@ func RefreshHierarchy(fine *mesh.Mesh, prev *Hierarchy, d *mesh.Delta, ws *Works
 	curStable := false
 	var curRemap []int32
 	if prev != nil && d != nil && len(prev.Meshes) > 0 {
-		res.Levels[0].OldOwned = prev.Meshes[0].NumOwned
 		oldSpl := octree.GatherSplitters(c, prev.Meshes[0].Elems)
 		newSpl := octree.GatherSplitters(c, fine.Elems)
 		if oldSpl.Equal(newSpl) {
@@ -176,10 +172,8 @@ func RefreshHierarchy(fine *mesh.Mesh, prev *Hierarchy, d *mesh.Delta, ws *Works
 		var cmDelta *mesh.Delta
 		var cmRemap []int32
 		reused := false
-		oldOwned := 0
 		if prev != nil && l < len(prev.Meshes) {
 			pm := prev.Meshes[l]
-			oldOwned = pm.NumOwned
 			if sameLocalForest(c, pm.Elems, coarse) {
 				cm, reused = pm, true
 				res.LevelsReused++
@@ -210,7 +204,7 @@ func RefreshHierarchy(fine *mesh.Mesh, prev *Hierarchy, d *mesh.Delta, ws *Works
 			h.Up = append(h.Up, NewTransfer(cm, cur.Keys[:cur.NumOwned]))
 		}
 		h.Meshes = append(h.Meshes, cm)
-		res.Levels = append(res.Levels, LevelState{Reused: reused, Delta: cmDelta, OldOwned: oldOwned})
+		res.Levels = append(res.Levels, LevelState{Reused: reused, Delta: cmDelta})
 		cur, prevCnt = cm, cnt
 		curReused = reused
 		curStable = reused || cmDelta != nil

@@ -54,11 +54,7 @@ type Level struct {
 	Coef    [][]float64
 	Scratch any
 
-	smoother *la.PCBJacobiILU0
-	// pending is a one-shot row patch left by Rebind: the next
-	// refreshSmoother consumes it to carry the smoother's factorization
-	// index across the remesh instead of dropping the smoother.
-	pending    *la.RowPatch
+	smoother   *la.PCBJacobiILU0
 	bnd        []int32 // Dirichlet dof-rows (owned), nil unless BoundaryDirichlet
 	x, b, r, t []float64
 }
@@ -77,10 +73,6 @@ type PCGMG struct {
 	cfg  Config
 	pool *par.Pool
 	lv   []*Level
-	// rowsKept/rowsRebuilt accumulate, across Rebind-pended smoother
-	// refreshes, how many owned ILU(0) rows carried their factorization
-	// index vs re-resolved it (TakeRebindStats drains them).
-	rowsKept, rowsRebuilt int
 }
 
 // NewPCGMG builds the per-level state over an existing hierarchy. pool
@@ -152,16 +144,12 @@ func (p *PCGMG) Hierarchy() *Hierarchy { return p.h }
 
 // SetFineOperator points level 0 at the stage's assembled fine matrix.
 // Call before every Refresh; a changed operator object drops the fine
-// smoother so it is rebuilt against the new matrix — unless a Rebind left
-// a pending row patch, in which case the smoother is carried and re-keyed
-// by the next refresh.
+// smoother so it is rebuilt against the new matrix.
 func (p *PCGMG) SetFineOperator(mat *la.BSRMat) {
 	f := p.lv[0]
 	if f.Mat != mat {
 		f.Mat = mat
-		if f.pending == nil {
-			f.smoother = nil
-		}
+		f.smoother = nil
 	}
 }
 
@@ -170,13 +158,12 @@ func (p *PCGMG) SetFineOperator(mat *la.BSRMat) {
 // PC was built on), without reallocating what the refresh proved intact.
 // Reused levels keep everything — assembler, operator, smoother, work
 // vectors and kernel scratch. Patched levels repair their frozen-sparsity
-// assembler through fem.Assembler.Rebind, resize their vectors, and leave the
-// smoother a pending row patch so the next Refresh carries its
-// factorization index. Cold levels are rebuilt. coefs are the stage's
-// (reallocated) fine-mesh coefficient fields; finePatch is the fine-level
-// row patch for the stage smoother (nil: drop it cold). Call
-// SetFineOperator + Refresh afterwards, as on every step. Collective.
-func (p *PCGMG) Rebind(h *Hierarchy, res *RefreshResult, coefs []Coefficient, epoch uint64, finePatch *la.RowPatch) {
+// assembler through fem.Assembler.Rebind and resize their vectors; their
+// smoother, like the fine level's, is dropped and built afresh by the next
+// Refresh. Cold levels are rebuilt. coefs are the stage's (reallocated)
+// fine-mesh coefficient fields. Call SetFineOperator + Refresh afterwards,
+// as on every step. Collective.
+func (p *PCGMG) Rebind(h *Hierarchy, res *RefreshResult, coefs []Coefficient, epoch uint64) {
 	cfg := &p.cfg
 	if len(coefs) != len(cfg.Coefs) {
 		panic("mg: PCGMG.Rebind coefficient count mismatch")
@@ -196,19 +183,12 @@ func (p *PCGMG) Rebind(h *Hierarchy, res *RefreshResult, coefs []Coefficient, ep
 			for i, cf := range cfg.Coefs {
 				f.Coef[i] = cf.Vec
 			}
-			f.Mat = nil
+			f.Mat, f.smoother = nil, nil
 			f.bnd = levelBnd(m, cfg, f.bnd)
 			f.x = m.NewVec(cfg.Ndof)
 			f.b = m.NewVec(cfg.Ndof)
 			f.r = m.NewVec(cfg.Ndof)
 			f.t = m.NewVec(cfg.Ndof)
-			if f.smoother != nil {
-				if finePatch != nil {
-					f.pending = finePatch
-				} else {
-					f.smoother = nil
-				}
-			}
 			lv = append(lv, f)
 		case st.Reused && l < len(old):
 			// Mesh object unchanged: operator values are refreshed (and the
@@ -218,8 +198,9 @@ func (p *PCGMG) Rebind(h *Hierarchy, res *RefreshResult, coefs []Coefficient, ep
 			lvl := old[l]
 			lvl.Asm.Rebind(m, epoch, st.Delta)
 			lvl.M = m
-			lvl.Mat = nil     // recreated from the patched plan by Refresh
-			lvl.Scratch = nil // kernel closures captured the old mesh/coefs
+			lvl.Mat = nil      // recreated from the patched plan by Refresh
+			lvl.smoother = nil // and factored afresh on it
+			lvl.Scratch = nil  // kernel closures captured the old mesh/coefs
 			for i, cf := range cfg.Coefs {
 				lvl.Coef[i] = m.NewVec(cf.Ndof)
 			}
@@ -228,9 +209,6 @@ func (p *PCGMG) Rebind(h *Hierarchy, res *RefreshResult, coefs []Coefficient, ep
 			lvl.b = m.NewVec(cfg.Ndof)
 			lvl.r = m.NewVec(cfg.Ndof)
 			lvl.t = m.NewVec(cfg.Ndof)
-			if lvl.smoother != nil {
-				lvl.pending = NodeRowPatch(st.Delta, st.OldOwned, m.NumOwned, cfg.Ndof)
-			}
 			lv = append(lv, lvl)
 		default:
 			lv = append(lv, p.newLevel(l, m))
@@ -238,49 +216,6 @@ func (p *PCGMG) Rebind(h *Hierarchy, res *RefreshResult, coefs []Coefficient, ep
 	}
 	p.h = h
 	p.lv = lv
-}
-
-// TakeRebindStats drains the accumulated remesh carry-over counters: owned
-// smoother rows whose ILU(0) factorization index was carried vs rebuilt.
-func (p *PCGMG) TakeRebindStats() (kept, rebuilt int) {
-	kept, rebuilt = p.rowsKept, p.rowsRebuilt
-	p.rowsKept, p.rowsRebuilt = 0, 0
-	return kept, rebuilt
-}
-
-// NodeRowPatch expands a mesh delta's node remap into the owned scalar-row
-// patch of an nd-dof-per-node operator (node-major, dof-minor rows): what
-// la's preconditioners consume to carry their factorization indices across
-// an incremental remesh. oldOwned/newOwned are the owned-node counts of the
-// two mesh generations.
-func NodeRowPatch(d *mesh.Delta, oldOwned, newOwned, nd int) *la.RowPatch {
-	rp := &la.RowPatch{
-		Remap: make([]int32, oldOwned*nd),
-		Dirty: make([]bool, newOwned*nd),
-	}
-	for on := 0; on < oldOwned; on++ {
-		nn := int32(-1)
-		if on < len(d.NodeRemap) {
-			nn = d.NodeRemap[on]
-		}
-		if nn >= 0 && int(nn) < newOwned {
-			for dd := 0; dd < nd; dd++ {
-				rp.Remap[on*nd+dd] = nn*int32(nd) + int32(dd)
-			}
-		} else {
-			for dd := 0; dd < nd; dd++ {
-				rp.Remap[on*nd+dd] = -1
-			}
-		}
-	}
-	for nn := 0; nn < newOwned && nn < len(d.DirtyNode); nn++ {
-		if d.DirtyNode[nn] {
-			for dd := 0; dd < nd; dd++ {
-				rp.Dirty[nn*nd+dd] = true
-			}
-		}
-	}
-	return rp
 }
 
 // Refresh re-injects the coefficient fields down the ladder, reassembles
@@ -303,24 +238,16 @@ func (p *PCGMG) Refresh() {
 			lvl.Mat.Zero()
 		}
 		p.cfg.Assemble(lvl)
-		p.refreshSmoother(lvl)
+		refreshSmoother(lvl)
 	}
-	p.refreshSmoother(p.lv[0])
+	refreshSmoother(p.lv[0])
 }
 
-func (p *PCGMG) refreshSmoother(lvl *Level) {
+// refreshSmoother factors the level's ILU(0) smoother on its operator:
+// afresh when Rebind or SetFineOperator dropped it, in place otherwise.
+func refreshSmoother(lvl *Level) {
 	if lvl.smoother == nil {
-		lvl.pending = nil
 		lvl.smoother = la.NewPCBJacobiILU0(lvl.Mat)
-		return
-	}
-	if patch := lvl.pending; patch != nil {
-		// One-shot remesh carry-over: re-key the smoother onto the level's
-		// rebuilt operator, keeping the factorization index of clean rows.
-		lvl.pending = nil
-		kept, rebuilt := lvl.smoother.RebindPatched(lvl.Mat, patch)
-		p.rowsKept += kept
-		p.rowsRebuilt += rebuilt
 		return
 	}
 	lvl.smoother.Refresh()
