@@ -142,7 +142,9 @@ func TestMobilityPrime(t *testing.T) {
 // TestCHTimerTreeCloses: over warm steps each stage's Matrix, Vector,
 // PCSetup and Solve sub-timers account for at least 90% of its Total
 // (CH books its Newton-inner Krylov time to Solve), and every stage
-// spends time in Solve.
+// spends time in Solve. The coarse-level assembly share PCSetupLevels is
+// at most PCSetup, zero under block-Jacobi and nonzero for NS and PP under
+// GMG (subtests gmg/ns, gmg/pp).
 func TestCHTimerTreeCloses(t *testing.T) {
 	stages := []struct {
 		name string
@@ -153,29 +155,40 @@ func TestCHTimerTreeCloses(t *testing.T) {
 		{"pp", func(tm *Timers) StageTimes { return tm.PP }},
 		{"vu", func(tm *Timers) StageTimes { return tm.VU }},
 	}
-	var t0, t1 Timers
-	par.Run(1, func(c *par.Comm) {
-		s := gmgSolver(c, PCBJacobi, 5, 2e-3)
-		if _, err := s.Step(); err != nil {
-			panic(err)
-		}
-		t0 = s.T
-		for i := 0; i < 3; i++ {
+	warm := func(pc string) (t0, t1 Timers) {
+		par.Run(1, func(c *par.Comm) {
+			s := gmgSolver(c, pc, 5, 2e-3)
 			if _, err := s.Step(); err != nil {
 				panic(err)
 			}
-		}
-		t1 = s.T
-	})
-	for _, tc := range stages {
-		t.Run(tc.name, func(t *testing.T) {
-			a, b := tc.st(&t0), tc.st(&t1)
-			parts := (b.Matrix - a.Matrix) + (b.Vector - a.Vector) + (b.PCSetup - a.PCSetup) + (b.Solve - a.Solve)
-			total := b.Total - a.Total
-			if b.Solve == a.Solve || float64(parts) < 0.9*float64(total) {
-				t.Fatalf("%s sub-timers %v of total %v (solve %v)", tc.name, parts, total, b.Solve-a.Solve)
+			t0 = s.T
+			for i := 0; i < 3; i++ {
+				if _, err := s.Step(); err != nil {
+					panic(err)
+				}
 			}
+			t1 = s.T
 		})
+		return t0, t1
+	}
+	check := func(t *testing.T, name string, a, b StageTimes, gmg bool) {
+		parts := (b.Matrix - a.Matrix) + (b.Vector - a.Vector) + (b.PCSetup - a.PCSetup) + (b.Solve - a.Solve)
+		total := b.Total - a.Total
+		if b.Solve == a.Solve || float64(parts) < 0.9*float64(total) {
+			t.Fatalf("%s sub-timers %v of total %v (solve %v)", name, parts, total, b.Solve-a.Solve)
+		}
+		levels, setup := b.PCSetupLevels-a.PCSetupLevels, b.PCSetup-a.PCSetup
+		if levels > setup || (levels > 0) != gmg {
+			t.Fatalf("%s coarse-level assembly %v of PC set-up %v (GMG %v)", name, levels, setup, gmg)
+		}
+	}
+	t0, t1 := warm(PCBJacobi)
+	for _, tc := range stages {
+		t.Run(tc.name, func(t *testing.T) { check(t, tc.name, tc.st(&t0), tc.st(&t1), false) })
+	}
+	g0, g1 := warm(PCGMG)
+	for _, tc := range stages[1:3] {
+		t.Run("gmg/"+tc.name, func(t *testing.T) { check(t, tc.name, tc.st(&g0), tc.st(&g1), true) })
 	}
 }
 

@@ -2,8 +2,6 @@ package chns
 
 import (
 	"reflect"
-
-	"proteus/internal/la"
 )
 
 // SetCHRefill makes every CH element sweep integrate its K_m(φ) and C(u)
@@ -11,16 +9,31 @@ import (
 // sharing (false): the oracle the store is compared against.
 func (s *Solver) SetCHRefill(on bool) { s.chRefill = on }
 
-// SetNSExpandedPC makes the NS stage's default preconditioner factor the
-// scalar expansion of the momentum matrix, every entry of every dim x dim
-// block (true), instead of the scalar operator applied per component, or
-// restores the production PC (false): the oracle the latter is compared
-// against. Takes effect at the next PC construction.
-func (s *Solver) SetNSExpandedPC(on bool) { s.nsPCFull = on }
+// SetNSExpandedPC makes the NS stage assemble its momentum matrix the way
+// it was stored before the scalar operator, as the explicit expansion
+// A ⊗ I_dim with dim x dim blocks a·I on the velocity assembler (true),
+// or restores the scalar A applied to every component (false). Every
+// ILU(0) built on the stage matrix then factors the full expansion: the
+// block-Jacobi PC, and under GMG the fine-level smoother (the coarse
+// levels are scalar either way). It is the oracle the scalar operator is
+// compared against. Call it before the first NS step.
+func (s *Solver) SetNSExpandedPC(on bool) {
+	s.ns.asm, s.ns.matK = s.asmS, s.kNSMatZip
+	if on {
+		s.ns.asm, s.ns.matK = s.asmVel, s.kNSMatExpanded
+	}
+	s.ns.mat, s.ns.pc = nil, nil
+}
 
-// NSMatrix returns the momentum operator of the last NS solve, as
-// assembled and pinned (nil before the first one on the current mesh).
-func (s *Solver) NSMatrix() *la.BSRMat { return s.ns.mat }
+// kNSMatExpanded is the NS matrix kernel of the expansion A ⊗ I_dim: A's
+// element block on every velocity component.
+func (s *Solver) kNSMatExpanded(w, e int, h float64, blocks [][]float64) {
+	s.kNSMatZip(w, e, h, blocks)
+	dim := s.M.Dim
+	for d := 1; d < dim; d++ {
+		copy(blocks[d*dim+d], blocks[0])
+	}
+}
 
 // BitsDiff describes the first bitwise difference between two vectors
 // ("" when there is none).

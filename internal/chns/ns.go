@@ -12,23 +12,22 @@ import (
 type nsScratch struct {
 	pm, velC       []float64
 	rho, eta, phiC []float64
-	scalarOp, tmp  []float64
+	tmp            []float64
 	rvel           []float64
 	rhoG, etaG     []float64
 }
 
 func newNSScratch(npe, ng, dim int) nsScratch {
 	return nsScratch{
-		pm:       make([]float64, npe*2),
-		velC:     make([]float64, npe*dim),
-		rho:      make([]float64, npe),
-		eta:      make([]float64, npe),
-		phiC:     make([]float64, npe),
-		scalarOp: make([]float64, npe*npe),
-		tmp:      make([]float64, npe*npe),
-		rvel:     make([]float64, npe*dim),
-		rhoG:     make([]float64, ng),
-		etaG:     make([]float64, ng),
+		pm:   make([]float64, npe*2),
+		velC: make([]float64, npe*dim),
+		rho:  make([]float64, npe),
+		eta:  make([]float64, npe),
+		phiC: make([]float64, npe),
+		tmp:  make([]float64, npe*npe),
+		rvel: make([]float64, npe*dim),
+		rhoG: make([]float64, ng),
+		etaG: make([]float64, ng),
 	}
 }
 
@@ -84,14 +83,15 @@ func (s *Solver) StepNS() (StageReport, error) {
 	return s.ns.solve(t0, s.Vel)
 }
 
-// kNSMatZip is the NS matrix element kernel (zipped): worker w's scalar
-// momentum operator block for element e, built from the current φ/μ and
-// velocity with the zipped GEMM operators, on each velocity component (the
-// viscous cross-coupling is lumped into the component Laplacian).
+// kNSMatZip is the NS matrix element kernel (zipped): worker w's block of
+// the scalar momentum operator A for element e, built from the current φ/μ
+// and velocity with the zipped GEMM operators. A acts on every velocity
+// component alike (the viscous cross-coupling is lumped into the component
+// Laplacian), so the stage stores A once and applies it as A ⊗ I_dim.
 func (s *Solver) kNSMatZip(w, e int, h float64, blocks [][]float64) {
 	m := s.M
 	dim := m.Dim
-	r := s.asmVel.Ref
+	r := s.ns.asm.Ref
 	npe := r.NPE
 	th, dt := s.Opt.Theta, s.Opt.Dt
 	sc := &s.nsScr[w]
@@ -102,13 +102,14 @@ func (s *Solver) kNSMatZip(w, e int, h float64, blocks [][]float64) {
 		sc.rho[a] = s.Par.Density(sc.phiC[a])
 		sc.eta[a] = s.Par.Viscosity(sc.phiC[a])
 	}
-	wk := s.asmVel.WorkN(w)
+	wk := s.ns.asm.WorkN(w)
+	op := blocks[0]
 	r.CoefAtGauss(sc.rho, sc.rhoG)
 	r.CoefAtGauss(sc.eta, sc.etaG)
-	r.MassGemm(wk, h, 1/dt, sc.rhoG, sc.scalarOp)
+	r.MassGemm(wk, h, 1/dt, sc.rhoG, op)
 	r.StiffGemm(wk, h, th/s.Par.Re, sc.etaG, sc.tmp)
 	for i := range sc.tmp {
-		sc.scalarOp[i] += sc.tmp[i]
+		op[i] += sc.tmp[i]
 	}
 	// ρ-weighted convection: fold ρ into the velocity samples.
 	for a := 0; a < npe; a++ {
@@ -118,10 +119,7 @@ func (s *Solver) kNSMatZip(w, e int, h float64, blocks [][]float64) {
 	}
 	r.ConvGemm(wk, h, th, sc.rvel, sc.tmp)
 	for i := range sc.tmp {
-		sc.scalarOp[i] += sc.tmp[i]
-	}
-	for d := 0; d < dim; d++ {
-		copy(blocks[d*dim+d], sc.scalarOp)
+		op[i] += sc.tmp[i]
 	}
 }
 

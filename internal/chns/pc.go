@@ -1,6 +1,8 @@
 package chns
 
 import (
+	"time"
+
 	"proteus/internal/fem"
 	"proteus/internal/mg"
 )
@@ -37,23 +39,26 @@ func (s *Solver) ensureHierarchy() *mg.Hierarchy {
 
 // assembleLevel is the stage's mg.Config.Assemble: it assembles the stage
 // operator on a coarse level from the injected coefficients and pins the
-// level's rows as the stage pins its own. The element kernel is built on
-// the level's first assembly and kept in lvl.Scratch, so warm multigrid
-// refreshes create no closures; the level assembler is pinned to one
-// worker, so a kernel may share one scratch across the element loop.
+// level's rows as the stage pins its own, booking the time to the stage's
+// PCSetupLevels. The element kernel is built on the level's first assembly
+// and kept in lvl.Scratch, so warm multigrid refreshes create no closures;
+// the level assembler is pinned to one worker, so a kernel may share one
+// scratch across the element loop.
 func (st *linStage) assembleLevel(lvl *mg.Level) {
+	t0 := time.Now()
 	kern, ok := lvl.Scratch.(fem.NodeMajorKernel)
 	if !ok {
 		kern = st.levelK(lvl)
 		lvl.Scratch = kern
 	}
 	lvl.Asm.AssembleMatrix(lvl.Mat, fem.LayoutAIJ, kern)
-	pinRows(st.pins, lvl.M, st.asm.Ndof, lvl.Mat, nil)
+	pinRows(st.pins, lvl.M, 0, lvl.Mat, nil)
+	st.t.PCSetupLevels += time.Since(t0)
 }
 
 // nsLevelKernel is the coarse-level momentum element kernel on the
-// injected φ/μ and velocity: the fine NS scalar operator, built with the
-// explicit-loop element operators and replicated per component.
+// injected φ/μ and velocity: the fine NS scalar operator A, built with the
+// explicit-loop element operators.
 func (s *Solver) nsLevelKernel(lvl *mg.Level) fem.NodeMajorKernel {
 	m := lvl.M
 	dim := m.Dim
@@ -70,24 +75,14 @@ func (s *Solver) nsLevelKernel(lvl *mg.Level) fem.NodeMajorKernel {
 			sc.rho[a] = s.Par.Density(sc.phiC[a])
 			sc.eta[a] = s.Par.Viscosity(sc.phiC[a])
 		}
-		clear(sc.scalarOp)
-		r.WeightedMass(h, sc.rho, 1/dt, sc.scalarOp)
-		r.WeightedStiffness(h, sc.eta, th/s.Par.Re, sc.scalarOp)
+		r.WeightedMass(h, sc.rho, 1/dt, ke)
+		r.WeightedStiffness(h, sc.eta, th/s.Par.Re, ke)
 		for a := 0; a < npe; a++ {
 			for d := 0; d < dim; d++ {
 				sc.rvel[a*dim+d] = sc.rho[a] * sc.velC[a*dim+d]
 			}
 		}
-		r.Convection(h, sc.rvel, th, sc.scalarOp)
-		n := npe * dim
-		for a := 0; a < npe; a++ {
-			for b := 0; b < npe; b++ {
-				v := sc.scalarOp[a*npe+b]
-				for d := 0; d < dim; d++ {
-					ke[(a*dim+d)*n+b*dim+d] = v
-				}
-			}
-		}
+		r.Convection(h, sc.rvel, th, ke)
 	}
 }
 

@@ -22,7 +22,13 @@ type StageTimes struct {
 	// PC constructions (first step of a mesh epoch). PCSetup - PCSetupCold
 	// is the warm incremental-refresh share.
 	PCSetupCold time.Duration
-	Iterations  int
+	// PCSetupLevels is the GMG coarse-level reassembly sub-share of
+	// PCSetup (each level's element loop and row pins, cold builds
+	// included, so it overlaps PCSetupCold); the rest of a GMG PCSetup is
+	// coefficient injection and smoother factorization. Zero under
+	// block-Jacobi.
+	PCSetupLevels time.Duration
+	Iterations    int
 	// Solves counts the linear solves behind Iterations; ItMin/ItMax hold
 	// the per-solve extremes, so min/mean/max iteration counts per stage
 	// are reportable from accumulated timers alone.
@@ -89,6 +95,7 @@ func (t *StageTimes) Add(o StageTimes) {
 	t.Total += o.Total
 	t.PCSetup += o.PCSetup
 	t.PCSetupCold += o.PCSetupCold
+	t.PCSetupLevels += o.PCSetupLevels
 	t.Iterations += o.Iterations
 	t.Newton += o.Newton
 	t.Jacobians += o.Jacobians
@@ -258,8 +265,8 @@ type Solver struct {
 
 	T      Timers
 	asmCH  *fem.Assembler
-	asmVel *fem.Assembler
-	asmS   *fem.Assembler // scalar
+	asmVel *fem.Assembler // velocity vectors (the NS RHS); no matrix
+	asmS   *fem.Assembler // scalar, the NS momentum operator included
 
 	// pool is the solver's persistent worker pool: the assemblers' element
 	// loops, the SpMV of every persistent operator and the Krylov vector
@@ -279,7 +286,6 @@ type Solver struct {
 	chOld    []float64
 	chBlk    chBlockStore
 	chRefill bool // test hook: every CH sweep integrates its blocks afresh
-	nsPCFull bool // test hook: ILU(0) of the NS matrix's full scalar expansion
 	ppPsi    []float64
 	vuComp   []float64
 	vuNewVel []float64
@@ -360,19 +366,19 @@ func NewSolver(m *mesh.Mesh, prm Params, opt Options) *Solver {
 	s.initFiniteScan()
 	rs := &s.T.RemeshStages
 	tol := opt.LinTol
-	s.ch = linStage{s: s, name: StageCH, asm: s.asmCH, matK: s.kCHJacZip, vecK: s.kCHRes, t: &s.T.CH}
-	s.ns = linStage{s: s, name: StageNS, asm: s.asmVel, matK: s.kNSMatZip, vecK: s.kNSVec,
+	s.ch = linStage{s: s, name: StageCH, asm: s.asmCH, vasm: s.asmCH, matK: s.kCHJacZip, vecK: s.kCHRes, t: &s.T.CH}
+	s.ns = linStage{s: s, name: StageNS, asm: s.asmS, vasm: s.asmVel, matK: s.kNSMatZip, vecK: s.kNSVec,
 		pins: pinWalls, levelK: s.nsLevelKernel, t: &s.T.NS, post: &rs.PostNSIters,
 		ksp: la.KSP{Type: la.BiCGS, Rtol: tol, Atol: tol}}
-	s.pp = linStage{s: s, name: StagePP, asm: s.asmS, matK: s.kPPMatZip, vecK: s.kPPVec,
+	s.pp = linStage{s: s, name: StagePP, asm: s.asmS, vasm: s.asmS, matK: s.kPPMatZip, vecK: s.kPPVec,
 		pins: pinFirst, levelK: s.ppLevelKernel, t: &s.T.PP, post: &rs.PostPPIters,
 		ksp: la.KSP{Type: la.IBiCGS, Rtol: tol, Atol: tol}}
-	s.vu = linStage{s: s, name: StageVU, asm: s.asmS, matK: s.kVUMassZip, vecK: s.kVUComp,
+	s.vu = linStage{s: s, name: StageVU, asm: s.asmS, vasm: s.asmS, matK: s.kVUMassZip, vecK: s.kVUComp,
 		pins: pinWalls, mass: true, t: &s.T.VU, post: &rs.PostVUIters,
 		ksp: la.KSP{Type: la.CG, Rtol: tol, Atol: tol}}
 	// The CH mass solve runs before the first step; its timers go nowhere.
 	// ‖b‖ ≈ 1e-3, so Atol, not Rtol, stops CG: μ₀ is ~1e-5 relative.
-	s.chMass = linStage{s: s, asm: s.asmS, mass: true, t: new(StageTimes),
+	s.chMass = linStage{s: s, asm: s.asmS, vasm: s.asmS, mass: true, t: new(StageTimes),
 		ksp: la.KSP{Type: la.CG, Rtol: 1e-10, Atol: 1e-8}}
 	return s
 }
@@ -411,7 +417,7 @@ func (s *Solver) initScratch() {
 	dim := s.M.Dim
 	s.chRes = perWorker(s.asmCH, func() *chResScratch { return newCHResScratch(npe, ng, dim) })
 	s.chScr = perWorker(s.asmCH, func() chScratch { return newCHScratch(npe, ng, dim) })
-	s.nsScr = perWorker(s.asmVel, func() nsScratch { return newNSScratch(npe, ng, dim) })
+	s.nsScr = perWorker(s.asmS, func() nsScratch { return newNSScratch(npe, ng, dim) })
 	s.nsVec = perWorker(s.asmVel, func() nsVecScratch { return newNSVecScratch(npe, dim) })
 	s.ppScr = perWorker(s.asmS, func() ppScratch { return newPPScratch(npe, ng, dim) })
 	s.vuVec = perWorker(s.asmS, func() vuScratch { return newVUScratch(npe, dim) })

@@ -24,7 +24,11 @@ import (
 type linStage struct {
 	s    *Solver
 	name Stage
-	asm  *fem.Assembler
+	// asm assembles the operator and vasm the vectors it acts on (RHS and
+	// solution, vasm.Ndof components per node). They differ only for NS,
+	// whose scalar momentum operator A (asm = asmS) applies to the
+	// interleaved velocity as A ⊗ I_dim.
+	asm, vasm *fem.Assembler
 	// Element kernels, method values built once in NewSolver so a warm step
 	// creates no closure: the zipped matrix kernel and the RHS kernel (for
 	// CH, its Newton residual).
@@ -48,33 +52,37 @@ type linStage struct {
 	post  *int // RemeshStages.Post*Iters (nil: not tracked)
 }
 
-// pinKind names a stage's pinned rows: its operator keeps them as identity
-// rows and its RHS zeroes them.
+// pinKind names a stage's pinned nodes: its operator keeps their rows as
+// identity rows and its RHS zeroes them on every component.
 type pinKind uint8
 
 const (
 	pinNone  pinKind = iota
-	pinWalls         // every dof of every owned boundary node (no-slip walls)
-	pinFirst         // the first global unknown (the pressure nullspace)
+	pinWalls         // every owned boundary node (no-slip walls)
+	pinFirst         // the first global node (the pressure nullspace)
 )
 
-// pinRows pins kind's rows of an nd-dof-per-node operator mat on mesh m,
-// or of its RHS when mat is nil.
+// pinRows pins kind's nodes of operator mat on mesh m — every scalar row
+// of the node, one for a scalar operator however many components it
+// applies to — or, when mat is nil, of its RHS with nd components per
+// node.
 func pinRows(kind pinKind, m *mesh.Mesh, nd int, mat *la.BSRMat, rhs []float64) {
-	pin := func(r int) {
+	pin := func(i int) {
 		if mat != nil {
-			mat.ZeroRow(r, 1)
+			for d := 0; d < mat.Bs; d++ {
+				mat.ZeroRow(i*mat.Bs+d, 1)
+			}
 		} else {
-			rhs[r] = 0
+			for d := 0; d < nd; d++ {
+				rhs[i*nd+d] = 0
+			}
 		}
 	}
 	switch kind {
 	case pinWalls:
 		for i := 0; i < m.NumOwned; i++ {
 			if m.OnBoundary(i) {
-				for d := 0; d < nd; d++ {
-					pin(i*nd + d)
-				}
+				pin(i)
 			}
 		}
 	case pinFirst:
@@ -100,21 +108,22 @@ func (st *linStage) solve(t0 time.Time, x []float64) (StageReport, error) {
 	rep := StageReport{Stage: st.name}
 	var err error
 	rep.Result, err = st.krylov(st.rhs, x)
-	s.M.GhostRead(x, st.asm.Ndof)
+	s.M.GhostRead(x, st.vasm.Ndof)
 	if err == nil {
 		err = st.diverged(&rep.Result)
 	}
 	if err == nil {
 		s.pokeNaN(st.name, x)
-		err = s.checkFinite(st.name, s.scanBad(x, st.asm.Ndof*s.M.NumOwned), rep.Result)
+		err = s.checkFinite(st.name, s.scanBad(x, st.vasm.Ndof*s.M.NumOwned), rep.Result)
 	}
 	st.t.Total += time.Since(t0)
 	return rep, err
 }
 
 // assemble allocates (once per mesh) or zeroes the stage operator,
-// assembles it through the warm plan and pins its rows. A mass operator is
-// assembled once per mesh.
+// assembles it through the warm plan and pins its rows. An operator on
+// fewer dofs per node than the stage's vectors applies to them as A ⊗ I
+// (la.BSRMat.SetComps). A mass operator is assembled once per mesh.
 func (st *linStage) assemble() {
 	if st.mass && st.mat != nil {
 		return
@@ -122,11 +131,12 @@ func (st *linStage) assemble() {
 	t0 := time.Now()
 	if st.mat == nil {
 		st.mat = st.asm.NewMatrix(fem.LayoutZipped)
+		st.mat.SetComps(st.vasm.Ndof / st.asm.Ndof)
 	} else {
 		st.mat.Zero()
 	}
 	st.asm.AssembleMatrixZipped(st.mat, st.matK)
-	pinRows(st.pins, st.s.M, st.asm.Ndof, st.mat, nil)
+	pinRows(st.pins, st.s.M, 0, st.mat, nil)
 	st.t.Matrix += time.Since(t0)
 }
 
@@ -135,10 +145,10 @@ func (st *linStage) assemble() {
 func (st *linStage) assembleRHS() {
 	t0 := time.Now()
 	if st.rhs == nil {
-		st.rhs = st.s.M.NewVec(st.asm.Ndof)
+		st.rhs = st.s.M.NewVec(st.vasm.Ndof)
 	}
-	st.asm.AssembleVectorPlanned(st.rhs, st.vecK)
-	pinRows(st.pins, st.s.M, st.asm.Ndof, nil, st.rhs)
+	st.vasm.AssembleVectorPlanned(st.rhs, st.vecK)
+	pinRows(st.pins, st.s.M, st.vasm.Ndof, nil, st.rhs)
 	st.t.Vector += time.Since(t0)
 }
 
@@ -179,7 +189,7 @@ func (s *Solver) newPC(st *linStage) la.PC {
 		return la.NewPCJacobi(st.mat)
 	case st.name == StageNS && s.Opt.PCNS == PCGMG, st.name == StagePP && s.Opt.PCPP == PCGMG:
 		g := mg.NewPCGMG(s.ensureHierarchy(), s.pool, mg.Config{
-			Ndof:              st.asm.Ndof,
+			Ndof:              st.vasm.Ndof,
 			Coefs:             s.gmgCoefs(st),
 			Assemble:          st.assembleLevel,
 			BoundaryDirichlet: st.pins == pinWalls,
@@ -187,10 +197,6 @@ func (s *Solver) newPC(st *linStage) la.PC {
 		g.SetFineOperator(st.mat)
 		g.Refresh()
 		return g
-	case st.name == StageNS && !s.nsPCFull:
-		// The momentum matrix is one scalar operator on every velocity
-		// component, A ⊗ I_dim: factor A alone, sweep all components at once.
-		return la.NewPCBJacobiILU0Kron(st.mat)
 	}
 	return la.NewPCBJacobiILU0(st.mat)
 }

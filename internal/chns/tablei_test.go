@@ -166,9 +166,11 @@ func TestSplitVUMatchesCoupled(t *testing.T) {
 // mesh graded from level 3 to 5 (hanging nodes). Every layout runs the
 // stage's production (zipped GEMM) element kernel; the node-major layouts
 // take its blocks through fem.UnzipMat, so the layouts differ only in
-// storage and scatter. VU's AIJ row is the baseline's coupled N×DIM block
-// mass system (vuBlockMat), its BAIJ and Zipped rows the split scalar mass
-// matrix of stages 1 and 2. The CH Jacobian reads the element block store
+// storage and scatter. NS's AIJ and BAIJ rows are the baseline's N×DIM
+// block momentum system (the expansion A ⊗ I_dim, kNSMatExpanded), its
+// Zipped row the scalar operator A that stage 2 stores; likewise VU's AIJ
+// row is the coupled N×DIM block mass system (vuBlockMat), its BAIJ and
+// Zipped rows the split scalar mass matrix of stages 1 and 2. The CH Jacobian reads the element block store
 // its residual sweep filled, as every production Jacobian does.
 func BenchmarkTableI(b *testing.B) {
 	layouts := []struct {
@@ -189,7 +191,11 @@ func BenchmarkTableI(b *testing.B) {
 						asm, kern = s.asmCH, s.kCHJacZip
 						p.Residual(s.PhiMu, s.M.NewVec(2))
 					case "ns":
-						asm, kern = s.asmVel, s.kNSMatZip
+						asm, kern = s.asmS, s.kNSMatZip
+						if l.lay != fem.LayoutZipped {
+							s.SetNSExpandedPC(true)
+							asm, kern = s.asmVel, s.kNSMatExpanded
+						}
 					case "pp":
 						asm, kern = s.asmS, s.kPPMatZip
 					}

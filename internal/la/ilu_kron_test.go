@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// compareApply checks z from the component-interleaved PC against the
+// compareApply checks z from the component-interleaved kernel against the
 // expanded one entry by entry with ==, and returns how many of the equal
 // entries differ in the sign of a zero.
 func compareApply(t *testing.T, what string, got, want []float64) (signZeros int) {
@@ -23,27 +23,49 @@ func compareApply(t *testing.T, what string, got, want []float64) (signZeros int
 	return signZeros
 }
 
-// TestILU0KronMatchesExpanded pins the component-interleaved ILU(0) of an
-// A ⊗ I_k operator — no-slip rows pinned to identity, with and without a
-// zero pivot — to the factorization of its full scalar expansion: every
-// factored value equals the expansion's same-component entries exactly, on
-// every component; Apply (all k components in one sweep) equals the
-// expanded Apply entry by entry, with no zero of the opposite sign; the
-// same holds after Refresh on new values, and a warm Refresh + Apply
-// allocates nothing.
+// expandKron returns the explicit expansion A ⊗ I_k of a scalar matrix a
+// as a block matrix with k x k blocks a_ij·I_k, on a's pattern: the
+// storage the NS operator had before it was stored as A.
+func expandKron(a *BSRMat, k int) *BSRMat {
+	e := NewBAIJFromSparsity(a.scatter, k, a.NRowNodes, a.NColNodes, a.sp)
+	refillKron(e, a)
+	return e
+}
+
+// refillKron copies a's current values onto the diagonals of e's blocks.
+func refillKron(e, a *BSRMat) {
+	k := e.Bs
+	for j, v := range a.vals {
+		for d := 0; d < k; d++ {
+			e.vals[j*k*k+d*k+d] = v
+		}
+	}
+}
+
+// TestILU0KronMatchesExpanded pins the ILU(0) and the SpMV of a scalar
+// operator applied as A ⊗ I_k (SetComps) — no-slip rows pinned to
+// identity, with and without a zero pivot — to those of its explicit
+// expansion: every factored value equals the expansion's same-component
+// entries exactly, on every component; Apply (all k components in one
+// sweep) equals the expanded Apply entry by entry, with no zero of the
+// opposite sign; the SpMV equals the expanded SpMV entry by entry and the
+// scalar SpMV of each component bit for bit; the same holds after Refresh
+// on new values, and a warm Refresh + Apply allocates nothing.
 func TestILU0KronMatchesExpanded(t *testing.T) {
 	const nx, ny = 8, 6
 	signZeros := 0
 	for _, k := range []int{1, 2, 3} {
 		for _, zeroPivot := range []bool{false, true} {
 			what := fmt.Sprintf("k=%d zeroPivot=%v", k, zeroPivot)
-			pat := gridPattern{ghosts: true, kron: true, pinned: true, zeroPivot: zeroPivot}
-			m := gridSystem(nil, nx, ny, k, pat, int64(300+k))
-			p := NewPCBJacobiILU0Kron(m)
-			full := NewPCBJacobiILU0(m)
+			pat := gridPattern{ghosts: true, pinned: true, zeroPivot: zeroPivot}
+			m := gridSystem(nil, nx, ny, 1, pat, int64(300+k))
+			m.SetComps(k)
+			e := expandKron(m, k)
+			p := NewPCBJacobiILU0(m)
+			full := NewPCBJacobiILU0(e)
 			check := func(stage string) {
 				t.Helper()
-				if p.n != nx*ny || full.n != p.n*k {
+				if p.n != nx*ny || full.n != p.n*k || m.Rows() != e.Rows() || m.FullLen() != e.FullLen() {
 					t.Fatalf("%s: %d factored rows, expansion %d", what, p.n, full.n)
 				}
 				for i := 0; i < p.n; i++ {
@@ -70,14 +92,36 @@ func TestILU0KronMatchesExpanded(t *testing.T) {
 				p.Apply(r, got)
 				full.Apply(r, want)
 				signZeros += compareApply(t, what+" "+stage+" apply", got, want)
+
+				x := make([]float64, m.FullLen())
+				for i := range x {
+					x[i] = math.Cos(0.3 * float64(i+1))
+				}
+				got, want = poisoned(len(x)), poisoned(len(x))
+				m.Apply(x, got)
+				e.Apply(x, want)
+				compareApply(t, what+" "+stage+" SpMV", got[:m.Rows()], want[:m.Rows()])
+				xd, yd := make([]float64, m.NColNodes), make([]float64, m.NColNodes)
+				for d := 0; d < k; d++ {
+					for i := range xd {
+						xd[i] = x[i*k+d]
+					}
+					m.applySpan1(xd, yd, nil, 0, m.NRowNodes)
+					for i := 0; i < m.NRowNodes; i++ {
+						if math.Float64bits(got[i*k+d]) != math.Float64bits(yd[i]) {
+							t.Fatalf("%s %s: SpMV row %d component %d = %v, scalar SpMV %v", what, stage, i, d, got[i*k+d], yd[i])
+						}
+					}
+				}
 			}
 			check("new")
 			if zeroPivot && p.lu[p.diag[0]] != 0 {
 				t.Fatalf("%s: pivot 0 = %v, want an exact zero", what, p.lu[p.diag[0]])
 			}
 			for i := range m.vals {
-				m.vals[i] *= 1 + 0.25*math.Sin(float64(i/(k*k)))
+				m.vals[i] *= 1 + 0.25*math.Sin(float64(i))
 			}
+			refillKron(e, m)
 			p.Refresh()
 			full.Refresh()
 			check("refresh")

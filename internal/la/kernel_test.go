@@ -16,30 +16,35 @@ import (
 // row, pivots divided), which is what keeps every bitwise suite, iteration
 // count and reference.json of the repo independent of the kernel in use.
 
-// refApplySpan is the run-time-bs SpMV loop.
+// refApplySpan is the run-time-bs SpMV loop, run once per interleaved
+// component of a SetComps matrix.
 func refApplySpan(m *BSRMat, x, y []float64, rows []int32, lo, hi int) {
-	bs := m.Bs
+	bs, k := m.Bs, m.k
 	bs2 := bs * bs
 	for i := lo; i < hi; i++ {
 		r := i
 		if rows != nil {
 			r = int(rows[i])
 		}
-		var acc [maxBs]float64
-		a := acc[:bs]
-		for j := m.sp.Indptr[r]; j < m.sp.Indptr[r+1]; j++ {
-			c := int(m.sp.Cols[j]) * bs
-			blk := m.vals[int(j)*bs2 : int(j+1)*bs2]
-			for bi := 0; bi < bs; bi++ {
-				s := a[bi]
-				row := blk[bi*bs : (bi+1)*bs]
-				for bj := 0; bj < bs; bj++ {
-					s += row[bj] * x[c+bj]
+		for d := 0; d < k; d++ {
+			var acc [maxBs]float64
+			a := acc[:bs]
+			for j := m.sp.Indptr[r]; j < m.sp.Indptr[r+1]; j++ {
+				c := int(m.sp.Cols[j]) * bs
+				blk := m.vals[int(j)*bs2 : int(j+1)*bs2]
+				for bi := 0; bi < bs; bi++ {
+					s := a[bi]
+					row := blk[bi*bs : (bi+1)*bs]
+					for bj := 0; bj < bs; bj++ {
+						s += row[bj] * x[(c+bj)*k+d]
+					}
+					a[bi] = s
 				}
-				a[bi] = s
+			}
+			for bi := 0; bi < bs; bi++ {
+				y[(r*bs+bi)*k+d] = a[bi]
 			}
 		}
-		copy(y[r*bs:(r+1)*bs], a)
 	}
 }
 
@@ -158,8 +163,7 @@ func (s *ringScatter) GlobalSum(v float64) float64          { panic("unused") }
 type gridPattern struct {
 	ghosts    bool // last grid column couples to ny ghost nodes
 	emptyRows bool // every 11th block row stores nothing (SpMV only: ILU needs a diagonal)
-	zeroPivot bool // scalar entry (0,0) is exactly zero (with kron: every component's)
-	kron      bool // every block is a·I_bs, one random a: the A ⊗ I_bs shape of the NS operator
+	zeroPivot bool // scalar entry (0,0) is exactly zero
 	pinned    bool // gridPinned nodes are no-slip rows, identity on every component
 }
 
@@ -191,16 +195,8 @@ func gridSystem(sc Scatter, nx, ny, bs int, pat gridPattern, seed int64) *BSRMat
 						continue
 					}
 					cn := cx*ny + cy // cx == nx: ghost node owned+cy
-					if pat.kron {
-						a := rng.NormFloat64()
-						clear(blk)
-						for d := 0; d < bs; d++ {
-							blk[d*bs+d] = a
-						}
-					} else {
-						for i := range blk {
-							blk[i] = rng.NormFloat64()
-						}
+					for i := range blk {
+						blk[i] = rng.NormFloat64()
 					}
 					if cn == rn {
 						for d := 0; d < bs; d++ {
@@ -216,9 +212,6 @@ func gridSystem(sc Scatter, nx, ny, bs int, pat gridPattern, seed int64) *BSRMat
 	if pat.zeroPivot {
 		blk := m.vals[m.sp.FindSlot(0, 0)*bs*bs:][:bs*bs]
 		blk[0] = 0
-		for d := 1; pat.kron && d < bs; d++ {
-			blk[d*bs+d] = 0
-		}
 	}
 	for rn := 0; pat.pinned && rn < owned; rn++ {
 		if gridPinned(rn/ny, rn%ny) {
@@ -263,15 +256,18 @@ func poisoned(n int) []float64 {
 }
 
 // TestApplySpanMatchesReferenceBitwise pins every SpMV kernel (the
-// unrolled bs = 1, 2, 3 ones and the bs >= 4 fallback) to the reference
-// loop over full ranges, sub-ranges (pool shards), interior and boundary
-// row lists and the empty list, on patterns with ghost columns and empty
-// rows, and the whole overlapped Apply on 1 and 2 ranks.
+// unrolled bs = 1, 2 ones, the bs >= 3 fallback and the k = 2, 3
+// interleaved ones of a scalar operator) to the reference loop over full
+// ranges, sub-ranges (pool shards), interior and boundary row lists and
+// the empty list, on patterns with ghost columns and empty rows, and the
+// whole overlapped Apply on 1 and 2 ranks.
 func TestApplySpanMatchesReferenceBitwise(t *testing.T) {
 	const nx, ny = 9, 7
-	for _, bs := range []int{1, 2, 3, 4, 8} {
+	for _, sh := range []struct{ bs, k int }{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {8, 1}, {1, 2}, {1, 3}} {
+		bs, k := sh.bs, sh.k
 		for _, pat := range []gridPattern{{}, {ghosts: true}, {ghosts: true, emptyRows: true}} {
 			m := gridSystem(nil, nx, ny, bs, pat, int64(bs))
+			m.SetComps(k)
 			x := make([]float64, m.FullLen())
 			for i := range x {
 				x[i] = math.Sin(1.7 * float64(i+1))
@@ -290,13 +286,14 @@ func TestApplySpanMatchesReferenceBitwise(t *testing.T) {
 				got, want := poisoned(len(x)), poisoned(len(x))
 				m.applySpan(x, got, c.rows, c.lo, c.hi)
 				refApplySpan(m, x, want, c.rows, c.lo, c.hi)
-				mustEqualBits(t, fmt.Sprintf("bs=%d %+v rows=%s", bs, pat, c.name), got, want)
+				mustEqualBits(t, fmt.Sprintf("bs=%d k=%d %+v rows=%s", bs, k, pat, c.name), got, want)
 			}
 		}
 		for _, p := range []int{1, 2} {
 			par.Run(p, func(c *par.Comm) {
 				sc := &ringScatter{c: c, owned: nx * ny, ghost: ny}
 				m := gridSystem(sc, nx, ny, bs, gridPattern{ghosts: true}, int64(10*bs+c.Rank()))
+				m.SetComps(k)
 				x := make([]float64, m.FullLen())
 				for i := range x[:m.Rows()] {
 					x[i] = math.Cos(float64(i+1) * float64(c.Rank()+2))
@@ -305,7 +302,7 @@ func TestApplySpanMatchesReferenceBitwise(t *testing.T) {
 				m.Apply(x, got) // fills x's ghost segment
 				refApplySpan(m, x, want, nil, 0, m.NRowNodes)
 				if d := bitsDiff(got, want); d != "" {
-					panic(fmt.Sprintf("Apply bs=%d ranks=%d rank=%d: %s", bs, p, c.Rank(), d))
+					panic(fmt.Sprintf("Apply bs=%d k=%d ranks=%d rank=%d: %s", bs, k, p, c.Rank(), d))
 				}
 			})
 		}

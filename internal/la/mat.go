@@ -73,6 +73,9 @@ type BSRMat struct {
 	// ovScatter is scatter's overlap extension when it has one (asserted
 	// once at construction), enabling the split-phase Apply.
 	ovScatter OverlapScatter
+	// k is the number of interleaved components the matrix applies to:
+	// 1, or the k of SetComps.
+	k int
 
 	// pool shards Apply across workers when set (see SetPool); the
 	// ap* fields are the prebuilt shard closure and its argument slots,
@@ -101,7 +104,7 @@ func NewBAIJ(scatter Scatter, bs, ownedNodes, localNodes int) *BSRMat {
 	checkBs(bs)
 	m := &BSRMat{
 		Bs: bs, NRowNodes: ownedNodes, NColNodes: localNodes,
-		scatterDof: bs, scatter: scatter, build: make(map[[2]int32][]float64),
+		scatterDof: bs, scatter: scatter, k: 1, build: make(map[[2]int32][]float64),
 	}
 	m.initScatter()
 	return m
@@ -113,7 +116,7 @@ func NewBAIJ(scatter Scatter, bs, ownedNodes, localNodes int) *BSRMat {
 func NewAIJ(scatter Scatter, ndof, ownedNodes, localNodes int) *BSRMat {
 	m := &BSRMat{
 		Bs: 1, NRowNodes: ownedNodes * ndof, NColNodes: localNodes * ndof,
-		scatterDof: ndof, scatter: scatter, build: make(map[[2]int32][]float64),
+		scatterDof: ndof, scatter: scatter, k: 1, build: make(map[[2]int32][]float64),
 	}
 	m.initScatter()
 	return m
@@ -127,7 +130,7 @@ func NewBAIJFromSparsity(scatter Scatter, bs, ownedNodes, localNodes int, sp *Sp
 	checkBs(bs)
 	m := &BSRMat{
 		Bs: bs, NRowNodes: ownedNodes, NColNodes: localNodes,
-		scatterDof: bs, scatter: scatter,
+		scatterDof: bs, scatter: scatter, k: 1,
 		sp: sp, vals: make([]float64, sp.NNZ()*bs*bs), finalized: true,
 	}
 	m.initScatter()
@@ -139,11 +142,27 @@ func NewBAIJFromSparsity(scatter Scatter, bs, ownedNodes, localNodes int, sp *Sp
 func NewAIJFromSparsity(scatter Scatter, ndof, ownedNodes, localNodes int, sp *Sparsity) *BSRMat {
 	m := &BSRMat{
 		Bs: 1, NRowNodes: ownedNodes * ndof, NColNodes: localNodes * ndof,
-		scatterDof: ndof, scatter: scatter,
+		scatterDof: ndof, scatter: scatter, k: 1,
 		sp: sp, vals: make([]float64, sp.NNZ()), finalized: true,
 	}
 	m.initScatter()
 	return m
+}
+
+// SetComps makes a scalar matrix (Bs = 1, one row per mesh node) apply as
+// A ⊗ I_k to k-interleaved vectors, k ≤ 3: entry i·k+d of a vector is
+// component d at node i, and one pass over row i of A updates all k
+// components of y (PETSc's MATMAIJ). The stored values stay A's; Rows,
+// FullLen, the ghost exchange and the ILU(0) of NewPCBJacobiILU0 follow k.
+// SetComps(1) leaves any matrix as it is.
+func (m *BSRMat) SetComps(k int) {
+	if k == m.k {
+		return
+	}
+	if m.Bs != 1 || m.scatterDof != m.k || k < 1 || k > 3 {
+		panic(fmt.Sprintf("la: %d interleaved components on a block size %d matrix with %d dofs per node", k, m.Bs, m.scatterDof))
+	}
+	m.k, m.scatterDof = k, k
 }
 
 // initScatter caches the overlap capability of the scatter.
@@ -165,7 +184,7 @@ func (m *BSRMat) SetPool(p *par.Pool) {
 }
 
 // Rows implements Operator.
-func (m *BSRMat) Rows() int { return m.NRowNodes * m.Bs }
+func (m *BSRMat) Rows() int { return m.NRowNodes * m.Bs * m.k }
 
 // Sparsity returns the frozen index structure (nil before Finalize).
 func (m *BSRMat) Sparsity() *Sparsity { return m.sp }
@@ -193,7 +212,7 @@ func (m *BSRMat) AddBlockAt(slot int, block []float64) {
 }
 
 // FullLen implements Operator.
-func (m *BSRMat) FullLen() int { return m.NColNodes * m.Bs }
+func (m *BSRMat) FullLen() int { return m.NColNodes * m.Bs * m.k }
 
 // Zero resets all stored values (keeping the sparsity if finalized).
 func (m *BSRMat) Zero() {
@@ -356,27 +375,28 @@ func (m *BSRMat) applyShard(w int) {
 	m.applySpan(m.apX, m.apY, m.apRows, w*n/nw, (w+1)*n/nw)
 }
 
-// forceGenericSpan routes every applySpan through the run-time-bs loop.
+// forceGenericSpan routes every applySpan through the run-time loop.
 // Only tests set it (before any rank goroutine starts), to show the
 // unrolled kernels change no bit of a whole run.
 var forceGenericSpan bool
 
 // applySpan multiplies rows[lo:hi] (or block rows [lo, hi) when rows is
-// nil) of A into y. The bs = 1, 2, 3 kernels are the generic loop unrolled
-// with the row sums in registers — the products of a row are added in the
-// same order, so all four produce the same bits.
+// nil) of A into y. The bs = 1, 2 kernels and the k = 2, 3 interleaved
+// ones are the run-time loop unrolled with the row sums in registers — the
+// products of a row are added in the same order, so all of them produce
+// the same bits.
 func (m *BSRMat) applySpan(x, y []float64, rows []int32, lo, hi int) {
-	bs := m.Bs
-	if forceGenericSpan {
-		bs = 0
-	}
-	switch bs {
-	case 1:
+	switch {
+	case forceGenericSpan:
+		m.applySpanN(x, y, rows, lo, hi)
+	case m.k == 2:
+		m.applySpanK2(x, y, rows, lo, hi)
+	case m.k == 3:
+		m.applySpanK3(x, y, rows, lo, hi)
+	case m.Bs == 1:
 		m.applySpan1(x, y, rows, lo, hi)
-	case 2:
+	case m.Bs == 2:
 		m.applySpan2(x, y, rows, lo, hi)
-	case 3:
-		m.applySpan3(x, y, rows, lo, hi)
 	default:
 		m.applySpanN(x, y, rows, lo, hi)
 	}
@@ -419,7 +439,10 @@ func (m *BSRMat) applySpan2(x, y []float64, rows []int32, lo, hi int) {
 	}
 }
 
-func (m *BSRMat) applySpan3(x, y []float64, rows []int32, lo, hi int) {
+// applySpanK2 and applySpanK3 apply a scalar A to 2 and 3 interleaved
+// components: each component sums the products applySpan1 sums for it
+// alone, in the same order.
+func (m *BSRMat) applySpanK2(x, y []float64, rows []int32, lo, hi int) {
 	indptr, cols, vals := m.sp.Indptr, m.sp.Cols, m.vals
 	for i := lo; i < hi; i++ {
 		r := i
@@ -427,24 +450,45 @@ func (m *BSRMat) applySpan3(x, y []float64, rows []int32, lo, hi int) {
 			r = int(rows[i])
 		}
 		a, b := int(indptr[r]), int(indptr[r+1])
-		rc, rv := cols[a:b], vals[9*a:9*b]
+		rc, rv := cols[a:b], vals[a:b]
+		var s0, s1 float64
+		for k, c := range rc {
+			v, xc := rv[k], x[2*int(c):2*int(c)+2]
+			s0 += v * xc[0]
+			s1 += v * xc[1]
+		}
+		yr := y[2*r : 2*r+2]
+		yr[0], yr[1] = s0, s1
+	}
+}
+
+func (m *BSRMat) applySpanK3(x, y []float64, rows []int32, lo, hi int) {
+	indptr, cols, vals := m.sp.Indptr, m.sp.Cols, m.vals
+	for i := lo; i < hi; i++ {
+		r := i
+		if rows != nil {
+			r = int(rows[i])
+		}
+		a, b := int(indptr[r]), int(indptr[r+1])
+		rc, rv := cols[a:b], vals[a:b]
 		var s0, s1, s2 float64
 		for k, c := range rc {
-			v, xc := rv[9*k:9*k+9], x[3*int(c):3*int(c)+3]
-			s0 = s0 + v[0]*xc[0] + v[1]*xc[1] + v[2]*xc[2]
-			s1 = s1 + v[3]*xc[0] + v[4]*xc[1] + v[5]*xc[2]
-			s2 = s2 + v[6]*xc[0] + v[7]*xc[1] + v[8]*xc[2]
+			v, xc := rv[k], x[3*int(c):3*int(c)+3]
+			s0 += v * xc[0]
+			s1 += v * xc[1]
+			s2 += v * xc[2]
 		}
 		yr := y[3*r : 3*r+3]
 		yr[0], yr[1], yr[2] = s0, s1, s2
 	}
 }
 
-// applySpanN is the run-time-bs kernel (bs >= 4), accumulating each block
-// row in a stack buffer; bs <= maxBs by construction.
+// applySpanN is the run-time kernel (bs >= 3, or any shape under
+// forceGenericSpan), accumulating each block row's bs·k sums in a stack
+// buffer; bs·k <= maxBs by construction (k > 1 only at bs = 1).
 func (m *BSRMat) applySpanN(x, y []float64, rows []int32, lo, hi int) {
-	bs := m.Bs
-	bs2 := bs * bs
+	bs, k := m.Bs, m.k
+	bs2, n := bs*bs, bs*k
 	indptr, cols, vals := m.sp.Indptr, m.sp.Cols, m.vals
 	for i := lo; i < hi; i++ {
 		r := i
@@ -452,26 +496,28 @@ func (m *BSRMat) applySpanN(x, y []float64, rows []int32, lo, hi int) {
 			r = int(rows[i])
 		}
 		var acc [maxBs]float64
-		a := acc[:bs]
+		a := acc[:n]
 		for j := indptr[r]; j < indptr[r+1]; j++ {
-			c := int(cols[j]) * bs
+			c := int(cols[j]) * n
 			blk := vals[int(j)*bs2 : int(j+1)*bs2]
 			for bi := 0; bi < bs; bi++ {
-				s := a[bi]
 				row := blk[bi*bs : (bi+1)*bs]
-				for bj := 0; bj < bs; bj++ {
-					s += row[bj] * x[c+bj]
+				for d := 0; d < k; d++ {
+					s := a[bi*k+d]
+					for bj := 0; bj < bs; bj++ {
+						s += row[bj] * x[c+bj*k+d]
+					}
+					a[bi*k+d] = s
 				}
-				a[bi] = s
 			}
 		}
-		copy(y[r*bs:(r+1)*bs], a)
+		copy(y[r*n:(r+1)*n], a)
 	}
 }
 
 // ZeroRow zeroes every stored entry of scalar row (node*Bs+dof) and sets
 // its diagonal to diag. Used to impose Dirichlet boundary conditions after
-// assembly.
+// assembly; on a SetComps matrix the row is the node's on every component.
 func (m *BSRMat) ZeroRow(row int, diag float64) {
 	if !m.finalized {
 		m.Finalize()
@@ -500,34 +546,22 @@ func (m *BSRMat) NNZBlocks() int {
 
 // LocalCSR extracts the owned×owned scalar submatrix (dropping ghost
 // columns) in CSR form, the local block that block-Jacobi preconditioners
-// factor.
+// factor: every entry of every owned block, so row r·Bs+bi stands for
+// scalar row bi of block row r. Within a row the entries come one group
+// per owned block, in block-column order, so the columns ascend.
 func (m *BSRMat) LocalCSR() (indptr []int32, cols []int32, vals []float64, n int) {
-	return m.localCSR(1)
-}
-
-// localCSR extracts the owned×owned submatrix in CSR form for k = 1, the
-// full scalar expansion, or for k = Bs, the scalar A of an operator stored
-// as A ⊗ I_Bs: one entry per owned block, read from its entry (0,0), and
-// row r of the result stands for scalar rows r·Bs … r·Bs+Bs−1. Within a
-// row the entries come one group per owned block, in block-column order,
-// so the columns ascend.
-func (m *BSRMat) localCSR(k int) (indptr []int32, cols []int32, vals []float64, n int) {
 	if !m.finalized {
 		m.Finalize()
 	}
 	bs := m.Bs
-	if k != 1 && k != bs {
-		panic(fmt.Sprintf("la: %d components for block size %d", k, bs))
-	}
-	e := bs / k // A's entries per block row and column
-	n = m.NRowNodes * e
+	n = m.NRowNodes * bs
 	indptr = make([]int32, n+1)
 	// Count then fill.
 	for r := 0; r < m.NRowNodes; r++ {
 		for j := m.sp.Indptr[r]; j < m.sp.Indptr[r+1]; j++ {
 			if int(m.sp.Cols[j]) < m.NRowNodes {
-				for bi := 0; bi < e; bi++ {
-					indptr[r*e+bi+1] += int32(e)
+				for bi := 0; bi < bs; bi++ {
+					indptr[r*bs+bi+1] += int32(bs)
 				}
 			}
 		}
@@ -545,37 +579,25 @@ func (m *BSRMat) localCSR(k int) (indptr []int32, cols []int32, vals []float64, 
 			if cn >= m.NRowNodes {
 				continue
 			}
-			for bi := 0; bi < e; bi++ {
-				row := r*e + bi
-				for bj := 0; bj < e; bj++ {
-					cols[fill[row]] = int32(cn*e + bj)
+			for bi := 0; bi < bs; bi++ {
+				row := r*bs + bi
+				for bj := 0; bj < bs; bj++ {
+					cols[fill[row]] = int32(cn*bs + bj)
 					fill[row]++
 				}
 			}
 		}
 	}
-	m.localCSRValuesInto(indptr, vals, k)
+	m.localCSRValuesInto(indptr, vals)
 	return indptr, cols, vals, n
 }
 
-// localCSRValuesInto refills vals (from a previous localCSR(k) of this
+// localCSRValuesInto refills vals (from a previous LocalCSR of this
 // matrix, whose pattern is unchanged) with the current owned×owned
-// values, allocation-free, in localCSR's entry order.
-func (m *BSRMat) localCSRValuesInto(indptr []int32, vals []float64, k int) {
+// values, allocation-free, in LocalCSR's entry order.
+func (m *BSRMat) localCSRValuesInto(indptr []int32, vals []float64) {
 	bs := m.Bs
 	bs2 := bs * bs
-	if k > 1 { // A ⊗ I_Bs: one value per owned block
-		for r := 0; r < m.NRowNodes; r++ {
-			p := indptr[r]
-			for j := m.sp.Indptr[r]; j < m.sp.Indptr[r+1]; j++ {
-				if int(m.sp.Cols[j]) < m.NRowNodes {
-					vals[p] = m.vals[int(j)*bs2]
-					p++
-				}
-			}
-		}
-		return
-	}
 	for r := 0; r < m.NRowNodes; r++ {
 		nOwned := 0
 		for j := m.sp.Indptr[r]; j < m.sp.Indptr[r+1]; j++ {

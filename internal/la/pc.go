@@ -81,10 +81,17 @@ func (p *PCJacobi) Apply(r, z []float64) {
 // Apply sweep those ranges without testing a column; buildIndex asserts
 // the property once.
 //
-// With k = Bs components (NewPCBJacobiILU0Kron) the matrix is an operator
-// A ⊗ I_k and only A is factored: factored row i stands for the k
-// interleaved scalar rows i·k … i·k+k−1, and each Apply sweep updates all
-// k of them in one pass over row i (PETSc's MATMAIJ shape).
+// On a matrix that applies as A ⊗ I_k (BSRMat.SetComps, the NS momentum
+// operator with k = dim) only the stored scalar A is factored: factored
+// row i stands for the k interleaved scalar rows i·k … i·k+k−1, and each
+// Apply sweep updates all k of them in one pass over row i (PETSc's
+// MATMAIJ shape). The result and every Apply are bitwise those of the ILU(0)
+// of the explicit expansion A ⊗ I_k — up to the sign of exact zeros — as
+// each cross-component entry of the expansion is a structural zero: it
+// adds ±0 to a running sum in the sweeps and x − 0·y = x in the
+// elimination, so the same-component entries are computed from the same
+// operands in the same order. It stores and sweeps a k²-th of the
+// entries, and its update index shrinks by more.
 type PCBJacobiILU0 struct {
 	m      *BSRMat
 	k      int // interleaved components per factored row
@@ -100,31 +107,11 @@ type PCBJacobiILU0 struct {
 	updDst []int32
 }
 
-// NewPCBJacobiILU0 factors the local owned submatrix of m in place: its
-// full scalar expansion, every entry of every block.
-func NewPCBJacobiILU0(m *BSRMat) *PCBJacobiILU0 { return newPCBJacobiILU0(m, 1) }
-
-// NewPCBJacobiILU0Kron factors only A for a matrix m that stores A ⊗ I_k
-// with k = m.Bs ≤ 3: the same scalar operator on each of k interleaved
-// components, so every owned block is A's entry times I_k (a no-slip row
-// pinned on all k components keeps that shape). The caller guarantees the
-// shape; A is read from entry (0,0) of each block. On such a matrix the
-// result and every Apply are bitwise those of NewPCBJacobiILU0 — up to the
-// sign of exact zeros — as each cross-component entry of the expansion is
-// a structural zero: it adds ±0 to a running sum in the sweeps and
-// x − 0·y = x in the elimination, so the same-component entries are
-// computed from the same operands in the same order. It stores and sweeps
-// a k²-th of the entries, and its update index shrinks by more.
-func NewPCBJacobiILU0Kron(m *BSRMat) *PCBJacobiILU0 {
-	if m.Bs > 3 {
-		panic(fmt.Sprintf("la: no interleaved ILU(0) sweep for %d components", m.Bs))
-	}
-	return newPCBJacobiILU0(m, m.Bs)
-}
-
-func newPCBJacobiILU0(m *BSRMat, k int) *PCBJacobiILU0 {
-	indptr, cols, vals, n := m.localCSR(k)
-	p := &PCBJacobiILU0{m: m, k: k, n: n, indptr: indptr, cols: cols, lu: vals}
+// NewPCBJacobiILU0 factors the local owned submatrix of m: every entry of
+// every block, swept on m's interleaved components.
+func NewPCBJacobiILU0(m *BSRMat) *PCBJacobiILU0 {
+	indptr, cols, vals, n := m.LocalCSR()
+	p := &PCBJacobiILU0{m: m, k: m.k, n: n, indptr: indptr, cols: cols, lu: vals}
 	p.buildIndex()
 	p.factor()
 	return p
@@ -133,7 +120,7 @@ func newPCBJacobiILU0(m *BSRMat, k int) *PCBJacobiILU0 {
 // Refresh re-extracts the owned submatrix values and refactors on the
 // frozen pattern, allocation-free.
 func (p *PCBJacobiILU0) Refresh() {
-	p.m.localCSRValuesInto(p.indptr, p.lu, p.k)
+	p.m.localCSRValuesInto(p.indptr, p.lu)
 	p.factor()
 }
 

@@ -15,17 +15,26 @@ type Coefficient struct {
 	Ndof int
 }
 
-// Config fixes one GMG preconditioner instance.
+// Config fixes one GMG preconditioner instance. Every level operator is
+// one scalar operator A (one row per mesh node) applied to Ndof
+// interleaved components as A ⊗ I_Ndof (la.BSRMat.SetComps): the V-cycle's
+// vectors, transfers and smoothers carry Ndof components per node, the
+// stored operators and ILU(0) factors one. The fine operator is the
+// stage's, in the same form.
 type Config struct {
-	// Ndof is the dofs per node of the preconditioned system.
+	// Ndof is the number of interleaved components per node of the
+	// preconditioned system: 1 for a scalar system (pressure), dim for the
+	// NS momentum operator on the velocity.
 	Ndof int
 	// Coefs are the fine-mesh fields the level operators are assembled
 	// from; Refresh re-injects them to every level.
 	Coefs []Coefficient
-	// Assemble fills lvl.Mat (already allocated/zeroed) from lvl.Coef on a
-	// coarse level, including the level's boundary-condition row edits. It
-	// runs serially per rank (the level assemblers are pinned to one
-	// worker so reassembly is bitwise reproducible at any pool size).
+	// Assemble fills lvl.Mat (already allocated/zeroed: the scalar A, on
+	// the level's one-dof-per-node assembler in fem.LayoutAIJ) from
+	// lvl.Coef on a coarse level, including the level's boundary-condition
+	// row edits. It runs serially per rank (the level assemblers are
+	// pinned to one worker so reassembly is bitwise reproducible at any
+	// pool size).
 	Assemble func(lvl *Level)
 	// BoundaryDirichlet masks domain-boundary rows in the inter-level
 	// transfers (restricted residuals and prolonged corrections), for
@@ -44,12 +53,16 @@ const (
 
 // Level is one rung of the preconditioner: its mesh, the frozen-sparsity
 // assembler and operator, the injected coefficient fields, and the cycle
-// work vectors. The Assemble callback sees the exported fields; Scratch
-// is its hook for per-level kernel workspace (allocated on first use, so
-// warm refreshes stay allocation-free).
+// work vectors (Config.Ndof components per node). The Assemble callback
+// sees the exported fields; Scratch is its hook for per-level kernel
+// workspace (allocated on first use, so warm refreshes stay
+// allocation-free).
 type Level struct {
-	M       *mesh.Mesh
-	Asm     *fem.Assembler // nil on the fine level (operator comes from the stage)
+	M *mesh.Mesh
+	// Asm assembles the level's scalar operator (one dof per node); nil on
+	// the fine level, whose operator comes from the stage.
+	Asm *fem.Assembler
+	// Mat is the level operator A, applied as A ⊗ I_Ndof.
 	Mat     *la.BSRMat
 	Coef    [][]float64
 	Scratch any
@@ -99,7 +112,7 @@ func (p *PCGMG) newLevel(l int, m *mesh.Mesh) *Level {
 			lvl.Coef[i] = cf.Vec
 		}
 	} else {
-		lvl.Asm = fem.NewAssembler(m, cfg.Ndof)
+		lvl.Asm = fem.NewAssembler(m, 1)
 		// One worker: the level kernels (Config.Assemble) keep a single
 		// scratch per level in Level.Scratch, not one per worker. The
 		// assembly order is the same on every route either way.
@@ -142,9 +155,10 @@ func (p *PCGMG) Levels() int { return len(p.lv) }
 // Hierarchy returns the mesh ladder this preconditioner cycles over.
 func (p *PCGMG) Hierarchy() *Hierarchy { return p.h }
 
-// SetFineOperator points level 0 at the stage's assembled fine matrix.
-// Call before every Refresh; a changed operator object drops the fine
-// smoother so it is rebuilt against the new matrix.
+// SetFineOperator points level 0 at the stage's assembled fine matrix,
+// which applies to Config.Ndof interleaved components per node. Call
+// before every Refresh; a changed operator object drops the fine smoother
+// so it is rebuilt against the new matrix.
 func (p *PCGMG) SetFineOperator(mat *la.BSRMat) {
 	f := p.lv[0]
 	if f.Mat != mat {
@@ -234,6 +248,7 @@ func (p *PCGMG) Refresh() {
 		lvl := p.lv[l]
 		if lvl.Mat == nil {
 			lvl.Mat = lvl.Asm.NewMatrix(fem.LayoutAIJ)
+			lvl.Mat.SetComps(p.cfg.Ndof)
 		} else {
 			lvl.Mat.Zero()
 		}
@@ -243,8 +258,9 @@ func (p *PCGMG) Refresh() {
 	refreshSmoother(p.lv[0])
 }
 
-// refreshSmoother factors the level's ILU(0) smoother on its operator:
-// afresh when Rebind or SetFineOperator dropped it, in place otherwise.
+// refreshSmoother factors the level's ILU(0) smoother on its operator —
+// the scalar A, swept on every component — afresh when Rebind or
+// SetFineOperator dropped it, in place otherwise.
 func refreshSmoother(lvl *Level) {
 	if lvl.smoother == nil {
 		lvl.smoother = la.NewPCBJacobiILU0(lvl.Mat)
