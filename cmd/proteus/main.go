@@ -163,8 +163,8 @@ func main() {
 				res.StepsDone, res.Stopped, res.Wall.Round(time.Millisecond),
 				tm.CH.Total, tm.NS.Total, tm.PP.Total, tm.VU.Total, tm.Remesh.Total,
 				st.RemeshCount, st.PartitionOnlyRounds)
-			fmt.Printf("PC set-up: NS=%v (coarse-level assembly %v) PP=%v (coarse-level assembly %v)\n",
-				tm.NS.PCSetup, tm.NS.PCSetupLevels, tm.PP.PCSetup, tm.PP.PCSetupLevels)
+			fmt.Printf("PC set-up: NS=%v (coarse-level assembly %v) PP=%v (coarse-level assembly %v) GMG ladder=%v\n",
+				tm.NS.PCSetup, tm.NS.PCSetupLevels, tm.PP.PCSetup, tm.PP.PCSetupLevels, tm.MGLadder)
 			nwt := st.KrylovIters["ch_newton"]
 			fmt.Printf("CH Newton iterations per step: mean %.2f (min %d, max %d)\n", nwt.Mean, nwt.Min, nwt.Max)
 			fmt.Printf("CH Jacobians: %d assembled and factored, %d Newton iterations were chord steps on the previous one\n", st.CHJacobians, st.CHChordSteps)

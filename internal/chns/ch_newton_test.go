@@ -144,7 +144,8 @@ func TestMobilityPrime(t *testing.T) {
 // (CH books its Newton-inner Krylov time to Solve), and every stage
 // spends time in Solve. The coarse-level assembly share PCSetupLevels is
 // at most PCSetup, zero under block-Jacobi and nonzero for NS and PP under
-// GMG (subtests gmg/ns, gmg/pp).
+// GMG (subtests gmg/ns, gmg/pp); so is the shared ladder build MGLadder,
+// which no stage's PCSetup contains.
 func TestCHTimerTreeCloses(t *testing.T) {
 	stages := []struct {
 		name string
@@ -187,6 +188,9 @@ func TestCHTimerTreeCloses(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) { check(t, tc.name, tc.st(&t0), tc.st(&t1), false) })
 	}
 	g0, g1 := warm(PCGMG)
+	if t1.MGLadder != 0 || g0.MGLadder == 0 || g1.MGLadder != g0.MGLadder {
+		t.Fatalf("GMG ladder build %v under block-Jacobi, %v then %v over warm steps under GMG", t1.MGLadder, g0.MGLadder, g1.MGLadder)
+	}
 	for _, tc := range stages[1:3] {
 		t.Run("gmg/"+tc.name, func(t *testing.T) { check(t, tc.name, tc.st(&g0), tc.st(&g1), true) })
 	}

@@ -17,9 +17,11 @@ import (
 // the current mesh on first use in an epoch. After an incremental rebind
 // the previous ladder is refreshed instead — unchanged coarse levels are
 // reused, the rest rebuilt — with a result bitwise identical to a from-
-// scratch build. Collective.
+// scratch build. The build is booked to Timers.MGLadder. Collective.
 func (s *Solver) ensureHierarchy() *mg.Hierarchy {
 	if s.mgH == nil {
+		t0 := time.Now()
+		defer func() { s.T.MGLadder += time.Since(t0) }()
 		if s.mgPrev != nil {
 			h, res := mg.RefreshHierarchy(s.M, s.mgPrev, s.mgDelta, &s.mgWS, mg.HierarchyOptions{})
 			s.mgH, s.mgInfo = h, res

@@ -85,6 +85,11 @@ type Timers struct {
 	// RemeshStages splits Remesh.Total into the adaptation pipeline's
 	// phases for the Fig. 7 / Table I "Remesh" accounting.
 	RemeshStages RemeshTimes
+	// MGLadder is the GMG mesh ladder's build (or refresh after a remesh),
+	// shared by the NS and PP multigrid PCs: it runs inside the first GMG
+	// stage of each mesh epoch, counted in that stage's Total but in
+	// neither stage's PCSetup. Zero under block-Jacobi.
+	MGLadder time.Duration
 }
 
 // Add accumulates o into t.

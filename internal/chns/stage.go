@@ -157,9 +157,13 @@ func (st *linStage) assembleRHS() {
 // rebound onto the refreshed ladder after an incremental Rebind (a GMG PC
 // keeps its unchanged levels and patches its level assemblers), or
 // refreshed in place from the new values. A mass stage's Jacobi PC needs
-// nothing after its build: the operator does not change on a mesh.
+// nothing after its build: the operator does not change on a mesh. A GMG
+// stage makes the shared mesh ladder current first, outside its PCSetup.
 func (st *linStage) setupPC() time.Duration {
 	s := st.s
+	if s.gmgStage(st) {
+		s.ensureHierarchy()
+	}
 	t0 := time.Now()
 	switch p := st.pc.(type) {
 	case nil:
@@ -187,7 +191,7 @@ func (s *Solver) newPC(st *linStage) la.PC {
 	switch {
 	case st.mass:
 		return la.NewPCJacobi(st.mat)
-	case st.name == StageNS && s.Opt.PCNS == PCGMG, st.name == StagePP && s.Opt.PCPP == PCGMG:
+	case s.gmgStage(st):
 		g := mg.NewPCGMG(s.ensureHierarchy(), s.pool, mg.Config{
 			Ndof:              st.vasm.Ndof,
 			Coefs:             s.gmgCoefs(st),
@@ -199,6 +203,12 @@ func (s *Solver) newPC(st *linStage) la.PC {
 		return g
 	}
 	return la.NewPCBJacobiILU0(st.mat)
+}
+
+// gmgStage reports whether the stage is preconditioned by GMG
+// (Options.PCNS/PCPP).
+func (s *Solver) gmgStage(st *linStage) bool {
+	return st.name == StageNS && s.Opt.PCNS == PCGMG || st.name == StagePP && s.Opt.PCPP == PCGMG
 }
 
 // gmgCoefs binds a stage's multigrid coefficient fields to the solver's

@@ -629,6 +629,7 @@ func (s *Simulation) Timers() chns.Timers {
 	// iterations) accumulate on its side of the seam; the
 	// pipeline sub-timers accumulate on ours. The two sets are disjoint.
 	t.RemeshStages.Add(s.Solver.T.RemeshStages)
+	t.MGLadder += s.Solver.T.MGLadder
 	return t
 }
 

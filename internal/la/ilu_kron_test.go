@@ -62,7 +62,7 @@ func TestILU0KronMatchesExpanded(t *testing.T) {
 			m.SetComps(k)
 			e := expandKron(m, k)
 			p := NewPCBJacobiILU0(m)
-			full := NewPCBJacobiILU0(e)
+			full := newPointILU0(e)
 			check := func(stage string) {
 				t.Helper()
 				if p.n != nx*ny || full.n != p.n*k || m.Rows() != e.Rows() || m.FullLen() != e.FullLen() {

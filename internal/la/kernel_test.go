@@ -309,16 +309,17 @@ func TestApplySpanMatchesReferenceBitwise(t *testing.T) {
 	}
 }
 
-// TestILU0MatchesReferenceBitwise pins factor (cold and Refresh entry
-// points) and Apply to the reference sweeps, on
-// patterns with ghost columns (dropped by LocalCSR) and a zero pivot.
+// TestILU0MatchesReferenceBitwise pins the scalar kernels (factor1 through
+// the cold and Refresh entry points, apply1) to the reference sweeps, on
+// the point-expansion oracle of patterns with ghost columns (dropped by
+// LocalCSR) and a zero pivot.
 func TestILU0MatchesReferenceBitwise(t *testing.T) {
 	const nx, ny = 8, 6
 	for _, bs := range []int{1, 2, 3, 4} {
 		for _, pat := range []gridPattern{{}, {ghosts: true}, {ghosts: true, zeroPivot: true}} {
 			what := fmt.Sprintf("bs=%d %+v", bs, pat)
 			m := gridSystem(nil, nx, ny, bs, pat, int64(100+bs))
-			p := NewPCBJacobiILU0(m)
+			p := newPointILU0(m)
 			check := func(stage string) {
 				t.Helper()
 				_, _, lu, _ := m.LocalCSR()
@@ -347,24 +348,27 @@ func TestILU0MatchesReferenceBitwise(t *testing.T) {
 }
 
 // TestILU0IndexMatchesReference pins the row-marker buildIndex to the
-// hash-map construction: same updOff/updSrc/updDst, entry for entry.
+// hash-map construction — same updOff/updSrc/updDst, entry for entry — on
+// the scalar index of the point-expansion oracle and on the node-block
+// index the shipped ILU(0) builds.
 func TestILU0IndexMatchesReference(t *testing.T) {
 	const nx, ny = 8, 6
 	for _, bs := range []int{1, 2, 3} {
 		for _, pat := range []gridPattern{{}, {ghosts: true}} {
 			m := gridSystem(nil, nx, ny, bs, pat, int64(200+bs))
-			p := NewPCBJacobiILU0(m)
-			off, src, dst := refILUBuildIndex(p)
-			for _, c := range []struct {
-				name      string
-				got, want []int32
-			}{{"updOff", p.updOff, off}, {"updSrc", p.updSrc, src}, {"updDst", p.updDst, dst}} {
-				if !slices.Equal(c.got, c.want) {
-					t.Fatalf("bs=%d %+v: %s differs from the hash-map index", bs, pat, c.name)
+			for name, p := range map[string]*PCBJacobiILU0{"oracle": newPointILU0(m), "blocks": NewPCBJacobiILU0(m)} {
+				off, src, dst := refILUBuildIndex(p)
+				for _, c := range []struct {
+					name      string
+					got, want []int32
+				}{{"updOff", p.updOff, off}, {"updSrc", p.updSrc, src}, {"updDst", p.updDst, dst}} {
+					if !slices.Equal(c.got, c.want) {
+						t.Fatalf("bs=%d %+v %s: %s differs from the hash-map index", bs, pat, name, c.name)
+					}
 				}
-			}
-			if len(src) == 0 {
-				t.Fatalf("bs=%d %+v: empty update index, nothing compared", bs, pat)
+				if len(src) == 0 {
+					t.Fatalf("bs=%d %+v %s: empty update index, nothing compared", bs, pat, name)
+				}
 			}
 		}
 	}
@@ -422,21 +426,37 @@ func BenchmarkSpMV(b *testing.B) {
 	}
 }
 
+// benchILU0 runs an ILU(0) kernel on the node blocks and, for bs >= 2, on
+// the point-expansion oracle (the "point" rows).
 func benchILU0(b *testing.B, run func(p *PCBJacobiILU0, r, z []float64)) {
 	for _, bs := range []int{1, 2, 3} {
-		b.Run(fmt.Sprintf("bs=%d", bs), func(b *testing.B) {
-			p := NewPCBJacobiILU0(gridSystem(nil, benchNx, benchNy, bs, gridPattern{}, 1))
-			r, z := make([]float64, p.n), make([]float64, p.n)
-			for i := range r {
-				r[i] = math.Sin(0.01 * float64(i))
+		for _, point := range []bool{false, true} {
+			if point && bs == 1 {
+				continue
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(p, r, z)
+			name := fmt.Sprintf("bs=%d", bs)
+			if point {
+				name += "/point"
 			}
-			reportKernel(b, len(p.lu), len(p.lu)*(8+4)+2*p.n*8)
-		})
+			b.Run(name, func(b *testing.B) {
+				m := gridSystem(nil, benchNx, benchNy, bs, gridPattern{}, 1)
+				p := NewPCBJacobiILU0(m)
+				if point {
+					p = newPointILU0(m)
+				}
+				n := m.Rows()
+				r, z := make([]float64, n), make([]float64, n)
+				for i := range r {
+					r[i] = math.Sin(0.01 * float64(i))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run(p, r, z)
+				}
+				reportKernel(b, len(p.lu), len(p.lu)*8+len(p.cols)*4+2*n*8)
+			})
+		}
 	}
 }
 

@@ -7,14 +7,23 @@ import (
 
 // PointLocate returns the index of the leaf containing the grid point
 // (x,y,z) (half-open octant regions), or -1 if the point lies in a void
-// region of an incomplete tree.
+// region of an incomplete tree. A leaf containing the point is an ancestor
+// of (or equal to) the point's MaxLevel octant q, and no other leaf lies
+// between the two in SFC order, so the only candidate is the last leaf
+// ≤ q: one binary search.
 func (t *Tree) PointLocate(x, y, z uint32) int {
 	q := sfc.Octant{X: x, Y: y, Z: z, Level: sfc.MaxLevel, Dim: uint8(t.Dim)}
-	lo, hi := t.OverlapRange(q)
-	for i := lo; i < hi; i++ {
-		if t.Leaves[i].ContainsPoint(x, y, z) {
-			return i
+	lo, hi := 0, len(t.Leaves) // invariant: leaves [0,lo) are ≤ q, [hi,n) are > q
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if sfc.Compare(t.Leaves[mid], q) > 0 {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
+	}
+	if lo > 0 && t.Leaves[lo-1].ContainsPoint(x, y, z) {
+		return lo - 1
 	}
 	return -1
 }

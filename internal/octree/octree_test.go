@@ -357,3 +357,73 @@ func TestFinestOverlappingLevelVoid(t *testing.T) {
 		t.Fatalf("void region reported level %d", l)
 	}
 }
+
+// pointLocateTwoSearch is PointLocate as it was written first: the
+// overlap range of the point's MaxLevel octant (two binary searches),
+// scanned for the leaf containing the point.
+func pointLocateTwoSearch(t *Tree, x, y, z uint32) int {
+	q := sfc.Octant{X: x, Y: y, Z: z, Level: sfc.MaxLevel, Dim: uint8(t.Dim)}
+	lo, hi := t.OverlapRange(q)
+	for i := lo; i < hi; i++ {
+		if t.Leaves[i].ContainsPoint(x, y, z) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestPointLocateMatchesTwoSearchScan: the one-search PointLocate returns
+// the index the overlap-range scan does, on random complete and incomplete
+// 2D and 3D trees with a chain of leaves refined to MaxLevel, for random
+// points, every leaf's near and far corner and their outside neighbours,
+// the MaxLevel leaves themselves, points outside the domain and points in
+// void regions.
+func TestPointLocateMatchesTwoSearchScan(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		for _, incomplete := range []bool{false, true} {
+			for seed := int64(1); seed <= 4; seed++ {
+				r := rand.New(rand.NewSource(seed*10 + int64(dim)))
+				rc := func() uint32 { return r.Uint32() % sfc.MaxCoord }
+				deep := [3]uint32{rc(), rc(), rc()}
+				var retain RetainFn
+				if incomplete {
+					retain = func(o sfc.Octant) bool { return o.X < sfc.MaxCoord/2 || o.Y < sfc.MaxCoord/4 }
+					deep[0] %= sfc.MaxCoord / 2
+				}
+				tr := Build(dim, func(o sfc.Octant) bool {
+					return (o.Level < 4 && r.Float64() < 0.5) || o.ContainsPoint(deep[0], deep[1], deep[2])
+				}, sfc.MaxLevel, retain)
+				if _, max := tr.MinMaxLevel(); max != sfc.MaxLevel {
+					t.Fatalf("dim=%d seed=%d: finest leaf at level %d, want MaxLevel", dim, seed, max)
+				}
+				pts := [][3]uint32{deep}
+				for i := 0; i < 400; i++ {
+					pts = append(pts, [3]uint32{rc(), rc(), rc()})
+				}
+				for _, o := range tr.Leaves {
+					s := o.Side()
+					pts = append(pts, [3]uint32{o.X, o.Y, o.Z}, [3]uint32{o.X + s - 1, o.Y + s - 1, o.Z + s - 1},
+						[3]uint32{o.X + s, o.Y, o.Z}, [3]uint32{o.X - 1, o.Y + s - 1, o.Z})
+				}
+				found, void := 0, 0
+				for _, p := range pts {
+					if dim == 2 {
+						p[2] = 0
+					}
+					got, want := tr.PointLocate(p[0], p[1], p[2]), pointLocateTwoSearch(tr, p[0], p[1], p[2])
+					if got != want {
+						t.Fatalf("dim=%d incomplete=%v seed=%d: point %v located in leaf %d, two-search scan %d", dim, incomplete, seed, p, got, want)
+					}
+					if outside := p[0] >= sfc.MaxCoord || p[1] >= sfc.MaxCoord || p[2] >= sfc.MaxCoord; got < 0 && !outside {
+						void++
+					} else if got >= 0 {
+						found++
+					}
+				}
+				if found == 0 || incomplete != (void > 0) {
+					t.Fatalf("dim=%d incomplete=%v seed=%d: %d points located, %d in void", dim, incomplete, seed, found, void)
+				}
+			}
+		}
+	}
+}
