@@ -7,11 +7,6 @@ import (
 	"testing"
 )
 
-// iluShapes are the (bs, k) shapes the ILU(0) runs on: node blocks of
-// every size (bs = 2 is the CH system) and a scalar operator applied to k
-// interleaved components (NS).
-var iluShapes = []struct{ bs, k int }{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {1, 2}, {1, 3}}
-
 // rankOneDiag sets node 0's diagonal block to all 3s: for bs >= 2 its
 // elimination leaves exact zero pivots in every scalar column after the
 // first, which the later rows' eliminations and both sweeps must skip.
@@ -34,9 +29,9 @@ func rankOneDiag(m *BSRMat) {
 func TestILU0BlocksMatchPointExpansion(t *testing.T) {
 	const nx, ny = 8, 6
 	pats := []struct {
-		pat      gridPattern
-		rankOne  bool
-		dropsOne bool // a zero pivot in the first scalar column
+		pat       gridPattern
+		rankOne   bool
+		zeroFirst bool // a zero pivot in the first scalar column
 	}{
 		{gridPattern{}, false, false},
 		{gridPattern{ghosts: true}, false, false},
@@ -44,7 +39,9 @@ func TestILU0BlocksMatchPointExpansion(t *testing.T) {
 		{gridPattern{ghosts: true, zeroPivot: true}, false, true},
 		{gridPattern{ghosts: true, pinned: true}, true, false},
 	}
-	for _, sh := range iluShapes {
+	// Node blocks of every size (bs = 2 is the CH system) and a scalar
+	// operator applied to k interleaved components (NS).
+	for _, sh := range []struct{ bs, k int }{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {1, 2}, {1, 3}} {
 		bs, k := sh.bs, sh.k
 		for pi, pc := range pats {
 			what := fmt.Sprintf("bs=%d k=%d %+v rankOne=%v", bs, k, pc.pat, pc.rankOne)
@@ -87,7 +84,7 @@ func TestILU0BlocksMatchPointExpansion(t *testing.T) {
 				mustEqualBits(t, what+" "+stage+" apply", got, want)
 			}
 			check("new")
-			if piv := p.lu[int(p.diag[0])*bs*bs]; pc.dropsOne && piv != 0 {
+			if piv := p.lu[int(p.diag[0])*bs*bs]; pc.zeroFirst && piv != 0 {
 				t.Fatalf("%s: pivot 0 = %v, want an exact zero", what, piv)
 			}
 			if pc.rankOne && bs > 1 && p.lu[int(p.diag[0])*bs*bs+bs+1] != 0 {
