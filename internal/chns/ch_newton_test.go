@@ -3,7 +3,10 @@ package chns
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"proteus/internal/la"
 	"proteus/internal/mesh"
@@ -146,7 +149,13 @@ func TestMobilityPrime(t *testing.T) {
 // at most PCSetup, zero under block-Jacobi and nonzero for NS and PP under
 // GMG (subtests gmg/ns, gmg/pp); so is the shared ladder build MGLadder,
 // which no stage's PCSetup contains.
+//
+// The ratio is only meaningful over a window no single pause can
+// dominate: the window starts after a forced collection, runs with the
+// collector off and takes warm steps until every stage has booked at
+// least timerWindow of Total.
 func TestCHTimerTreeCloses(t *testing.T) {
+	const timerWindow = 50 * time.Millisecond
 	stages := []struct {
 		name string
 		st   func(*Timers) StageTimes
@@ -156,20 +165,34 @@ func TestCHTimerTreeCloses(t *testing.T) {
 		{"pp", func(tm *Timers) StageTimes { return tm.PP }},
 		{"vu", func(tm *Timers) StageTimes { return tm.VU }},
 	}
+	short := func(t0, t1 *Timers) bool {
+		for _, tc := range stages {
+			if tc.st(t1).Total-tc.st(t0).Total < timerWindow {
+				return true
+			}
+		}
+		return false
+	}
 	warm := func(pc string) (t0, t1 Timers) {
 		par.Run(1, func(c *par.Comm) {
 			s := gmgSolver(c, pc, 5, 2e-3)
-			if _, err := s.Step(); err != nil {
-				panic(err)
-			}
-			t0 = s.T
-			for i := 0; i < 3; i++ {
+			step := func() {
 				if _, err := s.Step(); err != nil {
 					panic(err)
 				}
 			}
+			step()
+			runtime.GC()
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			t0 = s.T
+			for i := 0; i < 3 || (short(&t0, &s.T) && i < 1000); i++ {
+				step()
+			}
 			t1 = s.T
 		})
+		if short(&t0, &t1) {
+			t.Fatalf("1000 warm steps under %s booked less than %v in some stage", pc, timerWindow)
+		}
 		return t0, t1
 	}
 	check := func(t *testing.T, name string, a, b StageTimes, gmg bool) {

@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 
@@ -23,13 +24,6 @@ type NodeMajorKernel func(w, e int, h float64, ke []float64)
 // same per-shard contract as NodeMajorKernel; use Assembler.WorkN(w) for
 // per-worker GEMM scratch.
 type ZippedKernel func(w, e int, h float64, blocks [][]float64)
-
-// offProc is a matrix contribution destined for a remote owner of the row
-// node. Blocks are at most 4x4 (ndof <= 4).
-type offProc struct {
-	Row, Col mesh.NodeKey
-	V        [16]float64
-}
 
 // Layout selects the storage/assembly strategy of Table I.
 type Layout int
@@ -123,9 +117,6 @@ type Assembler struct {
 // NewAssembler builds an assembler for ndof unknowns per node.
 func NewAssembler(m *mesh.Mesh, ndof int) *Assembler {
 	r := NewRef(m.Dim)
-	if ndof > 4 {
-		panic("fem: ndof > 4 unsupported by off-process block buffer")
-	}
 	a := &Assembler{M: m, Ref: r, Ndof: ndof}
 	a.workers = runtime.GOMAXPROCS(0) / m.Comm.Size()
 	if a.workers < 1 {
@@ -355,7 +346,7 @@ func (a *Assembler) runShard(w, e0, e1 int, vals []float64, plan *AssemblyPlan, 
 							blk[di*nd+dj] = ke[(ca*nd+di)*n+cb*nd+dj]
 						}
 					}
-					idx = plan.applyBlock(vals, idx, int(conA.N)*int(conB.N), blk, nd)
+					idx = plan.applyBlock(vals, idx, conA, conB, blk, nd)
 				}
 			}
 		} else {
@@ -366,16 +357,29 @@ func (a *Assembler) runShard(w, e0, e1 int, vals []float64, plan *AssemblyPlan, 
 				}
 			}
 			zkern(w, e, h, blocks)
+			// Zipped assembly always runs through the node-block plan. A
+			// conforming pair into a local block with unit weight — most
+			// pairs — adds straight from the zipped blocks, the same adds
+			// applyBlock makes, without gathering blk first.
 			for ca := 0; ca < cpe; ca++ {
 				conA := &m.Conn[e*cpe+ca]
 				for cb := 0; cb < cpe; cb++ {
 					conB := &m.Conn[e*cpe+cb]
-					for di := 0; di < nd; di++ {
-						for dj := 0; dj < nd; dj++ {
-							blk[di*nd+dj] = blocks[di*nd+dj][ca*npe+cb]
+					k := ca*npe + cb
+					if conA.N == 1 && conB.N == 1 {
+						if slot := plan.entries[idx].slot; slot >= 0 && conA.W[0]*conB.W[0] == 1 {
+							dst := vals[int(slot)*len(blocks):][:len(blocks)]
+							for i, b := range blocks {
+								dst[i] += b[k]
+							}
+							idx++
+							continue
 						}
 					}
-					idx = plan.applyBlock(vals, idx, int(conA.N)*int(conB.N), blk, nd)
+					for i, b := range blocks {
+						blk[i] = b[k]
+					}
+					idx = plan.applyBlock(vals, idx, conA, conB, blk, nd)
 				}
 			}
 		}
@@ -394,22 +398,28 @@ func srcOrder(srcs []int) []int {
 	return order
 }
 
-// flushPlanned exchanges the plan's prefilled off-process buffers and
-// applies received contributions through per-source receive plans
-// (precomputed slots, no node-index map lookups after the first flush),
-// in ascending source rank whatever the arrival order. The trailing
-// barrier lets senders rewrite their buffers next assembly: payloads
-// travel by reference in the in-process runtime.
+// flushPlanned exchanges the plan's off-process values (no keys: the
+// receivers resolved them into slots at plan build) and applies each
+// received batch through its source's receive plan, in ascending source
+// rank whatever the arrival order. The trailing barrier lets senders
+// rewrite their buffers next assembly: payloads travel by reference in
+// the in-process runtime.
 func (a *Assembler) flushPlanned(mat *la.BSRMat, plan *AssemblyPlan) {
 	c := a.M.Comm
 	if c.Size() == 1 {
 		return
 	}
 	srcs, recvd := par.NBXExchange(c, plan.offDests, plan.offBufs)
+	if len(srcs) != len(plan.recv) {
+		panic(fmt.Sprintf("fem: rank %d received %d off-process batches, plan expects %d", c.Rank(), len(srcs), len(plan.recv)))
+	}
 	vals := mat.Vals()
-	for _, bi := range srcOrder(srcs) {
-		rp := plan.recvPlanFor(a, srcs[bi], recvd[bi])
-		rp.apply(vals, recvd[bi], plan.scalar, a.Ndof)
+	for k, bi := range srcOrder(srcs) {
+		rp := &plan.recv[k]
+		if srcs[bi] != rp.src {
+			panic(fmt.Sprintf("fem: rank %d received an off-process batch from rank %d, plan expects rank %d", c.Rank(), srcs[bi], rp.src))
+		}
+		rp.apply(vals, recvd[bi], a.Ndof)
 	}
 	c.Barrier()
 }

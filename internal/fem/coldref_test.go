@@ -96,10 +96,8 @@ func (c *coldAsm) distributeBlock(conA, conB *mesh.Constraint, blk []float64) {
 			colNode := int(conB.Idx[j])
 			w := wi * conB.W[j]
 			if m.Owner[rowNode] != me {
-				var ent offProc
-				ent.Row = m.Keys[rowNode]
-				ent.Col = m.Keys[colNode]
-				for k := 0; k < nd*nd; k++ {
+				ent := offProc{Row: m.Keys[rowNode], Col: m.Keys[colNode], V: make([]float64, nd*nd)}
+				for k := range ent.V {
 					ent.V[k] = w * blk[k]
 				}
 				c.off.add(int(m.Owner[rowNode]), ent)
@@ -117,15 +115,22 @@ func (c *coldAsm) distributeBlock(conA, conB *mesh.Constraint, blk []float64) {
 				if w == 1 {
 					c.mat.AddBlock(rowNode, colNode, blk)
 				} else {
-					var tmp [16]float64
-					for k := 0; k < nd*nd; k++ {
+					tmp := make([]float64, nd*nd)
+					for k := range tmp {
 						tmp[k] = w * blk[k]
 					}
-					c.mat.AddBlock(rowNode, colNode, tmp[:nd*nd])
+					c.mat.AddBlock(rowNode, colNode, tmp)
 				}
 			}
 		}
 	}
+}
+
+// offProc is one remote-row contribution of the oracle's exchange, keyed
+// by node keys so the owner resolves it against its own numbering.
+type offProc struct {
+	Row, Col mesh.NodeKey
+	V        []float64 // ndof x ndof, weight folded in
 }
 
 // offProcBuf buffers remote-row contributions per destination rank.
@@ -177,7 +182,7 @@ func (c *coldAsm) flushOffProc() {
 					}
 				}
 			} else {
-				c.mat.AddBlock(rowNode, colNode, ent.V[:nd*nd])
+				c.mat.AddBlock(rowNode, colNode, ent.V)
 			}
 		}
 	}

@@ -244,7 +244,20 @@ func TestZipUnzipRoundTrip(t *testing.T) {
 
 // buildMesh constructs a balanced adaptive mesh for assembly tests.
 func buildMesh(c *par.Comm, dim, base, fine int) *mesh.Mesh {
-	tr := octree.Build(dim, func(o sfc.Octant) bool {
+	tr := gradedTree(dim, base, fine)
+	p := c.Size()
+	n := tr.Len()
+	lo, hi := c.Rank()*n/p, (c.Rank()+1)*n/p
+	local := make([]sfc.Octant, hi-lo)
+	copy(local, tr.Leaves[lo:hi])
+	return mesh.New(c, dim, local)
+}
+
+// gradedTree is buildMesh's forest: uniform to level base, refined to
+// level fine inside a diamond (2D) or prism (3D) about the centre, 2:1
+// balanced, so it carries hanging nodes.
+func gradedTree(dim, base, fine int) *octree.Tree {
+	return octree.Build(dim, func(o sfc.Octant) bool {
 		if int(o.Level) < base {
 			return true
 		}
@@ -256,12 +269,6 @@ func buildMesh(c *par.Comm, dim, base, fine int) *mesh.Mesh {
 		y := float64(o.Y)/float64(sfc.MaxCoord) + s/2
 		return math.Abs(x-0.5)+math.Abs(y-0.5) < 0.3
 	}, fine, nil).Balance21(nil)
-	p := c.Size()
-	n := tr.Len()
-	lo, hi := c.Rank()*n/p, (c.Rank()+1)*n/p
-	local := make([]sfc.Octant, hi-lo)
-	copy(local, tr.Leaves[lo:hi])
-	return mesh.New(c, dim, local)
 }
 
 func TestAssemblyLayoutsAgree(t *testing.T) {

@@ -8,14 +8,15 @@ import (
 )
 
 // planEntry is one precomputed contribution destination: element loop ×
-// corner pair × constraint-donor pair, in traversal order. Local entries
-// carry the CSR slot (block slot for node-block layouts; the scalar base
-// slot plus per-dof-row stride for AIJ); off-process entries carry the
-// bit-complement of their index into the plan's prefilled send store.
+// corner pair × constraint-donor pair, in traversal order. A local entry
+// holds its CSR slot (the block slot for node-block layouts, the slot of
+// the block's first scalar entry for AIJ); an off-process entry holds the
+// bit-complement of its index into the plan's send store. Nothing else is
+// stored: the weight is the product of the corner pair's donor weights and
+// the AIJ row stride is the row's length in the sparsity, both read where
+// the entry is applied.
 type planEntry struct {
-	w    float64
-	slot int32 // >= 0: local slot; < 0: ^slot indexes offStore
-	aux  int32 // AIJ local entries: scalar row stride (row nnz)
+	slot int32 // >= 0: local slot; < 0: ^index into offStore (ndof² values each)
 }
 
 // AssemblyPlan freezes everything about matrix assembly that depends only
@@ -37,17 +38,16 @@ type AssemblyPlan struct {
 	entries []planEntry
 	elemOff []int32
 
-	// Off-process sends: keys prefilled at plan build, values rewritten
-	// each assembly. offBufs are rank-major views into offStore, in
-	// ascending-rank order (offDests).
-	offStore []offProc
+	// Off-process sends: ndof² values per entry, rewritten each assembly
+	// and sent without keys. offBufs are rank-major views into offStore,
+	// in ascending-rank order (offDests).
+	offStore []float64
 	offDests []int
-	offBufs  [][]offProc
+	offBufs  [][]float64
 
-	// recv[src] caches the receive-side slots for src's (static) batch;
-	// built on the first flush, validated against the keys on every
-	// later flush.
-	recv []*recvPlan
+	// recv holds, in ascending source rank, the slots every sender's
+	// batch lands in, resolved from the senders' keys at plan build.
+	recv []recvPlan
 }
 
 // Sparsity returns the frozen pattern the plan addresses.
@@ -57,7 +57,7 @@ func (p *AssemblyPlan) Sparsity() *la.Sparsity { return p.sp }
 func (p *AssemblyPlan) Entries() int { return len(p.entries) }
 
 // OffProcEntries returns the off-process contribution count.
-func (p *AssemblyPlan) OffProcEntries() int { return len(p.offStore) }
+func (p *AssemblyPlan) OffProcEntries() int { return len(p.offStore) / (p.ndof * p.ndof) }
 
 // buildPlan derives one layout's plan from the mesh alone: the node-block
 // pattern is the dirty-row sweep of Rebind with every row dirty (local
@@ -100,103 +100,113 @@ func aijSlot(sp *la.Sparsity, rowNode, colNode, nd int) (base, stride int) {
 	return base, stride
 }
 
-// applyBlock scatters one ndof x ndof corner-pair block through the n
-// consecutive plan entries starting at idx and returns the next entry
-// index. This is the entire warm-path inner loop: weighted flat-array
-// adds for local slots, weighted value writes for off-process entries.
-func (p *AssemblyPlan) applyBlock(vals []float64, idx int32, n int, blk []float64, nd int) int32 {
+// applyBlock scatters one ndof x ndof corner-pair block through the
+// plan entries starting at idx — one per donor pair, i over conA's donors
+// and then j over conB's, the plan's traversal order — and returns the
+// next entry index. This is the entire warm-path inner loop: weighted
+// flat-array adds for local slots, weighted value writes for off-process
+// entries. The weight of a donor pair is the product of its two donor
+// weights and an AIJ row's stride its length in the sparsity. The
+// conforming pair (one donor each) is the common case and skips the
+// donor loops.
+func (p *AssemblyPlan) applyBlock(vals []float64, idx int32, conA, conB *mesh.Constraint, blk []float64, nd int) int32 {
 	bs2 := nd * nd
-	for k := 0; k < n; k++ {
-		ent := &p.entries[idx]
-		idx++
-		if ent.slot >= 0 {
-			if p.scalar {
-				base, stride := int(ent.slot), int(ent.aux)
-				w := ent.w
-				for di := 0; di < nd; di++ {
-					row := base + di*stride
-					for dj := 0; dj < nd; dj++ {
-						vals[row+dj] += w * blk[di*nd+dj]
-					}
-				}
-			} else {
-				base := int(ent.slot) * bs2
-				dst := vals[base : base+bs2]
-				if w := ent.w; w == 1 {
-					for i, v := range blk[:bs2] {
-						dst[i] += v
-					}
-				} else {
-					for i, v := range blk[:bs2] {
-						dst[i] += w * v
-					}
-				}
+	blk = blk[:bs2]
+	if conA.N == 1 && conB.N == 1 {
+		slot := p.entries[idx].slot
+		w := conA.W[0] * conB.W[0]
+		switch {
+		case slot < 0:
+			p.offWrite(slot, w, blk)
+		case p.scalar:
+			p.addScalar(vals, int(slot), int(conA.Idx[0]), w, blk, nd)
+		case w == 1:
+			dst := vals[int(slot)*bs2:][:bs2]
+			for i, v := range blk {
+				dst[i] += v
 			}
-		} else {
-			off := &p.offStore[^ent.slot]
-			w := ent.w
-			for i := 0; i < bs2; i++ {
-				off.V[i] = w * blk[i]
+		default:
+			dst := vals[int(slot)*bs2:][:bs2]
+			for i, v := range blk {
+				dst[i] += w * v
+			}
+		}
+		return idx + 1
+	}
+	for i := 0; i < int(conA.N); i++ {
+		row, wi := int(conA.Idx[i]), conA.W[i]
+		for j := 0; j < int(conB.N); j++ {
+			slot := p.entries[idx].slot
+			idx++
+			w := wi * conB.W[j]
+			switch {
+			case slot < 0:
+				p.offWrite(slot, w, blk)
+			case p.scalar:
+				p.addScalar(vals, int(slot), row, w, blk, nd)
+			default:
+				dst := vals[int(slot)*bs2:][:bs2]
+				for i, v := range blk {
+					dst[i] += w * v
+				}
 			}
 		}
 	}
 	return idx
 }
 
-// recvPlan caches the receive side of the off-process exchange for one
-// source rank: the batch a fixed sender produces from a fixed mesh is
-// static, so its destination slots are resolved once and only the keys
-// are re-checked on later flushes.
+// addScalar adds w·blk to the AIJ node block of row node row whose first
+// scalar entry is slot base. Its nd scalar rows lie one row length apart;
+// a one-dof block is a single value.
+func (p *AssemblyPlan) addScalar(vals []float64, base, row int, w float64, blk []float64, nd int) {
+	if nd == 1 {
+		vals[base] += w * blk[0]
+		return
+	}
+	r0 := row * nd
+	stride := int(p.sp.Indptr[r0+1] - p.sp.Indptr[r0])
+	for di := 0; di < nd; di++ {
+		dst := vals[base+di*stride:][:nd]
+		for dj, v := range blk[di*nd : di*nd+nd] {
+			dst[dj] += w * v
+		}
+	}
+}
+
+// offWrite stores w·blk as the values of off-process entry ^slot.
+func (p *AssemblyPlan) offWrite(slot int32, w float64, blk []float64) {
+	dst := p.offStore[int(^slot)*len(blk):][:len(blk)]
+	for i, v := range blk {
+		dst[i] = w * v
+	}
+}
+
+// recvPlan is the receive side of the off-process exchange for one
+// source rank: the batch a fixed sender produces from a fixed plan is
+// static, so the slot of each of its entries is resolved once, at plan
+// build, from the keys the sender ships then; later flushes carry values
+// only.
 type recvPlan struct {
-	rows, cols []mesh.NodeKey
-	slot, aux  []int32
+	src       int
+	slot, aux []int32 // aux: AIJ scalar row stride (nil for node blocks)
 }
 
-// recvPlanFor returns the cached receive plan for src, (re)building it
-// when the batch shape or keys changed.
-func (p *AssemblyPlan) recvPlanFor(a *Assembler, src int, batch []offProc) *recvPlan {
-	if p.recv == nil {
-		p.recv = make([]*recvPlan, a.M.Comm.Size())
-	}
-	if rp := p.recv[src]; rp != nil && rp.matches(batch) {
-		return rp
-	}
-	rp := a.buildRecvPlan(p, batch)
-	p.recv[src] = rp
-	return rp
-}
-
-func (rp *recvPlan) matches(batch []offProc) bool {
-	if len(rp.rows) != len(batch) {
-		return false
-	}
-	for k := range batch {
-		if batch[k].Row != rp.rows[k] || batch[k].Col != rp.cols[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func (a *Assembler) buildRecvPlan(p *AssemblyPlan, batch []offProc) *recvPlan {
+// resolveRecv builds the receive plan of one source's key batch.
+func (a *Assembler) resolveRecv(p *AssemblyPlan, src int, keys []nodePair) recvPlan {
 	nd := a.Ndof
-	rp := &recvPlan{
-		rows: make([]mesh.NodeKey, len(batch)),
-		cols: make([]mesh.NodeKey, len(batch)),
-		slot: make([]int32, len(batch)),
-		aux:  make([]int32, len(batch)),
+	rp := recvPlan{src: src, slot: make([]int32, len(keys))}
+	if p.scalar {
+		rp.aux = make([]int32, len(keys))
 	}
-	for k := range batch {
-		ent := &batch[k]
-		rowNode, ok := a.M.NodeIndex(ent.Row)
+	for k, np := range keys {
+		rowNode, ok := a.M.NodeIndex(np.Row)
 		if !ok {
-			panic(fmt.Sprintf("fem: off-process row %v unknown on owner", ent.Row))
+			panic(fmt.Sprintf("fem: off-process row %v unknown on owner", np.Row))
 		}
-		colNode, ok := a.M.NodeIndex(ent.Col)
+		colNode, ok := a.M.NodeIndex(np.Col)
 		if !ok {
-			panic(fmt.Sprintf("fem: off-process column %v unknown on rank %d", ent.Col, a.M.Comm.Rank()))
+			panic(fmt.Sprintf("fem: off-process column %v unknown on rank %d", np.Col, a.M.Comm.Rank()))
 		}
-		rp.rows[k], rp.cols[k] = ent.Row, ent.Col
 		if p.scalar {
 			base, stride := aijSlot(p.sp, rowNode, colNode, nd)
 			rp.slot[k] = int32(base)
@@ -212,24 +222,28 @@ func (a *Assembler) buildRecvPlan(p *AssemblyPlan, batch []offProc) *recvPlan {
 	return rp
 }
 
-// apply accumulates a received batch through the cached slots. The
-// weights were folded in by the sender, so this is a plain add.
-func (rp *recvPlan) apply(vals []float64, batch []offProc, scalar bool, nd int) {
+// apply accumulates a received batch of ndof² values per entry through
+// the cached slots. The weights were folded in by the sender, so this is
+// a plain add.
+func (rp *recvPlan) apply(vals, batch []float64, nd int) {
 	bs2 := nd * nd
-	for k := range batch {
-		V := &batch[k].V
-		if scalar {
-			base, stride := int(rp.slot[k]), int(rp.aux[k])
+	if len(batch) != len(rp.slot)*bs2 {
+		panic(fmt.Sprintf("fem: off-process batch from rank %d has %d values, plan expects %d", rp.src, len(batch), len(rp.slot)*bs2))
+	}
+	for k, s := range rp.slot {
+		v := batch[k*bs2 : k*bs2+bs2]
+		if rp.aux != nil {
+			base, stride := int(s), int(rp.aux[k])
 			for di := 0; di < nd; di++ {
-				row := base + di*stride
-				for dj := 0; dj < nd; dj++ {
-					vals[row+dj] += V[di*nd+dj]
+				dst := vals[base+di*stride:][:nd]
+				for dj := range dst {
+					dst[dj] += v[di*nd+dj]
 				}
 			}
 		} else {
-			base := int(rp.slot[k]) * bs2
-			for i := 0; i < bs2; i++ {
-				vals[base+i] += V[i]
+			dst := vals[int(s)*bs2:][:bs2]
+			for i := range dst {
+				dst[i] += v[i]
 			}
 		}
 	}

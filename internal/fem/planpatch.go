@@ -292,9 +292,13 @@ func expandScalarSparsity(b *la.Sparsity, nd int) *la.Sparsity {
 // slot is two index-pointer reads — no binary search. Entries of dirty
 // elements or into dirty rows — every entry when op is nil — resolve
 // against the pattern by search, and the off-process routing is rebuilt
-// (it is surface-sized). A patched plan is therefore identical to the one
-// built from scratch on the new mesh: same traversal, same weights, same
-// slots (the patterns are equal), same rank-major off-process store.
+// (it is surface-sized): every sender ships the (row, col) keys of its
+// rank-major off-process entries once, by NBX, and every owner resolves
+// them into its receive plans. A patched plan is therefore identical to
+// the one built from scratch on the new mesh: same traversal, same slots
+// (the patterns are equal), same rank-major off-process order and the
+// same receive slots. Collective when the communicator has more than one
+// rank.
 func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp *la.Sparsity, scalar bool) *AssemblyPlan {
 	m := a.M
 	nd := a.Ndof
@@ -316,14 +320,11 @@ func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp
 	}
 	plan.entries = make([]planEntry, total)
 
-	type offTmp struct {
-		entry    int32
-		rank     int32
-		pos      int32
-		row, col mesh.NodeKey
-	}
+	// Off-process entries in traversal order: entry index, row and
+	// column node.
+	type offTmp struct{ entry, row, col int32 }
 	var offs []offTmp
-	rankCount := map[int]int{}
+	rankCount := make([]int, m.Comm.Size())
 	idx := 0
 	for e := 0; e < nE; e++ {
 		clean := op != nil && d.OldElem[e] >= 0
@@ -337,41 +338,30 @@ func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp
 				conB := &m.Conn[e*cpe+cb]
 				for i := 0; i < int(conA.N); i++ {
 					rowNode := int(conA.Idx[i])
-					wi := conA.W[i]
 					for j := 0; j < int(conB.N); j++ {
 						colNode := int(conB.Idx[j])
 						ent := &plan.entries[idx]
-						ent.w = wi * conB.W[j]
 						switch {
 						case m.Owner[rowNode] != me:
-							r := int(m.Owner[rowNode])
-							pos := rankCount[r]
-							rankCount[r] = pos + 1
-							offs = append(offs, offTmp{
-								entry: int32(idx), rank: int32(r), pos: int32(pos),
-								row: m.Keys[rowNode], col: m.Keys[colNode],
-							})
+							rankCount[m.Owner[rowNode]]++
+							offs = append(offs, offTmp{entry: int32(idx), row: int32(rowNode), col: int32(colNode)})
 						case clean && !d.DirtyNode[rowNode]:
 							// Clean row of a clean element: the old entry
 							// at the same traversal position resolved the
 							// same (row, col); carry its offset within the
 							// row over to the patched pattern.
-							oent := &op.entries[oldIdx]
-							if oent.slot < 0 {
+							oslot := op.entries[oldIdx].slot
+							if oslot < 0 {
 								panic("fem: clean patched entry was off-process in the old plan")
 							}
 							if plan.scalar {
-								or0 := int(oldOf[rowNode]) * nd
-								r0 := rowNode * nd
-								ent.slot = sp.Indptr[r0] + (oent.slot - op.sp.Indptr[or0])
-								ent.aux = sp.Indptr[r0+1] - sp.Indptr[r0]
+								ent.slot = sp.Indptr[rowNode*nd] + (oslot - op.sp.Indptr[int(oldOf[rowNode])*nd])
 							} else {
-								ent.slot = sp.Indptr[rowNode] + (oent.slot - op.sp.Indptr[oldOf[rowNode]])
+								ent.slot = sp.Indptr[rowNode] + (oslot - op.sp.Indptr[oldOf[rowNode]])
 							}
 						case plan.scalar:
-							base, stride := aijSlot(sp, rowNode, colNode, nd)
+							base, _ := aijSlot(sp, rowNode, colNode, nd)
 							ent.slot = int32(base)
-							ent.aux = int32(stride)
 						default:
 							s := sp.FindSlot(rowNode, colNode)
 							if s < 0 {
@@ -389,27 +379,41 @@ func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp
 		}
 	}
 
-	plan.offDests = make([]int, 0, len(rankCount))
-	for r := range rankCount {
-		plan.offDests = append(plan.offDests, r)
-	}
-	sort.Ints(plan.offDests)
-	rankStart := make(map[int]int, len(rankCount))
+	// Rank-major off-process order: each destination's entries in
+	// traversal order, destinations ascending.
+	rankStart := make([]int, len(rankCount))
 	totalOff := 0
-	for _, r := range plan.offDests {
+	for r, n := range rankCount {
 		rankStart[r] = totalOff
-		totalOff += rankCount[r]
+		totalOff += n
+		if n > 0 {
+			plan.offDests = append(plan.offDests, r)
+		}
 	}
-	plan.offStore = make([]offProc, totalOff)
-	plan.offBufs = make([][]offProc, len(plan.offDests))
-	for i, r := range plan.offDests {
-		plan.offBufs[i] = plan.offStore[rankStart[r] : rankStart[r]+rankCount[r]]
-	}
+	bs2 := nd * nd
+	plan.offStore = make([]float64, totalOff*bs2)
+	keys := make([]nodePair, totalOff)
+	fill := append([]int(nil), rankStart...)
 	for _, o := range offs {
-		flat := rankStart[int(o.rank)] + int(o.pos)
-		plan.offStore[flat].Row = o.row
-		plan.offStore[flat].Col = o.col
+		r := m.Owner[o.row]
+		flat := fill[r]
+		fill[r]++
+		keys[flat] = nodePair{m.Keys[o.row], m.Keys[o.col]}
 		plan.entries[o.entry].slot = ^int32(flat)
+	}
+	plan.offBufs = make([][]float64, len(plan.offDests))
+	keyBufs := make([][]nodePair, len(plan.offDests))
+	for i, r := range plan.offDests {
+		lo, hi := rankStart[r], rankStart[r]+rankCount[r]
+		plan.offBufs[i] = plan.offStore[lo*bs2 : hi*bs2]
+		keyBufs[i] = keys[lo:hi]
+	}
+	if c := m.Comm; c.Size() > 1 {
+		srcs, recvd := par.NBXExchange(c, plan.offDests, keyBufs)
+		plan.recv = make([]recvPlan, len(srcs))
+		for k, bi := range srcOrder(srcs) {
+			plan.recv[k] = a.resolveRecv(plan, srcs[bi], recvd[bi])
+		}
 	}
 	return plan
 }

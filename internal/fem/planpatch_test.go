@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"proteus/internal/mesh"
@@ -121,22 +122,8 @@ func TestRebindPatchedMatchesColdBitwise(t *testing.T) {
 						if err := sparsityEqual(pp.sp, rp.sp); err != nil {
 							panic(fmt.Sprintf("%s rank=%d: patched sparsity: %v", what, c.Rank(), err))
 						}
-						if len(pp.entries) != len(rp.entries) {
-							panic(fmt.Sprintf("%s: entries %d vs fresh %d", what, len(pp.entries), len(rp.entries)))
-						}
-						for i := range pp.entries {
-							if pp.entries[i] != rp.entries[i] {
-								panic(fmt.Sprintf("%s rank=%d: entry %d = %+v, fresh %+v",
-									what, c.Rank(), i, pp.entries[i], rp.entries[i]))
-							}
-						}
-						if len(pp.offStore) != len(rp.offStore) {
-							panic(fmt.Sprintf("%s: off-proc store %d vs fresh %d", what, len(pp.offStore), len(rp.offStore)))
-						}
-						for i := range pp.offStore {
-							if pp.offStore[i].Row != rp.offStore[i].Row || pp.offStore[i].Col != rp.offStore[i].Col {
-								panic(fmt.Sprintf("%s: off-proc key %d differs", what, i))
-							}
+						if err := planRoutingEqual(pp, rp); err != nil {
+							panic(fmt.Sprintf("%s rank=%d: patched plan: %v", what, c.Rank(), err))
 						}
 
 						mat := asm.NewMatrix(layout)
@@ -165,6 +152,41 @@ func TestRebindPatchedMatchesColdBitwise(t *testing.T) {
 			})
 		}
 	}
+}
+
+// planRoutingEqual compares everything a plan holds besides its
+// sparsity: the slot of every entry, the off-process destinations and
+// their entry counts, and each source's receive slots.
+func planRoutingEqual(got, want *AssemblyPlan) error {
+	if len(got.entries) != len(want.entries) {
+		return fmt.Errorf("entries %d vs %d", len(got.entries), len(want.entries))
+	}
+	for i := range got.entries {
+		if got.entries[i] != want.entries[i] {
+			return fmt.Errorf("entry %d = %+v, want %+v", i, got.entries[i], want.entries[i])
+		}
+	}
+	if len(got.offStore) != len(want.offStore) || !slices.Equal(got.offDests, want.offDests) {
+		return fmt.Errorf("off-process store %d to ranks %v, want %d to %v",
+			len(got.offStore), got.offDests, len(want.offStore), want.offDests)
+	}
+	for i := range got.offBufs {
+		if len(got.offBufs[i]) != len(want.offBufs[i]) {
+			return fmt.Errorf("off-process buffer to rank %d has %d values, want %d",
+				got.offDests[i], len(got.offBufs[i]), len(want.offBufs[i]))
+		}
+	}
+	if len(got.recv) != len(want.recv) {
+		return fmt.Errorf("receive plans from %d ranks, want %d", len(got.recv), len(want.recv))
+	}
+	for i := range got.recv {
+		g, w := &got.recv[i], &want.recv[i]
+		if g.src != w.src || !slices.Equal(g.slot, w.slot) || !slices.Equal(g.aux, w.aux) {
+			return fmt.Errorf("receive plan %d (rank %d, %d slots) differs from rank %d's (%d slots)",
+				i, g.src, len(g.slot), w.src, len(w.slot))
+		}
+	}
+	return nil
 }
 
 // TestRebindPatchedNoPlans: rebinding with no frozen plans invents none;

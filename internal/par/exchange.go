@@ -30,6 +30,12 @@ func (c *Comm) nbxEpochs() []atomic.Int64 {
 // (delivery is synchronous in-process, standing in for completed ssends),
 // arrive at a non-blocking barrier by publishing an epoch, and poll for
 // incoming data until every rank has arrived, then drain.
+//
+// Buffers travel by reference: each received slice aliases its sender's
+// buffer until the next barrier every rank passes after the exchange
+// (Comm.Barrier), and must not be written. The sender in turn must not
+// write a sent buffer before that barrier, because its receivers may
+// still be reading it.
 func NBXExchange[T any](c *Comm, dests []int, bufs [][]T) (srcs []int, recvd [][]T) {
 	if len(dests) != len(bufs) {
 		panic("par.NBXExchange: dests/bufs length mismatch")
@@ -57,6 +63,9 @@ func NBXExchange[T any](c *Comm, dests []int, bufs [][]T) (srcs []int, recvd [][
 		}
 		if done {
 			break
+		}
+		if c.w.poisoned.Load() {
+			panic(poisonMsg)
 		}
 		runtime.Gosched()
 	}
