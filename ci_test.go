@@ -1,9 +1,14 @@
 package proteus_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -115,4 +120,51 @@ func testFuncs(t *testing.T, pkg string) []string {
 		}
 	}
 	return names
+}
+
+// TestInternalReadsNoCoreCount: each rank runs its kernels on its own
+// goroutine, so nothing under internal/ may size work from the machine.
+// A call of runtime.GOMAXPROCS or runtime.NumCPU in a non-test file there
+// would bring back the one way fields could depend on GOMAXPROCS, and with
+// it the contract that runs are bitwise at a fixed rank count under any
+// GOMAXPROCS.
+func TestInternalReadsNoCoreCount(t *testing.T) {
+	fset := token.NewFileSet()
+	checked := 0
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		checked++
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p != "runtime" {
+				continue
+			}
+			name := "runtime"
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name && (sel.Sel.Name == "GOMAXPROCS" || sel.Sel.Name == "NumCPU") {
+					t.Errorf("%s: runtime.%s: kernels must not size work from the core count", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no non-test Go file found under internal/")
+	}
 }

@@ -3,9 +3,8 @@ package blas
 // Level-1 vector kernels for the Krylov solvers. Inner products are
 // defined over fixed-length chunks whose partial sums are combined in
 // chunk order, so the result is one canonical floating-point value no
-// matter how the chunks are distributed over workers: the sharded and
-// serial paths agree bitwise, and repeated runs reproduce (the per-worker
-// partial-sum discipline the distributed assembly already follows).
+// matter how the chunk range is split between calls, and repeated runs
+// reproduce.
 
 // DotChunk is the canonical inner-product chunk length. Chunk c of an
 // n-vector covers elements [c*DotChunk, min((c+1)*DotChunk, n)).

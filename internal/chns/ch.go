@@ -41,8 +41,7 @@ func newCHOps(npe, ng int) *chOps {
 // is by value (rekey), never by which sweep ran last, so any call order of
 // Residual and Jacobian reads what a fresh integration would produce. What
 // the keys do not cover — mesh, Params — is fixed for the length of a
-// solve: StepCH and the rebinds drop the store. Slots are per
-// element, so sharded sweeps fill it race-free, whatever the worker count.
+// solve: StepCH and the rebinds drop the store.
 type chBlockStore struct {
 	km, ce       []float64 // element e's blocks at [e*NPE², (e+1)*NPE²)
 	x, vel       []float64 // keys: what km / ce were integrated at (empty: nothing)
@@ -83,7 +82,7 @@ func (s *Solver) chBeginSweep(x []float64) {
 	}
 }
 
-// chScratch is one element-loop worker's private CH Jacobian scratch.
+// chScratch is the CH Jacobian kernel's scratch.
 type chScratch struct {
 	ops       *chOps
 	pm, pmOld []float64 // φ,μ corner values at the iterate and at time n
@@ -96,9 +95,8 @@ type chScratch struct {
 	dmob, psi2       []float64
 }
 
-// chResScratch is one element-loop worker's private CH residual scratch,
-// held on the Solver (one per shard) so the sharded Residual allocates
-// nothing per Newton iteration and never shares mutable buffers.
+// chResScratch is the CH residual kernel's scratch, held on the Solver so
+// Residual allocates nothing per Newton iteration.
 type chResScratch struct {
 	ops                          *chOps
 	pm, pmOld, vel               []float64
@@ -106,8 +104,8 @@ type chResScratch struct {
 	psi1, tmp, load              []float64
 }
 
-func newCHResScratch(npe, ng, dim int) *chResScratch {
-	return &chResScratch{
+func newCHResScratch(npe, ng, dim int) chResScratch {
+	return chResScratch{
 		ops: newCHOps(npe, ng),
 		pm:  make([]float64, npe*2), pmOld: make([]float64, npe*2),
 		vel:    make([]float64, npe*dim),
@@ -137,20 +135,20 @@ type chProblem struct {
 	theta float64
 }
 
-// elemOps points worker w's ops at the blocks of element e (side h) for
+// elemOps points ops at the blocks of element e (side h) for
 // the sweep in progress. M and K are the reference blocks scaled by h;
 // K_m(φ) and C(u) are the element's slots in the block store, integrated
 // here — from the φ,μ corner values pm and the velocity, gathered into vel
 // — with the zipped GEMM operators, only when chBeginSweep found them
 // stale.
-func (p *chProblem) elemOps(w, e int, h float64, pm, vel []float64, ops *chOps) {
+func (p *chProblem) elemOps(e int, h float64, pm, vel []float64, ops *chOps) {
 	s := p.s
 	r := s.asmCH.Ref
 	b := &s.chBlk
 	n2 := r.NPE * r.NPE
 	ops.Kme, ops.Ce = b.km[e*n2:(e+1)*n2], b.ce[e*n2:(e+1)*n2]
 	r.MassStiffness(h, ops.Me, ops.Ke)
-	wk := s.asmCH.WorkN(w)
+	wk := s.asmCH.Work()
 	if b.fillK {
 		for a := 0; a < r.NPE; a++ {
 			ops.mob[a] = s.Par.Mobility(pm[a*2])
@@ -184,7 +182,7 @@ func (s *Solver) kCHRes(w, e int, h float64, fe []float64) {
 	m := s.M
 	r := s.asmCH.Ref
 	npe := r.NPE
-	sc := s.chRes[w]
+	sc := &s.chRes
 	ops := sc.ops
 	m.GatherElem(e, s.kCHx, 2, sc.pm)
 	m.GatherElem(e, p.old, 2, sc.pmOld)
@@ -195,7 +193,7 @@ func (s *Solver) kCHRes(w, e int, h float64, fe []float64) {
 		sc.muOld[a] = sc.pmOld[a*2+1]
 		sc.psi1[a] = PsiPrime(sc.phiNew[a])
 	}
-	p.elemOps(w, e, h, sc.pm, sc.vel, ops)
+	p.elemOps(e, h, sc.pm, sc.vel, ops)
 	cn := s.ElemCn[e]
 	diff := 1 / (s.Par.Pe * cn)
 	th, th1 := p.theta, 1-p.theta
@@ -221,11 +219,11 @@ func (s *Solver) kCHJacZip(w, e int, h float64, blocks [][]float64) {
 	p := &s.chProb
 	r := s.asmCH.Ref
 	npe, dim := r.NPE, r.Dim
-	sc := &s.chScr[w]
-	ops, wk := sc.ops, s.asmCH.WorkN(w)
+	sc := &s.chScr
+	ops, wk := sc.ops, s.asmCH.Work()
 	s.M.GatherElem(e, s.kCHx, 2, sc.pm)
 	s.M.GatherElem(e, p.old, 2, sc.pmOld)
-	p.elemOps(w, e, h, sc.pm, sc.vel, ops)
+	p.elemOps(e, h, sc.pm, sc.vel, ops)
 	cn := s.ElemCn[e]
 	diff := 1 / (s.Par.Pe * cn)
 	th := p.theta
@@ -304,12 +302,12 @@ func (s *Solver) StepCH(velOverride []float64) (StageReport, error) {
 	s.chBlk.drop()
 	s.chProb = chProblem{s: s, old: s.chOld, dt: s.Opt.Dt, theta: s.Opt.Theta}
 	// The driver and its workspace persist across steps and remeshes (Rebind
-	// keeps them); its reducer and pool follow the current mesh generation.
+	// keeps them); its reducer follows the current mesh generation.
 	// LinTol is the floor of its forcing sequence, not the tolerance of every
 	// inner solve (la.Newton).
 	nw := &s.chNewton
 	nw.KSP, nw.Rtol, nw.Atol, nw.LinRtol, nw.MaxIt = la.BiCGS, s.Opt.NonlinTol, s.Opt.NonlinTol, s.Opt.LinTol, 30
-	nw.Red, nw.Pool = m, s.pool
+	nw.Red = m
 	ok, err := nw.Solve(&s.chProb, s.PhiMu)
 	m.GhostRead(s.PhiMu, 2)
 	rep := StageReport{Stage: StageCH, Result: nw.Last, NewtonIterations: nw.Iterations,

@@ -27,9 +27,8 @@ func bitsDiff(got, want []float64) string {
 // chSweepTrace drives the CH residual and Jacobian sweeps of a test
 // problem directly, recording every residual vector and every Jacobian's
 // values, in the call orders the block store must be transparent to.
-func chSweepTrace(c *par.Comm, dim, vecWorkers int, refill bool) (out [][]float64, fills, reuses int) {
+func chSweepTrace(c *par.Comm, dim int, refill bool) (out [][]float64, fills, reuses int) {
 	s, p := chTestProblem(c, dim)
-	setVecWorkers(s, vecWorkers)
 	s.chRefill = refill
 	m, x := s.M, s.PhiMu
 	residual := func(x []float64) {
@@ -82,29 +81,26 @@ func chSweepTrace(c *par.Comm, dim, vecWorkers int, refill bool) (out [][]float6
 // through the per-element block store are bit-equal to those of sweeps
 // forced to integrate every block afresh, in the Newton call order, the
 // finite-difference call order and after a velocity change, in 2D and 3D
-// on 1 and 2 ranks with serial and sharded residual sweeps — and the store
-// really is reused on the way.
+// on 1 and 2 ranks — and the store really is reused on the way.
 func TestCHBlockStoreBitwise(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		for _, ranks := range []int{1, 2} {
-			for _, workers := range []int{1, 2} {
-				par.Run(ranks, func(c *par.Comm) {
-					what := fmt.Sprintf("dim=%d ranks=%d workers=%d rank %d", dim, ranks, workers, c.Rank())
-					got, fills, reuses := chSweepTrace(c, dim, workers, false)
-					want, refFills, refReuses := chSweepTrace(c, dim, workers, true)
-					for i := range want {
-						if d := bitsDiff(got[i], want[i]); d != "" {
-							panic(fmt.Sprintf("%s: sweep %d with the store vs recomputed: %s", what, i, d))
-						}
+			par.Run(ranks, func(c *par.Comm) {
+				what := fmt.Sprintf("dim=%d ranks=%d rank %d", dim, ranks, c.Rank())
+				got, fills, reuses := chSweepTrace(c, dim, false)
+				want, refFills, refReuses := chSweepTrace(c, dim, true)
+				for i := range want {
+					if d := bitsDiff(got[i], want[i]); d != "" {
+						panic(fmt.Sprintf("%s: sweep %d with the store vs recomputed: %s", what, i, d))
 					}
-					// Sweeps 0..11: fills at J(x0), R(x1), R(x+εv), R(x-εv),
-					// J(x), R(xmu); every other sweep finds its K_m stored.
-					if fills != 6 || reuses != 6 || refFills != 12 || refReuses != 0 {
-						panic(fmt.Sprintf("%s: %d fills / %d reuses (forced: %d / %d), want 6 / 6 (12 / 0)",
-							what, fills, reuses, refFills, refReuses))
-					}
-				})
-			}
+				}
+				// Sweeps 0..11: fills at J(x0), R(x1), R(x+εv), R(x-εv),
+				// J(x), R(xmu); every other sweep finds its K_m stored.
+				if fills != 6 || reuses != 6 || refFills != 12 || refReuses != 0 {
+					panic(fmt.Sprintf("%s: %d fills / %d reuses (forced: %d / %d), want 6 / 6 (12 / 0)",
+						what, fills, reuses, refFills, refReuses))
+				}
+			})
 		}
 	}
 }
@@ -309,17 +305,14 @@ func TestNSRHSKernelBitwise(t *testing.T) {
 				s := nsTestSolver(c, dim)
 				m := s.M
 				n := s.asmVel.Ref.NPE * dim
-				refs := make([]nsVecScratch, len(s.nsVec)) // one per element-loop shard
-				for w := range refs {
-					refs[w] = newNSVecScratch(s.asmVel.Ref.NPE, dim)
-				}
+				ref := newNSVecScratch(s.asmVel.Ref.NPE, dim)
 				got, want := make([]float64, n), make([]float64, n)
 				nonzero := false
 				for e := 0; e < m.NumElems(); e++ {
 					clear(got)
 					clear(want)
 					s.kNSVec(0, e, m.ElemSize(e), got)
-					refNSRHS(s, &refs[0], e, m.ElemSize(e), want)
+					refNSRHS(s, &ref, e, m.ElemSize(e), want)
 					if d := bitsDiff(got, want); d != "" {
 						panic(fmt.Sprintf("dim=%d ranks=%d element %d: %s", dim, ranks, e, d))
 					}
@@ -332,7 +325,7 @@ func TestNSRHSKernelBitwise(t *testing.T) {
 				}
 				a, b := m.NewVec(dim), m.NewVec(dim)
 				s.asmVel.AssembleVectorPlanned(a, s.kNSVec)
-				s.asmVel.AssembleVectorPlanned(b, func(w, e int, h float64, fe []float64) { refNSRHS(s, &refs[w], e, h, fe) })
+				s.asmVel.AssembleVectorPlanned(b, func(w, e int, h float64, fe []float64) { refNSRHS(s, &ref, e, h, fe) })
 				if d := bitsDiff(a[:dim*m.NumOwned], b[:dim*m.NumOwned]); d != "" {
 					panic(fmt.Sprintf("dim=%d ranks=%d assembled RHS: %s", dim, ranks, d))
 				}

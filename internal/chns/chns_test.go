@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"proteus/internal/fem"
 	"proteus/internal/mesh"
 	"proteus/internal/octree"
 	"proteus/internal/par"
@@ -313,82 +312,6 @@ func TestLocalCahnFieldUsedPerElement(t *testing.T) {
 	}
 	if diff < 1e-8 {
 		t.Fatal("elemental Cn had no effect on the CH solve")
-	}
-}
-
-// setVecWorkers pins the shard count of the solver's planned vector
-// assemblies (residual and RHS) to nw on all three assemblers and grows the
-// per-worker vector-kernel scratch to match. Production leaves the count at
-// the matrix element loop's; the vector plan makes any count give the same
-// bits, which is what the tests that turn this knob check.
-func setVecWorkers(s *Solver, nw int) {
-	for _, a := range []*fem.Assembler{s.asmCH, s.asmVel, s.asmS} {
-		a.SetVecWorkers(nw)
-	}
-	npe, ng, dim := s.asmCH.Ref.NPE, s.asmCH.Ref.NG, s.M.Dim
-	for len(s.chRes) < nw {
-		s.chRes = append(s.chRes, newCHResScratch(npe, ng, dim))
-	}
-	for len(s.nsVec) < nw {
-		s.nsVec = append(s.nsVec, newNSVecScratch(npe, dim))
-	}
-	for len(s.ppScr) < nw {
-		s.ppScr = append(s.ppScr, newPPScratch(npe, ng, dim))
-	}
-	for len(s.vuVec) < nw {
-		s.vuVec = append(s.vuVec, newVUScratch(npe, dim))
-	}
-}
-
-// TestStepBitwiseAcrossVecWorkers pins the sharded-RHS contract at the
-// solver level: a full CH+NS+PP+VU step is bitwise identical for any
-// vector-assembly shard count (the planned gather sums contributions in
-// canonical order, and every stage kernel keeps per-worker scratch).
-func TestStepBitwiseAcrossVecWorkers(t *testing.T) {
-	run := func(vecWorkers, ranks int) map[mesh.NodeKey][2]float64 {
-		out := map[mesh.NodeKey][2]float64{}
-		par.Run(ranks, func(c *par.Comm) {
-			m := uniformMesh(c, 2, 3)
-			par2 := DefaultParams()
-			par2.Cn = 0.1
-			par2.Fr = 1
-			s := NewSolver(m, par2, DefaultOptions(2e-3))
-			setVecWorkers(s, vecWorkers)
-			s.SetPhi(func(x, y, z float64) float64 {
-				return EquilibriumProfile(0.2-math.Hypot(x-0.5, y-0.45), par2.Cn)
-			})
-			s.InitMuFromPhi()
-			s.Step()
-			type kv struct {
-				K mesh.NodeKey
-				V [2]float64
-			}
-			var local []kv
-			for i := 0; i < m.NumOwned; i++ {
-				local = append(local, kv{m.Keys[i], [2]float64{s.PhiMu[2*i], s.Vel[2*i]}})
-			}
-			all := par.Allgatherv(c, local)
-			if c.Rank() == 0 {
-				for _, e := range all {
-					out[e.K] = e.V
-				}
-			}
-		})
-		return out
-	}
-	for _, ranks := range []int{1, 2} {
-		base := run(1, ranks)
-		for _, nw := range []int{2, 4} {
-			got := run(nw, ranks)
-			if len(got) != len(base) {
-				t.Fatalf("ranks=%d nw=%d: node sets differ", ranks, nw)
-			}
-			for k, v := range base {
-				if got[k] != v {
-					t.Fatalf("ranks=%d nw=%d node %v: serial %v sharded %v", ranks, nw, k, v, got[k])
-				}
-			}
-		}
 	}
 }
 

@@ -147,58 +147,3 @@ func TestWarmStepZeroAlloc(t *testing.T) {
 		})
 	}
 }
-
-// TestGMGStepBitwiseAcrossVecWorkers: the V-cycle inherits the solver's
-// worker-invariance discipline end to end — a full step with GMG stages
-// is bitwise identical at any vector-shard count.
-func TestGMGStepBitwiseAcrossVecWorkers(t *testing.T) {
-	run := func(vecWorkers, ranks int) map[mesh.NodeKey][2]float64 {
-		out := map[mesh.NodeKey][2]float64{}
-		par.Run(ranks, func(c *par.Comm) {
-			m := uniformMesh(c, 2, 3)
-			prm := DefaultParams()
-			prm.Cn = 0.1
-			prm.Fr = 1
-			opt := DefaultOptions(2e-3)
-			opt.PCNS, opt.PCPP = PCGMG, PCGMG
-			s := NewSolver(m, prm, opt)
-			setVecWorkers(s, vecWorkers)
-			s.SetPhi(func(x, y, z float64) float64 {
-				return EquilibriumProfile(0.2-math.Hypot(x-0.5, y-0.45), prm.Cn)
-			})
-			s.InitMuFromPhi()
-			if _, err := s.Step(); err != nil {
-				panic(err)
-			}
-			type kv struct {
-				K mesh.NodeKey
-				V [2]float64
-			}
-			var local []kv
-			for i := 0; i < m.NumOwned; i++ {
-				local = append(local, kv{m.Keys[i], [2]float64{s.PhiMu[2*i], s.Vel[2*i]}})
-			}
-			all := par.Allgatherv(c, local)
-			if c.Rank() == 0 {
-				for _, e := range all {
-					out[e.K] = e.V
-				}
-			}
-		})
-		return out
-	}
-	for _, ranks := range []int{1, 2} {
-		base := run(1, ranks)
-		for _, nw := range []int{2, 4} {
-			got := run(nw, ranks)
-			if len(got) != len(base) {
-				t.Fatalf("ranks=%d nw=%d: node sets differ", ranks, nw)
-			}
-			for k, v := range base {
-				if got[k] != v {
-					t.Fatalf("ranks=%d nw=%d node %v: serial %v sharded %v (not bitwise)", ranks, nw, k, v, got[k])
-				}
-			}
-		}
-	}
-}

@@ -6,7 +6,6 @@ import (
 
 	"proteus/internal/fault"
 	"proteus/internal/la"
-	"proteus/internal/par"
 )
 
 // Stage names one solve stage of the time block. The values double as
@@ -84,41 +83,16 @@ type StepReport struct {
 	VU StageReport `json:"vu"`
 }
 
-// initFiniteScan builds the persistent sharded NaN/Inf scan: a prebuilt
-// pool closure and one padded flag slot per worker, so the warm per-step
-// scan performs no allocation and never shares cache lines.
-func (s *Solver) initFiniteScan() {
-	nw := s.pool.Workers()
-	s.finBad = make([]uint64, nw*8)
-	s.finRun = func(w int) {
-		lo, hi := par.Shard(w, nw, s.finN)
-		v := s.finVec
-		var bad uint64
-		for i := lo; i < hi; i++ {
-			// v-v is 0 for every finite value and NaN for NaN/±Inf; the
-			// NaN != 0 comparison is true, catching both without calls.
-			if d := v[i] - v[i]; d != 0 {
-				bad = 1
-			}
-		}
-		s.finBad[w*8] = bad
-	}
-}
-
-// scanBad shards a NaN/Inf scan of v[:n] (the owned segment) across the
-// solver pool and returns a nonzero local verdict if any entry is
-// non-finite. Allocation-free warm.
+// scanBad scans v[:n] (the owned segment) for NaN/Inf and returns a
+// nonzero local verdict if any entry is non-finite. Allocation-free.
 func (s *Solver) scanBad(v []float64, n int) uint64 {
-	if n == 0 {
-		return 0
-	}
-	s.finVec, s.finN = v, n
-	s.pool.Run(s.finRun)
-	s.finVec = nil
 	var bad uint64
-	for w := 0; w < s.pool.Workers(); w++ {
-		bad |= s.finBad[w*8]
-		s.finBad[w*8] = 0
+	for _, x := range v[:n] {
+		// x-x is 0 for every finite value and NaN for NaN/±Inf; the
+		// NaN != 0 comparison is true, catching both without calls.
+		if d := x - x; d != 0 {
+			bad = 1
+		}
 	}
 	return bad
 }

@@ -30,8 +30,8 @@ func healthTestSolver(c *par.Comm) *Solver {
 	return s
 }
 
-// TestFiniteScanDetects plants NaN and ±Inf at shard boundaries (first,
-// middle, last owned entry) of each scanned field and checks the scan
+// TestFiniteScanDetects plants NaN and ±Inf at the first, middle and
+// last owned entry of each scanned field and checks the scan
 // flags them — and, through checkFinite's global reduction, that every
 // rank agrees even when only one holds the bad value.
 func TestFiniteScanDetects(t *testing.T) {
@@ -77,7 +77,7 @@ func TestFiniteScanDetects(t *testing.T) {
 }
 
 // TestFiniteScanZeroAlloc pins the clean-path cost of the health layer:
-// the sharded scan plus its collective verdict allocate nothing per
+// the scan plus its collective verdict allocate nothing per
 // step once the solver is warm.
 func TestFiniteScanZeroAlloc(t *testing.T) {
 	par.Run(1, func(c *par.Comm) {

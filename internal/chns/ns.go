@@ -6,9 +6,8 @@ import (
 	"proteus/internal/blas"
 )
 
-// nsScratch is one element-loop worker's private NS matrix-kernel
-// scratch, so the sharded assembly runs race-free with zero per-element
-// allocation.
+// nsScratch is the NS matrix kernel's scratch, so assembly allocates
+// nothing per element.
 type nsScratch struct {
 	pm, velC       []float64
 	rho, eta, phiC []float64
@@ -31,9 +30,8 @@ func newNSScratch(npe, ng, dim int) nsScratch {
 	}
 }
 
-// nsVecScratch is one element-loop worker's private NS RHS-kernel
-// scratch, hoisted on the Solver so the sharded vector assembly runs
-// race-free with zero per-step and per-element allocation.
+// nsVecScratch is the NS RHS kernel's scratch, hoisted on the Solver so
+// vector assembly allocates nothing per step or per element.
 type nsVecScratch struct {
 	pm, velC, pC             []float64
 	rho, eta, phiC, muC, tmp []float64
@@ -83,7 +81,7 @@ func (s *Solver) StepNS() (StageReport, error) {
 	return s.ns.solve(t0, s.Vel)
 }
 
-// kNSMatZip is the NS matrix element kernel (zipped): worker w's block of
+// kNSMatZip is the NS matrix element kernel (zipped): the block of
 // the scalar momentum operator A for element e, built from the current φ/μ
 // and velocity with the zipped GEMM operators. A acts on every velocity
 // component alike (the viscous cross-coupling is lumped into the component
@@ -94,7 +92,7 @@ func (s *Solver) kNSMatZip(w, e int, h float64, blocks [][]float64) {
 	r := s.ns.asm.Ref
 	npe := r.NPE
 	th, dt := s.Opt.Theta, s.Opt.Dt
-	sc := &s.nsScr[w]
+	sc := &s.nsScr
 	m.GatherElem(e, s.PhiMu, 2, sc.pm)
 	m.GatherElem(e, s.Vel, dim, sc.velC)
 	for a := 0; a < npe; a++ {
@@ -102,7 +100,7 @@ func (s *Solver) kNSMatZip(w, e int, h float64, blocks [][]float64) {
 		sc.rho[a] = s.Par.Density(sc.phiC[a])
 		sc.eta[a] = s.Par.Viscosity(sc.phiC[a])
 	}
-	wk := s.ns.asm.WorkN(w)
+	wk := s.ns.asm.Work()
 	op := blocks[0]
 	r.CoefAtGauss(sc.rho, sc.rhoG)
 	r.CoefAtGauss(sc.eta, sc.etaG)
@@ -130,7 +128,7 @@ func (s *Solver) kNSVec(w, e int, h float64, fe []float64) {
 	r := s.asmVel.Ref
 	npe := r.NPE
 	th, dt := s.Opt.Theta, s.Opt.Dt
-	sc := &s.nsVec[w]
+	sc := &s.nsVec
 	m.GatherElem(e, s.PhiMu, 2, sc.pm)
 	m.GatherElem(e, s.Vel, dim, sc.velC)
 	m.GatherElem(e, s.P, 1, sc.pC)

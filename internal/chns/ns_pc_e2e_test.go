@@ -2,7 +2,6 @@ package chns_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"proteus/internal/chns"
@@ -20,16 +19,14 @@ type nsRun struct {
 	crossedRemesh   bool // the rollback rebuilt the mesh: a generation the run did not keep
 }
 
-// runNSPC runs a scenario's smoke preset for 8 steps at w workers per rank
-// with the NS and PP stages on preconditioner pc and an injected NS
+// runNSPC runs a scenario's smoke preset for 8 steps with the NS and PP stages on preconditioner pc and an injected NS
 // divergence at faultStep, rolled back and retried at half dt: on step 3
 // the rollback keeps the mesh, on step 2 the failed attempt had remeshed,
 // so the rollback rebuilds the snapshot's mesh. Both cases remesh on the
 // way, so the NS PC is built cold, refreshed, and re-keyed across
 // incremental rebinds. expanded makes the NS stage store its matrix as the
 // expansion A ⊗ I_dim, so its ILU(0)s factor every entry (the oracle).
-func runNSPC(name, pc string, ranks, w, faultStep int, expanded bool) []nsRun {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(ranks * w))
+func runNSPC(name, pc string, ranks, faultStep int, expanded bool) []nsRun {
 	sc, _ := scenario.Get(name)
 	spec := sc.Build(scenario.Smoke)
 	spec.Config.Opt.PCNS, spec.Config.Opt.PCPP = pc, pc
@@ -54,8 +51,7 @@ func runNSPC(name, pc string, ranks, w, faultStep int, expanded bool) []nsRun {
 
 // TestNSKronPCBitwiseEndToEnd: bubble and jet smoke runs that remesh and
 // roll one NS step back — on the same mesh, or across a remesh — take the
-// same iterations and end in the same field bits on 1 and 2 ranks at 1 and
-// 2 workers per rank, whether the NS stage stores the scalar momentum
+// same iterations and end in the same field bits on 1 and 2 ranks, whether the NS stage stores the scalar momentum
 // operator A and applies it, and its ILU(0), to every velocity component
 // at once, or stores the expansion A ⊗ I_dim and factors all of it. Under
 // block-Jacobi that ILU(0) is the stage PC; under GMG it is the fine-level
@@ -65,11 +61,9 @@ func TestNSKronPCBitwiseEndToEnd(t *testing.T) {
 	for _, pc := range []string{chns.PCBJacobi, chns.PCGMG} {
 		for _, name := range []string{"bubble", "jet"} {
 			for _, ranks := range []int{1, 2} {
-				for _, w := range []int{1, 2} {
-					for _, faultStep := range []int{3, 2} {
-						what := fmt.Sprintf("%s %s ranks=%d workers=%d faultStep=%d", pc, name, ranks, w, faultStep)
-						compareNSRuns(t, what, pc, runNSPC(name, pc, ranks, w, faultStep, false), runNSPC(name, pc, ranks, w, faultStep, true), faultStep)
-					}
+				for _, faultStep := range []int{3, 2} {
+					what := fmt.Sprintf("%s %s ranks=%d faultStep=%d", pc, name, ranks, faultStep)
+					compareNSRuns(t, what, pc, runNSPC(name, pc, ranks, faultStep, false), runNSPC(name, pc, ranks, faultStep, true), faultStep)
 				}
 			}
 		}

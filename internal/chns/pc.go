@@ -43,9 +43,7 @@ func (s *Solver) ensureHierarchy() *mg.Hierarchy {
 // operator on a coarse level from the injected coefficients and pins the
 // level's rows as the stage pins its own, booking the time to the stage's
 // PCSetupLevels. The element kernel is built on the level's first assembly
-// and kept in lvl.Scratch, so warm multigrid refreshes create no closures;
-// the level assembler is pinned to one worker, so a kernel may share one
-// scratch across the element loop.
+// and kept in lvl.Scratch, so warm multigrid refreshes create no closures.
 func (st *linStage) assembleLevel(lvl *mg.Level) {
 	t0 := time.Now()
 	kern, ok := lvl.Scratch.(fem.NodeMajorKernel)

@@ -2,11 +2,8 @@ package chns
 
 import "time"
 
-// ppScratch is one element-loop worker's private pressure-Poisson kernel
-// scratch: pm/invRho/cg serve the matrix kernel, velC/comp the
-// divergence RHS kernel. Hoisting velC and comp here (instead of a
-// shared capture and a per-element allocation) is what lets the vector
-// assembly shard race-free.
+// ppScratch is the pressure-Poisson kernels' scratch: pm/invRho/cg serve
+// the matrix kernel, velC/comp the divergence RHS kernel.
 type ppScratch struct {
 	pm     []float64
 	invRho []float64
@@ -59,13 +56,13 @@ func (s *Solver) StepPP() ([]float64, StageReport, error) {
 // kPPMatZip is the PP matrix element kernel (zipped): K_{1/ρ}.
 func (s *Solver) kPPMatZip(w, e int, h float64, blocks [][]float64) {
 	r := s.asmS.Ref
-	sc := &s.ppScr[w]
+	sc := &s.ppScr
 	s.M.GatherElem(e, s.PhiMu, 2, sc.pm)
 	for a := 0; a < r.NPE; a++ {
 		sc.invRho[a] = 1 / s.Par.Density(sc.pm[a*2])
 	}
 	r.CoefAtGauss(sc.invRho, sc.cg)
-	r.StiffGemm(s.asmS.WorkN(w), h, 1, sc.cg, blocks[0])
+	r.StiffGemm(s.asmS.Work(), h, 1, sc.cg, blocks[0])
 }
 
 // kPPVec is the PP RHS element kernel: -(1/dt) ∫ N ∇·v*.
@@ -74,7 +71,7 @@ func (s *Solver) kPPVec(w, e int, h float64, fe []float64) {
 	dim := m.Dim
 	r := s.asmS.Ref
 	npe := r.NPE
-	sc := &s.ppScr[w]
+	sc := &s.ppScr
 	m.GatherElem(e, s.Vel, dim, sc.velC)
 	vol := 1.0
 	for d := 0; d < dim; d++ {

@@ -8,7 +8,6 @@ import (
 	"proteus/internal/la"
 	"proteus/internal/mesh"
 	"proteus/internal/mg"
-	"proteus/internal/par"
 )
 
 // StageTimes records per-stage wall-clock split into the Table I columns.
@@ -273,11 +272,6 @@ type Solver struct {
 	asmVel *fem.Assembler // velocity vectors (the NS RHS); no matrix
 	asmS   *fem.Assembler // scalar, the NS momentum operator included
 
-	// pool is the solver's persistent worker pool: the assemblers' element
-	// loops, the SpMV of every persistent operator and the Krylov vector
-	// kernels all shard across it.
-	pool *par.Pool
-
 	// The linear stages (stage.go): each owns its persistent operator,
 	// preconditioner, KSP and RHS, so a steady-state time step performs no
 	// sparsity construction and no solver-side allocation. CH's stage holds
@@ -320,29 +314,20 @@ type Solver struct {
 	// the end of Step/StepCHWithVelocity.
 	postRemesh bool
 
-	// Per-worker kernel scratch for the sharded element loops: matrix
-	// kernels and vector/residual kernels each keep one private copy per
-	// shard, so no stage kernel allocates per element or shares mutable
-	// buffers across workers.
-	chRes []*chResScratch
-	chScr []chScratch
-	nsScr []nsScratch
-	nsVec []nsVecScratch
-	ppScr []ppScratch
-	vuVec []vuScratch
+	// Element-kernel scratch, so no stage kernel allocates per element.
+	chRes chResScratch
+	chScr chScratch
+	nsScr nsScratch
+	nsVec nsVecScratch
+	ppScr ppScratch
+	vuVec vuScratch
 
 	// lumpOnes is the constant all-ones element vector of the lumped-mass
 	// kernel (hoisted out of the per-element callback).
 	lumpOnes []float64
 
-	// Finite-scan state: the prebuilt sharded NaN/Inf scan closure, its
-	// per-worker flag slots (stride-padded against false sharing) and the
-	// one-element reduction buffer — all hoisted so the post-stage scan
-	// of every step allocates nothing.
-	finVec []float64
-	finN   int
-	finBad []uint64
-	finRun func(w int)
+	// finRed is the finite scan's reduction buffer, hoisted so the
+	// post-stage scan of every step allocates nothing.
 	finRed [1]float64
 
 	// Per-step inputs of the element kernels (the k* methods), set
@@ -361,14 +346,7 @@ func NewSolver(m *mesh.Mesh, prm Params, opt Options) *Solver {
 	s.asmCH = fem.NewAssembler(m, 2)
 	s.asmVel = fem.NewAssembler(m, m.Dim)
 	s.asmS = fem.NewAssembler(m, 1)
-	// One worker pool for the whole solver: assembly shards, SpMV and the
-	// Krylov vector kernels all run on it.
-	s.pool = par.NewPool(s.asmCH.Workers())
-	s.asmCH.SetPool(s.pool)
-	s.asmVel.SetPool(s.pool)
-	s.asmS.SetPool(s.pool)
 	s.initScratch()
-	s.initFiniteScan()
 	rs := &s.T.RemeshStages
 	tol := opt.LinTol
 	s.ch = linStage{s: s, name: StageCH, asm: s.asmCH, vasm: s.asmCH, matK: s.kCHJacZip, vecK: s.kCHRes, t: &s.T.CH}
@@ -405,40 +383,27 @@ func (s *Solver) allocState() {
 	}
 }
 
-// Close releases the solver's worker pool once the run is over (the pool
-// lives across remeshes with the solver); an unclosed pool is reclaimed
-// when the solver becomes unreachable.
-func (s *Solver) Close() {
-	if s.pool != nil {
-		s.pool.Close()
-	}
-}
+// Close does nothing: the solver owns no goroutines.
+//
+// Deprecated: kept because benchmark/run.go and benchmark/probes.go call
+// it.
+func (s *Solver) Close() {}
 
-// initScratch sizes the per-worker kernel scratch pools to the element
-// loop shard counts of the stage assemblers whose shards index them.
+// initScratch allocates the element kernels' scratch.
 func (s *Solver) initScratch() {
 	npe := s.asmCH.Ref.NPE
 	ng := s.asmCH.Ref.NG
 	dim := s.M.Dim
-	s.chRes = perWorker(s.asmCH, func() *chResScratch { return newCHResScratch(npe, ng, dim) })
-	s.chScr = perWorker(s.asmCH, func() chScratch { return newCHScratch(npe, ng, dim) })
-	s.nsScr = perWorker(s.asmS, func() nsScratch { return newNSScratch(npe, ng, dim) })
-	s.nsVec = perWorker(s.asmVel, func() nsVecScratch { return newNSVecScratch(npe, dim) })
-	s.ppScr = perWorker(s.asmS, func() ppScratch { return newPPScratch(npe, ng, dim) })
-	s.vuVec = perWorker(s.asmS, func() vuScratch { return newVUScratch(npe, dim) })
+	s.chRes = newCHResScratch(npe, ng, dim)
+	s.chScr = newCHScratch(npe, ng, dim)
+	s.nsScr = newNSScratch(npe, ng, dim)
+	s.nsVec = newNSVecScratch(npe, dim)
+	s.ppScr = newPPScratch(npe, ng, dim)
+	s.vuVec = newVUScratch(npe, dim)
 	s.lumpOnes = make([]float64, npe)
 	for i := range s.lumpOnes {
 		s.lumpOnes[i] = 1
 	}
-}
-
-// perWorker makes one kernel scratch per element-loop shard of a.
-func perWorker[T any](a *fem.Assembler, mk func() T) []T {
-	v := make([]T, a.Workers())
-	for i := range v {
-		v[i] = mk()
-	}
-	return v
 }
 
 // MeshEpoch returns the solver's current mesh epoch.
@@ -446,9 +411,9 @@ func (s *Solver) MeshEpoch() uint64 { return s.meshEpoch }
 
 // Rebind moves the solver to mesh m at generation epoch in place — the
 // remesh, rollback and checkpoint-fallback swap — preserving everything
-// that survives a mesh change: the worker pool, the assemblers' reference
-// element and per-worker scratch, each stage's KSP (whose Krylov workspace
-// resizes in place on the next Solve) and the Newton driver. Each stage's
+// that survives a mesh change: the assemblers' reference element and
+// element scratch, each stage's KSP (whose Krylov workspace resizes in
+// place on the next Solve) and the Newton driver. Each stage's
 // operator and RHS, and the per-step vectors, are dropped and rebuilt
 // lazily on the next step. State vectors (PhiMu, Vel, P, ElemCn, and ψ
 // under warm starts) are reallocated at the new sizes and left for the

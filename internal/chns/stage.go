@@ -192,7 +192,7 @@ func (s *Solver) newPC(st *linStage) la.PC {
 	case st.mass:
 		return la.NewPCJacobi(st.mat)
 	case s.gmgStage(st):
-		g := mg.NewPCGMG(s.ensureHierarchy(), s.pool, mg.Config{
+		g := mg.NewPCGMG(s.ensureHierarchy(), nil, mg.Config{
 			Ndof:              st.vasm.Ndof,
 			Coefs:             s.gmgCoefs(st),
 			Assemble:          st.assembleLevel,
@@ -227,7 +227,7 @@ func (s *Solver) gmgCoefs(st *linStage) []mg.Coefficient {
 func (st *linStage) krylov(b, x []float64) (la.Result, error) {
 	s := st.s
 	k := &st.ksp
-	k.Op, k.PC, k.Red, k.Pool = st.mat, st.pc, s.M, s.pool
+	k.Op, k.PC, k.Red = st.mat, st.pc, s.M
 	t0 := time.Now()
 	res, err := k.Solve(b, x)
 	st.t.Solve += time.Since(t0)

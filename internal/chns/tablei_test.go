@@ -12,18 +12,13 @@ import (
 
 // vuBlockMat returns the element kernel of the coupled velocity update's
 // N×DIM block mass matrix: the scalar mass replicated on every velocity
-// component, written node-major (the baseline layout of Table I), with one
-// scalar scratch block per worker of the velocity assembler.
+// component, written node-major (the baseline layout of Table I).
 func vuBlockMat(s *Solver) fem.NodeMajorKernel {
 	r := s.asmS.Ref
 	npe := r.NPE
-	scr := make([][]float64, s.asmVel.Workers())
-	for i := range scr {
-		scr[i] = make([]float64, npe*npe)
-	}
+	scalar := make([]float64, npe*npe)
 	return func(w, e int, h float64, ke []float64) {
 		dim := s.M.Dim
-		scalar := scr[w]
 		for i := range scalar {
 			scalar[i] = 0
 		}
@@ -40,19 +35,14 @@ func vuBlockMat(s *Solver) fem.NodeMajorKernel {
 }
 
 // vuBlockVec returns the element kernel of the coupled velocity update's
-// RHS: for every component d, ∫ N (v*_d - dt (1/ρ) ψ_,d) at stride DIM,
-// with one scratch per worker of the velocity assembler.
+// RHS: for every component d, ∫ N (v*_d - dt (1/ρ) ψ_,d) at stride DIM.
 func vuBlockVec(s *Solver, psi []float64) func(w, e int, h float64, fe []float64) {
 	r := s.asmS.Ref
 	npe := r.NPE
-	scr := make([]vuScratch, s.asmVel.Workers())
-	for i := range scr {
-		scr[i] = newVUScratch(npe, s.M.Dim)
-	}
+	sc := newVUScratch(npe, s.M.Dim)
 	return func(w, e int, h float64, fe []float64) {
 		m := s.M
 		dim := m.Dim
-		sc := &scr[w]
 		m.GatherElem(e, s.PhiMu, 2, sc.pm)
 		m.GatherElem(e, s.Vel, dim, sc.velC)
 		m.GatherElem(e, psi, 1, sc.psiC)
@@ -104,7 +94,7 @@ func coupledVU(s *Solver, psi []float64) (la.Result, error) {
 		}
 	}
 	ksp := &la.KSP{Type: la.CG, Rtol: s.Opt.LinTol, Atol: s.Opt.LinTol,
-		Op: mat, PC: la.NewPCJacobi(mat), Red: m, Pool: s.pool}
+		Op: mat, PC: la.NewPCJacobi(mat), Red: m}
 	res, err := ksp.Solve(rhs, s.Vel)
 	m.GhostRead(s.Vel, dim)
 	return res, err
@@ -184,7 +174,7 @@ func BenchmarkTableI(b *testing.B) {
 					s, p := chTestProblemOn(gradedMesh(c, 3, 3, 5))
 					s.kCHx = s.PhiMu
 					asm, kern := s.asmS, fem.ZippedKernel(func(w, e int, h float64, blocks [][]float64) {
-						s.asmS.Ref.MassGemm(s.asmS.WorkN(w), h, 1, nil, blocks[0])
+						s.asmS.Ref.MassGemm(s.asmS.Work(), h, 1, nil, blocks[0])
 					})
 					switch stage {
 					case "ch":
@@ -209,19 +199,16 @@ func BenchmarkTableI(b *testing.B) {
 						assemble = func(mat *la.BSRMat) { asm.AssembleMatrixZipped(mat, kern) }
 					default:
 						nd, npe := asm.Ndof, asm.Ref.NPE
-						blocks := make([][][]float64, asm.Workers())
-						for w := range blocks {
-							blocks[w] = make([][]float64, nd*nd)
-							for i := range blocks[w] {
-								blocks[w][i] = make([]float64, npe*npe)
-							}
+						blocks := make([][]float64, nd*nd)
+						for i := range blocks {
+							blocks[i] = make([]float64, npe*npe)
 						}
 						unzipped := func(w, e int, h float64, ke []float64) {
-							for _, blk := range blocks[w] {
+							for _, blk := range blocks {
 								clear(blk)
 							}
-							kern(w, e, h, blocks[w])
-							fem.UnzipMat(nd, npe, blocks[w], ke)
+							kern(w, e, h, blocks)
+							fem.UnzipMat(nd, npe, blocks, ke)
 						}
 						assemble = func(mat *la.BSRMat) { asm.AssembleMatrix(mat, l.lay, unzipped) }
 					}

@@ -5,9 +5,8 @@ import (
 	"time"
 )
 
-// vuScratch is one element-loop worker's private velocity-update
-// RHS-kernel scratch, hoisted on the Solver so the sharded vector
-// assembly runs race-free with zero per-element allocation.
+// vuScratch is the velocity-update RHS kernel's scratch, hoisted on the
+// Solver so vector assembly allocates nothing per element.
 type vuScratch struct {
 	pm, velC, psiC []float64
 	comp, phiC     []float64
@@ -136,19 +135,19 @@ func (s *Solver) DivergenceL2() float64 {
 // kVUMassZip is the velocity-update matrix element kernel (zipped): the
 // scalar mass matrix.
 func (s *Solver) kVUMassZip(w, e int, h float64, blocks [][]float64) {
-	s.asmS.Ref.MassGemm(s.asmS.WorkN(w), h, 1, nil, blocks[0])
+	s.asmS.Ref.MassGemm(s.asmS.Work(), h, 1, nil, blocks[0])
 }
 
 // kVUComp is the velocity-update RHS element kernel: the elemental RHS for
-// velocity component s.kVUD, ∫ N (v*_d - dt (1/ρ) ψ_,d), with worker w's
-// private scratch; ψ reaches it through s.kVUPsi (set by StepVU).
+// velocity component s.kVUD, ∫ N (v*_d - dt (1/ρ) ψ_,d); ψ reaches it
+// through s.kVUPsi (set by StepVU).
 func (s *Solver) kVUComp(w, e int, h float64, fe []float64) {
 	m := s.M
 	dim := m.Dim
 	d := s.kVUD
 	r := s.asmS.Ref
 	npe := r.NPE
-	sc := &s.vuVec[w]
+	sc := &s.vuVec
 	m.GatherElem(e, s.PhiMu, 2, sc.pm)
 	m.GatherElem(e, s.Vel, dim, sc.velC)
 	m.GatherElem(e, s.kVUPsi, 1, sc.psiC)

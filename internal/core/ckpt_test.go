@@ -122,48 +122,44 @@ func sameState(what string, want, got *globalState) error {
 // TestCheckpointRestartBitwiseSameRanks checks the headline contract: a
 // run of N steps equals a run of K steps + checkpoint + restart of N−K
 // steps, bitwise in every field and identical in Describe, at 1, 2 and
-// 4 ranks and 1, 2 and 4 workers per rank. K is chosen so the restart
+// 4 ranks. K is chosen so the restart
 // immediately crosses a remesh.
 func TestCheckpointRestartBitwiseSameRanks(t *testing.T) {
 	const N, K = 5, 2
 	cfg := ckptTestConfig()
 	phi0 := ckptTestPhi0(cfg.Params.Cn)
 	for _, p := range []int{1, 2, 4} {
-		for _, w := range workerCounts {
-			base := t.TempDir() + "/ck"
-			var want, got *globalState
-			atWorkers(p, w, func() {
-				par.Run(p, func(c *par.Comm) {
-					sim := New(c, cfg, phi0)
-					sim.Run(N)
-					if g := gatherState(sim); g != nil {
-						want = g
-					}
-				})
-				par.Run(p, func(c *par.Comm) {
-					sim := New(c, cfg, phi0)
-					sim.Run(K)
-					if err := sim.Checkpoint(base); err != nil {
-						panic(err)
-					}
-				})
-				par.Run(p, func(c *par.Comm) {
-					sim, err := Restore(c, cfg, base)
-					if err != nil {
-						panic(err)
-					}
-					if sim.StepIndex != K {
-						panic(fmt.Sprintf("restored step %d, want %d", sim.StepIndex, K))
-					}
-					sim.Run(N - K)
-					if g := gatherState(sim); g != nil {
-						got = g
-					}
-				})
-			})
-			if err := sameState(fmt.Sprintf("p=%d workers=%d", p, w), want, got); err != nil {
-				t.Fatal(err)
+		base := t.TempDir() + "/ck"
+		var want, got *globalState
+		par.Run(p, func(c *par.Comm) {
+			sim := New(c, cfg, phi0)
+			sim.Run(N)
+			if g := gatherState(sim); g != nil {
+				want = g
 			}
+		})
+		par.Run(p, func(c *par.Comm) {
+			sim := New(c, cfg, phi0)
+			sim.Run(K)
+			if err := sim.Checkpoint(base); err != nil {
+				panic(err)
+			}
+		})
+		par.Run(p, func(c *par.Comm) {
+			sim, err := Restore(c, cfg, base)
+			if err != nil {
+				panic(err)
+			}
+			if sim.StepIndex != K {
+				panic(fmt.Sprintf("restored step %d, want %d", sim.StepIndex, K))
+			}
+			sim.Run(N - K)
+			if g := gatherState(sim); g != nil {
+				got = g
+			}
+		})
+		if err := sameState(fmt.Sprintf("p=%d", p), want, got); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

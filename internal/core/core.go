@@ -269,9 +269,9 @@ func (s *Simulation) Run(n int) error {
 // Adapt runs one remesh round in four stages: detect per-element level
 // targets, derive the next forest (refine, consensus coarsen, 2:1 balance,
 // SFC repartition), build its mesh, and move the solver and every field
-// onto it. The solver is rebound in place, keeping its worker pool, Krylov
-// workspaces and Newton driver. Wall-clock is split into the RemeshStages
-// sub-timers. Collective.
+// onto it. The solver is rebound in place, keeping its element scratch,
+// Krylov workspaces and Newton driver. Wall-clock is split into the
+// RemeshStages sub-timers. Collective.
 func (s *Simulation) Adapt() {
 	t0 := time.Now()
 	targets, cnMark := s.detectTargets()

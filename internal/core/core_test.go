@@ -254,8 +254,8 @@ func TestAdaptPartitionOnlyMigratesExactly(t *testing.T) {
 	}
 }
 
-// TestSolverRebindPersistsAcrossRemesh: the solver object, its worker
-// pool and its per-stage KSP objects must survive adaptation rounds (the
+// TestSolverRebindPersistsAcrossRemesh: the solver object and its
+// per-stage KSP objects must survive adaptation rounds (the
 // remesh swaps the mesh under the solver, not the solver itself).
 func TestSolverRebindPersistsAcrossRemesh(t *testing.T) {
 	par.Run(2, func(c *par.Comm) {

@@ -131,8 +131,8 @@ func (s *Simulation) CheckpointGeneration(base string, retain int) error {
 }
 
 // restoreFromLatest rewinds the live simulation to the newest intact
-// snapshot under base, in place: the solver keeps its worker pool, warm
-// Krylov workspaces and fault injector; only the mesh binding and the
+// snapshot under base, in place: the solver keeps its element scratch,
+// warm Krylov workspaces and fault injector; only the mesh binding and the
 // field state change. Rank 0 resolves the generation (skipping corrupt
 // ones) and broadcasts the choice, so every rank restores the same
 // snapshot. Collective.

@@ -73,63 +73,59 @@ func TestInjectedDivergenceBitwiseEqualsDtSchedule(t *testing.T) {
 // intact on-disk generation, replays, and still finishes the absolute
 // step budget — ending bitwise identical to an undisturbed run (the
 // replay starts from a bitwise-exact snapshot at nominal dt and the
-// fault is exhausted by then), at 1, 2 and 4 workers per rank.
+// fault is exhausted by then), on 2 ranks.
 func TestCheckpointFallbackReplays(t *testing.T) {
 	cfg := ckptTestConfig()
 	phi0 := ckptTestPhi0(cfg.Params.Cn)
-	for _, w := range workerCounts {
-		dir := t.TempDir()
-		var want, got *globalState
-		var st RunStats
-		atWorkers(2, w, func() {
-			par.Run(2, func(c *par.Comm) {
-				sim := New(c, cfg, phi0)
-				if err := sim.Run(6); err != nil {
-					panic(err)
-				}
-				if g := gatherState(sim); g != nil {
-					want = g
-				}
-			})
-			par.Run(2, func(c *par.Comm) {
-				sim := New(c, cfg, phi0)
-				// Two firings: the first attempt of step 3 and its single retry —
-				// exhausting MaxRetries=1 and forcing the checkpoint fallback.
-				sim.Fault = fault.New(1, c.Rank(),
-					fault.Fault{Point: fault.KSPDiverge, Step: 3, Stage: "ns", Count: 2})
-				res, err := sim.RunUntil(RunOptions{
-					Steps: 6, MaxRetries: 1,
-					CkptEvery: 2, CkptBase: dir + "/ck",
-				})
-				if err != nil {
-					panic(err)
-				}
-				// Steps 0-2 succeed, the fallback rewinds to the step-2 snapshot,
-				// and steps 2-5 replay: 7 successful steps for a 6-step budget.
-				if res.StepsDone != 7 || sim.StepIndex != 6 {
-					panic(fmt.Sprintf("fallback replay did %d steps to index %d, want 7 to 6",
-						res.StepsDone, sim.StepIndex))
-				}
-				s := sim.Stats()
-				if g := gatherState(sim); g != nil {
-					got, st = g, s
-				}
-			})
+	dir := t.TempDir()
+	var want, got *globalState
+	var st RunStats
+	par.Run(2, func(c *par.Comm) {
+		sim := New(c, cfg, phi0)
+		if err := sim.Run(6); err != nil {
+			panic(err)
+		}
+		if g := gatherState(sim); g != nil {
+			want = g
+		}
+	})
+	par.Run(2, func(c *par.Comm) {
+		sim := New(c, cfg, phi0)
+		// Two firings: the first attempt of step 3 and its single retry —
+		// exhausting MaxRetries=1 and forcing the checkpoint fallback.
+		sim.Fault = fault.New(1, c.Rank(),
+			fault.Fault{Point: fault.KSPDiverge, Step: 3, Stage: "ns", Count: 2})
+		res, err := sim.RunUntil(RunOptions{
+			Steps: 6, MaxRetries: 1,
+			CkptEvery: 2, CkptBase: dir + "/ck",
 		})
-		if err := sameState(fmt.Sprintf("workers=%d: fallback replay vs undisturbed", w), want, got); err != nil {
-			t.Fatal(err)
+		if err != nil {
+			panic(err)
 		}
-		if st.Retries != 1 || st.CkptFallbacks != 1 || len(st.Recovery) != 2 {
-			t.Fatalf("workers=%d: recovery accounting: retries=%d fallbacks=%d events=%d, want 1/1/2",
-				w, st.Retries, st.CkptFallbacks, len(st.Recovery))
+		// Steps 0-2 succeed, the fallback rewinds to the step-2 snapshot,
+		// and steps 2-5 replay: 7 successful steps for a 6-step budget.
+		if res.StepsDone != 7 || sim.StepIndex != 6 {
+			panic(fmt.Sprintf("fallback replay did %d steps to index %d, want 7 to 6",
+				res.StepsDone, sim.StepIndex))
 		}
-		if st.Recovery[1].Kind != "ckpt-fallback" || st.Recovery[1].Step != 3 {
-			t.Fatalf("workers=%d: fallback event %+v, want kind ckpt-fallback at step 3", w, st.Recovery[1])
+		s := sim.Stats()
+		if g := gatherState(sim); g != nil {
+			got, st = g, s
 		}
+	})
+	if err := sameState("fallback replay vs undisturbed", want, got); err != nil {
+		t.Fatal(err)
+	}
+	if st.Retries != 1 || st.CkptFallbacks != 1 || len(st.Recovery) != 2 {
+		t.Fatalf("recovery accounting: retries=%d fallbacks=%d events=%d, want 1/1/2",
+			st.Retries, st.CkptFallbacks, len(st.Recovery))
+	}
+	if st.Recovery[1].Kind != "ckpt-fallback" || st.Recovery[1].Step != 3 {
+		t.Fatalf("fallback event %+v, want kind ckpt-fallback at step 3", st.Recovery[1])
 	}
 }
 
-// TestNaNPokeCaught checks the sharded finite scan at every stage's
+// TestNaNPokeCaught checks the finite scan at every stage's
 // injection point: a NaN poked into the stage output on one rank becomes
 // a typed nonfinite divergence of that stage on every rank, the step
 // retries cleanly, and the finished fields are finite.

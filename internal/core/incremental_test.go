@@ -2,31 +2,10 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"proteus/internal/par"
 )
-
-// workerCounts are the per-rank worker counts the headline bitwise tests
-// run at. The determinism contract is per worker count: at a fixed rank
-// and worker count every route gives the same bits, and each count is
-// compared only with itself.
-var workerCounts = []int{1, 2, 4}
-
-// atWorkers runs f with GOMAXPROCS set to ranks·w, so the assemblers (which
-// divide GOMAXPROCS among the ranks for their element loops) and the stage
-// worker pools run w workers per rank whatever the machine, then restores
-// GOMAXPROCS. A failure inside f is re-raised naming w.
-func atWorkers(ranks, w int, f func()) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(ranks * w))
-	defer func() {
-		if r := recover(); r != nil {
-			panic(fmt.Sprintf("workers=%d per rank: %v", w, r))
-		}
-	}()
-	f()
-}
 
 // runSwirl advances a remesh-every-step swirling-drop run under the given
 // remesh policy and returns the simulation for state comparison.
@@ -106,38 +85,34 @@ func mustIdenticalRuns(c *par.Comm, a, b *Simulation) {
 // invariant end to end: a remesh-every-step run on the routes production
 // selects (ripple balance, mesh patch or migrate-then-patch, plan repair)
 // must be bitwise identical to the always-full oracle at every rank count
-// and per-rank worker count — same forests, same node numbering, same
+// — same forests, same node numbering, same
 // solution bits.
 func TestIncrementalRemeshBitwiseEquivalence(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
-		for _, w := range workerCounts {
-			atWorkers(p, w, func() {
-				par.Run(p, func(c *par.Comm) {
-					incr := runSwirl(c, remeshMeasured, 4)
-					full := runSwirl(c, remeshAlwaysFull, 4)
-					mustIdenticalRuns(c, incr, full)
+		par.Run(p, func(c *par.Comm) {
+			incr := runSwirl(c, remeshMeasured, 4)
+			full := runSwirl(c, remeshAlwaysFull, 4)
+			mustIdenticalRuns(c, incr, full)
 
-					st := incr.T.RemeshStages
-					if st.IncrBalance == 0 {
-						panic(fmt.Sprintf("p=%d: incremental balance never engaged: %+v", p, st))
-					}
-					if st.DirtyOctants == 0 || st.TotalOctants == 0 {
-						panic(fmt.Sprintf("p=%d: dirty-fraction telemetry not recorded: %+v", p, st))
-					}
-					if st.IncrBuild+st.MigrateBuild == 0 {
-						// Serial splitters are trivially stable, so the mesh patch
-						// must engage; at p > 1 a shifted SFC partition goes through
-						// migrate-then-patch instead of a from-scratch build.
-						panic(fmt.Sprintf("p=%d: incremental build never engaged: %+v", p, st))
-					}
-					// A forced over-threshold round is booked as what it is.
-					fst := full.T.RemeshStages
-					if fst.FullBalance == 0 || fst.FullDirtyFrac == 0 {
-						panic(fmt.Sprintf("p=%d: forced over-threshold rounds not booked under FullDirtyFrac: %+v", p, fst))
-					}
-				})
-			})
-		}
+			st := incr.T.RemeshStages
+			if st.IncrBalance == 0 {
+				panic(fmt.Sprintf("p=%d: incremental balance never engaged: %+v", p, st))
+			}
+			if st.DirtyOctants == 0 || st.TotalOctants == 0 {
+				panic(fmt.Sprintf("p=%d: dirty-fraction telemetry not recorded: %+v", p, st))
+			}
+			if st.IncrBuild+st.MigrateBuild == 0 {
+				// Serial splitters are trivially stable, so the mesh patch
+				// must engage; at p > 1 a shifted SFC partition goes through
+				// migrate-then-patch instead of a from-scratch build.
+				panic(fmt.Sprintf("p=%d: incremental build never engaged: %+v", p, st))
+			}
+			// A forced over-threshold round is booked as what it is.
+			fst := full.T.RemeshStages
+			if fst.FullBalance == 0 || fst.FullDirtyFrac == 0 {
+				panic(fmt.Sprintf("p=%d: forced over-threshold rounds not booked under FullDirtyFrac: %+v", p, fst))
+			}
+		})
 	}
 }
 

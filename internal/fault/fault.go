@@ -32,7 +32,7 @@ const (
 	// would desynchronize the collective step sequence.
 	KSPDiverge Point = "ksp"
 	// FieldNaN pokes a NaN into the stage's output field on the matching
-	// rank(s); the sharded finite scan must turn it into a typed error.
+	// rank(s); the finite scan must turn it into a typed error.
 	FieldNaN Point = "nan"
 	// CkptTruncate truncates the checkpoint rank file written by the
 	// matching rank(s) mid-payload, after its CRC was computed — a

@@ -2,7 +2,6 @@ package fem
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"proteus/internal/la"
@@ -11,18 +10,16 @@ import (
 )
 
 // NodeMajorKernel fills the elemental matrix Ke for element e in
-// node-major layout: Ke[(a*ndof+di)*(npe*ndof) + b*ndof+dj]. The worker
-// index w names the element-loop shard invoking the kernel: kernels with
-// mutable scratch must keep one copy per worker (index it by w, sized by
-// Assembler.Workers) so the sharded loop stays race-free. Serial callers
-// always see w == 0.
+// node-major layout: Ke[(a*ndof+di)*(npe*ndof) + b*ndof+dj]. w is always
+// 0: each rank runs its element loop on its own goroutine, one element
+// after another. The parameter stays because the kernels of
+// benchmark/probes.go take it.
 type NodeMajorKernel func(w, e int, h float64, ke []float64)
 
 // ZippedKernel fills dof-pair-major blocks for element e:
 // blocks[di*ndof+dj] is a contiguous npe x npe scalar block (the zipped
-// layout produced by the GEMM operators). The worker index w follows the
-// same per-shard contract as NodeMajorKernel; use Assembler.WorkN(w) for
-// per-worker GEMM scratch.
+// layout produced by the GEMM operators). w is always 0, as for
+// NodeMajorKernel; Assembler.Work is the GEMM scratch.
 type ZippedKernel func(w, e int, h float64, blocks [][]float64)
 
 // Layout selects the storage/assembly strategy of Table I.
@@ -50,61 +47,30 @@ func planIdx(layout Layout) int {
 	return 1
 }
 
-// workerScratch is one element-loop shard's private state, so the
-// parallel loop runs with zero shared mutable scratch and zero
-// per-element allocation.
-type workerScratch struct {
+// elemScratch is the element loop's scratch, allocated once per
+// assembler, so no element allocates.
+type elemScratch struct {
 	ke     []float64
 	blocks [][]float64
 	blk    []float64
 	wk     *GemmWork
-	vals   []float64 // accumulation buffer for workers > 0
-	fe     []float64 // elemental vector (planned vector assembly)
-	fz     []float64 // zipped elemental vector (planned vector assembly)
+	fe     []float64 // elemental vector
+	fz     []float64 // zipped elemental vector
 }
 
 // Assembler drives distributed matrix and vector assembly over a mesh.
 // It owns the per-(mesh, ndof) assembly plans: NewMatrix derives a
 // layout's sparsity from the mesh before any values exist, and every
 // matrix assembly — the first one included — is the same plan-driven
-// flat-array accumulation. At a fixed rank and worker count every route
-// to a matrix (fresh, reassembled, patched by Rebind, restarted) therefore
-// sums in the same order and gives the same bits; different worker counts
-// agree to roundoff.
+// flat-array accumulation in element order. At a fixed rank count every
+// route to a matrix (fresh, reassembled, patched by Rebind, restarted)
+// therefore sums in the same order and gives the same bits.
 type Assembler struct {
 	M    *mesh.Mesh
 	Ref  *Ref
 	Ndof int
 
-	// workers is the element-loop shard count for plan-driven matrix
-	// assembly (default: GOMAXPROCS divided among the in-process ranks).
-	workers int
-	ws      []workerScratch
-
-	// pool, when set, runs the element-loop shards and the merge on a
-	// persistent worker pool instead of spawning goroutines per assembly
-	// — the same pool the solve-path kernels dispatch to. The sh* fields
-	// are the prebuilt shard closures and their argument slots, so the
-	// pool dispatch itself allocates nothing per assembly.
-	pool            *par.Pool
-	elemFn, mergeFn func(w int)
-	shVals          []float64
-	shPlan          *AssemblyPlan
-	shKern          NodeMajorKernel
-	shZKern         ZippedKernel
-	shN, shNW       int
-
-	// Planned vector assembly: the cached vector plan, an optional shard
-	// count override (0: follow workers) and the prebuilt shard closures
-	// with their argument slots (see vecplan.go).
-	vplan                  *VecPlan
-	vecWorkers             int
-	vecElemFn, vecGatherFn func(w int)
-	shVec                  []float64
-	shVKern                WorkerVecKernel
-	shVZKern               WorkerZippedVecKernel
-	shVN, shVNW            int
-	shVLo, shVHi           int
+	scr elemScratch
 
 	// plans[0] is the scalar AIJ plan, plans[1] the node-block plan
 	// shared by BAIJ and zipped assembly.
@@ -117,64 +83,45 @@ type Assembler struct {
 // NewAssembler builds an assembler for ndof unknowns per node.
 func NewAssembler(m *mesh.Mesh, ndof int) *Assembler {
 	r := NewRef(m.Dim)
-	a := &Assembler{M: m, Ref: r, Ndof: ndof}
-	a.workers = runtime.GOMAXPROCS(0) / m.Comm.Size()
-	if a.workers < 1 {
-		a.workers = 1
+	npe := r.NPE
+	nn := npe * ndof
+	a := &Assembler{M: m, Ref: r, Ndof: ndof, scr: elemScratch{
+		ke:     make([]float64, nn*nn),
+		blocks: make([][]float64, ndof*ndof),
+		blk:    make([]float64, ndof*ndof),
+		wk:     NewGemmWork(r),
+		fe:     make([]float64, nn),
+		fz:     make([]float64, nn),
+	}}
+	for j := range a.scr.blocks {
+		a.scr.blocks[j] = make([]float64, npe*npe)
 	}
-	a.ensureWorkers(1)
 	return a
 }
 
-// ensureWorkers grows the per-worker scratch pool to n entries.
-func (a *Assembler) ensureWorkers(n int) {
-	for len(a.ws) < n {
-		npe := a.Ref.NPE
-		nn := npe * a.Ndof
-		s := workerScratch{
-			ke:  make([]float64, nn*nn),
-			blk: make([]float64, a.Ndof*a.Ndof),
-			wk:  NewGemmWork(a.Ref),
-			fe:  make([]float64, nn),
-			fz:  make([]float64, nn),
-		}
-		s.blocks = make([][]float64, a.Ndof*a.Ndof)
-		for j := range s.blocks {
-			s.blocks[j] = make([]float64, npe*npe)
-		}
-		a.ws = append(a.ws, s)
-	}
-}
+// Workers returns 1: a rank assembles on its own goroutine.
+//
+// Deprecated: kept because benchmark/probes.go sizes its kernel scratch
+// with it.
+func (a *Assembler) Workers() int { return 1 }
 
-// Workers returns the element-loop shard count kernels must size their
-// per-worker scratch for.
-func (a *Assembler) Workers() int { return a.workers }
+// SetWorkers does nothing.
+//
+// Deprecated: kept because benchmark/probes.go calls it.
+func (a *Assembler) SetWorkers(int) {}
 
-// SetWorkers overrides the element-loop shard count (n >= 1). The count
-// fixes the order in which shard sums are merged, so two counts agree to
-// roundoff, not bitwise; at one count every assembly route is bitwise
-// identical.
-func (a *Assembler) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	a.workers = n
-}
+// SetPool does nothing.
+//
+// Deprecated: kept because benchmark/probes.go calls it.
+func (a *Assembler) SetPool(*par.Pool) {}
 
-// SetPool runs matrix assemblies on the given persistent pool (sharing its
-// workers with the solve-path kernels) instead of spawning goroutines per
-// call. The shard count stays min(Workers(), pool.Workers()), so results
-// are unchanged.
-func (a *Assembler) SetPool(p *par.Pool) { a.pool = p }
+// Work returns the element loop's GEMM scratch, for zipped kernels.
+func (a *Assembler) Work() *GemmWork { return a.scr.wk }
 
-// Work returns worker 0's GEMM scratch (for serial zipped kernels).
-func (a *Assembler) Work() *GemmWork { return a.WorkN(0) }
-
-// WorkN returns worker w's GEMM scratch.
-func (a *Assembler) WorkN(w int) *GemmWork {
-	a.ensureWorkers(w + 1)
-	return a.ws[w].wk
-}
+// WorkN returns the element loop's GEMM scratch, whatever w.
+//
+// Deprecated: kept because benchmark/probes.go calls it; use Work.
+func (a *Assembler) WorkN(int) *GemmWork { return a.scr.wk }
 
 // Epoch returns the mesh generation the assembler was last rebound to.
 func (a *Assembler) Epoch() uint64 { return a.epoch }
@@ -201,9 +148,6 @@ func (a *Assembler) NewMatrix(layout Layout) *la.BSRMat {
 	} else {
 		mat = la.NewBAIJFromSparsity(a.M, a.Ndof, a.M.NumOwned, a.M.NumLocal, sp)
 	}
-	// Operators inherit the assembler's pool: SpMV shards across the same
-	// workers as the element loop (bitwise-identical to serial).
-	mat.SetPool(a.pool)
 	return mat
 }
 
@@ -220,10 +164,10 @@ func (a *Assembler) planFor(mat *la.BSRMat, layout Layout) *AssemblyPlan {
 
 // AssembleMatrix runs the element loop with the node-major kernel and
 // accumulates into mat using the requested layout (LayoutAIJ or
-// LayoutBAIJ) through the layout's plan: flat-array adds sharded across
-// workers, no map operations. Contributions to rows owned remotely are
-// exchanged with NBX at the end (PETSc's off-process assembly). mat must
-// come from NewMatrix. Collective.
+// LayoutBAIJ) through the layout's plan: flat-array adds, no map
+// operations. Contributions to rows owned remotely are exchanged with NBX
+// at the end (PETSc's off-process assembly). mat must come from
+// NewMatrix. Collective.
 func (a *Assembler) AssembleMatrix(mat *la.BSRMat, layout Layout, kern NodeMajorKernel) {
 	if layout == LayoutZipped {
 		panic("fem: use AssembleMatrixZipped for the zipped layout")
@@ -238,105 +182,26 @@ func (a *Assembler) AssembleMatrixZipped(mat *la.BSRMat, kern ZippedKernel) {
 	a.assemble(mat, a.planFor(mat, LayoutZipped), nil, kern)
 }
 
-// assemble is the one numeric path: plan-driven flat-array accumulation,
-// sharded across workers. Worker 0 accumulates directly into the matrix
-// values (with one worker the order is the serial element order);
-// workers 1..n-1 accumulate into private buffers merged afterwards in
-// worker order.
+// assemble is the one numeric path: plan-driven flat-array accumulation
+// straight into the matrix values, one element after another, then the
+// off-process flush.
 func (a *Assembler) assemble(mat *la.BSRMat, plan *AssemblyPlan, kern NodeMajorKernel, zkern ZippedKernel) {
-	n := a.M.NumElems()
-	nw := a.workers
-	if a.pool != nil && a.pool.Workers() < nw {
-		nw = a.pool.Workers()
-	}
-	if nw > n {
-		nw = n
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	a.ensureWorkers(nw)
-	vals := mat.Vals()
-	if nw == 1 {
-		a.runShard(0, 0, n, vals, plan, kern, zkern)
-	} else {
-		if a.elemFn == nil {
-			a.elemFn, a.mergeFn = a.runElemShard, a.runMergeShard
-		}
-		a.shVals, a.shPlan, a.shKern, a.shZKern, a.shN, a.shNW = vals, plan, kern, zkern, n, nw
-		a.runSharded(a.elemFn, nw)
-		a.runSharded(a.mergeFn, nw)
-		a.shVals, a.shPlan, a.shKern, a.shZKern = nil, nil, nil, nil
-	}
-	a.flushPlanned(mat, plan)
-}
-
-// runElemShard is the prebuilt element-loop shard: worker 0 accumulates
-// directly into the matrix values; workers 1..nw-1 zero and fill their
-// private buffers (the O(nnz) memset parallelizes instead of serializing
-// the launch).
-func (a *Assembler) runElemShard(w int) {
-	nw, n := a.shNW, a.shN
-	if w >= nw {
-		return
-	}
-	lo, hi := par.Shard(w, nw, n)
-	if w == 0 {
-		a.runShard(0, lo, hi, a.shVals, a.shPlan, a.shKern, a.shZKern)
-		return
-	}
-	ws := &a.ws[w]
-	if len(ws.vals) != len(a.shVals) {
-		ws.vals = make([]float64, len(a.shVals))
-	} else {
-		for i := range ws.vals {
-			ws.vals[i] = 0
-		}
-	}
-	a.runShard(w, lo, hi, ws.vals, a.shPlan, a.shKern, a.shZKern)
-}
-
-// runMergeShard merges the worker buffers into the matrix values, sharded
-// by index range so the merge itself parallelizes; every index still sums
-// workers in order 1..nw-1, keeping the result independent of merge
-// scheduling.
-func (a *Assembler) runMergeShard(s int) {
-	nw := a.shNW
-	if s >= nw {
-		return
-	}
-	vals := a.shVals
-	nv := len(vals)
-	lo, hi := par.Shard(s, nw, nv)
-	for w := 1; w < nw; w++ {
-		buf := a.ws[w].vals
-		for i := lo; i < hi; i++ {
-			vals[i] += buf[i]
-		}
-	}
-}
-
-// runShard assembles elements [e0,e1) with worker w's scratch,
-// accumulating local contributions into vals and off-process ones into
-// the plan's preallocated rank buffers (each plan entry is written by
-// exactly one element, so shards never contend).
-func (a *Assembler) runShard(w, e0, e1 int, vals []float64, plan *AssemblyPlan, kern NodeMajorKernel, zkern ZippedKernel) {
 	m := a.M
-	ws := &a.ws[w]
+	vals := mat.Vals()
 	cpe := m.CornersPerElem()
 	nd := a.Ndof
 	npe := a.Ref.NPE
 	n := npe * nd
-	blk := ws.blk
-	idx := plan.elemOff[e0]
-	for e := e0; e < e1; e++ {
+	blk := a.scr.blk
+	idx := int32(0)
+	for e := 0; e < m.NumElems(); e++ {
 		h := m.ElemSize(e)
 		if kern != nil {
-			ke := ws.ke
+			ke := a.scr.ke
 			for i := range ke {
 				ke[i] = 0
 			}
-			kern(w, e, h, ke)
+			kern(0, e, h, ke)
 			for ca := 0; ca < cpe; ca++ {
 				conA := &m.Conn[e*cpe+ca]
 				for cb := 0; cb < cpe; cb++ {
@@ -350,13 +215,13 @@ func (a *Assembler) runShard(w, e0, e1 int, vals []float64, plan *AssemblyPlan, 
 				}
 			}
 		} else {
-			blocks := ws.blocks
+			blocks := a.scr.blocks
 			for _, b := range blocks {
 				for i := range b {
 					b[i] = 0
 				}
 			}
-			zkern(w, e, h, blocks)
+			zkern(0, e, h, blocks)
 			// Zipped assembly always runs through the node-block plan. A
 			// conforming pair into a local block with unit weight — most
 			// pairs — adds straight from the zipped blocks, the same adds
@@ -384,6 +249,7 @@ func (a *Assembler) runShard(w, e0, e1 int, vals []float64, plan *AssemblyPlan, 
 			}
 		}
 	}
+	a.flushPlanned(mat, plan)
 }
 
 // srcOrder returns indices of srcs in ascending source-rank order, so
@@ -428,10 +294,10 @@ func (a *Assembler) flushPlanned(mat *la.BSRMat, plan *AssemblyPlan) {
 type VecKernel func(e int, h float64, fe []float64)
 
 // AssembleVector accumulates elemental vectors into v (full local layout)
-// and pushes ghost contributions to owners. This is the serial reference
-// path (and the bitwise contract AssembleVectorPlanned is tested
-// against); hot-loop callers use the sharded, allocation-free planned
-// variant in vecplan.go. Collective.
+// and pushes ghost contributions to owners. It allocates its elemental
+// vector per call; hot-loop callers use the allocation-free
+// AssembleVectorPlanned, which makes the same sums and is tested against
+// it. Collective.
 func (a *Assembler) AssembleVector(v []float64, kern VecKernel) {
 	for i := range v {
 		v[i] = 0
@@ -471,4 +337,52 @@ func (a *Assembler) AssembleVectorZipped(v []float64, kern ZippedVecKernel) {
 		a.M.ScatterAddElem(e, fe, a.Ndof, v)
 	}
 	a.M.GhostWrite(v, a.Ndof, mesh.Add, 0)
+}
+
+// WorkerVecKernel fills the node-major elemental vector fe[a*ndof+d] for
+// element e; w is always 0, as for NodeMajorKernel.
+type WorkerVecKernel func(w, e int, h float64, fe []float64)
+
+// WorkerZippedVecKernel fills the dof-major (zipped) elemental vector
+// fz[d*npe+a] for element e — the stage-2 DGEMV layout, unzipped by the
+// assembler before the constraint scatter; w is always 0.
+type WorkerZippedVecKernel func(w, e int, h float64, fz []float64)
+
+// AssembleVectorPlanned is AssembleVector over the assembler's persistent
+// element scratch: the same element loop and scatter, so the same bits,
+// with zero steady-state allocation. Collective.
+func (a *Assembler) AssembleVectorPlanned(v []float64, kern WorkerVecKernel) {
+	a.assembleVec(v, kern, nil)
+}
+
+// AssembleVectorZippedPlanned is AssembleVectorZipped over the
+// assembler's persistent element scratch. Collective.
+func (a *Assembler) AssembleVectorZippedPlanned(v []float64, kern WorkerZippedVecKernel) {
+	a.assembleVec(v, nil, kern)
+}
+
+func (a *Assembler) assembleVec(v []float64, kern WorkerVecKernel, zkern WorkerZippedVecKernel) {
+	for i := range v {
+		v[i] = 0
+	}
+	m := a.M
+	cpe := m.CornersPerElem()
+	fe, fz := a.scr.fe, a.scr.fz
+	for e := 0; e < m.NumElems(); e++ {
+		h := m.ElemSize(e)
+		if kern != nil {
+			for i := range fe {
+				fe[i] = 0
+			}
+			kern(0, e, h, fe)
+		} else {
+			for i := range fz {
+				fz[i] = 0
+			}
+			zkern(0, e, h, fz)
+			UnzipVec(a.Ndof, cpe, fz, fe)
+		}
+		m.ScatterAddElem(e, fe, a.Ndof, v)
+	}
+	m.GhostWrite(v, a.Ndof, mesh.Add, 0)
 }

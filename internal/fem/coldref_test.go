@@ -2,7 +2,6 @@ package fem
 
 import (
 	"fmt"
-	"math"
 
 	"proteus/internal/la"
 	"proteus/internal/mesh"
@@ -190,22 +189,16 @@ func (c *coldAsm) flushOffProc() {
 }
 
 // mustMatchOracle checks a plan-path matrix against the cold oracle: the
-// pattern must be identical, the values bitwise equal at one worker and
-// within 1e-12 relative at more (shard merging reorders the additions).
-func mustMatchOracle(c *par.Comm, what string, workers int, want, got *la.BSRMat) {
+// pattern must be identical and the values bitwise equal.
+func mustMatchOracle(c *par.Comm, what string, want, got *la.BSRMat) {
 	if err := sparsityEqual(got.Sparsity(), want.Sparsity()); err != nil {
 		panic(fmt.Sprintf("%s rank=%d: pattern differs from the cold oracle: %v", what, c.Rank(), err))
 	}
 	wv, gv := want.Vals(), got.Vals()
 	for i := range wv {
-		if workers == 1 {
-			if wv[i] != gv[i] {
-				panic(fmt.Sprintf("%s rank=%d: vals[%d] = %v, cold oracle %v (diff %g)",
-					what, c.Rank(), i, gv[i], wv[i], gv[i]-wv[i]))
-			}
-		} else if math.Abs(wv[i]-gv[i]) > 1e-12*math.Max(1, math.Abs(wv[i])) {
-			panic(fmt.Sprintf("%s rank=%d: vals[%d] = %v, cold oracle %v beyond roundoff",
-				what, c.Rank(), i, gv[i], wv[i]))
+		if wv[i] != gv[i] {
+			panic(fmt.Sprintf("%s rank=%d: vals[%d] = %v, cold oracle %v (diff %g)",
+				what, c.Rank(), i, gv[i], wv[i], gv[i]-wv[i]))
 		}
 	}
 }

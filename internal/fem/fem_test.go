@@ -294,7 +294,7 @@ func TestAssemblyLayoutsAgree(t *testing.T) {
 					UnzipMat(ndof, npe, blocks, ke)
 				}
 				zipKern := func(w, e int, h float64, blocks [][]float64) {
-					wk := asm.WorkN(w)
+					wk := asm.Work()
 					r.MassGemm(wk, h, 1, nil, blocks[0])
 					tmp := make([]float64, npe*npe)
 					r.StiffGemm(wk, h, 1, nil, tmp)

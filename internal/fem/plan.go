@@ -26,15 +26,15 @@ type planEntry struct {
 // Rebind, and every assembly runs through it as branch-light flat-array
 // accumulation with zero map operations and zero per-element allocation —
 // the persistent-sparsity counterpart of the paper's Table I assembly
-// optimizations, and PETSc's DMCreateMatrix preallocation. One plan at
-// one worker count fixes the summation order of every slot.
+// optimizations, and PETSc's DMCreateMatrix preallocation. One plan fixes
+// the summation order of every slot.
 type AssemblyPlan struct {
 	ndof   int
 	scalar bool // AIJ (scalar CSR) addressing
 	sp     *la.Sparsity
 
 	// entries in traversal order; elemOff[e] is element e's first entry,
-	// so shards of the parallel loop index independently.
+	// where patchPlan finds a clean element's slots to carry over.
 	entries []planEntry
 	elemOff []int32
 

@@ -2,7 +2,6 @@ package fem
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 	"unsafe"
@@ -15,10 +14,9 @@ import (
 )
 
 // planTestKernels builds deterministic, element-dependent kernels for
-// the assembler's ndof (1 or 2) with per-worker scratch, so they are valid
-// under the sharded element loop and produce bit-identical elemental
+// the assembler's ndof (1 or 2) that produce bit-identical elemental
 // matrices on every invocation.
-func planTestKernels(asm *Assembler, nw int) (NodeMajorKernel, ZippedKernel) {
+func planTestKernels(asm *Assembler) (NodeMajorKernel, ZippedKernel) {
 	r := asm.Ref
 	npe := r.NPE
 	nd := asm.Ndof
@@ -26,16 +24,11 @@ func planTestKernels(asm *Assembler, nw int) (NodeMajorKernel, ZippedKernel) {
 		blocks [][]float64
 		tmp    []float64
 	}
-	ws := make([]scr, nw)
-	for i := range ws {
-		ws[i].blocks = make([][]float64, nd*nd)
-		for j := range ws[i].blocks {
-			ws[i].blocks[j] = make([]float64, npe*npe)
-		}
-		ws[i].tmp = make([]float64, npe*npe)
+	sc := &scr{blocks: make([][]float64, nd*nd), tmp: make([]float64, npe*npe)}
+	for j := range sc.blocks {
+		sc.blocks[j] = make([]float64, npe*npe)
 	}
 	loop := func(w, e int, h float64, ke []float64) {
-		sc := &ws[w]
 		c := 1 + 0.1*float64(e%7)
 		for _, b := range sc.blocks {
 			for i := range b {
@@ -51,9 +44,8 @@ func planTestKernels(asm *Assembler, nw int) (NodeMajorKernel, ZippedKernel) {
 		UnzipMat(nd, npe, sc.blocks, ke)
 	}
 	zipped := func(w, e int, h float64, blocks [][]float64) {
-		sc := &ws[w]
 		c := 1 + 0.1*float64(e%7)
-		wk := asm.WorkN(w)
+		wk := asm.Work()
 		r.MassGemm(wk, h, c, nil, blocks[0])
 		r.StiffGemm(wk, h, 1, nil, sc.tmp)
 		for i := range sc.tmp {
@@ -78,9 +70,8 @@ func assembleOnce(asm *Assembler, mat *la.BSRMat, layout Layout, loop NodeMajorK
 // TestWarmAssemblyMatchesColdBitwise is the plan-correctness contract:
 // the one plan path — the first assembly into a fresh assembler's matrix
 // and every reassembly — must reproduce the map-based cold oracle
-// (coldAssemble): identical pattern, bitwise values at one worker and
-// values within roundoff at two and four, for all three layouts, ndof 1
-// and 2, in 2D and 3D, on meshes with hanging-node constraints, serially
+// (coldAssemble): identical pattern and bitwise values, for all three
+// layouts, ndof 1 and 2, in 2D and 3D, on meshes with hanging-node constraints, serially
 // and across 2 and 4 ranks (exercising the slot-only entries, the
 // value-only off-process exchange and the receive slots resolved at plan
 // build). The plan is then repaired by a patched Rebind onto a refined
@@ -97,43 +88,40 @@ func TestWarmAssemblyMatchesColdBitwise(t *testing.T) {
 				moved, delta := movedSibling(c, dim, m)
 				for _, nd := range []int{1, 2} {
 					for _, layout := range []Layout{LayoutAIJ, LayoutBAIJ, LayoutZipped} {
-						for _, nw := range []int{1, 2, 4} {
-							what := fmt.Sprintf("dim=%d p=%d ndof=%d layout=%d workers=%d", dim, p, nd, layout, nw)
-							asm := NewAssembler(m, nd)
-							asm.SetWorkers(nw)
-							loop, zipped := planTestKernels(asm, nw)
-							cold := coldAssemble(asm, layout, loop, zipped)
+						what := fmt.Sprintf("dim=%d p=%d ndof=%d layout=%d", dim, p, nd, layout)
+						asm := NewAssembler(m, nd)
+						loop, zipped := planTestKernels(asm)
+						cold := coldAssemble(asm, layout, loop, zipped)
 
-							mat := asm.NewMatrix(layout)
-							if asm.Plan(layout) == nil || !mat.Finalized() {
-								panic(what + ": NewMatrix did not build a plan and a finalized matrix")
-							}
-							assembleOnce(asm, mat, layout, loop, zipped)
-							mustMatchOracle(c, what+" first", nw, cold, mat)
-
-							mat.Zero()
-							assembleOnce(asm, mat, layout, loop, zipped)
-							mustMatchOracle(c, what+" reassembly", nw, cold, mat)
-
-							mat2 := asm.NewMatrix(layout)
-							if mat2.Sparsity() != mat.Sparsity() {
-								panic(what + ": NewMatrix did not share the frozen sparsity")
-							}
-							assembleOnce(asm, mat2, layout, loop, zipped)
-							mustMatchOracle(c, what+" fresh-shared-matrix", nw, cold, mat2)
-
-							asm.Rebind(moved, asm.Epoch()+1, delta)
-							if asm.Plan(layout) == nil {
-								panic(what + ": patched Rebind across moved splitters dropped the plan")
-							}
-							cold = coldAssemble(asm, layout, loop, zipped)
-							mat3 := asm.NewMatrix(layout)
-							assembleOnce(asm, mat3, layout, loop, zipped)
-							mustMatchOracle(c, what+" first after moved-splitter Rebind", nw, cold, mat3)
-							mat3.Zero()
-							assembleOnce(asm, mat3, layout, loop, zipped)
-							mustMatchOracle(c, what+" reassembly after moved-splitter Rebind", nw, cold, mat3)
+						mat := asm.NewMatrix(layout)
+						if asm.Plan(layout) == nil || !mat.Finalized() {
+							panic(what + ": NewMatrix did not build a plan and a finalized matrix")
 						}
+						assembleOnce(asm, mat, layout, loop, zipped)
+						mustMatchOracle(c, what+" first", cold, mat)
+
+						mat.Zero()
+						assembleOnce(asm, mat, layout, loop, zipped)
+						mustMatchOracle(c, what+" reassembly", cold, mat)
+
+						mat2 := asm.NewMatrix(layout)
+						if mat2.Sparsity() != mat.Sparsity() {
+							panic(what + ": NewMatrix did not share the frozen sparsity")
+						}
+						assembleOnce(asm, mat2, layout, loop, zipped)
+						mustMatchOracle(c, what+" fresh-shared-matrix", cold, mat2)
+
+						asm.Rebind(moved, asm.Epoch()+1, delta)
+						if asm.Plan(layout) == nil {
+							panic(what + ": patched Rebind across moved splitters dropped the plan")
+						}
+						cold = coldAssemble(asm, layout, loop, zipped)
+						mat3 := asm.NewMatrix(layout)
+						assembleOnce(asm, mat3, layout, loop, zipped)
+						mustMatchOracle(c, what+" first after moved-splitter Rebind", cold, mat3)
+						mat3.Zero()
+						assembleOnce(asm, mat3, layout, loop, zipped)
+						mustMatchOracle(c, what+" reassembly after moved-splitter Rebind", cold, mat3)
 					}
 				}
 			})
@@ -171,38 +159,29 @@ func movedSibling(c *par.Comm, dim int, old *mesh.Mesh) (*mesh.Mesh, *mesh.Delta
 	return moved, delta
 }
 
-// TestFirstAssemblyMatchesReassemblyBitwise is the route contract at a
-// fixed worker count: a fresh assembler's first assembly, a reassembly
-// into the same matrix and a second fresh assembler's first assembly sum
-// in the same order, so they agree bit for bit at every worker count —
-// with goroutine shards and on a persistent pool, serially and across
-// ranks.
+// TestFirstAssemblyMatchesReassemblyBitwise is the route contract: a
+// fresh assembler's first assembly, a reassembly into the same matrix and
+// a second fresh assembler's first assembly sum in the same order, so they
+// agree bit for bit, serially and across ranks.
 func TestFirstAssemblyMatchesReassemblyBitwise(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		for _, p := range []int{1, 2} {
 			par.Run(p, func(c *par.Comm) {
 				m := buildMesh(c, dim, 2, 4)
 				for _, layout := range []Layout{LayoutAIJ, LayoutBAIJ, LayoutZipped} {
-					for _, nw := range []int{1, 2, 4} {
-						what := fmt.Sprintf("dim=%d p=%d layout=%d workers=%d", dim, p, layout, nw)
-						first := func(pool *par.Pool) []float64 {
-							asm := NewAssembler(m, 2)
-							asm.SetWorkers(nw)
-							asm.SetPool(pool)
-							loop, zipped := planTestKernels(asm, nw)
-							mat := asm.NewMatrix(layout)
-							assembleOnce(asm, mat, layout, loop, zipped)
-							vals := append([]float64(nil), mat.Vals()...)
-							mat.Zero()
-							assembleOnce(asm, mat, layout, loop, zipped)
-							mustBitwise(c, what+" reassembly", vals, mat.Vals())
-							return vals
-						}
-						want := first(nil)
-						pool := par.NewPool(nw)
-						mustBitwise(c, what+" pooled fresh assembler", want, first(pool))
-						pool.Close()
+					what := fmt.Sprintf("dim=%d p=%d layout=%d", dim, p, layout)
+					first := func() []float64 {
+						asm := NewAssembler(m, 2)
+						loop, zipped := planTestKernels(asm)
+						mat := asm.NewMatrix(layout)
+						assembleOnce(asm, mat, layout, loop, zipped)
+						vals := append([]float64(nil), mat.Vals()...)
+						mat.Zero()
+						assembleOnce(asm, mat, layout, loop, zipped)
+						mustBitwise(c, what+" reassembly", vals, mat.Vals())
+						return vals
 					}
+					mustBitwise(c, what+" second fresh assembler", first(), first())
 				}
 			})
 		}
@@ -230,7 +209,7 @@ func TestForeignMatrixPanics(t *testing.T) {
 		m := buildMesh(c, 2, 2, 4)
 		asm := NewAssembler(m, 2)
 		other := NewAssembler(m, 2)
-		loop, zipped := planTestKernels(asm, asm.Workers())
+		loop, zipped := planTestKernels(asm)
 		stale := asm.NewMatrix(LayoutBAIJ)
 		asm.Rebind(m, asm.Epoch()+1, nil)
 		aij := asm.NewMatrix(LayoutAIJ)
@@ -258,37 +237,6 @@ func TestForeignMatrixPanics(t *testing.T) {
 	})
 }
 
-// TestParallelWorkersMatchSerial checks the sharded element loop: the
-// merged per-worker accumulation must agree with the serial path to
-// roundoff (shard merging reorders the additions, so equality is to a
-// tolerance, not bitwise).
-func TestParallelWorkersMatchSerial(t *testing.T) {
-	for _, layout := range []Layout{LayoutBAIJ, LayoutZipped, LayoutAIJ} {
-		par.Run(1, func(c *par.Comm) {
-			m := buildMesh(c, 2, 2, 4)
-			asm := NewAssembler(m, 2)
-			asm.SetWorkers(1)
-			loop, zipped := planTestKernels(asm, 4)
-
-			mat := asm.NewMatrix(layout)
-			assembleOnce(asm, mat, layout, loop, zipped) // serial
-			serial := append([]float64(nil), mat.Vals()...)
-
-			asm.SetWorkers(4)
-			mat.Zero()
-			assembleOnce(asm, mat, layout, loop, zipped) // sharded
-			got := mat.Vals()
-			for i := range serial {
-				diff := math.Abs(serial[i] - got[i])
-				tol := 1e-12 * (1 + math.Abs(serial[i]))
-				if diff > tol {
-					panic(fmt.Sprintf("layout=%d vals[%d]: serial %v parallel %v", layout, i, serial[i], got[i]))
-				}
-			}
-		})
-	}
-}
-
 // TestWarmAssemblyZeroAllocs verifies the acceptance criterion that the
 // steady-state element loop performs no map operations and no per-element
 // heap allocation: a whole reassembly allocates nothing.
@@ -298,8 +246,7 @@ func TestWarmAssemblyZeroAllocs(t *testing.T) {
 		par.Run(1, func(c *par.Comm) {
 			m := buildMesh(c, 2, 2, 4)
 			asm := NewAssembler(m, 2)
-			asm.SetWorkers(1)
-			loop, zipped := planTestKernels(asm, 1)
+			loop, zipped := planTestKernels(asm)
 			mat := asm.NewMatrix(layout)
 			assembleOnce(asm, mat, layout, loop, zipped)
 			allocs = testing.AllocsPerRun(10, func() {
@@ -336,8 +283,7 @@ func TestWarmAssemblyTrafficIsValuesOnly(t *testing.T) {
 					par.Run(2, func(c *par.Comm) {
 						m := buildMesh(c, dim, 2, 4)
 						asm := NewAssembler(m, nd)
-						asm.SetWorkers(1)
-						loop, zipped := planTestKernels(asm, 1)
+						loop, zipped := planTestKernels(asm)
 						mat := asm.NewMatrix(layout)
 						assembleOnce(asm, mat, layout, loop, zipped)
 						for i := 0; i < warm; i++ {
@@ -379,8 +325,7 @@ func TestWarmAssemblyBufferHandOff(t *testing.T) {
 			par.Run(p, func(c *par.Comm) {
 				m := buildMesh(c, 2, 2, 4)
 				asm := NewAssembler(m, 2)
-				asm.SetWorkers(1)
-				loop, zipped := planTestKernels(asm, 1)
+				loop, zipped := planTestKernels(asm)
 				scale := func(s float64) (NodeMajorKernel, ZippedKernel) {
 					return func(w, e int, h float64, ke []float64) {
 							loop(w, e, h, ke)

@@ -7,7 +7,7 @@
 // NewMatrix derives a fresh pattern, so the patched pattern and plan are
 // exactly the ones a fresh assembler on the new mesh builds, and assembly
 // after a patched Rebind is bitwise identical to a from-scratch assembly
-// at the same rank and worker count.
+// at the same rank count.
 package fem
 
 import (
@@ -51,25 +51,23 @@ func (np nodePattern) col(r, k int) int32 {
 }
 
 // Rebind points the assembler at mesh generation epoch, preserving
-// everything mesh-independent: the reference element, the per-worker
-// kernel scratch and the pool wiring. d is the mesh delta of an
-// incremental build (mesh.Patch): with it the cached plans are repaired
-// in place; with nil nothing is known to have survived, the plans are
-// dropped and the next NewMatrix of each layout builds its plan from the
-// mesh. Either way, matrices made before the call no longer assemble.
-// Collective when d is non-nil and the assembler holds plans (plans are
-// built collectively, so every rank holds the same set): the dirty-row
-// patterns need the off-process couplings of the new mesh.
+// everything mesh-independent: the reference element and the element
+// scratch. d is the mesh delta of an incremental build (mesh.Patch): with
+// it the cached plans are repaired in place; with nil nothing is known to
+// have survived, the plans are dropped and the next NewMatrix of each
+// layout builds its plan from the mesh. Either way, matrices made before
+// the call no longer assemble. Collective when d is non-nil and the
+// assembler holds plans (plans are built collectively, so every rank
+// holds the same set): the dirty-row patterns need the off-process
+// couplings of the new mesh.
 func (a *Assembler) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	if m.Dim != a.M.Dim {
 		panic("fem: Assembler.Rebind across dimensions")
 	}
 	oldPlans := a.plans
-	oldVec := a.vplan
 	a.M = m
 	a.epoch = epoch
 	a.plans[0], a.plans[1] = nil, nil
-	a.vplan = nil
 	if d != nil && (oldPlans[0] != nil || oldPlans[1] != nil) {
 		pairs := a.dirtyRowPairs(d)
 		var src nodePattern
@@ -86,14 +84,6 @@ func (a *Assembler) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 		if oldPlans[0] != nil {
 			a.plans[0] = a.patchPlan(oldPlans[0], d, oldOf, expandScalarSparsity(blockSp, a.Ndof), true)
 		}
-	}
-	if d != nil && oldVec != nil {
-		// The vector plan's slots are a dense prefix sum over the element
-		// traversal, so any insertion renumbers every later slot: a
-		// per-element delta cannot beat the two linear search-free passes
-		// of the builder. "Patching" it means rebuilding into the old
-		// plan's allocations (zero-alloc on partition-stable rounds).
-		a.vplan = a.rebuildVecPlanInto(oldVec)
 	}
 }
 
@@ -416,69 +406,4 @@ func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp
 		}
 	}
 	return plan
-}
-
-// rebuildVecPlanInto runs buildVecPlan's two passes into the old plan's
-// allocations when their capacity suffices, so a remesh round that does
-// not grow the local element set rebuilds the vector plan without
-// allocating.
-func (a *Assembler) rebuildVecPlanInto(old *VecPlan) *VecPlan {
-	m := a.M
-	cpe := m.CornersPerElem()
-	nE := m.NumElems()
-	p := &VecPlan{ndof: a.Ndof}
-
-	p.elemOff = fitInt32(old.elemOff, nE+1)
-	counts := fitInt32(old.gatherOff, m.NumLocal+1)
-	for i := range counts {
-		counts[i] = 0
-	}
-	total := 0
-	for e := 0; e < nE; e++ {
-		p.elemOff[e] = int32(total)
-		for c := 0; c < cpe; c++ {
-			con := &m.Conn[e*cpe+c]
-			total += int(con.N)
-			for k := 0; k < int(con.N); k++ {
-				counts[con.Idx[k]+1]++
-			}
-		}
-	}
-	p.elemOff[nE] = int32(total)
-	p.store = fitFloat64(old.store, total*a.Ndof)
-	p.gatherOff = counts
-	for i := 0; i < m.NumLocal; i++ {
-		p.gatherOff[i+1] += p.gatherOff[i]
-	}
-
-	p.gatherSlot = fitInt32(old.gatherSlot, total)
-	fill := make([]int32, m.NumLocal)
-	copy(fill, p.gatherOff[:m.NumLocal])
-	slot := int32(0)
-	for e := 0; e < nE; e++ {
-		for c := 0; c < cpe; c++ {
-			con := &m.Conn[e*cpe+c]
-			for k := 0; k < int(con.N); k++ {
-				i := con.Idx[k]
-				p.gatherSlot[fill[i]] = slot
-				fill[i]++
-				slot++
-			}
-		}
-	}
-	return p
-}
-
-func fitInt32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n)
-}
-
-func fitFloat64(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
 }

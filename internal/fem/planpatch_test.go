@@ -81,9 +81,9 @@ func tryPatchedPair(c *par.Comm, dim int, seed int64) (*mesh.Mesh, *mesh.Mesh, *
 // TestRebindPatchedMatchesColdBitwise is the fem-layer headline
 // invariant: after a mesh patch, the repaired sparsity and plans must
 // equal the ones a fresh assembler builds on the patched mesh, assembly
-// through them must equal that fresh assembler's bit for bit at the same
-// worker count, and both must match the map-based cold oracle (identical
-// pattern; bitwise at one worker, roundoff at two and four) — for all
+// through them must equal that fresh assembler's bit for bit, and both
+// must match the map-based cold oracle (identical pattern, bitwise
+// values) — for all
 // three layouts, serially and across ranks, with hanging constraints in
 // the dirty region.
 func TestRebindPatchedMatchesColdBitwise(t *testing.T) {
@@ -92,60 +92,56 @@ func TestRebindPatchedMatchesColdBitwise(t *testing.T) {
 			par.Run(p, func(c *par.Comm) {
 				old, patched, delta, scratch := patchedPair(c, dim, int64(3+p))
 				for _, layout := range []Layout{LayoutAIJ, LayoutBAIJ, LayoutZipped} {
-					for _, nw := range []int{1, 2, 4} {
-						what := fmt.Sprintf("dim=%d p=%d layout=%d workers=%d", dim, p, layout, nw)
-						asm := NewAssembler(old, 2)
-						asm.SetWorkers(nw)
-						loop, zipped := planTestKernels(asm, nw)
-						assembleOnce(asm, asm.NewMatrix(layout), layout, loop, zipped)
-						vk := func(w, e int, h float64, fe []float64) {
-							for i := range fe {
-								fe[i] = h * float64(e%5+1)
-							}
+					what := fmt.Sprintf("dim=%d p=%d layout=%d", dim, p, layout)
+					asm := NewAssembler(old, 2)
+					loop, zipped := planTestKernels(asm)
+					assembleOnce(asm, asm.NewMatrix(layout), layout, loop, zipped)
+					vk := func(w, e int, h float64, fe []float64) {
+						for i := range fe {
+							fe[i] = h * float64(e%5+1)
 						}
-						asm.AssembleVectorPlanned(make([]float64, old.NumLocal*2), vk)
+					}
+					asm.AssembleVectorPlanned(make([]float64, old.NumLocal*2), vk)
 
-						asm.Rebind(patched, asm.Epoch()+1, delta)
-						pp := asm.Plan(layout)
-						if pp == nil {
-							panic(what + ": patched Rebind dropped the plan")
-						}
+					asm.Rebind(patched, asm.Epoch()+1, delta)
+					pp := asm.Plan(layout)
+					if pp == nil {
+						panic(what + ": patched Rebind dropped the plan")
+					}
 
-						// Reference: a fresh assembler on a from-scratch mesh
-						// over the same forest (bitwise identical to `patched`
-						// by the mesh patch invariant).
-						ref := NewAssembler(scratch, 2)
-						ref.SetWorkers(nw)
-						rloop, rzipped := planTestKernels(ref, nw)
-						rmat := ref.NewMatrix(layout)
-						rp := ref.Plan(layout)
-						if err := sparsityEqual(pp.sp, rp.sp); err != nil {
-							panic(fmt.Sprintf("%s rank=%d: patched sparsity: %v", what, c.Rank(), err))
-						}
-						if err := planRoutingEqual(pp, rp); err != nil {
-							panic(fmt.Sprintf("%s rank=%d: patched plan: %v", what, c.Rank(), err))
-						}
+					// Reference: a fresh assembler on a from-scratch mesh
+					// over the same forest (bitwise identical to `patched`
+					// by the mesh patch invariant).
+					ref := NewAssembler(scratch, 2)
+					rloop, rzipped := planTestKernels(ref)
+					rmat := ref.NewMatrix(layout)
+					rp := ref.Plan(layout)
+					if err := sparsityEqual(pp.sp, rp.sp); err != nil {
+						panic(fmt.Sprintf("%s rank=%d: patched sparsity: %v", what, c.Rank(), err))
+					}
+					if err := planRoutingEqual(pp, rp); err != nil {
+						panic(fmt.Sprintf("%s rank=%d: patched plan: %v", what, c.Rank(), err))
+					}
 
-						mat := asm.NewMatrix(layout)
-						if !mat.Finalized() || mat.Sparsity() != pp.sp {
-							panic(what + ": patched NewMatrix did not share the repaired sparsity")
-						}
-						assembleOnce(asm, mat, layout, loop, zipped)
-						assembleOnce(ref, rmat, layout, rloop, rzipped)
-						mustBitwise(c, what+" patched vs fresh", rmat.Vals(), mat.Vals())
-						mustMatchOracle(c, what+" patched", nw, coldAssemble(ref, layout, rloop, rzipped), mat)
+					mat := asm.NewMatrix(layout)
+					if !mat.Finalized() || mat.Sparsity() != pp.sp {
+						panic(what + ": patched NewMatrix did not share the repaired sparsity")
+					}
+					assembleOnce(asm, mat, layout, loop, zipped)
+					assembleOnce(ref, rmat, layout, rloop, rzipped)
+					mustBitwise(c, what+" patched vs fresh", rmat.Vals(), mat.Vals())
+					mustMatchOracle(c, what+" patched", coldAssemble(ref, layout, rloop, rzipped), mat)
 
-						// Patched vector plan: same contract against the serial
-						// reference path on the patched mesh.
-						vgot := make([]float64, patched.NumLocal*2)
-						asm.AssembleVectorPlanned(vgot, vk)
-						vwant := make([]float64, patched.NumLocal*2)
-						ref.AssembleVector(vwant, func(e int, h float64, fe []float64) { vk(0, e, h, fe) })
-						for i := range vwant {
-							if vwant[i] != vgot[i] {
-								panic(fmt.Sprintf("%s rank=%d: patched vector[%d] = %v, reference %v",
-									what, c.Rank(), i, vgot[i], vwant[i]))
-							}
+					// Vector assembly on the patched mesh: the same bits as
+					// the serial reference path on the from-scratch mesh.
+					vgot := make([]float64, patched.NumLocal*2)
+					asm.AssembleVectorPlanned(vgot, vk)
+					vwant := make([]float64, patched.NumLocal*2)
+					ref.AssembleVector(vwant, func(e int, h float64, fe []float64) { vk(0, e, h, fe) })
+					for i := range vwant {
+						if vwant[i] != vgot[i] {
+							panic(fmt.Sprintf("%s rank=%d: patched vector[%d] = %v, reference %v",
+								what, c.Rank(), i, vgot[i], vwant[i]))
 						}
 					}
 				}
@@ -191,23 +187,22 @@ func planRoutingEqual(got, want *AssemblyPlan) error {
 
 // TestRebindPatchedNoPlans: rebinding with no frozen plans invents none;
 // the next NewMatrix builds the plan from the patched mesh, and assembly
-// through it matches the cold oracle bit for bit at one worker.
+// through it matches the cold oracle bit for bit.
 func TestRebindPatchedNoPlans(t *testing.T) {
 	par.Run(1, func(c *par.Comm) {
 		old, patched, delta, _ := patchedPair(c, 2, 11)
 		asm := NewAssembler(old, 2)
-		asm.SetWorkers(1)
 		asm.Rebind(patched, 1, delta)
-		if asm.Plan(LayoutBAIJ) != nil || asm.Plan(LayoutAIJ) != nil || asm.VecPlan() != nil {
+		if asm.Plan(LayoutBAIJ) != nil || asm.Plan(LayoutAIJ) != nil {
 			panic("patched Rebind invented plans from nothing")
 		}
-		loop, zipped := planTestKernels(asm, 1)
+		loop, zipped := planTestKernels(asm)
 		mat := asm.NewMatrix(LayoutBAIJ)
 		if asm.Plan(LayoutBAIJ) == nil {
 			panic("NewMatrix after a patched Rebind did not build a plan")
 		}
 		assembleOnce(asm, mat, LayoutBAIJ, loop, zipped)
-		mustMatchOracle(c, "after patched Rebind without plans", 1, coldAssemble(asm, LayoutBAIJ, loop, zipped), mat)
+		mustMatchOracle(c, "after patched Rebind without plans", coldAssemble(asm, LayoutBAIJ, loop, zipped), mat)
 		s := 0.0
 		for _, v := range mat.Vals() {
 			s += v * v

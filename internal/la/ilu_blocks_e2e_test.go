@@ -2,7 +2,6 @@ package la_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"proteus/internal/core"
@@ -22,14 +21,12 @@ type iluRun struct {
 	crossedRemesh   bool // the rollback rebuilt the mesh: a generation the run did not keep
 }
 
-// runILU0 runs a scenario's smoke preset for 8 steps at one worker per
-// rank with an injected CH divergence at faultStep, rolled back and
+// runILU0 runs a scenario's smoke preset for 8 steps with an injected CH divergence at faultStep, rolled back and
 // retried at half dt: on step 3 the rollback keeps the mesh, on step 2 the
 // failed attempt had remeshed, so the rollback rebuilds the snapshot's
 // mesh. point makes every ILU(0) factor the scalar expansion of its
 // operator (the oracle); only CH's, the one bs = 2 operator, differs.
 func runILU0(name string, ranks, faultStep int, point bool) []iluRun {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(ranks))
 	la.SetILU0PointOracle(point)
 	defer la.SetILU0PointOracle(false)
 	sc, _ := scenario.Get(name)

@@ -258,7 +258,7 @@ func poisoned(n int) []float64 {
 // TestApplySpanMatchesReferenceBitwise pins every SpMV kernel (the
 // unrolled bs = 1, 2 ones, the bs >= 3 fallback and the k = 2, 3
 // interleaved ones of a scalar operator) to the reference loop over full
-// ranges, sub-ranges (pool shards), interior and boundary row lists and
+// ranges, sub-ranges, interior and boundary row lists and
 // the empty list, on patterns with ghost columns and empty rows, and the
 // whole overlapped Apply on 1 and 2 ranks.
 func TestApplySpanMatchesReferenceBitwise(t *testing.T) {

@@ -67,8 +67,10 @@ type KSP struct {
 	Atol  float64 // absolute tolerance (default 1e-8)
 	MaxIt int     // default 10000
 
-	// Pool shards the dot/axpy kernels across workers; results are
-	// bitwise identical to the serial path (chunk-canonical dots).
+	// Pool is not read: a rank runs its vector kernels on its own
+	// goroutine.
+	//
+	// Deprecated: kept because benchmark/probes.go sets it.
 	Pool *par.Pool
 
 	ws *kspWS

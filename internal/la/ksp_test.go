@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"proteus/internal/blas"
 	"proteus/internal/par"
 )
 
@@ -69,8 +70,12 @@ func TestKSPConvergesToKnownSolution(t *testing.T) {
 	}
 }
 
-// largeSPD builds an SPD scalar system big enough to cross the sharding
-// thresholds, with a manufactured right-hand side.
+// largeN spans a dozen dot chunks (blas.DotChunk entries each), the
+// last one partial.
+const largeN = 12288
+
+// largeSPD builds an SPD scalar system of n rows with a manufactured
+// right-hand side.
 func largeSPD(n int) (*BSRMat, []float64) {
 	m := lap1D(n)
 	b := make([]float64, n)
@@ -81,106 +86,92 @@ func largeSPD(n int) (*BSRMat, []float64) {
 }
 
 // TestKSPWarmSolveZeroAllocs is the acceptance check that a warm Solve
-// (workspace already shaped) allocates nothing, for every method, both
-// serially and on a worker pool.
+// (workspace already shaped) allocates nothing, for every method.
 func TestKSPWarmSolveZeroAllocs(t *testing.T) {
-	n := 3 * minParallelN / 2 // large enough to exercise the sharded path
-	m, b := largeSPD(n)
+	m, b := largeSPD(largeN)
 	pc := NewPCBJacobiILU0(m) // exact for tridiagonal: solves in O(1) iterations
-	pools := map[string]*par.Pool{"serial": nil, "pool4": par.NewPool(4)}
-	for pname, pool := range pools {
-		m.SetPool(pool)
-		for _, method := range []Method{CG, BiCGS, IBiCGS} {
-			x := make([]float64, n)
-			k := &KSP{Op: m, PC: pc, Type: method, Pool: pool, Rtol: 1e-10}
-			k.Solve(b, x) // cold: builds the workspace
-			allocs := testing.AllocsPerRun(10, func() {
-				for i := range x {
-					x[i] = 0
-				}
-				k.Solve(b, x)
-			})
-			if allocs != 0 {
-				t.Errorf("%s/%s: warm Solve allocates %v times per run, want 0", method, pname, allocs)
+	for _, method := range []Method{CG, BiCGS, IBiCGS} {
+		x := make([]float64, largeN)
+		k := &KSP{Op: m, PC: pc, Type: method, Rtol: 1e-10}
+		k.Solve(b, x) // cold: builds the workspace
+		allocs := testing.AllocsPerRun(10, func() {
+			for i := range x {
+				x[i] = 0
 			}
+			k.Solve(b, x)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm Solve allocates %v times per run, want 0", method, allocs)
 		}
 	}
-	m.SetPool(nil)
-	pools["pool4"].Close()
 }
 
-// TestShardedSolveMatchesSerialBitwise verifies the determinism contract:
-// sharded SpMV partitions rows (each row computed exactly as serially) and
-// the inner products are chunk-canonical, so a pooled solve must be
-// bitwise identical to the serial one, for every method.
+// TestShardedSolveMatchesSerialBitwise: the worker-pool knobs that remain
+// for the benchmark's probes (BSRMat.SetPool, KSP.Pool) are no-ops, so a
+// solve configured with a pool is bitwise identical to the plain one, for
+// every method.
 func TestShardedSolveMatchesSerialBitwise(t *testing.T) {
-	n := 3 * minParallelN / 2
-	m, b := largeSPD(n)
+	m, b := largeSPD(largeN)
 	pc := NewPCBJacobiILU0(m)
-	pool := par.NewPool(5) // odd worker count: uneven shard boundaries
+	pool := par.NewPool(5)
 	defer pool.Close()
 	for _, method := range []Method{CG, BiCGS, IBiCGS} {
 		m.SetPool(nil)
-		xs := make([]float64, n)
+		xs := make([]float64, largeN)
 		ks := &KSP{Op: m, PC: pc, Type: method, Rtol: 1e-10}
 		rs, _ := ks.Solve(b, xs)
 
 		m.SetPool(pool)
-		xp := make([]float64, n)
+		xp := make([]float64, largeN)
 		kp := &KSP{Op: m, PC: pc, Type: method, Pool: pool, Rtol: 1e-10}
 		rp, _ := kp.Solve(b, xp)
 
 		if rs.Iterations != rp.Iterations || rs.Residual != rp.Residual {
-			t.Fatalf("%s: serial %+v vs sharded %+v", method, rs, rp)
+			t.Fatalf("%s: plain %+v vs pooled %+v", method, rs, rp)
 		}
 		for i := range xs {
 			if xs[i] != xp[i] {
-				t.Fatalf("%s: x[%d] differs bitwise: serial %x sharded %x", method, i, xs[i], xp[i])
+				t.Fatalf("%s: x[%d] differs bitwise: plain %x pooled %x", method, i, xs[i], xp[i])
 			}
 		}
 	}
 	m.SetPool(nil)
 }
 
-// TestShardedSpMVAndDotsMatchSerialBitwise checks the two primitives in
-// isolation: Apply and the chunk-canonical dot/dot2 must not depend on the
-// worker count at all.
+// TestShardedSpMVAndDotsMatchSerialBitwise checks the two primitives
+// against their sharded forms: Apply equals the product computed row
+// shard by row shard, and the KSP's dot and dot2 equal the canonical
+// chunk sums computed shard by shard and summed in chunk order — so the
+// local sums never depend on how the work is split.
 func TestShardedSpMVAndDotsMatchSerialBitwise(t *testing.T) {
-	n := 3 * minParallelN / 2
+	n := largeN
 	m, b := largeSPD(n)
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = math.Cos(0.003*float64(i)) * float64(i%17)
 	}
-	m.SetPool(nil)
 	ys := applyInto(m, x)
+	ks := &KSP{Op: m, Type: CG}
+	ks.defaults()
+	ks.ensureWS()
+	ds := ks.dot(x, b, n)
+	s1, s2 := ks.dot2(x, b, b, b, n)
+	nc := blas.NumChunks(n)
 	for _, nw := range []int{2, 3, 8} {
-		pool := par.NewPool(nw)
-		m.SetPool(pool)
-		yp := applyInto(m, x)
+		yp := make([]float64, n)
+		cA, cB := make([]float64, nc), make([]float64, nc)
+		for w := 0; w < nw; w++ {
+			m.applySpan(x, yp, nil, w*n/nw, (w+1)*n/nw)
+			blas.Dot2Chunks(x, b, b, b, cA, cB, w*nc/nw, (w+1)*nc/nw, n)
+		}
 		for i := range ys {
 			if ys[i] != yp[i] {
 				t.Fatalf("nw=%d: SpMV y[%d] differs bitwise: %x vs %x", nw, i, ys[i], yp[i])
 			}
 		}
-		ks := &KSP{Op: m, Type: CG}
-		ks.defaults()
-		ks.ensureWS()
-		ds := ks.dot(x, b, n)
-		kp := &KSP{Op: m, Type: CG, Pool: pool}
-		kp.defaults()
-		kp.ensureWS()
-		dp := kp.dot(x, b, n)
-		if ds != dp {
-			t.Fatalf("nw=%d: dot differs bitwise: %x vs %x", nw, ds, dp)
+		if p1, p2 := blas.SumOrdered(cA), blas.SumOrdered(cB); ds != p1 || s1 != p1 || s2 != p2 {
+			t.Fatalf("nw=%d: dot %x / dot2 (%x, %x) differ bitwise from the sharded chunk sums (%x, %x)", nw, ds, s1, s2, p1, p2)
 		}
-		s1, s2 := ks.dot2(x, b, b, b, n)
-		p1, p2 := kp.dot2(x, b, b, b, n)
-		if s1 != p1 || s2 != p2 {
-			t.Fatalf("nw=%d: dot2 differs bitwise", nw)
-		}
-		m.SetPool(nil)
-		pool.Close()
 	}
 }
 

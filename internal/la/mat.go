@@ -77,15 +77,6 @@ type BSRMat struct {
 	// 1, or the k of SetComps.
 	k int
 
-	// pool shards Apply across workers when set (see SetPool); the
-	// ap* fields are the prebuilt shard closure and its argument slots,
-	// so a warm sharded Apply performs no allocation.
-	pool   *par.Pool
-	apFn   func(w int)
-	apX    []float64
-	apY    []float64
-	apRows []int32 // nil: shard the full block-row range instead
-
 	// Assembly state (COO map) until Finalize; then CSR arrays.
 	build map[[2]int32][]float64
 
@@ -172,16 +163,10 @@ func (m *BSRMat) initScatter() {
 	}
 }
 
-// SetPool shards Apply across the pool's workers (rows partitioned into
-// contiguous shards, so the sharded product is bitwise identical to the
-// serial one). Typically the same pool the assembler runs its element
-// loop on.
-func (m *BSRMat) SetPool(p *par.Pool) {
-	m.pool = p
-	if p != nil && m.apFn == nil {
-		m.apFn = m.applyShard
-	}
-}
+// SetPool does nothing: a rank multiplies on its own goroutine.
+//
+// Deprecated: kept because benchmark/probes.go calls it.
+func (m *BSRMat) SetPool(*par.Pool) {}
 
 // Rows implements Operator.
 func (m *BSRMat) Rows() int { return m.NRowNodes * m.Bs * m.k }
@@ -330,9 +315,9 @@ func (m *BSRMat) Apply(x, y []float64) {
 		interior, boundary := m.sp.RowSplit()
 		if len(boundary) > 0 {
 			m.ovScatter.GhostReadBegin(x, m.scatterDof)
-			m.runApply(x, y, interior, len(interior))
+			m.applySpan(x, y, interior, 0, len(interior))
 			m.ovScatter.GhostReadEnd(x, m.scatterDof)
-			m.runApply(x, y, boundary, len(boundary))
+			m.applySpan(x, y, boundary, 0, len(boundary))
 			return
 		}
 		// No boundary rows on this rank. The exchange must still run —
@@ -342,37 +327,7 @@ func (m *BSRMat) Apply(x, y []float64) {
 	if m.scatter != nil {
 		m.scatter.GhostRead(x, m.scatterDof)
 	}
-	m.runApply(x, y, nil, m.NRowNodes)
-}
-
-// minParallelRows is the block-row count below which sharding a product
-// costs more in dispatch than it saves.
-const minParallelRows = 256
-
-// runApply multiplies the rows listed in rows (or block rows [0, n) when
-// rows is nil), sharding across the pool when the row count warrants it.
-// Rows are partitioned into contiguous shards, each row computed exactly
-// as in the serial loop, so the result is bitwise independent of the
-// worker count.
-func (m *BSRMat) runApply(x, y []float64, rows []int32, n int) {
-	if m.pool == nil || m.pool.Workers() == 1 || n < minParallelRows {
-		m.applySpan(x, y, rows, 0, n)
-		return
-	}
-	m.apX, m.apY, m.apRows = x, y, rows
-	m.pool.Run(m.apFn)
-	m.apX, m.apY, m.apRows = nil, nil, nil
-}
-
-// applyShard is the prebuilt pool kernel: worker w multiplies its
-// contiguous share of the current row set.
-func (m *BSRMat) applyShard(w int) {
-	nw := m.pool.Workers()
-	n := m.NRowNodes
-	if m.apRows != nil {
-		n = len(m.apRows)
-	}
-	m.applySpan(m.apX, m.apY, m.apRows, w*n/nw, (w+1)*n/nw)
+	m.applySpan(x, y, nil, 0, m.NRowNodes)
 }
 
 // forceGenericSpan routes every applySpan through the run-time loop.

@@ -3,8 +3,6 @@ package la
 import (
 	"math"
 	"time"
-
-	"proteus/internal/par"
 )
 
 // NewtonProblem supplies the nonlinear residual and Jacobian for a Newton
@@ -32,8 +30,7 @@ type NewtonProblem interface {
 // iteration k ≥ 1 keeps the previous operator and preconditioner (a chord
 // step) when the residual such a step predicts, ‖F_k‖²/‖F_{k-1}‖, is at
 // most chordFrac·tol. Every input is an already-reduced norm, so the
-// sequence is the same at any rank and worker count, and nothing outlives a
-// Solve. Measured on the four benchmark workloads (EXPERIMENTS.md "Inexact
+// sequence is the same on every rank, and nothing outlives a Solve. Measured on the four benchmark workloads (EXPERIMENTS.md "Inexact
 // Newton (PR 24)"): etaFirst 1e-2 costs jet3d-mpi a Newton iteration on most
 // solves and 1e-3 on 3 of 62, 1e-4 and 1e-5 on none; Krylov iterations per
 // solve on bubble2d-stiff are flat (26–31) across all four values.
@@ -57,9 +54,6 @@ type Newton struct {
 	// LinRtol is the tightest relative tolerance an inner solve is driven
 	// to: the floor of the forcing sequence above (default 1e-8).
 	LinRtol float64
-
-	// Pool shards the inner solver's kernels (see KSP.Pool).
-	Pool *par.Pool
 
 	// Iterations, LinearIterations and SolveTime (the inner Krylov
 	// wall-clock) report the last solve's work; Jacobians counts its
@@ -160,7 +154,7 @@ func (nw *Newton) Solve(p NewtonProblem, x []float64) (bool, error) {
 			dx[i] = 0
 		}
 		ksp := nw.ksp
-		ksp.Op, ksp.PC, ksp.Red, ksp.Pool = op, pc, nw.Red, nw.Pool
+		ksp.Op, ksp.PC, ksp.Red = op, pc, nw.Red
 		ksp.Type, ksp.Rtol, ksp.Atol = nw.KSP, eta, nw.Atol*1e-2
 		res, err := ksp.Solve(rhs, dx)
 		if err != nil {

@@ -71,19 +71,14 @@ func (m *Mesh) GhostReadEnd(v []float64, ndof int) {
 // GhostWrite pushes the ghost segment of v back to the owning ranks,
 // combining each incoming contribution into the owner's value with op
 // (use Add for accumulation, Min/Max for the morphological passes), and
-// then resets the ghost segment to reset. Collective.
+// resets the ghost segment to reset. The ghost values travel in per-peer
+// reusable buffers, and incoming batches are applied in ascending
+// source-rank order regardless of arrival (sendTo is rank-sorted), so
+// accumulating writes are deterministic — the same discipline the
+// assembler's off-process matrix flush uses, which keeps RHS assembly
+// bitwise reproducible. The trailing barrier lets every rank safely reuse
+// its send buffers in the next exchange. Collective.
 func (m *Mesh) GhostWrite(v []float64, ndof int, op func(own, in float64) float64, reset float64) {
-	m.GhostWriteBegin(v, ndof, reset)
-	m.GhostWriteEnd(v, ndof, op)
-}
-
-// GhostWriteBegin starts a combining ghost write: the ghost segment of v
-// is serialized (into per-peer reusable buffers), sent to the owning
-// ranks and reset to reset. Local computation that touches only owned
-// entries of v may run between Begin and End — the overlap window the
-// planned vector assembly uses to hide the exchange behind its
-// owned-segment gather. Collective with GhostWriteEnd.
-func (m *Mesh) GhostWriteBegin(v []float64, ndof int, reset float64) {
 	c := m.Comm
 	if c.Size() == 1 {
 		return
@@ -102,21 +97,6 @@ func (m *Mesh) GhostWriteBegin(v []float64, ndof int, reset float64) {
 			}
 		}
 		par.SendSlice(c, pl.rank, tagGhostWrite, buf)
-	}
-}
-
-// GhostWriteEnd completes a ghost write started by GhostWriteBegin,
-// combining each incoming contribution into the owner's value with op.
-// Batches are applied in ascending source-rank order regardless of
-// arrival (sendTo is rank-sorted), so accumulating writes are
-// deterministic — the same discipline the assembler's off-process matrix
-// flush uses, required for sharded RHS assembly to be bitwise
-// reproducible. The trailing barrier lets every rank safely reuse its
-// send buffers in the next exchange.
-func (m *Mesh) GhostWriteEnd(v []float64, ndof int, op func(own, in float64) float64) {
-	c := m.Comm
-	if c.Size() == 1 {
-		return
 	}
 	if len(m.gwRecv) != len(m.sendTo) {
 		m.gwRecv = make([][]float64, len(m.sendTo))

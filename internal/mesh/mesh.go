@@ -88,7 +88,7 @@ type Mesh struct {
 	hasOwnSpl bool
 
 	// gwRecv parks received ghost-write batches until all peers have
-	// arrived, so GhostWriteEnd can combine them in rank order (reused
+	// arrived, so GhostWrite can combine them in rank order (reused
 	// across exchanges).
 	gwRecv [][]float64
 

@@ -48,7 +48,7 @@ type evalPeer struct {
 // Determinism: every per-rank loop is serial and in fixed order, remote
 // contributions are combined in ascending source-rank order, and the
 // trailing ghost combine uses the mesh's deterministic GhostWrite — so
-// results are bitwise reproducible and independent of any worker pool.
+// results are bitwise reproducible.
 type Transfer struct {
 	src *mesh.Mesh
 	// Locally answerable targets: target index, containing source element,
@@ -262,7 +262,7 @@ func cornerWeight(f float64, bit int) float64 {
 // Eval evaluates the source field (ndof dofs per node, full local source
 // vector) at every target point: dst[tgt*ndof+d] is overwritten. When
 // ghosted is false the source ghost segment is refreshed first.
-// Collective; deterministic and worker-independent.
+// Collective; deterministic.
 func (t *Transfer) Eval(src []float64, ndof int, dst []float64, ghosted bool) {
 	m := t.src
 	c := m.Comm

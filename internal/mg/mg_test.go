@@ -149,12 +149,9 @@ func TestTransferTranspose(t *testing.T) {
 	}
 }
 
-// testOperator assembles M + K with unit coefficients on mesh m, pinned
-// to one assembly worker so the operator values are identical for every
-// pool configuration.
+// testOperator assembles M + K with unit coefficients on mesh m.
 func testOperator(m *mesh.Mesh) *la.BSRMat {
 	asm := fem.NewAssembler(m, 1)
-	asm.SetWorkers(1)
 	mat := asm.NewMatrix(fem.LayoutAIJ)
 	asm.AssembleMatrix(mat, fem.LayoutAIJ, func(w, e int, h float64, ke []float64) {
 		asm.Ref.Mass(h, 1, ke)
@@ -180,66 +177,6 @@ func testConfig() Config {
 			}
 			lvl.Asm.AssembleMatrix(lvl.Mat, fem.LayoutAIJ, kern)
 		},
-	}
-}
-
-// TestVCycleWorkerBitwise: one V-cycle application is bitwise identical
-// for any worker-pool size at every rank count — only the shard-canonical
-// SpMV uses the pool, so parallelism inside a rank never perturbs the
-// preconditioner (the same discipline the stage assembly follows).
-func TestVCycleWorkerBitwise(t *testing.T) {
-	run := func(ranks, nw int) map[mesh.NodeKey]float64 {
-		out := map[mesh.NodeKey]float64{}
-		par.Run(ranks, func(c *par.Comm) {
-			m := gradedMesh(c, 2, 2, 5)
-			h := NewHierarchy(m, HierarchyOptions{})
-			mat := testOperator(m)
-			pool := par.NewPool(nw)
-			defer pool.Close()
-			mat.SetPool(pool)
-			g := NewPCGMG(h, pool, testConfig())
-			g.SetFineOperator(mat)
-			g.Refresh()
-			r := m.NewVec(1)
-			for i := 0; i < m.NumOwned; i++ {
-				x, y, _ := m.NodeCoord(i)
-				r[i] = math.Sin(13*x)*math.Cos(9*y) + x - y
-			}
-			z := m.NewVec(1)
-			g.Apply(r[:m.NumOwned], z[:m.NumOwned])
-			type kv struct {
-				K mesh.NodeKey
-				V float64
-			}
-			var local []kv
-			for i := 0; i < m.NumOwned; i++ {
-				local = append(local, kv{m.Keys[i], z[i]})
-			}
-			all := par.Allgatherv(c, local)
-			if c.Rank() == 0 {
-				for _, e := range all {
-					out[e.K] = e.V
-				}
-			}
-		})
-		return out
-	}
-	for _, ranks := range []int{1, 2, 4} {
-		base := run(ranks, 1)
-		if len(base) == 0 {
-			t.Fatal("no output collected")
-		}
-		for _, nw := range []int{2, 4} {
-			got := run(ranks, nw)
-			if len(got) != len(base) {
-				t.Fatalf("ranks=%d nw=%d: node sets differ", ranks, nw)
-			}
-			for k, v := range base {
-				if got[k] != v {
-					t.Fatalf("ranks=%d nw=%d node %v: serial %v sharded %v (not bitwise)", ranks, nw, k, v, got[k])
-				}
-			}
-		}
 	}
 }
 

@@ -32,9 +32,8 @@ type Config struct {
 	// Assemble fills lvl.Mat (already allocated/zeroed: the scalar A, on
 	// the level's one-dof-per-node assembler in fem.LayoutAIJ) from
 	// lvl.Coef on a coarse level, including the level's boundary-condition
-	// row edits. It runs serially per rank (the level assemblers are
-	// pinned to one worker so reassembly is bitwise reproducible at any
-	// pool size).
+	// row edits. It runs serially per rank, so a kernel may keep one
+	// scratch per level in Level.Scratch.
 	Assemble func(lvl *Level)
 	// BoundaryDirichlet masks domain-boundary rows in the inter-level
 	// transfers (restricted residuals and prolonged corrections), for
@@ -77,23 +76,20 @@ type Level struct {
 // operator is the stage's own matrix (SetFineOperator); coarse operators
 // are reassembled from injected coefficients on every Refresh. Apply runs
 // a single V-cycle with fixed sweep counts and no inner reductions, so it
-// is a fixed linear operator, collective-consistent at any rank count,
-// and bitwise independent of the worker-pool size (only the already
-// shard-canonical SpMV uses the pool; smoothing, transfers and vector
-// updates are serial per rank).
+// is a fixed linear operator, collective-consistent at any rank count.
 type PCGMG struct {
-	h    *Hierarchy
-	cfg  Config
-	pool *par.Pool
-	lv   []*Level
+	h   *Hierarchy
+	cfg Config
+	lv  []*Level
 }
 
-// NewPCGMG builds the per-level state over an existing hierarchy. pool
-// (may be nil) is attached to the level operators for sharded SpMV; level
-// assembly itself is pinned serial for reproducibility. Collective (level
-// mesh vector setup only — no communication).
+// NewPCGMG builds the per-level state over an existing hierarchy.
+// Collective (level mesh vector setup only — no communication).
+//
+// The pool parameter is deprecated and not read: it stays because
+// benchmark/probes.go passes it, and every caller passes nil.
 func NewPCGMG(h *Hierarchy, pool *par.Pool, cfg Config) *PCGMG {
-	p := &PCGMG{h: h, cfg: cfg, pool: pool}
+	p := &PCGMG{h: h, cfg: cfg}
 	for l, m := range h.Meshes {
 		p.lv = append(p.lv, p.newLevel(l, m))
 	}
@@ -113,13 +109,6 @@ func (p *PCGMG) newLevel(l int, m *mesh.Mesh) *Level {
 		}
 	} else {
 		lvl.Asm = fem.NewAssembler(m, 1)
-		// One worker: the level kernels (Config.Assemble) keep a single
-		// scratch per level in Level.Scratch, not one per worker. The
-		// assembly order is the same on every route either way.
-		lvl.Asm.SetWorkers(1)
-		if p.pool != nil {
-			lvl.Asm.SetPool(p.pool)
-		}
 		for i, cf := range cfg.Coefs {
 			lvl.Coef[i] = m.NewVec(cf.Ndof)
 		}

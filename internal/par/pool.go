@@ -5,16 +5,16 @@ import (
 	"sync"
 )
 
-// Pool is a fixed-size worker pool for sharded numerical kernels: SpMV,
-// dot products, axpy-family updates and warm matrix assembly all dispatch
-// onto the same set of long-lived workers, so a steady-state time step
-// pays goroutine startup cost exactly once per solver instead of once per
-// operation. Worker 0 is the calling goroutine itself, which keeps the
-// single-worker pool completely free of scheduling.
+// Pool is a fixed-size pool of long-lived workers that Run dispatches one
+// function to, each call paying no goroutine startup. Worker 0 is the
+// calling goroutine itself, which keeps the single-worker pool completely
+// free of scheduling. No production kernel runs on a pool — each rank
+// runs its kernels on its own goroutine; the benchmark's
+// par.pool_dispatch_us probe measures the dispatch.
 //
-// Run is not reentrant: a kernel running on the pool must not call Run on
-// the same pool again. Kernels receive their worker index and derive their
-// shard from it, the same contract as fem.Assembler's element-loop shards.
+// Run is not reentrant: a function running on the pool must not call Run
+// on the same pool again. It receives its worker index and derives its
+// share of the work from it.
 type Pool struct {
 	n     int
 	tasks []chan func(int)
@@ -70,13 +70,6 @@ func poolWorker(w int, tasks <-chan func(int), done chan<- struct{}, stop <-chan
 
 // Workers returns the worker count kernels must size their shards for.
 func (p *Pool) Workers() int { return p.n }
-
-// Shard returns the half-open item range [lo, hi) of shard w out of nw
-// over n items — the canonical block partition every sharded kernel
-// (element loops, merges, vector gathers) derives from its worker index.
-func Shard(w, nw, n int) (lo, hi int) {
-	return w * n / nw, (w + 1) * n / nw
-}
 
 // Run invokes f(w) for every worker index w in [0, Workers()) and returns
 // when all have finished. f runs on the caller for w == 0. Dispatch is

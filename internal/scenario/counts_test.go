@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"proteus/internal/par"
@@ -21,7 +20,7 @@ type smokeCounts struct {
 }
 
 // pinnedSmokeCounts holds the counts per scenario and rank count, recorded
-// at one worker per rank on amd64 (where Go does not fuse multiply-adds).
+// on amd64 (where Go does not fuse multiply-adds).
 var pinnedSmokeCounts = map[string]map[int]smokeCounts{
 	"bubble": {
 		1: {newton: 24, jacobians: 18, chords: 6, ch: 38, ns: 16, pp: 97, vu: 156, rounds: 3, incr: 1, elems: 184},
@@ -50,20 +49,17 @@ var pinnedSmokeCounts = map[string]map[int]smokeCounts{
 }
 
 // TestSmokeCountsPinned runs every registered scenario's smoke preset for 8
-// steps on 1 and 2 ranks, at one worker per rank, and compares the run's
-// counts with the pinned constants exactly. The counts are deterministic at
-// a fixed rank and worker count (the fields are bitwise so), so a pin needs
-// no tolerance: any drift is a change of the numerics and has to be made on
-// purpose, with the pin updated in the same change. The worker count is
-// fixed because fields agree only to roundoff across worker counts, and a
-// Jacobi-preconditioned PP solve turns roundoff into iterations.
+// steps on 1 and 2 ranks and compares the run's counts with the pinned
+// constants exactly. The counts are deterministic at a fixed rank count,
+// under any GOMAXPROCS (the fields are bitwise so), so a pin needs no
+// tolerance: any drift is a change of the numerics and has to be made on
+// purpose, with the pin updated in the same change.
 func TestSmokeCountsPinned(t *testing.T) {
 	for _, name := range Names() {
 		sc, _ := Get(name)
 		for _, ranks := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/r%d", name, ranks), func(t *testing.T) {
 				want, ok := pinnedSmokeCounts[name][ranks]
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(ranks))
 				got := make([]smokeCounts, ranks)
 				par.Run(ranks, func(c *par.Comm) {
 					sim := sc.New(c, Smoke)
