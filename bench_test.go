@@ -1,10 +1,15 @@
-// Package proteus_test regenerates every table and figure of Saurabh et
-// al. (IPDPS 2023) as Go benchmarks. Absolute numbers reflect the
-// in-process runtime on a laptop-scale problem, not TACC Frontera; the
-// shapes — which variant wins, by roughly what factor, and where the
-// crossovers fall — are the reproduction targets (see EXPERIMENTS.md).
-// Table I's matrix columns live next to the solver, in internal/chns's
-// BenchmarkTableI.
+// Package proteus_test holds the whole-pipeline benchmarks of Saurabh et
+// al. (IPDPS 2023): Figs. 5, 6, 7 and 9, Table II, the remesh pipeline
+// and the post-remesh solves. Absolute numbers reflect the in-process
+// runtime on a laptop-scale problem, not TACC Frontera; the shapes — which
+// variant wins, by roughly what factor, and where the crossovers fall —
+// are the reproduction targets (see EXPERIMENTS.md). Each benchmark that
+// measures one package's algorithm against its paper baseline lives next
+// to that package, with the baseline in the same _test.go file: Table I's
+// matrix columns in internal/chns, its Remesh row and the batched
+// transfer in internal/transfer, the refine/coarsen ablation in
+// internal/octree, the distributed sort in internal/dsort, and the
+// communicator split and sparse exchange in internal/par.
 //
 //	go test -bench=. -benchmem
 package proteus_test
@@ -12,163 +17,22 @@ package proteus_test
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
 	"proteus/internal/chns"
 	"proteus/internal/core"
-	"proteus/internal/dsort"
 	"proteus/internal/mesh"
 	"proteus/internal/octree"
 	"proteus/internal/par"
 	"proteus/internal/sfc"
-	"proteus/internal/transfer"
 )
 
 // ---------------------------------------------------------------------------
-// Table I — the matrix columns (baseline AIJ + coupled VU, stage 1 BAIJ +
-// split VU, stage 2 zipped GEMM) are internal/chns's BenchmarkTableI, one
-// sub-benchmark per stage and layout; the Remesh row follows.
+// Remesh pipeline — the Table I "Remesh" column / Fig. 7 treatment: the
+// full remesh round with its detect/refine/coarsen/balance/partition/
+// build/transfer split.
 // ---------------------------------------------------------------------------
-
-// bubbleSim is a 3D rising bubble (Table II) with the given NS/PP
-// preconditioner ("" = the bjacobi default).
-func bubbleSim(c *par.Comm, pc string) *core.Simulation {
-	p := chns.DefaultParams()
-	p.Cn = 0.1
-	p.Fr = 0.5
-	opt := chns.DefaultOptions(1e-3)
-	opt.PCNS, opt.PCPP = pc, pc
-	cfg := core.Config{
-		Dim: 3, Params: p, Opt: opt,
-		BulkLevel: 2, InterfaceLevel: 3, // scaled from the paper's 6/11
-		RemeshEvery: 1 << 30, // remesh benchmarked separately
-	}
-	return core.New(c, cfg, func(x, y, z float64) float64 {
-		r := math.Sqrt((x-0.5)*(x-0.5) + (y-0.5)*(y-0.5) + (z-0.4)*(z-0.4))
-		return chns.EquilibriumProfile(r-0.2, p.Cn)
-	})
-}
-
-// Table I "Remesh" row: multi-level versus level-by-level remeshing with
-// inter-grid transfer across a 3-level jump.
-func BenchmarkTableI_RemeshMultiLevel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		par.Run(1, func(c *par.Comm) {
-			mOld := mesh.New(c, 2, octree.Uniform(2, 3).Leaves)
-			v := mOld.NewVec(1)
-			for j := range v {
-				v[j] = float64(j)
-			}
-			newTree := octree.Uniform(2, 6)
-			mNew := mesh.New(c, 2, newTree.Leaves)
-			transfer.Nodal(mOld, v, mNew, 1)
-		})
-	}
-}
-
-func BenchmarkTableI_RemeshLevelByLevel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		par.Run(1, func(c *par.Comm) {
-			mOld := mesh.New(c, 2, octree.Uniform(2, 3).Leaves)
-			v := mOld.NewVec(1)
-			for j := range v {
-				v[j] = float64(j)
-			}
-			newTree := octree.Uniform(2, 6)
-			transfer.NodalLevelByLevel(mOld, v, newTree, 1)
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Remesh persistence — the Table I "Remesh" column / Fig. 7 treatment
-// (PR 3): the batched single-round transfer versus the sequential
-// per-field Nodal baseline, and the full remesh pipeline with its
-// detect/refine/coarsen/balance/partition/build/transfer split.
-// ---------------------------------------------------------------------------
-
-// remeshDiscTree refines inside a disc to `fine`, `base` elsewhere.
-func remeshDiscTree(base, fine int, cx, cy, r float64) *octree.Tree {
-	return octree.Build(2, func(o sfc.Octant) bool {
-		if int(o.Level) < base {
-			return true
-		}
-		if int(o.Level) >= fine {
-			return false
-		}
-		s := float64(o.Side()) / float64(sfc.MaxCoord)
-		x := float64(o.X)/float64(sfc.MaxCoord) + s/2
-		y := float64(o.Y)/float64(sfc.MaxCoord) + s/2
-		return math.Hypot(x-cx, y-cy) < r
-	}, fine, nil).Balance21(nil)
-}
-
-// transferTime moves the full CHNS field set (PhiMu 2-dof, Vel 2-dof,
-// P 1-dof) between two adaptive grids, batched or per-field sequential.
-func transferTime(p int, batched bool, reps int) time.Duration {
-	var dt time.Duration
-	par.Run(p, func(c *par.Comm) {
-		oldT := remeshDiscTree(4, 7, 0.35, 0.35, 0.2)
-		newT := remeshDiscTree(4, 7, 0.6, 0.6, 0.2)
-		scatter := func(t *octree.Tree) []sfc.Octant {
-			n := t.Len()
-			lo, hi := c.Rank()*n/p, (c.Rank()+1)*n/p
-			out := make([]sfc.Octant, hi-lo)
-			copy(out, t.Leaves[lo:hi])
-			return out
-		}
-		mOld := mesh.New(c, 2, scatter(oldT))
-		mNew := mesh.New(c, 2, scatter(newT))
-		phiMu, vel, pr := mOld.NewVec(2), mOld.NewVec(2), mOld.NewVec(1)
-		for i := 0; i < mOld.NumLocal; i++ {
-			x, y, _ := mOld.NodeCoord(i)
-			phiMu[2*i] = math.Tanh(20 * (math.Hypot(x-0.35, y-0.35) - 0.2))
-			phiMu[2*i+1] = math.Sin(3 * x)
-			vel[2*i], vel[2*i+1] = y, -x
-			pr[i] = x + y
-		}
-		ws := &transfer.Workspace{}
-		c.Barrier()
-		t0 := time.Now()
-		for r := 0; r < reps; r++ {
-			if batched {
-				dPhiMu, dVel, dP := mNew.NewVec(2), mNew.NewVec(2), mNew.NewVec(1)
-				transfer.Batch(mOld, mNew, []transfer.Field{
-					{Src: phiMu, Dst: dPhiMu, Ndof: 2},
-					{Src: vel, Dst: dVel, Ndof: 2},
-					{Src: pr, Dst: dP, Ndof: 1},
-				}, ws)
-			} else {
-				transfer.Nodal(mOld, phiMu, mNew, 2)
-				transfer.Nodal(mOld, vel, mNew, 2)
-				transfer.Nodal(mOld, pr, mNew, 1)
-			}
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			dt = time.Since(t0) / time.Duration(reps)
-		}
-	})
-	return dt
-}
-
-func BenchmarkTransferBatched(b *testing.B) {
-	var dt time.Duration
-	for i := 0; i < b.N; i++ {
-		dt = transferTime(4, true, 3)
-	}
-	b.ReportMetric(float64(dt.Microseconds())/1000, "transfer-ms")
-}
-
-func BenchmarkTransferSequential(b *testing.B) {
-	var dt time.Duration
-	for i := 0; i < b.N; i++ {
-		dt = transferTime(4, false, 3)
-	}
-	b.ReportMetric(float64(dt.Microseconds())/1000, "transfer-ms")
-}
 
 // benchRemeshPipeline drives a remesh-every-step swirling-drop run and
 // reports the per-round remesh wall-clock split into its pipeline stages,
@@ -290,6 +154,25 @@ func BenchmarkPostRemeshSolve_Cold(b *testing.B) { benchPostRemeshSolve(b, false
 // configuration statement; this benchmark verifies each configured pair
 // converges on its stage's system and reports the iteration counts.
 // ---------------------------------------------------------------------------
+
+// bubbleSim is a 3D rising bubble (Table II) with the given NS/PP
+// preconditioner ("" = the bjacobi default).
+func bubbleSim(c *par.Comm, pc string) *core.Simulation {
+	p := chns.DefaultParams()
+	p.Cn = 0.1
+	p.Fr = 0.5
+	opt := chns.DefaultOptions(1e-3)
+	opt.PCNS, opt.PCPP = pc, pc
+	cfg := core.Config{
+		Dim: 3, Params: p, Opt: opt,
+		BulkLevel: 2, InterfaceLevel: 3, // scaled from the paper's 6/11
+		RemeshEvery: 1 << 30, // remesh benchmarked separately
+	}
+	return core.New(c, cfg, func(x, y, z float64) float64 {
+		r := math.Sqrt((x-0.5)*(x-0.5) + (y-0.5)*(y-0.5) + (z-0.4)*(z-0.4))
+		return chns.EquilibriumProfile(r-0.2, p.Cn)
+	})
+}
 
 func benchTableII(b *testing.B, pc string) {
 	var ks map[string]core.IterStats
@@ -536,149 +419,4 @@ func BenchmarkFig9_LevelHistogram(b *testing.B) {
 		}
 	}
 	b.ReportMetric(volFinest*100, "finest-volume-pct")
-}
-
-// ---------------------------------------------------------------------------
-// Sec. II-C3a — distributed octree key sort: staged k-way versus flat.
-// ---------------------------------------------------------------------------
-
-func benchSort(b *testing.B, flat bool) {
-	// Enough ranks for the staged exchange's O(k + p/k) messages per rank
-	// to beat the flat O(p); the paper's crossover is at tens of
-	// thousands of cores, the in-process one is around p ~ 32.
-	const p = 64
-	var msgs int64
-	for i := 0; i < b.N; i++ {
-		par.Run(p, func(c *par.Comm) {
-			rng := rand.New(rand.NewSource(int64(c.Rank())))
-			local := make([]sfc.Octant, 2000)
-			for j := range local {
-				o := sfc.Root(3)
-				for l := 0; l < 6; l++ {
-					o = o.Child(rng.Intn(8))
-				}
-				local[j] = o
-			}
-			before := c.Stats().Messages.Load()
-			dsort.Sort(c, local, sfc.Less, dsort.Options{KWay: 8, Flat: flat})
-			if c.Rank() == 0 {
-				msgs = c.Stats().Messages.Load() - before
-			}
-		})
-	}
-	b.ReportMetric(float64(msgs), "messages")
-}
-
-func BenchmarkSort_StagedKWay(b *testing.B) { benchSort(b, false) }
-func BenchmarkSort_Flat(b *testing.B)       { benchSort(b, true) }
-
-// ---------------------------------------------------------------------------
-// Sec. II-C3b — memoized communicator splitting.
-// ---------------------------------------------------------------------------
-
-func BenchmarkCommSplit_Uncached(b *testing.B) {
-	par.Run(8, func(c *par.Comm) {
-		for i := 0; i < b.N; i++ {
-			c.CommSplit(c.Rank()%2, c.Rank())
-		}
-	})
-}
-
-func BenchmarkCommSplit_Cached(b *testing.B) {
-	par.Run(8, func(c *par.Comm) {
-		for i := 0; i < b.N; i++ {
-			c.CommSplitCached("bench", c.Rank()%2, c.Rank())
-		}
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Sec. II-C3c — NBX sparse exchange versus the raw Alltoall count
-// exchange: message volume for a sparse neighbour pattern.
-// ---------------------------------------------------------------------------
-
-func benchSparseExchange(b *testing.B, nbx bool) {
-	const p = 16
-	var msgs int64
-	for i := 0; i < b.N; i++ {
-		par.Run(p, func(c *par.Comm) {
-			dests := []int{(c.Rank() + 1) % p, (c.Rank() + p - 1) % p}
-			bufs := [][]float64{make([]float64, 64), make([]float64, 64)}
-			before := c.Stats().Messages.Load()
-			if nbx {
-				par.NBXExchange(c, dests, bufs)
-			} else {
-				par.AlltoallvCounted(c, dests, bufs)
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				msgs = c.Stats().Messages.Load() - before
-			}
-		})
-	}
-	b.ReportMetric(float64(msgs), "messages")
-}
-
-func BenchmarkSparseExchange_NBX(b *testing.B)      { benchSparseExchange(b, true) }
-func BenchmarkSparseExchange_Alltoall(b *testing.B) { benchSparseExchange(b, false) }
-
-// ---------------------------------------------------------------------------
-// Sec. II-C1 ablation — multi-level vs level-by-level refinement and
-// coarsening (tree operations only; transfer measured in Table I Remesh).
-// ---------------------------------------------------------------------------
-
-func deepTargets(t *octree.Tree, jump int) []int {
-	targets := make([]int, t.Len())
-	for i, o := range t.Leaves {
-		targets[i] = int(o.Level)
-		s := float64(o.Side()) / float64(sfc.MaxCoord)
-		x := float64(o.X)/float64(sfc.MaxCoord) + s/2
-		y := float64(o.Y)/float64(sfc.MaxCoord) + s/2
-		if math.Hypot(x-0.5, y-0.5) < 0.2 {
-			targets[i] = int(o.Level) + jump
-		}
-	}
-	return targets
-}
-
-func BenchmarkRefine_MultiLevel(b *testing.B) {
-	tr := octree.Uniform(2, 5)
-	targets := deepTargets(tr, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Refine(targets, nil)
-	}
-}
-
-func BenchmarkRefine_LevelByLevel(b *testing.B) {
-	tr := octree.Uniform(2, 5)
-	targets := deepTargets(tr, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.RefineLevelByLevel(targets, nil)
-	}
-}
-
-func BenchmarkCoarsen_MultiLevel(b *testing.B) {
-	fine := octree.Uniform(2, 8)
-	targets := make([]int, fine.Len())
-	for i := range targets {
-		targets[i] = 4
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fine.Coarsen(targets)
-	}
-}
-
-func BenchmarkCoarsen_LevelByLevel(b *testing.B) {
-	fine := octree.Uniform(2, 8)
-	targets := make([]int, fine.Len())
-	for i := range targets {
-		targets[i] = 4
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fine.CoarsenLevelByLevel(targets)
-	}
 }

@@ -10,45 +10,6 @@
 // 2D quad and 3D hex NPE x NPE products) are register-blocked.
 package blas
 
-// Dgemm computes C = alpha*A*B + beta*C for row-major dense matrices:
-// A is m x k, B is k x n, C is m x n.
-func Dgemm(m, n, k int, alpha float64, a []float64, b []float64, beta float64, c []float64) {
-	if beta != 1 {
-		if beta == 0 {
-			for i := range c[:m*n] {
-				c[i] = 0
-			}
-		} else {
-			for i := range c[:m*n] {
-				c[i] *= beta
-			}
-		}
-	}
-	// i-k-j loop order with a hoisted scalar keeps B and C accesses
-	// sequential; the 4-wide unrolling on j only trims loop overhead and
-	// bounds checks (scalar code, C updated through memory).
-	for i := 0; i < m; i++ {
-		ci := c[i*n : i*n+n]
-		for l := 0; l < k; l++ {
-			s := alpha * a[i*k+l]
-			if s == 0 {
-				continue
-			}
-			bl := b[l*n : l*n+n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				ci[j] += s * bl[j]
-				ci[j+1] += s * bl[j+1]
-				ci[j+2] += s * bl[j+2]
-				ci[j+3] += s * bl[j+3]
-			}
-			for ; j < n; j++ {
-				ci[j] += s * bl[j]
-			}
-		}
-	}
-}
-
 // DgemmTA computes C = alpha*A^T*B + beta*C where A is k x m (so A^T is
 // m x k), B is k x n, C is m x n, all row-major. The element-block shapes
 // (alpha 1, beta 0, m = n in {4, 8}) go to register-blocked kernels that
@@ -165,32 +126,6 @@ func Dgemv(m, n int, alpha float64, a []float64, x []float64, beta float64, y []
 			y[i] = alpha * s
 		} else {
 			y[i] = beta*y[i] + alpha*s
-		}
-	}
-}
-
-// DgemvT computes y = alpha*A^T*x + beta*y for row-major A (m x n),
-// y of length n, x of length m.
-func DgemvT(m, n int, alpha float64, a []float64, x []float64, beta float64, y []float64) {
-	if beta != 1 {
-		if beta == 0 {
-			for i := range y[:n] {
-				y[i] = 0
-			}
-		} else {
-			for i := range y[:n] {
-				y[i] *= beta
-			}
-		}
-	}
-	for i := 0; i < m; i++ {
-		s := alpha * x[i]
-		if s == 0 {
-			continue
-		}
-		ai := a[i*n : i*n+n]
-		for j, v := range ai {
-			y[j] += s * v
 		}
 	}
 }

@@ -30,17 +30,35 @@ func randSlice(r *rand.Rand, n int) []float64 {
 	return s
 }
 
+// transpose returns the m x k transpose of the k x m row-major matrix a.
+func transpose(a []float64, k, m int) []float64 {
+	at := make([]float64, m*k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < m; j++ {
+			at[j*k+i] = a[i*m+j]
+		}
+	}
+	return at
+}
+
+// TestDgemmMatchesNaive checks DgemmTA against the naive triple loop at
+// random alpha and beta, and at the alpha 1, beta 0, m = n in {4, 8}
+// shapes its register-blocked kernels take.
 func TestDgemmMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 200; iter++ {
 		m, n, k := 1+r.Intn(9), 1+r.Intn(9), 1+r.Intn(9)
-		a := randSlice(r, m*k)
+		alpha, beta := r.NormFloat64(), r.NormFloat64()
+		if iter%2 == 0 {
+			m, alpha, beta = []int{4, 8}[iter%4/2], 1, 0
+			n = m
+		}
+		a := randSlice(r, k*m)
 		b := randSlice(r, k*n)
 		c := randSlice(r, m*n)
-		alpha, beta := r.NormFloat64(), r.NormFloat64()
-		want := naiveGemm(m, n, k, alpha, a, b, beta, c)
+		want := naiveGemm(m, n, k, alpha, transpose(a, k, m), b, beta, c)
 		got := append([]float64(nil), c...)
-		Dgemm(m, n, k, alpha, a, b, beta, got)
+		DgemmTA(m, n, k, alpha, a, b, beta, got)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-11 {
 				t.Fatalf("m=%d n=%d k=%d entry %d: got %v want %v", m, n, k, i, got[i], want[i])
@@ -56,13 +74,7 @@ func TestDgemmTAMatchesTransposedNaive(t *testing.T) {
 		a := randSlice(r, k*m) // A is k x m, we multiply A^T (m x k)
 		b := randSlice(r, k*n)
 		c := randSlice(r, m*n)
-		at := make([]float64, m*k)
-		for i := 0; i < k; i++ {
-			for j := 0; j < m; j++ {
-				at[j*k+i] = a[i*m+j]
-			}
-		}
-		want := naiveGemm(m, n, k, 1.5, at, b, 0.5, c)
+		want := naiveGemm(m, n, k, 1.5, transpose(a, k, m), b, 0.5, c)
 		got := append([]float64(nil), c...)
 		DgemmTA(m, n, k, 1.5, a, b, 0.5, got)
 		for i := range want {
@@ -74,6 +86,7 @@ func TestDgemmTAMatchesTransposedNaive(t *testing.T) {
 }
 
 func TestDgemvAndTranspose(t *testing.T) {
+	// y = alpha*A*x + beta*y; the A^T x form is DgemmTA with n = 1.
 	r := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 200; iter++ {
 		m, n := 1+r.Intn(12), 1+r.Intn(12)
@@ -106,10 +119,10 @@ func TestDgemvAndTranspose(t *testing.T) {
 			want2[j] = s
 		}
 		got2 := make([]float64, n)
-		DgemvT(m, n, 1, a, x2, 0, got2)
+		DgemmTA(n, 1, m, 1, a, x2, 0, got2)
 		for j := range want2 {
 			if math.Abs(got2[j]-want2[j]) > 1e-11 {
-				t.Fatalf("gemvT entry %d: got %v want %v", j, got2[j], want2[j])
+				t.Fatalf("A^T x entry %d: got %v want %v", j, got2[j], want2[j])
 			}
 		}
 	}
@@ -117,29 +130,39 @@ func TestDgemvAndTranspose(t *testing.T) {
 
 func TestDgemmBetaZeroOverwritesGarbage(t *testing.T) {
 	c := []float64{math.NaN(), math.NaN()}
-	Dgemm(1, 2, 1, 1, []float64{1}, []float64{2, 3}, 0, c)
+	DgemmTA(1, 2, 1, 1, []float64{1}, []float64{2, 3}, 0, c)
 	if c[0] != 2 || c[1] != 3 {
 		t.Fatalf("beta=0 must ignore prior contents: %v", c)
+	}
+	c = make([]float64, 16)
+	for i := range c {
+		c[i] = math.NaN()
+	}
+	DgemmTA(4, 4, 1, 1, make([]float64, 4), make([]float64, 4), 0, c)
+	for i, v := range c {
+		if v != 0 {
+			t.Fatalf("beta=0 kernel shape: c[%d] = %v, want 0", i, v)
+		}
 	}
 }
 
 func TestDgemmLinearity(t *testing.T) {
-	// Property: Dgemm is linear in A.
+	// Property: DgemmTA is linear in A.
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m, n, k := 2+r.Intn(4), 2+r.Intn(4), 2+r.Intn(4)
-		a1 := randSlice(r, m*k)
-		a2 := randSlice(r, m*k)
+		a1 := randSlice(r, k*m)
+		a2 := randSlice(r, k*m)
 		b := randSlice(r, k*n)
-		sum := make([]float64, m*k)
+		sum := make([]float64, k*m)
 		for i := range sum {
 			sum[i] = a1[i] + a2[i]
 		}
 		c1 := make([]float64, m*n)
-		Dgemm(m, n, k, 1, a1, b, 0, c1)
-		Dgemm(m, n, k, 1, a2, b, 1, c1)
+		DgemmTA(m, n, k, 1, a1, b, 0, c1)
+		DgemmTA(m, n, k, 1, a2, b, 1, c1)
 		c2 := make([]float64, m*n)
-		Dgemm(m, n, k, 1, sum, b, 0, c2)
+		DgemmTA(m, n, k, 1, sum, b, 0, c2)
 		for i := range c1 {
 			if math.Abs(c1[i]-c2[i]) > 1e-10 {
 				return false

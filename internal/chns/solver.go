@@ -509,21 +509,15 @@ func (s *Solver) SetVelocity(f func(x, y, z float64) (vx, vy, vz float64)) {
 // PhiMass returns the global integral of φ (a conserved quantity of the
 // CH equation with no-flux boundaries), evaluated with the lumped mass.
 func (s *Solver) PhiMass() float64 {
-	lump := s.lumpedMass()
+	lump := s.M.NewVec(1)
+	s.asmS.AssembleVectorPlanned(lump, func(w, e int, h float64, fe []float64) {
+		s.asmS.Ref.LoadVector(h, s.lumpOnes, 1, fe)
+	})
 	var sum float64
 	for i := 0; i < s.M.NumOwned; i++ {
 		sum += lump[i] * s.PhiMu[2*i]
 	}
 	return s.M.GlobalSum(sum)
-}
-
-// lumpedMass returns the nodal lumped mass vector (owned+ghost).
-func (s *Solver) lumpedMass() []float64 {
-	v := s.M.NewVec(1)
-	s.asmS.AssembleVectorPlanned(v, func(w, e int, h float64, fe []float64) {
-		s.asmS.Ref.LoadVector(h, s.lumpOnes, 1, fe)
-	})
-	return v
 }
 
 // Step advances one full time block: CH, NS, PP, VU (Sec. II-A). The

@@ -1,7 +1,6 @@
 package chns
 
 import (
-	"math"
 	"time"
 )
 
@@ -98,38 +97,6 @@ func (s *Solver) StepVU(psi []float64) (StageReport, error) {
 	s.pokeNaN(StageVU, s.Vel)
 	bad := s.scanBad(s.Vel, dim*m.NumOwned) | s.scanBad(s.P, m.NumOwned)
 	return rep, s.checkFinite(StageVU, bad, rep.Result)
-}
-
-// DivergenceL2 returns the global L2 norm of ∇·v, the quantity the
-// projection step drives down.
-func (s *Solver) DivergenceL2() float64 {
-	m := s.M
-	dim := m.Dim
-	r := s.asmS.Ref
-	npe := r.NPE
-	m.GhostRead(s.Vel, dim)
-	velC := make([]float64, npe*dim)
-	comp := make([]float64, npe)
-	var acc float64
-	for e := 0; e < m.NumElems(); e++ {
-		h := s.M.ElemSize(e)
-		m.GatherElem(e, s.Vel, dim, velC)
-		vol := 1.0
-		for d := 0; d < dim; d++ {
-			vol *= h
-		}
-		for g := 0; g < r.NG; g++ {
-			var div float64
-			for d := 0; d < dim; d++ {
-				for a := 0; a < npe; a++ {
-					comp[a] = velC[a*dim+d]
-				}
-				div += r.GradAtGauss(g, d, h, comp)
-			}
-			acc += r.W[g] * vol * div * div
-		}
-	}
-	return math.Sqrt(s.M.GlobalSum(acc))
 }
 
 // kVUMassZip is the velocity-update matrix element kernel (zipped): the

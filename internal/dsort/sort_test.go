@@ -1,23 +1,33 @@
-// Package dsort provides distributed sorting and repartitioning of
-// ordered records over a par.Comm, following the hierarchical k-way staged
-// communication pattern of Sec. II-C3a of Saurabh et al. (IPDPS 2023)
-// (itself in the HykSort family of hypercube exchange sorts): the number
-// of superpartitions is kept below a constant k for each of O(log_k p)
+// Package dsort is the distributed sample sort of Sec. II-C3a of Saurabh
+// et al. (IPDPS 2023), kept as a test-only package for the paper's sort
+// benchmark (BenchmarkSort_StagedKWay against BenchmarkSort_Flat):
+// production leaves are always in SFC order and are repartitioned by
+// octree.PartitionWeighted, so no production binary sorts distributed
+// keys. The staged variant follows the hierarchical k-way pattern (itself
+// in the HykSort family of hypercube exchange sorts): the number of
+// superpartitions is kept below a constant k for each of O(log_k p)
 // stages, splitter-selection storage is O(k) rather than O(p), and the
 // data exchange is staged to avoid the congestion of a flat Alltoallv.
 package dsort
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
+	"testing"
 
 	"proteus/internal/par"
+	"proteus/internal/sfc"
 )
+
+// defaultKWay is the default fan-out of the staged exchange; the paper
+// uses k = 128 so that at most three stages cover 2M processes.
+const defaultKWay = 128
 
 // Options configures a distributed sort.
 type Options struct {
 	// KWay bounds the number of superpartitions per stage. Zero means
-	// par.DefaultKWay (128, as in the paper).
+	// defaultKWay.
 	KWay int
 	// Oversample is the number of splitter samples each rank contributes
 	// per stage. Zero means 4*KWay.
@@ -29,7 +39,7 @@ type Options struct {
 
 func (o Options) kway() int {
 	if o.KWay <= 0 {
-		return par.DefaultKWay
+		return defaultKWay
 	}
 	return o.KWay
 }
@@ -312,3 +322,35 @@ func minI64(a, b int64) int64 {
 	}
 	return b
 }
+
+// benchSort sorts random level-6 octant keys over 64 ranks, staged k-way
+// or flat, and reports the messages rank 0 sent. There are enough ranks
+// for the staged exchange's O(k + p/k) messages per rank to beat the flat
+// O(p); the paper's crossover is at tens of thousands of cores, the
+// in-process one is around p ~ 32.
+func benchSort(b *testing.B, flat bool) {
+	const p = 64
+	var msgs int64
+	for i := 0; i < b.N; i++ {
+		par.Run(p, func(c *par.Comm) {
+			rng := rand.New(rand.NewSource(int64(c.Rank())))
+			local := make([]sfc.Octant, 2000)
+			for j := range local {
+				o := sfc.Root(3)
+				for l := 0; l < 6; l++ {
+					o = o.Child(rng.Intn(8))
+				}
+				local[j] = o
+			}
+			before := c.Stats().Messages.Load()
+			Sort(c, local, sfc.Less, Options{KWay: 8, Flat: flat})
+			if c.Rank() == 0 {
+				msgs = c.Stats().Messages.Load() - before
+			}
+		})
+	}
+	b.ReportMetric(float64(msgs), "messages")
+}
+
+func BenchmarkSort_StagedKWay(b *testing.B) { benchSort(b, false) }
+func BenchmarkSort_Flat(b *testing.B)       { benchSort(b, true) }

@@ -227,21 +227,6 @@ func (in *Injector) Fire(p Point, stage string) bool {
 	return false
 }
 
-// Fired returns the total number of firings recorded at point p.
-// Nil-safe.
-func (in *Injector) Fired(p Point) int {
-	if in == nil {
-		return 0
-	}
-	n := 0
-	for i := range in.faults {
-		if in.faults[i].Point == p {
-			n += in.faults[i].fired
-		}
-	}
-	return n
-}
-
 // String summarizes the schedule with resolved steps, for logs.
 func (in *Injector) String() string {
 	if in == nil || len(in.faults) == 0 {

@@ -2,6 +2,21 @@ package fault
 
 import "testing"
 
+// Fired returns the total number of firings recorded at point p.
+// Nil-safe.
+func (in *Injector) Fired(p Point) int {
+	if in == nil {
+		return 0
+	}
+	n := 0
+	for i := range in.faults {
+		if in.faults[i].Point == p {
+			n += in.faults[i].fired
+		}
+	}
+	return n
+}
+
 // TestNilInjectorIsInert pins the nil-safety contract production paths
 // rely on: every method of a nil *Injector is callable and a no-op.
 func TestNilInjectorIsInert(t *testing.T) {

@@ -55,7 +55,6 @@ type elemScratch struct {
 	blk    []float64
 	wk     *GemmWork
 	fe     []float64 // elemental vector
-	fz     []float64 // zipped elemental vector
 }
 
 // Assembler drives distributed matrix and vector assembly over a mesh.
@@ -91,7 +90,6 @@ func NewAssembler(m *mesh.Mesh, ndof int) *Assembler {
 		blk:    make([]float64, ndof*ndof),
 		wk:     NewGemmWork(r),
 		fe:     make([]float64, nn),
-		fz:     make([]float64, nn),
 	}}
 	for j := range a.scr.blocks {
 		a.scr.blocks[j] = make([]float64, npe*npe)
@@ -122,9 +120,6 @@ func (a *Assembler) Work() *GemmWork { return a.scr.wk }
 //
 // Deprecated: kept because benchmark/probes.go calls it; use Work.
 func (a *Assembler) WorkN(int) *GemmWork { return a.scr.wk }
-
-// Epoch returns the mesh generation the assembler was last rebound to.
-func (a *Assembler) Epoch() uint64 { return a.epoch }
 
 // Plan returns the cached plan for a layout, or nil before the layout's
 // first NewMatrix (or after a Rebind dropped it).
@@ -314,74 +309,29 @@ func (a *Assembler) AssembleVector(v []float64, kern VecKernel) {
 	a.M.GhostWrite(v, a.Ndof, mesh.Add, 0)
 }
 
-// ZippedVecKernel fills the dof-major (zipped) elemental vector
-// fz[d*npe+a].
-type ZippedVecKernel func(e int, h float64, fz []float64)
-
-// AssembleVectorZipped is the stage-2 vector path: kernels produce zipped
-// (dof-contiguous) elemental vectors via DGEMV, which are unzipped before
-// the constraint scatter. Collective.
-func (a *Assembler) AssembleVectorZipped(v []float64, kern ZippedVecKernel) {
-	for i := range v {
-		v[i] = 0
-	}
-	cpe := a.M.CornersPerElem()
-	fz := make([]float64, cpe*a.Ndof)
-	fe := make([]float64, cpe*a.Ndof)
-	for e := 0; e < a.M.NumElems(); e++ {
-		for i := range fz {
-			fz[i] = 0
-		}
-		kern(e, a.M.ElemSize(e), fz)
-		UnzipVec(a.Ndof, cpe, fz, fe)
-		a.M.ScatterAddElem(e, fe, a.Ndof, v)
-	}
-	a.M.GhostWrite(v, a.Ndof, mesh.Add, 0)
-}
-
 // WorkerVecKernel fills the node-major elemental vector fe[a*ndof+d] for
 // element e; w is always 0, as for NodeMajorKernel.
 type WorkerVecKernel func(w, e int, h float64, fe []float64)
-
-// WorkerZippedVecKernel fills the dof-major (zipped) elemental vector
-// fz[d*npe+a] for element e — the stage-2 DGEMV layout, unzipped by the
-// assembler before the constraint scatter; w is always 0.
-type WorkerZippedVecKernel func(w, e int, h float64, fz []float64)
 
 // AssembleVectorPlanned is AssembleVector over the assembler's persistent
 // element scratch: the same element loop and scatter, so the same bits,
 // with zero steady-state allocation. Collective.
 func (a *Assembler) AssembleVectorPlanned(v []float64, kern WorkerVecKernel) {
-	a.assembleVec(v, kern, nil)
+	a.assembleVec(v, kern)
 }
 
-// AssembleVectorZippedPlanned is AssembleVectorZipped over the
-// assembler's persistent element scratch. Collective.
-func (a *Assembler) AssembleVectorZippedPlanned(v []float64, kern WorkerZippedVecKernel) {
-	a.assembleVec(v, nil, kern)
-}
-
-func (a *Assembler) assembleVec(v []float64, kern WorkerVecKernel, zkern WorkerZippedVecKernel) {
+func (a *Assembler) assembleVec(v []float64, kern WorkerVecKernel) {
 	for i := range v {
 		v[i] = 0
 	}
 	m := a.M
-	cpe := m.CornersPerElem()
-	fe, fz := a.scr.fe, a.scr.fz
+	fe := a.scr.fe
 	for e := 0; e < m.NumElems(); e++ {
 		h := m.ElemSize(e)
-		if kern != nil {
-			for i := range fe {
-				fe[i] = 0
-			}
-			kern(0, e, h, fe)
-		} else {
-			for i := range fz {
-				fz[i] = 0
-			}
-			zkern(0, e, h, fz)
-			UnzipVec(a.Ndof, cpe, fz, fe)
+		for i := range fe {
+			fe[i] = 0
 		}
+		kern(0, e, h, fe)
 		m.ScatterAddElem(e, fe, a.Ndof, v)
 	}
 	m.GhostWrite(v, a.Ndof, mesh.Add, 0)

@@ -6,12 +6,55 @@ import (
 	"math/rand"
 	"testing"
 
+	"proteus/internal/blas"
 	"proteus/internal/la"
 	"proteus/internal/mesh"
 	"proteus/internal/octree"
 	"proteus/internal/par"
 	"proteus/internal/sfc"
 )
+
+// The reference-element oracles: the direct evaluation of the shape
+// functions and the quadrature-loop form of GradDotMassGemm.
+
+// GradDotMass accumulates ∫ (∇N_a · w) N_b dV with the vector field w given
+// at Gauss points, wG[g*Dim+d]. With w = ∇u_h it is the derivative of the
+// weighted-stiffness action Σ_b K(c)_ab u_b with respect to the corner
+// values of c.
+func (r *Ref) GradDotMass(h float64, wG []float64, scale float64, out []float64) {
+	f := pow(h, r.Dim-1) * scale // one gradient: h^d * (1/h)
+	for g := 0; g < r.NG; g++ {
+		w := r.W[g] * f
+		ng := r.N[g*r.NPE : (g+1)*r.NPE]
+		wg := wG[g*r.Dim : (g+1)*r.Dim]
+		for a := 0; a < r.NPE; a++ {
+			da := r.DN[(g*r.NPE+a)*r.Dim : (g*r.NPE+a+1)*r.Dim]
+			var s float64
+			for d := 0; d < r.Dim; d++ {
+				s += da[d] * wg[d]
+			}
+			s *= w
+			for b := 0; b < r.NPE; b++ {
+				out[a*r.NPE+b] += s * ng[b]
+			}
+		}
+	}
+}
+
+// Shape evaluates all shape functions at unit-cell point x into out.
+func (r *Ref) Shape(x []float64, out []float64) {
+	for a := 0; a < r.NPE; a++ {
+		val := 1.0
+		for d := 0; d < r.Dim; d++ {
+			if (a>>d)&1 == 1 {
+				val *= x[d]
+			} else {
+				val *= 1 - x[d]
+			}
+		}
+		out[a] = val
+	}
+}
 
 func TestShapeFunctionsPartitionOfUnity(t *testing.T) {
 	for _, dim := range []int{2, 3} {
@@ -184,18 +227,6 @@ func TestGemmOpsMatchLoopOps(t *testing.T) {
 				t.Fatalf("graddotmass: row %d: G c = %v, K(c) u = %v", i, gc, ku)
 			}
 		}
-
-		// Load vector.
-		f := make([]float64, r.NPE)
-		for i := range f {
-			f[i] = rng.NormFloat64()
-		}
-		fG := make([]float64, r.NG)
-		r.CoefAtGauss(f, fG)
-		va, vb := make([]float64, r.NPE), make([]float64, r.NPE)
-		r.LoadVector(h, f, 0.7, va)
-		r.LoadGemm(w, h, 0.7, fG, vb)
-		cmpSlices(t, "load", va, vb)
 	}
 }
 
@@ -214,32 +245,37 @@ func cmpSlices(t *testing.T, name string, a, b []float64) {
 	}
 }
 
+// TestZipUnzipRoundTrip: UnzipMat puts entry (a, b) of dof-pair block
+// (di, dj) at node-major row a*ndof+di, column b*ndof+dj, and every entry
+// of the elemental matrix comes from exactly one block entry.
 func TestZipUnzipRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ndof, npe := 3, 8
-	v := make([]float64, ndof*npe)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	z := make([]float64, len(v))
-	back := make([]float64, len(v))
-	ZipVec(ndof, npe, v, z)
-	UnzipVec(ndof, npe, z, back)
-	cmpSlices(t, "zipvec", v, back)
-
 	n := ndof * npe
-	ke := make([]float64, n*n)
-	for i := range ke {
-		ke[i] = rng.NormFloat64()
-	}
 	blocks := make([][]float64, ndof*ndof)
 	for i := range blocks {
 		blocks[i] = make([]float64, npe*npe)
+		for j := range blocks[i] {
+			blocks[i][j] = rng.NormFloat64()
+		}
 	}
-	ke2 := make([]float64, n*n)
-	ZipMat(ndof, npe, ke, blocks)
-	UnzipMat(ndof, npe, blocks, ke2)
-	cmpSlices(t, "zipmat", ke, ke2)
+	ke := make([]float64, n*n)
+	for i := range ke {
+		ke[i] = math.NaN()
+	}
+	UnzipMat(ndof, npe, blocks, ke)
+	for di := 0; di < ndof; di++ {
+		for dj := 0; dj < ndof; dj++ {
+			for a := 0; a < npe; a++ {
+				for b := 0; b < npe; b++ {
+					got, want := ke[(a*ndof+di)*n+b*ndof+dj], blocks[di*ndof+dj][a*npe+b]
+					if got != want {
+						t.Fatalf("block (%d,%d) entry (%d,%d): unzipped %v, block %v", di, dj, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // buildMesh constructs a balanced adaptive mesh for assembly tests.
@@ -432,15 +468,16 @@ func TestVectorAssemblyPathsAgree(t *testing.T) {
 				fe[a*ndof+1] += 2 * tmp[a]
 			}
 		})
-		asm.AssembleVectorZipped(v2, func(e int, h float64, fz []float64) {
-			w := asm.Work()
-			fG := make([]float64, r.NG)
-			r.CoefAtGauss(src, fG)
-			tmp := make([]float64, npe)
-			r.LoadGemm(w, h, 1, fG, tmp)
+		// The stage-2 form of the same load: the GEMM mass block times
+		// the nodal source, through the planned path.
+		blk := make([]float64, npe*npe)
+		tmp := make([]float64, npe)
+		asm.AssembleVectorPlanned(v2, func(w, e int, h float64, fe []float64) {
+			r.MassGemm(asm.Work(), h, 1, nil, blk)
+			blas.Dgemv(npe, npe, 1, blk, src, 0, tmp)
 			for a := 0; a < npe; a++ {
-				fz[a] += tmp[a]         // dof 0 block
-				fz[npe+a] += 2 * tmp[a] // dof 1 block
+				fe[a*ndof] += tmp[a]
+				fe[a*ndof+1] += 2 * tmp[a]
 			}
 		})
 		for i := 0; i < m.NumOwned*ndof; i++ {

@@ -11,7 +11,6 @@ import "proteus/internal/blas"
 // GemmWork holds per-element scratch so GEMM-based kernels do not
 // allocate. One GemmWork per goroutine.
 type GemmWork struct {
-	wq     []float64 // NG scaled weights
 	scaled []float64 // NG x NPE scaled copy of N or G_d
 	vg     []float64 // NG x Dim field at Gauss points
 	big    []float64 // (NG*Dim) x NPE scratch
@@ -20,7 +19,6 @@ type GemmWork struct {
 // NewGemmWork allocates scratch for the reference element.
 func NewGemmWork(r *Ref) *GemmWork {
 	return &GemmWork{
-		wq:     make([]float64, r.NG),
 		scaled: make([]float64, r.NG*r.NPE),
 		vg:     make([]float64, r.NG*3),
 		big:    make([]float64, r.NG*r.Dim*r.NPE),
@@ -128,35 +126,6 @@ func (r *Ref) GradDotMassGemm(w *GemmWork, h, scale float64, wG []float64, out [
 	blas.DgemmTA(r.NPE, r.NPE, r.NG, 1, w.scaled[:r.NG*r.NPE], r.N, 0, out)
 }
 
-// LoadGemm computes the load vector out_a = scale * (N^T diag(w h^d) fG)_a
-// with the source already at Gauss points.
-func (r *Ref) LoadGemm(w *GemmWork, h, scale float64, fG []float64, out []float64) {
-	vol := pow(h, r.Dim) * scale
-	for g := 0; g < r.NG; g++ {
-		w.wq[g] = r.W[g] * vol * fG[g]
-	}
-	blas.DgemvT(r.NG, r.NPE, 1, r.N, w.wq, 0, out)
-}
-
-// ZipVec reorders a node-major elemental vector (a*ndof+d) into dof-major
-// (d*npe+a) — the "zip" of Fig. 3a.
-func ZipVec(ndof, npe int, in, out []float64) {
-	for a := 0; a < npe; a++ {
-		for d := 0; d < ndof; d++ {
-			out[d*npe+a] = in[a*ndof+d]
-		}
-	}
-}
-
-// UnzipVec reverses ZipVec.
-func UnzipVec(ndof, npe int, in, out []float64) {
-	for d := 0; d < ndof; d++ {
-		for a := 0; a < npe; a++ {
-			out[a*ndof+d] = in[d*npe+a]
-		}
-	}
-}
-
 // UnzipMat scatters dof-pair-major blocks (blocks[di*ndof+dj] of npe x npe)
 // into a node-major elemental matrix Ke of size (npe*ndof)^2 — the
 // "unzip" of Fig. 3b.
@@ -169,22 +138,6 @@ func UnzipMat(ndof, npe int, blocks [][]float64, ke []float64) {
 				row := (a*ndof + di) * n
 				for b := 0; b < npe; b++ {
 					ke[row+b*ndof+dj] = blk[a*npe+b]
-				}
-			}
-		}
-	}
-}
-
-// ZipMat extracts dof-pair blocks from a node-major elemental matrix.
-func ZipMat(ndof, npe int, ke []float64, blocks [][]float64) {
-	n := npe * ndof
-	for di := 0; di < ndof; di++ {
-		for dj := 0; dj < ndof; dj++ {
-			blk := blocks[di*ndof+dj]
-			for a := 0; a < npe; a++ {
-				row := (a*ndof + di) * n
-				for b := 0; b < npe; b++ {
-					blk[a*npe+b] = ke[row+b*ndof+dj]
 				}
 			}
 		}

@@ -102,30 +102,6 @@ func (r *Ref) Convection(h float64, vel []float64, scale float64, out []float64)
 	}
 }
 
-// GradDotMass accumulates ∫ (∇N_a · w) N_b dV with the vector field w given
-// at Gauss points, wG[g*Dim+d]. With w = ∇u_h it is the derivative of the
-// weighted-stiffness action Σ_b K(c)_ab u_b with respect to the corner
-// values of c.
-func (r *Ref) GradDotMass(h float64, wG []float64, scale float64, out []float64) {
-	f := pow(h, r.Dim-1) * scale // one gradient: h^d * (1/h)
-	for g := 0; g < r.NG; g++ {
-		w := r.W[g] * f
-		ng := r.N[g*r.NPE : (g+1)*r.NPE]
-		wg := wG[g*r.Dim : (g+1)*r.Dim]
-		for a := 0; a < r.NPE; a++ {
-			da := r.DN[(g*r.NPE+a)*r.Dim : (g*r.NPE+a+1)*r.Dim]
-			var s float64
-			for d := 0; d < r.Dim; d++ {
-				s += da[d] * wg[d]
-			}
-			s *= w
-			for b := 0; b < r.NPE; b++ {
-				out[a*r.NPE+b] += s * ng[b]
-			}
-		}
-	}
-}
-
 // LoadVector accumulates ∫ f(x) N_a dV with f given at corners into
 // out[a].
 func (r *Ref) LoadVector(h float64, f []float64, scale float64, out []float64) {
@@ -134,31 +110,6 @@ func (r *Ref) LoadVector(h float64, f []float64, scale float64, out []float64) {
 		w := r.W[g] * vol * r.AtGauss(g, f)
 		for a := 0; a < r.NPE; a++ {
 			out[a] += w * r.N[g*r.NPE+a]
-		}
-	}
-}
-
-// GradDotVector accumulates ∫ (q · ∇N_a) dV with a vector field q given
-// at corners (q[c*Dim+d]) into out[a] — the weak divergence operator.
-func (r *Ref) GradDotVector(h float64, q []float64, scale float64, out []float64) {
-	f := pow(h, r.Dim-1) * scale
-	var qg [3]float64
-	for g := 0; g < r.NG; g++ {
-		for d := 0; d < r.Dim; d++ {
-			var s float64
-			for a := 0; a < r.NPE; a++ {
-				s += r.N[g*r.NPE+a] * q[a*r.Dim+d]
-			}
-			qg[d] = s
-		}
-		w := r.W[g] * f
-		for a := 0; a < r.NPE; a++ {
-			da := r.DN[(g*r.NPE+a)*r.Dim : (g*r.NPE+a+1)*r.Dim]
-			var s float64
-			for d := 0; d < r.Dim; d++ {
-				s += qg[d] * da[d]
-			}
-			out[a] += w * s
 		}
 	}
 }

@@ -50,14 +50,8 @@ type AssemblyPlan struct {
 	recv []recvPlan
 }
 
-// Sparsity returns the frozen pattern the plan addresses.
-func (p *AssemblyPlan) Sparsity() *la.Sparsity { return p.sp }
-
 // Entries returns the precomputed contribution count (diagnostics).
 func (p *AssemblyPlan) Entries() int { return len(p.entries) }
-
-// OffProcEntries returns the off-process contribution count.
-func (p *AssemblyPlan) OffProcEntries() int { return len(p.offStore) / (p.ndof * p.ndof) }
 
 // buildPlan derives one layout's plan from the mesh alone: the node-block
 // pattern is the dirty-row sweep of Rebind with every row dirty (local

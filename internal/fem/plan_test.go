@@ -13,6 +13,9 @@ import (
 	"proteus/internal/sfc"
 )
 
+// Epoch returns the mesh generation the assembler was last rebound to.
+func (a *Assembler) Epoch() uint64 { return a.epoch }
+
 // planTestKernels builds deterministic, element-dependent kernels for
 // the assembler's ndof (1 or 2) that produce bit-identical elemental
 // matrices on every invocation.
@@ -292,7 +295,7 @@ func TestWarmAssemblyTrafficIsValuesOnly(t *testing.T) {
 						}
 						p := asm.Plan(layout)
 						sum := func(a, b int) int { return a + b }
-						e := par.Allreduce(c, p.OffProcEntries(), sum)
+						e := par.Allreduce(c, len(p.offStore)/(nd*nd), sum)
 						d := par.Allreduce(c, len(p.offDests), sum)
 						if c.Rank() == 0 {
 							st, entries, dests = c.Stats(), e, d

@@ -112,39 +112,6 @@ func pow(b float64, n int) float64 {
 	return out
 }
 
-// Shape evaluates all shape functions at unit-cell point x into out.
-func (r *Ref) Shape(x []float64, out []float64) {
-	for a := 0; a < r.NPE; a++ {
-		val := 1.0
-		for d := 0; d < r.Dim; d++ {
-			if (a>>d)&1 == 1 {
-				val *= x[d]
-			} else {
-				val *= 1 - x[d]
-			}
-		}
-		out[a] = val
-	}
-}
-
-// Interp evaluates a nodal field (one value per corner) at unit-cell
-// point x.
-func (r *Ref) Interp(x []float64, nodal []float64) float64 {
-	var s float64
-	for a := 0; a < r.NPE; a++ {
-		val := 1.0
-		for d := 0; d < r.Dim; d++ {
-			if (a>>d)&1 == 1 {
-				val *= x[d]
-			} else {
-				val *= 1 - x[d]
-			}
-		}
-		s += val * nodal[a]
-	}
-	return s
-}
-
 // AtGauss interpolates a nodal field to Gauss point g.
 func (r *Ref) AtGauss(g int, nodal []float64) float64 {
 	var s float64

@@ -7,31 +7,22 @@ import (
 	"proteus/internal/par"
 )
 
-// vecTestKernels builds deterministic element-dependent ndof=2 vector
-// kernels (node-major and zipped) that are pure functions of (e, h), so
-// they produce bit-identical elemental vectors on every invocation.
-func vecTestKernels(asm *Assembler) (WorkerVecKernel, WorkerZippedVecKernel) {
-	r := asm.Ref
-	npe := r.NPE
+// vecTestKernel builds a deterministic element-dependent ndof=2 vector
+// kernel that is a pure function of (e, h), so it produces bit-identical
+// elemental vectors on every invocation.
+func vecTestKernel(asm *Assembler) WorkerVecKernel {
+	npe := asm.Ref.NPE
 	coef := make([]float64, npe)
-	fill := func(e int, h float64, fe []float64, zipped bool) {
+	return func(w, e int, h float64, fe []float64) {
 		for a := 0; a < npe; a++ {
 			coef[a] = 1 + 0.1*float64((e+a)%7)
 		}
 		for d := 0; d < 2; d++ {
 			for a := 0; a < npe; a++ {
-				v := h * coef[a] * float64(d+1)
-				if zipped {
-					fe[d*npe+a] += v
-				} else {
-					fe[a*2+d] += v
-				}
+				fe[a*2+d] += h * coef[a] * float64(d+1)
 			}
 		}
 	}
-	loop := func(w, e int, h float64, fe []float64) { fill(e, h, fe, false) }
-	zipped := func(w, e int, h float64, fz []float64) { fill(e, h, fz, true) }
-	return loop, zipped
 }
 
 // TestVectorPlannedMatchesSerialBitwise is the planned vector path's
@@ -48,23 +39,16 @@ func TestVectorPlannedMatchesSerialBitwise(t *testing.T) {
 					panic("vector test mesh has no hanging constraints")
 				}
 				asm := NewAssembler(m, 2)
-				loop, zipped := vecTestKernels(asm)
+				loop := vecTestKernel(asm)
 
 				ref := m.NewVec(2)
 				asm.AssembleVector(ref, func(e int, h float64, fe []float64) {
 					loop(0, e, h, fe)
 				})
-				refZ := m.NewVec(2)
-				asm.AssembleVectorZipped(refZ, func(e int, h float64, fz []float64) {
-					zipped(0, e, h, fz)
-				})
 
 				v := m.NewVec(2)
 				asm.AssembleVectorPlanned(v, loop)
 				mustEqualVec(c, fmt.Sprintf("planned dim=%d p=%d", dim, p), ref, v)
-				vz := m.NewVec(2)
-				asm.AssembleVectorZippedPlanned(vz, zipped)
-				mustEqualVec(c, fmt.Sprintf("planned-zipped dim=%d p=%d", dim, p), refZ, vz)
 			})
 		}
 	}
@@ -89,12 +73,11 @@ func TestVectorPlannedZeroAllocs(t *testing.T) {
 	par.Run(1, func(c *par.Comm) {
 		m := buildMesh(c, 2, 2, 4)
 		asm := NewAssembler(m, 2)
-		loop, zipped := vecTestKernels(asm)
+		loop := vecTestKernel(asm)
 		v := m.NewVec(2)
 		asm.AssembleVectorPlanned(v, loop)
 		allocs = testing.AllocsPerRun(10, func() {
 			asm.AssembleVectorPlanned(v, loop)
-			asm.AssembleVectorZippedPlanned(v, zipped)
 		})
 	})
 	if allocs != 0 {

@@ -156,8 +156,7 @@ func (s *ringScatter) GhostReadEnd(v []float64, ndof int) {
 	copy(v[s.owned*ndof:], got)
 }
 
-func (s *ringScatter) Dot(a, b []float64, ndof int) float64 { panic("unused") }
-func (s *ringScatter) GlobalSum(v float64) float64          { panic("unused") }
+func (s *ringScatter) GlobalSum(v float64) float64 { panic("unused") }
 
 // gridPattern selects the structural hazards of a gridSystem.
 type gridPattern struct {

@@ -202,14 +202,6 @@ func (o *overlapScatter) GhostReadEnd(v []float64, ndof int) {
 	copy(v[o.owned*ndof:], o.ghosts)
 }
 
-func (o *overlapScatter) Dot(a, b []float64, ndof int) float64 {
-	var s float64
-	for i := 0; i < o.owned*ndof; i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 func (o *overlapScatter) GlobalSum(v float64) float64 { return v }
 
 // TestApplyOverlapsGhostExchange checks the interior/boundary split: the

@@ -19,10 +19,9 @@ import (
 )
 
 // Scatter abstracts the mesh ghost exchange the matrix needs: refresh
-// ghost entries of a vector and reduce global dot products.
+// ghost entries of a vector and reduce global sums.
 type Scatter interface {
 	GhostRead(v []float64, ndof int)
-	Dot(a, b []float64, ndof int) float64
 	GlobalSum(v float64) float64
 }
 
@@ -115,8 +114,8 @@ func NewAIJ(scatter Scatter, ndof, ownedNodes, localNodes int) *BSRMat {
 
 // NewBAIJFromSparsity returns a finalized block matrix sharing the frozen
 // pattern sp, with all values zero. Assembly into it must hit existing
-// slots (AddBlockAt or pattern-preserving AddBlock), the warm path of a
-// persistent-sparsity time loop.
+// slots (through Vals, or a pattern-preserving AddBlock), the warm path
+// of a persistent-sparsity time loop.
 func NewBAIJFromSparsity(scatter Scatter, bs, ownedNodes, localNodes int, sp *Sparsity) *BSRMat {
 	checkBs(bs)
 	m := &BSRMat{
@@ -186,16 +185,6 @@ func (m *BSRMat) Vals() []float64 {
 // Finalized reports whether the matrix has frozen CSR structure.
 func (m *BSRMat) Finalized() bool { return m.finalized }
 
-// AddBlockAt accumulates a Bs x Bs block at a precomputed slot: the fast
-// path of plan-driven assembly, with no map lookup or column search.
-func (m *BSRMat) AddBlockAt(slot int, block []float64) {
-	base := slot * m.Bs * m.Bs
-	dst := m.vals[base : base+m.Bs*m.Bs]
-	for i, v := range block {
-		dst[i] += v
-	}
-}
-
 // FullLen implements Operator.
 func (m *BSRMat) FullLen() int { return m.NColNodes * m.Bs * m.k }
 
@@ -219,7 +208,14 @@ func (m *BSRMat) AddBlock(rowNode, colNode int, block []float64) {
 		panic(fmt.Sprintf("la.AddBlock: row node %d out of owned range %d", rowNode, m.NRowNodes))
 	}
 	if m.finalized {
-		m.addFinalized(rowNode, colNode, block)
+		slot := m.sp.FindSlot(rowNode, colNode)
+		if slot < 0 {
+			panic(fmt.Sprintf("la: block (%d,%d) not in finalized sparsity", rowNode, colNode))
+		}
+		dst := m.vals[slot*m.Bs*m.Bs:]
+		for i, v := range block {
+			dst[i] += v
+		}
 		return
 	}
 	key := [2]int32{int32(rowNode), int32(colNode)}
@@ -241,7 +237,7 @@ func (m *BSRMat) AddValue(row, col int, v float64) {
 	if m.finalized {
 		var blk [64]float64
 		blk[rd*m.Bs+cd] = v
-		m.addFinalized(rn, cn, blk[:m.Bs*m.Bs])
+		m.AddBlock(rn, cn, blk[:m.Bs*m.Bs])
 		return
 	}
 	key := [2]int32{int32(rn), int32(cn)}
@@ -251,14 +247,6 @@ func (m *BSRMat) AddValue(row, col int, v float64) {
 		m.build[key] = b
 	}
 	b[rd*m.Bs+cd] += v
-}
-
-func (m *BSRMat) addFinalized(rowNode, colNode int, block []float64) {
-	slot := m.sp.FindSlot(rowNode, colNode)
-	if slot < 0 {
-		panic(fmt.Sprintf("la: block (%d,%d) not in finalized sparsity", rowNode, colNode))
-	}
-	m.AddBlockAt(slot, block)
 }
 
 // Finalize converts the assembly map into CSR arrays. Subsequent AddBlock

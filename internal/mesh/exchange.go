@@ -205,14 +205,3 @@ func (m *Mesh) GlobalMax(v float64) float64 {
 		return b
 	})
 }
-
-// Dot returns the global inner product of the owned segments of a and b
-// (ndof-agnostic: pass slices covering NumOwned*ndof entries).
-func (m *Mesh) Dot(a, b []float64, ndof int) float64 {
-	var s float64
-	n := m.NumOwned * ndof
-	for i := 0; i < n; i++ {
-		s += a[i] * b[i]
-	}
-	return m.GlobalSum(s)
-}

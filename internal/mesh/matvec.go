@@ -80,19 +80,3 @@ func (m *Mesh) MatVec(in, out []float64, ndof int, kernel ElemKernel) {
 	}
 	m.GhostWrite(out, ndof, Add, 0)
 }
-
-// Assemble accumulates elemental right-hand-side vectors produced by emit
-// into v (an owned+ghost vector), then pushes ghost contributions to their
-// owners. emit fills eout for element e. Collective.
-func (m *Mesh) Assemble(v []float64, ndof int, emit func(e int, h float64, eout []float64)) {
-	for i := range v {
-		v[i] = 0
-	}
-	cpe := m.CornersPerElem()
-	eout := make([]float64, cpe*ndof)
-	for e := 0; e < m.NumElems(); e++ {
-		emit(e, m.ElemSize(e), eout)
-		m.ScatterAddElem(e, eout, ndof, v)
-	}
-	m.GhostWrite(v, ndof, Add, 0)
-}

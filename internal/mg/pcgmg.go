@@ -138,9 +138,6 @@ func levelBnd(m *mesh.Mesh, cfg *Config, bnd []int32) []int32 {
 	return bnd
 }
 
-// Levels returns the number of grid levels the cycle runs over.
-func (p *PCGMG) Levels() int { return len(p.lv) }
-
 // Hierarchy returns the mesh ladder this preconditioner cycles over.
 func (p *PCGMG) Hierarchy() *Hierarchy { return p.h }
 

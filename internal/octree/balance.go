@@ -74,20 +74,6 @@ func (t *Tree) balanceTargets(remote []sfc.Octant) ([]int, bool) {
 	return targets, changed
 }
 
-// IsBalanced21 reports whether the tree satisfies the full 2:1 condition.
-func (t *Tree) IsBalanced21() bool {
-	var nbuf [26]sfc.Octant
-	for _, o := range t.Leaves {
-		for _, n := range o.AllNeighbors(nbuf[:0]) {
-			j := t.PointLocate(n.X, n.Y, n.Z)
-			if j >= 0 && int(t.Leaves[j].Level) < int(o.Level)-1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Balance21Distributed enforces 2:1 balance on a distributed forest. Each
 // round performs a local ripple fixpoint, then ships every leaf whose
 // grading constraint reaches a remote partition to the owning ranks via

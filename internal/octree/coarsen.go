@@ -79,63 +79,3 @@ func (c *coarsener) visit(R sfc.Octant) (coarsenTo int, occupied bool) {
 	}
 	return coarsenTo, anyOccupied
 }
-
-// CoarsenLevelByLevel is the baseline: coarsen by a single level per pass
-// (merging complete sibling groups whose members all allow it), iterating
-// until no merge applies. Each pass rescans and re-linearizes the tree —
-// the overhead Alg. 6 eliminates for deep coarsening.
-func (t *Tree) CoarsenLevelByLevel(targets []int) *Tree {
-	type job struct {
-		oct    sfc.Octant
-		target int
-	}
-	jobs := make([]job, len(t.Leaves))
-	for i, o := range t.Leaves {
-		jobs[i] = job{o, targets[i]}
-	}
-	for {
-		changed := false
-		next := make([]job, 0, len(jobs))
-		for i := 0; i < len(jobs); {
-			o := jobs[i].oct
-			nc := o.NumChildren()
-			// A sibling group is mergeable iff all 2^d children of the same
-			// parent are adjacent in the array, each allowing a coarser
-			// level.
-			if o.Level > 0 && o.ChildIndex() == 0 && i+nc <= len(jobs) {
-				parent := o.Parent()
-				ok := true
-				for k := 0; k < nc; k++ {
-					j := jobs[i+k]
-					if !j.oct.EqualKey(parent.Child(k)) || j.target >= int(j.oct.Level) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					maxTarget := 0
-					for k := 0; k < nc; k++ {
-						if jobs[i+k].target > maxTarget {
-							maxTarget = jobs[i+k].target
-						}
-					}
-					next = append(next, job{parent, maxTarget})
-					i += nc
-					changed = true
-					continue
-				}
-			}
-			next = append(next, jobs[i])
-			i++
-		}
-		jobs = next
-		if !changed {
-			break
-		}
-	}
-	out := make([]sfc.Octant, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.oct
-	}
-	return &Tree{Dim: t.Dim, Leaves: out}
-}

@@ -179,24 +179,3 @@ func TestBalance21Distributed(t *testing.T) {
 		})
 	}
 }
-
-func TestSortDistributedOctants(t *testing.T) {
-	par.Run(4, func(c *par.Comm) {
-		r := rand.New(rand.NewSource(int64(c.Rank())))
-		// Each rank contributes random leaves from its own random tree.
-		tr := randTree(r, 2, 5, 0.4)
-		local := make([]sfc.Octant, 0, 50)
-		for i := 0; i < 50 && i < tr.Len(); i++ {
-			local = append(local, tr.Leaves[r.Intn(tr.Len())])
-		}
-		sorted := SortDistributed(c, local, SortOptions{KWay: 2})
-		all := par.Allgatherv(c, sorted)
-		if c.Rank() == 0 {
-			out := New(2, all)
-			// After linearization, global result must validate.
-			if err := out.Validate(); err != nil {
-				panic(err)
-			}
-		}
-	})
-}

@@ -113,7 +113,7 @@ func TestRefineMatchesLevelByLevel(t *testing.T) {
 			}
 		}
 		a := tr.Refine(targets, nil)
-		b := tr.RefineLevelByLevel(targets, nil)
+		b := tr.refineLevelByLevel(targets, nil)
 		if a.Len() != b.Len() {
 			t.Fatalf("iter %d: multi-level %d leaves, level-by-level %d", iter, a.Len(), b.Len())
 		}
@@ -230,7 +230,7 @@ func TestCoarsenMatchesLevelByLevel(t *testing.T) {
 			targets[i] = int(o.Level) - r.Intn(int(o.Level)+1)
 		}
 		a := tr.Coarsen(targets)
-		b := tr.CoarsenLevelByLevel(targets)
+		b := tr.coarsenLevelByLevel(targets)
 		if a.Len() != b.Len() {
 			t.Fatalf("iter %d: consensus %d leaves, level-by-level %d", iter, a.Len(), b.Len())
 		}

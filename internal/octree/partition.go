@@ -1,9 +1,6 @@
 package octree
 
 import (
-	"sort"
-
-	"proteus/internal/dsort"
 	"proteus/internal/par"
 	"proteus/internal/sfc"
 )
@@ -162,79 +159,4 @@ func PartitionWeighted(c *par.Comm, leaves []sfc.Octant, weights []float64) []sf
 		out = append(out, got[r]...)
 	}
 	return out
-}
-
-// SortDistributed globally sorts and linearizes distributed leaves using
-// the staged distributed sample sort, then removes cross-rank overlaps.
-func SortDistributed(c *par.Comm, leaves []sfc.Octant, opt SortOptions) []sfc.Octant {
-	sorted := distSort(c, leaves, opt)
-	// Local linearization.
-	t := &Tree{Dim: dimOf(sorted), Leaves: sorted}
-	t.Linearize()
-	sorted = t.Leaves
-	// Cross-rank overlap removal: an ancestor at the tail of rank r can
-	// overlap the head of rank r+1; boundary exchange resolves it keeping
-	// the finer octant.
-	return removeBoundaryOverlaps(c, sorted)
-}
-
-// SortOptions configures distributed sorting of octants.
-type SortOptions struct {
-	KWay int  // superpartitions per stage (0 = par.DefaultKWay)
-	Flat bool // use the flat baseline instead of the staged sort
-}
-
-func distSort(c *par.Comm, leaves []sfc.Octant, opt SortOptions) []sfc.Octant {
-	if c.Size() == 1 {
-		sfc.Sort(leaves)
-		return leaves
-	}
-	return dsort.Sort(c, leaves, sfc.Less, dsort.Options{KWay: opt.KWay, Flat: opt.Flat})
-}
-
-func dimOf(leaves []sfc.Octant) int {
-	if len(leaves) == 0 {
-		return 3
-	}
-	return int(leaves[0].Dim)
-}
-
-// removeBoundaryOverlaps drops local leaves that are ancestors of (or equal
-// to) leaves on higher ranks. Each rank sends its first leaf downward; a
-// chain of coarser ancestors spanning several ranks is resolved because the
-// allgathered heads expose every rank's first leaf.
-func removeBoundaryOverlaps(c *par.Comm, leaves []sfc.Octant) []sfc.Octant {
-	type entry struct {
-		First sfc.Octant
-		Has   bool
-	}
-	var e entry
-	if len(leaves) > 0 {
-		e = entry{leaves[0], true}
-	}
-	all := par.Allgather(c, e)
-	// Drop trailing local leaves overlapped by any later rank's head.
-	for r := c.Rank() + 1; r < c.Size(); r++ {
-		if !all[r].Has {
-			continue
-		}
-		head := all[r].First
-		for len(leaves) > 0 {
-			tail := leaves[len(leaves)-1]
-			if tail.Overlaps(head) && tail.Level <= head.Level && !tail.EqualKey(head) {
-				leaves = leaves[:len(leaves)-1]
-			} else if tail.EqualKey(head) {
-				leaves = leaves[:len(leaves)-1]
-			} else {
-				break
-			}
-		}
-		break // only the immediately following non-empty rank can matter
-	}
-	return leaves
-}
-
-// sortLocal sorts a batch of octants locally (helper shared by tests).
-func sortLocal(leaves []sfc.Octant) {
-	sort.Slice(leaves, func(i, j int) bool { return sfc.Less(leaves[i], leaves[j]) })
 }

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"proteus/internal/sfc"
 )
 
 func TestBalance21Idempotent(t *testing.T) {
@@ -124,68 +122,4 @@ func TestLevelHistogramSumsToOne(t *testing.T) {
 			t.Fatalf("histogram sums to %v", s)
 		}
 	}
-}
-
-func TestHilbertOrderingPartitionsContiguously(t *testing.T) {
-	// Sorting by Hilbert index and cutting into chunks must give each
-	// chunk a connected... we check the weaker, testable property used in
-	// practice: adjacent elements in Hilbert order are spatially nearby
-	// (within 2 side lengths for a uniform grid).
-	tr := Uniform(2, 4)
-	leaves := append([]sfc.Octant(nil), tr.Leaves...)
-	sortLocal(leaves)
-	// Morton baseline: count long jumps.
-	longJumps := func(ls []sfc.Octant) int {
-		n := 0
-		for i := 1; i < len(ls); i++ {
-			dx := absDiff32(ls[i].X, ls[i-1].X)
-			dy := absDiff32(ls[i].Y, ls[i-1].Y)
-			if dx+dy > 2*ls[i].Side() {
-				n++
-			}
-		}
-		return n
-	}
-	morton := longJumps(leaves)
-	hil := append([]sfc.Octant(nil), leaves...)
-	sortByHilbert(hil)
-	hilbert := longJumps(hil)
-	if hilbert >= morton {
-		t.Fatalf("Hilbert order should have fewer long jumps: hilbert=%d morton=%d", hilbert, morton)
-	}
-	if hilbert != 0 {
-		t.Fatalf("Hilbert order on a uniform grid must be face-continuous, %d jumps", hilbert)
-	}
-}
-
-func sortByHilbert(ls []sfc.Octant) {
-	type hk struct {
-		h uint64
-		o sfc.Octant
-	}
-	keys := make([]hk, len(ls))
-	for i, o := range ls {
-		keys[i] = hk{sfc.HilbertIndex(o), o}
-	}
-	sortSliceStable(keys, func(a, b hk) bool { return a.h < b.h })
-	for i := range ls {
-		ls[i] = keys[i].o
-	}
-}
-
-func sortSliceStable[T any](s []T, less func(a, b T) bool) {
-	// Insertion sort is fine at test sizes and avoids importing sort with
-	// a closure allocation in the hot loop.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func absDiff32(a, b uint32) uint32 {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }

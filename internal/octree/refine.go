@@ -2,7 +2,6 @@ package octree
 
 import (
 	"fmt"
-	"sort"
 
 	"proteus/internal/sfc"
 )
@@ -40,52 +39,6 @@ func (t *Tree) Refine(targets []int, retain RetainFn) *Tree {
 			target = sfc.MaxLevel
 		}
 		emit(leaf, target)
-	}
-	return &Tree{Dim: t.Dim, Leaves: out}
-}
-
-// RefineLevelByLevel is the baseline the paper improves upon: octants are
-// refined a single level per pass, with a full sort-and-linearize between
-// passes, until every leaf reaches its target. The extra passes and sorts
-// are the overhead Alg. 5 eliminates.
-func (t *Tree) RefineLevelByLevel(targets []int, retain RetainFn) *Tree {
-	type job struct {
-		oct    sfc.Octant
-		target int
-	}
-	jobs := make([]job, len(t.Leaves))
-	for i, o := range t.Leaves {
-		jobs[i] = job{o, targets[i]}
-	}
-	for {
-		changed := false
-		next := make([]job, 0, len(jobs))
-		for _, j := range jobs {
-			if int(j.oct.Level) >= j.target {
-				next = append(next, j)
-				continue
-			}
-			changed = true
-			for c := 0; c < j.oct.NumChildren(); c++ {
-				ch := j.oct.Child(c)
-				if retain != nil && !retain(ch) {
-					continue
-				}
-				next = append(next, job{ch, j.target})
-			}
-		}
-		// The level-by-level scheme re-linearizes after every pass; this
-		// sort is the cost being measured, so it is performed even though
-		// the pass preserves order.
-		sort.Slice(next, func(i, j int) bool { return sfc.Less(next[i].oct, next[j].oct) })
-		jobs = next
-		if !changed {
-			break
-		}
-	}
-	out := make([]sfc.Octant, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.oct
 	}
 	return &Tree{Dim: t.Dim, Leaves: out}
 }

@@ -3,12 +3,12 @@
 // (IPDPS 2023, Sec. II-C): multi-level refinement (Alg. 5), multi-level
 // coarsening by descendant consensus (Alg. 6), distributed coarsening with
 // partition-endpoint overlap exchange (Alg. 7), ripple 2:1 balancing
-// (serial and distributed), and weighted SFC partitioning. Level-by-level
-// refine/coarsen baselines are provided for the ablation benchmarks.
+// (serial and distributed), and weighted SFC partitioning. The
+// level-by-level refine/coarsen baselines live in the package's benchmark
+// file, next to the ablation benchmarks that measure them.
 package octree
 
 import (
-	"fmt"
 	"sort"
 
 	"proteus/internal/sfc"
@@ -27,13 +27,6 @@ type Tree struct {
 // octants for which it returns false are "void" and are discarded during
 // refinement. A nil RetainFn keeps everything (complete tree).
 type RetainFn func(sfc.Octant) bool
-
-// New returns a tree over the given leaves, sorting and linearizing them.
-func New(dim int, leaves []sfc.Octant) *Tree {
-	t := &Tree{Dim: dim, Leaves: leaves}
-	t.Linearize()
-	return t
-}
 
 // Uniform returns the complete tree with every leaf at the given level.
 func Uniform(dim, level int) *Tree {
@@ -76,60 +69,6 @@ func Build(dim int, splitFn func(sfc.Octant) bool, maxLevel int, retain RetainFn
 
 // Len returns the number of leaves.
 func (t *Tree) Len() int { return len(t.Leaves) }
-
-// Linearize sorts the leaves in Morton order and removes overlaps, keeping
-// the finer octant whenever an ancestor/descendant pair is present.
-func (t *Tree) Linearize() {
-	sfc.Sort(t.Leaves)
-	src := t.Leaves
-	out := src[:0]
-	for _, o := range src {
-		// In sorted order an overlapping predecessor is an ancestor (or a
-		// duplicate) of o; drop it to keep the finer octant.
-		for len(out) > 0 && out[len(out)-1].Overlaps(o) {
-			out = out[:len(out)-1]
-		}
-		out = append(out, o)
-	}
-	t.Leaves = out
-}
-
-// Validate checks the linearization invariants and returns an error
-// describing the first violation.
-func (t *Tree) Validate() error {
-	for i, o := range t.Leaves {
-		if !o.Valid() || int(o.Dim) != t.Dim {
-			return fmt.Errorf("leaf %d invalid: %v", i, o)
-		}
-		if i > 0 {
-			prev := t.Leaves[i-1]
-			if !sfc.Less(prev, o) {
-				return fmt.Errorf("leaves %d,%d out of order: %v !< %v", i-1, i, prev, o)
-			}
-			if prev.Overlaps(o) {
-				return fmt.Errorf("leaves %d,%d overlap: %v, %v", i-1, i, prev, o)
-			}
-		}
-	}
-	return nil
-}
-
-// IsComplete reports whether the leaves exactly cover the root domain.
-func (t *Tree) IsComplete() bool {
-	var vol uint64
-	for _, o := range t.Leaves {
-		v := uint64(1)
-		for d := 0; d < t.Dim; d++ {
-			v *= uint64(o.Side())
-		}
-		vol += v
-	}
-	full := uint64(1)
-	for d := 0; d < t.Dim; d++ {
-		full *= uint64(sfc.MaxCoord)
-	}
-	return vol == full
-}
 
 // MinMaxLevel returns the coarsest and finest leaf levels (0,0 if empty).
 func (t *Tree) MinMaxLevel() (min, max int) {
@@ -209,11 +148,4 @@ func (t *Tree) FinestOverlappingLevel(q sfc.Octant) int {
 		}
 	}
 	return max
-}
-
-// Clone returns a deep copy of the tree.
-func (t *Tree) Clone() *Tree {
-	leaves := make([]sfc.Octant, len(t.Leaves))
-	copy(leaves, t.Leaves)
-	return &Tree{Dim: t.Dim, Leaves: leaves}
 }

@@ -3,9 +3,11 @@
 // passing through a Comm. The package supplies the point-to-point and
 // collective operations the meshing and solver layers need: tagged
 // Send/Recv, Barrier, Bcast, Reduce/Allreduce, Gatherv/Allgatherv,
-// Alltoallv (flat and hierarchically staged k-way), CommSplit with a
-// memoized sub-communicator cache, and the NBX non-blocking-consensus
-// sparse data exchange of Hoefler et al. (2010).
+// Alltoallv, CommSplit with a memoized sub-communicator cache, and the NBX
+// non-blocking-consensus sparse data exchange of Hoefler et al. (2010).
+// The paper's Sec. II-C3 baselines — the hierarchically staged k-way
+// Alltoallv and the Alltoall count exchange NBX replaces — live in the
+// package's test files, next to the benchmarks that measure them.
 //
 // Message payloads are passed by reference for efficiency; by convention a
 // sender must not mutate a buffer after sending it. Traffic counters track

@@ -234,8 +234,9 @@ func Allgatherv[T any](c *Comm, v []T) []T {
 
 // Alltoallv sends bufs[r] to rank r for every r and returns the slice
 // received from each rank, indexed by source rank. bufs must have length
-// Size(). This is the flat O(p) exchange whose staged variant
-// (AlltoallvStaged) the paper adopts at scale.
+// Size(). This is the flat O(p) exchange; the staged k-way variant the
+// paper adopts at scale (Sec. II-C3a) is measured against it in the
+// package's benchmarks.
 func Alltoallv[T any](c *Comm, bufs [][]T) [][]T {
 	tag := collTag(tagAlltoall, c.nextSeq())
 	p := c.size()
@@ -280,10 +281,6 @@ func newSplitCache() *splitCache {
 func (s *splitCache) perRank() *splitCache {
 	return &splitCache{comms: make(map[string]*Comm), nextID: s.nextID, epochs: s.epochs}
 }
-
-// SplitStats returns how many CommSplitCached calls hit and missed the
-// cache on this rank.
-func (c *Comm) SplitStats() (hits, misses int) { return c.cache.Hits, c.cache.Misses }
 
 // CommSplit partitions the communicator by color: ranks passing the same
 // color form a new communicator ordered by (key, rank). A negative color

@@ -68,10 +68,7 @@ func poolWorker(w int, tasks <-chan func(int), done chan<- struct{}, stop <-chan
 	}
 }
 
-// Workers returns the worker count kernels must size their shards for.
-func (p *Pool) Workers() int { return p.n }
-
-// Run invokes f(w) for every worker index w in [0, Workers()) and returns
+// Run invokes f(w) for every worker index w below the pool size and returns
 // when all have finished. f runs on the caller for w == 0. Dispatch is
 // allocation-free: f travels to the workers over prearranged channels.
 func (p *Pool) Run(f func(w int)) {

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// Workers returns the worker count kernels must size their shards for.
+func (p *Pool) Workers() int { return p.n }
+
 func TestPoolRunsEveryWorker(t *testing.T) {
 	for _, n := range []int{1, 2, 7} {
 		p := NewPool(n)

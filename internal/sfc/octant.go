@@ -10,38 +10,26 @@
 // The package provides the key algebra required by the meshing algorithms
 // of Saurabh et al. (IPDPS 2023): parent/child/ancestor navigation, Morton
 // (Z-order) comparison implemented with the most-significant-differing-bit
-// trick, overlap and containment tests, same-level neighbours, and a
-// Hilbert index (Skilling's transform) usable as an alternative partition
-// ordering.
+// trick, overlap and containment tests, and same-level neighbours.
 package sfc
 
 import "fmt"
 
 // MaxLevel is the deepest refinement level representable. Anchor
-// coordinates occupy MaxLevel bits, so 3D Hilbert/Morton indices fit in a
-// uint64 (3*21 = 63 bits).
+// coordinates occupy MaxLevel bits, so a 3D Morton index fits in a uint64
+// (3*21 = 63 bits).
 const MaxLevel = 21
 
 // MaxCoord is the number of anchor units per side of the root octant.
 const MaxCoord uint32 = 1 << MaxLevel
 
 // Octant is a node of a 2^d-tree, identified by anchor coordinates and
-// level. The zero value is the 3D root octant with Dim left 0; use New to
-// construct octants with an explicit dimension (2 or 3).
+// level. The zero value is the 3D root octant with Dim left 0; use Root
+// and Child to construct octants with an explicit dimension (2 or 3).
 type Octant struct {
 	X, Y, Z uint32 // anchor coordinates in units of the level-MaxLevel grid
 	Level   uint8  // refinement level, 0 (root) .. MaxLevel
 	Dim     uint8  // spatial dimension: 2 or 3
-}
-
-// New returns the octant at the given anchor and level in dim dimensions.
-// It panics if the anchor is not aligned to the level's grid.
-func New(dim int, x, y, z uint32, level int) Octant {
-	o := Octant{X: x, Y: y, Z: z, Level: uint8(level), Dim: uint8(dim)}
-	if !o.Valid() {
-		panic(fmt.Sprintf("sfc.New: invalid octant dim=%d anchor=(%d,%d,%d) level=%d", dim, x, y, z, level))
-	}
-	return o
 }
 
 // Root returns the level-0 octant covering the whole domain.
@@ -224,10 +212,6 @@ func (o Octant) AllNeighbors(dst []Octant) []Octant {
 	}
 	return dst
 }
-
-// Coords returns the anchor coordinates as a slice of length Dim, in units
-// of the unit domain (divide by MaxCoord for physical coordinates).
-func (o Octant) Coords() [3]uint32 { return [3]uint32{o.X, o.Y, o.Z} }
 
 // String implements fmt.Stringer.
 func (o Octant) String() string {

@@ -1,9 +1,6 @@
 package sfc
 
-import (
-	"math/bits"
-	"sort"
-)
+import "sort"
 
 // Less reports whether a precedes b in the Morton (Z-order) space-filling
 // curve ordering of the linearized tree. Ancestors precede descendants
@@ -64,122 +61,4 @@ func msbLess(a, b uint32) bool { return a < b && a < (a^b) }
 // Sort sorts octants in Morton order, ancestors first.
 func Sort(octs []Octant) {
 	sort.Slice(octs, func(i, j int) bool { return Less(octs[i], octs[j]) })
-}
-
-// IsSorted reports whether octs is in Morton order.
-func IsSorted(octs []Octant) bool {
-	return sort.SliceIsSorted(octs, func(i, j int) bool { return Less(octs[i], octs[j]) })
-}
-
-// MortonIndex returns the Morton code of the octant's anchor at MaxLevel
-// resolution: bits of x, y (, z) interleaved with x least significant.
-// For 3D this occupies 3*MaxLevel = 63 bits.
-func MortonIndex(o Octant) uint64 {
-	if o.Dim == 2 {
-		return interleave2(uint64(o.X), uint64(o.Y))
-	}
-	return interleave3(uint64(o.X), uint64(o.Y), uint64(o.Z))
-}
-
-func interleave2(x, y uint64) uint64 {
-	return spread2(x) | spread2(y)<<1
-}
-
-// spread2 spaces the low 32 bits of v one bit apart.
-func spread2(v uint64) uint64 {
-	v &= 0xffffffff
-	v = (v | v<<16) & 0x0000ffff0000ffff
-	v = (v | v<<8) & 0x00ff00ff00ff00ff
-	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
-	v = (v | v<<2) & 0x3333333333333333
-	v = (v | v<<1) & 0x5555555555555555
-	return v
-}
-
-func interleave3(x, y, z uint64) uint64 {
-	return spread3(x) | spread3(y)<<1 | spread3(z)<<2
-}
-
-// spread3 spaces the low 21 bits of v two bits apart.
-func spread3(v uint64) uint64 {
-	v &= 0x1fffff
-	v = (v | v<<32) & 0x001f00000000ffff
-	v = (v | v<<16) & 0x001f0000ff0000ff
-	v = (v | v<<8) & 0x100f00f00f00f00f
-	v = (v | v<<4) & 0x10c30c30c30c30c3
-	v = (v | v<<2) & 0x1249249249249249
-	return v
-}
-
-// HilbertIndex returns the Hilbert-curve index of the octant's anchor at
-// MaxLevel resolution using Skilling's transform. It is a total order on
-// anchor points usable as an alternative partition ordering; ties between
-// ancestor/descendant anchors are broken by level as in Compare.
-func HilbertIndex(o Octant) uint64 {
-	n := int(o.Dim)
-	var x [3]uint32
-	x[0], x[1], x[2] = o.X, o.Y, o.Z
-	axesToTranspose(&x, MaxLevel, n)
-	// Interleave the transposed coordinates MSB-first: bit b of dimension d
-	// lands at position (b*n + (n-1-d)).
-	var h uint64
-	for b := MaxLevel - 1; b >= 0; b-- {
-		for d := 0; d < n; d++ {
-			h = h<<1 | uint64(x[d]>>uint(b)&1)
-		}
-	}
-	return h
-}
-
-// axesToTranspose converts coordinates into the "transposed" Hilbert index
-// representation in place (John Skilling, "Programming the Hilbert curve",
-// AIP Conf. Proc. 707, 2004).
-func axesToTranspose(x *[3]uint32, bits, n int) {
-	m := uint32(1) << uint(bits-1)
-	// Inverse undo.
-	for q := m; q > 1; q >>= 1 {
-		p := q - 1
-		for i := 0; i < n; i++ {
-			if x[i]&q != 0 {
-				x[0] ^= p // invert
-			} else { // exchange
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
-		}
-	}
-	// Gray encode.
-	for i := 1; i < n; i++ {
-		x[i] ^= x[i-1]
-	}
-	t := uint32(0)
-	for q := m; q > 1; q >>= 1 {
-		if x[n-1]&q != 0 {
-			t ^= q - 1
-		}
-	}
-	for i := 0; i < n; i++ {
-		x[i] ^= t
-	}
-}
-
-// CommonAncestor returns the deepest octant that is an ancestor of (or equal
-// to) both a and b.
-func CommonAncestor(a, b Octant) Octant {
-	level := int(a.Level)
-	if int(b.Level) < level {
-		level = int(b.Level)
-	}
-	// The common ancestor level is bounded by the highest differing bit of
-	// the anchors.
-	diff := (a.X ^ b.X) | (a.Y ^ b.Y) | (a.Z ^ b.Z)
-	if diff != 0 {
-		hb := bits.Len32(diff) // position of highest set bit, 1-based
-		maxL := MaxLevel - hb
-		if maxL < level {
-			level = maxL
-		}
-	}
-	return a.Ancestor(level)
 }

@@ -1,11 +1,62 @@
 package sfc
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// New returns the octant at the given anchor and level in dim dimensions.
+// It panics if the anchor is not aligned to the level's grid.
+func New(dim int, x, y, z uint32, level int) Octant {
+	o := Octant{X: x, Y: y, Z: z, Level: uint8(level), Dim: uint8(dim)}
+	if !o.Valid() {
+		panic(fmt.Sprintf("sfc.New: invalid octant dim=%d anchor=(%d,%d,%d) level=%d", dim, x, y, z, level))
+	}
+	return o
+}
+
+// MortonIndex returns the Morton code of the octant's anchor at MaxLevel
+// resolution: bits of x, y (, z) interleaved with x least significant.
+// For 3D this occupies 3*MaxLevel = 63 bits.
+func MortonIndex(o Octant) uint64 {
+	if o.Dim == 2 {
+		return interleave2(uint64(o.X), uint64(o.Y))
+	}
+	return interleave3(uint64(o.X), uint64(o.Y), uint64(o.Z))
+}
+
+func interleave2(x, y uint64) uint64 {
+	return spread2(x) | spread2(y)<<1
+}
+
+// spread2 spaces the low 32 bits of v one bit apart.
+func spread2(v uint64) uint64 {
+	v &= 0xffffffff
+	v = (v | v<<16) & 0x0000ffff0000ffff
+	v = (v | v<<8) & 0x00ff00ff00ff00ff
+	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
+	v = (v | v<<2) & 0x3333333333333333
+	v = (v | v<<1) & 0x5555555555555555
+	return v
+}
+
+func interleave3(x, y, z uint64) uint64 {
+	return spread3(x) | spread3(y)<<1 | spread3(z)<<2
+}
+
+// spread3 spaces the low 21 bits of v two bits apart.
+func spread3(v uint64) uint64 {
+	v &= 0x1fffff
+	v = (v | v<<32) & 0x001f00000000ffff
+	v = (v | v<<16) & 0x001f0000ff0000ff
+	v = (v | v<<8) & 0x100f00f00f00f00f
+	v = (v | v<<4) & 0x10c30c30c30c30c3
+	v = (v | v<<2) & 0x1249249249249249
+	return v
+}
 
 // randOctant returns a valid random octant in dim dimensions.
 func randOctant(r *rand.Rand, dim int) Octant {
@@ -206,72 +257,6 @@ func TestNeighborSymmetry(t *testing.T) {
 	}
 }
 
-func TestHilbertIndexBijective(t *testing.T) {
-	// At a fixed coarse level, Hilbert indices of all octants must be a
-	// permutation with unit step count (each consecutive pair of indices
-	// corresponds to adjacent cells — the defining locality property).
-	const level = 3
-	var octs []Octant
-	var rec func(o Octant)
-	rec = func(o Octant) {
-		if int(o.Level) == level {
-			octs = append(octs, o)
-			return
-		}
-		for c := 0; c < o.NumChildren(); c++ {
-			rec(o.Child(c))
-		}
-	}
-	rec(Root(2))
-	seen := map[uint64]bool{}
-	for _, o := range octs {
-		h := HilbertIndex(o)
-		if seen[h] {
-			t.Fatalf("duplicate Hilbert index %d", h)
-		}
-		seen[h] = true
-	}
-	// Sort by Hilbert index and check adjacency of consecutive cells.
-	sort.Slice(octs, func(i, j int) bool { return HilbertIndex(octs[i]) < HilbertIndex(octs[j]) })
-	for i := 1; i < len(octs); i++ {
-		a, b := octs[i-1], octs[i]
-		dx := absDiff(a.X, b.X)
-		dy := absDiff(a.Y, b.Y)
-		if dx+dy != a.Side() {
-			t.Fatalf("Hilbert order not face-continuous at %d: %v -> %v", i, a, b)
-		}
-	}
-}
-
-func absDiff(a, b uint32) uint32 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
-func TestCommonAncestor(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	for iter := 0; iter < 2000; iter++ {
-		a, b := randOctant(r, 3), randOctant(r, 3)
-		ca := CommonAncestor(a, b)
-		for _, o := range []Octant{a, b} {
-			if !ca.EqualKey(o) && !ca.IsAncestorOf(o) {
-				t.Fatalf("CommonAncestor(%v,%v)=%v does not cover %v", a, b, ca, o)
-			}
-		}
-		// Deepest: child of ca containing a must not contain b (unless ca
-		// is already one of them).
-		if int(ca.Level) < MaxLevel && !ca.EqualKey(a) && !ca.EqualKey(b) {
-			ax := a.Ancestor(int(ca.Level) + 1)
-			bx := b.Ancestor(int(ca.Level) + 1)
-			if ax.EqualKey(bx) {
-				t.Fatalf("CommonAncestor(%v,%v)=%v not deepest", a, b, ca)
-			}
-		}
-	}
-}
-
 func TestSortIsSorted(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	octs := make([]Octant, 500)
@@ -279,7 +264,7 @@ func TestSortIsSorted(t *testing.T) {
 		octs[i] = randOctant(r, 3)
 	}
 	Sort(octs)
-	if !IsSorted(octs) {
+	if !sort.SliceIsSorted(octs, func(i, j int) bool { return Less(octs[i], octs[j]) }) {
 		t.Fatal("Sort did not sort")
 	}
 }

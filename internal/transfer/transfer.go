@@ -79,17 +79,6 @@ func (ws *Workspace) addQuery(r int, k mesh.NodeKey, i int) {
 	ws.idxs[s] = append(ws.idxs[s], int32(i))
 }
 
-// Nodal transfers a nodal field (ndof unknowns per node) from oldM to
-// newM, which must cover the same domain. Returns a full local vector on
-// newM. Collective. Prefer Batch when several fields move across the same
-// remesh: it shares the splitter gather, the point-location pass and the
-// NBX round across all of them.
-func Nodal(oldM *mesh.Mesh, oldVec []float64, newM *mesh.Mesh, ndof int) []float64 {
-	out := newM.NewVec(ndof)
-	Batch(oldM, newM, []Field{{Src: oldVec, Dst: out, Ndof: ndof}}, nil)
-	return out
-}
-
 // Batch transfers every field from oldM to newM in one pass: one splitter
 // gather, one point location per new owned node (all fields evaluated at
 // the located point), and one NBX query/reply round carrying all fields'
@@ -343,102 +332,6 @@ func CellCentered(c *par.Comm, dim int, oldElems []sfc.Octant, oldVals []float64
 	for e := range out {
 		if wgt[e] > 0 {
 			out[e] = acc[e] / wgt[e]
-		}
-	}
-	return out
-}
-
-// NodalLevelByLevel is the ablation baseline: the transfer walks through
-// intermediate grids one level at a time, rebuilding a mesh per level —
-// the overhead the single-pass multi-level transfer eliminates. Serial
-// only (rank count 1), sufficient for the Table I "Remesh" comparison.
-func NodalLevelByLevel(oldM *mesh.Mesh, oldVec []float64, newTree *octree.Tree, ndof int) ([]float64, *mesh.Mesh, int) {
-	if oldM.Comm.Size() != 1 {
-		panic("transfer.NodalLevelByLevel: serial baseline only")
-	}
-	curM := oldM
-	curVec := oldVec
-	passes := 0
-	for {
-		// Compute per-element one-level targets toward the new tree.
-		curTree := &octree.Tree{Dim: curM.Dim, Leaves: curM.Elems}
-		targets := make([]int, len(curTree.Leaves))
-		done := true
-		for i, o := range curTree.Leaves {
-			finest := newTree.FinestOverlappingLevel(o)
-			lvl := int(o.Level)
-			switch {
-			case finest > lvl:
-				targets[i] = lvl + 1
-				done = false
-			case finest < lvl && coarsenable(newTree, o):
-				targets[i] = lvl - 1
-				done = false
-			default:
-				targets[i] = lvl
-			}
-		}
-		if done {
-			return curVec, curM, passes
-		}
-		next := curTree.Refine(refineOnly(targets, curTree), nil)
-		next = next.Coarsen(coarsenTargets(targets, curTree, next))
-		next = next.Balance21(nil)
-		nm := mesh.New(curM.Comm, curM.Dim, next.Leaves)
-		curVec = Nodal(curM, curVec, nm, ndof)
-		curM = nm
-		passes++
-		if passes > sfc.MaxLevel {
-			panic("transfer.NodalLevelByLevel: did not converge to target tree")
-		}
-	}
-}
-
-func coarsenable(newTree *octree.Tree, o sfc.Octant) bool {
-	// o may coarsen one level iff the new tree is strictly coarser over
-	// o's whole parent region.
-	if o.Level == 0 {
-		return false
-	}
-	parent := o.Parent()
-	lo, hi := newTree.OverlapRange(parent)
-	for i := lo; i < hi; i++ {
-		if int(newTree.Leaves[i].Level) >= int(o.Level) {
-			return false
-		}
-	}
-	return hi > lo
-}
-
-func refineOnly(targets []int, t *octree.Tree) []int {
-	out := make([]int, len(targets))
-	for i, o := range t.Leaves {
-		out[i] = int(o.Level)
-		if targets[i] > out[i] {
-			out[i] = targets[i]
-		}
-	}
-	return out
-}
-
-func coarsenTargets(targets []int, oldT, newT *octree.Tree) []int {
-	// Map old per-element coarsening wishes onto the refined tree.
-	out := make([]int, len(newT.Leaves))
-	for i, o := range newT.Leaves {
-		out[i] = int(o.Level)
-	}
-	j := 0
-	for i, o := range oldT.Leaves {
-		if targets[i] >= int(o.Level) {
-			// Skip the descendants in newT.
-			for j < len(newT.Leaves) && o.Overlaps(newT.Leaves[j]) {
-				j++
-			}
-			continue
-		}
-		for j < len(newT.Leaves) && o.Overlaps(newT.Leaves[j]) {
-			out[j] = targets[i]
-			j++
 		}
 	}
 	return out

@@ -61,7 +61,7 @@ func TestNodalTransferExactForLinearFields(t *testing.T) {
 					x, y, z := mOld.NodeCoord(i)
 					v[i] = f(x, y, z)
 				}
-				got := Nodal(mOld, v, mNew, 1)
+				got := nodal(mOld, v, mNew, 1)
 				for i := 0; i < mNew.NumLocal; i++ {
 					x, y, z := mNew.NodeCoord(i)
 					if math.Abs(got[i]-f(x, y, z)) > 1e-11 {
@@ -70,7 +70,7 @@ func TestNodalTransferExactForLinearFields(t *testing.T) {
 					}
 				}
 				// And back: fine -> coarse injection is exact too.
-				back := Nodal(mNew, got, mOld, 1)
+				back := nodal(mNew, got, mOld, 1)
 				for i := 0; i < mOld.NumLocal; i++ {
 					if math.Abs(back[i]-v[i]) > 1e-11 {
 						panic(fmt.Sprintf("dim=%d p=%d: round trip broke node %d", dim, p, i))
@@ -95,7 +95,7 @@ func TestNodalTransferMultiDof(t *testing.T) {
 			v[i*ndof+1] = y
 			v[i*ndof+2] = x + 2*y
 		}
-		got := Nodal(mOld, v, mNew, ndof)
+		got := nodal(mOld, v, mNew, ndof)
 		for i := 0; i < mNew.NumLocal; i++ {
 			x, y, _ := mNew.NodeCoord(i)
 			want := [3]float64{x, y, x + 2*y}
@@ -118,7 +118,7 @@ func TestNodalMultiLevelJump(t *testing.T) {
 			x, y, _ := mOld.NodeCoord(i)
 			v[i] = x * y // bilinear: exactly representable per element
 		}
-		got := Nodal(mOld, v, mNew, 1)
+		got := nodal(mOld, v, mNew, 1)
 		for i := 0; i < mNew.NumLocal; i++ {
 			x, y, _ := mNew.NodeCoord(i)
 			if math.Abs(got[i]-x*y) > 1e-12 {
@@ -129,7 +129,7 @@ func TestNodalMultiLevelJump(t *testing.T) {
 }
 
 // TestBatchMatchesPerFieldNodal: one batched call over several fields of
-// mixed dof counts must reproduce, bit for bit, the per-field Nodal
+// mixed dof counts must reproduce, bit for bit, the per-field (nodal)
 // results — and the workspace must be reusable across calls.
 func TestBatchMatchesPerFieldNodal(t *testing.T) {
 	for _, p := range []int{1, 3} {
@@ -149,9 +149,9 @@ func TestBatchMatchesPerFieldNodal(t *testing.T) {
 				return v
 			}
 			a, b, d := mk(2, 0.3), mk(3, 1.7), mk(1, 2.9)
-			wantA := Nodal(mOld, a, mNew, 2)
-			wantB := Nodal(mOld, b, mNew, 3)
-			wantD := Nodal(mOld, d, mNew, 1)
+			wantA := nodal(mOld, a, mNew, 2)
+			wantB := nodal(mOld, b, mNew, 3)
+			wantD := nodal(mOld, d, mNew, 1)
 			ws := &Workspace{}
 			gotA, gotB, gotD := mNew.NewVec(2), mNew.NewVec(3), mNew.NewVec(1)
 			for round := 0; round < 2; round++ { // round 2 reuses the workspace
@@ -211,7 +211,7 @@ func TestBatchExactForLinearFields(t *testing.T) {
 }
 
 // TestBatchFewerMessagesThanSequential: the batched transfer must move
-// all fields with strictly less communication than three sequential Nodal
+// all fields with strictly less communication than three sequential nodal
 // rounds (one splitter gather and one NBX query/reply round instead of
 // three of each).
 func TestBatchFewerMessagesThanSequential(t *testing.T) {
@@ -227,9 +227,9 @@ func TestBatchFewerMessagesThanSequential(t *testing.T) {
 		}
 		c.Barrier()
 		before := c.Stats().Messages.Load()
-		Nodal(mOld, a, mNew, 2)
-		Nodal(mOld, b, mNew, 2)
-		Nodal(mOld, d, mNew, 1)
+		nodal(mOld, a, mNew, 2)
+		nodal(mOld, b, mNew, 2)
+		nodal(mOld, d, mNew, 1)
 		c.Barrier()
 		mid := c.Stats().Messages.Load()
 		gotA, gotB, gotD := mNew.NewVec(2), mNew.NewVec(2), mNew.NewVec(1)
@@ -355,8 +355,8 @@ func TestLevelByLevelMatchesSinglePass(t *testing.T) {
 			v[i] = 1 + x + y + x*y
 		}
 		mNew := mesh.New(c, 2, append([]sfc.Octant(nil), newTree.Leaves...))
-		single := Nodal(mOld, v, mNew, 1)
-		multi, mFinal, passes := NodalLevelByLevel(mOld, v, newTree, 1)
+		single := nodal(mOld, v, mNew, 1)
+		multi, mFinal, passes := nodalLevelByLevel(mOld, v, newTree, 1)
 		if passes != 3 {
 			panic(fmt.Sprintf("expected 3 one-level passes, got %d", passes))
 		}
