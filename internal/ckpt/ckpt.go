@@ -1,7 +1,9 @@
 // Package ckpt implements parallel checkpoint/restart for long adaptive
 // runs: a versioned binary snapshot of the distributed forest (octant
-// keys per rank), every solver field (φ/μ, velocity, pressure, elemental
-// Cahn number), the step index, physical time and accumulated timers.
+// keys per rank), the elemental Cahn numbers, the owned node keys with
+// one array per nodal field — whatever list the writer says a state is,
+// each field's dofs per node in the meta — the step index, physical time
+// and accumulated timers.
 // Snapshots are written one binary file per rank plus a JSON meta file,
 // and can be read back at a *different* rank count: each restoring rank
 // reads a contiguous block of the per-rank files, so the concatenation
@@ -40,8 +42,9 @@ import (
 
 // Version is the snapshot format version stamped into every rank file and
 // the meta file. Readers reject other versions. Version 2 added the
-// per-rank CRC32 trailer and the meta CRC list.
-const Version = 2
+// per-rank CRC32 trailer and the meta CRC list; version 3 made the nodal
+// field list the writer's (Meta.NodalDofs) instead of a fixed φμ, u, p.
+const Version = 3
 
 // magic identifies a proteus checkpoint rank file.
 var magic = [4]byte{'P', 'C', 'K', 'P'}
@@ -65,6 +68,7 @@ type Meta struct {
 	RemeshCount int   `json:"remesh_count"`
 	GlobalElems int64 `json:"global_elems"`
 	GlobalDofs  int64 `json:"global_dofs"`
+	NodalDofs   []int `json:"nodal_dofs"` // dofs per node of each Local.Nodal field
 	// RankCRCs are the CRC32 (IEEE) trailers of the rank files indexed by
 	// writer rank. A reader cross-checks them against each file's own
 	// trailer, so a rank file swapped in from another generation fails
@@ -77,15 +81,13 @@ type Meta struct {
 
 // Local is one rank's slice of a snapshot: its contiguous SFC range of
 // leaves with the elemental Cahn numbers, and its owned nodes (keys plus
-// the per-node field values, owned segment only — ghosts are re-derived
-// on restore).
+// one array per nodal field, owned segment only — ghosts are re-derived
+// on restore). Nodal[i] holds Meta.NodalDofs[i] values per key.
 type Local struct {
 	Elems  []sfc.Octant
 	ElemCn []float64
 	Keys   []mesh.NodeKey
-	PhiMu  []float64 // 2 per key
-	Vel    []float64 // dim per key
-	P      []float64 // 1 per key
+	Nodal  [][]float64
 }
 
 func metaPath(base string) string { return base + ".meta.json" }
@@ -152,20 +154,15 @@ func Rotate(base string, retain int) error {
 	return firstErr
 }
 
-// Verify checks a snapshot's integrity without building a mesh: the meta
-// parses, and every rank file it names passes the magic/header/step/CRC
-// checks. Call from one rank.
-func Verify(base string) error {
+// Verify checks a snapshot's integrity without building a mesh and
+// returns its meta: the meta parses, and every rank file it names passes
+// the magic/header/step/CRC checks. Call from one rank.
+func Verify(base string) (Meta, error) {
 	meta, err := ReadMeta(base)
-	if err != nil {
-		return err
+	for r := 0; err == nil && r < meta.Ranks; r++ {
+		_, err = readRank(rankPath(base, r), meta, r)
 	}
-	for r := 0; r < meta.Ranks; r++ {
-		if _, err := readRank(rankPath(base, r), meta, r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return meta, err
 }
 
 // ReadLatestGood resolves base to the newest intact snapshot and returns
@@ -177,26 +174,18 @@ func Verify(base string) error {
 // and broadcast the result.
 func ReadLatestGood(base string) (Meta, string, error) {
 	if _, err := os.Stat(metaPath(base)); err == nil {
-		meta, err := ReadMeta(base)
-		if err == nil {
-			if err := Verify(base); err == nil {
-				return meta, base, nil
-			}
+		if meta, err := Verify(base); err == nil {
+			return meta, base, nil
 		}
 	}
 	gens := Generations(base)
 	var lastErr error
 	for i := len(gens) - 1; i >= 0; i-- {
-		if err := Verify(gens[i]); err != nil {
-			lastErr = err
-			continue
+		meta, err := Verify(gens[i])
+		if err == nil {
+			return meta, gens[i], nil
 		}
-		meta, err := ReadMeta(gens[i])
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return meta, gens[i], nil
+		lastErr = err
 	}
 	if lastErr != nil {
 		return Meta{}, "", fmt.Errorf("ckpt: no intact snapshot under %s (last error: %w)", base, lastErr)
@@ -244,10 +233,7 @@ func Write(c *par.Comm, base string, meta Meta, loc *Local, inj ...*fault.Inject
 		}
 		return fmt.Errorf("ckpt: write %s: %w", base, err)
 	}
-	if par.Allreduce(c, err != nil, func(a, b bool) bool { return a || b }) {
-		if err == nil {
-			err = fmt.Errorf("write failed on a peer rank")
-		}
+	if err := agree(c, err, "write"); err != nil {
 		return fail(err)
 	}
 	// Fault point: corrupt the fully written, synced temporary file so
@@ -260,10 +246,7 @@ func Write(c *par.Comm, base string, meta Meta, loc *Local, inj ...*fault.Inject
 		}
 	}
 	err = os.Rename(rp+".tmp", rp)
-	if par.Allreduce(c, err != nil, func(a, b bool) bool { return a || b }) {
-		if err == nil {
-			err = fmt.Errorf("rename failed on a peer rank")
-		}
+	if err := agree(c, err, "rename"); err != nil {
 		return fail(err)
 	}
 	// All rank files are in place; committing the meta publishes the
@@ -271,16 +254,23 @@ func Write(c *par.Comm, base string, meta Meta, loc *Local, inj ...*fault.Inject
 	if c.Rank() == 0 {
 		err = os.Rename(mp+".tmp", mp)
 	}
-	if par.Allreduce(c, err != nil, func(a, b bool) bool { return a || b }) {
-		if err == nil {
-			err = fmt.Errorf("meta rename failed on rank 0")
-		}
+	if err := agree(c, err, "meta rename"); err != nil {
 		return fail(err)
 	}
 	if c.Rank() == 0 {
 		syncDir(filepath.Dir(base))
 	}
 	return nil
+}
+
+// agree makes a per-rank error collective: every rank fails if any rank
+// did, with its own error or one naming what failed on a peer.
+// Collective.
+func agree(c *par.Comm, err error, what string) error {
+	if par.Allreduce(c, err != nil, func(a, b bool) bool { return a || b }) && err == nil {
+		return fmt.Errorf("%s failed on a peer rank", what)
+	}
+	return err
 }
 
 // syncDir fsyncs a directory so the renames within it are durable;
@@ -354,8 +344,9 @@ func writeRank(path string, meta Meta, rank int, loc *Local) (uint32, error) {
 		return 0, err
 	}
 	ne, nn := len(loc.Elems), len(loc.Keys)
-	if len(loc.ElemCn) != ne || len(loc.PhiMu) != 2*nn || len(loc.Vel) != dim*nn || len(loc.P) != nn {
-		return 0, fmt.Errorf("ckpt: local snapshot slice lengths inconsistent (ne=%d nn=%d)", ne, nn)
+	if len(loc.ElemCn) != ne || len(loc.Nodal) != len(meta.NodalDofs) {
+		return 0, fmt.Errorf("ckpt: local snapshot holds %d elems, %d Cahn numbers, %d nodal fields for widths %v",
+			ne, len(loc.ElemCn), len(loc.Nodal), meta.NodalDofs)
 	}
 	if err := binary.Write(w, le, []uint64{uint64(ne), uint64(nn)}); err != nil {
 		return 0, err
@@ -370,7 +361,14 @@ func writeRank(path string, meta Meta, rank int, loc *Local) (uint32, error) {
 	for i, k := range loc.Keys {
 		kx[3*i], kx[3*i+1], kx[3*i+2] = k.X, k.Y, k.Z
 	}
-	for _, part := range []any{ex, lv, loc.ElemCn, kx, loc.PhiMu, loc.Vel, loc.P} {
+	parts := []any{ex, lv, loc.ElemCn, kx}
+	for i, f := range loc.Nodal {
+		if len(f) != meta.NodalDofs[i]*nn {
+			return 0, fmt.Errorf("ckpt: nodal field %d holds %d values for %d nodes at %d dofs", i, len(f), nn, meta.NodalDofs[i])
+		}
+		parts = append(parts, f)
+	}
+	for _, part := range parts {
 		if err := binary.Write(w, le, part); err != nil {
 			return 0, err
 		}
@@ -447,10 +445,17 @@ func readRank(path string, meta Meta, writerRank int) (*Local, error) {
 		return nil, err
 	}
 	// Bound the counts by the file size before allocating: every element
-	// record is >= 21 bytes and every node record >= 36, so corrupted
+	// record is 21 bytes and every node record 12 + 8·Σdofs, so corrupted
 	// counts in an otherwise well-formed header fail loudly here instead
 	// of triggering an allocation larger than the file itself.
-	if sz[0] > uint64(st.Size())/21 || sz[1] > uint64(st.Size())/36 {
+	nodeRec := 12
+	for _, d := range meta.NodalDofs {
+		if d <= 0 {
+			return nil, fmt.Errorf("ckpt: %s: nodal field widths %v are not all positive", path, meta.NodalDofs)
+		}
+		nodeRec += 8 * d
+	}
+	if sz[0] > uint64(st.Size())/21 || sz[1] > uint64(st.Size())/uint64(nodeRec) {
 		return nil, fmt.Errorf("ckpt: %s: corrupt record counts (%d elems, %d nodes in a %d-byte file)",
 			path, sz[0], sz[1], st.Size())
 	}
@@ -458,13 +463,13 @@ func readRank(path string, meta Meta, writerRank int) (*Local, error) {
 	ex := make([]uint32, 3*ne)
 	lv := make([]uint8, ne)
 	kx := make([]uint32, 3*nn)
-	loc := &Local{
-		ElemCn: make([]float64, ne),
-		PhiMu:  make([]float64, 2*nn),
-		Vel:    make([]float64, dim*nn),
-		P:      make([]float64, nn),
+	loc := &Local{ElemCn: make([]float64, ne), Nodal: make([][]float64, len(meta.NodalDofs))}
+	parts := []any{ex, lv, loc.ElemCn, kx}
+	for i, d := range meta.NodalDofs {
+		loc.Nodal[i] = make([]float64, d*nn)
+		parts = append(parts, loc.Nodal[i])
 	}
-	for _, part := range []any{ex, lv, loc.ElemCn, kx, loc.PhiMu, loc.Vel, loc.P} {
+	for _, part := range parts {
 		if err := binary.Read(r, le, part); err != nil {
 			return nil, fmt.Errorf("ckpt: %s truncated: %w", path, err)
 		}
@@ -507,7 +512,7 @@ func readRank(path string, meta Meta, writerRank int) (*Local, error) {
 func Read(c *par.Comm, base string, meta Meta) (*Local, error) {
 	rp, r := c.Size(), c.Rank()
 	lo, hi := r*meta.Ranks/rp, (r+1)*meta.Ranks/rp
-	out := &Local{}
+	out := &Local{Nodal: make([][]float64, len(meta.NodalDofs))}
 	var err error
 	for i := lo; i < hi && err == nil; i++ {
 		var loc *Local
@@ -518,14 +523,11 @@ func Read(c *par.Comm, base string, meta Meta) (*Local, error) {
 		out.Elems = append(out.Elems, loc.Elems...)
 		out.ElemCn = append(out.ElemCn, loc.ElemCn...)
 		out.Keys = append(out.Keys, loc.Keys...)
-		out.PhiMu = append(out.PhiMu, loc.PhiMu...)
-		out.Vel = append(out.Vel, loc.Vel...)
-		out.P = append(out.P, loc.P...)
-	}
-	if par.Allreduce(c, err != nil, func(a, b bool) bool { return a || b }) {
-		if err == nil {
-			err = fmt.Errorf("ckpt: read failed on a peer rank")
+		for f := range out.Nodal {
+			out.Nodal[f] = append(out.Nodal[f], loc.Nodal[f]...)
 		}
+	}
+	if err := agree(c, err, "read"); err != nil {
 		return nil, fmt.Errorf("ckpt: read %s: %w", base, err)
 	}
 	return out, nil

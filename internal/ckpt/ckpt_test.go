@@ -1,7 +1,9 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
@@ -13,29 +15,47 @@ import (
 	"proteus/internal/sfc"
 )
 
+// fields2D is the nodal field list of a 2D run without warm starts
+// (φμ, u, p); warmFields adds a 3D-like list of four fields.
+var (
+	fields2D   = []int{2, 2, 1}
+	warmFields = []int{2, 3, 1, 1}
+)
+
+// addNodes appends three owned nodes with rank-tagged keys and one
+// rank-tagged value array per field of the given widths.
+func addNodes(loc *Local, rank int, dofs []int) {
+	if loc.Nodal == nil {
+		loc.Nodal = make([][]float64, len(dofs))
+	}
+	for i := 0; i < 3; i++ {
+		loc.Keys = append(loc.Keys, mesh.NodeKey{X: uint32(rank*10 + i), Y: uint32(i), Z: 0})
+		for f, d := range dofs {
+			for k := 0; k < d; k++ {
+				loc.Nodal[f] = append(loc.Nodal[f], float64(rank)+0.1*float64(f)+1e-2*float64(i)-1e-3*float64(k))
+			}
+		}
+	}
+}
+
 // synthLocal fabricates one rank's snapshot share: two level-1 quadrants
-// per rank (globally SFC-ordered when ranks are taken in order) with
-// rank-tagged field values.
-func synthLocal(rank, dim int) *Local {
-	root := sfc.Root(dim)
+// per rank (globally SFC-ordered when ranks are taken in order) and three
+// nodes with rank-tagged field values.
+func synthLocal(rank int, dofs []int) *Local {
+	root := sfc.Root(2)
 	loc := &Local{}
 	for c := 0; c < 2; c++ {
 		loc.Elems = append(loc.Elems, root.Child(2*rank+c))
 		loc.ElemCn = append(loc.ElemCn, float64(100*rank+c))
 	}
-	for i := 0; i < 3; i++ {
-		loc.Keys = append(loc.Keys, mesh.NodeKey{X: uint32(rank*10 + i), Y: uint32(i), Z: 0})
-		loc.PhiMu = append(loc.PhiMu, float64(rank)+0.1, float64(i)+0.2)
-		loc.Vel = append(loc.Vel, float64(rank*i), -float64(i))
-		loc.P = append(loc.P, float64(rank)*1e-3+float64(i))
-	}
+	addNodes(loc, rank, dofs)
 	return loc
 }
 
 func sameLocal(a, b *Local) error {
-	if len(a.Elems) != len(b.Elems) || len(a.Keys) != len(b.Keys) {
-		return fmt.Errorf("size mismatch: %d/%d elems, %d/%d keys",
-			len(a.Elems), len(b.Elems), len(a.Keys), len(b.Keys))
+	if len(a.Elems) != len(b.Elems) || len(a.Keys) != len(b.Keys) || len(a.Nodal) != len(b.Nodal) {
+		return fmt.Errorf("size mismatch: %d/%d elems, %d/%d keys, %d/%d fields",
+			len(a.Elems), len(b.Elems), len(a.Keys), len(b.Keys), len(a.Nodal), len(b.Nodal))
 	}
 	for i := range a.Elems {
 		if !a.Elems[i].EqualKey(b.Elems[i]) || a.ElemCn[i] != b.ElemCn[i] {
@@ -43,18 +63,18 @@ func sameLocal(a, b *Local) error {
 		}
 	}
 	for i := range a.Keys {
-		if a.Keys[i] != b.Keys[i] || a.P[i] != b.P[i] {
+		if a.Keys[i] != b.Keys[i] {
 			return fmt.Errorf("node %d differs", i)
 		}
 	}
-	for i := range a.PhiMu {
-		if a.PhiMu[i] != b.PhiMu[i] {
-			return fmt.Errorf("phimu %d differs", i)
+	for f := range a.Nodal {
+		if len(a.Nodal[f]) != len(b.Nodal[f]) {
+			return fmt.Errorf("field %d: %d/%d values", f, len(a.Nodal[f]), len(b.Nodal[f]))
 		}
-	}
-	for i := range a.Vel {
-		if a.Vel[i] != b.Vel[i] {
-			return fmt.Errorf("vel %d differs", i)
+		for i := range a.Nodal[f] {
+			if a.Nodal[f][i] != b.Nodal[f][i] {
+				return fmt.Errorf("field %d value %d differs", f, i)
+			}
 		}
 	}
 	return nil
@@ -67,15 +87,15 @@ func concatLocals(c *par.Comm, loc *Local) *Local {
 	if c.Rank() != 0 {
 		return nil
 	}
-	out := &Local{}
+	out := &Local{Nodal: make([][]float64, len(loc.Nodal))}
 	for _, batch := range all {
 		for _, s := range batch {
 			out.Elems = append(out.Elems, s.L.Elems...)
 			out.ElemCn = append(out.ElemCn, s.L.ElemCn...)
 			out.Keys = append(out.Keys, s.L.Keys...)
-			out.PhiMu = append(out.PhiMu, s.L.PhiMu...)
-			out.Vel = append(out.Vel, s.L.Vel...)
-			out.P = append(out.P, s.L.P...)
+			for f := range out.Nodal {
+				out.Nodal[f] = append(out.Nodal[f], s.L.Nodal[f]...)
+			}
 		}
 	}
 	return out
@@ -86,64 +106,68 @@ func concatLocals(c *par.Comm, loc *Local) *Local {
 // must reproduce the written records bitwise, and the meta must survive
 // the JSON round trip.
 func TestRoundTripAcrossRankCounts(t *testing.T) {
-	base := t.TempDir() + "/snap"
-	meta := Meta{
-		Scenario: "bubble", Preset: "smoke", Dim: 2,
-		Step: 7, Time: 0.007, RemeshCount: 3,
-		GlobalElems: 4, GlobalDofs: 6,
-	}
-	meta.Timers.CH.Total = 123 * time.Millisecond
-	meta.Timers.CH.Iterations = 42
-	meta.Timers.RemeshStages.Rounds = 5
-
-	var want *Local
-	par.Run(2, func(c *par.Comm) {
-		loc := synthLocal(c.Rank(), 2)
-		if w := concatLocals(c, loc); w != nil {
-			want = w
+	for _, dofs := range [][]int{fields2D, warmFields} {
+		base := t.TempDir() + "/snap"
+		meta := Meta{
+			Scenario: "bubble", Preset: "smoke", Dim: 2,
+			Step: 7, Time: 0.007, RemeshCount: 3, NodalDofs: dofs,
+			GlobalElems: 4, GlobalDofs: 6,
 		}
-		if err := Write(c, base, meta, loc); err != nil {
-			panic(err)
-		}
-	})
+		meta.Timers.CH.Total = 123 * time.Millisecond
+		meta.Timers.CH.Iterations = 42
+		meta.Timers.RemeshStages.Rounds = 5
 
-	got, err := ReadMeta(base)
-	if err != nil {
-		t.Fatalf("ReadMeta: %v", err)
-	}
-	if got.Version != Version || got.Scenario != "bubble" || got.Preset != "smoke" ||
-		got.Ranks != 2 || got.Step != 7 || got.Time != 0.007 || got.RemeshCount != 3 {
-		t.Fatalf("meta did not round-trip: %+v", got)
-	}
-	if got.Timers.CH.Total != 123*time.Millisecond || got.Timers.CH.Iterations != 42 ||
-		got.Timers.RemeshStages.Rounds != 5 {
-		t.Fatalf("timers did not round-trip: %+v", got.Timers)
-	}
-
-	for _, p := range []int{1, 2, 4} {
-		var back *Local
-		par.Run(p, func(c *par.Comm) {
-			loc, err := Read(c, base, got)
-			if err != nil {
+		var want *Local
+		par.Run(2, func(c *par.Comm) {
+			loc := synthLocal(c.Rank(), dofs)
+			if w := concatLocals(c, loc); w != nil {
+				want = w
+			}
+			if err := Write(c, base, meta, loc); err != nil {
 				panic(err)
 			}
-			if b := concatLocals(c, loc); b != nil {
-				back = b
-			}
 		})
-		if err := sameLocal(want, back); err != nil {
-			t.Fatalf("read at %d ranks: %v", p, err)
+
+		got, err := ReadMeta(base)
+		if err != nil {
+			t.Fatalf("ReadMeta: %v", err)
+		}
+		if got.Version != Version || got.Scenario != "bubble" || got.Preset != "smoke" ||
+			got.Ranks != 2 || got.Step != 7 || got.Time != 0.007 || got.RemeshCount != 3 ||
+			fmt.Sprint(got.NodalDofs) != fmt.Sprint(dofs) {
+			t.Fatalf("meta did not round-trip: %+v", got)
+		}
+		if got.Timers.CH.Total != 123*time.Millisecond || got.Timers.CH.Iterations != 42 ||
+			got.Timers.RemeshStages.Rounds != 5 {
+			t.Fatalf("timers did not round-trip: %+v", got.Timers)
+		}
+
+		for _, p := range []int{1, 2, 4} {
+			var back *Local
+			par.Run(p, func(c *par.Comm) {
+				loc, err := Read(c, base, got)
+				if err != nil {
+					panic(err)
+				}
+				if b := concatLocals(c, loc); b != nil {
+					back = b
+				}
+			})
+			if err := sameLocal(want, back); err != nil {
+				t.Fatalf("fields %v read at %d ranks: %v", dofs, p, err)
+			}
 		}
 	}
 }
 
-// TestVersionAndCorruptionRejected checks that a future-format meta and
-// a corrupted rank file both fail loudly.
+// TestVersionAndCorruptionRejected checks that a future-format meta, a
+// version-2 meta and rank file (the fixed φμ, u, p layout, which has no
+// reader) and a corrupted rank file all fail loudly.
 func TestVersionAndCorruptionRejected(t *testing.T) {
 	base := t.TempDir() + "/snap"
-	meta := Meta{Dim: 2, Step: 1}
+	meta := Meta{Dim: 2, Step: 1, NodalDofs: fields2D}
 	par.Run(1, func(c *par.Comm) {
-		if err := Write(c, base, meta, synthLocal(0, 2)); err != nil {
+		if err := Write(c, base, meta, synthLocal(0, fields2D)); err != nil {
 			panic(err)
 		}
 	})
@@ -153,16 +177,30 @@ func TestVersionAndCorruptionRejected(t *testing.T) {
 	}
 
 	mb, _ := os.ReadFile(metaPath(base))
-	bad := strings.Replace(string(mb), fmt.Sprintf("\"version\": %d", Version), "\"version\": 99", 1)
-	if err := os.WriteFile(metaPath(base), []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMeta(base); err == nil {
-		t.Fatal("future-version meta accepted")
+	for _, v := range []int{99, 2} {
+		bad := strings.Replace(string(mb), fmt.Sprintf("\"version\": %d", Version), fmt.Sprintf("\"version\": %d", v), 1)
+		if err := os.WriteFile(metaPath(base), []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadMeta(base); err == nil {
+			t.Fatalf("version-%d meta accepted", v)
+		}
 	}
 	os.WriteFile(metaPath(base), mb, 0o644)
 
+	// A version-2 rank file with a valid trailer: only the version word
+	// tells it apart, and that alone must reject it.
 	rb, _ := os.ReadFile(rankPath(base, 0))
+	v2 := append([]byte(nil), rb...)
+	binary.LittleEndian.PutUint32(v2[4:], 2)
+	binary.LittleEndian.PutUint32(v2[len(v2)-4:], crc32.ChecksumIEEE(v2[:len(v2)-4]))
+	os.WriteFile(rankPath(base, 0), v2, 0o644)
+	par.Run(1, func(c *par.Comm) {
+		if _, err := Read(c, base, good); err == nil || !strings.Contains(err.Error(), "format version 2") {
+			panic(fmt.Sprintf("version-2 rank file: got %v, want a format-version error", err))
+		}
+	})
+
 	rb[0] ^= 0xff // break the magic
 	os.WriteFile(rankPath(base, 0), rb, 0o644)
 	par.Run(1, func(c *par.Comm) {
@@ -184,13 +222,8 @@ func writeGen(t *testing.T, base string, step, ranks int) {
 			loc.Elems = append(loc.Elems, root.Child(c.Rank()).Child(ch))
 			loc.ElemCn = append(loc.ElemCn, float64(100*c.Rank()+ch))
 		}
-		for i := 0; i < 3; i++ {
-			loc.Keys = append(loc.Keys, mesh.NodeKey{X: uint32(c.Rank()*10 + i), Y: uint32(i)})
-			loc.PhiMu = append(loc.PhiMu, float64(c.Rank())+0.1, float64(i)+0.2)
-			loc.Vel = append(loc.Vel, float64(c.Rank()*i), -float64(i))
-			loc.P = append(loc.P, float64(c.Rank())*1e-3+float64(i))
-		}
-		meta := Meta{Dim: 2, Step: step, Time: float64(step) * 1e-3}
+		addNodes(loc, c.Rank(), fields2D)
+		meta := Meta{Dim: 2, Step: step, Time: float64(step) * 1e-3, NodalDofs: fields2D}
 		if err := Write(c, GenBase(base, step), meta, loc); err != nil {
 			panic(err)
 		}
@@ -318,12 +351,13 @@ func TestMetaCRCCatchesSwappedRankFile(t *testing.T) {
 	dir := t.TempDir()
 	a, b := dir+"/a", dir+"/b"
 	par.Run(1, func(c *par.Comm) {
-		la, lb := synthLocal(0, 2), synthLocal(0, 2)
-		lb.P[0] += 0.5 // same shape, different payload
-		if err := Write(c, a, Meta{Dim: 2, Step: 4}, la); err != nil {
+		la, lb := synthLocal(0, fields2D), synthLocal(0, fields2D)
+		lb.Nodal[2][0] += 0.5 // same shape, different payload
+		meta := Meta{Dim: 2, Step: 4, NodalDofs: fields2D}
+		if err := Write(c, a, meta, la); err != nil {
 			panic(err)
 		}
-		if err := Write(c, b, Meta{Dim: 2, Step: 4}, lb); err != nil {
+		if err := Write(c, b, meta, lb); err != nil {
 			panic(err)
 		}
 	})
@@ -334,7 +368,7 @@ func TestMetaCRCCatchesSwappedRankFile(t *testing.T) {
 	if err := os.WriteFile(rankPath(a, 0), rb, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(a); err == nil {
+	if _, err := Verify(a); err == nil {
 		t.Fatal("swapped-in rank file with a self-consistent CRC accepted")
 	}
 }
@@ -348,15 +382,15 @@ func TestInjectedTruncationIsTornWrite(t *testing.T) {
 	writeGen(t, base, 2, 2)
 	par.Run(2, func(c *par.Comm) {
 		inj := fault.New(1, c.Rank(), fault.Fault{Point: fault.CkptTruncate, Step: 1, Rank: 1})
-		meta := Meta{Dim: 2, Step: 4}
-		if err := Write(c, GenBase(base, 4), meta, synthLocal(c.Rank(), 2), inj); err != nil {
+		meta := Meta{Dim: 2, Step: 4, NodalDofs: fields2D}
+		if err := Write(c, GenBase(base, 4), meta, synthLocal(c.Rank(), fields2D), inj); err != nil {
 			panic(err)
 		}
 	})
 	if len(Generations(base)) != 2 {
 		t.Fatalf("truncated write did not publish a generation: %v", Generations(base))
 	}
-	if err := Verify(GenBase(base, 4)); err == nil {
+	if _, err := Verify(GenBase(base, 4)); err == nil {
 		t.Fatal("truncated generation passed Verify")
 	}
 	meta, rb, err := ReadLatestGood(base)

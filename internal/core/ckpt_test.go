@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"proteus/internal/chns"
@@ -33,10 +34,11 @@ func ckptTestPhi0(cn float64) func(x, y, z float64) float64 {
 }
 
 // nodeRec is one owned node's key and packed 2D field values
-// (φ, μ, vx, vy, p); elemRec one element's octant and Cahn number.
+// (φ, μ, vx, vy, p, and ψ under warm starts); elemRec one element's
+// octant and Cahn number.
 type nodeRec struct {
 	K mesh.NodeKey
-	V [5]float64
+	V [6]float64
 }
 type elemRec struct {
 	O  sfc.Octant
@@ -59,10 +61,14 @@ type globalState struct {
 func gatherState(s *Simulation) *globalState {
 	m := s.Mesh
 	sol := s.Solver
+	psi := sol.PsiState()
 	nl := make([]nodeRec, m.NumOwned)
 	for i := 0; i < m.NumOwned; i++ {
-		nl[i] = nodeRec{K: m.Keys[i], V: [5]float64{
+		nl[i] = nodeRec{K: m.Keys[i], V: [6]float64{
 			sol.PhiMu[2*i], sol.PhiMu[2*i+1], sol.Vel[2*i], sol.Vel[2*i+1], sol.P[i]}}
+		if psi != nil {
+			nl[i].V[5] = psi[i]
+		}
 	}
 	el := make([]elemRec, m.NumElems())
 	for e := range el {
@@ -122,11 +128,20 @@ func sameState(what string, want, got *globalState) error {
 // TestCheckpointRestartBitwiseSameRanks checks the headline contract: a
 // run of N steps equals a run of K steps + checkpoint + restart of N−K
 // steps, bitwise in every field and identical in Describe, at 1, 2 and
-// 4 ranks. K is chosen so the restart
-// immediately crosses a remesh.
+// 4 ranks, with warm starts off and on (ψ then rides the checkpoint). K
+// is chosen so the restart immediately crosses a remesh.
 func TestCheckpointRestartBitwiseSameRanks(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
+			testCheckpointRestartBitwiseSameRanks(t, warm)
+		})
+	}
+}
+
+func testCheckpointRestartBitwiseSameRanks(t *testing.T, warm bool) {
 	const N, K = 5, 2
 	cfg := ckptTestConfig()
+	cfg.Opt.WarmStarts = warm
 	phi0 := ckptTestPhi0(cfg.Params.Cn)
 	for _, p := range []int{1, 2, 4} {
 		base := t.TempDir() + "/ck"
@@ -169,10 +184,20 @@ func TestCheckpointRestartBitwiseSameRanks(t *testing.T) {
 // identical global state at any of 1, 2 or 4 ranks (the trajectory that
 // follows is deterministic per rank count; cross-count reduction
 // grouping differs, as in any MPI code — the state handoff itself is
-// exact). The restored run must also keep stepping.
+// exact). The restored run must also keep stepping. Under warm starts ψ
+// is part of the compared state.
 func TestRestoreBitwiseAcrossRankCounts(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
+			testRestoreBitwiseAcrossRankCounts(t, warm)
+		})
+	}
+}
+
+func testRestoreBitwiseAcrossRankCounts(t *testing.T, warm bool) {
 	const K = 3 // crosses one adaptation round
 	cfg := ckptTestConfig()
+	cfg.Opt.WarmStarts = warm
 	phi0 := ckptTestPhi0(cfg.Params.Cn)
 	for _, pw := range []int{1, 2, 4} {
 		base := t.TempDir() + fmt.Sprintf("/ck%d", pw)
@@ -201,6 +226,40 @@ func TestRestoreBitwiseAcrossRankCounts(t *testing.T) {
 			})
 			if err := sameState(fmt.Sprintf("write@%d restore@%d", pw, pr), want, got); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestRestoreRejectsFieldListMismatch: ψ is on the nodal list only under
+// warm starts, so a snapshot written with warm starts on cannot restore
+// into a run with them off, nor the reverse. Restore must say so on every
+// rank with an error naming both lists, not panic or misread one field as
+// another, at 1 and 2 ranks.
+func TestRestoreRejectsFieldListMismatch(t *testing.T) {
+	for _, p := range []int{1, 2} {
+		for _, warm := range []bool{true, false} {
+			cfg := ckptTestConfig()
+			cfg.Opt.WarmStarts = warm
+			base := t.TempDir() + "/ck"
+			par.Run(p, func(c *par.Comm) {
+				sim := New(c, cfg, ckptTestPhi0(cfg.Params.Cn))
+				if err := sim.Run(1); err != nil {
+					panic(err)
+				}
+				if err := sim.Checkpoint(base); err != nil {
+					panic(err)
+				}
+			})
+			cfg.Opt.WarmStarts = !warm
+			errs := make([]error, p)
+			par.Run(p, func(c *par.Comm) {
+				_, errs[c.Rank()] = Restore(c, cfg, base)
+			})
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "[2 2 1 1]") || !strings.Contains(err.Error(), "[2 2 1]") {
+					t.Fatalf("p=%d written warm=%v, rank %d: got %v, want an error naming both field lists", p, warm, r, err)
+				}
 			}
 		}
 	}

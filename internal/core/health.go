@@ -4,62 +4,35 @@ import (
 	"fmt"
 
 	"proteus/internal/ckpt"
-	"proteus/internal/mesh"
-	"proteus/internal/octree"
 	"proteus/internal/par"
-	"proteus/internal/sfc"
-	"proteus/internal/transfer"
 )
 
-// stepSnapshot is an in-memory copy of everything a failed step mutates:
-// the local forest, every solver field (full local vectors, ghosts
-// included, so a restored state needs no re-communication) and the
+// stepSnapshot is the in-memory copy of everything a failed step
+// mutates: the saved state (the record a checkpoint writes) and the
 // step/time bookkeeping. The buffers are reused across steps, so steady
 // snapshotting allocates only while the mesh grows.
 type stepSnapshot struct {
-	elems       []sfc.Octant
-	elemCn      []float64
-	nodal       [][]float64 // one per nodalState field, in its order
+	loc         ckpt.Local
 	stepIndex   int
 	time        float64
 	remeshCount int
-	epoch       uint64
 }
 
 // saveSnapshot records the pre-step state into snap, reusing its buffers.
 func (s *Simulation) saveSnapshot(snap *stepSnapshot) {
-	snap.elems = append(snap.elems[:0], s.Mesh.Elems...)
-	snap.elemCn = append(snap.elemCn[:0], s.Solver.ElemCn...)
-	fields := s.nodalState()
-	for len(snap.nodal) < len(fields) {
-		snap.nodal = append(snap.nodal, nil)
-	}
-	for i, f := range fields {
-		snap.nodal[i] = append(snap.nodal[i][:0], f.Src...)
-	}
+	s.saveState(&snap.loc)
 	snap.stepIndex, snap.time = s.StepIndex, s.Time
 	snap.remeshCount = s.RemeshCount
-	snap.epoch = s.MeshEpoch
 }
 
-// rollback restores the pre-step state saved in snap. If the failed
-// attempt remeshed (the epoch moved), the snapshot's mesh is rebuilt
-// from its leaf set — mesh.New is deterministic in the leaves, so the
-// rebuilt mesh reproduces the original layout exactly and the saved
-// vectors (ghosts included) drop back in bitwise. Collective when the
-// epoch moved, local otherwise; the divergence verdict that triggers a
-// rollback is globally consistent, so every rank takes the same branch.
+// rollback restores the pre-step state saved in snap through restore: if
+// the failed attempt remeshed, the snapshot's mesh is rebuilt from its
+// leaves (mesh.New is deterministic in them, so the layout comes back
+// exactly) and every value drops back in bitwise. The divergence verdict
+// that triggers a rollback is globally consistent, so every rank rolls
+// back together. Collective.
 func (s *Simulation) rollback(snap *stepSnapshot) {
-	if s.MeshEpoch != snap.epoch {
-		m := mesh.New(s.Comm, s.Cfg.Dim, snap.elems)
-		s.MeshEpoch++
-		s.Solver.Rebind(m, s.MeshEpoch, nil)
-		s.Mesh = m
-	}
-	for i, f := range s.nodalState() {
-		copy(f.Src, snap.nodal[i])
-	}
-	copy(s.Solver.ElemCn, snap.elemCn)
+	s.restore(&snap.loc)
 	s.StepIndex, s.Time = snap.stepIndex, snap.time
 	s.RemeshCount = snap.remeshCount
 }
@@ -134,63 +107,25 @@ func (s *Simulation) CheckpointGeneration(base string, retain int) error {
 // snapshot under base, in place: the solver keeps its element scratch,
 // warm Krylov workspaces and fault injector; only the mesh binding and the
 // field state change. Rank 0 resolves the generation (skipping corrupt
-// ones) and broadcasts the choice, so every rank restores the same
-// snapshot. Collective.
+// ones) and broadcasts the choice with its meta, so every rank restores
+// the same snapshot. Collective.
 func (s *Simulation) restoreFromLatest(base string) error {
-	var resolved, rerr string
+	var latest struct {
+		meta      ckpt.Meta
+		base, err string
+	}
 	if s.Comm.Rank() == 0 {
-		if _, rb, err := ckpt.ReadLatestGood(base); err != nil {
-			rerr = err.Error()
-		} else {
-			resolved = rb
+		var err error
+		if latest.meta, latest.base, err = ckpt.ReadLatestGood(base); err != nil {
+			latest.err = err.Error()
 		}
 	}
-	if rerr = par.Bcast(s.Comm, 0, rerr); rerr != "" {
-		return fmt.Errorf("core: checkpoint fallback: %s", rerr)
+	if latest = par.Bcast(s.Comm, 0, latest); latest.err != "" {
+		return fmt.Errorf("core: checkpoint fallback: %s", latest.err)
 	}
-	resolved = par.Bcast(s.Comm, 0, resolved)
-	meta, err := ckpt.ReadMeta(resolved)
+	loc, err := ckpt.Read(s.Comm, latest.base, latest.meta)
 	if err != nil {
 		return err
 	}
-	loc, err := ckpt.Read(s.Comm, resolved, meta)
-	if err != nil {
-		return err
-	}
-	local := octree.PartitionWeighted(s.Comm, loc.Elems, nil)
-	m := mesh.New(s.Comm, s.Cfg.Dim, local)
-	s.MeshEpoch++
-	s.Solver.Rebind(m, s.MeshEpoch, nil)
-	s.Mesh = m
-	s.applySnapshot(loc, meta)
-	return nil
-}
-
-// applySnapshot replays a loaded snapshot onto the simulation's current
-// mesh through the key-addressed bitwise migration path and restores the
-// step/time bookkeeping. The mesh must already hold the snapshot's
-// global forest (possibly repartitioned). Collective.
-func (s *Simulation) applySnapshot(loc *ckpt.Local, meta ckpt.Meta) {
-	cn := transfer.MigrateElem(s.Comm, loc.Elems, loc.ElemCn, s.Mesh.Elems)
-	copy(s.Solver.ElemCn, cn)
-
-	dim := s.Cfg.Dim
-	tot := 2 + dim + 1
-	packed := make([]float64, len(loc.Keys)*tot)
-	for i := range loc.Keys {
-		off := i * tot
-		copy(packed[off:off+2], loc.PhiMu[2*i:2*i+2])
-		copy(packed[off+2:off+2+dim], loc.Vel[dim*i:dim*(i+1)])
-		packed[off+2+dim] = loc.P[i]
-	}
-	transfer.MigrateKeyedNodal(s.Mesh, loc.Keys, packed, []transfer.Field{
-		{Dst: s.Solver.PhiMu, Ndof: 2},
-		{Dst: s.Solver.Vel, Ndof: dim},
-		{Dst: s.Solver.P, Ndof: 1},
-	})
-
-	s.StepIndex = meta.Step
-	s.Time = meta.Time
-	s.RemeshCount = meta.RemeshCount
-	s.T = meta.Timers
+	return s.restoreSnapshot(latest.base, latest.meta, loc)
 }

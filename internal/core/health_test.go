@@ -73,9 +73,18 @@ func TestInjectedDivergenceBitwiseEqualsDtSchedule(t *testing.T) {
 // intact on-disk generation, replays, and still finishes the absolute
 // step budget — ending bitwise identical to an undisturbed run (the
 // replay starts from a bitwise-exact snapshot at nominal dt and the
-// fault is exhausted by then), on 2 ranks.
+// fault is exhausted by then), on 2 ranks, with warm starts off and on.
 func TestCheckpointFallbackReplays(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
+			testCheckpointFallbackReplays(t, warm)
+		})
+	}
+}
+
+func testCheckpointFallbackReplays(t *testing.T, warm bool) {
 	cfg := ckptTestConfig()
+	cfg.Opt.WarmStarts = warm
 	phi0 := ckptTestPhi0(cfg.Params.Cn)
 	dir := t.TempDir()
 	var want, got *globalState
@@ -218,6 +227,7 @@ func TestRollbackRestoresPsi(t *testing.T) {
 				}
 				var snap stepSnapshot
 				sim.saveSnapshot(&snap)
+				epoch := sim.MeshEpoch
 				want := append([]float64(nil), sim.Solver.PsiState()...)
 				nonzero := false
 				for _, v := range want {
@@ -230,7 +240,7 @@ func TestRollbackRestoresPsi(t *testing.T) {
 				if err := sim.Step(); !errors.As(err, &div) || div.Stage != chns.StageVU {
 					panic(fmt.Sprintf("step %d: want an injected vu divergence, got %v", failAt, err))
 				}
-				if remeshed := sim.MeshEpoch != snap.epoch; remeshed != (failAt == cfg.RemeshEvery) {
+				if remeshed := sim.MeshEpoch != epoch; remeshed != (failAt == cfg.RemeshEvery) {
 					panic(fmt.Sprintf("p=%d step %d: failed attempt remeshed = %v", p, failAt, remeshed))
 				}
 				sim.rollback(&snap)

@@ -1,9 +1,11 @@
-// Partition-only migration: when an adaptation round leaves the global
-// forest unchanged and only moves the SFC partition (a pure load
-// rebalance), fields need no inter-grid interpolation at all — every node
-// and element value is copied bitwise from its old owner to its new
-// owner. This keeps results bitwise reproducible across rank counts and
-// skips the old-tree rebuild and point-location machinery entirely.
+// Exact migration: when an adaptation round leaves the global forest
+// unchanged and only moves the SFC partition (a pure load rebalance), or
+// a saved state is put back onto a mesh of its own forest, fields need no
+// inter-grid interpolation at all — every node and element value is
+// copied bitwise from its holder to its owner. This keeps results bitwise
+// reproducible across rank counts and skips the old-tree rebuild and
+// point-location machinery entirely. Nodal values move through one keyed
+// delivery (MigrateKeyedNodal), element values through MigrateElem.
 package transfer
 
 import (
@@ -15,9 +17,9 @@ import (
 	"proteus/internal/sfc"
 )
 
-// maxMigrateDofs bounds the combined per-node dof count of one
-// MigrateNodal call: keys and values travel together in one fixed-size
-// packet so the whole migration is a single NBX round.
+// maxMigrateDofs bounds the combined per-node dof count of one keyed
+// migration: keys and values travel together in one fixed-size packet so
+// the whole migration is a single NBX round.
 const maxMigrateDofs = 8
 
 // nodePacket carries one node's key and its packed field values.
@@ -27,116 +29,45 @@ type nodePacket struct {
 }
 
 // MigrateNodal moves nodal fields from oldM to newM when both meshes are
-// built over the same global forest and only ownership moved: each rank
-// pushes every owned node's packed values to the node's new canonical
-// owner (computed from newM's recorded ownership table with the same
-// clamping rule the mesh builder uses — for a migrated old-mesh view
-// that table is the new partition's, which an element-derived gather
-// would not reproduce) in one NBX round. No point location, no
-// interpolation — destination values are bitwise copies. Panics if the
-// meshes turn out not to share a forest (an owned destination node left
-// unfilled, or a pushed key unknown to its target), so a mistaken
+// built over the same global forest and only ownership moved: it is
+// MigrateKeyedNodal of oldM's owned nodes, so every owned value goes to
+// its node's owner under newM's recorded ownership table (for a migrated
+// old-mesh view that table is the new partition's, which an
+// element-derived gather would not reproduce) in one NBX round. No point
+// location, no interpolation — destination values are bitwise copies.
+// Panics if the meshes turn out not to share a forest, so a mistaken
 // partition-only detection fails loudly instead of corrupting fields.
 // Collective.
 func MigrateNodal(oldM, newM *mesh.Mesh, fields []Field) {
-	c := oldM.Comm
-	tot := 0
-	for _, f := range fields {
-		if len(f.Src) < oldM.NumLocal*f.Ndof || len(f.Dst) < newM.NumLocal*f.Ndof {
-			panic("transfer: MigrateNodal field vector length mismatch")
-		}
-		tot += f.Ndof
+	owned := make([]Field, len(fields))
+	for i, f := range fields {
+		owned[i] = Field{Src: f.Src[:oldM.NumOwned*f.Ndof], Dst: f.Dst, Ndof: f.Ndof}
 	}
-	if tot > maxMigrateDofs {
-		panic(fmt.Sprintf("transfer: MigrateNodal moves %d dofs per node, max %d", tot, maxMigrateDofs))
-	}
-	spl, ok := newM.OwnershipTable()
-	if !ok {
-		spl = octree.GatherSplitters(c, newM.Elems)
-	}
-	me := c.Rank()
-	filled := 0
-	perRank := map[int][]nodePacket{}
-	for i := 0; i < oldM.NumOwned; i++ {
-		k := oldM.Keys[i]
-		r := ownerOfKey(spl, oldM.Dim, k)
-		if r == me {
-			j, ok := newM.NodeIndex(k)
-			if !ok || j >= newM.NumOwned {
-				panic(fmt.Sprintf("transfer: node %v not owned on its migration target rank %d", k, me))
-			}
-			for _, f := range fields {
-				copy(f.Dst[j*f.Ndof:(j+1)*f.Ndof], f.Src[i*f.Ndof:(i+1)*f.Ndof])
-			}
-			filled++
-			continue
-		}
-		var p nodePacket
-		p.Key = k
-		off := 0
-		for _, f := range fields {
-			copy(p.V[off:off+f.Ndof], f.Src[i*f.Ndof:(i+1)*f.Ndof])
-			off += f.Ndof
-		}
-		perRank[r] = append(perRank[r], p)
-	}
-	if c.Size() > 1 {
-		dests := make([]int, 0, len(perRank))
-		bufs := make([][]nodePacket, 0, len(perRank))
-		for r, lst := range perRank {
-			dests = append(dests, r)
-			bufs = append(bufs, lst)
-		}
-		_, recvd := par.NBXExchange(c, dests, bufs)
-		for _, batch := range recvd {
-			for _, p := range batch {
-				j, ok := newM.NodeIndex(p.Key)
-				if !ok || j >= newM.NumOwned {
-					panic(fmt.Sprintf("transfer: migrated node %v not owned on rank %d", p.Key, me))
-				}
-				off := 0
-				for _, f := range fields {
-					copy(f.Dst[j*f.Ndof:(j+1)*f.Ndof], p.V[off:off+f.Ndof])
-					off += f.Ndof
-				}
-				filled++
-			}
-		}
-	} else if len(perRank) > 0 {
-		panic("transfer: MigrateNodal routed nodes off a single rank")
-	}
-	if filled != newM.NumOwned {
-		panic(fmt.Sprintf("transfer: partition-only migration filled %d of %d owned nodes — meshes do not share a forest", filled, newM.NumOwned))
-	}
-	for _, f := range fields {
-		newM.GhostRead(f.Dst, f.Ndof)
-	}
+	MigrateKeyedNodal(newM, oldM.Keys[:oldM.NumOwned], owned)
 }
 
-// MigrateKeyedNodal delivers externally held node records — owned-node
-// keys with their packed per-node values, e.g. read back from a
-// checkpoint — to their canonical owners under newM's partition in one
-// NBX round. The records may be distributed across ranks in any way
-// (each global node exactly once); destination values are bitwise copies.
-// packed holds the per-node values field-major in field order,
-// len(keys)*Σ Ndof entries; only Dst and Ndof of each Field are used.
-// Panics if a key is unknown to its target or an owned destination node
-// is left unfilled, so restoring a snapshot against the wrong forest
-// fails loudly instead of corrupting fields. Collective.
-func MigrateKeyedNodal(newM *mesh.Mesh, keys []mesh.NodeKey, packed []float64, fields []Field) {
+// MigrateKeyedNodal delivers node records — owned-node keys with one
+// value array per field, Field.Src holding len(keys)·Ndof values in key
+// order — to their canonical owners under newM's partition in one NBX
+// round, then refreshes the destination ghosts. The records may be
+// distributed across ranks in any way (each global node exactly once):
+// an old mesh's owned segment, or a snapshot read back from memory or
+// disk. Destination values are bitwise copies. Panics if a key is
+// unknown to its target, delivered twice, or an owned destination node
+// is left unfilled on any rank, so records from the wrong forest fail
+// loudly instead of corrupting fields. Collective.
+func MigrateKeyedNodal(newM *mesh.Mesh, keys []mesh.NodeKey, fields []Field) {
 	c := newM.Comm
 	tot := 0
 	for _, f := range fields {
-		if len(f.Dst) < newM.NumLocal*f.Ndof {
-			panic("transfer: MigrateKeyedNodal destination vector length mismatch")
+		if len(f.Src) != len(keys)*f.Ndof || len(f.Dst) < newM.NumLocal*f.Ndof {
+			panic(fmt.Sprintf("transfer: MigrateKeyedNodal field lengths %d/%d for %d keys and %d owned nodes at %d dofs",
+				len(f.Src), len(f.Dst), len(keys), newM.NumLocal, f.Ndof))
 		}
 		tot += f.Ndof
 	}
 	if tot > maxMigrateDofs {
 		panic(fmt.Sprintf("transfer: MigrateKeyedNodal moves %d dofs per node, max %d", tot, maxMigrateDofs))
-	}
-	if len(packed) != len(keys)*tot {
-		panic(fmt.Sprintf("transfer: MigrateKeyedNodal packed length %d != %d keys * %d dofs", len(packed), len(keys), tot))
 	}
 	spl, ok := newM.OwnershipTable()
 	if !ok {
@@ -164,16 +95,19 @@ func MigrateKeyedNodal(newM *mesh.Mesh, keys []mesh.NodeKey, packed []float64, f
 		}
 	}
 	perRank := map[int][]nodePacket{}
+	var p nodePacket
 	for i, k := range keys {
-		r := ownerOfKey(spl, newM.Dim, k)
-		if r == me {
-			deliver(k, packed[i*tot:(i+1)*tot])
-			continue
-		}
-		var p nodePacket
 		p.Key = k
-		copy(p.V[:tot], packed[i*tot:(i+1)*tot])
-		perRank[r] = append(perRank[r], p)
+		off := 0
+		for _, f := range fields {
+			copy(p.V[off:off+f.Ndof], f.Src[i*f.Ndof:(i+1)*f.Ndof])
+			off += f.Ndof
+		}
+		if r := ownerOfKey(spl, newM.Dim, k); r != me {
+			perRank[r] = append(perRank[r], p)
+		} else {
+			deliver(k, p.V[:tot])
+		}
 	}
 	if c.Size() > 1 {
 		dests := make([]int, 0, len(perRank))

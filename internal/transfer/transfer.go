@@ -12,9 +12,12 @@
 // locate the owner of each query point in the old grid's splitter table,
 // ship the detached node keys, evaluate locally, and return the values to
 // the requesting rank (NBX sparse exchanges both ways). Batch moves every
-// field of a remesh through one such round; MigrateNodal/MigrateElem
-// (migrate.go) handle the partition-only case exactly, with no
-// interpolation at all.
+// field of a remesh through one such round. MigrateKeyedNodal and
+// MigrateElem (migrate.go) move values exactly, with no interpolation at
+// all, wherever the forest is the same: a partition-only round
+// (MigrateNodal is the keyed delivery of an old mesh's owned nodes) and a
+// saved state put back after a rollback, a checkpoint fallback or a
+// restart.
 package transfer
 
 import (
@@ -26,9 +29,10 @@ import (
 	"proteus/internal/sfc"
 )
 
-// Field names one nodal field in a batched transfer: Src lives on the old
-// mesh, Dst on the new mesh (full local layout, NumLocal*Ndof entries
-// each).
+// Field names one nodal field in a transfer: Src lives on the old mesh,
+// Dst on the new mesh (full local layout, NumLocal*Ndof entries each).
+// MigrateKeyedNodal reads Src as owned records instead, Ndof values per
+// key.
 type Field struct {
 	Src, Dst []float64
 	Ndof     int
