@@ -231,11 +231,8 @@ func TestInternalReadsNoCoreCount(t *testing.T) {
 var linkedAllowlist = map[string]string{
 	"proteus/internal/chns.(*Solver).MeshEpoch":              "internal/core/core_test.go",
 	"proteus/internal/chns.(*Solver).PhiMass":                "internal/core/core_test.go",
+	"proteus/internal/fault.(*Injector).Verdicts":            "internal/core/health_test.go",
 	"proteus/internal/fem.UnzipMat":                          "internal/chns/tablei_test.go",
-	"proteus/internal/la.NewAIJ":                             "internal/fem/coldref_test.go",
-	"proteus/internal/la.NewBAIJ":                            "internal/fem/coldref_test.go",
-	"proteus/internal/la.(*BSRMat).AddBlock":                 "internal/fem/coldref_test.go",
-	"proteus/internal/la.(*BSRMat).AddValue":                 "internal/fem/coldref_test.go",
 	"proteus/internal/mesh.(*Mesh).ElemOrigin":               "internal/detect/detect_test.go",
 	"proteus/internal/mg.(*PCGMG).Hierarchy":                 "internal/chns/gmg_test.go",
 	"proteus/internal/octree.Uniform":                        "internal/mesh/mesh_test.go",

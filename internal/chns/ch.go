@@ -364,16 +364,15 @@ func (s *Solver) InitMuFromPhi() error {
 			fe[a] += tmp[a]
 		}
 	})
-	// The mass operator is assembled once per mesh generation (node-major,
-	// BAIJ) and solved through the stage's KSP part.
-	st := &s.chMass
-	if st.mat == nil {
-		st.mat = s.asmS.NewMatrix(fem.LayoutBAIJ)
-		s.asmS.AssembleMatrix(st.mat, fem.LayoutBAIJ, func(w, e int, h float64, ke []float64) {
-			r.Mass(h, 1, ke)
-		})
-		st.setupPC()
-	}
+	// The mass operator (node-major, BAIJ) is solved through the KSP part
+	// of a copy of the chMass stage, so its matrix, PC and workspace go
+	// with the copy once μ is set.
+	st := s.chMass
+	st.mat = s.asmS.NewMatrix(fem.LayoutBAIJ)
+	s.asmS.AssembleMatrix(st.mat, fem.LayoutBAIJ, func(w, e int, h float64, ke []float64) {
+		r.Mass(h, 1, ke)
+	})
+	st.setupPC()
 	mu := m.NewVec(1)
 	if _, err := st.krylov(rhs, mu); err != nil {
 		return err

@@ -2,6 +2,8 @@ package chns
 
 import (
 	"reflect"
+
+	"proteus/internal/la"
 )
 
 // SetCHRefill makes every CH element sweep integrate its K_m(φ) and C(u)
@@ -46,4 +48,21 @@ var BitsDiff = bitsDiff
 func (s *Solver) SetCHNewtonExact(on bool) {
 	f := reflect.ValueOf(&s.chNewton).Elem().FieldByName("exact")
 	*(*bool)(f.Addr().UnsafePointer()) = on
+}
+
+// Structure returns the patterns of the CH, NS, PP and VU operators and
+// the address of the ILU(0) index each of the CH, NS and PP block-Jacobi
+// factors holds (0 for a stage whose PC is no such factor). The index is
+// la's unexported type, so it is read by reflection; a renamed field
+// panics here.
+func (s *Solver) Structure() (sps [4]*la.Sparsity, idx [3]uintptr) {
+	for i, st := range s.stages() {
+		if st.mat != nil {
+			sps[i] = st.mat.Sparsity()
+		}
+		if p, ok := st.pc.(*la.PCBJacobiILU0); ok && i < len(idx) {
+			idx[i] = reflect.ValueOf(p).Elem().FieldByName("iluIndex").Pointer()
+		}
+	}
+	return sps, idx
 }

@@ -267,7 +267,10 @@ type Solver struct {
 	// to Par.Cn everywhere.
 	ElemCn []float64
 
-	T      Timers
+	T Timers
+	// The assemblers are siblings (fem.Assembler.Sibling): one node-block
+	// pattern and plan per mesh generation serve the CH operator and every
+	// scalar one, and one Rebind moves all three.
 	asmCH  *fem.Assembler
 	asmVel *fem.Assembler // velocity vectors (the NS RHS); no matrix
 	asmS   *fem.Assembler // scalar, the NS momentum operator included
@@ -344,8 +347,8 @@ func NewSolver(m *mesh.Mesh, prm Params, opt Options) *Solver {
 	s := &Solver{M: m, Par: prm, Opt: opt}
 	s.allocState()
 	s.asmCH = fem.NewAssembler(m, 2)
-	s.asmVel = fem.NewAssembler(m, m.Dim)
-	s.asmS = fem.NewAssembler(m, 1)
+	s.asmVel = s.asmCH.Sibling(m.Dim)
+	s.asmS = s.asmCH.Sibling(1)
 	s.initScratch()
 	rs := &s.T.RemeshStages
 	tol := opt.LinTol
@@ -360,7 +363,8 @@ func NewSolver(m *mesh.Mesh, prm Params, opt Options) *Solver {
 		pins: pinWalls, mass: true, t: &s.T.VU, post: &rs.PostVUIters,
 		ksp: la.KSP{Type: la.CG, Rtol: tol, Atol: tol}}
 	// The CH mass solve runs before the first step; its timers go nowhere.
-	// ‖b‖ ≈ 1e-3, so Atol, not Rtol, stops CG: μ₀ is ~1e-5 relative.
+	// ‖b‖ ≈ 1e-3, so Atol, not Rtol, stops CG: μ₀ is ~1e-5 relative. It
+	// is a template: InitMuFromPhi solves on a copy.
 	s.chMass = linStage{s: s, asm: s.asmS, vasm: s.asmS, mass: true, t: new(StageTimes),
 		ksp: la.KSP{Type: la.CG, Rtol: 1e-10, Atol: 1e-8}}
 	return s
@@ -443,9 +447,7 @@ func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	s.M = m
 	s.meshEpoch = epoch
 	s.allocState()
-	s.asmCH.Rebind(m, epoch, d)
-	s.asmVel.Rebind(m, epoch, d)
-	s.asmS.Rebind(m, epoch, d)
+	s.asmCH.Rebind(m, epoch, d) // and its siblings asmVel, asmS
 	s.chOld = nil
 	s.chBlk.drop()
 	s.vuComp, s.vuNewVel = nil, nil

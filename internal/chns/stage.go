@@ -92,9 +92,10 @@ func pinRows(kind pinKind, m *mesh.Mesh, nd int, mat *la.BSRMat, rhs []float64) 
 	}
 }
 
-// stages lists every linear stage, for what Rebind does to all of them.
-func (s *Solver) stages() [5]*linStage {
-	return [5]*linStage{&s.ch, &s.ns, &s.pp, &s.vu, &s.chMass}
+// stages lists every linear stage that keeps mesh-keyed state, for what
+// Rebind does to all of them (the chMass template keeps none).
+func (s *Solver) stages() [4]*linStage {
+	return [4]*linStage{&s.ch, &s.ns, &s.pp, &s.vu}
 }
 
 // solve runs the whole pipeline once. t0 is when the stage began, its

@@ -60,6 +60,10 @@ func Restore(c *par.Comm, cfg Config, base string) (*Simulation, error) {
 	if err := s.restoreSnapshot(base, meta, loc); err != nil {
 		return nil, err
 	}
+	// The new solver's counters start at zero, so the writer's totals are
+	// this run's history. A checkpoint fallback keeps its own counters:
+	// its live solver still holds the work the snapshot's totals count.
+	s.T = meta.Timers
 	return s, nil
 }
 
@@ -110,9 +114,9 @@ func (s *Simulation) restore(loc *ckpt.Local) {
 	transfer.MigrateKeyedNodal(s.Mesh, loc.Keys, fields)
 }
 
-// restoreSnapshot restores a snapshot read from base with its step, time,
-// remesh count and timers, or rejects it on every rank (all read one
-// meta) if its nodal field list is not this run's. Collective.
+// restoreSnapshot restores a snapshot read from base with its step, time
+// and remesh count, or rejects it on every rank (all read one meta) if its
+// nodal field list is not this run's. Collective.
 func (s *Simulation) restoreSnapshot(base string, meta ckpt.Meta, loc *ckpt.Local) error {
 	if want := s.nodalDofs(); !slices.Equal(meta.NodalDofs, want) {
 		return fmt.Errorf("core: snapshot %s holds nodal fields of %v dofs per node but this run's list is %v"+
@@ -120,6 +124,6 @@ func (s *Simulation) restoreSnapshot(base string, meta ckpt.Meta, loc *ckpt.Loca
 	}
 	s.restore(loc)
 	s.StepIndex, s.Time = meta.Step, meta.Time
-	s.RemeshCount, s.T = meta.RemeshCount, meta.Timers
+	s.RemeshCount = meta.RemeshCount
 	return nil
 }

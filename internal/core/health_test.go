@@ -134,6 +134,47 @@ func testCheckpointFallbackReplays(t *testing.T, warm bool) {
 	}
 }
 
+// TestFallbackCountsEachSolveOnce pins the solver-work accounting across a
+// checkpoint fallback, at 1 and 2 ranks: with the retry budget exhausted
+// by ksp@3/ns/count=2 the run falls back once to the step-2 snapshot, and
+// Stats() must still report every stage's solves exactly once — as many as
+// the stage asked the fault injector for a KSP verdict (VU gives one
+// verdict per step for its dim component solves). The snapshot's
+// timers already hold the live solver's work, so taking them back on a
+// fallback would count the pre-checkpoint solves twice.
+func TestFallbackCountsEachSolveOnce(t *testing.T) {
+	for _, p := range []int{1, 2} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			dir := t.TempDir()
+			par.Run(p, func(c *par.Comm) {
+				cfg := ckptTestConfig()
+				sim := New(c, cfg, ckptTestPhi0(cfg.Params.Cn))
+				in, err := fault.Parse("ksp@3/ns/count=2", 1, c.Rank())
+				if err != nil {
+					panic(err)
+				}
+				sim.Fault = in
+				if _, err := sim.RunUntil(RunOptions{Steps: 6, MaxRetries: 1, CkptEvery: 2, CkptBase: dir + "/ck"}); err != nil {
+					panic(err)
+				}
+				st := sim.Stats()
+				if st.CkptFallbacks != 1 {
+					panic(fmt.Sprintf("p=%d: %d checkpoint fallbacks, want 1", p, st.CkptFallbacks))
+				}
+				for _, stage := range []string{"ch", "ns", "pp", "vu"} {
+					want := in.Verdicts(stage)
+					if stage == "vu" {
+						want *= cfg.Dim
+					}
+					if got := st.KrylovIters[stage].Solves; got != want || want == 0 {
+						panic(fmt.Sprintf("p=%d rank=%d: Stats() counts %d %s solves, the run made %d", p, c.Rank(), got, stage, want))
+					}
+				}
+			})
+		})
+	}
+}
+
 // TestNaNPokeCaught checks the finite scan at every stage's
 // injection point: a NaN poked into the stage output on one rank becomes
 // a typed nonfinite divergence of that stage on every rank, the step

@@ -73,6 +73,8 @@ type Injector struct {
 	step   int
 	writes int // CkptTruncate occurrence counter (1-based ordinals)
 	faults []faultState
+	// verdicts counts the KSPDiverge queries per stage, fired or not.
+	verdicts map[string]int
 }
 
 // New builds an injector for one rank. Ranks of a collective run must
@@ -198,9 +200,15 @@ func (in *Injector) Fire(p Point, stage string) bool {
 		return false
 	}
 	occ := in.step
-	if p == CkptTruncate {
+	switch p {
+	case CkptTruncate:
 		in.writes++
 		occ = in.writes
+	case KSPDiverge:
+		if in.verdicts == nil {
+			in.verdicts = make(map[string]int)
+		}
+		in.verdicts[stage]++
 	}
 	// A step-keyed fault with Count > 1 fires on Count consecutive
 	// attempts of its step (retries of a rolled-back step re-query at the
@@ -225,6 +233,17 @@ func (in *Injector) Fire(p Point, stage string) bool {
 		return true
 	}
 	return false
+}
+
+// Verdicts returns how many KSPDiverge verdicts stage asked for, fired or
+// not: one per stage solve that finished its Krylov iterations (one per
+// Newton solve for "ch"), an independent count of the solves a run made.
+// Nil-safe.
+func (in *Injector) Verdicts(stage string) int {
+	if in == nil {
+		return 0
+	}
+	return in.verdicts[stage]
 }
 
 // String summarizes the schedule with resolved steps, for logs.

@@ -37,7 +37,7 @@ const (
 	LayoutZipped
 )
 
-// planIdx maps a layout to its plan cache slot: BAIJ and zipped assembly
+// planIdx maps a layout to its send-store slot: BAIJ and zipped assembly
 // share the node-block sparsity (the zipped path only changes how the
 // elemental block is produced), so they share one plan.
 func planIdx(layout Layout) int {
@@ -58,12 +58,20 @@ type elemScratch struct {
 }
 
 // Assembler drives distributed matrix and vector assembly over a mesh.
-// It owns the per-(mesh, ndof) assembly plans: NewMatrix derives a
+// It holds the assembly plans of its mesh generation: NewMatrix derives a
 // layout's sparsity from the mesh before any values exist, and every
 // matrix assembly — the first one included — is the same plan-driven
 // flat-array accumulation in element order. At a fixed rank count every
 // route to a matrix (fresh, reassembled, patched by Rebind, restarted)
 // therefore sums in the same order and gives the same bits.
+//
+// The node-block plan (BAIJ and zipped) does not depend on the dofs per
+// node: one pattern, one slot per entry and one off-process routing serve
+// every block size. Assemblers made by Sibling share it — one plan per
+// mesh generation and rank for all of them, as PETSc operators share a
+// MatDuplicate(MAT_SHARE_NONZERO_PATTERN) pattern — and each keeps only
+// its own off-process value store. The scalar AIJ plan expands the
+// pattern to Ndof scalar rows per node, so it is each assembler's own.
 type Assembler struct {
 	M    *mesh.Mesh
 	Ref  *Ref
@@ -71,12 +79,44 @@ type Assembler struct {
 
 	scr elemScratch
 
-	// plans[0] is the scalar AIJ plan, plans[1] the node-block plan
-	// shared by BAIJ and zipped assembly.
-	plans [2]*AssemblyPlan
+	// aij is the scalar AIJ plan; g holds the node-block plan the
+	// siblings share.
+	aij *AssemblyPlan
+	g   *siblings
+	// send holds the off-process value stores, by planIdx.
+	send [2]sendStore
 
 	// epoch tags the mesh generation the plans were built for; see Rebind.
 	epoch uint64
+}
+
+// siblings is a set of assemblers on one mesh sharing one node-block plan
+// (nil until the first node-block NewMatrix of a mesh generation).
+type siblings struct {
+	members []*Assembler
+	block   *AssemblyPlan
+}
+
+// sendStore is one assembler's off-process values of a plan: ndof² values
+// per off-process entry, rewritten each assembly and sent without keys;
+// bufs are rank-major views into vals, one per plan.offDests rank. It is
+// the one part of a shared plan sized by the dofs per node.
+type sendStore struct {
+	plan *AssemblyPlan
+	vals []float64
+	bufs [][]float64
+}
+
+// Sibling returns an assembler for ndof unknowns per node on a's mesh that
+// shares a's node-block plan: whichever sibling's NewMatrix comes first
+// on a mesh generation builds it (collectively), and the others' node-block
+// NewMatrix reuses it without communication. Rebind on any sibling moves
+// them all.
+func (a *Assembler) Sibling(ndof int) *Assembler {
+	b := NewAssembler(a.M, ndof)
+	b.g, b.epoch = a.g, a.epoch
+	a.g.members = append(a.g.members, b)
+	return b
 }
 
 // NewAssembler builds an assembler for ndof unknowns per node.
@@ -91,6 +131,7 @@ func NewAssembler(m *mesh.Mesh, ndof int) *Assembler {
 		wk:     NewGemmWork(r),
 		fe:     make([]float64, nn),
 	}}
+	a.g = &siblings{members: []*Assembler{a}}
 	for j := range a.scr.blocks {
 		a.scr.blocks[j] = make([]float64, npe*npe)
 	}
@@ -122,39 +163,56 @@ func (a *Assembler) Work() *GemmWork { return a.scr.wk }
 func (a *Assembler) WorkN(int) *GemmWork { return a.scr.wk }
 
 // Plan returns the cached plan for a layout, or nil before the layout's
-// first NewMatrix (or after a Rebind dropped it).
-func (a *Assembler) Plan(layout Layout) *AssemblyPlan { return a.plans[planIdx(layout)] }
-
-// NewMatrix returns a finalized zero matrix for the layout over the
-// layout's frozen sparsity, shared by every matrix of the layout until the
-// next Rebind. The layout's first call on a mesh generation derives that
-// sparsity from the mesh and builds the assembly plan (buildPlan), so it
-// is collective: every rank calls it for the same layouts in the same
-// order.
-func (a *Assembler) NewMatrix(layout Layout) *la.BSRMat {
-	i := planIdx(layout)
-	if a.plans[i] == nil {
-		a.plans[i] = a.buildPlan(layout == LayoutAIJ)
-	}
-	sp := a.plans[i].sp
-	var mat *la.BSRMat
+// first NewMatrix (or after a Rebind dropped it). The node-block plan is
+// the siblings' shared one.
+func (a *Assembler) Plan(layout Layout) *AssemblyPlan {
 	if layout == LayoutAIJ {
-		mat = la.NewAIJFromSparsity(a.M, a.Ndof, a.M.NumOwned, a.M.NumLocal, sp)
-	} else {
-		mat = la.NewBAIJFromSparsity(a.M, a.Ndof, a.M.NumOwned, a.M.NumLocal, sp)
+		return a.aij
 	}
-	return mat
+	return a.g.block
 }
 
-// planFor returns the plan to assemble mat through, panicking unless mat
-// was made by this assembler's NewMatrix for the layout since the last
-// Rebind.
-func (a *Assembler) planFor(mat *la.BSRMat, layout Layout) *AssemblyPlan {
-	p := a.plans[planIdx(layout)]
-	if p == nil || mat.Sparsity() != p.sp {
+// NewMatrix returns a zero matrix for the layout over the layout's frozen
+// sparsity, shared by every matrix of the layout (and, for the node-block
+// layouts, of every sibling) until the next Rebind. The first call that
+// finds no plan on a mesh generation derives that sparsity from the mesh
+// and builds the assembly plan (buildPlan), so it is collective: every
+// rank calls it for the same layouts in the same order.
+func (a *Assembler) NewMatrix(layout Layout) *la.BSRMat {
+	if layout == LayoutAIJ {
+		if a.aij == nil {
+			a.aij = a.buildPlan(true)
+		}
+		return la.NewAIJFromSparsity(a.M, a.Ndof, a.M.NumOwned, a.M.NumLocal, a.aij.sp)
+	}
+	if a.g.block == nil {
+		a.g.block = a.buildPlan(false)
+	}
+	return la.NewBAIJFromSparsity(a.M, a.Ndof, a.M.NumOwned, a.M.NumLocal, a.g.block.sp)
+}
+
+// planFor returns the plan to assemble mat through and the assembler's
+// value store for its off-process entries, panicking unless mat was made
+// by this assembler's NewMatrix for the layout (or, for a node-block
+// layout, a sibling's at the same dofs per node) since the last Rebind.
+func (a *Assembler) planFor(mat *la.BSRMat, layout Layout) (*AssemblyPlan, *sendStore) {
+	p := a.Plan(layout)
+	if p == nil || mat.Sparsity() != p.sp || !p.scalar && mat.Bs != a.Ndof {
 		panic("fem: matrix not made by this assembler's NewMatrix for this layout and mesh generation")
 	}
-	return p
+	s := &a.send[planIdx(layout)]
+	if s.plan != p {
+		bs2, n := a.Ndof*a.Ndof, 0
+		for _, c := range p.offCount {
+			n += c
+		}
+		*s = sendStore{plan: p, vals: make([]float64, n*bs2), bufs: make([][]float64, len(p.offCount))}
+		rest := s.vals
+		for i, c := range p.offCount {
+			s.bufs[i], rest = rest[:c*bs2], rest[c*bs2:]
+		}
+	}
+	return p, s
 }
 
 // AssembleMatrix runs the element loop with the node-major kernel and
@@ -167,21 +225,24 @@ func (a *Assembler) AssembleMatrix(mat *la.BSRMat, layout Layout, kern NodeMajor
 	if layout == LayoutZipped {
 		panic("fem: use AssembleMatrixZipped for the zipped layout")
 	}
-	a.assemble(mat, a.planFor(mat, layout), kern, nil)
+	plan, send := a.planFor(mat, layout)
+	a.assemble(mat, plan, send, kern, nil)
 }
 
 // AssembleMatrixZipped runs the element loop with a zipped kernel; blocks
 // are unzipped per node pair straight into the node-block plan.
 // Collective.
 func (a *Assembler) AssembleMatrixZipped(mat *la.BSRMat, kern ZippedKernel) {
-	a.assemble(mat, a.planFor(mat, LayoutZipped), nil, kern)
+	plan, send := a.planFor(mat, LayoutZipped)
+	a.assemble(mat, plan, send, nil, kern)
 }
 
 // assemble is the one numeric path: plan-driven flat-array accumulation
 // straight into the matrix values, one element after another, then the
 // off-process flush.
-func (a *Assembler) assemble(mat *la.BSRMat, plan *AssemblyPlan, kern NodeMajorKernel, zkern ZippedKernel) {
+func (a *Assembler) assemble(mat *la.BSRMat, plan *AssemblyPlan, send *sendStore, kern NodeMajorKernel, zkern ZippedKernel) {
 	m := a.M
+	off := send.vals
 	vals := mat.Vals()
 	cpe := m.CornersPerElem()
 	nd := a.Ndof
@@ -206,7 +267,7 @@ func (a *Assembler) assemble(mat *la.BSRMat, plan *AssemblyPlan, kern NodeMajorK
 							blk[di*nd+dj] = ke[(ca*nd+di)*n+cb*nd+dj]
 						}
 					}
-					idx = plan.applyBlock(vals, idx, conA, conB, blk, nd)
+					idx = plan.applyBlock(vals, off, idx, conA, conB, blk, nd)
 				}
 			}
 		} else {
@@ -239,12 +300,12 @@ func (a *Assembler) assemble(mat *la.BSRMat, plan *AssemblyPlan, kern NodeMajorK
 					for i, b := range blocks {
 						blk[i] = b[k]
 					}
-					idx = plan.applyBlock(vals, idx, conA, conB, blk, nd)
+					idx = plan.applyBlock(vals, off, idx, conA, conB, blk, nd)
 				}
 			}
 		}
 	}
-	a.flushPlanned(mat, plan)
+	a.flushPlanned(mat, plan, send)
 }
 
 // srcOrder returns indices of srcs in ascending source-rank order, so
@@ -259,18 +320,17 @@ func srcOrder(srcs []int) []int {
 	return order
 }
 
-// flushPlanned exchanges the plan's off-process values (no keys: the
-// receivers resolved them into slots at plan build) and applies each
-// received batch through its source's receive plan, in ascending source
-// rank whatever the arrival order. The trailing barrier lets senders
-// rewrite their buffers next assembly: payloads travel by reference in
-// the in-process runtime.
-func (a *Assembler) flushPlanned(mat *la.BSRMat, plan *AssemblyPlan) {
+// flushPlanned exchanges the off-process values (no keys: the receivers
+// resolved them into slots at plan build) and applies each received batch
+// through its source's receive plan, in ascending source rank whatever the
+// arrival order. The trailing barrier lets senders rewrite their buffers
+// next assembly: payloads travel by reference in the in-process runtime.
+func (a *Assembler) flushPlanned(mat *la.BSRMat, plan *AssemblyPlan, send *sendStore) {
 	c := a.M.Comm
 	if c.Size() == 1 {
 		return
 	}
-	srcs, recvd := par.NBXExchange(c, plan.offDests, plan.offBufs)
+	srcs, recvd := par.NBXExchange(c, plan.offDests, send.bufs)
 	if len(srcs) != len(plan.recv) {
 		panic(fmt.Sprintf("fem: rank %d received %d off-process batches, plan expects %d", c.Rank(), len(srcs), len(plan.recv)))
 	}

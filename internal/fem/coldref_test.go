@@ -2,6 +2,7 @@ package fem
 
 import (
 	"fmt"
+	"slices"
 
 	"proteus/internal/la"
 	"proteus/internal/mesh"
@@ -10,24 +11,18 @@ import (
 
 // coldAssemble is the independent reference the plan path is tested
 // against: the map-based numeric assembler the package used before every
-// assembly went through a plan. A serial element loop inserts into an
-// unfinalized la matrix (AddValue for AIJ, AddBlock otherwise) through
-// the hanging constraints, buffers remote-row contributions per
-// destination, exchanges them with NBX and applies them by node key in
-// ascending source rank; Finalize then freezes the pattern from exactly
-// the entries that were inserted. It shares nothing with the plan path
-// except the kernels, the mesh and the reference element. The zipped
-// kernel runs for LayoutZipped, the node-major one otherwise. Collective.
+// assembly went through a plan. A serial element loop inserts node blocks
+// into a map (mapMat) through the hanging constraints, buffers remote-row
+// contributions per destination, exchanges them with NBX and applies them
+// by node key in ascending source rank; freeze then builds the pattern
+// from exactly the entries that were inserted, expanded to scalar rows for
+// AIJ. It shares nothing with the plan path except the kernels, the mesh
+// and the reference element. The zipped kernel runs for LayoutZipped, the
+// node-major one otherwise. Collective.
 func coldAssemble(a *Assembler, layout Layout, kern NodeMajorKernel, zkern ZippedKernel) *la.BSRMat {
 	m := a.M
 	zipped := layout == LayoutZipped
-	var mat *la.BSRMat
-	if layout == LayoutAIJ {
-		mat = la.NewAIJ(m, a.Ndof, m.NumOwned, m.NumLocal)
-	} else {
-		mat = la.NewBAIJ(m, a.Ndof, m.NumOwned, m.NumLocal)
-	}
-	c := &coldAsm{a: a, mat: mat, layout: layout, off: newOffProcBuf()}
+	c := &coldAsm{a: a, mat: mapMat{nd: a.Ndof, blocks: map[[2]int32][]float64{}}, off: newOffProcBuf()}
 	npe := a.Ref.NPE
 	nd := a.Ndof
 	n := npe * nd
@@ -70,15 +65,85 @@ func coldAssemble(a *Assembler, layout Layout, kern NodeMajorKernel, zkern Zippe
 		}
 	}
 	c.flushOffProc()
-	mat.Finalize()
-	return mat
+	return c.mat.freeze(m, layout == LayoutAIJ)
 }
 
 type coldAsm struct {
-	a      *Assembler
-	mat    *la.BSRMat
-	layout Layout
-	off    *offProcBuf
+	a   *Assembler
+	mat mapMat
+	off *offProcBuf
+}
+
+// mapMat is the oracle's matrix under construction: nd×nd node blocks
+// keyed by (row node, column node), each entry summed in insertion order.
+type mapMat struct {
+	nd     int
+	blocks map[[2]int32][]float64
+}
+
+// add accumulates w·blk into block (rowNode, colNode).
+func (mm mapMat) add(rowNode, colNode int, w float64, blk []float64) {
+	key := [2]int32{int32(rowNode), int32(colNode)}
+	b := mm.blocks[key]
+	if b == nil {
+		b = make([]float64, mm.nd*mm.nd)
+		mm.blocks[key] = b
+	}
+	for k, v := range blk {
+		b[k] += w * v
+	}
+}
+
+// freeze sorts the inserted blocks into a node-block matrix, or for scalar
+// into the AIJ matrix whose row node·nd+di holds dof row di of every block
+// of its node row, nd scalar columns per block.
+func (mm mapMat) freeze(m *mesh.Mesh, scalar bool) *la.BSRMat {
+	keys := make([][2]int32, 0, len(mm.blocks))
+	for k := range mm.blocks {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(x, y [2]int32) int {
+		if x[0] != y[0] {
+			return int(x[0] - y[0])
+		}
+		return int(x[1] - y[1])
+	})
+	nd, nr := mm.nd, m.NumOwned
+	rowLen := make([]int32, nr)
+	for _, k := range keys {
+		rowLen[k[0]]++
+	}
+	if !scalar {
+		sp := &la.Sparsity{NRows: nr, Indptr: make([]int32, nr+1), Cols: make([]int32, len(keys))}
+		for r := 0; r < nr; r++ {
+			sp.Indptr[r+1] = sp.Indptr[r] + rowLen[r]
+		}
+		mat := la.NewBAIJFromSparsity(m, nd, nr, m.NumLocal, sp)
+		for i, k := range keys {
+			sp.Cols[i] = k[1]
+			copy(mat.Vals()[i*nd*nd:], mm.blocks[k])
+		}
+		return mat
+	}
+	sp := &la.Sparsity{NRows: nr * nd, Indptr: make([]int32, nr*nd+1), Cols: make([]int32, len(keys)*nd*nd)}
+	for r := 0; r < nr*nd; r++ {
+		sp.Indptr[r+1] = sp.Indptr[r] + rowLen[r/nd]*int32(nd)
+	}
+	mat := la.NewAIJFromSparsity(m, nd, nr, m.NumLocal, sp)
+	k0 := 0 // the row node's first block
+	for i, k := range keys {
+		if i > 0 && k[0] != keys[i-1][0] {
+			k0 = i
+		}
+		for di := 0; di < nd; di++ {
+			base := int(sp.Indptr[int(k[0])*nd+di]) + (i-k0)*nd
+			for dj := 0; dj < nd; dj++ {
+				sp.Cols[base+dj] = k[1]*int32(nd) + int32(dj)
+				mat.Vals()[base+dj] = mm.blocks[k][di*nd+dj]
+			}
+		}
+	}
+	return mat
 }
 
 // distributeBlock adds blk (ndof x ndof) at every donor pair of the two
@@ -102,25 +167,7 @@ func (c *coldAsm) distributeBlock(conA, conB *mesh.Constraint, blk []float64) {
 				c.off.add(int(m.Owner[rowNode]), ent)
 				continue
 			}
-			switch c.layout {
-			case LayoutAIJ:
-				// Strided scalar writes, the baseline pattern of Fig. 3.
-				for di := 0; di < nd; di++ {
-					for dj := 0; dj < nd; dj++ {
-						c.mat.AddValue(rowNode*nd+di, colNode*nd+dj, w*blk[di*nd+dj])
-					}
-				}
-			default:
-				if w == 1 {
-					c.mat.AddBlock(rowNode, colNode, blk)
-				} else {
-					tmp := make([]float64, nd*nd)
-					for k := range tmp {
-						tmp[k] = w * blk[k]
-					}
-					c.mat.AddBlock(rowNode, colNode, tmp)
-				}
-			}
+			c.mat.add(rowNode, colNode, w, blk)
 		}
 	}
 }
@@ -163,7 +210,6 @@ func (c *coldAsm) flushOffProc() {
 		return
 	}
 	srcs, recvd := par.NBXExchange(comm, c.off.dests, c.off.bufs)
-	nd := c.a.Ndof
 	for _, bi := range srcOrder(srcs) {
 		for _, ent := range recvd[bi] {
 			rowNode, ok := c.a.M.NodeIndex(ent.Row)
@@ -174,15 +220,7 @@ func (c *coldAsm) flushOffProc() {
 			if !ok {
 				panic(fmt.Sprintf("fem: off-process column %v unknown on rank %d", ent.Col, comm.Rank()))
 			}
-			if c.layout == LayoutAIJ {
-				for di := 0; di < nd; di++ {
-					for dj := 0; dj < nd; dj++ {
-						c.mat.AddValue(rowNode*nd+di, colNode*nd+dj, ent.V[di*nd+dj])
-					}
-				}
-			} else {
-				c.mat.AddBlock(rowNode, colNode, ent.V)
-			}
+			c.mat.add(rowNode, colNode, 1, ent.V)
 		}
 	}
 	comm.Barrier()

@@ -11,25 +11,26 @@ import (
 // corner pair × constraint-donor pair, in traversal order. A local entry
 // holds its CSR slot (the block slot for node-block layouts, the slot of
 // the block's first scalar entry for AIJ); an off-process entry holds the
-// bit-complement of its index into the plan's send store. Nothing else is
+// bit-complement of its rank-major off-process index. Nothing else is
 // stored: the weight is the product of the corner pair's donor weights and
 // the AIJ row stride is the row's length in the sparsity, both read where
 // the entry is applied.
 type planEntry struct {
-	slot int32 // >= 0: local slot; < 0: ^index into offStore (ndof² values each)
+	slot int32 // >= 0: local slot; < 0: ^index of the off-process entry
 }
 
-// AssemblyPlan freezes everything about matrix assembly that depends only
-// on (mesh, ndof, layout): the sparsity, the destination slot of every
+// AssemblyPlan freezes everything symbolic about matrix assembly on one
+// mesh generation and layout: the sparsity, the destination slot of every
 // elemental contribution and the off-process routing. It is built from the
 // mesh before the first assembly (Assembler.NewMatrix) or repaired by
 // Rebind, and every assembly runs through it as branch-light flat-array
 // accumulation with zero map operations and zero per-element allocation —
 // the persistent-sparsity counterpart of the paper's Table I assembly
 // optimizations, and PETSc's DMCreateMatrix preallocation. One plan fixes
-// the summation order of every slot.
+// the summation order of every slot. A node-block plan holds nothing sized
+// by the dofs per node — the values sent off-process live in each
+// assembler's sendStore — so sibling assemblers share it.
 type AssemblyPlan struct {
-	ndof   int
 	scalar bool // AIJ (scalar CSR) addressing
 	sp     *la.Sparsity
 
@@ -38,12 +39,10 @@ type AssemblyPlan struct {
 	entries []planEntry
 	elemOff []int32
 
-	// Off-process sends: ndof² values per entry, rewritten each assembly
-	// and sent without keys. offBufs are rank-major views into offStore,
-	// in ascending-rank order (offDests).
-	offStore []float64
+	// Off-process entries, rank-major: offCount[i] entries go to rank
+	// offDests[i], in ascending rank order.
 	offDests []int
-	offBufs  [][]float64
+	offCount []int
 
 	// recv holds, in ascending source rank, the slots every sender's
 	// batch lands in, resolved from the senders' keys at plan build.
@@ -98,12 +97,12 @@ func aijSlot(sp *la.Sparsity, rowNode, colNode, nd int) (base, stride int) {
 // plan entries starting at idx — one per donor pair, i over conA's donors
 // and then j over conB's, the plan's traversal order — and returns the
 // next entry index. This is the entire warm-path inner loop: weighted
-// flat-array adds for local slots, weighted value writes for off-process
-// entries. The weight of a donor pair is the product of its two donor
+// flat-array adds for local slots of vals, weighted value writes for
+// off-process entries of the assembler's store off. The weight of a donor pair is the product of its two donor
 // weights and an AIJ row's stride its length in the sparsity. The
 // conforming pair (one donor each) is the common case and skips the
 // donor loops.
-func (p *AssemblyPlan) applyBlock(vals []float64, idx int32, conA, conB *mesh.Constraint, blk []float64, nd int) int32 {
+func (p *AssemblyPlan) applyBlock(vals, off []float64, idx int32, conA, conB *mesh.Constraint, blk []float64, nd int) int32 {
 	bs2 := nd * nd
 	blk = blk[:bs2]
 	if conA.N == 1 && conB.N == 1 {
@@ -111,7 +110,7 @@ func (p *AssemblyPlan) applyBlock(vals []float64, idx int32, conA, conB *mesh.Co
 		w := conA.W[0] * conB.W[0]
 		switch {
 		case slot < 0:
-			p.offWrite(slot, w, blk)
+			offWrite(off, slot, w, blk)
 		case p.scalar:
 			p.addScalar(vals, int(slot), int(conA.Idx[0]), w, blk, nd)
 		case w == 1:
@@ -135,7 +134,7 @@ func (p *AssemblyPlan) applyBlock(vals []float64, idx int32, conA, conB *mesh.Co
 			w := wi * conB.W[j]
 			switch {
 			case slot < 0:
-				p.offWrite(slot, w, blk)
+				offWrite(off, slot, w, blk)
 			case p.scalar:
 				p.addScalar(vals, int(slot), row, w, blk, nd)
 			default:
@@ -168,8 +167,8 @@ func (p *AssemblyPlan) addScalar(vals []float64, base, row int, w float64, blk [
 }
 
 // offWrite stores w·blk as the values of off-process entry ^slot.
-func (p *AssemblyPlan) offWrite(slot int32, w float64, blk []float64) {
-	dst := p.offStore[int(^slot)*len(blk):][:len(blk)]
+func offWrite(off []float64, slot int32, w float64, blk []float64) {
+	dst := off[int(^slot)*len(blk):][:len(blk)]
 	for i, v := range blk {
 		dst[i] = w * v
 	}

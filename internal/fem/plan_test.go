@@ -97,8 +97,8 @@ func TestWarmAssemblyMatchesColdBitwise(t *testing.T) {
 						cold := coldAssemble(asm, layout, loop, zipped)
 
 						mat := asm.NewMatrix(layout)
-						if asm.Plan(layout) == nil || !mat.Finalized() {
-							panic(what + ": NewMatrix did not build a plan and a finalized matrix")
+						if asm.Plan(layout) == nil || mat.Sparsity() != asm.Plan(layout).sp {
+							panic(what + ": NewMatrix did not build a plan and a matrix on its sparsity")
 						}
 						assembleOnce(asm, mat, layout, loop, zipped)
 						mustMatchOracle(c, what+" first", cold, mat)
@@ -216,15 +216,17 @@ func TestForeignMatrixPanics(t *testing.T) {
 		stale := asm.NewMatrix(LayoutBAIJ)
 		asm.Rebind(m, asm.Epoch()+1, nil)
 		aij := asm.NewMatrix(LayoutAIJ)
+		sib := asm.Sibling(1)
 		cases := []struct {
 			name   string
 			mat    *la.BSRMat
 			layout Layout
 		}{
-			{"unplanned la matrix", la.NewBAIJ(m, 2, m.NumOwned, m.NumLocal), LayoutBAIJ},
+			{"unplanned la matrix", coldAssemble(asm, LayoutBAIJ, loop, zipped), LayoutBAIJ},
 			{"another assembler's matrix", other.NewMatrix(LayoutBAIJ), LayoutBAIJ},
 			{"matrix made before Rebind", stale, LayoutBAIJ},
 			{"AIJ matrix assembled as zipped", aij, LayoutZipped},
+			{"sibling's matrix at another ndof", sib.NewMatrix(LayoutBAIJ), LayoutBAIJ},
 		}
 		for _, tc := range cases {
 			func() {
@@ -295,7 +297,11 @@ func TestWarmAssemblyTrafficIsValuesOnly(t *testing.T) {
 						}
 						p := asm.Plan(layout)
 						sum := func(a, b int) int { return a + b }
-						e := par.Allreduce(c, len(p.offStore)/(nd*nd), sum)
+						e := 0
+						for _, n := range p.offCount {
+							e += n
+						}
+						e = par.Allreduce(c, e, sum)
 						d := par.Allreduce(c, len(p.offDests), sum)
 						if c.Rank() == 0 {
 							st, entries, dests = c.Stats(), e, d

@@ -50,39 +50,46 @@ func (np nodePattern) col(r, k int) int32 {
 	return np.sp.Cols[int(np.sp.Indptr[r*np.nd])+k*np.nd] / int32(np.nd)
 }
 
-// Rebind points the assembler at mesh generation epoch, preserving
-// everything mesh-independent: the reference element and the element
-// scratch. d is the mesh delta of an incremental build (mesh.Patch): with
-// it the cached plans are repaired in place; with nil nothing is known to
+// Rebind points the assembler and all its siblings at mesh generation
+// epoch — call it on one of them — preserving everything mesh-independent:
+// the reference elements and the element scratch. d is the mesh delta of
+// an incremental build (mesh.Patch): with it the cached plans are repaired
+// in place, the shared node-block plan and pattern once for all siblings
+// (one dirty-row sweep, one key exchange); with nil nothing is known to
 // have survived, the plans are dropped and the next NewMatrix of each
 // layout builds its plan from the mesh. Either way, matrices made before
 // the call no longer assemble. Collective when d is non-nil and the
-// assembler holds plans (plans are built collectively, so every rank
-// holds the same set): the dirty-row patterns need the off-process
-// couplings of the new mesh.
+// siblings hold plans (plans are built collectively, so every rank holds
+// the same set): the dirty-row patterns need the off-process couplings of
+// the new mesh.
 func (a *Assembler) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	if m.Dim != a.M.Dim {
 		panic("fem: Assembler.Rebind across dimensions")
 	}
-	oldPlans := a.plans
-	a.M = m
-	a.epoch = epoch
-	a.plans[0], a.plans[1] = nil, nil
-	if d != nil && (oldPlans[0] != nil || oldPlans[1] != nil) {
-		pairs := a.dirtyRowPairs(d)
-		var src nodePattern
-		if oldPlans[1] != nil {
-			src = nodePattern{sp: oldPlans[1].sp, nd: 1}
-		} else {
-			src = nodePattern{sp: oldPlans[0].sp, nd: a.Ndof}
+	g := a.g
+	oldBlock, oldAIJ := g.block, make([]*AssemblyPlan, len(g.members))
+	var src nodePattern
+	if oldBlock != nil {
+		src = nodePattern{sp: oldBlock.sp, nd: 1}
+	}
+	for i, b := range g.members {
+		if oldAIJ[i] = b.aij; b.aij != nil && src.sp == nil {
+			src = nodePattern{sp: b.aij.sp, nd: b.Ndof}
 		}
-		oldOf := invertRemap(d.NodeRemap, m.NumLocal)
-		blockSp := patchNodeSparsity(m, src, d, oldOf, pairs)
-		if oldPlans[1] != nil {
-			a.plans[1] = a.patchPlan(oldPlans[1], d, oldOf, blockSp, false)
-		}
-		if oldPlans[0] != nil {
-			a.plans[0] = a.patchPlan(oldPlans[0], d, oldOf, expandScalarSparsity(blockSp, a.Ndof), true)
+		b.M, b.epoch, b.aij, b.send = m, epoch, nil, [2]sendStore{}
+	}
+	g.block = nil
+	if d == nil || src.sp == nil {
+		return
+	}
+	oldOf := invertRemap(d.NodeRemap, m.NumLocal)
+	blockSp := patchNodeSparsity(m, src, d, oldOf, a.dirtyRowPairs(d))
+	if oldBlock != nil {
+		g.block = a.patchPlan(oldBlock, d, oldOf, blockSp, false)
+	}
+	for i, b := range g.members {
+		if oldAIJ[i] != nil {
+			b.aij = b.patchPlan(oldAIJ[i], d, oldOf, expandScalarSparsity(blockSp, b.Ndof), true)
 		}
 	}
 }
@@ -104,11 +111,11 @@ func invertRemap(remap []int32, newLocal int) []int32 {
 
 // dirtyRowPairs sweeps the new constraint table once, collecting every
 // coupling whose row is an owned dirty node (packed row<<32|col, sorted,
-// deduplicated) and exchanging the off-process couplings so the owners
-// see the contributions remote elements will send during assembly. A nil
-// delta marks every row dirty: the pairs are then the whole node-block
-// pattern of the mesh. Collective when the communicator has more than one
-// rank.
+// deduplicated by sortPairs) and exchanging the off-process couplings so
+// the owners see the contributions remote elements will send during
+// assembly. A nil delta marks every row dirty: the pairs are then the
+// whole node-block pattern of the mesh. Collective when the communicator
+// has more than one rank.
 func (a *Assembler) dirtyRowPairs(d *mesh.Delta) []int64 {
 	m := a.M
 	me := int32(m.Comm.Rank())
@@ -184,8 +191,39 @@ func (a *Assembler) dirtyRowPairs(d *mesh.Delta) []int64 {
 			}
 		}
 	}
-	slices.Sort(pairs)
-	return slices.Compact(pairs)
+	return sortPairs(pairs, m.NumOwned)
+}
+
+// sortPairs sorts packed row<<32|col pairs with owned rows (< nr) and
+// drops duplicates, in place: a counting sort by row, then a sort of each
+// row's columns — the list slices.Sort and slices.Compact make, at the
+// cost of a row's length per comparison sort instead of the whole list's.
+func sortPairs(pairs []int64, nr int) []int64 {
+	start := make([]int32, nr+1)
+	for _, p := range pairs {
+		start[p>>32+1]++ // out of range for a row that is not owned
+	}
+	for r := 0; r < nr; r++ {
+		start[r+1] += start[r]
+	}
+	cols := make([]int32, len(pairs))
+	fill := slices.Clone(start[:nr])
+	for _, p := range pairs {
+		r := p >> 32
+		cols[fill[r]] = int32(p)
+		fill[r]++
+	}
+	out := pairs[:0]
+	for r := 0; r < nr; r++ {
+		row := cols[start[r]:start[r+1]]
+		slices.Sort(row)
+		for i, c := range row {
+			if i == 0 || c != row[i-1] {
+				out = append(out, int64(r)<<32|int64(c))
+			}
+		}
+	}
+	return out
 }
 
 // patchNodeSparsity assembles the node-block pattern of the patched mesh:
@@ -295,7 +333,7 @@ func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp
 	cpe := m.CornersPerElem()
 	me := int32(m.Comm.Rank())
 	nE := m.NumElems()
-	plan := &AssemblyPlan{ndof: nd, scalar: scalar, sp: sp}
+	plan := &AssemblyPlan{scalar: scalar, sp: sp}
 
 	plan.elemOff = make([]int32, nE+1)
 	total := 0
@@ -378,10 +416,9 @@ func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp
 		totalOff += n
 		if n > 0 {
 			plan.offDests = append(plan.offDests, r)
+			plan.offCount = append(plan.offCount, n)
 		}
 	}
-	bs2 := nd * nd
-	plan.offStore = make([]float64, totalOff*bs2)
 	keys := make([]nodePair, totalOff)
 	fill := append([]int(nil), rankStart...)
 	for _, o := range offs {
@@ -391,12 +428,9 @@ func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp
 		keys[flat] = nodePair{m.Keys[o.row], m.Keys[o.col]}
 		plan.entries[o.entry].slot = ^int32(flat)
 	}
-	plan.offBufs = make([][]float64, len(plan.offDests))
 	keyBufs := make([][]nodePair, len(plan.offDests))
 	for i, r := range plan.offDests {
-		lo, hi := rankStart[r], rankStart[r]+rankCount[r]
-		plan.offBufs[i] = plan.offStore[lo*bs2 : hi*bs2]
-		keyBufs[i] = keys[lo:hi]
+		keyBufs[i] = keys[rankStart[r] : rankStart[r]+rankCount[r]]
 	}
 	if c := m.Comm; c.Size() > 1 {
 		srcs, recvd := par.NBXExchange(c, plan.offDests, keyBufs)

@@ -124,7 +124,7 @@ func TestRebindPatchedMatchesColdBitwise(t *testing.T) {
 					}
 
 					mat := asm.NewMatrix(layout)
-					if !mat.Finalized() || mat.Sparsity() != pp.sp {
+					if mat.Sparsity() != pp.sp {
 						panic(what + ": patched NewMatrix did not share the repaired sparsity")
 					}
 					assembleOnce(asm, mat, layout, loop, zipped)
@@ -162,15 +162,9 @@ func planRoutingEqual(got, want *AssemblyPlan) error {
 			return fmt.Errorf("entry %d = %+v, want %+v", i, got.entries[i], want.entries[i])
 		}
 	}
-	if len(got.offStore) != len(want.offStore) || !slices.Equal(got.offDests, want.offDests) {
-		return fmt.Errorf("off-process store %d to ranks %v, want %d to %v",
-			len(got.offStore), got.offDests, len(want.offStore), want.offDests)
-	}
-	for i := range got.offBufs {
-		if len(got.offBufs[i]) != len(want.offBufs[i]) {
-			return fmt.Errorf("off-process buffer to rank %d has %d values, want %d",
-				got.offDests[i], len(got.offBufs[i]), len(want.offBufs[i]))
-		}
+	if !slices.Equal(got.offDests, want.offDests) || !slices.Equal(got.offCount, want.offCount) {
+		return fmt.Errorf("off-process entries %v to ranks %v, want %v to %v",
+			got.offCount, got.offDests, want.offCount, want.offDests)
 	}
 	if len(got.recv) != len(want.recv) {
 		return fmt.Errorf("receive plans from %d ranks, want %d", len(got.recv), len(want.recv))
@@ -211,4 +205,81 @@ func TestRebindPatchedNoPlans(t *testing.T) {
 			panic("assembly after a patched Rebind produced a zero/NaN operator")
 		}
 	})
+}
+
+// TestSiblingsAssembleLikeIndependent: assemblers made by Sibling share one
+// node-block pattern and plan, and each assembles — at ndof 2 and 1, in
+// every layout — bitwise what an independent assembler of its ndof does,
+// on the first mesh and after one patched Rebind of the group (which
+// repairs the shared plan once and moves every sibling), at 1 and 2 ranks.
+func TestSiblingsAssembleLikeIndependent(t *testing.T) {
+	layouts := []Layout{LayoutZipped, LayoutBAIJ, LayoutAIJ}
+	for _, dim := range []int{2, 3} {
+		for _, p := range []int{1, 2} {
+			par.Run(p, func(c *par.Comm) {
+				old, patched, delta, _ := patchedPair(c, dim, int64(3+p))
+				if old.GlobalSum(float64(old.NumElems())) < 100 || patched.GlobalSum(float64(patched.HangingCorners)) == 0 {
+					panic("sibling test mesh is too small or has no hanging constraints")
+				}
+				ch := NewAssembler(old, 2)
+				group := []*Assembler{ch, ch.Sibling(1)}
+				indep := []*Assembler{NewAssembler(old, 2), NewAssembler(old, 1)}
+				check := func(stage string) {
+					for i, a := range group {
+						for _, layout := range layouts {
+							what := fmt.Sprintf("dim=%d p=%d ndof=%d layout=%d %s", dim, p, a.Ndof, layout, stage)
+							mat, ref := a.NewMatrix(layout), indep[i].NewMatrix(layout)
+							loop, zipped := planTestKernels(a)
+							rloop, rzipped := planTestKernels(indep[i])
+							assembleOnce(a, mat, layout, loop, zipped)
+							assembleOnce(indep[i], ref, layout, rloop, rzipped)
+							if err := sparsityEqual(mat.Sparsity(), ref.Sparsity()); err != nil {
+								panic(fmt.Sprintf("%s rank=%d: sibling pattern: %v", what, c.Rank(), err))
+							}
+							mustBitwise(c, what+" sibling vs independent", ref.Vals(), mat.Vals())
+						}
+					}
+					if group[0].Plan(LayoutBAIJ) != group[1].Plan(LayoutBAIJ) || group[1].M != group[0].M {
+						panic(fmt.Sprintf("dim=%d p=%d %s: the siblings do not share one node-block plan on one mesh", dim, p, stage))
+					}
+				}
+				check("fresh")
+				ch.Rebind(patched, 1, delta)
+				for _, a := range indep {
+					a.Rebind(patched, 1, delta)
+				}
+				if group[1].Plan(LayoutAIJ) == nil || group[1].Epoch() != 1 {
+					panic("a patched Rebind of the group did not move the sibling's plans")
+				}
+				check("after a patched Rebind")
+			})
+		}
+	}
+}
+
+// TestSortPairsMatchesSortCompact: the counting sort of dirtyRowPairs
+// returns the list slices.Sort and slices.Compact make — sorted by row,
+// then column, without duplicates — on empty and one-row lists, rows with
+// no pairs, runs of duplicates and random lists.
+func TestSortPairsMatchesSortCompact(t *testing.T) {
+	pack := func(r, c int) int64 { return int64(r)<<32 | int64(c) }
+	cases := [][]int64{
+		nil,
+		{pack(0, 3), pack(0, 1), pack(0, 3)},
+		{pack(4, 2), pack(1, 9), pack(4, 2), pack(4, 2), pack(1, 0)},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 20; n++ {
+		var pairs []int64
+		for i := rng.Intn(400); i > 0; i-- {
+			pairs = append(pairs, pack(rng.Intn(12), rng.Intn(1<<20)%(3+n*n)))
+		}
+		cases = append(cases, pairs)
+	}
+	for i, pairs := range cases {
+		want := slices.Compact(slices.Sorted(slices.Values(pairs)))
+		if got := sortPairs(slices.Clone(pairs), 12); !slices.Equal(got, want) {
+			t.Fatalf("case %d: sortPairs = %v, want %v", i, got, want)
+		}
+	}
 }

@@ -7,11 +7,15 @@ import "fmt"
 // — the PETSc default "bjacobi" configuration used for the CH, NS and PP
 // solves in Table II — stored, factored and swept on the matrix's own
 // node blocks (PETSc's BAIJ ILU(0) shape): each owned block keeps its
-// bs×bs values and one node column, ghost columns dropped. The
-// factorization index (diagonal slots and the per-block update pairs of
-// the elimination) is built once from the frozen node pattern; Refresh
-// copies the owned blocks and refactors in place with no allocation and no
-// hashing on the warm path.
+// bs×bs values and one node column, ghost columns dropped. The symbolic
+// factorization (the owned node pattern, its diagonal slots and the
+// per-block update pairs of the elimination, iluIndex) depends on the
+// frozen Sparsity alone, so it is derived once per Sparsity and shared by
+// every factor on it — the CH, NS and PP factors of one mesh hold one
+// index, as a PETSc MatILUFactorSymbolic serves every numeric
+// factorization of its pattern. Each factor keeps only its own values;
+// Refresh copies the owned blocks and refactors in place with no
+// allocation and no hashing on the warm path.
 //
 // The arithmetic is the point ILU(0) of the scalar expansion — every
 // scalar entry of every owned block — done in node-block order: each
@@ -21,14 +25,8 @@ import "fmt"
 // update index keeps one pair per (lower block, upper block) node pair,
 // not one per scalar update, so a bs ≥ 2 operator stores about a bs³-th
 // of the pairs (bs = 2 is the CH system; bs ≥ 3 runs a run-time-bs loop
-// that only tests use).
-//
-// The stored blocks are owned × owned only, with strictly ascending node
-// columns and a stored diagonal block in every block row, so diag[i]
-// splits block row i into its L part [indptr[i], diag[i]) and its U part
-// (diag[i], indptr[i+1]); the diagonal block holds both triangles. factor
-// and Apply sweep those ranges without testing a column; buildIndex
-// asserts the property once.
+// that only tests use). Being per node pair, it is the same index at
+// every block size and component count.
 //
 // On a matrix that applies as A ⊗ I_k (BSRMat.SetComps, the NS momentum
 // operator with k = dim; bs = 1) only the stored scalar A is factored:
@@ -41,58 +39,77 @@ import "fmt"
 // elimination, so the same-component entries are computed from the same
 // operands in the same order.
 type PCBJacobiILU0 struct {
-	bs     int // rows and columns of each stored block
-	k      int // interleaved components per factored row (bs = 1)
+	*iluIndex
+	bs int       // rows and columns of each stored block
+	k  int       // interleaved components per factored row (bs = 1)
+	lu []float64 // bs×bs row-major values of each stored block
+	// refill copies the matrix's current owned values into lu.
+	refill func(lu []float64)
+}
+
+// iluIndex is the symbolic ILU(0) of an owned node pattern, read-only
+// once built. The stored blocks are owned × owned only, with strictly
+// ascending node columns and a stored diagonal block in every block row,
+// so diag[i] splits block row i into its L part [indptr[i], diag[i]) and
+// its U part (diag[i], indptr[i+1]); the diagonal block holds both
+// triangles. factor and Apply sweep those ranges without testing a
+// column; newILUIndex asserts the property once.
+type iluIndex struct {
 	n      int // block rows
 	indptr []int32
-	cols   []int32   // node column of each stored block
-	lu     []float64 // bs×bs row-major values of each stored block
-	diag   []int32   // slot of the diagonal block in each block row
+	cols   []int32 // node column of each stored block
+	diag   []int32 // slot of the diagonal block in each block row
 	// updOff[j]:updOff[j+1] indexes the precomputed update pairs of lower
 	// block j = (I,K): for each block (K,J), J > K, whose block (I,J) is
 	// stored, block updSrc feeds block updDst.
 	updOff []int32
 	updSrc []int32
 	updDst []int32
-	// refill copies the matrix's current owned values into lu.
-	refill func(lu []float64)
 }
 
 // iluLayout is the layout NewPCBJacobiILU0 factors: (*BSRMat).ownedBlocks.
 // la's tests swap in the scalar expansion, the point ILU(0) the node-block
-// kernels are pinned to end to end.
+// kernels are pinned to end to end; it builds its own index.
 var iluLayout = (*BSRMat).ownedBlocks
 
 // NewPCBJacobiILU0 factors the local owned submatrix of m: every entry of
 // every owned block, swept on m's interleaved components.
 func NewPCBJacobiILU0(m *BSRMat) *PCBJacobiILU0 {
-	if !m.finalized {
-		m.Finalize()
-	}
-	bs, indptr, cols, refill := iluLayout(m)
+	bs, ix, refill := iluLayout(m)
 	p := &PCBJacobiILU0{
-		bs: bs, k: m.k, n: len(indptr) - 1, indptr: indptr, cols: cols,
-		lu: make([]float64, len(cols)*bs*bs), refill: refill,
+		iluIndex: ix, bs: bs, k: m.k,
+		lu: make([]float64, len(ix.cols)*bs*bs), refill: refill,
 	}
-	p.buildIndex()
 	p.Refresh()
 	return p
 }
 
-// ownedBlocks returns m's owned × owned node pattern — each block row's
-// blocks in owned columns, which sort before its ghost columns — and the
-// function that copies their current values, one contiguous run per block
-// row.
-func (m *BSRMat) ownedBlocks() (bs int, indptr, cols []int32, refill func(lu []float64)) {
-	sp, n := m.sp, int32(m.NRowNodes)
+// ownedBlocks returns the index of m's owned × owned node pattern, shared
+// through m's Sparsity, and the function that copies the blocks' current
+// values, one contiguous run per block row.
+func (m *BSRMat) ownedBlocks() (bs int, ix *iluIndex, refill func(lu []float64)) {
+	sp, ix := m.sp, m.sp.iluIndex()
+	bs2 := m.Bs * m.Bs
+	refill = func(lu []float64) {
+		for r := 0; r < ix.n; r++ {
+			copy(lu[int(ix.indptr[r])*bs2:int(ix.indptr[r+1])*bs2], m.vals[int(sp.Indptr[r])*bs2:])
+		}
+	}
+	return m.Bs, ix, refill
+}
+
+// ownedPattern returns the owned × owned node pattern of s: each block
+// row's blocks in owned columns, which sort before its ghost columns.
+func (s *Sparsity) ownedPattern() (indptr, cols []int32) {
+	n := int32(s.NRows)
 	indptr = make([]int32, n+1)
 	for r := int32(0); r < n; r++ {
-		lo, hi := sp.Indptr[r], sp.Indptr[r+1]
+		lo, hi := s.Indptr[r], s.Indptr[r+1]
 		j := lo
-		for j < hi && sp.Cols[j] < n {
+		for j < hi && s.Cols[j] < n {
 			j++
 		}
-		for _, c := range sp.Cols[j:hi] {
+		for _, c := range s.Cols[j:hi] {
 			if c < n {
 				panic(fmt.Sprintf("la: ILU(0) block row %d: owned column %d after a ghost column", r, c))
 			}
@@ -101,15 +118,9 @@ func (m *BSRMat) ownedBlocks() (bs int, indptr, cols []int32, refill func(lu []f
 	}
 	cols = make([]int32, indptr[n])
 	for r := int32(0); r < n; r++ {
-		copy(cols[indptr[r]:indptr[r+1]], sp.Cols[sp.Indptr[r]:])
+		copy(cols[indptr[r]:indptr[r+1]], s.Cols[s.Indptr[r]:])
 	}
-	bs2 := m.Bs * m.Bs
-	refill = func(lu []float64) {
-		for r := int32(0); r < n; r++ {
-			copy(lu[int(indptr[r])*bs2:int(indptr[r+1])*bs2], m.vals[int(sp.Indptr[r])*bs2:])
-		}
-	}
-	return m.Bs, indptr, cols, refill
+	return indptr, cols
 }
 
 // Refresh copies the owned blocks' current values and refactors on the
@@ -119,20 +130,21 @@ func (p *PCBJacobiILU0) Refresh() {
 	p.factor()
 }
 
-// buildIndex records each block row's diagonal slot, asserting the
-// structure the split sweeps rely on (columns owned, < n, and strictly
-// ascending, with the diagonal stored), and precomputes, for every lower
-// block, the (source, destination) pairs its elimination row update hits —
-// the ILU(0) pattern intersection, resolved once so factor itself is a
-// pure array sweep. pos is the symbolic-ILU row marker: while row r is
-// processed, pos[c] is the slot of column c in row r, and -1 for a column
-// row r does not store. The pattern is swept twice: the first pass counts
-// the pairs into updOff, the second fills updSrc/updDst, allocated at
-// exactly that size in between (grown by append they cost more than the
-// intersections themselves).
-func (p *PCBJacobiILU0) buildIndex() {
-	n := p.n
-	p.diag = make([]int32, n)
+// newILUIndex records each block row's diagonal slot of the pattern
+// (indptr, cols), asserting the structure the split sweeps rely on
+// (columns owned, < n, and strictly ascending, with the diagonal stored),
+// and precomputes, for every lower block, the (source, destination) pairs
+// its elimination row update hits — the ILU(0) pattern intersection,
+// resolved once so factor itself is a pure array sweep. pos is the
+// symbolic-ILU row marker: while row r is processed, pos[c] is the slot
+// of column c in row r, and -1 for a column row r does not store. The
+// pattern is swept twice: the first pass counts the pairs into updOff,
+// the second fills updSrc/updDst, allocated at exactly that size in
+// between (grown by append they cost more than the intersections
+// themselves).
+func newILUIndex(indptr, cols []int32) *iluIndex {
+	n := len(indptr) - 1
+	p := &iluIndex{n: n, indptr: indptr, cols: cols, diag: make([]int32, n)}
 	for r := 0; r < n; r++ {
 		p.diag[r] = -1
 		prev := int32(-1)
@@ -184,6 +196,7 @@ func (p *PCBJacobiILU0) buildIndex() {
 			p.updSrc, p.updDst = make([]int32, total), make([]int32, total)
 		}
 	}
+	return p
 }
 
 // factor eliminates block row by block row, as the point ILU(0) of the

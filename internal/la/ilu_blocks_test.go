@@ -129,3 +129,72 @@ func TestILU0IndexSizeIsNodePattern(t *testing.T) {
 		}
 	}
 }
+
+// TestILU0IndexSharedPerSparsity pins the symbolic/numeric split: every
+// factor on one Sparsity — two operators with different values at each
+// (bs, k) shape, and every shape on the same pattern — holds the one
+// index the Sparsity derived, and its factor and Apply are bitwise those
+// of a factor of the same values on a private copy of the pattern (so with
+// an index of its own), fresh and after Refresh on new values. A factor's
+// Refresh leaves the other factors on the shared index as they were.
+func TestILU0IndexSharedPerSparsity(t *testing.T) {
+	const nx, ny = 8, 6
+	pat := gridPattern{ghosts: true, pinned: true}
+	sp := gridSystem(nil, nx, ny, 1, pat, 1).sp
+	// on returns gridSystem's values at seed on pattern p.
+	on := func(p *Sparsity, bs, k int, seed int64) *BSRMat {
+		g := gridSystem(nil, nx, ny, bs, pat, seed)
+		if !slices.Equal(g.sp.Indptr, sp.Indptr) || !slices.Equal(g.sp.Cols, sp.Cols) {
+			t.Fatalf("bs=%d: gridSystem pattern differs from the shared one", bs)
+		}
+		m := NewBAIJFromSparsity(nil, bs, g.NRowNodes, g.NColNodes, p)
+		copy(m.vals, g.vals)
+		m.SetComps(k)
+		return m
+	}
+	private := func() *Sparsity {
+		return &Sparsity{NRows: sp.NRows, Indptr: slices.Clone(sp.Indptr), Cols: slices.Clone(sp.Cols)}
+	}
+	same := func(what string, p, q *PCBJacobiILU0, m *BSRMat, seed int64) {
+		t.Helper()
+		if d := bitsDiff(p.lu, q.lu); d != "" {
+			t.Fatalf("%s: factor differs from the private-index factor: %s", what, d)
+		}
+		r := make([]float64, m.Rows())
+		for i := range r {
+			r[i] = math.Sin(float64(seed) + 0.37*float64(i))
+		}
+		z, w := make([]float64, len(r)), make([]float64, len(r))
+		p.Apply(r, z)
+		q.Apply(r, w)
+		if d := bitsDiff(z, w); d != "" {
+			t.Fatalf("%s: Apply differs from the private-index factor: %s", what, d)
+		}
+	}
+	var shared *iluIndex
+	for _, sh := range []struct{ bs, k int }{{1, 1}, {2, 1}, {3, 1}, {1, 2}, {1, 3}} {
+		bs, k := sh.bs, sh.k
+		what := fmt.Sprintf("bs=%d k=%d", bs, k)
+		seed := int64(500 + 10*bs + k)
+		a, b := on(sp, bs, k, seed), on(sp, bs, k, seed+1)
+		a2 := on(private(), bs, k, seed)
+		pa, pb := NewPCBJacobiILU0(a), NewPCBJacobiILU0(b)
+		qa, qb := NewPCBJacobiILU0(a2), NewPCBJacobiILU0(on(private(), bs, k, seed+1))
+		if shared == nil {
+			shared = pa.iluIndex
+		}
+		if pa.iluIndex != shared || pb.iluIndex != shared || qa.iluIndex == shared || qa.iluIndex == qb.iluIndex {
+			t.Fatalf("%s: the factors on one Sparsity do not share its one index", what)
+		}
+		same(what+" a", pa, qa, a, seed)
+		same(what+" b", pb, qb, b, seed)
+		// New values into a and into its private twin, then Refresh.
+		fresh := gridSystem(nil, nx, ny, bs, pat, seed+2)
+		copy(a.vals, fresh.vals)
+		copy(a2.vals, fresh.vals)
+		pa.Refresh()
+		qa.Refresh()
+		same(what+" a after Refresh", pa, qa, a, seed+2)
+		same(what+" b after a's Refresh", pb, qb, b, seed+3)
+	}
+}

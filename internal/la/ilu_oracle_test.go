@@ -10,9 +10,6 @@ package la
 // stands for scalar row bi of block row r. Within a row the entries come
 // one group per owned block, in block-column order, so the columns ascend.
 func (m *BSRMat) LocalCSR() (indptr []int32, cols []int32, vals []float64, n int) {
-	if !m.finalized {
-		m.Finalize()
-	}
 	bs := m.Bs
 	n = m.NRowNodes * bs
 	indptr = make([]int32, n+1)
@@ -76,15 +73,15 @@ func (m *BSRMat) localCSRValuesInto(indptr []int32, vals []float64) {
 
 // pointLayout is the iluLayout of the oracle: the scalar expansion, one
 // scalar entry per "block".
-func pointLayout(m *BSRMat) (bs int, indptr, cols []int32, refill func(lu []float64)) {
-	indptr, cols, _, _ = m.LocalCSR()
-	return 1, indptr, cols, func(lu []float64) { m.localCSRValuesInto(indptr, lu) }
+func pointLayout(m *BSRMat) (bs int, ix *iluIndex, refill func(lu []float64)) {
+	indptr, cols, _, _ := m.LocalCSR()
+	return 1, newILUIndex(indptr, cols), func(lu []float64) { m.localCSRValuesInto(indptr, lu) }
 }
 
 // newPointILU0 is NewPCBJacobiILU0 on the scalar expansion of m: the
 // oracle. On a bs = 1 matrix it is NewPCBJacobiILU0 itself.
 func newPointILU0(m *BSRMat) *PCBJacobiILU0 {
-	defer func(l func(*BSRMat) (int, []int32, []int32, func([]float64))) { iluLayout = l }(iluLayout)
+	defer func(l func(*BSRMat) (int, *iluIndex, func([]float64))) { iluLayout = l }(iluLayout)
 	iluLayout = pointLayout
 	return NewPCBJacobiILU0(m)
 }

@@ -179,7 +179,7 @@ func gridSystem(sc Scatter, nx, ny, bs int, pat gridPattern, seed int64) *BSRMat
 	if pat.ghosts {
 		local += ny
 	}
-	m := NewBAIJ(sc, bs, owned, local)
+	b := NewBAIJ(sc, bs, owned, local)
 	blk := make([]float64, bs*bs)
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
@@ -202,12 +202,12 @@ func gridSystem(sc Scatter, nx, ny, bs int, pat gridPattern, seed int64) *BSRMat
 							blk[d*bs+d] += 12 * float64(bs)
 						}
 					}
-					m.AddBlock(rn, cn, blk)
+					b.AddBlock(rn, cn, blk)
 				}
 			}
 		}
 	}
-	m.Finalize()
+	m := b.Finalize()
 	if pat.zeroPivot {
 		blk := m.vals[m.sp.FindSlot(0, 0)*bs*bs:][:bs*bs]
 		blk[0] = 0
@@ -384,8 +384,7 @@ func TestILU0RejectsUnsortedOrGhostColumns(t *testing.T) {
 					t.Fatalf("%s columns must be rejected", name)
 				}
 			}()
-			p := &PCBJacobiILU0{n: 2, indptr: []int32{0, 2, 4}, cols: cols}
-			p.buildIndex()
+			newILUIndex([]int32{0, 2, 4}, cols)
 		}()
 	}
 }

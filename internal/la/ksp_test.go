@@ -22,8 +22,7 @@ func convDiff1D(n int, c float64) *BSRMat {
 			m.AddValue(i, i+1, -1+c)
 		}
 	}
-	m.Finalize()
-	return m
+	return m.Finalize()
 }
 
 // applyInto computes b = A*x for a test matrix.
@@ -215,21 +214,21 @@ func TestApplyOverlapsGhostExchange(t *testing.T) {
 		sc.ghosts[i] = 2 + float64(i%5)
 	}
 	bs := 1
-	m := NewBAIJ(sc, bs, owned, owned+ghost)
+	b := NewBAIJ(sc, bs, owned, owned+ghost)
 	for i := 0; i < owned; i++ {
-		m.AddBlock(i, i, []float64{4})
+		b.AddBlock(i, i, []float64{4})
 		if i > 0 {
-			m.AddBlock(i, i-1, []float64{-1})
+			b.AddBlock(i, i-1, []float64{-1})
 		}
 		if i < owned-1 {
-			m.AddBlock(i, i+1, []float64{-1})
+			b.AddBlock(i, i+1, []float64{-1})
 		}
 		// Every 7th row borrows a ghost column: those are the boundary rows.
 		if i%7 == 0 {
-			m.AddBlock(i, owned+i%ghost, []float64{0.5})
+			b.AddBlock(i, owned+i%ghost, []float64{0.5})
 		}
 	}
-	m.Finalize()
+	m := b.Finalize()
 	interior, boundary := m.Sparsity().RowSplit()
 	if len(boundary) != (owned+6)/7 {
 		t.Fatalf("boundary rows = %d, want %d", len(boundary), (owned+6)/7)

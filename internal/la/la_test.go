@@ -18,8 +18,7 @@ func lap1D(n int) *BSRMat {
 			m.AddValue(i, i+1, -1)
 		}
 	}
-	m.Finalize()
-	return m
+	return m.Finalize()
 }
 
 func residualNorm(op Operator, b, x []float64) float64 {
@@ -128,8 +127,8 @@ func TestBSRBlockApplyMatchesScalar(t *testing.T) {
 	}
 	y1 := make([]float64, nodes*bs)
 	y2 := make([]float64, nodes*bs)
-	blockM.Apply(x, y1)
-	scalarM.Apply(x, y2)
+	blockM.Finalize().Apply(x, y1)
+	scalarM.Finalize().Apply(x, y2)
 	for i := range y1 {
 		if math.Abs(y1[i]-y2[i]) > 1e-12 {
 			t.Fatalf("entry %d: block %v scalar %v", i, y1[i], y2[i])
@@ -188,8 +187,8 @@ func (q *quadProblem) Jacobian(x []float64) (Operator, PC) {
 			j.AddValue(i, i+1, -1)
 		}
 	}
-	j.Finalize()
-	return j, NewPCBJacobiILU0(j)
+	jm := j.Finalize()
+	return jm, NewPCBJacobiILU0(jm)
 }
 
 func TestNewtonConverges(t *testing.T) {
@@ -224,7 +223,7 @@ func TestNewtonConverges(t *testing.T) {
 func TestLocalCSRMatchesApply(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	nodes, bs := 8, 2
-	m := NewBAIJ(nil, bs, nodes, nodes+3) // 3 ghost column nodes
+	b := NewBAIJ(nil, bs, nodes, nodes+3) // 3 ghost column nodes
 	for rn := 0; rn < nodes; rn++ {
 		for _, cn := range []int{rn, (rn + 3) % (nodes + 3)} {
 			blk := make([]float64, bs*bs)
@@ -236,10 +235,10 @@ func TestLocalCSRMatchesApply(t *testing.T) {
 					blk[d*bs+d] += 3
 				}
 			}
-			m.AddBlock(rn, cn, blk)
+			b.AddBlock(rn, cn, blk)
 		}
 	}
-	m.Finalize()
+	m := b.Finalize()
 	indptr, cols, vals, n := m.LocalCSR()
 	if n != nodes*bs {
 		t.Fatalf("local size %d", n)

@@ -13,7 +13,6 @@ package la
 
 import (
 	"fmt"
-	"sort"
 
 	"proteus/internal/par"
 )
@@ -36,8 +35,7 @@ type OverlapScatter interface {
 }
 
 // maxBs is the largest supported block size: the run-time-bs SpMV kernel
-// accumulates a block row in a [maxBs]float64 and the scalar AddValue path
-// stages through a [maxBs*maxBs]float64.
+// accumulates a block row in a [maxBs]float64.
 const maxBs = 8
 
 func checkBs(bs int) {
@@ -76,52 +74,23 @@ type BSRMat struct {
 	// 1, or the k of SetComps.
 	k int
 
-	// Assembly state (COO map) until Finalize; then CSR arrays.
-	build map[[2]int32][]float64
-
-	// sp is the frozen index structure after Finalize. It may be shared
-	// with other matrices of the same pattern (see NewBAIJFromSparsity).
+	// sp is the frozen index structure, possibly shared with other
+	// matrices of the same pattern (see NewBAIJFromSparsity).
 	sp   *Sparsity
 	vals []float64 // sp.NNZ() * Bs * Bs, block-major row-major blocks
-
-	finalized bool
 }
 
-// NewBAIJ returns an empty block matrix with the given block size
-// (1 <= bs <= 8; larger blocks would silently overrun the fixed row
-// accumulators, so they are rejected here).
-func NewBAIJ(scatter Scatter, bs, ownedNodes, localNodes int) *BSRMat {
-	checkBs(bs)
-	m := &BSRMat{
-		Bs: bs, NRowNodes: ownedNodes, NColNodes: localNodes,
-		scatterDof: bs, scatter: scatter, k: 1, build: make(map[[2]int32][]float64),
-	}
-	m.initScatter()
-	return m
-}
-
-// NewAIJ returns an empty scalar CSR matrix over ndof unknowns per node:
-// the node-blocked sparsity is flattened to scalar rows/columns, the
-// format the paper starts from ("baseline", MATMPIAIJ).
-func NewAIJ(scatter Scatter, ndof, ownedNodes, localNodes int) *BSRMat {
-	m := &BSRMat{
-		Bs: 1, NRowNodes: ownedNodes * ndof, NColNodes: localNodes * ndof,
-		scatterDof: ndof, scatter: scatter, k: 1, build: make(map[[2]int32][]float64),
-	}
-	m.initScatter()
-	return m
-}
-
-// NewBAIJFromSparsity returns a finalized block matrix sharing the frozen
-// pattern sp, with all values zero. Assembly into it must hit existing
-// slots (through Vals, or a pattern-preserving AddBlock), the warm path
-// of a persistent-sparsity time loop.
+// NewBAIJFromSparsity returns a block matrix sharing the frozen pattern
+// sp (1 <= bs <= 8; larger blocks would silently overrun the fixed row
+// accumulators, so they are rejected here), with all values zero.
+// Assembly writes into its slots through Vals, the warm path of a
+// persistent-sparsity time loop; every matrix is made this way.
 func NewBAIJFromSparsity(scatter Scatter, bs, ownedNodes, localNodes int, sp *Sparsity) *BSRMat {
 	checkBs(bs)
 	m := &BSRMat{
 		Bs: bs, NRowNodes: ownedNodes, NColNodes: localNodes,
 		scatterDof: bs, scatter: scatter, k: 1,
-		sp: sp, vals: make([]float64, sp.NNZ()*bs*bs), finalized: true,
+		sp: sp, vals: make([]float64, sp.NNZ()*bs*bs),
 	}
 	m.initScatter()
 	return m
@@ -133,7 +102,7 @@ func NewAIJFromSparsity(scatter Scatter, ndof, ownedNodes, localNodes int, sp *S
 	m := &BSRMat{
 		Bs: 1, NRowNodes: ownedNodes * ndof, NColNodes: localNodes * ndof,
 		scatterDof: ndof, scatter: scatter, k: 1,
-		sp: sp, vals: make([]float64, sp.NNZ()), finalized: true,
+		sp: sp, vals: make([]float64, sp.NNZ()),
 	}
 	m.initScatter()
 	return m
@@ -170,124 +139,18 @@ func (m *BSRMat) SetPool(*par.Pool) {}
 // Rows implements Operator.
 func (m *BSRMat) Rows() int { return m.NRowNodes * m.Bs * m.k }
 
-// Sparsity returns the frozen index structure (nil before Finalize).
+// Sparsity returns the frozen index structure.
 func (m *BSRMat) Sparsity() *Sparsity { return m.sp }
 
-// Vals exposes the value array of a finalized matrix for plan-driven
-// accumulation; slot j's block occupies vals[j*Bs*Bs:(j+1)*Bs*Bs].
-func (m *BSRMat) Vals() []float64 {
-	if !m.finalized {
-		m.Finalize()
-	}
-	return m.vals
-}
-
-// Finalized reports whether the matrix has frozen CSR structure.
-func (m *BSRMat) Finalized() bool { return m.finalized }
+// Vals exposes the value array for plan-driven accumulation; slot j's
+// block occupies vals[j*Bs*Bs:(j+1)*Bs*Bs].
+func (m *BSRMat) Vals() []float64 { return m.vals }
 
 // FullLen implements Operator.
 func (m *BSRMat) FullLen() int { return m.NColNodes * m.Bs * m.k }
 
-// Zero resets all stored values (keeping the sparsity if finalized).
-func (m *BSRMat) Zero() {
-	if m.finalized {
-		for i := range m.vals {
-			m.vals[i] = 0
-		}
-		return
-	}
-	m.build = make(map[[2]int32][]float64)
-}
-
-// AddBlock accumulates a Bs x Bs dense block (row-major) at block
-// position (rowNode, colNode). Rows beyond the owned range are ignored —
-// callers push ghost-row contributions to their owners via the mesh ghost
-// write before assembling, mirroring PETSc's off-process assembly cache.
-func (m *BSRMat) AddBlock(rowNode, colNode int, block []float64) {
-	if rowNode < 0 || rowNode >= m.NRowNodes {
-		panic(fmt.Sprintf("la.AddBlock: row node %d out of owned range %d", rowNode, m.NRowNodes))
-	}
-	if m.finalized {
-		slot := m.sp.FindSlot(rowNode, colNode)
-		if slot < 0 {
-			panic(fmt.Sprintf("la: block (%d,%d) not in finalized sparsity", rowNode, colNode))
-		}
-		dst := m.vals[slot*m.Bs*m.Bs:]
-		for i, v := range block {
-			dst[i] += v
-		}
-		return
-	}
-	key := [2]int32{int32(rowNode), int32(colNode)}
-	b := m.build[key]
-	if b == nil {
-		b = make([]float64, m.Bs*m.Bs)
-		m.build[key] = b
-	}
-	for i := range block {
-		b[i] += block[i]
-	}
-}
-
-// AddValue accumulates a scalar at (row, col) in scalar index space
-// (node*Bs + dof).
-func (m *BSRMat) AddValue(row, col int, v float64) {
-	rn, rd := row/m.Bs, row%m.Bs
-	cn, cd := col/m.Bs, col%m.Bs
-	if m.finalized {
-		var blk [64]float64
-		blk[rd*m.Bs+cd] = v
-		m.AddBlock(rn, cn, blk[:m.Bs*m.Bs])
-		return
-	}
-	key := [2]int32{int32(rn), int32(cn)}
-	b := m.build[key]
-	if b == nil {
-		b = make([]float64, m.Bs*m.Bs)
-		m.build[key] = b
-	}
-	b[rd*m.Bs+cd] += v
-}
-
-// Finalize converts the assembly map into CSR arrays. Subsequent AddBlock
-// calls must hit existing positions (same sparsity), as in PETSc after the
-// first assembly.
-func (m *BSRMat) Finalize() {
-	if m.finalized {
-		return
-	}
-	type ent struct {
-		r, c int32
-	}
-	keys := make([]ent, 0, len(m.build))
-	for k := range m.build {
-		keys = append(keys, ent{k[0], k[1]})
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].r != keys[j].r {
-			return keys[i].r < keys[j].r
-		}
-		return keys[i].c < keys[j].c
-	})
-	bs2 := m.Bs * m.Bs
-	sp := &Sparsity{
-		NRows:  m.NRowNodes,
-		Indptr: make([]int32, m.NRowNodes+1),
-		Cols:   make([]int32, len(keys)),
-	}
-	m.vals = make([]float64, len(keys)*bs2)
-	for i, k := range keys {
-		sp.Indptr[k.r+1]++
-		sp.Cols[i] = k.c
-		copy(m.vals[i*bs2:(i+1)*bs2], m.build[[2]int32{k.r, k.c}])
-	}
-	for r := 0; r < m.NRowNodes; r++ {
-		sp.Indptr[r+1] += sp.Indptr[r]
-	}
-	m.sp = sp
-	m.build = nil
-	m.finalized = true
-}
+// Zero resets all stored values, keeping the sparsity.
+func (m *BSRMat) Zero() { clear(m.vals) }
 
 // Apply computes y = A*x. x must be a full local vector; ghosts are
 // refreshed before the multiply. When the scatter supports split-phase
@@ -296,9 +159,6 @@ func (m *BSRMat) Finalize() {
 // still in flight, hiding the exchange behind computation. Implements
 // Operator.
 func (m *BSRMat) Apply(x, y []float64) {
-	if !m.finalized {
-		m.Finalize()
-	}
 	if m.ovScatter != nil {
 		interior, boundary := m.sp.RowSplit()
 		if len(boundary) > 0 {
@@ -462,9 +322,6 @@ func (m *BSRMat) applySpanN(x, y []float64, rows []int32, lo, hi int) {
 // its diagonal to diag. Used to impose Dirichlet boundary conditions after
 // assembly; on a SetComps matrix the row is the node's on every component.
 func (m *BSRMat) ZeroRow(row int, diag float64) {
-	if !m.finalized {
-		m.Finalize()
-	}
 	bs := m.Bs
 	bs2 := bs * bs
 	rn, rd := row/bs, row%bs
@@ -480,9 +337,4 @@ func (m *BSRMat) ZeroRow(row int, diag float64) {
 }
 
 // NNZBlocks returns the stored block count.
-func (m *BSRMat) NNZBlocks() int {
-	if !m.finalized {
-		return len(m.build)
-	}
-	return len(m.sp.Cols)
-}
+func (m *BSRMat) NNZBlocks() int { return len(m.sp.Cols) }

@@ -27,8 +27,7 @@ func lap2D(m int) *BSRMat {
 			}
 		}
 	}
-	a.Finalize()
-	return a
+	return a.Finalize()
 }
 
 // cubicM is the grid side of cubicProblem.

@@ -25,9 +25,6 @@ type PCJacobi struct {
 
 // NewPCJacobi extracts the scalar diagonal of m.
 func NewPCJacobi(m *BSRMat) *PCJacobi {
-	if !m.Finalized() {
-		m.Finalize()
-	}
 	p := &PCJacobi{m: m, inv: make([]float64, m.Rows())}
 	p.Refresh()
 	return p

@@ -5,8 +5,12 @@ import "sync"
 // Sparsity is the frozen index structure of a block-CSR matrix: row
 // pointers and sorted column indices, with no values. It is immutable
 // after construction, so every operator assembled on the same mesh with
-// the same layout can share one Sparsity — the PETSc analogue is reusing
-// a MatDuplicate(MAT_SHARE_NONZERO_PATTERN) pattern across time steps.
+// the same node pattern can share one Sparsity, whatever its block size —
+// the PETSc analogue is a MatDuplicate(MAT_SHARE_NONZERO_PATTERN) pattern
+// reused across operators and time steps. What depends on the pattern
+// alone is derived from it once and cached: the interior/boundary row
+// split of the overlapped SpMV and the symbolic ILU(0) of every
+// block-Jacobi factor on it.
 //
 // Slots are positions into the column array: the Bs x Bs value block of
 // the j-th stored entry lives at vals[j*Bs*Bs : (j+1)*Bs*Bs]. Assembly
@@ -21,6 +25,11 @@ type Sparsity struct {
 	splitOnce sync.Once
 	interior  []int32
 	boundary  []int32
+
+	// The ILU(0) symbolic factorization of the owned pattern (lazily
+	// derived once; see iluIndex).
+	iluOnce sync.Once
+	ilu     *iluIndex
 }
 
 // RowSplit partitions the block rows by whether they touch a ghost
@@ -48,6 +57,15 @@ func (s *Sparsity) RowSplit() (interior, boundary []int32) {
 		}
 	})
 	return s.interior, s.boundary
+}
+
+// iluIndex returns the symbolic ILU(0) of the owned × owned pattern,
+// derived once from the frozen pattern and cached like RowSplit: every
+// block-Jacobi factor on this Sparsity, whatever its block size or
+// component count, shares it.
+func (s *Sparsity) iluIndex() *iluIndex {
+	s.iluOnce.Do(func() { s.ilu = newILUIndex(s.ownedPattern()) })
+	return s.ilu
 }
 
 func (s *Sparsity) rowIsInterior(r int) bool {
