@@ -302,13 +302,14 @@ func (s *Solver) StepCH(velOverride []float64) (StageReport, error) {
 	s.chBlk.drop()
 	s.chProb = chProblem{s: s, old: s.chOld, dt: s.Opt.Dt, theta: s.Opt.Theta}
 	// The driver and its workspace persist across steps and remeshes (Rebind
-	// keeps them); its reducer follows the current mesh generation.
+	// keeps them); its reducer is the current mesh, held only for the solve.
 	// LinTol is the floor of its forcing sequence, not the tolerance of every
 	// inner solve (la.Newton).
 	nw := &s.chNewton
 	nw.KSP, nw.Rtol, nw.Atol, nw.LinRtol, nw.MaxIt = la.BiCGS, s.Opt.NonlinTol, s.Opt.NonlinTol, s.Opt.LinTol, 30
 	nw.Red = m
 	ok, err := nw.Solve(&s.chProb, s.PhiMu)
+	nw.Red = nil
 	m.GhostRead(s.PhiMu, 2)
 	rep := StageReport{Stage: StageCH, Result: nw.Last, NewtonIterations: nw.Iterations,
 		NewtonConverged: ok, NewtonContraction: nw.Contraction}

@@ -66,3 +66,13 @@ func (s *Solver) Structure() (sps [4]*la.Sparsity, idx [3]uintptr) {
 	}
 	return sps, idx
 }
+
+// KrylovWorkspaces returns the Krylov workspace each KSP the solver runs
+// is given: the NS, PP and VU stages', the CH mass solve's and the CH
+// Newton driver's, which hands it to its inner KSP (la's
+// TestNewtonShrinkSolveZeroAllocs checks that the inner KSP keeps none of
+// its own).
+func (s *Solver) KrylovWorkspaces() map[string]*la.Workspace {
+	return map[string]*la.Workspace{"ns": s.ns.ksp.Work, "pp": s.pp.ksp.Work, "vu": s.vu.ksp.Work,
+		"chMass": s.chMass.ksp.Work, "chNewton": s.chNewton.Work}
+}

@@ -30,7 +30,7 @@ func (s *Solver) ensureHierarchy() *mg.Hierarchy {
 			rs.MGLevelsPatched += res.LevelsPatched
 			rs.MGRowsPatched += res.RowsPatched
 			rs.MGRowsResolved += res.RowsResolved
-			s.mgPrev = nil
+			s.mgPrev, s.mgDelta = nil, nil
 		} else {
 			s.mgH = mg.NewHierarchy(s.M, mg.HierarchyOptions{})
 			s.mgInfo = nil

@@ -283,6 +283,11 @@ type Solver struct {
 	// the Newton driver.
 	ch, ns, pp, vu, chMass linStage
 
+	// krylov is the rank's one Krylov workspace: every stage KSP, the CH
+	// mass solve and the Newton driver's inner KSP run in it, one after
+	// another, so its vectors are sized by the largest solve of the step.
+	krylov la.Workspace
+
 	chNewton la.Newton
 	chProb   chProblem
 	chOld    []float64
@@ -307,9 +312,9 @@ type Solver struct {
 	// mgWS is the hierarchy build/refresh scratch, reused across refreshes.
 	mgWS mg.Workspace
 
-	// mgDelta is the composed mesh delta of the last incremental Rebind
-	// (nil after a cold one), what ensureHierarchy refreshes mgPrev
-	// through.
+	// mgDelta is the composed mesh delta of the last incremental Rebind,
+	// what ensureHierarchy refreshes mgPrev through (nil after a cold
+	// Rebind, without a ladder to refresh, and once the refresh ran).
 	mgDelta *mesh.Delta
 
 	// postRemesh marks the first full step after a rebind so the
@@ -355,18 +360,19 @@ func NewSolver(m *mesh.Mesh, prm Params, opt Options) *Solver {
 	s.ch = linStage{s: s, name: StageCH, asm: s.asmCH, vasm: s.asmCH, matK: s.kCHJacZip, vecK: s.kCHRes, t: &s.T.CH}
 	s.ns = linStage{s: s, name: StageNS, asm: s.asmS, vasm: s.asmVel, matK: s.kNSMatZip, vecK: s.kNSVec,
 		pins: pinWalls, levelK: s.nsLevelKernel, t: &s.T.NS, post: &rs.PostNSIters,
-		ksp: la.KSP{Type: la.BiCGS, Rtol: tol, Atol: tol}}
+		ksp: la.KSP{Type: la.BiCGS, Rtol: tol, Atol: tol, Work: &s.krylov}}
 	s.pp = linStage{s: s, name: StagePP, asm: s.asmS, vasm: s.asmS, matK: s.kPPMatZip, vecK: s.kPPVec,
 		pins: pinFirst, levelK: s.ppLevelKernel, t: &s.T.PP, post: &rs.PostPPIters,
-		ksp: la.KSP{Type: la.IBiCGS, Rtol: tol, Atol: tol}}
+		ksp: la.KSP{Type: la.IBiCGS, Rtol: tol, Atol: tol, Work: &s.krylov}}
 	s.vu = linStage{s: s, name: StageVU, asm: s.asmS, vasm: s.asmS, matK: s.kVUMassZip, vecK: s.kVUComp,
 		pins: pinWalls, mass: true, t: &s.T.VU, post: &rs.PostVUIters,
-		ksp: la.KSP{Type: la.CG, Rtol: tol, Atol: tol}}
+		ksp: la.KSP{Type: la.CG, Rtol: tol, Atol: tol, Work: &s.krylov}}
 	// The CH mass solve runs before the first step; its timers go nowhere.
 	// ‖b‖ ≈ 1e-3, so Atol, not Rtol, stops CG: μ₀ is ~1e-5 relative. It
 	// is a template: InitMuFromPhi solves on a copy.
 	s.chMass = linStage{s: s, asm: s.asmS, vasm: s.asmS, mass: true, t: new(StageTimes),
-		ksp: la.KSP{Type: la.CG, Rtol: 1e-10, Atol: 1e-8}}
+		ksp: la.KSP{Type: la.CG, Rtol: 1e-10, Atol: 1e-8, Work: &s.krylov}}
+	s.chNewton.Work = &s.krylov
 	return s
 }
 
@@ -416,13 +422,15 @@ func (s *Solver) MeshEpoch() uint64 { return s.meshEpoch }
 // Rebind moves the solver to mesh m at generation epoch in place — the
 // remesh, rollback and checkpoint-fallback swap — preserving everything
 // that survives a mesh change: the assemblers' reference element and
-// element scratch, each stage's KSP (whose Krylov workspace resizes in
-// place on the next Solve) and the Newton driver. Each stage's
-// operator and RHS, and the per-step vectors, are dropped and rebuilt
-// lazily on the next step. State vectors (PhiMu, Vel, P, ElemCn, and ψ
-// under warm starts) are reallocated at the new sizes and left for the
-// caller to fill by transfer/migration; ElemCn starts at the uniform Cahn
-// number.
+// element scratch, each stage's KSP, the Newton driver and the rank's
+// Krylov workspace (resliced by the next Solve). Each stage's operator
+// and RHS, and the per-step vectors, are dropped and rebuilt lazily on
+// the next step; no KSP holds an operator between solves, so after Rebind
+// nothing of the previous mesh generation stays reachable from the solver
+// but a GMG ladder or PC kept for the refresh below. State vectors (PhiMu,
+// Vel, P, ElemCn, and ψ under warm starts) are reallocated at the new
+// sizes and left for the caller to fill by transfer/migration; ElemCn
+// starts at the uniform Cahn number.
 //
 // d is the mesh delta of an incremental build (mesh.Patch,
 // mesh.PatchMigrated) and names what survived: each stage assembler's
@@ -448,26 +456,35 @@ func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	s.meshEpoch = epoch
 	s.allocState()
 	s.asmCH.Rebind(m, epoch, d) // and its siblings asmVel, asmS
-	s.chOld = nil
+	s.chOld, s.chProb, s.kCHx = nil, chProblem{}, nil
 	s.chBlk.drop()
 	s.vuComp, s.vuNewVel = nil, nil
-	s.mgDelta = d
+	delta := d
 	if stacked {
-		s.mgDelta = nil
+		delta = nil
 	}
 	for _, st := range s.stages() {
 		st.mat, st.rhs = nil, nil
-		if _, gmg := st.pc.(*mg.PCGMG); !gmg || s.mgDelta == nil {
+		if g, gmg := st.pc.(*mg.PCGMG); gmg && delta != nil {
+			// Its fine level is rebuilt on the new operator anyway: let
+			// the old operator and smoother go now.
+			g.SetFineOperator(nil)
+		} else {
 			st.pc = nil
 		}
 		st.stale = st.pc != nil
 	}
 	// Stale coarse operators never survive a cold rebind; an incremental
-	// one keeps the last built ladder for ensureHierarchy to refresh.
+	// one keeps the last built ladder for ensureHierarchy to refresh, and
+	// the delta only for that refresh (a kept PC implies a kept ladder).
 	if d == nil {
 		s.mgPrev = nil
 	} else if s.mgH != nil {
 		s.mgPrev = s.mgH
+	}
+	s.mgDelta = nil
+	if s.mgPrev != nil {
+		s.mgDelta = delta
 	}
 	s.mgH, s.mgInfo = nil, nil
 	s.postRemesh = true

@@ -20,7 +20,8 @@ import (
 // (krylov), then the fault hook and divergence error (diverged), the NaN
 // poke and the finite scan; each part books its time to the stage's
 // StageTimes. The operator, PC, KSP and RHS persist across steps; Rebind
-// drops the mesh-keyed ones.
+// drops the mesh-keyed ones. Every stage's KSP runs in the Solver's one
+// Krylov workspace.
 type linStage struct {
 	s    *Solver
 	name Stage
@@ -224,13 +225,16 @@ func (s *Solver) gmgCoefs(st *linStage) []mg.Coefficient {
 
 // krylov runs the stage KSP on its operator and PC for the RHS b from the
 // initial guess x, and records the iterations (and, on the first step
-// after a remesh, the Post*Iters telemetry).
+// after a remesh, the Post*Iters telemetry). The KSP holds the operator,
+// PC and mesh only while it solves, so a Rebind leaves none of them
+// reachable through it.
 func (st *linStage) krylov(b, x []float64) (la.Result, error) {
 	s := st.s
 	k := &st.ksp
 	k.Op, k.PC, k.Red = st.mat, st.pc, s.M
 	t0 := time.Now()
 	res, err := k.Solve(b, x)
+	k.Op, k.PC, k.Red = nil, nil, nil
 	st.t.Solve += time.Since(t0)
 	st.t.Record(res.Iterations)
 	if s.postRemesh && st.post != nil {

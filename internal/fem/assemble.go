@@ -250,8 +250,10 @@ func (a *Assembler) assemble(mat *la.BSRMat, plan *AssemblyPlan, send *sendStore
 	n := npe * nd
 	blk := a.scr.blk
 	idx := int32(0)
+	var cs corners
 	for e := 0; e < m.NumElems(); e++ {
 		h := m.ElemSize(e)
+		cs.load(m, e)
 		if kern != nil {
 			ke := a.scr.ke
 			for i := range ke {
@@ -259,15 +261,13 @@ func (a *Assembler) assemble(mat *la.BSRMat, plan *AssemblyPlan, send *sendStore
 			}
 			kern(0, e, h, ke)
 			for ca := 0; ca < cpe; ca++ {
-				conA := &m.Conn[e*cpe+ca]
 				for cb := 0; cb < cpe; cb++ {
-					conB := &m.Conn[e*cpe+cb]
 					for di := 0; di < nd; di++ {
 						for dj := 0; dj < nd; dj++ {
 							blk[di*nd+dj] = ke[(ca*nd+di)*n+cb*nd+dj]
 						}
 					}
-					idx = plan.applyBlock(vals, off, idx, conA, conB, blk, nd)
+					idx = plan.applyBlock(vals, off, idx, &cs, ca, cb, blk, nd)
 				}
 			}
 		} else {
@@ -279,16 +279,14 @@ func (a *Assembler) assemble(mat *la.BSRMat, plan *AssemblyPlan, send *sendStore
 			}
 			zkern(0, e, h, blocks)
 			// Zipped assembly always runs through the node-block plan. A
-			// conforming pair into a local block with unit weight — most
+			// conforming pair (unit weight) into a local block — most
 			// pairs — adds straight from the zipped blocks, the same adds
 			// applyBlock makes, without gathering blk first.
 			for ca := 0; ca < cpe; ca++ {
-				conA := &m.Conn[e*cpe+ca]
 				for cb := 0; cb < cpe; cb++ {
-					conB := &m.Conn[e*cpe+cb]
 					k := ca*npe + cb
-					if conA.N == 1 && conB.N == 1 {
-						if slot := plan.entries[idx].slot; slot >= 0 && conA.W[0]*conB.W[0] == 1 {
+					if len(cs.idx[ca]) == 1 && len(cs.idx[cb]) == 1 {
+						if slot := plan.entries[idx].slot; slot >= 0 {
 							dst := vals[int(slot)*len(blocks):][:len(blocks)]
 							for i, b := range blocks {
 								dst[i] += b[k]
@@ -300,7 +298,7 @@ func (a *Assembler) assemble(mat *la.BSRMat, plan *AssemblyPlan, send *sendStore
 					for i, b := range blocks {
 						blk[i] = b[k]
 					}
-					idx = plan.applyBlock(vals, off, idx, conA, conB, blk, nd)
+					idx = plan.applyBlock(vals, off, idx, &cs, ca, cb, blk, nd)
 				}
 			}
 		}

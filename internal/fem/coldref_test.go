@@ -48,9 +48,9 @@ func coldAssemble(a *Assembler, layout Layout, kern NodeMajorKernel, zkern Zippe
 			kern(0, e, m.ElemSize(e), ke)
 		}
 		for ca := 0; ca < cpe; ca++ {
-			conA := &m.Conn[e*cpe+ca]
+			ia, wa := m.Corner(e, ca)
 			for cb := 0; cb < cpe; cb++ {
-				conB := &m.Conn[e*cpe+cb]
+				ib, wb := m.Corner(e, cb)
 				for di := 0; di < nd; di++ {
 					for dj := 0; dj < nd; dj++ {
 						if zipped {
@@ -60,7 +60,7 @@ func coldAssemble(a *Assembler, layout Layout, kern NodeMajorKernel, zkern Zippe
 						}
 					}
 				}
-				c.distributeBlock(conA, conB, blk)
+				c.distributeBlock(ia, wa, ib, wb, blk)
 			}
 		}
 	}
@@ -146,19 +146,19 @@ func (mm mapMat) freeze(m *mesh.Mesh, scalar bool) *la.BSRMat {
 	return mat
 }
 
-// distributeBlock adds blk (ndof x ndof) at every donor pair of the two
-// constraints, weighted, routing remotely-owned rows to the off-process
-// buffer.
-func (c *coldAsm) distributeBlock(conA, conB *mesh.Constraint, blk []float64) {
+// distributeBlock adds blk (ndof x ndof) at every donor pair of two
+// element corners (donors ia, ib with weights wa, wb), weighted, routing
+// remotely-owned rows to the off-process buffer.
+func (c *coldAsm) distributeBlock(ia []int32, wa []float64, ib []int32, wb []float64, blk []float64) {
 	m := c.a.M
 	nd := c.a.Ndof
 	me := int32(m.Comm.Rank())
-	for i := 0; i < int(conA.N); i++ {
-		rowNode := int(conA.Idx[i])
-		wi := conA.W[i]
-		for j := 0; j < int(conB.N); j++ {
-			colNode := int(conB.Idx[j])
-			w := wi * conB.W[j]
+	for i, r := range ia {
+		rowNode := int(r)
+		wi := wa[i]
+		for j, cn := range ib {
+			colNode := int(cn)
+			w := wi * wb[j]
 			if m.Owner[rowNode] != me {
 				ent := offProc{Row: m.Keys[rowNode], Col: m.Keys[colNode], V: make([]float64, nd*nd)}
 				for k := range ent.V {

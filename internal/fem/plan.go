@@ -93,45 +93,56 @@ func aijSlot(sp *la.Sparsity, rowNode, colNode, nd int) (base, stride int) {
 	return base, stride
 }
 
-// applyBlock scatters one ndof x ndof corner-pair block through the
-// plan entries starting at idx — one per donor pair, i over conA's donors
-// and then j over conB's, the plan's traversal order — and returns the
+// corners holds the donors and weights of one element's corners
+// (mesh.Mesh.Corner), so a loop over corner pairs reads each corner once
+// per element instead of once per pair.
+type corners struct {
+	idx [8][]int32 // up to 2^3 corners
+	w   [8][]float64
+}
+
+// load reads the corners of element e of m.
+func (c *corners) load(m *mesh.Mesh, e int) {
+	for k := 0; k < m.CornersPerElem(); k++ {
+		c.idx[k], c.w[k] = m.Corner(e, k)
+	}
+}
+
+// applyBlock scatters the ndof x ndof block of corner pair (ca, cb) of
+// the element whose corners cs holds through the plan entries starting at
+// idx — one per donor pair, i over corner ca's donors and then j over
+// cb's, the plan's traversal order (mesh.Mesh.Corner) — and returns the
 // next entry index. This is the entire warm-path inner loop: weighted
 // flat-array adds for local slots of vals, weighted value writes for
-// off-process entries of the assembler's store off. The weight of a donor pair is the product of its two donor
-// weights and an AIJ row's stride its length in the sparsity. The
-// conforming pair (one donor each) is the common case and skips the
-// donor loops.
-func (p *AssemblyPlan) applyBlock(vals, off []float64, idx int32, conA, conB *mesh.Constraint, blk []float64, nd int) int32 {
+// off-process entries of the assembler's store off. The weight of a donor
+// pair is the product of its two donor weights and an AIJ row's stride its
+// length in the sparsity. The conforming pair (one donor each, of weight
+// 1) is the common case and skips the donor loops and the weights.
+func (p *AssemblyPlan) applyBlock(vals, off []float64, idx int32, cs *corners, ca, cb int, blk []float64, nd int) int32 {
+	ia, wa, ib, wb := cs.idx[ca], cs.w[ca], cs.idx[cb], cs.w[cb]
 	bs2 := nd * nd
 	blk = blk[:bs2]
-	if conA.N == 1 && conB.N == 1 {
-		slot := p.entries[idx].slot
-		w := conA.W[0] * conB.W[0]
-		switch {
+	if len(ia) == 1 && len(ib) == 1 {
+		switch slot := p.entries[idx].slot; {
 		case slot < 0:
-			offWrite(off, slot, w, blk)
+			offWrite(off, slot, 1, blk)
 		case p.scalar:
-			p.addScalar(vals, int(slot), int(conA.Idx[0]), w, blk, nd)
-		case w == 1:
+			p.addScalar(vals, int(slot), int(ia[0]), 1, blk, nd)
+		default:
 			dst := vals[int(slot)*bs2:][:bs2]
 			for i, v := range blk {
 				dst[i] += v
 			}
-		default:
-			dst := vals[int(slot)*bs2:][:bs2]
-			for i, v := range blk {
-				dst[i] += w * v
-			}
 		}
 		return idx + 1
 	}
-	for i := 0; i < int(conA.N); i++ {
-		row, wi := int(conA.Idx[i]), conA.W[i]
-		for j := 0; j < int(conB.N); j++ {
+	wa, wb = wa[:len(ia)], wb[:len(ib)]
+	for i, r := range ia {
+		row, wi := int(r), wa[i]
+		for j := range ib {
 			slot := p.entries[idx].slot
 			idx++
-			w := wi * conB.W[j]
+			w := wi * wb[j]
 			switch {
 			case slot < 0:
 				offWrite(off, slot, w, blk)

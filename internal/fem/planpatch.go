@@ -129,19 +129,19 @@ func (a *Assembler) dirtyRowPairs(d *mesh.Delta) []int64 {
 	if m.Comm.Size() > 1 {
 		dests = make(map[int]*destBuf)
 	}
+	var cs corners
 	for e := 0; e < m.NumElems(); e++ {
+		cs.load(m, e)
 		for ca := 0; ca < cpe; ca++ {
-			conA := &m.Conn[e*cpe+ca]
 			for cb := 0; cb < cpe; cb++ {
-				conB := &m.Conn[e*cpe+cb]
-				for i := 0; i < int(conA.N); i++ {
-					rowNode := int(conA.Idx[i])
+				for _, r := range cs.idx[ca] {
+					rowNode := int(r)
 					owner := m.Owner[rowNode]
 					if owner == me && d != nil && !d.DirtyNode[rowNode] {
 						continue
 					}
-					for j := 0; j < int(conB.N); j++ {
-						colNode := int(conB.Idx[j])
+					for _, cn := range cs.idx[cb] {
+						colNode := int(cn)
 						if owner == me {
 							pairs = append(pairs, int64(rowNode)<<32|int64(colNode))
 							continue
@@ -338,12 +338,12 @@ func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp
 	plan.elemOff = make([]int32, nE+1)
 	total := 0
 	for e := 0; e < nE; e++ {
-		for ca := 0; ca < cpe; ca++ {
-			na := int(m.Conn[e*cpe+ca].N)
-			for cb := 0; cb < cpe; cb++ {
-				total += na * int(m.Conn[e*cpe+cb].N)
-			}
+		donors := 0
+		for c := 0; c < cpe; c++ {
+			idx, _ := m.Corner(e, c)
+			donors += len(idx)
 		}
+		total += donors * donors
 		plan.elemOff[e+1] = int32(total)
 	}
 	plan.entries = make([]planEntry, total)
@@ -354,20 +354,20 @@ func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp
 	var offs []offTmp
 	rankCount := make([]int, m.Comm.Size())
 	idx := 0
+	var cs corners
 	for e := 0; e < nE; e++ {
 		clean := op != nil && d.OldElem[e] >= 0
 		var oldIdx int32
 		if clean {
 			oldIdx = op.elemOff[d.OldElem[e]]
 		}
+		cs.load(m, e)
 		for ca := 0; ca < cpe; ca++ {
-			conA := &m.Conn[e*cpe+ca]
 			for cb := 0; cb < cpe; cb++ {
-				conB := &m.Conn[e*cpe+cb]
-				for i := 0; i < int(conA.N); i++ {
-					rowNode := int(conA.Idx[i])
-					for j := 0; j < int(conB.N); j++ {
-						colNode := int(conB.Idx[j])
+				for _, r := range cs.idx[ca] {
+					rowNode := int(r)
+					for _, cn := range cs.idx[cb] {
+						colNode := int(cn)
 						ent := &plan.entries[idx]
 						switch {
 						case m.Owner[rowNode] != me:

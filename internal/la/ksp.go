@@ -53,11 +53,13 @@ func (e *ErrUnknownMethod) Error() string {
 	return fmt.Sprintf("la: unknown KSP type %q (known: cg, bcgs, ibcgs)", e.Type)
 }
 
-// KSP is a configured Krylov solve, mirroring the PETSc KSP object. A KSP
-// owns a persistent workspace: the first Solve for a given operator shape
-// allocates every work vector, and all later Solves reuse them, so the
-// steady-state (warm) solve path performs no allocation. Hold one KSP per
-// stage and keep calling Solve on it.
+// KSP is a configured Krylov solve, mirroring the PETSc KSP object. It
+// runs in a Workspace (Work, or a private one when Work is nil) whose
+// vectors grow to the largest operator solved in them and are resliced for
+// smaller ones, so the steady-state (warm) solve path performs no
+// allocation. Op, PC and Red are read only during Solve: a caller that
+// keeps the KSP across mesh generations clears them once the solve
+// returns, so the KSP does not keep the previous generation alive.
 type KSP struct {
 	Op    Operator
 	PC    PC
@@ -73,7 +75,11 @@ type KSP struct {
 	// Deprecated: kept because benchmark/probes.go sets it.
 	Pool *par.Pool
 
-	ws *kspWS
+	// Work is the Krylov workspace, shared by KSPs whose solves never
+	// overlap (nil: the KSP keeps a private one in own).
+	Work *Workspace
+
+	own *Workspace
 	// pcSetup accumulates the preconditioner build/refresh cost reported
 	// through AddPCSetup since the last Solve.
 	pcSetup time.Duration
@@ -126,16 +132,20 @@ func (k *KSP) Solve(b, x []float64) (Result, error) {
 		return Result{}, &ErrUnknownMethod{Type: k.Type}
 	}
 	k.defaults()
-	k.ensureWS()
+	ws := k.workspace()
+	full, n := k.Op.FullLen(), k.Op.Rows()
 	t0 := time.Now()
 	var res Result
 	switch k.Type {
 	case CG:
-		res = k.cg(b, x)
+		ws.size(4, full, n)
+		res = k.cg(ws, b, x, n)
 	case BiCGS:
-		res = k.bicgstab(b, x, false)
+		ws.size(8, full, n)
+		res = k.bicgstab(ws, b, x, n, false)
 	default: // IBiCGS and the "" default
-		res = k.bicgstab(b, x, true)
+		ws.size(8, full, n)
+		res = k.bicgstab(ws, b, x, n, true)
 	}
 	res.SolveTime = time.Since(t0)
 	res.PCSetup = k.pcSetup
@@ -144,38 +154,36 @@ func (k *KSP) Solve(b, x []float64) (Result, error) {
 }
 
 // cg is preconditioned conjugate gradients for SPD operators.
-func (k *KSP) cg(b, x []float64) Result {
-	ws := k.ws
-	n := ws.n
-	r, z, p, ap := ws.r, ws.z, ws.p, ws.ap
+func (k *KSP) cg(ws *Workspace, b, x []float64, n int) Result {
+	r, z, p, ap := ws.vec[0], ws.vec[1], ws.vec[2], ws.vec[3]
 	k.Op.Apply(x, ap)
-	k.waxpby(r, 1, b, -1, ap, n)
-	bnorm := k.norm(b, n)
+	waxpby(r, 1, b, -1, ap, n)
+	bnorm := ws.norm(k.Red, b, n)
 	if bnorm == 0 {
 		bnorm = 1
 	}
 	k.PC.Apply(r[:n], z[:n])
 	copy(p[:n], z[:n])
-	rz := k.dot(r, z, n)
-	rnorm := k.norm(r, n)
+	rz := ws.dot(k.Red, r, z, n)
+	rnorm := ws.norm(k.Red, r, n)
 	for it := 0; it < k.MaxIt; it++ {
 		if rnorm <= k.Rtol*bnorm || rnorm <= k.Atol {
 			return Result{Iterations: it, Converged: true, Residual: rnorm}
 		}
 		k.Op.Apply(p, ap)
-		pap := k.dot(p, ap, n)
+		pap := ws.dot(k.Red, p, ap, n)
 		if pap == 0 {
 			return Result{Iterations: it, Converged: false, Residual: rnorm}
 		}
 		alpha := rz / pap
-		k.axpy(alpha, p, x, n)
-		k.axpy(-alpha, ap, r, n)
+		axpy(alpha, p, x, n)
+		axpy(-alpha, ap, r, n)
 		k.PC.Apply(r[:n], z[:n])
-		rzNew, rr := k.dot2(r, z, r, r, n)
+		rzNew, rr := ws.dot2(k.Red, r, z, r, r, n)
 		rnorm = math.Sqrt(rr)
 		beta := rzNew / rz
 		rz = rzNew
-		k.waxpby(p, 1, z, beta, p, n)
+		waxpby(p, 1, z, beta, p, n)
 	}
 	return Result{Iterations: k.MaxIt, Converged: false, Residual: rnorm}
 }
@@ -184,28 +192,26 @@ func (k *KSP) cg(b, x []float64) Result {
 // products per half-step are batched into single reductions, the
 // communication-avoiding trick behind PETSc's IBCGS variant used for the
 // pressure-Poisson solve in Table II.
-func (k *KSP) bicgstab(b, x []float64, fused bool) Result {
-	ws := k.ws
-	n := ws.n
-	r, rhat, p := ws.r, ws.rhat, ws.p
-	v, s, t, ph, sh := ws.v, ws.s, ws.t, ws.ph, ws.sh
+func (k *KSP) bicgstab(ws *Workspace, b, x []float64, n int, fused bool) Result {
+	r, rhat, p := ws.vec[0], ws.vec[1], ws.vec[2]
+	v, s, t, ph, sh := ws.vec[3], ws.vec[4], ws.vec[5], ws.vec[6], ws.vec[7]
 	k.Op.Apply(x, v)
-	k.waxpby(r, 1, b, -1, v, n)
+	waxpby(r, 1, b, -1, v, n)
 	copy(rhat, r[:n])
 	for i := range v {
 		v[i] = 0
 	}
-	bnorm := k.norm(b, n)
+	bnorm := ws.norm(k.Red, b, n)
 	if bnorm == 0 {
 		bnorm = 1
 	}
 	rho, alpha, omega := 1.0, 1.0, 1.0
-	rnorm := k.norm(r, n)
+	rnorm := ws.norm(k.Red, r, n)
 	for it := 0; it < k.MaxIt; it++ {
 		if rnorm <= k.Rtol*bnorm || rnorm <= k.Atol {
 			return Result{Iterations: it, Converged: true, Residual: rnorm}
 		}
-		rhoNew := k.dot(rhat, r, n)
+		rhoNew := ws.dot(k.Red, rhat, r, n)
 		if rhoNew == 0 {
 			return Result{Iterations: it, Converged: false, Residual: rnorm}
 		}
@@ -214,39 +220,39 @@ func (k *KSP) bicgstab(b, x []float64, fused bool) Result {
 		} else {
 			beta := (rhoNew / rho) * (alpha / omega)
 			// p = r + beta*(p - omega*v), in two aliasing-safe passes.
-			k.waxpby(p, 1, p, -omega, v, n)
-			k.waxpby(p, 1, r, beta, p, n)
+			waxpby(p, 1, p, -omega, v, n)
+			waxpby(p, 1, r, beta, p, n)
 		}
 		rho = rhoNew
 		k.PC.Apply(p[:n], ph[:n])
 		k.Op.Apply(ph, v)
-		rhv := k.dot(rhat, v, n)
+		rhv := ws.dot(k.Red, rhat, v, n)
 		if rhv == 0 {
 			return Result{Iterations: it, Converged: false, Residual: rnorm}
 		}
 		alpha = rho / rhv
-		k.waxpby(s, 1, r, -alpha, v, n)
-		snorm := k.norm(s, n)
+		waxpby(s, 1, r, -alpha, v, n)
+		snorm := ws.norm(k.Red, s, n)
 		if snorm <= k.Rtol*bnorm || snorm <= k.Atol {
-			k.axpy(alpha, ph, x, n)
+			axpy(alpha, ph, x, n)
 			return Result{Iterations: it + 1, Converged: true, Residual: snorm}
 		}
 		k.PC.Apply(s[:n], sh[:n])
 		k.Op.Apply(sh, t)
 		var tt, ts float64
 		if fused {
-			tt, ts = k.dot2(t, t, t, s, n)
+			tt, ts = ws.dot2(k.Red, t, t, t, s, n)
 		} else {
-			tt = k.dot(t, t, n)
-			ts = k.dot(t, s, n)
+			tt = ws.dot(k.Red, t, t, n)
+			ts = ws.dot(k.Red, t, s, n)
 		}
 		if tt == 0 {
 			return Result{Iterations: it, Converged: false, Residual: rnorm}
 		}
 		omega = ts / tt
-		k.axpy2(alpha, ph, omega, sh, x, n)
-		k.waxpby(r, 1, s, -omega, t, n)
-		rnorm = k.norm(r, n)
+		axpy2(alpha, ph, omega, sh, x, n)
+		waxpby(r, 1, s, -omega, t, n)
+		rnorm = ws.norm(k.Red, r, n)
 		if omega == 0 {
 			return Result{Iterations: it + 1, Converged: false, Residual: rnorm}
 		}

@@ -150,11 +150,10 @@ func TestShardedSpMVAndDotsMatchSerialBitwise(t *testing.T) {
 		x[i] = math.Cos(0.003*float64(i)) * float64(i%17)
 	}
 	ys := applyInto(m, x)
-	ks := &KSP{Op: m, Type: CG}
-	ks.defaults()
-	ks.ensureWS()
-	ds := ks.dot(x, b, n)
-	s1, s2 := ks.dot2(x, b, b, b, n)
+	ws := new(Workspace)
+	ws.size(4, n, n)
+	ds := ws.dot(SerialReducer{}, x, b, n)
+	s1, s2 := ws.dot2(SerialReducer{}, x, b, b, b, n)
 	nc := blas.NumChunks(n)
 	for _, nw := range []int{2, 3, 8} {
 		yp := make([]float64, n)

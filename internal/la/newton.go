@@ -43,8 +43,11 @@ const (
 )
 
 // Newton is a damped inexact Newton-Krylov driver. Like KSP it keeps a
-// persistent workspace (work vectors plus the inner KSP and its workspace),
-// so repeated Solves on the same problem shape allocate nothing.
+// persistent workspace (work vectors plus the inner KSP), resliced within
+// capacity when the problem shrinks, so repeated Solves on a problem no
+// larger than any before allocate nothing. The inner KSP's Op, PC and Red
+// are cleared when Solve returns, so the driver keeps no operator of the
+// last solve alive.
 type Newton struct {
 	Red   Reducer
 	KSP   Method  // inner Krylov method
@@ -54,6 +57,8 @@ type Newton struct {
 	// LinRtol is the tightest relative tolerance an inner solve is driven
 	// to: the floor of the forcing sequence above (default 1e-8).
 	LinRtol float64
+	// Work is the inner KSP's Krylov workspace (nil: a private one).
+	Work *Workspace
 
 	// Iterations, LinearIterations and SolveTime (the inner Krylov
 	// wall-clock) report the last solve's work; Jacobians counts its
@@ -85,6 +90,14 @@ type Newton struct {
 // the error reports configuration problems (an unknown inner method) —
 // a stagnated Newton iteration is (false, nil), not an error.
 func (nw *Newton) Solve(p NewtonProblem, x []float64) (bool, error) {
+	ok, err := nw.solve(p, x)
+	if k := nw.ksp; k != nil {
+		k.Op, k.PC, k.Red = nil, nil, nil
+	}
+	return ok, err
+}
+
+func (nw *Newton) solve(p NewtonProblem, x []float64) (bool, error) {
 	if !nw.KSP.Valid() {
 		return false, &ErrUnknownMethod{Type: nw.KSP}
 	}
@@ -113,15 +126,11 @@ func (nw *Newton) Solve(p NewtonProblem, x []float64) (bool, error) {
 	op, pc := p.Jacobian(x)
 	n := op.Rows()
 	full := op.FullLen()
-	if len(nw.r) != full {
-		nw.r = make([]float64, full)
-		nw.dx = make([]float64, full)
-		nw.xTrial = make([]float64, full)
-		nw.rhs = make([]float64, full)
-	}
+	nw.r, nw.dx, nw.xTrial, nw.rhs = fit(nw.r, full), fit(nw.dx, full), fit(nw.xTrial, full), fit(nw.rhs, full)
 	if nw.ksp == nil {
 		nw.ksp = &KSP{}
 	}
+	nw.ksp.Work = nw.Work
 	r, dx, xTrial, rhs := nw.r, nw.dx, nw.xTrial, nw.rhs
 	p.Residual(x, r)
 	r0 := nw.norm(r, n)

@@ -40,6 +40,7 @@ const cubicM = 12
 // every Residual call with the inner tolerance the preceding linear solve
 // ran at, and the Residual-call count at every Jacobian call.
 type cubicProblem struct {
+	side int // grid side
 	a    *BSRMat
 	b    []float64
 	jac  *BSRMat
@@ -55,8 +56,11 @@ type cubicProblem struct {
 // from x = 3 by cubicStart. From there Newton first crawls (‖F‖ falls ~4×
 // per iteration), then turns quadratic, rejects no line-search trial and
 // ends on a chord step.
-func newCubicProblem(nw *Newton) *cubicProblem {
-	p := &cubicProblem{a: lap2D(cubicM), b: make([]float64, cubicM*cubicM), nw: nw, rec: true}
+func newCubicProblem(nw *Newton) *cubicProblem { return newCubicProblemOn(nw, cubicM) }
+
+// newCubicProblemOn is newCubicProblem on a side x side grid.
+func newCubicProblemOn(nw *Newton, side int) *cubicProblem {
+	p := &cubicProblem{side: side, a: lap2D(side), b: make([]float64, side*side), nw: nw, rec: true}
 	for i := range p.b {
 		p.b[i] = 1 + 0.1*float64(i%4)
 	}
@@ -93,7 +97,7 @@ func (p *cubicProblem) Jacobian(x []float64) (Operator, PC) {
 	}
 	n := p.a.Rows()
 	if p.jac == nil {
-		p.jac = lap2D(cubicM)
+		p.jac = lap2D(p.side)
 	}
 	copy(p.jac.Vals(), p.a.Vals())
 	for i := 0; i < n; i++ {
@@ -332,5 +336,34 @@ func TestNewtonWarmSolveZeroAllocs(t *testing.T) {
 		nw.Solve(p, cubicStart(x))
 	}); allocs != 0 {
 		t.Fatalf("warm Newton.Solve allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestNewtonShrinkSolveZeroAllocs: the driver's work vectors and its inner
+// KSP's workspace are resliced within their capacity, so once a Solve has
+// shaped them on a larger problem — a remesh that shrinks the mesh — a
+// Solve on the smaller one allocates nothing, and the inner KSP keeps no
+// operator, PC or reducer of either.
+func TestNewtonShrinkSolveZeroAllocs(t *testing.T) {
+	nw := &Newton{Work: new(Workspace)}
+	big, small := newCubicProblemOn(nw, cubicM+4), newCubicProblemOn(nw, cubicM)
+	big.rec, small.rec = false, false
+	xb, xs := make([]float64, big.a.Rows()), make([]float64, small.a.Rows())
+	for _, p := range []struct {
+		p *cubicProblem
+		x []float64
+	}{{big, xb}, {small, xs}} {
+		if ok, err := nw.Solve(p.p, cubicStart(p.x)); err != nil || !ok {
+			t.Fatalf("side %d: converged %v, err %v", p.p.side, ok, err)
+		}
+	}
+	if k := nw.ksp; k.Op != nil || k.PC != nil || k.Red != nil || k.own != nil {
+		t.Fatalf("inner KSP after Solve: Op %v, PC %v, Red %v, private workspace %v", k.Op, k.PC, k.Red, k.own != nil)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		nw.Solve(big, cubicStart(xb))
+		nw.Solve(small, cubicStart(xs))
+	}); allocs != 0 {
+		t.Fatalf("Newton.Solve after a shrink allocates %v times per run, want 0", allocs)
 	}
 }

@@ -10,14 +10,25 @@ package mesh
 // GatherElem interpolates the ndof values at the 2^d corners of element e
 // from the constrained local vector v into out (corner-major:
 // out[c*ndof+d]). out must have CornersPerElem()*ndof entries.
+//
+// GatherElem and ScatterAddElem, the MATVEC's inner loops, read the
+// connectivity table directly rather than through Corner, and make the
+// sums a loop over Corner's donors would: 0 + 1·v at a conforming corner
+// (1·v is v exactly; the 0 + turns −0 into +0 as it did).
 func (m *Mesh) GatherElem(e int, v []float64, ndof int, out []float64) {
 	cpe := m.CornersPerElem()
-	for c := 0; c < cpe; c++ {
-		con := &m.Conn[e*cpe+c]
+	for c, k := range m.conn[e*cpe : e*cpe+cpe] {
+		if k >= 0 {
+			for d := 0; d < ndof; d++ {
+				out[c*ndof+d] = 0 + v[int(k)*ndof+d]
+			}
+			continue
+		}
+		h := &m.hang[^k]
 		for d := 0; d < ndof; d++ {
 			var s float64
-			for k := 0; k < int(con.N); k++ {
-				s += con.W[k] * v[int(con.Idx[k])*ndof+d]
+			for j := 0; j < int(h.N); j++ {
+				s += h.W[j] * v[int(h.Idx[j])*ndof+d]
 			}
 			out[c*ndof+d] = s
 		}
@@ -29,12 +40,18 @@ func (m *Mesh) GatherElem(e int, v []float64, ndof int, out []float64) {
 // to its donors with the interpolation weights.
 func (m *Mesh) ScatterAddElem(e int, vals []float64, ndof int, v []float64) {
 	cpe := m.CornersPerElem()
-	for c := 0; c < cpe; c++ {
-		con := &m.Conn[e*cpe+c]
+	for c, k := range m.conn[e*cpe : e*cpe+cpe] {
+		if k >= 0 {
+			for d := 0; d < ndof; d++ {
+				v[int(k)*ndof+d] += vals[c*ndof+d]
+			}
+			continue
+		}
+		h := &m.hang[^k]
 		for d := 0; d < ndof; d++ {
 			x := vals[c*ndof+d]
-			for k := 0; k < int(con.N); k++ {
-				v[int(con.Idx[k])*ndof+d] += con.W[k] * x
+			for j := 0; j < int(h.N); j++ {
+				v[int(h.Idx[j])*ndof+d] += h.W[j] * x
 			}
 		}
 	}
@@ -46,10 +63,10 @@ func (m *Mesh) ScatterAddElem(e int, vals []float64, ndof int, v []float64) {
 func (m *Mesh) ScatterSetElem(e int, val float64, ndof int, v []float64, op func(cur, in float64) float64) {
 	cpe := m.CornersPerElem()
 	for c := 0; c < cpe; c++ {
-		con := &m.Conn[e*cpe+c]
-		for k := 0; k < int(con.N); k++ {
+		idx, _ := m.Corner(e, c)
+		for _, i := range idx {
 			for d := 0; d < ndof; d++ {
-				o := int(con.Idx[k])*ndof + d
+				o := int(i)*ndof + d
 				v[o] = op(v[o], val)
 			}
 		}

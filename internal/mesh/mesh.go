@@ -41,12 +41,62 @@ func keyLess(a, b NodeKey) bool {
 // can reference: a face-hanging vertex in 3D interpolates from 4 corners.
 const MaxDonors = 4
 
-// Constraint expresses one element corner as a weighted combination of
-// local node values. Non-hanging corners have N==1 and weight 1.
+// Constraint expresses a hanging element corner as a weighted combination
+// of its N donors' local node values.
 type Constraint struct {
 	N   uint8
 	Idx [MaxDonors]int32
 	W   [MaxDonors]float64
+}
+
+// unitWeight is the weight list Corner returns for every conforming
+// corner.
+var unitWeight = []float64{1}
+
+// connTable is element connectivity in the layout p4est uses for its
+// element nodes (Burstedde, Wilcox & Ghattas, SIAM J. Sci. Comput. 33,
+// 2011): conn holds one entry per element corner, corner-major
+// (conn[e*2^Dim+c]) — the local node index of a conforming corner, or ^k
+// for a hanging one whose donors are hang[k]. Conforming corners, most of
+// them, cost 4 bytes; a hanging corner adds one Constraint. Builders
+// append corners in element order, so hang is in corner order too.
+type connTable struct {
+	conn []int32
+	hang []Constraint
+}
+
+// node appends a conforming corner on node idx.
+func (t *connTable) node(idx int32) { t.conn = append(t.conn, idx) }
+
+// hanging appends a hanging corner with constraint con.
+func (t *connTable) hanging(con Constraint) {
+	t.conn = append(t.conn, ^int32(len(t.hang)))
+	t.hang = append(t.hang, con)
+}
+
+// corner returns the donors and weights of corner entry i (see
+// Mesh.Corner).
+func (t *connTable) corner(i int) ([]int32, []float64) {
+	if k := t.conn[i]; k < 0 {
+		h := &t.hang[^k]
+		return h.Idx[:h.N], h.W[:h.N]
+	}
+	return t.conn[i : i+1], unitWeight
+}
+
+// remap replaces every node reference with f of it.
+func (t *connTable) remap(f func(int32) int32) {
+	for i, v := range t.conn {
+		if v >= 0 {
+			t.conn[i] = f(v)
+		}
+	}
+	for i := range t.hang {
+		h := &t.hang[i]
+		for k := range h.Idx[:h.N] {
+			h.Idx[k] = f(h.Idx[k])
+		}
+	}
 }
 
 // Mesh is a distributed CG finite-element mesh. All slices indexed by
@@ -70,9 +120,11 @@ type Mesh struct {
 	NumGlobal   int64 // total non-hanging vertices across all ranks
 	GlobalStart int64 // first global ID owned by this rank
 
-	// Conn holds 2^Dim constraints per element, corner-major:
-	// Conn[e*cornersPerElem + c].
-	Conn []Constraint
+	// The element connectivity, read through Corner (and directly by
+	// GatherElem and ScatterAddElem): one int32 node index per
+	// conforming corner, a side table of Constraints for the hanging
+	// ones.
+	connTable
 
 	// Ghost exchange lists (per peer rank).
 	sendTo   []peerList // owned node indices serialized to each borrower
@@ -101,8 +153,19 @@ type Mesh struct {
 	redScratch [2][]float64
 	redTick    int
 
-	// HangingCorners counts constrained element corners (diagnostics).
+	// HangingCorners counts constrained element corners (diagnostics):
+	// the Constraint records of the connectivity's side table.
 	HangingCorners int
+}
+
+// Corner returns corner c of local element e as its donor local node
+// indices and their weights: for a conforming corner its node and the
+// weight 1, for a hanging corner its constraint's donors and weights, so
+// a gather computes 0 + 1·v at a conforming corner as it does a weighted
+// sum at a hanging one. The slices alias the mesh — the weight of every
+// conforming corner is one shared slice — and must not be written.
+func (m *Mesh) Corner(e, c int) (idx []int32, w []float64) {
+	return m.corner(e<<m.Dim + c)
 }
 
 // OwnershipTable returns the splitter table node ownership was decided
@@ -438,7 +501,7 @@ func (b *builder) classifyAndNumber() {
 	m := b.m
 	cpe := m.CornersPerElem()
 	var keys []NodeKey
-	conn := make([]Constraint, len(m.Elems)*cpe)
+	t := connTable{conn: make([]int32, 0, len(m.Elems)*cpe)}
 	// Per-element node key sets, for the off-process column exchange.
 	elemKeys := make([][]NodeKey, len(m.Elems))
 	for e, o := range m.Elems {
@@ -446,35 +509,33 @@ func (b *builder) classifyAndNumber() {
 		for cix := 0; cix < cpe; cix++ {
 			p := cornerKey(o, cix)
 			hanging, donors, w := b.classify(p)
-			con := &conn[e*cpe+cix]
 			if !hanging {
-				con.N = 1
-				con.Idx[0] = b.addNode(p, &keys)
-				con.W[0] = 1
+				t.node(b.addNode(p, &keys))
 				eset = append(eset, p)
 				continue
 			}
-			m.HangingCorners++
+			var con Constraint
 			con.N = uint8(len(donors))
 			for i, q := range donors {
 				con.Idx[i] = b.addNode(q, &keys)
 				con.W[i] = w
 			}
+			t.hanging(con)
 			eset = append(eset, donors...)
 		}
 		elemKeys[e] = eset
 	}
-	b.numberFromConn(keys, conn, elemKeys)
+	b.numberFromConn(keys, t, elemKeys)
 }
 
 // numberFromConn finishes node enumeration from an interned key list and
-// a provisional constraint table (classifyAndNumber's second half, also
+// a provisional connectivity (classifyAndNumber's second half, also
 // entered directly by the migrated-view build, which receives constraints
 // ready-made instead of classifying): ship column key sets to remote row
 // owners, then renumber owned-first. The final numbering is a pure
 // function of the key set, the ownership table and the rank — the
 // interning order keys arrived in does not matter.
-func (b *builder) numberFromConn(keys []NodeKey, conn []Constraint, elemKeys [][]NodeKey) {
+func (b *builder) numberFromConn(keys []NodeKey, t connTable, elemKeys [][]NodeKey) {
 	m := b.m
 	// Ship column key sets to remote row owners.
 	if m.Comm.Size() > 1 {
@@ -548,12 +609,8 @@ func (b *builder) numberFromConn(keys []NodeKey, conn []Constraint, elemKeys [][
 		m.Owner[newIdx] = owner[oldIdx]
 		m.index[keys[oldIdx]] = int32(newIdx)
 	}
-	for i := range conn {
-		for k := 0; k < int(conn[i].N); k++ {
-			conn[i].Idx[k] = perm[conn[i].Idx[k]]
-		}
-	}
-	m.Conn = conn
+	t.remap(func(i int32) int32 { return perm[i] })
+	m.connTable, m.HangingCorners = t, len(t.hang)
 	m.NumLocal = len(keys)
 	m.NumOwned = 0
 	for _, o := range m.Owner {

@@ -132,10 +132,10 @@ func TestHangingConstraintWeights(t *testing.T) {
 		cpe := m.CornersPerElem()
 		for e := 0; e < m.NumElems(); e++ {
 			for cx := 0; cx < cpe; cx++ {
-				con := m.Conn[e*cpe+cx]
+				_, w := m.Corner(e, cx)
 				var s float64
-				for k := 0; k < int(con.N); k++ {
-					s += con.W[k]
+				for _, wk := range w {
+					s += wk
 				}
 				if math.Abs(s-1) > 1e-14 {
 					panic(fmt.Sprintf("constraint weights sum to %v", s))

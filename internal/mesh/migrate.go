@@ -64,11 +64,11 @@ func newMigratedView(orig *Mesh, newSpl octree.Splitters) (*Mesh, *migration) {
 			w := &batch[i-lo]
 			w.Oct = orig.Elems[i]
 			for cix := 0; cix < cpe; cix++ {
-				con := &orig.Conn[i*cpe+cix]
+				idx, _ := orig.Corner(i, cix)
 				wc := &w.Corners[cix]
-				wc.N = con.N
-				for k := 0; k < int(con.N); k++ {
-					wc.Keys[k] = orig.Keys[con.Idx[k]]
+				wc.N = uint8(len(idx))
+				for k, j := range idx {
+					wc.Keys[k] = orig.Keys[j]
 				}
 			}
 		}
@@ -112,9 +112,30 @@ func newMigratedView(orig *Mesh, newSpl octree.Splitters) (*Mesh, *migration) {
 	b.own = newSpl
 	m.ownSpl, m.hasOwnSpl = newSpl, true
 	var keys []NodeKey
-	conn := make([]Constraint, 0, nView*cpe)
+	t := connTable{conn: make([]int32, 0, nView*cpe)}
 	elemKeys := make([][]NodeKey, 0, nView)
 	var eset []NodeKey
+	// corner appends one element corner on donor keys with weights w (nil:
+	// the uniform 1/N the classifier assigns).
+	corner := func(dk []NodeKey, w []float64) {
+		eset = append(eset, dk...)
+		if len(dk) == 1 {
+			t.node(b.addNode(dk[0], &keys))
+			return
+		}
+		var con Constraint
+		con.N = uint8(len(dk))
+		wgt := 1 / float64(len(dk))
+		for k, key := range dk {
+			con.Idx[k] = b.addNode(key, &keys)
+			con.W[k] = wgt
+			if w != nil {
+				con.W[k] = w[k]
+			}
+		}
+		t.hanging(con)
+	}
+	var dk [MaxDonors]NodeKey
 	addElem := func(o sfc.Octant, src int32) {
 		m.Elems = append(m.Elems, o)
 		m.ElemLevel = append(m.ElemLevel, o.Level)
@@ -126,19 +147,11 @@ func newMigratedView(orig *Mesh, newSpl octree.Splitters) (*Mesh, *migration) {
 				addElem(orig.Elems[oe], int32(oe))
 				eset = eset[:0]
 				for cix := 0; cix < cpe; cix++ {
-					ocon := &orig.Conn[oe*cpe+cix]
-					var con Constraint
-					con.N = ocon.N
-					for k := 0; k < int(ocon.N); k++ {
-						key := orig.Keys[ocon.Idx[k]]
-						con.Idx[k] = b.addNode(key, &keys)
-						con.W[k] = ocon.W[k]
-						eset = append(eset, key)
+					idx, w := orig.Corner(oe, cix)
+					for k, j := range idx {
+						dk[k] = orig.Keys[j]
 					}
-					if con.N > 1 {
-						m.HangingCorners++
-					}
-					conn = append(conn, con)
+					corner(dk[:len(idx)], w)
 				}
 				elemKeys = append(elemKeys, append([]NodeKey(nil), eset...))
 			}
@@ -150,18 +163,7 @@ func newMigratedView(orig *Mesh, newSpl octree.Splitters) (*Mesh, *migration) {
 			eset = eset[:0]
 			for cix := 0; cix < cpe; cix++ {
 				wc := &w.Corners[cix]
-				var con Constraint
-				con.N = wc.N
-				wgt := 1 / float64(wc.N)
-				for k := 0; k < int(wc.N); k++ {
-					con.Idx[k] = b.addNode(wc.Keys[k], &keys)
-					con.W[k] = wgt
-					eset = append(eset, wc.Keys[k])
-				}
-				if con.N > 1 {
-					m.HangingCorners++
-				}
-				conn = append(conn, con)
+				corner(wc.Keys[:wc.N], nil)
 			}
 			elemKeys = append(elemKeys, append([]NodeKey(nil), eset...))
 		}
@@ -169,7 +171,7 @@ func newMigratedView(orig *Mesh, newSpl octree.Splitters) (*Mesh, *migration) {
 
 	// --- Number under the new ownership and wire the exchange schedules;
 	// identical to the tail of a from-scratch build.
-	b.numberFromConn(keys, conn, elemKeys)
+	b.numberFromConn(keys, t, elemKeys)
 	b.resolveGlobalIDs()
 	b.buildScatterLists()
 	return m, mig
@@ -236,9 +238,9 @@ func composeDelta(orig, view, newM *Mesh, mig *migration, dv *Delta) *Delta {
 		}
 		if !dirtyE {
 			for cix := 0; cix < cpe && !dirtyE; cix++ {
-				con := &newM.Conn[e*cpe+cix]
-				for k := 0; k < int(con.N); k++ {
-					if unstable[con.Idx[k]] {
+				idx, _ := newM.Corner(e, cix)
+				for _, i := range idx {
+					if unstable[i] {
 						dirtyE = true
 						break
 					}
@@ -249,9 +251,9 @@ func composeDelta(orig, view, newM *Mesh, mig *migration, dv *Delta) *Delta {
 			continue
 		}
 		for cix := 0; cix < cpe; cix++ {
-			con := &newM.Conn[e*cpe+cix]
-			for k := 0; k < int(con.N); k++ {
-				dn[con.Idx[k]] = true
+			idx, _ := newM.Corner(e, cix)
+			for _, i := range idx {
+				dn[i] = true
 			}
 		}
 	}
@@ -270,9 +272,9 @@ func composeDelta(orig, view, newM *Mesh, mig *migration, dv *Delta) *Delta {
 			continue
 		}
 		for cix := 0; cix < cpe; cix++ {
-			con := &orig.Conn[oe*cpe+cix]
-			for k := 0; k < int(con.N); k++ {
-				if ni := d.NodeRemap[con.Idx[k]]; ni >= 0 {
+			idx, _ := orig.Corner(oe, cix)
+			for _, i := range idx {
+				if ni := d.NodeRemap[i]; ni >= 0 {
 					dn[ni] = true
 				}
 			}

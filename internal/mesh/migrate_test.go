@@ -110,9 +110,9 @@ func TestPatchMigratedMatchesNew(t *testing.T) {
 					}
 					clean := true
 					for cix := 0; cix < cpe && clean; cix++ {
-						con := &got.Conn[e*cpe+cix]
-						for k := 0; k < int(con.N); k++ {
-							if delta.DirtyNode[con.Idx[k]] {
+						idx, _ := got.Corner(e, cix)
+						for _, i := range idx {
+							if delta.DirtyNode[i] {
 								clean = false
 								break
 							}
@@ -122,12 +122,13 @@ func TestPatchMigratedMatchesNew(t *testing.T) {
 						continue
 					}
 					for cix := 0; cix < cpe; cix++ {
-						nc, oc := got.Conn[e*cpe+cix], old.Conn[int(oe)*cpe+cix]
-						if nc.N != oc.N {
+						ni, nw := got.Corner(e, cix)
+						oi, ow := old.Corner(int(oe), cix)
+						if len(ni) != len(oi) {
 							panic("clean element changed constraint shape")
 						}
-						for k := 0; k < int(nc.N); k++ {
-							if nc.Idx[k] != delta.NodeRemap[oc.Idx[k]] || nc.W[k] != oc.W[k] {
+						for k := range ni {
+							if ni[k] != delta.NodeRemap[oi[k]] || nw[k] != ow[k] {
 								panic("clean element conn does not remap cleanly")
 							}
 						}

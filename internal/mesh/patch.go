@@ -293,38 +293,38 @@ func patchWith(c *par.Comm, dim int, local []sfc.Octant, old *Mesh, dirty []sfc.
 		newOwner = append(newOwner, int32(b.canonicalOwner(k)))
 		return int32(old.NumLocal) + j
 	}
-	conn := make([]Constraint, len(local)*cpe)
+	t := connTable{conn: make([]int32, 0, len(local)*cpe)}
 	for e, o := range local {
 		if !affected[e] {
 			oe := int(oldElem[e])
-			copy(conn[e*cpe:(e+1)*cpe], old.Conn[oe*cpe:(oe+1)*cpe])
-			for cix := 0; cix < cpe; cix++ {
-				con := &conn[e*cpe+cix]
-				for k := 0; k < int(con.N); k++ {
-					oldMark[con.Idx[k]] = true
+			for _, v := range old.conn[oe*cpe : (oe+1)*cpe] {
+				if v >= 0 {
+					oldMark[v] = true
+					t.node(v)
+					continue
 				}
-				if con.N > 1 {
-					m.HangingCorners++
+				con := old.hang[^v]
+				for _, i := range con.Idx[:con.N] {
+					oldMark[i] = true
 				}
+				t.hanging(con)
 			}
 			continue
 		}
 		for cix := 0; cix < cpe; cix++ {
 			p := cornerKey(o, cix)
 			hanging, donors, w := b.classify(p)
-			con := &conn[e*cpe+cix]
 			if !hanging {
-				con.N = 1
-				con.Idx[0] = intern(p)
-				con.W[0] = 1
+				t.node(intern(p))
 				continue
 			}
-			m.HangingCorners++
+			var con Constraint
 			con.N = uint8(len(donors))
 			for i, q := range donors {
 				con.Idx[i] = intern(q)
 				con.W[i] = w
 			}
+			t.hanging(con)
 		}
 	}
 
@@ -351,10 +351,8 @@ func patchWith(c *par.Comm, dim int, local []sfc.Octant, old *Mesh, dirty []sfc.
 		for e := range local {
 			codes = codes[:0]
 			for cix := 0; cix < cpe; cix++ {
-				con := &conn[e*cpe+cix]
-				for k := 0; k < int(con.N); k++ {
-					codes = append(codes, con.Idx[k])
-				}
+				idx, _ := t.corner(e*cpe + cix)
+				codes = append(codes, idx...)
 			}
 			var owners []int
 			for _, cd := range codes {
@@ -475,12 +473,8 @@ func patchWith(c *par.Comm, dim int, local []sfc.Octant, old *Mesh, dirty []sfc.
 		}
 		return remapNew[code-int32(old.NumLocal)]
 	}
-	for i := range conn {
-		for k := 0; k < int(conn[i].N); k++ {
-			conn[i].Idx[k] = final(conn[i].Idx[k])
-		}
-	}
-	m.Conn = conn
+	t.remap(final)
+	m.connTable, m.HangingCorners = t, len(t.hang)
 
 	b.resolveGlobalIDs()
 	b.buildScatterLists()
@@ -504,9 +498,9 @@ func patchWith(c *par.Comm, dim int, local []sfc.Octant, old *Mesh, dirty []sfc.
 			continue
 		}
 		for cix := 0; cix < cpe; cix++ {
-			con := &conn[e*cpe+cix]
-			for k := 0; k < int(con.N); k++ {
-				dn[con.Idx[k]] = true
+			idx, _ := m.Corner(e, cix)
+			for _, i := range idx {
+				dn[i] = true
 			}
 		}
 	}
@@ -515,9 +509,9 @@ func patchWith(c *par.Comm, dim int, local []sfc.Octant, old *Mesh, dirty []sfc.
 			continue
 		}
 		for cix := 0; cix < cpe; cix++ {
-			con := &old.Conn[oe*cpe+cix]
-			for k := 0; k < int(con.N); k++ {
-				if ni := remapOld[con.Idx[k]]; ni >= 0 {
+			idx, _ := old.Corner(oe, cix)
+			for _, i := range idx {
+				if ni := remapOld[i]; ni >= 0 {
 					dn[ni] = true
 				}
 			}

@@ -100,17 +100,22 @@ func meshEqual(a, b *Mesh) error {
 			return fmt.Errorf("index %d differs", i)
 		}
 	}
-	if len(a.Conn) != len(b.Conn) {
+	if len(a.conn) != len(b.conn) || len(a.hang) != len(b.hang) || a.HangingCorners != b.HangingCorners {
 		return fmt.Errorf("conn len")
 	}
-	for i := range a.Conn {
-		ca, cb := a.Conn[i], b.Conn[i]
+	for i := range a.conn {
+		if a.conn[i] != b.conn[i] {
+			return fmt.Errorf("conn %d: %d vs %d", i, a.conn[i], b.conn[i])
+		}
+	}
+	for i := range a.hang {
+		ca, cb := a.hang[i], b.hang[i]
 		if ca.N != cb.N {
-			return fmt.Errorf("conn %d: N %d vs %d", i, ca.N, cb.N)
+			return fmt.Errorf("hanging corner %d: N %d vs %d", i, ca.N, cb.N)
 		}
 		for k := 0; k < int(ca.N); k++ {
 			if ca.Idx[k] != cb.Idx[k] || ca.W[k] != cb.W[k] {
-				return fmt.Errorf("conn %d donor %d: (%d,%v) vs (%d,%v)", i, k, ca.Idx[k], ca.W[k], cb.Idx[k], cb.W[k])
+				return fmt.Errorf("hanging corner %d donor %d: (%d,%v) vs (%d,%v)", i, k, ca.Idx[k], ca.W[k], cb.Idx[k], cb.W[k])
 			}
 		}
 	}
@@ -186,12 +191,13 @@ func TestPatchMatchesNew(t *testing.T) {
 						panic("OldElem maps to different octant")
 					}
 					for cix := 0; cix < cpe; cix++ {
-						nc, oc := got.Conn[e*cpe+cix], old.Conn[int(oe)*cpe+cix]
-						if nc.N != oc.N {
+						ni, nw := got.Corner(e, cix)
+						oi, ow := old.Corner(int(oe), cix)
+						if len(ni) != len(oi) {
 							panic("clean element changed constraint shape")
 						}
-						for k := 0; k < int(nc.N); k++ {
-							if nc.Idx[k] != delta.NodeRemap[oc.Idx[k]] || nc.W[k] != oc.W[k] {
+						for k := range ni {
+							if ni[k] != delta.NodeRemap[oi[k]] || nw[k] != ow[k] {
 								panic("clean element conn does not remap cleanly")
 							}
 						}

@@ -208,10 +208,10 @@ func (t *Transfer) evalPoint(src []float64, ndof int, p mesh.NodeKey, e int, out
 		if w == 0 {
 			continue
 		}
-		con := &m.Conn[e*cpe+ci]
-		for k := 0; k < int(con.N); k++ {
-			wk := w * con.W[k]
-			base := int(con.Idx[k]) * ndof
+		idx, cw := m.Corner(e, ci)
+		for k, i := range idx {
+			wk := w * cw[k]
+			base := int(i) * ndof
 			for d := 0; d < ndof; d++ {
 				out[d] += wk * src[base+d]
 			}
@@ -241,10 +241,10 @@ func (t *Transfer) scatterPoint(val []float64, ndof int, p mesh.NodeKey, e int, 
 		if w == 0 {
 			continue
 		}
-		con := &m.Conn[e*cpe+ci]
-		for k := 0; k < int(con.N); k++ {
-			wk := w * con.W[k]
-			base := int(con.Idx[k]) * ndof
+		idx, cw := m.Corner(e, ci)
+		for k, i := range idx {
+			wk := w * cw[k]
+			base := int(i) * ndof
 			for d := 0; d < ndof; d++ {
 				dst[base+d] += wk * val[d]
 			}

@@ -92,10 +92,10 @@ func writePiece(m *mesh.Mesh, path string, fields []Field) error {
 	fmt.Fprintln(w, `        <DataArray type="Int64" Name="connectivity" format="ascii">`)
 	for e := 0; e < ne; e++ {
 		for cx := 0; cx < cpe; cx++ {
-			con := &m.Conn[e*cpe+cx]
+			idx, _ := m.Corner(e, cx)
 			// Hanging corners are represented by their first donor; the
 			// geometry error is half a fine cell, invisible at plot scale.
-			fmt.Fprintf(w, "%d ", con.Idx[0])
+			fmt.Fprintf(w, "%d ", idx[0])
 		}
 		fmt.Fprintln(w)
 	}
